@@ -119,12 +119,6 @@ def is_nef(d: DivisorClass, curves: Sequence[Union[CurvePairing, tuple[str, Divi
     return NefCertificate(True)
 
 
-def _matrix_of(cone: ConeSpec) -> list[list[Fraction]]:
-    rank = cone.basis.rank
-    return [[cone.generators[j].coeffs[i] for j in range(len(cone))]
-            for i in range(rank)]
-
-
 def _vector_of(d: DivisorClass) -> list[Fraction]:
     if not all(isinstance(c, Fraction) for c in d.coeffs):
         raise ValueError("decomposition needs rational coefficients")

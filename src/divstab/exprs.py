@@ -224,7 +224,3 @@ def parse_divisor_expr(text: str, basis: LatticeBasis) -> DivisorClass:
     if not constant.is_zero():
         raise ExprSyntaxError("a divisor expression cannot have a nonzero constant term")
     return DivisorClass(basis, coeffs)
-
-
-def format_divisor(d: DivisorClass) -> str:
-    return str(d)

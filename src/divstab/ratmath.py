@@ -188,13 +188,6 @@ class Poly1:
             result = result * self
         return result
 
-    def compose(self, inner: "Poly1") -> "Poly1":
-        """Substitute ``inner`` for this polynomial's variable."""
-        acc = Poly1(inner.var, [])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
     def antiderivative(self) -> "Poly1":
         return Poly1(self.var, [0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 

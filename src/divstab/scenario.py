@@ -361,7 +361,11 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 raise ScenarioFormatError("[decompose] range: expected '<lo> <hi>'")
             lo = _parse_rational_value(dec, "range", parts[0])
             hi = _parse_rational_value(dec, "range", parts[1])
-            samples = int(dec.get("samples", "20"))
+            samples_text = dec.get("samples", "20")
+            samples = int(samples_text) if samples_text.isdecimal() else 0
+            if samples <= 0:
+                raise ScenarioFormatError(
+                    f"[decompose] samples: expected a positive integer, got {samples_text!r}")
             return Scenario(decompose_class=cls, scan_range=(lo, hi),
                             scan_samples=samples, **common)
         coeffs = None

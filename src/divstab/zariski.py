@@ -19,25 +19,32 @@ affine pairing function crosses zero (a curve enters the support; ties enter
 together) and the sweep terminates at the smallest rational root of the
 quadratic ``vol(v)``.
 
-``build_chart`` reconstructs the symbolic picture over each u-interval by
-sampling sweeps at five interior rational points, fitting affine data from
-three of them, and re-verifying everything at the other two.  A fit mismatch
-means a wall crossing hides inside the interval; its exact location is
-recovered from the rational roots of the fitted volume's v-discriminant (or
-from intersections of inconsistent boundary fits) and the interval is
-subdivided there, to a bounded depth.
+``build_chart`` derives the symbolic picture over each u-interval exactly.
+On a fixed support the Gram matrix is constant, so one solve with the
+(u, v)-parametric ray gives the positive part, affine in (u, v), and the
+volume, quadratic.  Every wall is an affine line v = w(u); the terminal
+boundary is a factor of the volume over Q[u] (a volume that does not factor
+raises :class:`IrrationalBreakpointError`).  One sweep at the midpoint of a
+cell names the supports; the cell is cut wherever two walls meet in a
+chamber or a wall form constant in v vanishes, the pieces are derived
+afresh, and adjacent pieces with identical chambers are merged again.  Chambers are
+locally polyhedral on a fixed support (Bauer--Kuronya--Szemberg, *Zariski
+chambers, volumes, and stable base loci*, 2004), which is what makes the
+cut points finite and rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
 from .lattice import DivisorClass, SurfaceForm, surface_pair
 from .ratmath import (IrrationalBreakpointError, Poly1, Poly2, demote, format_poly,
-                      format_rational, integrate_region, rational_roots, to_poly2)
+                      format_rational, integrate_region, rational_roots, rational_sqrt,
+                      to_poly2)
 
 NamedCurve = tuple[str, DivisorClass]
 
@@ -48,10 +55,6 @@ class NotPseudoEffectiveError(ArithmeticError):
 
 class IndefiniteSupportError(ArithmeticError):
     """A candidate support's Gram matrix is not negative definite."""
-
-
-class FitMismatchError(ArithmeticError):
-    """Sampled sweeps refuse to fit affine data even after subdivision."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,6 @@ class SweepChamber:
     support: tuple[str, ...]
     positive: DivisorClass       # coefficients are affine in v
     vol: Poly1                   # quadratic in v
-
-    def positive_at(self, v: Fraction) -> DivisorClass:
-        return self.positive.evaluate(v=v)
 
 
 def _as_v_poly(x) -> Poly1:
@@ -256,13 +256,6 @@ class ZariskiChart:
             total += integrate_region(ch.vol, ch.u_lo, ch.u_hi, ch.v_lo, ch.v_hi)
         return total
 
-    def v_max(self, u: Fraction) -> Fraction:
-        """Outer pseudo-effective boundary above a given u."""
-        tops = [ch.v_hi(u) for ch in self.chambers if ch.u_lo <= u <= ch.u_hi]
-        if not tops:
-            raise ValueError(f"u={format_rational(u)} is outside the chart")
-        return max(tops)
-
     def u_cells(self) -> list[tuple[Fraction, Fraction]]:
         return sorted({(ch.u_lo, ch.u_hi) for ch in self.chambers})
 
@@ -275,145 +268,137 @@ class ZariskiChart:
 
 
 def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
-                extremal_curves: Sequence[NamedCurve], form: SurfaceForm,
-                max_depth: int = 8) -> ZariskiChart:
-    """Symbolic chamber chart of ``d0(u) - v z`` over consecutive u-intervals.
+                extremal_curves: Sequence[NamedCurve], form: SurfaceForm) -> ZariskiChart:
+    """Exact chamber chart of ``d0(u) - v z`` over consecutive u-intervals.
 
-    ``u_breaks`` must include every u where the input family itself changes
-    (the schedule's chamber endpoints); wall crossings interior to a cell are
-    discovered by fit verification and exact subdivision.
+    ``d0`` must be affine in u and ``z`` rational.  ``u_breaks`` must include
+    every u where the input family itself changes (the schedule's chamber
+    endpoints).  Each cell between two breaks is cut wherever its chamber
+    structure changes, at points derived exactly, and adjacent pieces with
+    identical chamber stacks are merged again, so the chart is minimal.
     """
+    if not all(isinstance(c, Fraction) for c in z.coeffs) or any(
+            to_poly2(c).degree_u > 1 or to_poly2(c).degree_v > 0 for c in d0.coeffs):
+        raise ValueError(f"a chart needs d0 affine in u and z rational, got d0 = {d0}, z = {z}")
     breaks = sorted(set(Fraction(b) for b in u_breaks))
     if len(breaks) < 2:
         raise ValueError("need at least two u-breakpoints")
+    v = Poly1.variable("v")
+    ray = DivisorClass(d0.basis, [a - v * b for a, b in zip(d0.coeffs, z.coeffs)])
+    solved: dict = {}
     chambers: list[ChartChamber] = []
     for lo, hi in zip(breaks, breaks[1:]):
-        chambers.extend(_chart_cell(d0, z, lo, hi, extremal_curves, form, max_depth))
+        merged: list = []
+        for u_lo, u_hi, stack in _derive_cell(ray, d0, z, lo, hi, extremal_curves, form, solved):
+            if merged and merged[-1][2] == stack:
+                u_lo = merged.pop()[0]
+            merged.append((u_lo, u_hi, stack))
+        for u_lo, u_hi, stack in merged:
+            chambers.extend(ChartChamber(u_lo, u_hi, *row) for row in stack)
     return ZariskiChart(tuple(chambers))
 
 
-def _sample_points(u_lo: Fraction, u_hi: Fraction) -> list[Fraction]:
-    width = u_hi - u_lo
-    return [u_lo + width * Fraction(k, 8) for k in (2, 4, 6, 1, 7)]  # 3 fit + 2 verify
+def _derive_cell(ray, d0, z, lo, hi, curves, form, solved) -> list:
+    """Pieces ``(u_lo, u_hi, stack)`` of [lo, hi], each of one chamber structure.
 
-
-def _chart_cell(d0, z, u_lo, u_hi, curves, form, depth) -> list[ChartChamber]:
-    samples = _sample_points(u_lo, u_hi)
-    sweeps = [v_sweep(d0, z, u, curves, form) for u in samples]
-    fitted = _fit_cell(d0, u_lo, u_hi, samples[:3], sweeps[:3], form)
-    if fitted is not None and all(
-            _matches(fitted, u, sw) for u, sw in zip(samples, sweeps)):
-        return fitted
-    if depth <= 0:
-        raise FitMismatchError(
-            f"no affine chamber structure on u in [{format_rational(u_lo)}, "
-            f"{format_rational(u_hi)}] after exhausting the subdivision depth")
-    split = _find_split(fitted, samples, sweeps, u_lo, u_hi)
-    return (_chart_cell(d0, z, u_lo, split, curves, form, depth - 1)
-            + _chart_cell(d0, z, split, u_hi, curves, form, depth - 1))
-
-
-def _fit_affine(samples: list[tuple[Fraction, Fraction]]) -> Poly1 | None:
-    """Affine polynomial in u through all sample points, or None."""
-    (u1, w1), (u2, w2) = samples[0], samples[1]
-    slope = (w2 - w1) / (u2 - u1)
-    fit = Poly1("u", [w1 - slope * u1, slope])
-    if all(fit(u) == w for u, w in samples):
-        return fit
-    return None
-
-
-def _fit_affine_uv(samples: list[tuple[Fraction, Poly1]]) -> Poly2 | None:
-    """Jointly affine polynomial in (u, v) matching affine-in-v sample slices."""
-    v_slopes = {p.coefficient(1) for _, p in samples}
-    if len(v_slopes) != 1:
-        return None
-    const = _fit_affine([(u, p.coefficient(0)) for u, p in samples])
-    if const is None:
-        return None
-    return to_poly2(const) + to_poly2(Poly1.variable("v")) * v_slopes.pop()
-
-
-def _fit_cell(d0, u_lo, u_hi, samples, sweeps, form) -> list[ChartChamber] | None:
-    if len({tuple(ch.support for ch in sw) for sw in sweeps}) != 1:
-        return None
-    out: list[ChartChamber] = []
-    for k in range(len(sweeps[0])):
-        v_lo = _fit_affine([(u, sw[k].v_lo) for u, sw in zip(samples, sweeps)])
-        v_hi = _fit_affine([(u, sw[k].v_hi) for u, sw in zip(samples, sweeps)])
-        if v_lo is None or v_hi is None:
-            return None
-        coeff_fits = []
-        for i in range(d0.basis.rank):
-            slices = [(u, _as_v_poly(sw[k].positive.coeffs[i]))
-                      for u, sw in zip(samples, sweeps)]
-            fit = _fit_affine_uv(slices)
-            if fit is None:
-                return None
-            coeff_fits.append(fit)
-        positive = DivisorClass(d0.basis, coeff_fits)
-        vol = to_poly2(surface_pair(positive, positive, form))
-        out.append(ChartChamber(u_lo, u_hi, v_lo, v_hi,
-                                sweeps[0][k].support, positive, vol))
-    return out
-
-
-def _matches(chambers: list[ChartChamber], u: Fraction, sweep: list[SweepChamber]) -> bool:
-    """Does the symbolic cell reproduce the sweep at this sample exactly?"""
-    if len(chambers) != len(sweep):
-        return False
-    for ch, sw in zip(chambers, sweep):
-        if ch.support != sw.support:
-            return False
-        if ch.v_lo(u) != sw.v_lo or ch.v_hi(u) != sw.v_hi:
-            return False
-        for a, b in zip(ch.positive.coeffs, sw.positive.coeffs):
-            if to_poly2(a).subs_u(u) != _as_v_poly(b):
-                return False
-        if ch.vol.subs_u(u) != sw.vol:
-            return False
-    return True
-
-
-def _find_split(fitted, samples, sweeps, u_lo, u_hi) -> Fraction:
-    """Exact interior u where the chamber structure changes.
-
-    The fitted volume of a chamber knows both of its wall branches even when
-    the sweeps only ever report the smaller one, so wall crossovers show up
-    as rational roots of the v-discriminant.  Failing that, intersect
-    inconsistent affine fits of the chamber boundaries; failing that, bisect.
+    A stack lists ``(v_lo, v_hi, support, positive, vol)`` per chamber, in
+    sweep order.  The supports come from one sweep at the midpoint; every
+    wall is then an affine function of u, and the structure can only change
+    where two walls of a chamber meet or where a wall form that is constant
+    in v vanishes.  Any such u inside the cell cuts it, and the pieces are
+    derived afresh.  The volume needs no cuts of its own: d vol/dv = -2 P.z
+    <= 0 for effective z, so where it vanishes on a chamber boundary, the
+    chambers above either close up (their walls meet) or have zero volume
+    on that whole slice u = const, which changes nothing.
     """
-    if fitted is not None:
-        crossings: list[Fraction] = []
-        for ch in fitted:
-            vol = ch.vol
-            lead = vol.coefficient(0, 2)
-            if vol.degree_v == 2:
-                b = Poly1("u", [vol.coefficient(i, 1) for i in range(vol.degree_u + 1)])
-                c = Poly1("u", [vol.coefficient(i, 0) for i in range(vol.degree_u + 1)])
-                disc = b * b - 4 * lead * c
-                if not disc.is_zero() and disc.degree <= 2:
-                    try:
-                        crossings.extend(rational_roots(disc))
-                    except IrrationalBreakpointError:
-                        pass
-        crossings = sorted(c for c in crossings if u_lo < c < u_hi)
-        if crossings:
-            return crossings[0]
-    candidates: list[Fraction] = []
-    ordered = sorted(zip(samples, sweeps))
-    depth = min(len(sw) for _, sw in ordered)
-    for k in range(depth):
-        for pick in (lambda sw: sw[k].v_hi, lambda sw: sw[k].v_lo):
-            lines = []
-            for (u1, s1), (u2, s2) in zip(ordered, ordered[1:]):
-                slope = (pick(s2) - pick(s1)) / (u2 - u1)
-                lines.append(Poly1("u", [pick(s1) - slope * u1, slope]))
-            for f1, f2 in zip(lines, lines[1:]):
-                diff = f1 - f2
-                if not diff.is_zero() and diff.degree == 1:
-                    candidates.extend(rational_roots(diff))
-    interior = sorted(c for c in candidates if u_lo < c < u_hi)
-    if interior:
-        return interior[0]
-    return (u_lo + u_hi) / 2
+    mid = (lo + hi) / 2
+    sweep = v_sweep(d0, z, mid, curves, form)
+    stack: list = []
+    found: list[Fraction] = []
+    v_lo = Poly1("u", [])
+    for k, sw in enumerate(sweep):
+        positive, vol, lines, fixed = _solve_chamber(ray, sw.support, curves, form, solved)
+        if k + 1 < len(sweep):
+            branches = []
+            v_hi = lines[sweep[k + 1].support[len(sw.support)]]  # first entering curve
+        else:
+            branches = _branches(vol)
+            v_hi = next(w for w in branches if w(mid) == sw.v_hi)
+        for a, b in combinations([v_lo, v_hi, *lines.values(), *branches], 2):
+            diff = a - b
+            if diff.degree == 1:
+                found.append(-diff.coefficient(0) / diff.coefficient(1))
+        found.extend(fixed)
+        stack.append((v_lo, v_hi, sw.support, positive, vol))
+        v_lo = v_hi
+    cuts = sorted({u for u in found if lo < u < hi})
+    if not cuts:
+        return [(lo, hi, stack)]
+    points = [lo, *cuts, hi]
+    return [piece for a, b in zip(points, points[1:])
+            for piece in _derive_cell(ray, d0, z, a, b, curves, form, solved)]
+
+
+def _solve_chamber(ray, support, curves, form, solved):
+    """Positive part, volume and walls of one support, for all (u, v) at once.
+
+    The walls are affine forms in (u, v): the pairing of the positive part
+    with each curve outside the support, and each negative-part coefficient.
+    A form with a v-term is returned as its line ``v = w(u)``, keyed by its
+    curve; the others only vanish at a fixed u, returned in ``fixed``.
+    """
+    if support not in solved:
+        chosen = [(name, cls) for name, cls in curves if name in support]
+        coeffs = _solve_support(ray, chosen, form) if chosen else []
+        p = ray
+        for (_, cls), n in zip(chosen, coeffs):
+            p = p - cls.scale(n)
+        forms = {name: n for (name, _), n in zip(chosen, coeffs)}
+        forms.update((name, surface_pair(p, cls, form))
+                     for name, cls in curves if name not in support)
+        lines, fixed = {}, []
+        for name, f in forms.items():
+            f = to_poly2(f)
+            slope, base = f.coefficient(0, 1), f.subs_v(0)
+            if slope:
+                lines[name] = base * (-1 / slope)
+            elif base.degree == 1:
+                fixed.append(-base.coefficient(0) / base.coefficient(1))
+        solved[support] = (p, to_poly2(surface_pair(p, p, form)), lines, fixed)
+    return solved[support]
+
+
+def _branches(vol: Poly2) -> list[Poly1]:
+    """The lines ``v = w(u)`` on which a terminal chamber's volume vanishes.
+
+    The v^2 coefficient of a chamber volume is constant.  If it is zero the
+    volume is linear in v and its root must divide out as an affine
+    polynomial; otherwise the v-discriminant must be the square of one.
+    """
+    a = vol.coefficient(0, 2)
+    b = Poly1("u", [vol.coefficient(0, 1), vol.coefficient(1, 1)])
+    c = vol.subs_v(0)
+    if a == 0:
+        # (b0 + b1 u)(t + s u) = -c, coefficient by coefficient
+        ts = linalg.solve_unique([[b.coefficient(0), 0], [b.coefficient(1), b.coefficient(0)],
+                                  [0, b.coefficient(1)]], [-c.coefficient(k) for k in range(3)])
+        roots = None if ts is None else [Poly1("u", ts)]
+    else:
+        root = _affine_sqrt(b * b - 4 * a * c)
+        roots = None if root is None else [(-b - root) * (1 / (2 * a)),
+                                           (-b + root) * (1 / (2 * a))]
+    if roots is None:
+        raise IrrationalBreakpointError(
+            f"irrational breakpoint: where {format_poly(vol)} vanishes is not affine in u")
+    return roots
+
+
+def _affine_sqrt(p: Poly1) -> Poly1 | None:
+    """An affine polynomial whose square is p, or None."""
+    s = rational_sqrt(p.coefficient(2))
+    t = p.coefficient(1) / (2 * s) if s else rational_sqrt(p.coefficient(0))
+    if s is None or t is None:
+        return None
+    root = Poly1("u", [t, s])
+    return root if root * root == p else None
+

@@ -120,6 +120,17 @@ def test_malformed_scenario_is_isolated():
     assert statuses == {"lemma_4_2_s": "PASS", "bad": "ERROR", "lemma_3_8": "PASS"}
 
 
+@pytest.mark.parametrize("samples", ["abc", "0", "-3"])
+def test_bad_scan_samples_are_isolated_errors(samples):
+    """A sample count that is not a positive integer is an ERROR, never a PASS."""
+    good = load_bundled("lemma_4_5_a.scn")
+    bad = good.replace("samples = 20", f"samples = {samples}")
+    report = run_verify([("bad", bad), ("good", good)])
+    first, second = report.results
+    assert first.status == "ERROR" and "[decompose] samples" in first.detail
+    assert (second.name, second.status) == ("lemma_4_5_a", "PASS")
+
+
 def test_report_is_deterministic():
     items = [("lemma_4_1", load_bundled("lemma_4_1.scn")),
              ("lemma_3_8", load_bundled("lemma_3_8.scn"))]

@@ -7,6 +7,7 @@ import pytest
 from divstab import sinv
 from divstab.lattice import DivisorClass
 from divstab.ratmath import Poly1
+from divstab.scenario import load_bundled, parse_scenario
 from conftest import curve_input
 from oracles import negative_term_oracle, volume_term_oracle
 
@@ -27,6 +28,21 @@ GOLDEN = {
 @pytest.mark.parametrize("name,expected", sorted(GOLDEN.items()))
 def test_s_curve_golden_values(scenarios, name, expected):
     assert sinv.s_curve(curve_input(scenarios[name])) == expected
+
+
+@pytest.mark.parametrize("at", ["139/100", "141/100", "31/24"])
+def test_s_curve_unchanged_by_splitting_a_schedule_chamber(at):
+    """Cutting a schedule chamber changes nothing geometric, so S must not move.
+
+    The cuts sit near the ends of the chamber and on either side of the
+    u = 7/5 wall crossover, where a sampled chart would miss the crossing.
+    """
+    text = load_bundled("lemma_4_1.scn")
+    whole = "chamber 1 3/2 = (u - 1)*R\n"
+    assert whole in text and "ord = 0, 0\n" in text
+    text = text.replace(whole, f"chamber 1 {at} = (u - 1)*R\nchamber {at} 3/2 = (u - 1)*R\n")
+    scenario = parse_scenario(text.replace("ord = 0, 0\n", "ord = 0, 0, 0\n"), "lemma_4_1")
+    assert sinv.s_curve(curve_input(scenario)) == F(753, 1120)
 
 
 def test_negative_part_terms(scenarios):

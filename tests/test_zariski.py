@@ -5,9 +5,8 @@ import pytest
 
 from divstab.lattice import DivisorClass, LatticeBasis, SurfaceForm, restrict, surface_pair
 from divstab.ratmath import (IrrationalBreakpointError, Poly1, to_poly2)
-from divstab.zariski import (FitMismatchError, IndefiniteSupportError,
-                             NotPseudoEffectiveError, build_chart, v_sweep,
-                             zariski_decompose)
+from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
+                             build_chart, v_sweep, zariski_decompose)
 from conftest import curve_input
 
 U = Poly1.variable("u")
@@ -89,6 +88,17 @@ def test_v_sweep_errors_on_irrational_terminal():
         v_sweep(d0, z, F(1, 2), [("B", basis.unit("B"))], form)
 
 
+def test_chart_errors_on_non_affine_terminal_boundary():
+    # the terminal root 10 - sqrt(9u^2 + 16) is rational at the midpoint u = 0
+    # but not affine in u: the chart must fail loudly, never approximate
+    basis = LatticeBasis(["A", "B", "C"])
+    form = SurfaceForm(basis, {("A", "A"): F(1), ("B", "B"): F(-1), ("C", "C"): F(-1)})
+    d0 = DivisorClass(basis, [10 + 0 * U, 3 * U, 4 + 0 * U])
+    assert v_sweep(d0, basis.unit("A"), F(0), [], form)[-1].v_hi == 6
+    with pytest.raises(IrrationalBreakpointError):
+        build_chart(d0, basis.unit("A"), [-1, 1], [], form)
+
+
 def test_chart_reproduces_displayed_walls(dp5):
     d0a = DivisorClass(dp5.basis, [4 - U, -1, -1, -1, -1])
     d0b = DivisorClass(dp5.basis, [8 - 5 * U, U - 2, 2 * U - 3, 2 * U - 3, 2 * U - 3])
@@ -114,6 +124,33 @@ def test_chart_on_ruled_surface(ruled):
     assert [ch.v_hi for ch in chart_a.chambers] == [1 + U]
     assert [ch.v_hi for ch in chart_b.chambers] == [Poly1("u", [2])]
     assert all(ch.support == () for ch in chart_a.chambers + chart_b.chambers)
+
+
+@pytest.mark.parametrize("coeffs,cell,cells", [
+    # F11 is orthogonal to z, so its pairing with the positive part is the
+    # same at every v; it changes sign at u = 1/2, where F11 leaves every
+    # chamber's support at once and no two walls meet
+    ([U + 6, U + 2, U - 3, -1 + 0 * U], (-1, 1), [(-1, F(1, 2)), (F(1, 2), 1)]),
+    # two walls meet at u = -1/2 without changing any chamber: the pieces on
+    # both sides are identical and are merged again
+    ([2 - U, -U, -1 + 0 * U, 2 + 0 * U], (-2, 0), [(-2, -1), (-1, 0)]),
+])
+def test_chart_cells_are_exact_and_minimal(dp6, coeffs, cell, cells):
+    d0 = DivisorClass(dp6.basis, coeffs)
+    z = dp6.basis.unit("l1")
+    chart = build_chart(d0, z, cell, dp6.extremal_curves, dp6.form)
+    assert chart.u_cells() == cells
+    for lo, hi in chart.u_cells():
+        stack = chart.stack(lo, hi)
+        for u in (lo + (hi - lo) / 4, (lo + hi) / 2, lo + (hi - lo) * 3 / 4):
+            sweep = v_sweep(d0, z, u, dp6.extremal_curves, dp6.form)
+            assert stack[-1].v_hi(u) == sweep[-1].v_hi
+            for ch in stack:
+                v = (ch.v_lo(u) + ch.v_hi(u)) / 2
+                result = zariski_decompose(d0.evaluate(u=u) - z.scale(v),
+                                           dp6.extremal_curves, dp6.form)
+                assert set(result.support) == set(ch.support)
+                assert result.positive == ch.positive.evaluate(u=u, v=v)
 
 
 def test_chart_trivial_when_z_has_positive_square(ruled):
@@ -238,9 +275,9 @@ def test_chart_requires_two_breakpoints(dp5):
         build_chart(d0, dp5.basis.unit("l"), [0], dp5.extremal_curves, dp5.form)
 
 
-def test_fit_mismatch_reported_beyond_depth(ruled):
-    """A quadratic wall cannot be fit affinely and must fail loudly."""
+def test_chart_rejects_non_affine_family(ruled):
+    """A family quadratic in u has curved walls: it must fail loudly, never be guessed."""
     d0 = DivisorClass(ruled.basis, [to_poly2(2 - U * U), to_poly2(3 + 0 * U)])
     z = ruled.basis.unit("s")
-    with pytest.raises(FitMismatchError):
-        build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form, max_depth=3)
+    with pytest.raises(ValueError, match="affine in u"):
+        build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form)
