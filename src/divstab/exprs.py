@@ -1,6 +1,13 @@
-"""Plain-text expressions for divisor classes and u/v polynomials.
+"""Plain-text expressions: the one tokenizer and parser of the package.
 
-The grammar is deliberately small: signed sums of terms, where a term is an
+The polynomial grammar is small: signed sums of products of powers, where
+an atom is a rational, a variable name or a parenthesized subexpression, and
+``*`` may be left out between factors.  :func:`parse_expression` parses it
+for any caller that says what a variable name means: :func:`parse_poly`
+allows ``u`` and ``v``, and :func:`divstab.projgeo.parse_mpoly` allows any
+name.
+
+Divisor classes add one layer: signed sums of terms, where a term is an
 optionally-coefficiented generator name and a coefficient is a rational or a
 parenthesized polynomial in u and v.  ``4H - 2EC - EL``, ``l1 + 2*l2``,
 ``(u - 1)*R`` and ``0`` are all valid.  Errors carry the offending position.
@@ -11,9 +18,10 @@ Exact rationals only: ``3/2`` never ``1.5``.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .lattice import DivisorClass, LatticeBasis
-from .ratmath import Coeff, Poly1, demote, to_poly2
+from .ratmath import Coeff, Poly
 
 
 class ExprSyntaxError(ValueError):
@@ -57,155 +65,134 @@ def _parse_number(text: str, at: int) -> Fraction:
         raise ExprSyntaxError(f"malformed rational {text!r} at position {at}") from None
 
 
-class _PolyParser:
-    """Recursive descent for +,-,*,^ expressions in u and v."""
+class _Parser:
+    """Recursive descent for +, -, * and ^ over rationals and variables.
 
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
+    ``variable(name, at)`` gives a name its value or raises
+    :class:`ExprSyntaxError`.  Numbers are Fractions, so values only need
+    ring arithmetic with Fractions.
+    """
+
+    def __init__(self, text: str, variable: Callable):
+        self.tokens = _tokenize(text)
+        self.end = len(text)
+        self.variable = variable
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, self.end)
 
     def take(self):
         tok = self.peek()
         self.pos += 1
         return tok
 
-    def parse(self) -> Coeff:
-        value = self.sum()
-        kind, value_txt, at = self.peek()
-        if kind is not None:
-            raise ExprSyntaxError(f"trailing input {value_txt!r} at position {at}")
-        return demote(value)
+    def signs(self) -> int:
+        """Consume a run of ``+`` and ``-``; return its sign."""
+        sign = 1
+        while self.peek()[0] in ("+", "-"):
+            if self.take()[0] == "-":
+                sign = -sign
+        return sign
 
     def sum(self):
-        total = to_poly2(0)
-        sign = 1
-        kind, _, _ = self.peek()
-        while kind in ("+", "-"):
-            if kind == "-":
-                sign = -sign
-            self.take()
-            kind, _, _ = self.peek()
-        total = total + to_poly2(self.product()) * sign
-        while True:
-            kind, _, _ = self.peek()
-            if kind not in ("+", "-"):
-                return total
-            sign = 1
-            while kind in ("+", "-"):
-                if kind == "-":
-                    sign = -sign
-                self.take()
-                kind, _, _ = self.peek()
-            total = total + to_poly2(self.product()) * sign
+        total = self.signed_product()
+        while self.peek()[0] in ("+", "-"):
+            total = total + self.signed_product()
+        return total
+
+    def signed_product(self):
+        sign = self.signs()
+        value = self.product()
+        return value if sign > 0 else -value
 
     def product(self):
-        value = to_poly2(self.power())
+        value = self.power()
         while True:
-            kind, _, _ = self.peek()
+            kind = self.peek()[0]
             if kind == "*":
                 self.take()
-                value = value * to_poly2(self.power())
-            elif kind in ("name", "(", "number"):
-                value = value * to_poly2(self.power())
-            else:
+            elif kind not in ("name", "(", "number"):
                 return value
+            value = value * self.power()
 
     def power(self):
-        base = to_poly2(self.atom())
-        kind, _, _ = self.peek()
-        if kind == "^":
-            self.take()
-            k, txt, at = self.take()
-            if k != "number" or "/" in txt:
-                raise ExprSyntaxError(f"exponent must be an integer at position {at}")
-            return base ** int(txt)
-        return base
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.take()
+        kind, txt, at = self.take()
+        if kind != "number" or "/" in txt:
+            raise ExprSyntaxError(f"exponent must be an integer at position {at}")
+        return base ** int(txt)
 
     def atom(self):
         kind, txt, at = self.take()
         if kind == "number":
             return _parse_number(txt, at)
         if kind == "name":
-            if txt == "u":
-                return Poly1.variable("u")
-            if txt == "v":
-                return Poly1.variable("v")
-            raise ExprSyntaxError(f"unknown variable {txt!r} at position {at}; "
-                                  "polynomials may use u and v only")
+            return self.variable(txt, at)
         if kind == "(":
             inner = self.sum()
             k, _, at2 = self.take()
             if k != ")":
                 raise ExprSyntaxError(f"missing ')' at position {at2}")
             return inner
+        if kind is None:
+            raise ExprSyntaxError(f"unexpected end of input at position {at}")
         raise ExprSyntaxError(f"unexpected {txt!r} at position {at}")
 
 
-def parse_poly(text: str) -> Coeff:
-    """Parse a polynomial in u and v to the simplest coefficient kind."""
+def parse_expression(text: str, variable: Callable):
+    """Parse a whole polynomial expression; ``variable(name, at)`` values each name."""
     if not text.strip():
         raise ExprSyntaxError("empty polynomial")
-    return _PolyParser(_tokenize(text), text).parse()
+    parser = _Parser(text, variable)
+    value = parser.sum()
+    kind, txt, at = parser.peek()
+    if kind is not None:
+        raise ExprSyntaxError(f"trailing input {txt!r} at position {at}")
+    return value
+
+
+_UV = {"u": Poly.variable("u"), "v": Poly.variable("v")}
+
+
+def _uv_variable(name: str, at: int) -> Poly:
+    if name not in _UV:
+        raise ExprSyntaxError(f"unknown variable {name!r} at position {at}; "
+                              "polynomials may use u and v only")
+    return _UV[name]
+
+
+def parse_poly(text: str) -> Poly:
+    """Parse a polynomial in u and v."""
+    return Poly.of(parse_expression(text, _uv_variable))
 
 
 def parse_divisor_expr(text: str, basis: LatticeBasis) -> DivisorClass:
     """Parse a signed sum of optionally-coefficiented generator names."""
     if not text.strip():
         raise ExprSyntaxError("empty expression")
-    tokens = _tokenize(text)
+    parser = _Parser(text, _uv_variable)
     coeffs: list[Coeff] = [Fraction(0)] * basis.rank
-    constant = to_poly2(0)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
-
-    while pos < len(tokens):
-        sign = 1
-        kind, txt, at = peek()
-        if kind in ("+", "-"):
-            while kind in ("+", "-"):
-                if kind == "-":
-                    sign = -sign
-                pos += 1
-                kind, txt, at = peek()
-        elif pos > 0:
+    constant: Coeff = Fraction(0)
+    while parser.peek()[0] is not None:
+        kind, txt, at = parser.peek()
+        if kind not in ("+", "-") and parser.pos > 0:
             raise ExprSyntaxError(f"expected '+' or '-' before {txt!r} at position {at}")
-        # optional coefficient
-        coeff: Coeff = Fraction(1)
-        have_coeff = False
-        if kind == "number":
-            coeff = _parse_number(txt, at)
-            have_coeff = True
-            pos += 1
-            kind, txt, at = peek()
-        elif kind == "(":
-            depth = 0
-            j = pos
-            while j < len(tokens):
-                if tokens[j][0] == "(":
-                    depth += 1
-                elif tokens[j][0] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if j >= len(tokens):
-                raise ExprSyntaxError(f"missing ')' for '(' at position {at}")
-            sub = _PolyParser(tokens[pos + 1:j], text)
-            coeff = sub.parse()
-            have_coeff = True
-            pos = j + 1
-            kind, txt, at = peek()
-        if kind == "*":
-            pos += 1
-            kind, txt, at = peek()
+        sign = parser.signs()
+        kind, txt, at = parser.peek()
+        # optional coefficient: a rational or a parenthesized polynomial
+        have_coeff = kind in ("number", "(")
+        coeff = parser.atom() if have_coeff else Fraction(1)
+        if sign < 0:
+            coeff = -coeff
+        if parser.peek()[0] == "*":
+            parser.take()
+        kind, txt, at = parser.peek()
         if kind == "name":
-            if txt in ("u", "v"):
+            if txt in _UV:
                 raise ExprSyntaxError(
                     f"{txt!r} at position {at}: u and v may only appear inside "
                     "a parenthesized coefficient")
@@ -215,12 +202,12 @@ def parse_divisor_expr(text: str, basis: LatticeBasis) -> DivisorClass:
                 raise ExprSyntaxError(
                     f"unknown generator {txt!r} at position {at}; "
                     f"basis is {' '.join(basis.names)}") from None
-            pos += 1
-            coeffs[index] = demote(to_poly2(coeffs[index]) + to_poly2(coeff) * sign)
+            parser.take()
+            coeffs[index] = coeffs[index] + coeff
         elif have_coeff:
-            constant = constant + to_poly2(coeff) * sign
+            constant = constant + coeff
         else:
             raise ExprSyntaxError(f"expected a generator name at position {at}")
-    if not constant.is_zero():
+    if constant:
         raise ExprSyntaxError("a divisor expression cannot have a nonzero constant term")
     return DivisorClass(basis, coeffs)

@@ -3,9 +3,11 @@
 A :class:`LatticeBasis` fixes an ordered list of generator names (for the
 threefold: the plane pullback and the two exceptional surfaces; for each
 embedded surface: its own curve basis).  A :class:`DivisorClass` is a
-coefficient vector over such a basis; coefficients may be rational or
-polynomial in the parameters u, v, and all arithmetic promotes kinds
-automatically.
+coefficient vector over such a basis.  Each coefficient is a Fraction or a
+non-constant :class:`~divstab.ratmath.Poly` in the parameters u, v; the
+constructor stores a constant Poly as its Fraction, so equal classes have
+equal coefficient tuples.  The pairings return a Fraction for rational
+classes and a Poly otherwise: the input types decide, never the value.
 
 Intersection data is shipped as value tables:
 
@@ -26,9 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .ratmath import Coeff, Poly1, Poly2, demote, format_poly, to_poly2
+from .ratmath import Coeff, Poly, format_poly, format_rational
 
-CoeffIn = Union[int, Fraction, Poly1, Poly2]
+CoeffIn = Union[int, Fraction, Poly]
 
 
 class BasisMismatchError(ValueError):
@@ -66,31 +68,24 @@ class LatticeBasis:
         return DivisorClass(self, [Fraction(0)] * self.rank)
 
 
-def _unify(coeffs: Sequence[CoeffIn]) -> tuple[Coeff, ...]:
-    """Promote a coefficient vector to a single kind (the class invariant)."""
-    cs = [demote(c) if isinstance(c, (Poly1, Poly2)) else Fraction(c) for c in coeffs]
-    if any(isinstance(c, Poly2) for c in cs):
-        return tuple(to_poly2(c) for c in cs)
-    vars_used = {c.var for c in cs if isinstance(c, Poly1)}
-    if len(vars_used) > 1:
-        return tuple(to_poly2(c) for c in cs)
-    if vars_used:
-        var = vars_used.pop()
-        return tuple(c if isinstance(c, Poly1) else Poly1.constant(var, c) for c in cs)
-    return tuple(cs)
-
-
 class DivisorClass:
     """Exact coefficient vector over a named lattice basis."""
 
     __slots__ = ("basis", "coeffs")
 
     def __init__(self, basis: LatticeBasis, coeffs: Sequence[CoeffIn]):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != basis.rank:
-            raise ValueError(f"expected {basis.rank} coefficients, got {len(coeffs)}")
+        cs = []
+        for c in coeffs:
+            if isinstance(c, Poly):
+                if c.is_constant():
+                    c = c.coefficient(0, 0)
+            elif not isinstance(c, Fraction):
+                c = Fraction(c)
+            cs.append(c)
+        if len(cs) != basis.rank:
+            raise ValueError(f"expected {basis.rank} coefficients, got {len(cs)}")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", _unify(coeffs))
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
@@ -99,7 +94,7 @@ class DivisorClass:
         return self.coeffs[self.basis.index(name)]
 
     def is_zero(self) -> bool:
-        return all(to_poly2(c).is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _check(self, other: "DivisorClass") -> None:
         if self.basis != other.basis:
@@ -109,12 +104,10 @@ class DivisorClass:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return (self.basis == other.basis
-                and all(to_poly2(a) == to_poly2(b)
-                        for a, b in zip(self.coeffs, other.coeffs)))
+        return self.basis == other.basis and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.basis, tuple(to_poly2(c) for c in self.coeffs)))
+        return hash((self.basis, self.coeffs))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
@@ -128,10 +121,7 @@ class DivisorClass:
         return DivisorClass(self.basis, [-c for c in self.coeffs])
 
     def scale(self, factor: CoeffIn) -> "DivisorClass":
-        if isinstance(factor, (int, Fraction)) and all(
-                isinstance(c, Fraction) for c in self.coeffs):
-            return DivisorClass(self.basis, [factor * c for c in self.coeffs])
-        return DivisorClass(self.basis, [to_poly2(factor) * c for c in self.coeffs])
+        return DivisorClass(self.basis, [factor * c for c in self.coeffs])
 
     def __rmul__(self, factor) -> "DivisorClass":
         return self.scale(factor)
@@ -140,38 +130,29 @@ class DivisorClass:
         """Evaluate parametric coefficients at rational u and/or v."""
         out = []
         for c in self.coeffs:
-            if isinstance(c, Poly2):
+            if isinstance(c, Poly):
                 if u is not None and v is not None:
-                    out.append(c(Fraction(u), Fraction(v)))
+                    c = c(Fraction(u), Fraction(v))
                 elif u is not None:
-                    out.append(c.subs_u(Fraction(u)))
+                    c = c.subs_u(Fraction(u))
                 elif v is not None:
-                    out.append(c.subs_v(Fraction(v)))
-                else:
-                    out.append(c)
-            elif isinstance(c, Poly1):
-                point = u if c.var == "u" else v
-                out.append(c(Fraction(point)) if point is not None else c)
-            else:
-                out.append(c)
+                    c = c.subs_v(Fraction(v))
+            out.append(c)
         return DivisorClass(self.basis, out)
 
     def __str__(self):
         terms = []
         for name, c in zip(self.basis.names, self.coeffs):
-            p = to_poly2(c)
-            if p.is_zero():
-                continue
-            if p == Poly2.constant(1):
+            if isinstance(c, Poly):
+                terms.append(f"+ ({format_poly(c)})*{name}")
+            elif c == 1:
                 terms.append(f"+ {name}")
-            elif p == Poly2.constant(-1):
+            elif c == -1:
                 terms.append(f"- {name}")
-            elif p.degree_u <= 0 and p.degree_v <= 0 and p.coefficient(0, 0) < 0:
-                terms.append(f"- {format_poly(-p.coefficient(0, 0))}*{name}")
-            elif p.degree_u <= 0 and p.degree_v <= 0:
-                terms.append(f"+ {format_poly(p.coefficient(0, 0))}*{name}")
-            else:
-                terms.append(f"+ ({format_poly(demote(p))})*{name}")
+            elif c < 0:
+                terms.append(f"- {format_rational(-c)}*{name}")
+            elif c > 0:
+                terms.append(f"+ {format_rational(c)}*{name}")
         if not terms:
             return "0"
         text = " ".join(terms)
@@ -286,61 +267,27 @@ def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass,
     for d in (d1, d2, d3):
         if d.basis != form.basis:
             raise BasisMismatchError("class is not over the form's basis")
-    if _all_rational(d1, d2, d3):
-        total = Fraction(0)
-        for (i, j, k), t in form.values.items():
-            for a, b, c in {(i, j, k), (i, k, j), (j, i, k),
-                            (j, k, i), (k, i, j), (k, j, i)}:
-                total += d1.coeffs[a] * d2.coeffs[b] * d3.coeffs[c] * t
-        return total
-    rank = form.basis.rank
-    total = Poly2.constant(0)
-    for i in range(rank):
-        a = to_poly2(d1.coeffs[i])
-        if a.is_zero():
-            continue
-        for j in range(rank):
-            b = to_poly2(d2.coeffs[j])
-            if b.is_zero():
-                continue
-            ab = a * b
-            for k in range(rank):
-                t = form.value(i, j, k)
-                if t == 0:
-                    continue
-                c = to_poly2(d3.coeffs[k])
-                if c.is_zero():
-                    continue
-                total = total + ab * c * t
-    return demote(total)
+    total = Fraction(0)
+    for (i, j, k), t in form.values.items():
+        for a, b, c in {(i, j, k), (i, k, j), (j, i, k),
+                        (j, k, i), (k, i, j), (k, j, i)}:
+            x, y, z = d1.coeffs[a], d2.coeffs[b], d3.coeffs[c]
+            if x and y and z:
+                total += t * x * y * z
+    return total if _all_rational(d1, d2, d3) else Poly.of(total)
 
 
 def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
     """Bilinear expansion of a surface intersection form; exact."""
     if a.basis != form.basis or b.basis != form.basis:
         raise BasisMismatchError("class is not over the form's basis")
-    if _all_rational(a, b):
-        total = Fraction(0)
-        for (i, j), t in form.values.items():
-            total += a.coeffs[i] * b.coeffs[j] * t
-            if i != j:
-                total += a.coeffs[j] * b.coeffs[i] * t
-        return total
-    rank = form.basis.rank
-    total = Poly2.constant(0)
-    for i in range(rank):
-        x = to_poly2(a.coeffs[i])
-        if x.is_zero():
-            continue
-        for j in range(rank):
-            t = form.value(i, j)
-            if t == 0:
-                continue
-            y = to_poly2(b.coeffs[j])
-            if y.is_zero():
-                continue
-            total = total + x * y * t
-    return demote(total)
+    total = Fraction(0)
+    for (i, j), t in form.values.items():
+        for k, l in {(i, j), (j, i)}:
+            x, y = a.coeffs[k], b.coeffs[l]
+            if x and y:
+                total += t * x * y
+    return total if _all_rational(a, b) else Poly.of(total)
 
 
 def restrict(d: DivisorClass, rmap: RestrictionMap) -> DivisorClass:
@@ -357,8 +304,8 @@ def pair_with_curve(d: DivisorClass, curve: CurvePairing) -> Coeff:
     """Linear extension of a curve's intersection table."""
     if d.basis != curve.basis:
         raise BasisMismatchError("class is not over the curve table's basis")
-    total = Poly2.constant(0)
+    total = Fraction(0)
     for coeff, value in zip(d.coeffs, curve.table):
-        if value:
-            total = total + to_poly2(coeff) * value
-    return demote(total)
+        if coeff and value:
+            total += value * coeff
+    return total if _all_rational(d) else Poly.of(total)

@@ -2,8 +2,8 @@
 
 Matrices are lists of lists of Fraction.  Sizes in this package never exceed
 6x6, so plain Gaussian elimination with exact pivots is all that is needed.
-Right-hand sides may carry Poly1 entries (division only ever happens by
-Fraction pivots), which is how symbolic-in-v Gram systems are solved.
+Right-hand sides may carry Poly entries (division only ever happens by
+Fraction pivots), which is how parametric Gram systems are solved.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .ratmath import format_rational, parse_rational
+from .exprs import parse_expression
+from .ratmath import format_rational
 
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
@@ -299,109 +300,13 @@ def format_mpoly(p: MPoly) -> str:
     return text
 
 
-class MPolyParseError(ValueError):
-    pass
-
-
 def parse_mpoly(text: str) -> MPoly:
-    """Parse plain-text polynomials: terms joined by +/-, factors joined by *.
+    """Parse a polynomial in the grammar of :mod:`divstab.exprs`; every name is a variable.
 
-    Factors are rationals, names with optional ^power, or parenthesized
-    subexpressions.
+    Errors are :class:`divstab.exprs.ExprSyntaxError`.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expr() -> MPoly:
-        nonlocal pos
-        sign = 1
-        while pos < len(tokens) and tokens[pos][0] in "+-":
-            if tokens[pos][0] == "-":
-                sign = -sign
-            pos += 1
-        total = term() * sign
-        while pos < len(tokens) and tokens[pos][0] in "+-":
-            sign = 1
-            while pos < len(tokens) and tokens[pos][0] in "+-":
-                if tokens[pos][0] == "-":
-                    sign = -sign
-                pos += 1
-            total = total + term() * sign
-        return total
-
-    def term() -> MPoly:
-        nonlocal pos
-        out = factor()
-        while pos < len(tokens) and tokens[pos][0] in ("*", "name", "("):
-            if tokens[pos][0] == "*":
-                pos += 1
-            out = out * factor()
-        return out
-
-    def factor() -> MPoly:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MPolyParseError(f"unexpected end of expression in {text!r}")
-        kind, value, at = tokens[pos]
-        if kind == "(":
-            pos += 1
-            inner = expr()
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                raise MPolyParseError(f"unbalanced parenthesis at position {at} in {text!r}")
-            pos += 1
-            return inner ** _power()
-        if kind == "number":
-            pos += 1
-            base = MPoly.constant(parse_rational(value))
-            return base ** _power() if tokens[pos - 1:pos] else base
-        if kind == "name":
-            pos += 1
-            return MPoly.variable(value) ** _power()
-        raise MPolyParseError(f"unexpected {value!r} at position {at} in {text!r}")
-
-    def _power() -> int:
-        nonlocal pos
-        if pos < len(tokens) and tokens[pos][0] == "^":
-            pos += 1
-            if pos >= len(tokens) or tokens[pos][0] != "number":
-                raise MPolyParseError(f"missing exponent in {text!r}")
-            e = int(tokens[pos][1])
-            pos += 1
-            return e
-        return 1
-
-    result = expr()
-    if pos != len(tokens):
-        raise MPolyParseError(
-            f"trailing input at position {tokens[pos][2]} in {text!r}")
-    return result
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()^":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            tokens.append(("number", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        else:
-            raise MPolyParseError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+    value = parse_expression(text, lambda name, at: MPoly.variable(name))
+    return value if isinstance(value, MPoly) else MPoly.constant(value)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .cones import ConeSpec, Decomposition, Infeasible, effective_decompose
 from .exprs import ExprSyntaxError, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve)
-from .ratmath import (Poly1, demote, format_rational, parse_rational, to_poly2)
+from .ratmath import Poly, format_rational, parse_rational
 
 KNOWN_KINDS = ("s_curve", "s_curve_bound", "negative_part", "s_divisor",
                "effective_decomposition", "infeasible_scan", "curve_pairing")
@@ -102,7 +102,7 @@ class Scenario:
     surface: sinv.SurfaceData | None = None
     schedule: sinv.Schedule | None = None
     z: DivisorClass | None = None
-    ord_coeffs: tuple[Poly1, ...] = ()
+    ord_coeffs: tuple[Poly, ...] = ()
     dominate_via: DivisorClass | None = None
     divisor: DivisorClass | None = None
     decompose_class: DivisorClass | None = None
@@ -123,13 +123,14 @@ def _parse_rational_value(section: _Section, key: str, text: str) -> Fraction:
         raise ScenarioFormatError(f"[{section.name}] {key}: {exc}") from None
 
 
-def _as_u_poly(value, where: str) -> Poly1:
-    value = demote(to_poly2(value))
-    if isinstance(value, Fraction):
-        return Poly1.constant("u", value)
-    if isinstance(value, Poly1) and value.var == "u":
-        return value
-    raise ScenarioFormatError(f"{where}: expected a polynomial in u only")
+def _parse_u_poly(text: str, where: str) -> Poly:
+    try:
+        value = parse_poly(text)
+    except ExprSyntaxError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from None
+    if value.degree_v > 0:
+        raise ScenarioFormatError(f"{where}: expected a polynomial in u only")
+    return value
 
 
 def _build_threefold(section: _Section) -> tuple[sinv.ThreefoldModel, dict[str, DivisorClass]]:
@@ -227,21 +228,18 @@ def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.Surfac
 
 
 def _parse_negative_part(text: str, named: dict[str, DivisorClass],
-                         where: str) -> tuple[tuple[str, DivisorClass, Poly1], ...]:
+                         where: str) -> tuple[tuple[str, DivisorClass, Poly], ...]:
     text = text.strip()
     if not text:
         return ()
     out = []
     for piece in text.split("+"):
         piece = piece.strip()
-        coeff: Poly1 = Poly1.constant("u", 1)
+        coeff = Poly.constant(1)
         name = piece
         if "*" in piece:
             coeff_text, _, name = piece.rpartition("*")
-            try:
-                coeff = _as_u_poly(parse_poly(coeff_text), where)
-            except ExprSyntaxError as exc:
-                raise ScenarioFormatError(f"{where}: {exc}") from None
+            coeff = _parse_u_poly(coeff_text, where)
             name = name.strip()
         if name not in named:
             raise ScenarioFormatError(
@@ -319,10 +317,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         if len(ord_items) != len(schedule.chambers):
             raise ScenarioFormatError(
                 "[curve] ord: need exactly one coefficient per schedule chamber")
-        try:
-            ord_coeffs = tuple(_as_u_poly(parse_poly(p), "[curve] ord") for p in ord_items)
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[curve] ord: {exc}") from None
+        ord_coeffs = tuple(_parse_u_poly(p, "[curve] ord") for p in ord_items)
         via_text = curve_sec.get("dominate_via")
         via = None
         if kind == "s_curve_bound":
@@ -542,16 +537,16 @@ def run_verify(items: Sequence[tuple[str, str]]) -> Report:
         try:
             scenario = parse_scenario(text, name)
         except ScenarioFormatError as exc:
-            results.append(ScenarioResult(name, "?", "ERROR", "-", "-", str(exc),
-                                          time.perf_counter() - start))
-            continue
-        try:
-            results.append(evaluate_scenario(scenario))
-        except Exception as exc:                       # noqa: BLE001
-            results.append(ScenarioResult(scenario.name, scenario.kind, "ERROR",
-                                          "-", scenario.expected_text,
-                                          f"{type(exc).__name__}: {exc}",
-                                          time.perf_counter() - start))
+            result = ScenarioResult(name, "?", "ERROR", "-", "-", str(exc))
+        else:
+            try:
+                result = evaluate_scenario(scenario)
+            except Exception as exc:                   # noqa: BLE001
+                result = ScenarioResult(scenario.name, scenario.kind, "ERROR",
+                                        "-", scenario.expected_text,
+                                        f"{type(exc).__name__}: {exc}")
+        result.seconds = time.perf_counter() - start   # parse time included
+        results.append(result)
     return Report(results)
 
 

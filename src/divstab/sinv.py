@@ -28,9 +28,10 @@ from .cones import (ConeSpec, Decomposition, effective_decompose,
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve, restrict,
                       triple_product)
-from .ratmath import (Poly1, demote, format_rational, integrate_univariate,
-                      to_poly2)
+from .ratmath import Poly, format_rational, integrate_univariate
 from .zariski import NamedCurve, ZariskiChart, build_chart
+
+_U = Poly.variable("u")
 
 
 class ScheduleError(ValueError):
@@ -77,7 +78,7 @@ class ScheduleChamber:
     u_lo: Fraction
     u_hi: Fraction
     # negative part on X: (divisor name, class, coefficient polynomial in u)
-    negative: tuple[tuple[str, DivisorClass, Poly1], ...] = ()
+    negative: tuple[tuple[str, DivisorClass, Poly], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class Schedule:
 
     def positive_part(self, y: DivisorClass, anticanonical: DivisorClass,
                       chamber: ScheduleChamber) -> DivisorClass:
-        p = anticanonical - y.scale(Poly1.variable("u"))
+        p = anticanonical - y.scale(_U)
         for _, cls, coeff in chamber.negative:
             p = p - cls.scale(coeff)
         return p
@@ -106,7 +107,7 @@ class SCurveInput:
     surface: SurfaceData
     z: DivisorClass                       # curve class on the surface lattice
     schedule: Schedule
-    ord_coeffs: tuple[Poly1, ...]         # one per schedule chamber
+    ord_coeffs: tuple[Poly, ...]          # one per schedule chamber
     dominating: DivisorClass | None = None
 
 
@@ -138,19 +139,19 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
             raise ScheduleError("empty schedule chamber")
         p = sched.positive_part(y, mk, ch)
         # exact identity P + N + uY = -K
-        total = p + y.scale(Poly1.variable("u"))
+        total = p + y.scale(_U)
         for _, cls, coeff in ch.negative:
             total = total + cls.scale(coeff)
         if total != mk:
             raise ScheduleError("P(u) + N(u) + u*Y does not reproduce the anticanonical class")
-        cube = to_poly2(triple_product(p, p, p, model.form)).subs_v(0)
+        cube = triple_product(p, p, p, model.form)
         for u0 in _chamber_samples(ch):
             for _, _, coeff in ch.negative:
                 if coeff(u0) < 0:
                     raise ScheduleError(
                         f"negative-part coefficient below zero at u = {format_rational(u0)}")
             for curve in model.mori_curves:
-                value = to_poly2(pair_with_curve(p, curve)).subs_v(0)(u0)
+                value = pair_with_curve(p, curve)(u0)
                 if value < 0:
                     raise ScheduleError(
                         f"P(u) pairs negatively with {curve.name} at u = {format_rational(u0)}")
@@ -158,7 +159,7 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                 raise ScheduleError(
                     f"P(u)^3 is negative at u = {format_rational(u0)}")
     final = sched.positive_part(y, mk, sched.chambers[-1])
-    cube_tau = to_poly2(triple_product(final, final, final, model.form)).subs_v(0)(tau)
+    cube_tau = triple_product(final, final, final, model.form)(tau)
     if cube_tau != 0:
         raise ScheduleError(
             f"P(u)^3 does not vanish at the terminal u = {format_rational(tau)}")
@@ -170,7 +171,7 @@ def s_divisor(model: ThreefoldModel, y: DivisorClass, sched: Schedule) -> Fracti
     total = Fraction(0)
     for ch in sched.chambers:
         p = sched.positive_part(y, model.anticanonical, ch)
-        cube = to_poly2(triple_product(p, p, p, model.form)).subs_v(0)
+        cube = triple_product(p, p, p, model.form)
         total += integrate_univariate(cube, ch.u_lo, ch.u_hi)
     return total / model.degree()
 
@@ -179,18 +180,16 @@ def _multiple_of(cls: DivisorClass, z: DivisorClass) -> Fraction | None:
     """m with cls = m * z, if the restricted class is an exact multiple."""
     m = None
     for a, b in zip(cls.coeffs, z.coeffs):
-        pa, pb = to_poly2(a), to_poly2(b)
-        if pb.is_zero():
-            if not pa.is_zero():
+        if not b:
+            if a:
                 return None
             continue
-        if pa.is_zero():
+        if not a:
             ratio = Fraction(0)
+        elif isinstance(a, Poly) or isinstance(b, Poly):
+            return None
         else:
-            da, db = demote(pa), demote(pb)
-            if not isinstance(da, Fraction) or not isinstance(db, Fraction):
-                return None
-            ratio = da / db
+            ratio = a / b
         if m is None:
             m = ratio
         elif m != ratio:
@@ -198,11 +197,11 @@ def _multiple_of(cls: DivisorClass, z: DivisorClass) -> Fraction | None:
     return m
 
 
-def expected_ord_coeffs(inp: SCurveInput) -> tuple[Poly1, ...]:
+def expected_ord_coeffs(inp: SCurveInput) -> tuple[Poly, ...]:
     """ord coefficient per chamber, from components restricting to multiples of Z."""
     out = []
     for ch in inp.schedule.chambers:
-        total = Poly1("u", [])
+        total = Poly()
         for _, cls, coeff in ch.negative:
             m = _multiple_of(restrict(cls, inp.surface.restriction), inp.z)
             if m:
@@ -231,7 +230,7 @@ def negative_part_term(inp: SCurveInput) -> Fraction:
         if ord_coeff.is_zero():
             continue
         p = sched.positive_part(inp.surface.cls, model.anticanonical, ch)
-        p2y = to_poly2(triple_product(p, p, inp.surface.cls, model.form)).subs_v(0)
+        p2y = triple_product(p, p, inp.surface.cls, model.form)
         total += integrate_univariate(p2y * ord_coeff, ch.u_lo, ch.u_hi)
     return 3 * total / model.degree()
 

@@ -10,14 +10,17 @@ distinguished:
   surfaces such curves are nef, so the class has left the effective cone),
   or a solved negative-part coefficient going negative, both reported as
   :class:`NotPseudoEffectiveError`;
-* a candidate support whose Gram matrix is not negative definite, reported
-  as :class:`IndefiniteSupportError` (for honest geometric data this also
-  means the input was not pseudo-effective).
+* a candidate support whose Gram matrix is not negative definite: the class
+  is then tested for membership in the cone of the extremal curves.  Outside
+  it, the error is :class:`NotPseudoEffectiveError` with a Farkas witness;
+  inside it, :class:`IndefiniteSupportError`, which means the curve data is
+  wrong.
 
 ``v_sweep`` walks ``D0 - v Z`` upward in v from 0: walls occur where an
 affine pairing function crosses zero (a curve enters the support; ties enter
 together) and the sweep terminates at the smallest rational root of the
-quadratic ``vol(v)``.
+quadratic ``vol(v)``.  The support only grows, so a negative-part
+coefficient that would fall to 0 inside a chamber is reported as an error.
 
 ``build_chart`` derives the symbolic picture over each u-interval exactly.
 On a fixed support the Gram matrix is constant, so one solve with the
@@ -41,10 +44,10 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
+from .cones import ConeSpec, Infeasible, effective_decompose
 from .lattice import DivisorClass, SurfaceForm, surface_pair
-from .ratmath import (IrrationalBreakpointError, Poly1, Poly2, demote, format_poly,
-                      format_rational, integrate_region, rational_roots, rational_sqrt,
-                      to_poly2)
+from .ratmath import (IrrationalBreakpointError, Poly, format_poly, format_rational,
+                      integrate_region, rational_roots, rational_sqrt)
 
 NamedCurve = tuple[str, DivisorClass]
 
@@ -84,6 +87,15 @@ def _solve_support(d: DivisorClass, support: list[NamedCurve], form: SurfaceForm
     return solution
 
 
+def _subtract_support(d: DivisorClass, support: list[NamedCurve], form: SurfaceForm):
+    """The positive part ``d - sum n_i C_i`` on a support, and the coefficients n."""
+    coeffs = _solve_support(d, support, form) if support else []
+    p = d
+    for (_, cls), n in zip(support, coeffs):
+        p = p - cls.scale(n)
+    return p, coeffs
+
+
 def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
                       form: SurfaceForm) -> ZariskiResult:
     """Unique decomposition d = P + N for a pseudo-effective rational class."""
@@ -107,10 +119,15 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
         if not entering:
             break
         support.extend(entering)
-        coeffs = _solve_support(d, support, form)
-        p = d
-        for (name, cls), n in zip(support, coeffs):
-            p = p - cls.scale(n)
+        try:
+            p, coeffs = _subtract_support(d, support, form)
+        except IndefiniteSupportError:
+            outcome = effective_decompose(d, ConeSpec(list(extremal_curves)))
+            if isinstance(outcome, Infeasible):
+                raise NotPseudoEffectiveError(
+                    "not pseudo-effective: outside the cone of the extremal curves"
+                    + (f"; {outcome.detail}" if outcome.detail else "")) from None
+            raise
     if any(n < 0 for n in coeffs):
         raise NotPseudoEffectiveError(
             "not pseudo-effective: a negative-part coefficient came out negative")
@@ -132,33 +149,25 @@ class SweepChamber:
     v_hi: Fraction
     support: tuple[str, ...]
     positive: DivisorClass       # coefficients are affine in v
-    vol: Poly1                   # quadratic in v
+    vol: Poly                    # quadratic in v
 
 
-def _as_v_poly(x) -> Poly1:
-    x = demote(to_poly2(x))
-    if isinstance(x, Fraction):
-        return Poly1.constant("v", x)
-    if isinstance(x, Poly1) and x.var == "v":
-        return x
-    raise ValueError("expected a value depending on v only")
-
-
-def _terminal_root(vol: Poly1, after: Fraction, at_most: Fraction | None):
+def _terminal_root(vol: Poly, after: Fraction, at_most: Fraction | None):
     """Smallest root of vol in (after, at_most], or None.
 
     Screens with exact sign evaluations first, so root extraction (which
     errors on irrational roots) only runs when a root really is inside.
     """
-    if vol.degree <= 0:
+    coeffs = vol.coeffs
+    if len(coeffs) <= 1:
         return None
-    if vol.degree == 1:
-        root = -vol.coefficient(0) / vol.coefficient(1)
+    if len(coeffs) == 2:
+        root = -coeffs[0] / coeffs[1]
         if root > after and (at_most is None or root <= at_most):
             return root
         return None
-    lead = vol.coefficient(2)
-    disc = vol.coefficient(1) ** 2 - 4 * lead * vol.coefficient(0)
+    c0, c1, lead = coeffs
+    disc = c1 ** 2 - 4 * lead * c0
     if disc < 0:
         return None
     if at_most is not None:
@@ -166,7 +175,7 @@ def _terminal_root(vol: Poly1, after: Fraction, at_most: Fraction | None):
         if hi > 0:
             if lead < 0:
                 return None  # concave, positive at both ends
-            vertex = -vol.coefficient(1) / (2 * lead)
+            vertex = -c1 / (2 * lead)
             if not (after < vertex < at_most) or vol(vertex) > 0:
                 return None
     roots = [r for r in rational_roots(vol) if r > after]
@@ -185,29 +194,20 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     if surface_pair(base.positive, base.positive, form) == 0:
         raise NotPseudoEffectiveError(
             f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
-    v = Poly1.variable("v")
+    v = Poly.variable("v")
     ray = DivisorClass(start.basis, [a - v * b for a, b in zip(start.coeffs, z.coeffs)])
     support = [(name, cls) for name, cls in extremal_curves if name in base.support]
     chambers: list[SweepChamber] = []
     v0 = Fraction(0)
     for _ in range(2 * len(extremal_curves) + 2):
-        if support:
-            coeffs = _solve_support(ray, support, form)
-            p = ray
-            for (_, cls), n in zip(support, coeffs):
-                p = p - cls.scale(n)
-        else:
-            p = ray
-        vol = _as_v_poly(surface_pair(p, p, form))
+        p, coeffs = _subtract_support(ray, support, form)
+        vol = Poly.of(surface_pair(p, p, form))
         walls: list[tuple[Fraction, str, DivisorClass]] = []
         for name, cls in extremal_curves:
             if name in (n for n, _ in support):
                 continue
-            g = _as_v_poly(surface_pair(p, cls, form))
-            if g.degree != 1 or g.coefficient(1) >= 0:
-                continue  # constant or nondecreasing: never crosses downward
-            root = -g.coefficient(0) / g.coefficient(1)
-            if root >= v0:
+            root = _falling_root(surface_pair(p, cls, form))
+            if root is not None and root >= v0:
                 walls.append((root, name, cls))
         wall_v = min((w for w, _, _ in walls), default=None)
         if wall_v == v0:
@@ -215,6 +215,14 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
             support.extend((n, c) for w, n, c in walls if w == v0)
             continue
         terminal = _terminal_root(vol, v0, wall_v)
+        top = wall_v if terminal is None else terminal
+        for (name, _), n in zip(support, coeffs):
+            zero = _falling_root(n)
+            if zero is not None and (top is None or zero < top):
+                raise ValueError(
+                    f"the negative-part coefficient of {name!r} falls to 0 at "
+                    f"v = {format_rational(zero)} inside the chamber starting at "
+                    f"v = {format_rational(v0)}: a sweep only adds curves to the support")
         if terminal is not None:
             chambers.append(SweepChamber(v0, terminal, tuple(n for n, _ in support), p, vol))
             return chambers
@@ -227,17 +235,25 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     raise AssertionError("support cannot grow beyond the supplied curve list")
 
 
+def _falling_root(f) -> Fraction | None:
+    """Where an affine function of v that decreases reaches 0, else None."""
+    coeffs = Poly.of(f).coeffs
+    if len(coeffs) != 2 or coeffs[1] >= 0:
+        return None  # constant or nondecreasing: never crosses downward
+    return -coeffs[0] / coeffs[1]
+
+
 @dataclass(frozen=True)
 class ChartChamber:
     """One chamber of a symbolic (u, v) chart."""
 
     u_lo: Fraction
     u_hi: Fraction
-    v_lo: Poly1                  # affine in u
-    v_hi: Poly1
+    v_lo: Poly                   # affine in u
+    v_hi: Poly
     support: tuple[str, ...]
     positive: DivisorClass       # coefficients affine in u and v
-    vol: Poly2
+    vol: Poly
 
     def describe(self) -> str:
         return (f"u in [{format_rational(self.u_lo)}, {format_rational(self.u_hi)}], "
@@ -278,12 +294,12 @@ def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
     identical chamber stacks are merged again, so the chart is minimal.
     """
     if not all(isinstance(c, Fraction) for c in z.coeffs) or any(
-            to_poly2(c).degree_u > 1 or to_poly2(c).degree_v > 0 for c in d0.coeffs):
+            isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0) for c in d0.coeffs):
         raise ValueError(f"a chart needs d0 affine in u and z rational, got d0 = {d0}, z = {z}")
     breaks = sorted(set(Fraction(b) for b in u_breaks))
     if len(breaks) < 2:
         raise ValueError("need at least two u-breakpoints")
-    v = Poly1.variable("v")
+    v = Poly.variable("v")
     ray = DivisorClass(d0.basis, [a - v * b for a, b in zip(d0.coeffs, z.coeffs)])
     solved: dict = {}
     chambers: list[ChartChamber] = []
@@ -315,7 +331,7 @@ def _derive_cell(ray, d0, z, lo, hi, curves, form, solved) -> list:
     sweep = v_sweep(d0, z, mid, curves, form)
     stack: list = []
     found: list[Fraction] = []
-    v_lo = Poly1("u", [])
+    v_lo = Poly()
     for k, sw in enumerate(sweep):
         positive, vol, lines, fixed = _solve_chamber(ray, sw.support, curves, form, solved)
         if k + 1 < len(sweep):
@@ -325,9 +341,9 @@ def _derive_cell(ray, d0, z, lo, hi, curves, form, solved) -> list:
             branches = _branches(vol)
             v_hi = next(w for w in branches if w(mid) == sw.v_hi)
         for a, b in combinations([v_lo, v_hi, *lines.values(), *branches], 2):
-            diff = a - b
-            if diff.degree == 1:
-                found.append(-diff.coefficient(0) / diff.coefficient(1))
+            diff = (a - b).coeffs
+            if len(diff) == 2:
+                found.append(-diff[0] / diff[1])
         found.extend(fixed)
         stack.append((v_lo, v_hi, sw.support, positive, vol))
         v_lo = v_hi
@@ -349,26 +365,23 @@ def _solve_chamber(ray, support, curves, form, solved):
     """
     if support not in solved:
         chosen = [(name, cls) for name, cls in curves if name in support]
-        coeffs = _solve_support(ray, chosen, form) if chosen else []
-        p = ray
-        for (_, cls), n in zip(chosen, coeffs):
-            p = p - cls.scale(n)
+        p, coeffs = _subtract_support(ray, chosen, form)
         forms = {name: n for (name, _), n in zip(chosen, coeffs)}
         forms.update((name, surface_pair(p, cls, form))
                      for name, cls in curves if name not in support)
         lines, fixed = {}, []
         for name, f in forms.items():
-            f = to_poly2(f)
+            f = Poly.of(f)
             slope, base = f.coefficient(0, 1), f.subs_v(0)
             if slope:
                 lines[name] = base * (-1 / slope)
             elif base.degree == 1:
-                fixed.append(-base.coefficient(0) / base.coefficient(1))
-        solved[support] = (p, to_poly2(surface_pair(p, p, form)), lines, fixed)
+                fixed.append(-base.coeffs[0] / base.coeffs[1])
+        solved[support] = (p, Poly.of(surface_pair(p, p, form)), lines, fixed)
     return solved[support]
 
 
-def _branches(vol: Poly2) -> list[Poly1]:
+def _branches(vol: Poly) -> list[Poly]:
     """The lines ``v = w(u)`` on which a terminal chamber's volume vanishes.
 
     The v^2 coefficient of a chamber volume is constant.  If it is zero the
@@ -376,13 +389,14 @@ def _branches(vol: Poly2) -> list[Poly1]:
     polynomial; otherwise the v-discriminant must be the square of one.
     """
     a = vol.coefficient(0, 2)
-    b = Poly1("u", [vol.coefficient(0, 1), vol.coefficient(1, 1)])
+    b0, b1 = vol.coefficient(0, 1), vol.coefficient(1, 1)
+    b = Poly([[b0], [b1]])
     c = vol.subs_v(0)
     if a == 0:
         # (b0 + b1 u)(t + s u) = -c, coefficient by coefficient
-        ts = linalg.solve_unique([[b.coefficient(0), 0], [b.coefficient(1), b.coefficient(0)],
-                                  [0, b.coefficient(1)]], [-c.coefficient(k) for k in range(3)])
-        roots = None if ts is None else [Poly1("u", ts)]
+        ts = linalg.solve_unique([[b0, 0], [b1, b0], [0, b1]],
+                                 [-vol.coefficient(k, 0) for k in range(3)])
+        roots = None if ts is None else [Poly([[t] for t in ts])]
     else:
         root = _affine_sqrt(b * b - 4 * a * c)
         roots = None if root is None else [(-b - root) * (1 / (2 * a)),
@@ -393,12 +407,12 @@ def _branches(vol: Poly2) -> list[Poly1]:
     return roots
 
 
-def _affine_sqrt(p: Poly1) -> Poly1 | None:
-    """An affine polynomial whose square is p, or None."""
-    s = rational_sqrt(p.coefficient(2))
-    t = p.coefficient(1) / (2 * s) if s else rational_sqrt(p.coefficient(0))
+def _affine_sqrt(p: Poly) -> Poly | None:
+    """An affine polynomial in u whose square is p, or None."""
+    s = rational_sqrt(p.coefficient(2, 0))
+    t = p.coefficient(1, 0) / (2 * s) if s else rational_sqrt(p.coefficient(0, 0))
     if s is None or t is None:
         return None
-    root = Poly1("u", [t, s])
+    root = Poly([[t], [s]])
     return root if root * root == p else None
 

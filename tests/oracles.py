@@ -85,9 +85,9 @@ def volume_term_oracle(inp, z=None, grid: int = 200, v_cap: float = 4.0) -> floa
         lo, hi = float(chamber.u_lo), float(chamber.u_hi)
         p = inp.schedule.positive_part(inp.surface.cls, inp.model.anticanonical, chamber)
         from divstab.lattice import restrict
-        from divstab.ratmath import to_poly2
+        from divstab.ratmath import Poly
         d0 = restrict(p, inp.surface.restriction)
-        rows = [to_poly2(c) for c in d0.coeffs]
+        rows = [Poly.of(c) for c in d0.coeffs]
         du = (hi - lo) / grid
         dv = v_cap / grid
         for i in range(grid):
@@ -106,13 +106,12 @@ def volume_term_oracle(inp, z=None, grid: int = 200, v_cap: float = 4.0) -> floa
 def negative_term_oracle(inp, n: int = 10_000) -> float:
     """Midpoint-rule mirror of the negative-part line integral."""
     from divstab.lattice import triple_product
-    from divstab.ratmath import to_poly2
     total = 0.0
     for chamber, ord_coeff in zip(inp.schedule.chambers, inp.ord_coeffs):
         if ord_coeff.is_zero():
             continue
         p = inp.schedule.positive_part(inp.surface.cls, inp.model.anticanonical, chamber)
-        p2y = to_poly2(triple_product(p, p, inp.surface.cls, inp.model.form)).subs_v(0)
+        p2y = triple_product(p, p, inp.surface.cls, inp.model.form)
         total += midpoint_1d(lambda u: p2y(u) * ord_coeff(u),
                              float(chamber.u_lo), float(chamber.u_hi), n)
     return 3.0 * total / float(inp.model.degree())

@@ -7,13 +7,14 @@ import pytest
 from divstab.cli import main
 from divstab.exprs import ExprSyntaxError, parse_divisor_expr, parse_poly
 from divstab.lattice import DivisorClass, LatticeBasis
-from divstab.ratmath import Poly1
+from divstab.ratmath import Poly
 from divstab.scenario import (ScenarioFormatError, bundled_scenario_names,
                               evaluate_scenario, load_bundled, parse_scenario,
                               run_verify)
 
 X = LatticeBasis(["H", "EC", "EL"])
-U = Poly1.variable("u")
+U = Poly.variable("u")
+V = Poly.variable("v")
 
 SECTION_FILES = ("lemma_4_1", "lemma_4_2_s", "lemma_4_2_r", "lemma_4_3_l1",
                  "lemma_4_3_l2", "lemma_4_3_mixed", "lemma_4_3_ec_term",
@@ -45,9 +46,9 @@ def test_parser_round_trip_randomized():
             if kind == 0:
                 coeffs.append(F(rng.randint(-9, 9), rng.randint(1, 8)))
             elif kind == 1:
-                coeffs.append(Poly1("u", [rng.randint(-4, 4), rng.randint(-4, 4)]))
+                coeffs.append(rng.randint(-4, 4) + rng.randint(-4, 4) * U)
             else:
-                coeffs.append(Poly1("v", [F(rng.randint(-4, 4), 2), rng.randint(-4, 4)]))
+                coeffs.append(F(rng.randint(-4, 4), 2) + rng.randint(-4, 4) * V)
         d = DivisorClass(X, coeffs)
         assert parse_divisor_expr(str(d), X) == d
 
@@ -129,6 +130,24 @@ def test_bad_scan_samples_are_isolated_errors(samples):
     first, second = report.results
     assert first.status == "ERROR" and "[decompose] samples" in first.detail
     assert (second.name, second.status) == ("lemma_4_5_a", "PASS")
+
+
+def test_verify_seconds_include_parse_time(monkeypatch):
+    """Each result's seconds run from before its parse, evaluated or not."""
+    from divstab import scenario
+    clock = [0.0]
+    monkeypatch.setattr(scenario.time, "perf_counter", lambda: clock[0])
+    parse = scenario.parse_scenario
+
+    def slow_parse(text, name):
+        clock[0] += 5.0
+        return parse(text, name)
+
+    monkeypatch.setattr(scenario, "parse_scenario", slow_parse)
+    report = run_verify([("good", load_bundled("corollary_4_7.scn")),
+                         ("bad", "not a scenario")])
+    assert [r.status for r in report.results] == ["PASS", "ERROR"]
+    assert [r.seconds for r in report.results] == [5.0, 5.0]
 
 
 def test_report_is_deterministic():

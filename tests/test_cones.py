@@ -7,10 +7,10 @@ from divstab.cones import (Decomposition, Infeasible,
                            UnboundedThresholdError, effective_decompose, is_nef,
                            pseudoeffective_threshold)
 from divstab.lattice import DivisorClass
-from divstab.ratmath import Poly1
+from divstab.ratmath import Poly
 from oracles import grid_decompose
 
-U = Poly1.variable("u")
+U = Poly.variable("u")
 
 
 def test_is_nef_on_dp5(dp5):

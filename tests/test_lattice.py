@@ -5,13 +5,13 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from divstab.lattice import (BasisMismatchError, CurvePairing, DivisorClass,
-                             LatticeBasis, ThreefoldForm,
+                             LatticeBasis, SurfaceForm, ThreefoldForm,
                              pair_with_curve, restrict, surface_pair,
                              triple_product)
-from divstab.ratmath import Poly1, Poly2, to_poly2
+from divstab.ratmath import Poly
 
-U = Poly1.variable("u")
-V = Poly1.variable("v")
+U = Poly.variable("u")
+V = Poly.variable("v")
 
 
 def units(model):
@@ -67,7 +67,7 @@ def test_surface_pair_examples(dp5, ruled):
     ell = dp5.basis.unit("l")
     assert surface_pair(ell, ell, dp5.form) == 1
     cls = DivisorClass(dp5.basis, [4 - U - V, -1, -1, -1, -1])
-    assert surface_pair(cls, cls, dp5.form) == (4 - to_poly2(U) - to_poly2(V)) ** 2 - 4
+    assert surface_pair(cls, cls, dp5.form) == (4 - U - V) ** 2 - 4
     s, l = ruled.basis.unit("s"), ruled.basis.unit("l")
     assert surface_pair(s, l, ruled.form) == 1
     assert surface_pair(s, s, ruled.form) == 0
@@ -140,13 +140,26 @@ def test_surface_pair_symmetry_and_linearity(dp5):
 
 
 def test_coefficient_kind_promotion(model):
+    """Each coefficient is a Fraction or a non-constant Poly, kept as given."""
     basis = model.basis
+    mixed = DivisorClass(basis, [4 - U, V, 1])
+    assert mixed.coeffs == (4 - U, V, F(1))
+    assert [type(c) for c in mixed.coeffs] == [Poly, Poly, F]
+    # a constant Poly is stored as its Fraction, so equality and hashing
+    # are plain tuple comparisons
+    collapsed = DivisorClass(basis, [4 - U + U, Poly.constant(-1), 0 * V])
+    assert [type(c) for c in collapsed.coeffs] == [F, F, F]
+    assert collapsed == DivisorClass(basis, [4, -1, 0])
+    assert hash(collapsed) == hash(DivisorClass(basis, [4, -1, 0]))
+    # the input types decide the pairing's type, never the value
     parametric = DivisorClass(basis, [4 - U, -1, -1])
-    assert all(isinstance(c, Poly1) for c in parametric.coeffs)
-    mixed = DivisorClass(basis, [4 - U, V, F(1)])
-    assert all(isinstance(c, Poly2) for c in mixed.coeffs)
     value = triple_product(parametric, parametric, basis.unit("EL"), model.form)
-    assert isinstance(value, Poly1) and value.var == "u"
+    assert isinstance(value, Poly) and value.degree_v <= 0 < value.degree_u
+    flat = LatticeBasis(["A", "B"])
+    form = SurfaceForm(flat, {("A", "A"): F(1)})
+    constant = surface_pair(DivisorClass(flat, [1, U]), flat.unit("A"), form)
+    assert isinstance(constant, Poly) and constant == 1
+    assert isinstance(surface_pair(flat.unit("A"), flat.unit("A"), form), F)
 
 
 def test_basis_mismatch_errors(model, dp5):

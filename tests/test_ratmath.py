@@ -3,14 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly1,
-                             Poly2, demote, format_poly, format_rational,
-                             integrate_region, integrate_univariate, parse_rational,
-                             rational_roots, to_poly2)
+from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly,
+                             format_poly, format_rational, integrate_region,
+                             integrate_univariate, parse_rational, rational_roots)
 from oracles import midpoint_1d
 
-U = Poly1.variable("u")
-V = Poly1.variable("v")
+U = Poly.variable("u")
+V = Poly.variable("v")
 
 
 def test_rational_text_round_trip():
@@ -39,13 +38,13 @@ def test_integrate_region_examples():
     # midpoint oracle below agrees
     f = (4 - U - V) ** 2 - 4
     assert integrate_region(f, 0, 1, 0, 2 - U) == F(71, 12)
-    assert integrate_region(Poly2.constant(1), 0, 1, 0, 1) == 1
+    assert integrate_region(Poly.constant(1), 0, 1, 0, 1) == 1
     g = 2 * (1 + U - V) * (3 - U - 3 * V)
     assert integrate_region(g, 0, 1, 0, (3 - U) * F(1, 3)) == F(131, 54)
 
 
 def test_integrate_region_matches_float_quadrature():
-    f = to_poly2((4 - U - V) ** 2 - 4)
+    f = (4 - U - V) ** 2 - 4
     hi = 2 - U
 
     def slice_integral(u):
@@ -58,7 +57,7 @@ def test_integrate_region_matches_float_quadrature():
 
 def test_integrate_region_bound_order_violation():
     with pytest.raises(InvalidRegionError):
-        integrate_region(Poly2.constant(1), 0, 1, 1 + U, 2 - U)
+        integrate_region(Poly.constant(1), 0, 1, 1 + U, 2 - U)
 
 
 def test_rational_roots_examples():
@@ -69,7 +68,7 @@ def test_rational_roots_examples():
     with pytest.raises(IrrationalBreakpointError):
         rational_roots(V * V - 2)
     with pytest.raises(ValueError):
-        rational_roots(Poly1("v", []))
+        rational_roots(Poly())
     # double root collapses
     assert rational_roots((V - 3) ** 2) == [F(3)]
 
@@ -79,12 +78,13 @@ def _random_fraction(rng):
 
 
 def _random_poly1(rng, var):
-    return Poly1(var, [_random_fraction(rng) for _ in range(rng.randint(0, 4))])
+    x = Poly.variable(var)
+    return sum((_random_fraction(rng) * x ** k for k in range(rng.randint(0, 4))), Poly())
 
 
 def _random_poly2(rng):
-    return Poly2([[_random_fraction(rng) for _ in range(rng.randint(1, 3))]
-                  for _ in range(rng.randint(1, 3))])
+    return Poly([[_random_fraction(rng) for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(1, 3))])
 
 
 def test_ring_laws_poly1():
@@ -94,7 +94,7 @@ def test_ring_laws_poly1():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
-        assert a + (-a) == Poly1("u", [])
+        assert a + (-a) == Poly()
 
 
 def test_ring_laws_poly2():
@@ -107,11 +107,15 @@ def test_ring_laws_poly2():
 
 
 def test_mixed_variable_promotion():
+    """One type for every polynomial: no promotion between kinds."""
     p = U * V
-    assert isinstance(p, Poly2)
+    assert isinstance(p, Poly) and p.rows == ((), (0, 1))
     assert p(F(2), F(3)) == 6
-    assert demote(to_poly2(U + 1 - U)) == 1
-    assert demote(to_poly2(3 - 2 * U)) == 3 - 2 * U
+    assert U + 1 - U == 1 and U + 1 - U == Poly.constant(1)
+    assert (3 - 2 * U).coeffs == (3, -2) and (3 - 2 * U)(F(1, 2)) == 2
+    assert (V * V - 1).coeffs == (-1, 0, 1) and (V * V - 1)(F(3)) == 8
+    with pytest.raises(ValueError, match="both u and v"):
+        p.coeffs
 
 
 def test_integral_additivity():
@@ -129,7 +133,8 @@ def test_fubini_on_rectangles():
     rng = random.Random(11)
     for _ in range(40):
         f = _random_poly2(rng)
-        flipped = Poly2(list(map(list, zip(*f.rows))) if f.rows else [])
+        flipped = Poly([[f.coefficient(i, j) for i in range(f.degree_u + 1)]
+                        for j in range(f.degree_v + 1)])
         a, b = sorted(_random_fraction(rng) for _ in range(2))
         c, d = sorted(_random_fraction(rng) for _ in range(2))
         dv_first = integrate_region(f, a, b, c, d)
@@ -153,5 +158,5 @@ def test_exact_integrals_match_midpoint_oracle():
 
 def test_format_poly_readable():
     assert format_poly((5 - 3 * U) * F(1, 2)) == "-3/2*u + 5/2"
-    assert format_poly(Poly1("v", [])) == "0"
-    assert format_poly(to_poly2(U * V - 2)) == "u*v - 2"
+    assert format_poly(Poly()) == "0"
+    assert format_poly(U * V - 2) == "u*v - 2"

@@ -6,12 +6,12 @@ import pytest
 
 from divstab import sinv
 from divstab.lattice import DivisorClass
-from divstab.ratmath import Poly1
+from divstab.ratmath import Poly
 from divstab.scenario import load_bundled, parse_scenario
 from conftest import curve_input
 from oracles import negative_term_oracle, volume_term_oracle
 
-U = Poly1.variable("u")
+U = Poly.variable("u")
 
 GOLDEN = {
     "lemma_4_1": F(753, 1120),
@@ -139,11 +139,11 @@ def test_schedule_validation_mori_pairing(scenarios, model):
 
 def test_ord_consistency_checked(scenarios):
     lying = replace(curve_input(scenarios["lemma_4_1"]),
-                    ord_coeffs=(Poly1("u", []), U - 1))
+                    ord_coeffs=(Poly(), U - 1))
     with pytest.raises(sinv.OrdMismatchError):
         sinv.negative_part_term(lying)
     silent = replace(curve_input(scenarios["lemma_4_3_ec_term"]),
-                     ord_coeffs=(Poly1("u", []), Poly1("u", [])))
+                     ord_coeffs=(Poly(), Poly()))
     with pytest.raises(sinv.OrdMismatchError):
         sinv.negative_part_term(silent)
 
@@ -166,7 +166,6 @@ def test_s_curve_matches_grid_oracle(scenarios, name):
 
 def test_s_divisor_matches_quadrature(scenarios):
     from divstab.lattice import triple_product
-    from divstab.ratmath import to_poly2
     from oracles import midpoint_1d
     scenario = scenarios["sdiv_line_exceptional"]
     exact = sinv.s_divisor(scenario.model, scenario.divisor, scenario.schedule)
@@ -174,7 +173,7 @@ def test_s_divisor_matches_quadrature(scenarios):
     for chamber in scenario.schedule.chambers:
         p = scenario.schedule.positive_part(scenario.divisor,
                                             scenario.model.anticanonical, chamber)
-        cube = to_poly2(triple_product(p, p, p, scenario.model.form)).subs_v(0)
+        cube = triple_product(p, p, p, scenario.model.form)
         total += midpoint_1d(lambda u: cube(u), float(chamber.u_lo),
                              float(chamber.u_hi), 10_000)
     estimate = total / float(scenario.model.degree())

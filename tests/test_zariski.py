@@ -1,15 +1,17 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from divstab.cones import ConeSpec, Decomposition, effective_decompose
 from divstab.lattice import DivisorClass, LatticeBasis, SurfaceForm, restrict, surface_pair
-from divstab.ratmath import (IrrationalBreakpointError, Poly1, to_poly2)
+from divstab.ratmath import IrrationalBreakpointError, Poly
 from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
                              build_chart, v_sweep, zariski_decompose)
 from conftest import curve_input
 
-U = Poly1.variable("u")
+U = Poly.variable("u")
 
 
 def dp5_ray(dp5, u, v):
@@ -34,8 +36,49 @@ def test_decompose_in_the_line_support_chamber(dp5):
 def test_decompose_rejects_point_outside_the_effective_cone(dp5):
     # at (1, 3/2) the ray has already left the pseudo-effective cone
     bad = dp5_ray(dp5, F(1), F(3, 2))
-    with pytest.raises((NotPseudoEffectiveError, IndefiniteSupportError)):
+    with pytest.raises(NotPseudoEffectiveError,
+                       match=re.escape("functional ('2', '1', '1', '1', '1')")):
         zariski_decompose(bad, dp5.extremal_curves, dp5.form)
+
+
+def _quarter_l(scenarios):
+    dp5 = scenarios["lemma_4_1"].surface
+    return DivisorClass(dp5.basis, [F(1, 4), F(-3, 4), 0, 0, 0])
+
+
+def _mixed_beyond_its_top(scenarios):
+    """The mixed quadric's restricted class at u = 1/4, v = 129/64 (top 2)."""
+    scenario = scenarios["lemma_4_3_mixed"]
+    sched = scenario.schedule
+    p = sched.positive_part(scenario.surface.cls, scenario.model.anticanonical,
+                            sched.chambers[0])
+    d0 = restrict(p, scenario.surface.restriction).evaluate(u=F(1, 4))
+    return d0 - scenario.z.scale(F(129, 64))
+
+
+@pytest.mark.parametrize("name,point,witness", [
+    ("lemma_4_1", _quarter_l, "('1', '1', '0', '0', '0')"),
+    ("lemma_4_3_mixed", _mixed_beyond_its_top, "('0', '1', '0', '0')"),
+], ids=["quarter_l", "mixed_quadric"])
+def test_out_of_cone_classes_raise_not_pseudo_effective(scenarios, name, point, witness):
+    # each grows a support with an indefinite Gram matrix; membership in the
+    # cone of the extremal curves decides the error, with a Farkas witness
+    surface = scenarios[name].surface
+    with pytest.raises(NotPseudoEffectiveError, match=re.escape(f"functional {witness}")):
+        zariski_decompose(point(scenarios), surface.extremal_curves, surface.form)
+
+
+def test_indefinite_support_inside_the_cone_means_wrong_curve_data():
+    # C0 and C1 pair to -9 although both are negative curves: the class lies
+    # in their cone, so the indefinite Gram matrix is blamed on the data
+    basis = LatticeBasis(["A", "B"])
+    form = SurfaceForm(basis, {("A", "A"): F(1), ("B", "B"): F(-2), ("A", "B"): F(1)})
+    curves = [("C0", DivisorClass(basis, [1, 2])), ("C1", DivisorClass(basis, [-2, 1])),
+              ("C2", DivisorClass(basis, [0, -1]))]
+    d = DivisorClass(basis, [2, 3])
+    assert isinstance(effective_decompose(d, ConeSpec(curves)), Decomposition)
+    with pytest.raises(IndefiniteSupportError):
+        zariski_decompose(d, curves, form)
 
 
 def test_decompose_of_nef_class_is_trivial(dp5):
@@ -88,6 +131,16 @@ def test_v_sweep_errors_on_irrational_terminal():
         v_sweep(d0, z, F(1, 2), [("B", basis.unit("B"))], form)
 
 
+@pytest.mark.parametrize("z", [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0]], ids=["l+E1", "E1"])
+def test_v_sweep_rejects_a_shrinking_support(dp5, z):
+    # along 3l + 2E1 - v z the negative part is (2 - v) E1, which reaches 0 at
+    # v = 2 and would go negative above it (for z = l + E1, at v = 9/4 the true
+    # decomposition has N = 0 and vol 1/2): the sweep must say so, not go on
+    d0 = DivisorClass(dp5.basis, [3, 2, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"'E1' falls to 0 at v = 2 "):
+        v_sweep(d0, DivisorClass(dp5.basis, z), F(1), dp5.extremal_curves, dp5.form)
+
+
 def test_chart_errors_on_non_affine_terminal_boundary():
     # the terminal root 10 - sqrt(9u^2 + 16) is rational at the midpoint u = 0
     # but not affine in u: the chart must fail loudly, never approximate
@@ -122,7 +175,7 @@ def test_chart_on_ruled_surface(ruled):
     chart_a = build_chart(d0a, z, [0, 1], ruled.extremal_curves, ruled.form)
     chart_b = build_chart(d0b, z, [1, F(3, 2)], ruled.extremal_curves, ruled.form)
     assert [ch.v_hi for ch in chart_a.chambers] == [1 + U]
-    assert [ch.v_hi for ch in chart_b.chambers] == [Poly1("u", [2])]
+    assert [ch.v_hi for ch in chart_b.chambers] == [Poly.constant(2)]
     assert all(ch.support == () for ch in chart_a.chambers + chart_b.chambers)
 
 
@@ -159,7 +212,7 @@ def test_chart_trivial_when_z_has_positive_square(ruled):
     chart = build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form)
     assert len(chart.chambers) == 1
     assert chart.chambers[0].support == ()
-    assert chart.chambers[0].v_hi == Poly1("u", [2])
+    assert chart.chambers[0].v_hi == Poly.constant(2)
 
 
 def _charts_for(scenario):
@@ -223,8 +276,7 @@ def test_volume_continuity_across_chambers(scenarios):
 
 def test_charts_reproduce_displayed_integrands(scenarios):
     """Every chamber volume equals its displayed closed form, exactly."""
-    from divstab.ratmath import Poly2
-    u, v = to_poly2(U), to_poly2(Poly1.variable("v"))
+    u, v = U, Poly.variable("v")
     displayed = {
         "lemma_4_1": [
             (4 - u - v) ** 2 - 4,
@@ -277,7 +329,7 @@ def test_chart_requires_two_breakpoints(dp5):
 
 def test_chart_rejects_non_affine_family(ruled):
     """A family quadratic in u has curved walls: it must fail loudly, never be guessed."""
-    d0 = DivisorClass(ruled.basis, [to_poly2(2 - U * U), to_poly2(3 + 0 * U)])
+    d0 = DivisorClass(ruled.basis, [2 - U * U, 3])
     z = ruled.basis.unit("s")
     with pytest.raises(ValueError, match="affine in u"):
         build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form)
