@@ -182,7 +182,7 @@ def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infe
     detail = ""
     if witness is not None:
         pairing = sum(a * b for a, b in zip(witness, target))
-        detail = (f"functional {tuple(map(format_rational, witness))} is nonnegative "
+        detail = (f"functional ({', '.join(map(format_rational, witness))}) is nonnegative "
                   f"on every generator but takes {format_rational(pairing)} on the class")
     return Infeasible(witness, detail)
 

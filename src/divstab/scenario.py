@@ -437,19 +437,11 @@ def _curve_input(scenario: Scenario) -> sinv.SCurveInput:
                             scenario.dominate_via)
 
 
-def _chart_summary(inp: sinv.SCurveInput, z=None) -> str:
-    lines = []
-    for chart in sinv.volume_charts(inp, z):
-        lines.append(chart.describe())
-    return "\n".join(lines)
-
-
 def evaluate_scenario(scenario: Scenario) -> ScenarioResult:
     """Evaluate one scenario and compare against its expected value."""
     start = time.perf_counter()
     kind = scenario.kind
     detail = ""
-    checks_ok = True
 
     def finish(computed: str, ok: bool) -> ScenarioResult:
         status = "PASS" if ok else "FAIL"
@@ -459,16 +451,18 @@ def evaluate_scenario(scenario: Scenario) -> ScenarioResult:
 
     if kind in ("s_curve", "s_curve_bound", "negative_part"):
         inp = _curve_input(scenario)
-        sinv.validate_schedule(scenario.model, scenario.surface.cls, scenario.schedule)
-        if kind == "s_curve":
-            value = sinv.s_curve(inp)
-            detail = _chart_summary(inp)
-        elif kind == "negative_part":
+        if kind == "negative_part":
+            sinv.validate_schedule(scenario.model, scenario.surface.cls, scenario.schedule)
             value = sinv.negative_part_term(inp)
         else:
-            value = (sinv.negative_part_term(inp)
-                     + sinv.dominance_bound(inp, scenario.dominate_via))
-            detail = _chart_summary(inp, scenario.dominate_via)
+            # the invariant validates the schedule and carries its charts
+            if kind == "s_curve":
+                result = sinv.s_curve(inp)
+                value = result.value
+            else:
+                result = sinv.dominance_bound(inp, scenario.dominate_via)
+                value = sinv.negative_part_term(inp) + result.value
+            detail = "\n".join(chart.describe() for chart in result.charts)
         expected = parse_rational(scenario.expected_text)
         ok = value == expected
         if scenario.assert_less_than is not None:

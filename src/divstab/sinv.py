@@ -17,6 +17,10 @@ needs geometric input the lattice alone does not carry).
 
 All eight golden fractions of the verification suite come out of
 :func:`s_curve` / :func:`negative_part_term` / :func:`dominance_bound`.
+Each evaluation computes every intermediate once: :func:`validate_schedule`
+returns the cubes :func:`s_divisor` integrates, and a curve invariant comes
+back as a :class:`CurveInvariant` carrying its two terms and the charts its
+volume term was integrated from, so no caller rebuilds them.
 """
 
 from __future__ import annotations
@@ -117,8 +121,11 @@ def _chamber_samples(ch: ScheduleChamber) -> list[Fraction]:
 
 
 def validate_schedule(model: ThreefoldModel, y: DivisorClass,
-                      sched: Schedule) -> None:
-    """Check every schedule invariant; raise ScheduleError naming the sample."""
+                      sched: Schedule) -> tuple[Poly, ...]:
+    """Check every schedule invariant; raise ScheduleError naming the sample.
+
+    Returns ``P(u)^3`` per chamber, the polynomials the checks were made on.
+    """
     if not sched.chambers:
         raise ScheduleError("schedule has no chambers")
     if sched.chambers[0].u_lo != 0:
@@ -134,6 +141,7 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
         raise ScheduleError(
             f"schedule ends at u = {format_rational(tau)} but the pseudo-effective "
             f"threshold is {format_rational(recomputed)}")
+    cubes = []
     for ch in sched.chambers:
         if ch.u_lo >= ch.u_hi:
             raise ScheduleError("empty schedule chamber")
@@ -145,34 +153,31 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
         if total != mk:
             raise ScheduleError("P(u) + N(u) + u*Y does not reproduce the anticanonical class")
         cube = triple_product(p, p, p, model.form)
+        pairings = [(curve.name, pair_with_curve(p, curve)) for curve in model.mori_curves]
         for u0 in _chamber_samples(ch):
             for _, _, coeff in ch.negative:
                 if coeff(u0) < 0:
                     raise ScheduleError(
                         f"negative-part coefficient below zero at u = {format_rational(u0)}")
-            for curve in model.mori_curves:
-                value = pair_with_curve(p, curve)(u0)
-                if value < 0:
+            for name, pairing in pairings:
+                if pairing(u0) < 0:
                     raise ScheduleError(
-                        f"P(u) pairs negatively with {curve.name} at u = {format_rational(u0)}")
+                        f"P(u) pairs negatively with {name} at u = {format_rational(u0)}")
             if cube(u0) < 0:
                 raise ScheduleError(
                     f"P(u)^3 is negative at u = {format_rational(u0)}")
-    final = sched.positive_part(y, mk, sched.chambers[-1])
-    cube_tau = triple_product(final, final, final, model.form)(tau)
-    if cube_tau != 0:
+        cubes.append(cube)
+    if cubes[-1](tau) != 0:
         raise ScheduleError(
             f"P(u)^3 does not vanish at the terminal u = {format_rational(tau)}")
+    return tuple(cubes)
 
 
 def s_divisor(model: ThreefoldModel, y: DivisorClass, sched: Schedule) -> Fraction:
     """Normalized volume integral of the ray ``-K - u Y``."""
-    validate_schedule(model, y, sched)
-    total = Fraction(0)
-    for ch in sched.chambers:
-        p = sched.positive_part(y, model.anticanonical, ch)
-        cube = triple_product(p, p, p, model.form)
-        total += integrate_univariate(cube, ch.u_lo, ch.u_hi)
+    cubes = validate_schedule(model, y, sched)
+    total = sum((integrate_univariate(cube, ch.u_lo, ch.u_hi)
+                 for ch, cube in zip(sched.chambers, cubes)), Fraction(0))
     return total / model.degree()
 
 
@@ -235,39 +240,50 @@ def negative_part_term(inp: SCurveInput) -> Fraction:
     return 3 * total / model.degree()
 
 
-def volume_charts(inp: SCurveInput, z: DivisorClass | None = None
-                  ) -> list[ZariskiChart]:
+def volume_charts(inp: SCurveInput) -> tuple[ZariskiChart, ...]:
     """One chart per schedule chamber for ``P(u)|_Y - v Z``."""
-    z = inp.z if z is None else z
     charts = []
     for ch in inp.schedule.chambers:
         p = inp.schedule.positive_part(inp.surface.cls, inp.model.anticanonical, ch)
         d0 = restrict(p, inp.surface.restriction)
-        charts.append(build_chart(d0, z, [ch.u_lo, ch.u_hi],
+        charts.append(build_chart(d0, inp.z, [ch.u_lo, ch.u_hi],
                                   inp.surface.extremal_curves, inp.surface.form))
-    return charts
+    return tuple(charts)
 
 
-def volume_term(inp: SCurveInput, z: DivisorClass | None = None) -> Fraction:
-    total = sum((chart.volume_integral() for chart in volume_charts(inp, z)),
-                Fraction(0))
-    return 3 * total / inp.model.degree()
+@dataclass(frozen=True)
+class CurveInvariant:
+    """A curve invariant with the terms and the charts it was computed from."""
+
+    value: Fraction
+    negative_term: Fraction
+    volume_term: Fraction
+    charts: tuple[ZariskiChart, ...]      # one per schedule chamber
 
 
-def s_curve(inp: SCurveInput) -> Fraction:
-    """The full curve invariant: negative-part term plus chart volumes."""
+def s_curve(inp: SCurveInput) -> CurveInvariant:
+    """The full curve invariant: negative-part term plus chart volumes.
+
+    The schedule is validated and each chamber's chart built exactly once;
+    the volume term is integrated from the charts the result carries.
+    """
     validate_schedule(inp.model, inp.surface.cls, inp.schedule)
-    return negative_part_term(inp) + volume_term(inp)
+    negative = negative_part_term(inp)
+    charts = volume_charts(inp)
+    volume = 3 * sum((chart.volume_integral() for chart in charts),
+                     Fraction(0)) / inp.model.degree()
+    return CurveInvariant(negative + volume, negative, volume, charts)
 
 
-def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> Fraction:
+def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
     """Curve invariant of a dominated class.
 
     Volumes are monotone: replacing Z by a class it dominates (Z minus the
     replacement decomposes over the surface's extremal curves) can only grow
     every integrand, so the returned value is an upper bound for the curve
     invariant of Z.  The ord coefficients of the replacement are recomputed
-    from the schedule (they belong to the replacement curve, not to Z).
+    from the schedule (they belong to the replacement curve, not to Z).  The
+    result is :func:`s_curve` of the replacement, charts included.
     """
     diff = inp.z - z_lower
     curve_cone = ConeSpec(list(inp.surface.extremal_curves))

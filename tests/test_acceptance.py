@@ -44,12 +44,12 @@ def golden_values(scenarios):
     for label, name, mode, _ in CRITERION_1:
         inp = curve_input(scenarios[name])
         if mode == "s_curve":
-            values[label] = sinv.s_curve(inp)
+            values[label] = sinv.s_curve(inp).value
         elif mode == "negative_part":
             values[label] = sinv.negative_part_term(inp)
         else:
             values[label] = (sinv.negative_part_term(inp)
-                             + sinv.dominance_bound(inp, inp.dominating))
+                             + sinv.dominance_bound(inp, inp.dominating).value)
     return values, time.perf_counter() - start
 
 
@@ -326,7 +326,7 @@ def test_criterion_5_zariski_invariants(scenarios, name):
 @pytest.mark.parametrize("name", SAMPLED_SCENARIOS[:6])
 def test_criterion_5_curve_values_vs_quadrature(scenarios, name):
     inp = curve_input(scenarios[name])
-    exact = float(sinv.s_curve(inp))
+    exact = float(sinv.s_curve(inp).value)
     estimate = negative_term_oracle(inp, 2000) + volume_term_oracle(inp, grid=200)
     ok = abs(exact - estimate) < 1e-3
     print(f"criterion 5 [quadrature, {name}]: exact {exact:.6f} vs grid "

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from divstab.scenario import (ScenarioFormatError, bundled_scenario_names,
 X = LatticeBasis(["H", "EC", "EL"])
 U = Poly.variable("u")
 V = Poly.variable("v")
+
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.json"
 
 SECTION_FILES = ("lemma_4_1", "lemma_4_2_s", "lemma_4_2_r", "lemma_4_3_l1",
                  "lemma_4_3_l2", "lemma_4_3_mixed", "lemma_4_3_ec_term",
@@ -200,6 +203,18 @@ def test_cli_json_output(capsys):
     assert entry["status"] == "PASS"
 
 
+def test_cli_json_verify_matches_golden(capsys):
+    """``divstab --json verify`` over every bundled scenario, timings removed,
+    is byte-identical to the recorded report; a change to any value, status or
+    chart must update ``tests/golden/verify.json`` on purpose."""
+    assert main(["--json", "verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for entry in report["scenarios"]:
+        del entry["seconds"]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == GOLDEN_VERIFY.read_text(encoding="utf-8")
+
+
 def test_cli_report_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(["--report", str(target), "verify", "lemma_4_1"]) == 0
@@ -236,6 +251,14 @@ def test_cli_effdec_subcommand(capsys):
     assert "H-EL: 2" in out
     assert main(["effdec", "lemma_3_8", "--class", "H - EC - EL"]) == 1
     assert "infeasible" in capsys.readouterr().out
+
+
+def test_cli_effdec_prints_the_farkas_witness_as_rationals(capsys):
+    assert main(["effdec", "lemma_3_8", "--class", "H - 2*EC"]) == 1
+    assert capsys.readouterr().out == (
+        "infeasible\n"
+        "functional (1/2, 1, 0) is nonnegative on every generator "
+        "but takes -3/2 on the class\n")
 
 
 def test_cli_geo_all(capsys):

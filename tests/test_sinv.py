@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ import pytest
 from divstab import sinv
 from divstab.lattice import DivisorClass
 from divstab.ratmath import Poly
-from divstab.scenario import load_bundled, parse_scenario
+from divstab.scenario import (bundled_scenario_names, evaluate_scenario, load_bundled,
+                              load_bundled_scenario, parse_scenario, run_verify)
 from conftest import curve_input
 from oracles import negative_term_oracle, volume_term_oracle
 
@@ -27,7 +29,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name,expected", sorted(GOLDEN.items()))
 def test_s_curve_golden_values(scenarios, name, expected):
-    assert sinv.s_curve(curve_input(scenarios[name])) == expected
+    assert sinv.s_curve(curve_input(scenarios[name])).value == expected
 
 
 @pytest.mark.parametrize("at", ["139/100", "141/100", "31/24"])
@@ -42,7 +44,7 @@ def test_s_curve_unchanged_by_splitting_a_schedule_chamber(at):
     assert whole in text and "ord = 0, 0\n" in text
     text = text.replace(whole, f"chamber 1 {at} = (u - 1)*R\nchamber {at} 3/2 = (u - 1)*R\n")
     scenario = parse_scenario(text.replace("ord = 0, 0\n", "ord = 0, 0, 0\n"), "lemma_4_1")
-    assert sinv.s_curve(curve_input(scenario)) == F(753, 1120)
+    assert sinv.s_curve(curve_input(scenario)).value == F(753, 1120)
 
 
 def test_negative_part_terms(scenarios):
@@ -54,16 +56,62 @@ def test_negative_part_terms(scenarios):
 def test_dominance_bounds(scenarios):
     ec_case = curve_input(scenarios["lemma_4_3_ec_bound"])
     l1 = ec_case.surface.basis.unit("l1")
-    bound = sinv.dominance_bound(ec_case, l1)
+    bound = sinv.dominance_bound(ec_case, l1).value
     assert bound == F(109, 112)
     assert sinv.negative_part_term(ec_case) + bound == F(223, 224)
     # bounding a section-plus-fiber class through the bare section class
     el_case = curve_input(scenarios["lemma_4_2_s"])
     thick = replace(el_case, z=DivisorClass(el_case.surface.basis, [2, 1]))
-    assert sinv.dominance_bound(thick, el_case.surface.basis.unit("s")) == F(13, 16)
+    assert sinv.dominance_bound(thick, el_case.surface.basis.unit("s")).value == F(13, 16)
     # bounding by itself is exact
     r_case = curve_input(scenarios["lemma_4_2_r"])
-    assert sinv.dominance_bound(r_case, r_case.z) == sinv.s_curve(r_case) == F(19, 56)
+    assert sinv.dominance_bound(r_case, r_case.z).value == sinv.s_curve(r_case).value == F(19, 56)
+
+
+def test_curve_invariant_carries_its_terms_and_charts(scenarios):
+    inp = curve_input(scenarios["lemma_4_2_r"])
+    result = sinv.s_curve(inp)
+    assert result.negative_term == F(1, 28)
+    assert result.value == result.negative_term + result.volume_term == F(19, 56)
+    assert len(result.charts) == len(inp.schedule.chambers)
+    volume = sum((chart.volume_integral() for chart in result.charts), F(0))
+    assert result.volume_term == 3 * volume / inp.model.degree()
+    # bounding by itself is exact, down to the charts
+    assert sinv.dominance_bound(inp, inp.z) == result
+
+
+@pytest.mark.parametrize("name,invariant", [
+    ("lemma_4_1", sinv.s_curve),
+    ("lemma_4_3_ec_bound", lambda inp: sinv.dominance_bound(inp, inp.dominating)),
+], ids=["s_curve", "s_curve_bound"])
+def test_scenario_detail_renders_the_invariants_charts(scenarios, name, invariant):
+    scenario = scenarios[name]
+    charts = invariant(curve_input(scenario)).charts
+    detail = evaluate_scenario(scenario).detail
+    assert detail == "\n".join(chart.describe() for chart in charts)
+
+
+SCHEDULED = sorted(name.removesuffix(".scn") for name in bundled_scenario_names()
+                   if load_bundled_scenario(name).schedule is not None)
+
+
+@pytest.mark.parametrize("name", SCHEDULED)
+def test_verify_validates_once_and_builds_one_chart_per_chamber(monkeypatch, name):
+    calls = Counter()
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(sinv, "validate_schedule", counting(sinv.validate_schedule))
+    monkeypatch.setattr(sinv, "build_chart", counting(sinv.build_chart))
+    assert run_verify([(name, load_bundled(name + ".scn"))]).all_pass
+    scenario = load_bundled_scenario(name + ".scn")
+    charted = scenario.kind in ("s_curve", "s_curve_bound")
+    charts = len(scenario.schedule.chambers) if charted else 0
+    assert (calls["validate_schedule"], calls["build_chart"]) == (1, charts)
 
 
 def test_dominance_violation(scenarios):
@@ -79,12 +127,12 @@ def test_s_curve_monotone_under_domination(scenarios):
     rng = random.Random(17)
     for name in ("lemma_4_1", "lemma_4_2_r", "lemma_4_3_l1", "lemma_4_3_mixed"):
         inp = curve_input(scenarios[name])
-        base = sinv.dominance_bound(inp, inp.z)
+        base = sinv.dominance_bound(inp, inp.z).value
         assert base >= 0
         for _ in range(4):
             scale = F(rng.randint(1, 7), 8)
             smaller = inp.z.scale(scale)
-            value = sinv.dominance_bound(inp, smaller)
+            value = sinv.dominance_bound(inp, smaller).value
             assert value >= base >= 0
 
 
@@ -159,7 +207,7 @@ def test_expected_ord_matches_declared(scenarios):
 def test_s_curve_matches_grid_oracle(scenarios, name):
     """Exact values agree with a float 200x200 pointwise-decomposition oracle."""
     inp = curve_input(scenarios[name])
-    exact = sinv.s_curve(inp)
+    exact = sinv.s_curve(inp).value
     estimate = negative_term_oracle(inp, 2000) + volume_term_oracle(inp, grid=200)
     assert abs(float(exact) - estimate) < 1e-3
 

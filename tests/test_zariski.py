@@ -37,7 +37,7 @@ def test_decompose_rejects_point_outside_the_effective_cone(dp5):
     # at (1, 3/2) the ray has already left the pseudo-effective cone
     bad = dp5_ray(dp5, F(1), F(3, 2))
     with pytest.raises(NotPseudoEffectiveError,
-                       match=re.escape("functional ('2', '1', '1', '1', '1')")):
+                       match=re.escape("functional (2, 1, 1, 1, 1)")):
         zariski_decompose(bad, dp5.extremal_curves, dp5.form)
 
 
@@ -57,8 +57,8 @@ def _mixed_beyond_its_top(scenarios):
 
 
 @pytest.mark.parametrize("name,point,witness", [
-    ("lemma_4_1", _quarter_l, "('1', '1', '0', '0', '0')"),
-    ("lemma_4_3_mixed", _mixed_beyond_its_top, "('0', '1', '0', '0')"),
+    ("lemma_4_1", _quarter_l, "(1, 1, 0, 0, 0)"),
+    ("lemma_4_3_mixed", _mixed_beyond_its_top, "(0, 1, 0, 0)"),
 ], ids=["quarter_l", "mixed_quadric"])
 def test_out_of_cone_classes_raise_not_pseudo_effective(scenarios, name, point, witness):
     # each grows a support with an indefinite Gram matrix; membership in the
