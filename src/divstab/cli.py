@@ -114,8 +114,7 @@ def _cmd_effdec(args) -> int:
     outcome = effective_decompose(cls, scenario.model.effective_cone)
     if isinstance(outcome, Infeasible):
         print("infeasible")
-        if outcome.detail:
-            print(outcome.detail)
+        print(outcome.detail)
         return 1
     print(outcome)
     return 0

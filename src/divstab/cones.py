@@ -3,15 +3,27 @@
 The effective cone is handed in as an explicit generator list and the Mori
 cone as an explicit dual test set (curve tables or surface curve classes);
 the scenario is responsible for supplying generating sets.  Ranks never
-exceed 5 and generator counts never exceed 6, so membership questions are
-settled by enumerating support subsets and solving square rational systems
-exactly -- no pivoting tolerances, no LP library.
+exceed 5; the threefold cones have 4 to 6 generators and the extremal curves
+of the dP5 surface give a 10-generator cone.  Everything is settled by
+solving small rational systems exactly -- no pivoting tolerances, no LP
+library.
+
+Each :class:`ConeSpec` computes its H-representation once, on first use
+(Minkowski--Weyl): the equalities of its linear span and its facet
+functionals, as primitive integer vectors.  By the Farkas lemma a class is
+outside the cone iff it violates one of them, which is the separating
+witness of an :class:`Infeasible`.  The members of an affine family
+``a + u b`` form an interval with rational ends (:func:`feasible_interval`),
+and the pseudo-effective threshold is its upper end.  Support enumeration is
+kept only to produce the coefficients of a feasible class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -20,9 +32,27 @@ from .lattice import (BasisMismatchError, CurvePairing, DivisorClass, SurfaceFor
                       pair_with_curve, surface_pair)
 from .ratmath import format_rational
 
+Functional = tuple[int, ...]
+
 
 class UnboundedThresholdError(ArithmeticError):
     """The subtracted class does not constrain: the threshold is +infinity."""
+
+
+def _dot(f: Sequence, x: Sequence) -> Fraction:
+    return sum(a * b for a, b in zip(f, x))
+
+
+def _primitive(y: Sequence[Fraction]) -> Functional:
+    """The primitive integer vector on the ray of a rational vector (0 for 0)."""
+    scale = math.lcm(*(c.denominator for c in y))
+    ints = [int(c * scale) for c in y]
+    g = math.gcd(*ints) or 1
+    return tuple(i // g for i in ints)
+
+
+def format_functional(f: Functional) -> str:
+    return f"({', '.join(map(str, f))})"
 
 
 @dataclass(frozen=True)
@@ -49,6 +79,41 @@ class ConeSpec:
     def __len__(self):
         return len(self.generators)
 
+    @cached_property
+    def equalities(self) -> tuple[Functional, ...]:
+        """A basis of the functionals vanishing on every generator."""
+        vectors = [_vector_of(g) for g in self.generators]
+        return tuple(map(_primitive, linalg.null_space(vectors)))
+
+    @cached_property
+    def facets(self) -> tuple[Functional, ...]:
+        """The facet functionals: >= 0 on every generator, one per facet.
+
+        A facet of a d-dimensional cone is spanned by d - 1 independent
+        generators, so each (d - 1)-subset that, stacked with the equalities,
+        has a one-dimensional null space gives a candidate.  It is a facet
+        when it has one sign on every generator.
+        """
+        vectors = [_vector_of(g) for g in self.generators]
+        dim = self.basis.rank - len(self.equalities)
+        if dim == 0:
+            return ()
+        found: list[Functional] = []
+        for subset in combinations(vectors, dim - 1):
+            null = linalg.null_space([*subset, *self.equalities] or [[0] * self.basis.rank])
+            if len(null) != 1:
+                continue
+            y = null[0]
+            values = [_dot(y, g) for g in vectors]
+            if all(x <= 0 for x in values):
+                y = [-c for c in y]
+            elif not all(x >= 0 for x in values):
+                continue
+            f = _primitive(y)
+            if f not in found:
+                found.append(f)
+        return tuple(found)
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -72,12 +137,12 @@ class Decomposition:
 class Infeasible:
     """No nonnegative decomposition exists; carries a separating witness.
 
-    ``witness`` is a rational functional y with y(g) >= 0 on every generator
-    and y(D) < 0, when one was found among the candidate dual rays.
+    ``witness`` is a primitive integer functional y with y(g) >= 0 on every
+    generator and y(D) < 0: a facet of the cone, or an equality of its span.
     """
 
-    witness: tuple[Fraction, ...] | None
-    detail: str = ""
+    witness: Functional
+    detail: str
 
     def __bool__(self):
         return False
@@ -132,25 +197,22 @@ def _support_subsets(count: int, max_size: int):
         yield from combinations(range(count), size)
 
 
-def _farkas_witness(cols: list[list[Fraction]], target: list[Fraction]
-                    ) -> tuple[Fraction, ...] | None:
-    """A functional nonnegative on all columns and negative on the target."""
-    rank = len(target)
-    # if the target is outside the linear span, some null functional separates
-    for y in linalg.null_space(cols):
-        val = sum(a * b for a, b in zip(y, target))
-        if val != 0:
-            return tuple(c if val < 0 else -c for c in y)
-    # otherwise scan candidate extreme rays of the dual cone
-    for size in range(len(cols) + 1):
-        for subset in combinations(range(len(cols)), size):
-            span = [cols[j] for j in subset]
-            for y in linalg.null_space(span or [[Fraction(0)] * rank]):
-                for cand in (y, [-c for c in y]):
-                    if all(sum(a * b for a, b in zip(cand, col)) >= 0 for col in cols):
-                        if sum(a * b for a, b in zip(cand, target)) < 0:
-                            return tuple(cand)
-    return None
+def _separate(target: list[Fraction], cone: ConeSpec) -> Infeasible:
+    """The first equality or facet the target violates, as a witness."""
+    for e in cone.equalities:
+        value = _dot(e, target)
+        if value != 0:
+            if value > 0:
+                e, value = tuple(-c for c in e), -value
+            return Infeasible(e, f"functional {format_functional(e)} vanishes on every "
+                                 f"generator but takes {format_rational(value)} on the class")
+    for f in cone.facets:
+        value = _dot(f, target)
+        if value < 0:
+            return Infeasible(f, f"functional {format_functional(f)} is nonnegative on "
+                                 f"every generator but takes {format_rational(value)} "
+                                 "on the class")
+    raise AssertionError("facets and generators disagree")
 
 
 def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infeasible:
@@ -158,7 +220,8 @@ def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infe
 
     Supports of size up to the basis rank are enumerated and each square
     (or overdetermined) subsystem is solved exactly; the first consistent
-    nonnegative solution wins.
+    nonnegative solution wins.  When none is, the cone's H-representation
+    names the violated equality or facet.
     """
     if d.basis != cone.basis:
         raise BasisMismatchError("class and cone are over different bases")
@@ -178,47 +241,88 @@ def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infe
         for x, j in zip(solution, subset):
             full[j] = x
         return Decomposition(cone, tuple(full))
-    witness = _farkas_witness(cols, target)
-    detail = ""
-    if witness is not None:
-        pairing = sum(a * b for a, b in zip(witness, target))
-        detail = (f"functional ({', '.join(map(format_rational, witness))}) is nonnegative "
-                  f"on every generator but takes {format_rational(pairing)} on the class")
-    return Infeasible(witness, detail)
+    return _separate(target, cone)
+
+
+class FeasibleInterval:
+    """The u with ``a + u b`` in a cone: a closed interval with rational ends.
+
+    An end is None where the interval is unbounded; ``lo_cut`` and ``hi_cut``
+    are the functionals attaining the ends.  ``never`` is a functional that
+    excludes every u on its own (a facet negative, or an equality nonzero,
+    on the whole family); the interval is then empty.
+    """
+
+    __slots__ = ("lo", "hi", "lo_cut", "hi_cut", "never")
+
+    def __init__(self, lo: Fraction | None = None, hi: Fraction | None = None,
+                 lo_cut: Functional | None = None, hi_cut: Functional | None = None,
+                 never: Functional | None = None):
+        self.lo, self.hi, self.lo_cut, self.hi_cut, self.never = lo, hi, lo_cut, hi_cut, never
+
+    @property
+    def empty(self) -> bool:
+        return (self.never is not None
+                or (self.lo is not None and self.hi is not None and self.lo > self.hi))
+
+    def __contains__(self, u: Fraction) -> bool:
+        return (not self.empty and (self.lo is None or self.lo <= u)
+                and (self.hi is None or u <= self.hi))
+
+    def __str__(self):
+        lo, hi = self.lo, self.hi
+        if self.empty:
+            return "no u"
+        if lo is None:
+            return "all u" if hi is None else f"u <= {format_rational(hi)}"
+        if hi is None:
+            return f"u >= {format_rational(lo)}"
+        if lo == hi:
+            return f"u = {format_rational(lo)}"
+        return f"{format_rational(lo)} <= u <= {format_rational(hi)}"
+
+
+def feasible_interval(a: DivisorClass, b: DivisorClass, cone: ConeSpec) -> FeasibleInterval:
+    """The u with ``a + u b`` in the cone, read off the equalities and facets.
+
+    A facet f asks f.a + u f.b >= 0, a half-line (or every or no u when
+    f.b = 0); an equality asks f.a + u f.b = 0, a point.  The interval is
+    their intersection.
+    """
+    if a.basis != cone.basis or b.basis != cone.basis:
+        raise BasisMismatchError("family and cone are over different bases")
+    ta, tb = _vector_of(a), _vector_of(b)
+    lo = hi = lo_cut = hi_cut = None
+    constraints = ([(e, True) for e in cone.equalities]
+                   + [(f, False) for f in cone.facets])
+    for f, equality in constraints:
+        fa, fb = _dot(f, ta), _dot(f, tb)
+        if fb == 0:
+            if fa < 0 or (equality and fa != 0):
+                return FeasibleInterval(never=f)
+            continue
+        root = -fa / fb
+        if (equality or fb > 0) and (lo is None or root > lo):
+            lo, lo_cut = root, f
+        if (equality or fb < 0) and (hi is None or root < hi):
+            hi, hi_cut = root, f
+    return FeasibleInterval(lo, hi, lo_cut, hi_cut)
 
 
 def pseudoeffective_threshold(a: DivisorClass, b: DivisorClass,
                               cone: ConeSpec) -> Fraction:
     """Largest rational u with ``a - u b`` in the cone.
 
-    Candidate breakpoints come from support-subset solves with u as an extra
-    unknown (a basic optimal solution uses at most rank-1 generators); the
-    largest candidate that passes a full feasibility check is the threshold.
-    Feasibility in u is an interval containing 0, so this maximum is exact.
+    The upper end of :func:`feasible_interval` along ``-b``: the minimum of
+    f.a / f.b over the facets with f.b > 0, or 0 when an equality is nonzero
+    on b.
     """
     if a.basis != b.basis or a.basis != cone.basis:
         raise BasisMismatchError("threshold arguments are over different bases")
-    start = effective_decompose(a, cone)
-    if isinstance(start, Infeasible):
+    ray = feasible_interval(a, -b, cone)
+    if 0 not in ray:
         raise ValueError("a - u b is not in the cone at u = 0")
-    if isinstance(effective_decompose(b.scale(-1), cone), Decomposition):
+    if ray.hi is None:
         raise UnboundedThresholdError(
             "threshold is unbounded: the subtracted class is not constraining")
-    ta, tb = _vector_of(a), _vector_of(b)
-    cols = [_vector_of(g) for g in cone.generators]
-    rank = a.basis.rank
-    candidates = {Fraction(0)}
-    for size in range(min(rank - 1, len(cols)) + 1):
-        for subset in combinations(range(len(cols)), size):
-            matrix = [[cols[j][i] for j in subset] + [tb[i]] for i in range(rank)]
-            solution = linalg.solve_unique(matrix, ta)
-            if solution is None:
-                continue
-            *xs, u = solution
-            if u >= 0 and all(x >= 0 for x in xs):
-                candidates.add(u)
-    for u in sorted(candidates, reverse=True):
-        shifted = a - b.scale(u)
-        if isinstance(effective_decompose(shifted, cone), Decomposition):
-            return u
-    raise AssertionError("unreachable: u = 0 is always feasible")
+    return ray.hi

@@ -13,11 +13,13 @@ Scenario kinds:
 * ``negative_part``    -- the negative-part term alone
 * ``s_divisor``        -- divisor invariant for a schedule
 * ``effective_decomposition`` -- one exact cone membership query
-* ``infeasible_scan``  -- a parametric family that must stay outside the cone
+* ``infeasible_scan``  -- an affine family D(u) = a + u b that must stay
+  outside the cone on a u-range, decided exactly from the cone's facets
 * ``curve_pairing``    -- one exact curve intersection check
 
-Every scenario is validated eagerly at parse time; evaluation failures in a
-batch are recorded per scenario and never abort the run.
+Every scenario is validated eagerly at parse time, and a key its kind does
+not read is an error; evaluation failures in a batch are recorded per
+scenario and never abort the run.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from importlib import resources
 from typing import Sequence
 
 from . import sinv
-from .cones import ConeSpec, Decomposition, Infeasible, effective_decompose
+from .cones import (ConeSpec, Infeasible, effective_decompose, feasible_interval,
+                    format_functional)
 from .exprs import ExprSyntaxError, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve)
-from .ratmath import Poly, format_rational, parse_rational
+from .ratmath import Poly, format_poly, format_rational, parse_rational
 
 KNOWN_KINDS = ("s_curve", "s_curve_bound", "negative_part", "s_divisor",
                "effective_decomposition", "infeasible_scan", "curve_pairing")
@@ -47,8 +50,10 @@ class ScenarioFormatError(ValueError):
 class _Section:
     name: str
     entries: list[tuple[str, str, int]] = field(default_factory=list)
+    read: set[str] = field(default_factory=set)
 
     def get(self, key: str, default: str | None = None) -> str | None:
+        self.read.add(key)
         for k, v, _ in self.entries:
             if k == key:
                 return v
@@ -64,6 +69,7 @@ class _Section:
         out = []
         for k, v, line in self.entries:
             if k.startswith(prefix + " "):
+                self.read.add(k)
                 out.append((k[len(prefix) + 1:], v, line))
         return out
 
@@ -108,7 +114,6 @@ class Scenario:
     decompose_class: DivisorClass | None = None
     expected_coeffs: tuple[tuple[str, Fraction], ...] | None = None
     scan_range: tuple[Fraction, Fraction] | None = None
-    scan_samples: int = 0
     pairing_class: DivisorClass | None = None
     pairing_curve: CurvePairing | None = None
     assert_less_than: Fraction | None = None
@@ -274,6 +279,15 @@ def _build_schedule(section: _Section, named: dict[str, DivisorClass]) -> sinv.S
 def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     """Parse and eagerly validate one scenario file."""
     sections = _split_sections(text)
+    scenario = _build_scenario(sections, name)
+    for section in sections.values():
+        for key, _, line in section.entries:
+            if key not in section.read:
+                raise ScenarioFormatError(f"[{section.name}] line {line}: unknown key {key!r}")
+    return scenario
+
+
+def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     if "scenario" not in sections:
         raise ScenarioFormatError("missing the [scenario] section")
     head = sections["scenario"]
@@ -351,18 +365,21 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         except ExprSyntaxError as exc:
             raise ScenarioFormatError(f"[decompose] class: {exc}") from None
         if kind == "infeasible_scan":
+            if expected_text != "infeasible":
+                raise ScenarioFormatError(
+                    "[scenario] expected: an infeasible scan expects 'infeasible'")
             parts = dec.require("range").split()
             if len(parts) != 2:
                 raise ScenarioFormatError("[decompose] range: expected '<lo> <hi>'")
             lo = _parse_rational_value(dec, "range", parts[0])
             hi = _parse_rational_value(dec, "range", parts[1])
-            samples_text = dec.get("samples", "20")
-            samples = int(samples_text) if samples_text.isdecimal() else 0
-            if samples <= 0:
+            if not lo < hi:
+                raise ScenarioFormatError("[decompose] range: expected lo < hi")
+            if any(isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0)
+                   for c in cls.coeffs):
                 raise ScenarioFormatError(
-                    f"[decompose] samples: expected a positive integer, got {samples_text!r}")
-            return Scenario(decompose_class=cls, scan_range=(lo, hi),
-                            scan_samples=samples, **common)
+                    "[decompose] class: an infeasible scan needs a class affine in u")
+            return Scenario(decompose_class=cls, scan_range=(lo, hi), **common)
         coeffs = None
         if expected_text != "infeasible":
             coeffs = []
@@ -494,21 +511,8 @@ def evaluate_scenario(scenario: Scenario) -> ScenarioResult:
         return finish(computed, ok)
 
     if kind == "infeasible_scan":
-        lo, hi = scenario.scan_range
-        n = scenario.scan_samples
-        feasible_at = []
-        for k in range(1, n + 1):
-            point = lo + (hi - lo) * Fraction(k, n)
-            cls = scenario.decompose_class.evaluate(u=point)
-            outcome = effective_decompose(cls, scenario.model.effective_cone)
-            if isinstance(outcome, Decomposition):
-                feasible_at.append(point)
-        if feasible_at:
-            computed = ("feasible at "
-                        + ", ".join(format_rational(p) for p in feasible_at))
-            return finish(computed, False)
-        detail = (f"{n} samples over ({format_rational(lo)}, {format_rational(hi)}]")
-        return finish(f"infeasible at all {n} samples", True)
+        computed, ok, detail = _evaluate_scan(scenario)
+        return finish(computed, ok)
 
     # curve_pairing
     value = pair_with_curve(scenario.pairing_class, scenario.pairing_curve)
@@ -521,6 +525,38 @@ def evaluate_scenario(scenario: Scenario) -> ScenarioResult:
         detail = (f"value {format_rational(value)} exceeds the bound "
                   f"{format_rational(scenario.exceeds)}")
     return finish(format_rational(value), ok)
+
+
+def _evaluate_scan(scenario: Scenario) -> tuple[str, bool, str]:
+    """Computed text, verdict and detail of an infeasible scan.
+
+    The class is affine, D(u) = a + u b, so the u with D(u) in the cone form
+    an exact interval; the scan passes iff it misses (lo, hi].  The detail
+    names the interval and the functionals that cut it, with their values.
+    """
+    lo, hi = scenario.scan_range
+    cone = scenario.model.effective_cone
+    a = scenario.decompose_class.evaluate(u=0)
+    b = scenario.decompose_class.evaluate(u=1) - a
+    feasible = feasible_interval(a, b, cone)
+    parts = [f"feasible exactly for {feasible}"]
+    cuts = [feasible.never] if feasible.never else [feasible.lo_cut, feasible.hi_cut]
+    for f in dict.fromkeys(c for c in cuts if c is not None):
+        what = "facet" if f in cone.facets else "equality"
+        value = Poly([[sum(x * y for x, y in zip(f, a.coeffs))],
+                      [sum(x * y for x, y in zip(f, b.coeffs))]])
+        parts.append(f"the {what} {format_functional(f)} takes {format_poly(value)} "
+                     "on the class")
+    detail = "; ".join(parts)
+    # the feasible u in (lo, hi]: closed on the left only at an end inside it
+    closed = feasible.lo is not None and feasible.lo > lo
+    start = feasible.lo if closed else lo
+    end = hi if feasible.hi is None else min(hi, feasible.hi)
+    if feasible.empty or end < start or (end == start and not closed):
+        return (f"infeasible at all u in ({format_rational(lo)}, {format_rational(hi)}]",
+                True, detail)
+    return (f"feasible at u in {'[' if closed else '('}{format_rational(start)}, "
+            f"{format_rational(end)}]", False, detail)
 
 
 def run_verify(items: Sequence[tuple[str, str]]) -> Report:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+
 from .cones import (ConeSpec, Decomposition, effective_decompose,
                     pseudoeffective_threshold)
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
@@ -60,7 +62,9 @@ class ThreefoldModel:
     mori_curves: tuple[CurvePairing, ...]
     effective_cone: ConeSpec
 
+    @cached_property
     def degree(self) -> Fraction:
+        """``(-K)^3``, computed on first use and kept."""
         k = self.anticanonical
         return triple_product(k, k, k, self.form)
 
@@ -178,7 +182,7 @@ def s_divisor(model: ThreefoldModel, y: DivisorClass, sched: Schedule) -> Fracti
     cubes = validate_schedule(model, y, sched)
     total = sum((integrate_univariate(cube, ch.u_lo, ch.u_hi)
                  for ch, cube in zip(sched.chambers, cubes)), Fraction(0))
-    return total / model.degree()
+    return total / model.degree
 
 
 def _multiple_of(cls: DivisorClass, z: DivisorClass) -> Fraction | None:
@@ -237,7 +241,7 @@ def negative_part_term(inp: SCurveInput) -> Fraction:
         p = sched.positive_part(inp.surface.cls, model.anticanonical, ch)
         p2y = triple_product(p, p, inp.surface.cls, model.form)
         total += integrate_univariate(p2y * ord_coeff, ch.u_lo, ch.u_hi)
-    return 3 * total / model.degree()
+    return 3 * total / model.degree
 
 
 def volume_charts(inp: SCurveInput) -> tuple[ZariskiChart, ...]:
@@ -271,7 +275,7 @@ def s_curve(inp: SCurveInput) -> CurveInvariant:
     negative = negative_part_term(inp)
     charts = volume_charts(inp)
     volume = 3 * sum((chart.volume_integral() for chart in charts),
-                     Fraction(0)) / inp.model.degree()
+                     Fraction(0)) / inp.model.degree
     return CurveInvariant(negative + volume, negative, volume, charts)
 
 

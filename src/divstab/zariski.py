@@ -125,8 +125,8 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
             outcome = effective_decompose(d, ConeSpec(list(extremal_curves)))
             if isinstance(outcome, Infeasible):
                 raise NotPseudoEffectiveError(
-                    "not pseudo-effective: outside the cone of the extremal curves"
-                    + (f"; {outcome.detail}" if outcome.detail else "")) from None
+                    "not pseudo-effective: outside the cone of the extremal curves; "
+                    + outcome.detail) from None
             raise
     if any(n < 0 for n in coeffs):
         raise NotPseudoEffectiveError(

@@ -1,14 +1,20 @@
 """Independent numeric and brute-force oracles used by the test suite.
 
 These deliberately do not share code with the exact implementation: float
-arithmetic, a hand-rolled Gaussian solve, midpoint-rule quadrature, and an
-exhaustive grid search.  Agreement within coarse tolerances is evidence that
+arithmetic, a hand-rolled Gaussian solve, midpoint-rule quadrature, an
+exhaustive grid search, and a threshold found by support enumeration instead
+of the cone's facets.  Agreement within coarse tolerances is evidence that
 the exact path computes the right thing, not just a self-consistent thing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+
+from divstab import linalg
+from divstab.cones import (Decomposition, Infeasible, UnboundedThresholdError,
+                           effective_decompose)
 
 
 def midpoint_1d(f, a: float, b: float, n: int = 10_000) -> float:
@@ -100,7 +106,7 @@ def volume_term_oracle(inp, z=None, grid: int = 200, v_cap: float = 4.0) -> floa
                 if vol is None or vol <= 0:
                     break
                 total += vol * du * dv
-    return 3.0 * total / float(inp.model.degree())
+    return 3.0 * total / float(inp.model.degree)
 
 
 def negative_term_oracle(inp, n: int = 10_000) -> float:
@@ -114,7 +120,7 @@ def negative_term_oracle(inp, n: int = 10_000) -> float:
         p2y = triple_product(p, p, inp.surface.cls, inp.model.form)
         total += midpoint_1d(lambda u: p2y(u) * ord_coeff(u),
                              float(chamber.u_lo), float(chamber.u_hi), n)
-    return 3.0 * total / float(inp.model.degree())
+    return 3.0 * total / float(inp.model.degree)
 
 
 def grid_decompose(target, generators, values: list[Fraction]):
@@ -151,3 +157,37 @@ def grid_decompose(target, generators, values: list[Fraction]):
         return None
 
     return recurse(0, list(target), [])
+
+
+def threshold_oracle(a, b, cone) -> Fraction:
+    """Largest rational u with ``a - u b`` in the cone, without the facets.
+
+    Candidate breakpoints come from support-subset solves with u as an extra
+    unknown (a basic optimal solution uses at most rank-1 generators); the
+    largest candidate that passes a full feasibility check is the threshold.
+    Feasibility in u is an interval containing 0, so this maximum is exact.
+    """
+    start = effective_decompose(a, cone)
+    if isinstance(start, Infeasible):
+        raise ValueError("a - u b is not in the cone at u = 0")
+    if isinstance(effective_decompose(b.scale(-1), cone), Decomposition):
+        raise UnboundedThresholdError(
+            "threshold is unbounded: the subtracted class is not constraining")
+    ta, tb = list(a.coeffs), list(b.coeffs)
+    cols = [list(g.coeffs) for g in cone.generators]
+    rank = a.basis.rank
+    candidates = {Fraction(0)}
+    for size in range(min(rank - 1, len(cols)) + 1):
+        for subset in combinations(range(len(cols)), size):
+            matrix = [[cols[j][i] for j in subset] + [tb[i]] for i in range(rank)]
+            solution = linalg.solve_unique(matrix, ta)
+            if solution is None:
+                continue
+            *xs, u = solution
+            if u >= 0 and all(x >= 0 for x in xs):
+                candidates.add(u)
+    for u in sorted(candidates, reverse=True):
+        shifted = a - b.scale(u)
+        if isinstance(effective_decompose(shifted, cone), Decomposition):
+            return u
+    raise AssertionError("unreachable: u = 0 is always feasible")

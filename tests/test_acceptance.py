@@ -171,8 +171,8 @@ def test_criterion_1_mixed_class_derivation(scenarios):
 
     lower, upper = integrals[0] + integrals[1], integrals[2] + integrals[3]
     assert (lower, upper) == (F(20, 3), F(11, 12))
-    assert model.degree() == 28
-    s_value = 3 * (lower + upper) / model.degree()
+    assert model.degree == 28
+    s_value = 3 * (lower + upper) / model.degree
     assert s_value == F(13, 16)
     print(f"criterion 1 [mixed class, by hand]: 3/28 * ({lower} + {upper}) = "
           f"{s_value} -> PASS")
@@ -356,7 +356,7 @@ def test_criterion_5_one_dimensional_integrals(scenarios):
             cube = triple_product(p, p, p, scenario.model.form)
             total += midpoint_1d(lambda x: cube(x), float(chamber.u_lo),
                                  float(chamber.u_hi), 10_000)
-        estimate = total / float(scenario.model.degree())
+        estimate = total / float(scenario.model.degree)
         ok = abs(float(exact) - estimate) / float(exact) < 1e-6
         print(f"criterion 5 [1-D integral, {name}]: {exact} -> "
               f"{'PASS' if ok else 'FAIL'}")

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def test_parse_bundled_scenario():
     scenario = parse_scenario(load_bundled("lemma_4_1.scn"), "lemma_4_1")
     assert scenario.kind == "s_curve"
     assert scenario.expected_text == "753/1120"
-    assert scenario.model.degree() == 28
+    assert scenario.model.degree == 28
     assert scenario.surface.basis.names == ("l", "E1", "E2", "E3", "E4")
 
 
@@ -124,15 +125,63 @@ def test_malformed_scenario_is_isolated():
     assert statuses == {"lemma_4_2_s": "PASS", "bad": "ERROR", "lemma_3_8": "PASS"}
 
 
-@pytest.mark.parametrize("samples", ["abc", "0", "-3"])
+@pytest.mark.parametrize("samples", ["abc", "0", "-3", "20"])
 def test_bad_scan_samples_are_isolated_errors(samples):
-    """A sample count that is not a positive integer is an ERROR, never a PASS."""
+    """A ``samples`` key, which no scan reads any more, is an ERROR, never a PASS."""
     good = load_bundled("lemma_4_5_a.scn")
-    bad = good.replace("samples = 20", f"samples = {samples}")
+    bad = good.replace("range = 4/3 10/3", f"range = 4/3 10/3\nsamples = {samples}")
+    assert bad != good
     report = run_verify([("bad", bad), ("good", good)])
     first, second = report.results
-    assert first.status == "ERROR" and "[decompose] samples" in first.detail
+    assert first.status == "ERROR"
+    line = bad.splitlines().index(f"samples = {samples}") + 1
+    assert first.detail == f"[decompose] line {line}: unknown key 'samples'"
     assert (second.name, second.status) == ("lemma_4_5_a", "PASS")
+
+
+@pytest.mark.parametrize("section,anchor,line", [
+    ("scenario", "kind = infeasible_scan", "kindd = s_curve"),
+    ("threefold", "basis = H EC EL", "cuve lX = H:1 EC:0 EL:0"),
+    ("decompose", "class = ", "rnage = 0 1"),
+])
+def test_unknown_keys_name_section_key_and_line(section, anchor, line):
+    text = load_bundled("lemma_4_5_b.scn")
+    lines = text.splitlines()
+    at = next(i for i, row in enumerate(lines) if row.startswith(anchor)) + 1
+    lines.insert(at, line)
+    key = line.partition("=")[0].strip()
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario("\n".join(lines))
+    assert str(info.value) == f"[{section}] line {at + 1}: unknown key {key!r}"
+
+
+def test_scan_passes_only_on_an_exact_argument():
+    """Feasible on (7/10, 3/4] only, between the old sample points 7/10 and 4/5."""
+    text = load_bundled("lemma_4_5_a.scn").replace("range = 4/3 10/3", "range = 7/10 27/10")
+    result = run_verify([("narrow", text)]).results[0]
+    assert (result.status, result.computed) == ("FAIL", "feasible at u in (7/10, 3/4]")
+    assert result.detail == ("feasible exactly for u <= 3/4; "
+                             "the facet (1, 0, 1) takes -4*u + 3 on the class")
+    bound = text.replace("range = 7/10 27/10", "range = 3/4 27/10")
+    result = run_verify([("bound", bound)]).results[0]
+    assert (result.status, result.computed) == ("PASS", "infeasible at all u in (3/4, 27/10]")
+
+
+@pytest.mark.parametrize("key,line,message", [
+    ("range", "range = 4/3 4/3", "[decompose] range: expected lo < hi"),
+    ("range", "range = 10/3 4/3", "[decompose] range: expected lo < hi"),
+    ("class", "class = (u*u)*H - EC",
+     "[decompose] class: an infeasible scan needs a class affine in u"),
+    ("class", "class = (v)*H - EC",
+     "[decompose] class: an infeasible scan needs a class affine in u"),
+    ("expected", "expected = 3/4",
+     "[scenario] expected: an infeasible scan expects 'infeasible'"),
+])
+def test_scan_rejects_bad_ranges_classes_and_expectations(key, line, message):
+    text = load_bundled("lemma_4_5_a.scn")
+    old = next(row for row in text.splitlines() if row.startswith(key + " = "))
+    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+        parse_scenario(text.replace(old, line))
 
 
 def test_verify_seconds_include_parse_time(monkeypatch):
@@ -257,8 +306,8 @@ def test_cli_effdec_prints_the_farkas_witness_as_rationals(capsys):
     assert main(["effdec", "lemma_3_8", "--class", "H - 2*EC"]) == 1
     assert capsys.readouterr().out == (
         "infeasible\n"
-        "functional (1/2, 1, 0) is nonnegative on every generator "
-        "but takes -3/2 on the class\n")
+        "functional (2, 3, 2) is nonnegative on every generator "
+        "but takes -4 on the class\n")
 
 
 def test_cli_geo_all(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from divstab.cones import (Decomposition, Infeasible,
+from divstab.cones import (ConeSpec, Decomposition, Infeasible,
                            UnboundedThresholdError, effective_decompose, is_nef,
                            pseudoeffective_threshold)
 from divstab.lattice import DivisorClass
@@ -59,6 +59,28 @@ def test_effective_decompose_infeasible_with_witness(model):
     for g in model.effective_cone.generators:
         assert sum(w * c for w, c in zip(witness, g.coeffs)) >= 0
     assert sum(w * c for w, c in zip(witness, cls.coeffs)) < 0
+
+
+def test_threefold_cone_facets(model, zcone_model):
+    # the fifth generator 2H - EC of the lemma 3.8 cone is interior to a facet
+    for m in (model, zcone_model):
+        cone = m.effective_cone
+        assert cone.equalities == ()
+        assert cone.facets == ((2, 3, 2), (1, 0, 1), (1, 2, 0), (1, 0, 0))
+
+
+def test_lower_dimensional_cone_has_equalities(model):
+    h, el = model.basis.unit("H"), model.basis.unit("EL")
+    plane = ConeSpec([("H", h), ("EL", el)])
+    assert plane.equalities == ((0, 1, 0),)
+    assert set(plane.facets) == {(1, 0, 0), (0, 0, 1)}
+    assert pseudoeffective_threshold(h + el, h, plane) == 1
+    # leaving the plane at once: the threshold is 0, not an error
+    assert pseudoeffective_threshold(h + el, model.basis.unit("EC"), plane) == 0
+    outcome = effective_decompose(model.basis.unit("EC").scale(2), plane)
+    assert outcome.witness == (0, -1, 0)
+    assert outcome.detail == ("functional (0, -1, 0) vanishes on every generator "
+                              "but takes -2 on the class")
 
 
 def test_effective_decompose_zero_class(model):

@@ -1,4 +1,5 @@
-"""Property tests: the polynomial ring, the shared parser, the class canonical form.
+"""Property tests: the polynomial ring, the shared parser, the class canonical
+form, and the cones' two representations (generators and facets).
 
 Needs ``hypothesis`` (test-only; skipped where it is not installed).  Runs
 are derandomized and keep no example database, so results are repeatable.
@@ -11,10 +12,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
+                           UnboundedThresholdError, effective_decompose,
+                           feasible_interval, pseudoeffective_threshold)
 from divstab.exprs import parse_divisor_expr, parse_poly  # noqa: E402
 from divstab.lattice import DivisorClass, LatticeBasis  # noqa: E402
 from divstab.projgeo import MPoly, format_mpoly, parse_mpoly  # noqa: E402
 from divstab.ratmath import Poly, format_poly  # noqa: E402
+from oracles import threshold_oracle  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 U, V = Poly.variable("u"), Poly.variable("v")
@@ -85,3 +90,96 @@ def test_divisor_class_canonical_form(cs, noise):
     assert same == d and hash(same) == hash(d)
     assert same.coeffs == d.coeffs
     assert parse_divisor_expr(str(d), BASIS) == d
+
+
+@st.composite
+def cones(draw):
+    """An integer cone of rank 2-4 with 1-6 generators.
+
+    Few generators give lower-dimensional cones; a mirrored generator makes
+    the cone contain a line, so it is not pointed.
+    """
+    rank = draw(st.integers(2, 4))
+    basis = LatticeBasis([f"x{i}" for i in range(rank)])
+    vectors = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    gens = draw(st.lists(vectors, min_size=1, max_size=6))
+    if len(gens) < 6 and draw(st.booleans()):
+        gens.append([-c for c in gens[0]])
+    return ConeSpec([(f"g{k}", DivisorClass(basis, g)) for k, g in enumerate(gens)])
+
+
+@st.composite
+def cones_and_classes(draw, count):
+    """A cone and classes near it: a generator combination plus small noise."""
+    cone = draw(cones())
+    rank = cone.basis.rank
+    out = []
+    for _ in range(count):
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(cone), max_size=len(cone)))
+        noise = draw(st.one_of(st.just([0] * rank),
+                               st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)))
+        cls = DivisorClass(cone.basis, noise)
+        for w, g in zip(weights, cone.generators):
+            cls = cls + g.scale(w)
+        out.append(cls)
+    return cone, out
+
+
+def _dot(f, cls):
+    return sum(a * b for a, b in zip(f, cls.coeffs))
+
+
+def _violated(cone, cls) -> bool:
+    return (any(_dot(e, cls) != 0 for e in cone.equalities)
+            or any(_dot(f, cls) < 0 for f in cone.facets))
+
+
+@SETTINGS
+@given(cones_and_classes(1))
+def test_decomposition_exists_iff_no_facet_is_violated(case):
+    cone, (cls,) = case
+    for f in cone.facets:
+        assert all(type(c) is int for c in f)
+        assert all(_dot(f, g) >= 0 for g in cone.generators)
+    assert all(_dot(e, g) == 0 for e in cone.equalities for g in cone.generators)
+    outcome = effective_decompose(cls, cone)
+    assert isinstance(outcome, Decomposition) == (not _violated(cone, cls))
+    if isinstance(outcome, Decomposition):
+        assert outcome.recombine() == cls and min(outcome.coefficients) >= 0
+    else:
+        assert isinstance(outcome, Infeasible)
+        assert all(_dot(outcome.witness, g) >= 0 for g in cone.generators)
+        assert _dot(outcome.witness, cls) < 0
+        assert f"functional ({', '.join(map(str, outcome.witness))})" in outcome.detail
+
+
+def _threshold_outcome(threshold, a, b, cone):
+    try:
+        return threshold(a, b, cone)
+    except UnboundedThresholdError:
+        return "unbounded"
+    except ValueError:
+        return "outside at u = 0"
+
+
+@SETTINGS
+@given(cones_and_classes(2))
+def test_threshold_matches_the_support_enumeration_oracle(case):
+    cone, (a, b) = case
+    assert (_threshold_outcome(pseudoeffective_threshold, a, b, cone)
+            == _threshold_outcome(threshold_oracle, a, b, cone))
+
+
+@SETTINGS
+@given(cones_and_classes(2), fractions)
+def test_feasible_interval_agrees_with_pointwise_membership(case, extra):
+    """u is in the interval iff a + u b decomposes, at its ends and beside them."""
+    cone, (a, b) = case
+    interval = feasible_interval(a, b, cone)
+    points = {extra}
+    for end in (interval.lo, interval.hi):
+        if end is not None:
+            points |= {end, end - F(1, 7), end + F(1, 7)}
+    for u in points:
+        feasible = isinstance(effective_decompose(a + b.scale(u), cone), Decomposition)
+        assert feasible == (u in interval)

@@ -75,7 +75,7 @@ def test_curve_invariant_carries_its_terms_and_charts(scenarios):
     assert result.value == result.negative_term + result.volume_term == F(19, 56)
     assert len(result.charts) == len(inp.schedule.chambers)
     volume = sum((chart.volume_integral() for chart in result.charts), F(0))
-    assert result.volume_term == 3 * volume / inp.model.degree()
+    assert result.volume_term == 3 * volume / inp.model.degree
     # bounding by itself is exact, down to the charts
     assert sinv.dominance_bound(inp, inp.z) == result
 
@@ -112,6 +112,30 @@ def test_verify_validates_once_and_builds_one_chart_per_chamber(monkeypatch, nam
     charted = scenario.kind in ("s_curve", "s_curve_bound")
     charts = len(scenario.schedule.chambers) if charted else 0
     assert (calls["validate_schedule"], calls["build_chart"]) == (1, charts)
+
+
+def test_verify_pass_computes_each_degree_once(monkeypatch):
+    """One ``run_verify`` of the bundled scenarios: (-K)^3 once per parsed model
+    that needs it (12 of the 38 triple products; 20 of 46 when it was recomputed
+    per call), and ``effective_decompose`` only for the two feasible queries."""
+    from divstab import scenario, zariski
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(sinv, "triple_product")
+    for module in (scenario, sinv, zariski):
+        counting(module, "effective_decompose")
+    names = bundled_scenario_names()
+    assert len(names) == 17
+    assert run_verify([(n, load_bundled(n)) for n in names]).all_pass
+    assert (calls["triple_product"], calls["effective_decompose"]) == (38, 2)
 
 
 def test_dominance_violation(scenarios):
@@ -224,5 +248,5 @@ def test_s_divisor_matches_quadrature(scenarios):
         cube = triple_product(p, p, p, scenario.model.form)
         total += midpoint_1d(lambda u: cube(u), float(chamber.u_lo),
                              float(chamber.u_hi), 10_000)
-    estimate = total / float(scenario.model.degree())
+    estimate = total / float(scenario.model.degree)
     assert abs(float(exact) - estimate) / float(exact) < 1e-6
