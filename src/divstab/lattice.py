@@ -30,7 +30,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .ratmath import Coeff, Poly, format_poly, format_rational
 
-CoeffIn = Union[int, Fraction, Poly]
+# a string, so the Union that typing caches does not keep this module's Poly alive
+CoeffIn = Union[int, Fraction, "Poly"]
 
 
 class BasisMismatchError(ValueError):

@@ -18,15 +18,15 @@ diagonal, and the elimination of the reciprocal branch.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .exprs import parse_expression
-from .ratmath import format_rational
+from .ratmath import Poly, format_rational, poly_gcd, rational_roots
 
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
@@ -333,8 +333,8 @@ def twisted_cubic() -> ParamCurve:
     return ParamCurve((x ** 3, x ** 2 * y, x * y ** 2, y ** 3))
 
 
-def _unipoly(p: MPoly, var: str) -> list[Fraction]:
-    """Dense coefficient list of a polynomial in a single variable."""
+def _unipoly(p: MPoly, var: str) -> Poly:
+    """A polynomial in the single variable ``var``, as a one-row :class:`Poly`."""
     coeffs: list[Fraction] = []
     for exps, c in p.terms.items():
         deg = 0
@@ -346,31 +346,12 @@ def _unipoly(p: MPoly, var: str) -> list[Fraction]:
         while len(coeffs) <= deg:
             coeffs.append(Fraction(0))
         coeffs[deg] += c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    return Poly([coeffs])
 
 
-def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _uni_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _uni_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+def _mpoly(p: Poly, var: str) -> MPoly:
+    """The inverse of :func:`_unipoly`."""
+    return MPoly((var,), {(k,): c for k, c in enumerate(p.coeffs)})
 
 
 def _common_binary_factor(components: Sequence[MPoly], variables: tuple[str, str]) -> bool:
@@ -380,10 +361,7 @@ def _common_binary_factor(components: Sequence[MPoly], variables: tuple[str, str
     if all(p.degree_in((x,)) < deg for p in components):
         return True
     dehom = [_unipoly(p.subs({y: 1}), x) for p in components]
-    g = dehom[0]
-    for p in dehom[1:]:
-        g = _uni_gcd(g, p)
-    return len(g) - 1 > 0
+    return reduce(poly_gcd, dehom).degree > 0
 
 
 def contains_param_curve(f: MPoly, curve: ParamCurve) -> bool:
@@ -402,7 +380,7 @@ class LinearAction:
         m = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if len(m) != 4 or any(len(r) != 4 for r in m):
             raise ValueError("need a 4x4 matrix")
-        if _det4(m) == 0:
+        if linalg.rank(m) < 4:
             raise ValueError("action matrix must be invertible")
         object.__setattr__(self, "matrix", m)
 
@@ -413,21 +391,6 @@ class LinearAction:
 
 def identity_action() -> LinearAction:
     return LinearAction([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-
-
-def _det4(m) -> Fraction:
-    total = Fraction(0)
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = Fraction(1)
-        for i in range(4):
-            prod *= m[i][perm[i]]
-        total += sign * prod
-    return total
 
 
 def transform_poly(g: LinearAction, f: MPoly) -> MPoly:
@@ -447,8 +410,8 @@ def equation_character(g: LinearAction, f: MPoly) -> Fraction | None:
     return chi if (gf - f * chi).is_zero() else None
 
 
-def _char_poly(m) -> list[Fraction]:
-    """Coefficients of det(t I - M), ascending degree (Faddeev-LeVerrier)."""
+def _char_poly(m) -> Poly:
+    """det(t I - M) as a one-row :class:`Poly` (Faddeev-LeVerrier)."""
     n = 4
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
@@ -462,54 +425,21 @@ def _char_poly(m) -> list[Fraction]:
               for i in range(n)]
         c = -sum(mk[i][i] for i in range(n)) / k
         coeffs[n - k] = c
-    return coeffs
+    return Poly([coeffs])
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0] or [1]
+def _rational_eigenvalues(m) -> list[Fraction]:
+    """The distinct eigenvalues; errors unless the char poly splits over Q.
 
-
-def _deflate(work: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Quotient of a polynomial (ascending coefficients) by (t - root)."""
-    deg = len(work) - 1
-    q = [Fraction(0)] * deg
-    q[deg - 1] = work[deg]
-    for i in range(deg - 2, -1, -1):
-        q[i] = work[i + 1] + root * q[i + 1]
-    return q
-
-
-def _rational_eigenvalues(m) -> list[tuple[Fraction, int]]:
-    """Eigenvalues with multiplicity; errors unless the char poly splits over Q."""
-    coeffs = _char_poly(m)
-    scale = lcm(*(c.denominator for c in coeffs))
-    work = [c * scale for c in coeffs]
-    candidates: set[Fraction] = set()
-    lowest = next(c for c in work if c != 0)
-    if work[0] == 0:
-        candidates.add(Fraction(0))
-    for p in _divisors(lowest.numerator):
-        for q in _divisors(work[-1].numerator):
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    found: list[tuple[Fraction, int]] = []
-    for root in sorted(candidates):
-        mult = 0
-        while len(work) > 1:
-            value = Fraction(0)
-            for c in reversed(work):
-                value = value * root + c
-            if value != 0:
-                break
-            work = _deflate(work, root)
-            mult += 1
-        if mult:
-            found.append((root, mult))
-    if len(work) > 1:
+    It splits iff its squarefree part ``char // gcd(char, char')`` has one
+    root per degree, all of them rational.
+    """
+    char = _char_poly(m)
+    roots = rational_roots(char)
+    if (char // poly_gcd(char, char.derivative())).degree != len(roots):
         raise IrrationalEigenvalueError(
             "the action has irrational (or non-real) eigenvalues")
-    return found
+    return roots
 
 
 @dataclass(frozen=True)
@@ -552,9 +482,9 @@ def common_fixed_points(g1: LinearAction, g2: LinearAction) -> FixedPointReport:
     _check_projective_commute(g1, g2)
     report_points: list[tuple[Fraction, ...]] = []
     loci: list[FixedLocus] = []
-    for lam1, _ in _rational_eigenvalues(g1.matrix):
+    for lam1 in _rational_eigenvalues(g1.matrix):
         space1 = _eigen_matrix(g1.matrix, lam1)
-        for lam2, _ in _rational_eigenvalues(g2.matrix):
+        for lam2 in _rational_eigenvalues(g2.matrix):
             space2 = _eigen_matrix(g2.matrix, lam2)
             joint = linalg.null_space(space1 + space2)
             if not joint:
@@ -708,29 +638,21 @@ class ParamLine:
         return point
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
-
-
 def _primitive_vector(vec: list[MPoly], parameter: str) -> list[MPoly]:
     """Divide a polynomial vector by its polynomial gcd and rational content."""
-    polys = [_unipoly(p, parameter) for p in vec]
-    g: list[Fraction] = []
-    for p in polys:
-        if p:
-            g = _uni_gcd(g, p) if g else [c / p[-1] for c in p]
-    if len(g) > 1:
-        polys = [_uni_divmod(p, g)[0] if p else [] for p in polys]
-    content = Fraction(0)
-    for p in polys:
-        for c in p:
-            content = _frac_gcd(content, abs(c))
-    if content == 0:
-        content = Fraction(1)
-    first = next((p for p in polys if p), [Fraction(1)])
-    sign = 1 if first[-1] > 0 else -1
-    return [MPoly((parameter,), {(k,): sign * c / content for k, c in enumerate(p)})
-            for p in polys]
+    polys = _primitive_polys([_unipoly(p, parameter) for p in vec])
+    coeffs = [c for p in polys for c in p.coeffs]
+    scale = Fraction(lcm(*(c.denominator for c in coeffs)),
+                     gcd(*(c.numerator for c in coeffs)) or 1)
+    if next((p.coeffs[-1] for p in polys if p), 1) < 0:
+        scale = -scale
+    return [_mpoly(p * scale, parameter) for p in polys]
+
+
+def _primitive_polys(polys: list[Poly]) -> list[Poly]:
+    """The polynomials divided by their monic gcd."""
+    g = reduce(poly_gcd, polys, Poly())
+    return [p // g for p in polys] if g.degree > 0 else polys
 
 
 def line_containment_conditions(f: MPoly, line: ParamLine) -> list[MPoly]:
@@ -787,13 +709,15 @@ def solve_conic_through_line(parameter: str = "s") -> dict[str, tuple[MPoly, MPo
         raise ValueError("cannot normalize: the solved a4 vanishes identically")
     out = {}
     for name, num in zip(names, kernel):
-        n, d = _uni_reduce(num, a4)
-        out[name] = (MPoly((parameter,), {(k,): c for k, c in enumerate(n)}),
-                     MPoly((parameter,), {(k,): c for k, c in enumerate(d)}))
+        # lowest terms with a monic denominator
+        g = poly_gcd(num, a4)
+        num, den = num // g, a4 // g
+        lead = 1 / den.coeffs[-1]
+        out[name] = (_mpoly(num * lead, parameter), _mpoly(den * lead, parameter))
     return out
 
 
-def _poly_kernel(rows: list[list[list[Fraction]]]) -> list[list[Fraction]] | None:
+def _poly_kernel(rows: list[list[Poly]]) -> list[Poly] | None:
     """One-dimensional kernel of a matrix with univariate polynomial entries.
 
     Fraction-free elimination: eliminate with cross-multiplication, keep
@@ -811,8 +735,7 @@ def _poly_kernel(rows: list[list[list[Fraction]]]) -> list[list[Fraction]] | Non
         for r in range(len(m)):
             if r != row and m[r][col]:
                 lead_r, lead_p = m[r][col], m[row][col]
-                m[r] = [_uni_sub(_uni_mul(lead_p, m[r][c]), _uni_mul(lead_r, m[row][c]))
-                        for c in range(ncols)]
+                m[r] = [lead_p * m[r][c] - lead_r * m[row][c] for c in range(ncols)]
         pivots.append((row, col))
         row += 1
     pivot_cols = {c for _, c in pivots}
@@ -820,79 +743,18 @@ def _poly_kernel(rows: list[list[list[Fraction]]]) -> list[list[Fraction]] | Non
     if len(free) != 1:
         return None
     j = free[0]
-    vec: list[list[Fraction]] = [[] for _ in range(ncols)]
-    det = [Fraction(1)]
+    vec = [Poly()] * ncols
+    det = Poly.constant(1)
     for r, c in pivots:
-        det = _uni_mul(det, m[r][c])
+        det = det * m[r][c]
     vec[j] = det
     for r, c in pivots:
         # m[r][c] * x_c + m[r][j] * x_j = 0, with x_j = det
-        numerator = _uni_mul([Fraction(-1)], _uni_mul(m[r][j], det))
-        quotient, rem = _uni_divmod(numerator, m[r][c])
+        quotient, rem = divmod(-(m[r][j] * det), m[r][c])
         if rem:
             return None
         vec[c] = quotient
-    # make primitive: divide by the gcd of all entries
-    g: list[Fraction] = []
-    for p in vec:
-        if p:
-            g = _uni_gcd(g, p) if g else [c / p[-1] for c in p]
-    if len(g) > 1:
-        vec = [_uni_divmod(p, g)[0] if p else p for p in vec]
-    return vec
-
-
-def _uni_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _uni_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _uni_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(rem) >= len(b) and rem:
-        factor = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        q[shift] += factor
-        for i, c in enumerate(b):
-            rem[i + shift] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, rem
-
-
-def _uni_reduce(num: list[Fraction], den: list[Fraction]):
-    if not num:
-        return [], [Fraction(1)]
-    g = _uni_gcd(num, den)
-    if len(g) > 1:
-        num = _uni_divmod(num, g)[0]
-        den = _uni_divmod(den, g)[0]
-    # normalize: monic positive denominator
-    lead = den[-1]
-    num = [c / lead for c in num]
-    den = [c / lead for c in den]
-    return num, den
+    return _primitive_polys(vec)
 
 
 def secant_quartic(parameter: str = "s") -> MPoly:
@@ -904,10 +766,10 @@ def secant_quartic(parameter: str = "s") -> MPoly:
     common = MPoly.variable(parameter)  # every denominator divides the parameter
     for k in range(1, 7):
         num, den = solved[f"a{k}"]
-        quotient, rem = _uni_divmod(_unipoly(common, parameter), _unipoly(den, parameter))
+        quotient, rem = divmod(_unipoly(common, parameter), _unipoly(den, parameter))
         if rem:
             raise ValueError("unexpected denominator in the solved conic")
-        conic.append(num * MPoly((parameter,), {(i,): c for i, c in enumerate(quotient)}))
+        conic.append(num * _mpoly(quotient, parameter))
     return pullback_under_quadric_map(conic)
 
 

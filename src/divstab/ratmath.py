@@ -12,9 +12,12 @@ Fractions.  A polynomial in one variable is the same type; ``p.coeffs`` and
 and ``Fraction`` operands directly.  Degrees stay tiny (at most 4), so dense
 storage is the simple choice.
 
-Breakpoint discovery only ever needs roots of polynomials of degree <= 2,
-and every breakpoint that legitimately occurs is rational; an irrational
-root is reported as a hard error rather than approximated.
+Along its one variable a polynomial also divides with remainder (``divmod``,
+``//``, ``%``), differentiates, and has a monic :func:`poly_gcd` and its
+:func:`rational_roots`; this is the package's only univariate toolkit.
+Chamber breakpoints are roots of degree <= 2, and every breakpoint that
+legitimately occurs is rational; an irrational one is reported as a hard
+error rather than approximated.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ _ZERO = Fraction(0)
 
 
 class IrrationalBreakpointError(ArithmeticError):
-    """A degree-2 polynomial whose real roots are not rational."""
+    """A quadratic with real roots that are not rational (no breakpoint is)."""
 
 
 class InvalidRegionError(ValueError):
@@ -272,6 +275,41 @@ class Poly:
             out = out * v0 + column
         return out
 
+    def _along(self, coeffs: list[Fraction], other: "Poly") -> "Poly":
+        """``coeffs`` along the one variable of self and other, which must agree."""
+        in_u = len(self.rows) > 1 or len(other.rows) > 1
+        if in_u and any(len(p.rows) == 1 and len(p.rows[0]) > 1 for p in (self, other)):
+            raise ValueError(f"{format_poly(self)} and {format_poly(other)} "
+                             "depend on different variables")
+        return Poly._trusted([[c] for c in coeffs] if in_u else [coeffs])
+
+    def derivative(self) -> "Poly":
+        """Derivative along the one variable."""
+        return self._along([k * c for k, c in enumerate(self.coeffs)][1:], self)
+
+    def __divmod__(self, other):
+        """Quotient and remainder along the one variable, ``deg r < deg other``."""
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
+        other = Poly.of(other)
+        rem, den = list(self.coeffs), other.coeffs
+        if not den:
+            raise ZeroDivisionError("polynomial division by zero")
+        quot = [_ZERO] * max(len(rem) - len(den) + 1, 0)
+        for shift in reversed(range(len(quot))):
+            factor = rem[shift + len(den) - 1] / den[-1]
+            quot[shift] = factor
+            if factor:
+                for i, c in enumerate(den):
+                    rem[shift + i] -= factor * c
+        return self._along(quot, other), self._along(rem[:len(den) - 1], other)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
     def antiderivative_v(self) -> "Poly":
         return Poly._trusted([[_ZERO] + [c / (j + 1) for j, c in enumerate(row)]
                               for row in self.rows])
@@ -328,18 +366,37 @@ def integrate_region(f: Union[Poly, Scalar], u_lo: Scalar, u_hi: Scalar,
     return integrate_univariate(inner, u_lo, u_hi)
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a polynomial of degree <= 2, in increasing order.
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor along the one variable; ``poly_gcd(0, 0)`` is 0."""
+    while b:
+        a, b = b, a % b
+    return a * (1 / a.coeffs[-1]) if a else a
 
-    Multiplicities are collapsed.  A degree-2 polynomial with real but
-    irrational roots raises :class:`IrrationalBreakpointError`; a negative
-    discriminant (no real roots) yields an empty list.
+
+def rational_roots(p: Poly) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial, in increasing order.
+
+    Multiplicities are collapsed.  Up to degree 2 the roots come in closed
+    form: a quadratic with real but irrational roots raises
+    :class:`IrrationalBreakpointError`, and a negative discriminant (no real
+    roots) yields an empty list.  From degree 3 on, the candidates are the
+    fractions p/q of the rational root theorem, and roots that are not
+    rational are left out; a caller that needs the polynomial to split over
+    the rationals compares the count with its squarefree degree.
     """
     coeffs = p.coeffs
     if not coeffs:
         raise ValueError("zero polynomial has every point as a root")
     if len(coeffs) > 3:
-        raise ValueError(f"degree {len(coeffs) - 1} exceeds the supported bound 2")
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        lowest = next(c for c in ints if c)    # the constant term once t^k is divided out
+        roots = {_ZERO} if not ints[0] else set()
+        for num in _factors(lowest):
+            for den in _factors(ints[-1]):
+                roots.update(r for r in (Fraction(num, den), Fraction(-num, den))
+                             if not _horner(coeffs, r))
+        return sorted(roots)
     if len(coeffs) == 1:
         return []
     if len(coeffs) == 2:
@@ -354,6 +411,13 @@ def rational_roots(p: Poly) -> list[Fraction]:
             f"irrational breakpoint: roots of {format_poly(p)} are not rational")
     roots = sorted({(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)})
     return roots
+
+
+def _factors(n: int) -> list[int]:
+    """The positive divisors of a nonzero integer, possibly repeated."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in small]
 
 
 def format_poly(p: Union[Scalar, Poly]) -> str:

@@ -128,6 +128,13 @@ def _parse_rational_value(section: _Section, key: str, text: str) -> Fraction:
         raise ScenarioFormatError(f"[{section.name}] {key}: {exc}") from None
 
 
+def _parse_class(text: str, basis: LatticeBasis, where: str) -> DivisorClass:
+    try:
+        return parse_divisor_expr(text, basis)
+    except ExprSyntaxError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from None
+
+
 def _parse_u_poly(text: str, where: str) -> Poly:
     try:
         value = parse_poly(text)
@@ -157,10 +164,8 @@ def _build_threefold(section: _Section) -> tuple[sinv.ThreefoldModel, dict[str, 
         form = ThreefoldForm(basis, entries)
     except (ValueError, KeyError) as exc:
         raise ScenarioFormatError(f"[{section.name}] tensor: {exc}") from None
-    try:
-        anticanonical = parse_divisor_expr(section.require("anticanonical"), basis)
-    except ExprSyntaxError as exc:
-        raise ScenarioFormatError(f"[{section.name}] anticanonical: {exc}") from None
+    anticanonical = _parse_class(section.require("anticanonical"), basis,
+                                 f"[{section.name}] anticanonical")
     curves = []
     for name, value, line in section.all("curve"):
         table = {}
@@ -174,17 +179,11 @@ def _build_threefold(section: _Section) -> tuple[sinv.ThreefoldModel, dict[str, 
     cone_entries = []
     named: dict[str, DivisorClass] = {n: basis.unit(n) for n in basis.names}
     for name, value, line in section.all("cone"):
-        try:
-            cls = parse_divisor_expr(value, basis)
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[{section.name}] cone {name}: {exc}") from None
+        cls = _parse_class(value, basis, f"[{section.name}] cone {name}")
         cone_entries.append((name, cls))
         named.setdefault(name, cls)
     for name, value, line in section.all("divisor"):
-        try:
-            named[name] = parse_divisor_expr(value, basis)
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[{section.name}] divisor {name}: {exc}") from None
+        named[name] = _parse_class(value, basis, f"[{section.name}] divisor {name}")
     if not cone_entries:
         raise ScenarioFormatError(f"[{section.name}] needs at least one cone generator")
     model = sinv.ThreefoldModel(basis, form, anticanonical, tuple(curves),
@@ -206,26 +205,17 @@ def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.Surfac
         form = SurfaceForm(basis, entries)
     except (ValueError, KeyError) as exc:
         raise ScenarioFormatError(f"[{section.name}] pairing: {exc}") from None
-    try:
-        cls = parse_divisor_expr(section.require("class"), model.basis)
-    except ExprSyntaxError as exc:
-        raise ScenarioFormatError(f"[{section.name}] class: {exc}") from None
+    cls = _parse_class(section.require("class"), model.basis, f"[{section.name}] class")
     images = {}
     for name, value, line in section.all("restrict"):
-        try:
-            images[name] = parse_divisor_expr(value, basis)
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[{section.name}] restrict {name}: {exc}") from None
+        images[name] = _parse_class(value, basis, f"[{section.name}] restrict {name}")
     try:
         restriction = RestrictionMap(model.basis, basis, images)
     except (ValueError, KeyError) as exc:
         raise ScenarioFormatError(f"[{section.name}] restrict: {exc}") from None
     curves = []
     for name, value, line in section.all("curve"):
-        try:
-            curves.append((name, parse_divisor_expr(value, basis)))
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[{section.name}] curve {name}: {exc}") from None
+        curves.append((name, _parse_class(value, basis, f"[{section.name}] curve {name}")))
     if not curves:
         raise ScenarioFormatError(f"[{section.name}] needs at least one extremal curve")
     return sinv.SurfaceData(section.get("name", "Y"), cls, basis, form,
@@ -297,6 +287,8 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
             f"[scenario] kind: unknown kind {kind!r}; expected one of {', '.join(KNOWN_KINDS)}")
     scen_name = head.get("name", name)
     expected_text = head.require("expected")
+    if kind not in ("effective_decomposition", "infeasible_scan"):
+        _parse_rational_value(head, "expected", expected_text)   # parsed again to evaluate
 
     def missing(section_name: str) -> ScenarioFormatError:
         return ScenarioFormatError(f"missing the [{section_name}] section")
@@ -323,10 +315,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         surface = _build_surface(sections["surface"], model)
         schedule = _build_schedule(sections["schedule"], named)
         curve_sec = sections["curve"]
-        try:
-            z = parse_divisor_expr(curve_sec.require("z"), surface.basis)
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[curve] z: {exc}") from None
+        z = _parse_class(curve_sec.require("z"), surface.basis, "[curve] z")
         ord_items = [p.strip() for p in curve_sec.require("ord").split(",")]
         if len(ord_items) != len(schedule.chambers):
             raise ScenarioFormatError(
@@ -337,10 +326,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         if kind == "s_curve_bound":
             if via_text is None:
                 raise ScenarioFormatError("[curve] dominate_via is required for s_curve_bound")
-            try:
-                via = parse_divisor_expr(via_text, surface.basis)
-            except ExprSyntaxError as exc:
-                raise ScenarioFormatError(f"[curve] dominate_via: {exc}") from None
+            via = _parse_class(via_text, surface.basis, "[curve] dominate_via")
         return Scenario(surface=surface, schedule=schedule, z=z,
                         ord_coeffs=ord_coeffs, dominate_via=via, **common)
 
@@ -349,10 +335,8 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
             raise missing("divisor")
         if "schedule" not in sections:
             raise missing("schedule")
-        try:
-            divisor = parse_divisor_expr(sections["divisor"].require("class"), model.basis)
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[divisor] class: {exc}") from None
+        divisor = _parse_class(sections["divisor"].require("class"), model.basis,
+                               "[divisor] class")
         schedule = _build_schedule(sections["schedule"], named)
         return Scenario(divisor=divisor, schedule=schedule, **common)
 
@@ -360,10 +344,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         if "decompose" not in sections:
             raise missing("decompose")
         dec = sections["decompose"]
-        try:
-            cls = parse_divisor_expr(dec.require("class"), model.basis)
-        except ExprSyntaxError as exc:
-            raise ScenarioFormatError(f"[decompose] class: {exc}") from None
+        cls = _parse_class(dec.require("class"), model.basis, "[decompose] class")
         if kind == "infeasible_scan":
             if expected_text != "infeasible":
                 raise ScenarioFormatError(
@@ -397,10 +378,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     if "pairing" not in sections:
         raise missing("pairing")
     pairing = sections["pairing"]
-    try:
-        cls = parse_divisor_expr(pairing.require("class"), model.basis)
-    except ExprSyntaxError as exc:
-        raise ScenarioFormatError(f"[pairing] class: {exc}") from None
+    cls = _parse_class(pairing.require("class"), model.basis, "[pairing] class")
     curve_name = pairing.require("curve")
     curve = next((c for c in model.mori_curves if c.name == curve_name), None)
     if curve is None:

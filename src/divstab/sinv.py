@@ -41,7 +41,8 @@ _U = Poly.variable("u")
 
 
 class ScheduleError(ValueError):
-    """Schedule data violates one of its invariants; names the bad sample."""
+    """Schedule data violates one of its invariants; names the chamber end or
+    the chamber where it fails."""
 
 
 class OrdMismatchError(ValueError):
@@ -119,16 +120,18 @@ class SCurveInput:
     dominating: DivisorClass | None = None
 
 
-def _chamber_samples(ch: ScheduleChamber) -> list[Fraction]:
-    return [ch.u_lo, (3 * ch.u_lo + ch.u_hi) / 4, (ch.u_lo + ch.u_hi) / 2,
-            (ch.u_lo + 3 * ch.u_hi) / 4, ch.u_hi]
-
-
 def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                       sched: Schedule) -> tuple[Poly, ...]:
-    """Check every schedule invariant; raise ScheduleError naming the sample.
+    """Check every schedule invariant exactly; raise ScheduleError on the first failure.
 
-    Returns ``P(u)^3`` per chamber, the polynomials the checks were made on.
+    Each negative-part coefficient must be affine in u, so P(u) is affine
+    too, and the coefficients and the Mori pairings are nonnegative on a
+    chamber iff they are at its two ends.  With A = P(lo) and B = P(hi),
+    the cube ``P(u)^3`` has the Bernstein coefficients A^3, A^2 B, A B^2 and
+    B^3 on [lo, hi]; they are mixed products of nef classes when the curve
+    table generates the Mori cone, hence nonnegative, and they bound the
+    cube from below.  Returns ``P(u)^3`` per chamber, the polynomials the
+    checks were made on.
     """
     if not sched.chambers:
         raise ScheduleError("schedule has no chambers")
@@ -147,8 +150,13 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
             f"threshold is {format_rational(recomputed)}")
     cubes = []
     for ch in sched.chambers:
-        if ch.u_lo >= ch.u_hi:
+        lo, hi = ch.u_lo, ch.u_hi
+        if lo >= hi:
             raise ScheduleError("empty schedule chamber")
+        for name, _, coeff in ch.negative:
+            if coeff.degree_u > 1 or coeff.degree_v > 0:
+                raise ScheduleError(
+                    f"the negative-part coefficient {coeff} of {name} is not affine in u")
         p = sched.positive_part(y, mk, ch)
         # exact identity P + N + uY = -K
         total = p + y.scale(_U)
@@ -158,7 +166,7 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
             raise ScheduleError("P(u) + N(u) + u*Y does not reproduce the anticanonical class")
         cube = triple_product(p, p, p, model.form)
         pairings = [(curve.name, pair_with_curve(p, curve)) for curve in model.mori_curves]
-        for u0 in _chamber_samples(ch):
+        for u0 in (lo, hi):
             for _, _, coeff in ch.negative:
                 if coeff(u0) < 0:
                     raise ScheduleError(
@@ -167,9 +175,14 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                 if pairing(u0) < 0:
                     raise ScheduleError(
                         f"P(u) pairs negatively with {name} at u = {format_rational(u0)}")
-            if cube(u0) < 0:
-                raise ScheduleError(
-                    f"P(u)^3 is negative at u = {format_rational(u0)}")
+        slope, third = cube.derivative(), (hi - lo) / 3
+        bernstein = (cube(lo), cube(lo) + third * slope(lo),
+                     cube(hi) - third * slope(hi), cube(hi))
+        if min(bernstein) < 0:
+            raise ScheduleError(
+                f"P(u)^3 has the Bernstein coefficients "
+                f"{', '.join(map(format_rational, bernstein))} on "
+                f"[{format_rational(lo)}, {format_rational(hi)}]: one is negative")
         cubes.append(cube)
     if cubes[-1](tau) != 0:
         raise ScheduleError(

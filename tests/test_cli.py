@@ -320,3 +320,64 @@ def test_cli_geo_all(capsys):
 def test_cli_usage_error_on_missing_file(capsys):
     assert main(["verify", "does-not-exist"]) == 2
     assert "no scenario file" in capsys.readouterr().err
+
+
+# keys whose absence is an error in every scenario that has the section
+REQUIRED_KEYS = {"scenario": ("kind", "expected"),
+                 "threefold": ("basis", "tensor", "anticanonical"),
+                 "surface": ("basis", "pairing", "class"), "curve": ("z", "ord"),
+                 "divisor": ("class",), "decompose": ("class",),
+                 "pairing": ("class", "curve")}
+# a standalone rational: not part of a name like E1 or lemma_4_1, nor of 4H
+RATIONAL = re.compile(r"(?<![\w./])-?\d+(?:/\d+)?(?![\w./])")
+
+
+def _entries(lines):
+    """(index, section, key) of every key line, comments dropped."""
+    section, out = None, []
+    for i, raw in enumerate(lines):
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            out.append((i, section, line.partition("=")[0].strip()))
+    return out
+
+
+def _damage(text, how, rng):
+    """One seeded damage to a scenario: the damaged text and the section hit."""
+    lines = text.splitlines()
+    entries = _entries(lines)
+    if how == "drop":
+        i, section, _ = rng.choice([e for e in entries if e[2] in REQUIRED_KEYS.get(e[1], ())])
+        del lines[i]
+    elif how == "duplicate":
+        section = rng.choice(sorted({s for _, s, _ in entries}))
+        lines += [f"[{section}]"] + [lines[i] for i, s, _ in entries if s == section]
+    elif how == "abc":
+        i, section, _ = rng.choice([e for e in entries
+                                    if RATIONAL.search(lines[e[0]].split("#", 1)[0])])
+        code, hash_, comment = lines[i].partition("#")
+        spot = rng.choice(list(RATIONAL.finditer(code)))
+        lines[i] = code[:spot.start()] + "abc" + code[spot.end():] + hash_ + comment
+    else:
+        i, section, _ = rng.choice(entries)
+        lines.insert(i + 1, "bogus = 1")
+    return "\n".join(lines) + "\n", section
+
+
+@pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "unknown"])
+def test_damaged_scenarios_are_isolated_errors(how):
+    """Seeded damage to a bundled scenario gives one ERROR row that names the
+    damaged section; the next scenario in the batch still passes."""
+    names = bundled_scenario_names()
+    rng = random.Random(f"damage-{how}")
+    for _ in range(12):
+        k = rng.randrange(len(names))
+        neighbour = names[(k + 1) % len(names)]
+        damaged, section = _damage(load_bundled(names[k]), how, rng)
+        report = run_verify([("damaged", damaged), (neighbour, load_bundled(neighbour))])
+        first, second = report.results
+        assert first.status == "ERROR", (names[k], section, first)
+        assert f"[{section}]" in first.detail, (names[k], first.detail)
+        assert second.status == "PASS", (neighbour, second)

@@ -1,5 +1,6 @@
-"""Property tests: the polynomial ring, the shared parser, the class canonical
-form, and the cones' two representations (generators and facets).
+"""Property tests: the polynomial ring and its univariate toolkit, the shared
+parser, the class canonical form, and the cones' two representations
+(generators and facets).
 
 Needs ``hypothesis`` (test-only; skipped where it is not installed).  Runs
 are derandomized and keep no example database, so results are repeatable.
@@ -18,7 +19,7 @@ from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
 from divstab.exprs import parse_divisor_expr, parse_poly  # noqa: E402
 from divstab.lattice import DivisorClass, LatticeBasis  # noqa: E402
 from divstab.projgeo import MPoly, format_mpoly, parse_mpoly  # noqa: E402
-from divstab.ratmath import Poly, format_poly  # noqa: E402
+from divstab.ratmath import Poly, format_poly, poly_gcd, rational_roots  # noqa: E402
 from oracles import threshold_oracle  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -64,6 +65,48 @@ def test_poly_evaluation_is_a_ring_map(a, b, x, y):
     assert (a + b)(x, y) == a(x, y) + b(x, y)
     assert mixed(x, y) == a(x, y) * x + b(x, y) * y
     assert a.subs_u(x).subs_v(y) == a.subs_v(y).subs_u(x) == a(x, y)
+
+
+# three polynomials in one variable, u or v
+univariate = st.sampled_from([U, V]).flatmap(lambda x: st.tuples(*[
+    st.lists(fractions, max_size=5).map(
+        lambda cs: sum((c * x ** k for k, c in enumerate(cs)), Poly()))] * 3))
+
+
+@SETTINGS
+@given(univariate)
+def test_division_with_remainder(abc):
+    a, b, _ = abc
+    if b:
+        q, r = divmod(a, b)
+        assert a == q * b + r and r.degree < b.degree
+        assert (q, r) == (a // b, a % b)
+
+
+@SETTINGS
+@given(univariate)
+def test_poly_gcd_is_monic_and_divides_both(abc):
+    a, b, c = abc
+    g = poly_gcd(a, b)
+    if not (a or b):
+        assert g == 0
+        return
+    assert g.coeffs[-1] == 1
+    assert a % g == 0 and b % g == 0
+    if c:
+        assert poly_gcd(a * c, b * c) == g * c * (1 / c.coeffs[-1])
+
+
+@SETTINGS
+@given(st.lists(fractions, min_size=1, max_size=4), st.integers(0, 2),
+       st.sampled_from([V * V + 1, V * V - 2]), st.sampled_from([-3, 1, F(2, 5)]))
+def test_rational_roots_of_products_of_linear_factors(roots, extra, quadratic, lead):
+    """Degree >= 3: every rational root is found, once, and nothing else."""
+    roots += [roots[0]] * extra
+    p = lead * quadratic
+    for r in roots:
+        p = p * (V - r)
+    assert rational_roots(p) == sorted(set(roots))
 
 
 @SETTINGS

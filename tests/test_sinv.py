@@ -209,6 +209,36 @@ def test_schedule_validation_mori_pairing(scenarios, model):
         sinv.validate_schedule(model, model.basis.unit("H"), sched)
 
 
+def test_schedule_validation_rejects_a_coefficient_that_dips_between_samples(model):
+    """Nonnegative at 1, 9/8, 5/4, 11/8 and 3/2, but -41/1024 at u = 17/16:
+    a five-point sample passed this schedule, and s_divisor gave 13093/25872."""
+    r = DivisorClass(model.basis, [4, -2, -1])
+    product = Poly.constant(1024)
+    for s in (F(1), F(9, 8), F(5, 4), F(11, 8), F(3, 2)):
+        product = product * (U - s)
+    dip = U - 1 - product
+    assert dip(F(17, 16)) == F(-41, 1024)
+    sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1)),
+                           sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, dip),))))
+    with pytest.raises(sinv.ScheduleError, match="not affine in u"):
+        sinv.s_divisor(model, model.basis.unit("H"), sched)
+
+
+def test_schedule_validation_rejects_a_negative_bernstein_coefficient(model):
+    """With lR missing from the curve table, P(u) on [1, 3/2] is not nef: the
+    cube's Bernstein coefficients are 189, -27/2, 0, 0.  Every five-point
+    sample of the cube is nonnegative, and s_divisor used to give 571/448."""
+    partial = replace(model, mori_curves=tuple(c for c in model.mori_curves
+                                               if c.name != "lR"))
+    h, ec = model.basis.unit("H"), model.basis.unit("EC")
+    r = DivisorClass(model.basis, [4, -2, -1])
+    sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1)),
+                           sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, U - 1),
+                                                                ("D", h + ec, 6 - 4 * U)))))
+    with pytest.raises(sinv.ScheduleError, match=r"189, -27/2, 0, 0 on \[1, 3/2\]"):
+        sinv.s_divisor(partial, h, sched)
+
+
 def test_ord_consistency_checked(scenarios):
     lying = replace(curve_input(scenarios["lemma_4_1"]),
                     ord_coeffs=(Poly(), U - 1))
