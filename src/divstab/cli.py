@@ -27,7 +27,7 @@ from .cones import Infeasible, effective_decompose
 from .exprs import ExprSyntaxError, parse_divisor_expr
 from .lattice import restrict
 from .ratmath import format_rational, parse_rational
-from .scenario import (Report, ScenarioFormatError, bundled_scenario_names,
+from .scenario import (CURVE_KINDS, Report, ScenarioFormatError, bundled_scenario_names,
                        evaluate_scenario, load_bundled, parse_scenario, run_verify)
 
 USAGE_ERROR = 2
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "s-curve":
-            return _cmd_single(args, ("s_curve", "s_curve_bound", "negative_part"))
+            return _cmd_single(args, CURVE_KINDS)
         if args.command == "s-divisor":
             return _cmd_single(args, ("s_divisor",))
         if args.command == "zariski":

@@ -188,7 +188,7 @@ def parse_divisor_expr(text: str, basis: LatticeBasis) -> DivisorClass:
         coeff = parser.atom() if have_coeff else Fraction(1)
         if sign < 0:
             coeff = -coeff
-        if parser.peek()[0] == "*":
+        if have_coeff and parser.peek()[0] == "*":
             parser.take()
         kind, txt, at = parser.peek()
         if kind == "name":

@@ -551,9 +551,6 @@ def cubic_quadric_points() -> list[tuple[GaussianRational, ...]]:
 
 # --- the quadric map and the secant quartic -------------------------------
 
-CONIC_MONOMIALS = ("X^2", "X*Y", "X*Z", "Y^2", "Y*Z", "Z^2")
-
-
 def quadric_map_components() -> tuple[MPoly, MPoly, MPoly]:
     """The net of quadrics through the twisted cubic, as a map to the plane."""
     x0, x1, x2, x3 = (MPoly.variable(v) for v in PROJ_VARS)

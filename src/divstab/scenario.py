@@ -6,24 +6,35 @@ lines, ``#`` comments.  Values are expressions in the notation of
 Chosen over a general-purpose format so rationals stay exact and diffs stay
 reviewable.
 
-Scenario kinds:
+Scenario kinds, with the sections each reads besides ``[scenario]``:
 
 * ``s_curve``          -- full curve invariant, compared exactly
 * ``s_curve_bound``    -- negative-part term plus a dominated volume bound
 * ``negative_part``    -- the negative-part term alone
+  (these three read ``[threefold]``, ``[surface]``, ``[schedule]`` and
+  ``[curve]``, whose ``dominate_via`` only ``s_curve_bound`` reads)
 * ``s_divisor``        -- divisor invariant for a schedule
+  (``[threefold]``, ``[divisor]``, ``[schedule]``)
 * ``effective_decomposition`` -- one exact cone membership query
+  (``[threefold]``, ``[decompose]``)
 * ``infeasible_scan``  -- an affine family D(u) = a + u b that must stay
   outside the cone on a u-range, decided exactly from the cone's facets
+  (``[threefold]``, ``[decompose]`` with its ``range``)
 * ``curve_pairing``    -- one exact curve intersection check
+  (``[threefold]``, ``[pairing]``)
 
-Every scenario is validated eagerly at parse time, and a key its kind does
-not read is an error; evaluation failures in a batch are recorded per
+``[scenario]`` holds ``kind``, ``expected`` and an optional ``name``.  The
+five kinds with a rational value pass iff it equals ``expected`` and meets
+the bounds their kind reads: ``assert_less_than`` for the curve kinds and
+``s_divisor``, ``assert_at_least`` and ``exceeds`` for ``curve_pairing``.
+Every scenario is validated eagerly at parse time, and any other key, in
+any section, is an error; evaluation failures in a batch are recorded per
 scenario and never abort the run.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,8 +49,21 @@ from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve)
 from .ratmath import Poly, format_poly, format_rational, parse_rational
 
-KNOWN_KINDS = ("s_curve", "s_curve_bound", "negative_part", "s_divisor",
-               "effective_decomposition", "infeasible_scan", "curve_pairing")
+_CURVE = (("threefold", "surface", "schedule", "curve"), ("assert_less_than",))
+# kind -> (the sections it reads besides [scenario], in the order their
+# presence is checked; the bound keys of [scenario] it enforces on its
+# rational value, or None when its value is not a rational)
+KINDS: dict[str, tuple[tuple[str, ...], tuple[str, ...] | None]] = {
+    "s_curve": _CURVE, "s_curve_bound": _CURVE, "negative_part": _CURVE,
+    "s_divisor": (("threefold", "divisor", "schedule"), ("assert_less_than",)),
+    "effective_decomposition": (("threefold", "decompose"), None),
+    "infeasible_scan": (("threefold", "decompose"), None),
+    "curve_pairing": (("threefold", "pairing"), ("assert_at_least", "exceeds")),
+}
+CURVE_KINDS = tuple(kind for kind, (sections, _) in KINDS.items() if "curve" in sections)
+# bound key -> the test a rational value must pass against the bound
+_BOUND_TESTS = {"assert_less_than": operator.lt, "assert_at_least": operator.ge,
+                "exceeds": operator.gt}
 
 
 class ScenarioFormatError(ValueError):
@@ -104,6 +128,8 @@ class Scenario:
     name: str
     kind: str
     expected_text: str
+    expected: Fraction | None = None      # a rational kind's expected value
+    bounds: tuple[tuple[str, Fraction], ...] = ()
     model: sinv.ThreefoldModel | None = None
     surface: sinv.SurfaceData | None = None
     schedule: sinv.Schedule | None = None
@@ -116,9 +142,6 @@ class Scenario:
     scan_range: tuple[Fraction, Fraction] | None = None
     pairing_class: DivisorClass | None = None
     pairing_curve: CurvePairing | None = None
-    assert_less_than: Fraction | None = None
-    assert_at_least: Fraction | None = None
-    exceeds: Fraction | None = None
 
 
 def _parse_rational_value(section: _Section, key: str, text: str) -> Fraction:
@@ -254,16 +277,10 @@ def _build_schedule(section: _Section, named: dict[str, DivisorClass]) -> sinv.S
         hi = _parse_rational_value(section, "chamber", parts[1])
         negative = _parse_negative_part(value, named, f"[{section.name}] chamber {bounds}")
         chambers.append(sinv.ScheduleChamber(lo, hi, negative))
-    if not chambers:
-        raise ScenarioFormatError("[schedule] has no chambers")
-    chambers.sort(key=lambda ch: ch.u_lo)
-    if chambers[0].u_lo != 0:
-        raise ScenarioFormatError("[schedule] chambers must start at u = 0")
-    for a, b in zip(chambers, chambers[1:]):
-        if a.u_hi != b.u_lo:
-            raise ScenarioFormatError(
-                f"[schedule] chambers are not contiguous at u = {format_rational(a.u_hi)}")
-    return sinv.Schedule(tuple(chambers))
+    try:
+        return sinv.Schedule(tuple(sorted(chambers, key=lambda ch: ch.u_lo)))
+    except sinv.ScheduleError as exc:
+        raise ScenarioFormatError(f"[{section.name}] {exc}") from None
 
 
 def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
@@ -282,36 +299,25 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         raise ScenarioFormatError("missing the [scenario] section")
     head = sections["scenario"]
     kind = head.require("kind")
-    if kind not in KNOWN_KINDS:
+    if kind not in KINDS:
         raise ScenarioFormatError(
-            f"[scenario] kind: unknown kind {kind!r}; expected one of {', '.join(KNOWN_KINDS)}")
+            f"[scenario] kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+    needs, bound_keys = KINDS[kind]
     scen_name = head.get("name", name)
     expected_text = head.require("expected")
-    if kind not in ("effective_decomposition", "infeasible_scan"):
-        _parse_rational_value(head, "expected", expected_text)   # parsed again to evaluate
-
-    def missing(section_name: str) -> ScenarioFormatError:
-        return ScenarioFormatError(f"missing the [{section_name}] section")
-
-    if "threefold" not in sections:
-        raise missing("threefold")
+    expected, bounds = None, ()
+    if bound_keys is not None:
+        expected = _parse_rational_value(head, "expected", expected_text)
+        bounds = tuple((key, _parse_rational_value(head, key, raw)) for key in bound_keys
+                       if (raw := head.get(key)) is not None)
+    for section_name in needs:
+        if section_name not in sections:
+            raise ScenarioFormatError(f"missing the [{section_name}] section")
     model, named = _build_threefold(sections["threefold"])
-
-    def bound(key: str) -> Fraction | None:
-        raw = head.get(key)
-        return None if raw is None else _parse_rational_value(head, key, raw)
-
     common = dict(name=scen_name, kind=kind, expected_text=expected_text,
-                  model=model, assert_less_than=bound("assert_less_than"),
-                  assert_at_least=bound("assert_at_least"), exceeds=bound("exceeds"))
+                  expected=expected, bounds=bounds, model=model)
 
-    if kind in ("s_curve", "s_curve_bound", "negative_part"):
-        if "surface" not in sections:
-            raise missing("surface")
-        if "schedule" not in sections:
-            raise missing("schedule")
-        if "curve" not in sections:
-            raise missing("curve")
+    if kind in CURVE_KINDS:
         surface = _build_surface(sections["surface"], model)
         schedule = _build_schedule(sections["schedule"], named)
         curve_sec = sections["curve"]
@@ -321,28 +327,20 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
             raise ScenarioFormatError(
                 "[curve] ord: need exactly one coefficient per schedule chamber")
         ord_coeffs = tuple(_parse_u_poly(p, "[curve] ord") for p in ord_items)
-        via_text = curve_sec.get("dominate_via")
         via = None
         if kind == "s_curve_bound":
-            if via_text is None:
-                raise ScenarioFormatError("[curve] dominate_via is required for s_curve_bound")
-            via = _parse_class(via_text, surface.basis, "[curve] dominate_via")
+            via = _parse_class(curve_sec.require("dominate_via"), surface.basis,
+                               "[curve] dominate_via")
         return Scenario(surface=surface, schedule=schedule, z=z,
                         ord_coeffs=ord_coeffs, dominate_via=via, **common)
 
     if kind == "s_divisor":
-        if "divisor" not in sections:
-            raise missing("divisor")
-        if "schedule" not in sections:
-            raise missing("schedule")
         divisor = _parse_class(sections["divisor"].require("class"), model.basis,
                                "[divisor] class")
         schedule = _build_schedule(sections["schedule"], named)
         return Scenario(divisor=divisor, schedule=schedule, **common)
 
     if kind in ("effective_decomposition", "infeasible_scan"):
-        if "decompose" not in sections:
-            raise missing("decompose")
         dec = sections["decompose"]
         cls = _parse_class(dec.require("class"), model.basis, "[decompose] class")
         if kind == "infeasible_scan":
@@ -375,8 +373,6 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         return Scenario(decompose_class=cls, expected_coeffs=coeffs, **common)
 
     # curve_pairing
-    if "pairing" not in sections:
-        raise missing("pairing")
     pairing = sections["pairing"]
     cls = _parse_class(pairing.require("class"), model.basis, "[pairing] class")
     curve_name = pairing.require("curve")
@@ -426,83 +422,63 @@ class Report:
         }
 
 
-def _curve_input(scenario: Scenario) -> sinv.SCurveInput:
-    return sinv.SCurveInput(scenario.model, scenario.surface, scenario.z,
-                            scenario.schedule, scenario.ord_coeffs,
-                            scenario.dominate_via)
-
-
 def evaluate_scenario(scenario: Scenario) -> ScenarioResult:
-    """Evaluate one scenario and compare against its expected value."""
+    """Evaluate one scenario and compare against its expected value.
+
+    A rational kind passes iff its value equals ``expected`` and meets every
+    bound the scenario gives.
+    """
     start = time.perf_counter()
-    kind = scenario.kind
-    detail = ""
-
-    def finish(computed: str, ok: bool) -> ScenarioResult:
-        status = "PASS" if ok else "FAIL"
-        return ScenarioResult(scenario.name, kind, status, computed,
-                              scenario.expected_text, detail,
-                              time.perf_counter() - start)
-
-    if kind in ("s_curve", "s_curve_bound", "negative_part"):
-        inp = _curve_input(scenario)
-        if kind == "negative_part":
-            sinv.validate_schedule(scenario.model, scenario.surface.cls, scenario.schedule)
-            value = sinv.negative_part_term(inp)
-        else:
-            # the invariant validates the schedule and carries its charts
-            if kind == "s_curve":
-                result = sinv.s_curve(inp)
-                value = result.value
-            else:
-                result = sinv.dominance_bound(inp, scenario.dominate_via)
-                value = sinv.negative_part_term(inp) + result.value
-            detail = "\n".join(chart.describe() for chart in result.charts)
-        expected = parse_rational(scenario.expected_text)
-        ok = value == expected
-        if scenario.assert_less_than is not None:
-            ok = ok and value < scenario.assert_less_than
-        return finish(format_rational(value), ok)
-
-    if kind == "s_divisor":
-        value = sinv.s_divisor(scenario.model, scenario.divisor, scenario.schedule)
-        expected = parse_rational(scenario.expected_text)
-        ok = value == expected
-        if scenario.assert_less_than is not None:
-            ok = ok and value < scenario.assert_less_than
-        return finish(format_rational(value), ok)
-
-    if kind == "effective_decomposition":
-        outcome = effective_decompose(scenario.decompose_class,
-                                      scenario.model.effective_cone)
-        if isinstance(outcome, Infeasible):
-            computed = "infeasible"
-            detail = outcome.detail
-            ok = scenario.expected_coeffs is None
-        else:
-            computed = " ".join(f"{n}:{format_rational(c)}"
-                                for n, c in zip(outcome.cone.names, outcome.coefficients))
-            detail = str(outcome)
-            ok = (scenario.expected_coeffs is not None
-                  and tuple(zip(outcome.cone.names, outcome.coefficients))
-                  == scenario.expected_coeffs)
-        return finish(computed, ok)
-
-    if kind == "infeasible_scan":
+    if scenario.kind == "effective_decomposition":
+        computed, ok, detail = _evaluate_decomposition(scenario)
+    elif scenario.kind == "infeasible_scan":
         computed, ok, detail = _evaluate_scan(scenario)
-        return finish(computed, ok)
+    else:
+        value, detail = _rational_value(scenario)
+        computed = format_rational(value)
+        ok = value == scenario.expected and all(
+            _BOUND_TESTS[key](value, bound) for key, bound in scenario.bounds)
+    return ScenarioResult(scenario.name, scenario.kind, "PASS" if ok else "FAIL",
+                          computed, scenario.expected_text, detail,
+                          time.perf_counter() - start)
 
-    # curve_pairing
-    value = pair_with_curve(scenario.pairing_class, scenario.pairing_curve)
-    expected = parse_rational(scenario.expected_text)
-    ok = value == expected
-    if scenario.assert_at_least is not None:
-        ok = ok and value >= scenario.assert_at_least
-    if scenario.exceeds is not None:
-        ok = ok and value > scenario.exceeds
-        detail = (f"value {format_rational(value)} exceeds the bound "
-                  f"{format_rational(scenario.exceeds)}")
-    return finish(format_rational(value), ok)
+
+def _rational_value(scenario: Scenario) -> tuple[Fraction, str]:
+    """The value of a rational kind and its detail."""
+    kind = scenario.kind
+    if kind == "s_divisor":
+        return sinv.s_divisor(scenario.model, scenario.divisor, scenario.schedule), ""
+    if kind == "curve_pairing":
+        value = pair_with_curve(scenario.pairing_class, scenario.pairing_curve)
+        exceeds = dict(scenario.bounds).get("exceeds")
+        if exceeds is None:
+            return value, ""
+        verb = "exceeds" if value > exceeds else "does not exceed"
+        return value, (f"value {format_rational(value)} {verb} the bound "
+                       f"{format_rational(exceeds)}")
+    inp = sinv.SCurveInput(scenario.model, scenario.surface, scenario.z,
+                           scenario.schedule, scenario.ord_coeffs, scenario.dominate_via)
+    if kind == "negative_part":
+        sinv.validate_schedule(scenario.model, scenario.surface.cls, scenario.schedule)
+        return sinv.negative_part_term(inp), ""
+    # the invariant validates the schedule and carries its charts
+    if kind == "s_curve":
+        result = sinv.s_curve(inp)
+        value = result.value
+    else:
+        result = sinv.dominance_bound(inp, scenario.dominate_via)
+        value = sinv.negative_part_term(inp) + result.value
+    return value, "\n".join(chart.describe() for chart in result.charts)
+
+
+def _evaluate_decomposition(scenario: Scenario) -> tuple[str, bool, str]:
+    """Computed text, verdict and detail of one cone membership query."""
+    outcome = effective_decompose(scenario.decompose_class, scenario.model.effective_cone)
+    if isinstance(outcome, Infeasible):
+        return "infeasible", scenario.expected_coeffs is None, outcome.detail
+    coeffs = tuple(zip(outcome.cone.names, outcome.coefficients))
+    computed = " ".join(f"{n}:{format_rational(c)}" for n, c in coeffs)
+    return computed, coeffs == scenario.expected_coeffs, str(outcome)
 
 
 def _evaluate_scan(scenario: Scenario) -> tuple[str, bool, str]:

@@ -92,9 +92,23 @@ class ScheduleChamber:
 
 @dataclass(frozen=True)
 class Schedule:
-    """u-chambers of the threefold decomposition of ``-K - u Y``."""
+    """u-chambers of the threefold decomposition of ``-K - u Y``: nonempty,
+    in increasing order and contiguous from u = 0, checked on construction."""
 
     chambers: tuple[ScheduleChamber, ...]
+
+    def __post_init__(self):
+        if not self.chambers:
+            raise ScheduleError("has no chambers")
+        end = Fraction(0)
+        for ch in self.chambers:
+            if ch.u_lo >= ch.u_hi:
+                raise ScheduleError(f"the chamber [{format_rational(ch.u_lo)}, "
+                                    f"{format_rational(ch.u_hi)}] is empty")
+            if ch.u_lo != end:
+                raise ScheduleError(f"chambers are not contiguous at u = {format_rational(end)}"
+                                    if end else "chambers must start at u = 0")
+            end = ch.u_hi
 
     @property
     def tau(self) -> Fraction:
@@ -133,14 +147,6 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
     cube from below.  Returns ``P(u)^3`` per chamber, the polynomials the
     checks were made on.
     """
-    if not sched.chambers:
-        raise ScheduleError("schedule has no chambers")
-    if sched.chambers[0].u_lo != 0:
-        raise ScheduleError("schedule must start at u = 0")
-    for a, b in zip(sched.chambers, sched.chambers[1:]):
-        if a.u_hi != b.u_lo:
-            raise ScheduleError(
-                f"chambers are not contiguous at u = {format_rational(a.u_hi)}")
     mk = model.anticanonical
     tau = sched.tau
     recomputed = pseudoeffective_threshold(mk, y, model.effective_cone)
@@ -151,8 +157,6 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
     cubes = []
     for ch in sched.chambers:
         lo, hi = ch.u_lo, ch.u_hi
-        if lo >= hi:
-            raise ScheduleError("empty schedule chamber")
         for name, _, coeff in ch.negative:
             if coeff.degree_u > 1 or coeff.degree_v > 0:
                 raise ScheduleError(

@@ -287,7 +287,8 @@ SAMPLED_SCENARIOS = ("lemma_4_1", "lemma_4_2_s", "lemma_4_2_r", "lemma_4_3_l1",
 
 @pytest.mark.parametrize("name", SAMPLED_SCENARIOS)
 def test_criterion_5_zariski_invariants(scenarios, name):
-    """Decomposition invariants at 10^3 random rational (u, v) samples."""
+    """Decomposition invariants at 10^3 random rational (u, v) samples, each
+    agreeing with the chart chamber it was drawn from."""
     scenario = scenarios[name]
     surface = scenario.surface
     curves = dict(surface.extremal_curves)
@@ -311,6 +312,8 @@ def test_criterion_5_zariski_invariants(scenarios, name):
         d0 = next(r for (a, b), r in restricted.items() if a <= u <= b)
         d = d0.evaluate(u=u) - scenario.z.scale(v)
         result = zariski_decompose(d, surface.extremal_curves, surface.form)
+        assert set(result.support) == set(ch.support)
+        assert ch.positive.evaluate(u=u, v=v) == result.positive
         assert result.positive + result.negative_class(curves) == d
         assert all(coeff >= 0 for _, coeff in result.negative)
         for cname, ccls in surface.extremal_curves:

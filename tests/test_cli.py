@@ -41,6 +41,15 @@ def test_parse_divisor_errors_report_positions():
         parse_divisor_expr("", X)
 
 
+def test_a_star_needs_a_coefficient_before_it():
+    for text, at in (("H +* EC", 3), ("* H", 0)):
+        with pytest.raises(ExprSyntaxError,
+                           match=f"expected a generator name at position {at}$"):
+            parse_divisor_expr(text, X)
+    assert parse_divisor_expr("2*H", X).coeffs == (2, 0, 0)
+    assert parse_divisor_expr("(u - 1)*EC", X).coeffs == (0, U - 1, 0)
+
+
 def test_parser_round_trip_randomized():
     rng = random.Random(2718)
     for _ in range(150):
@@ -182,6 +191,54 @@ def test_scan_rejects_bad_ranges_classes_and_expectations(key, line, message):
     old = next(row for row in text.splitlines() if row.startswith(key + " = "))
     with pytest.raises(ScenarioFormatError, match=re.escape(message)):
         parse_scenario(text.replace(old, line))
+
+
+@pytest.mark.parametrize("name,section,line", [
+    ("lemma_4_2_r", "scenario", "exceeds = 100"),
+    ("lemma_4_2_r", "scenario", "assert_at_least = 100"),
+    ("corollary_4_7", "scenario", "assert_less_than = -100"),
+    ("lemma_3_8", "scenario", "assert_less_than = -100"),
+    ("lemma_4_5_a", "scenario", "exceeds = 100"),
+    ("lemma_4_3_l1", "curve", "dominate_via = l1 - l2"),
+])
+def test_a_key_the_kind_does_not_enforce_is_an_error(name, section, line):
+    """A bound or ``dominate_via`` given to a kind that never checks it is an
+    ERROR row, not a vacuous PASS; the next scenario still passes."""
+    lines = load_bundled(name + ".scn").splitlines()
+    at = lines.index(f"[{section}]") + 1
+    lines.insert(at, line)
+    report = run_verify([(name, "\n".join(lines)),
+                         ("lemma_4_2_s", load_bundled("lemma_4_2_s.scn"))])
+    first, second = report.results
+    key = line.partition("=")[0].strip()
+    assert (first.status, first.detail) == (
+        "ERROR", f"[{section}] line {at + 1}: unknown key {key!r}")
+    assert second.status == "PASS"
+
+
+@pytest.mark.parametrize("name,old,new,detail", [
+    ("sdiv_plane", "assert_less_than = 1", "assert_less_than = 1/2", ""),
+    ("lemma_4_2_r", "assert_less_than = 1", "assert_less_than = 1/4", None),
+    ("corollary_4_7", "assert_at_least = 3", "assert_at_least = 4",
+     "value 3 exceeds the bound 1"),
+    ("corollary_4_7", "exceeds = 1", "exceeds = 3", "value 3 does not exceed the bound 3"),
+])
+def test_every_bound_a_kind_reads_is_enforced(name, old, new, detail):
+    text = load_bundled(name + ".scn")
+    assert old in text
+    result = run_verify([(name, text.replace(old, new))]).results[0]
+    assert result.status == "FAIL"
+    assert result.computed == result.expected
+    if detail is not None:
+        assert result.detail == detail
+
+
+def test_an_empty_chamber_is_a_parse_error():
+    text = load_bundled("sdiv_plane.scn").replace("chamber 0 1 =",
+                                                  "chamber 0 0 =\nchamber 0 1 =")
+    with pytest.raises(ScenarioFormatError,
+                       match=re.escape("[schedule] the chamber [0, 0] is empty")):
+        parse_scenario(text)
 
 
 def test_verify_seconds_include_parse_time(monkeypatch):
@@ -328,6 +385,10 @@ REQUIRED_KEYS = {"scenario": ("kind", "expected"),
                  "surface": ("basis", "pairing", "class"), "curve": ("z", "ord"),
                  "divisor": ("class",), "decompose": ("class",),
                  "pairing": ("class", "curve")}
+# the [scenario] bounds each kind enforces (assert_less_than when not listed);
+# the others, and dominate_via outside s_curve_bound, are misplaced keys
+BOUND_KEYS = {"curve_pairing": ("assert_at_least", "exceeds"),
+              "effective_decomposition": (), "infeasible_scan": ()}
 # a standalone rational: not part of a name like E1 or lemma_4_1, nor of 4H
 RATIONAL = re.compile(r"(?<![\w./])-?\d+(?:/\d+)?(?![\w./])")
 
@@ -360,13 +421,23 @@ def _damage(text, how, rng):
         code, hash_, comment = lines[i].partition("#")
         spot = rng.choice(list(RATIONAL.finditer(code)))
         lines[i] = code[:spot.start()] + "abc" + code[spot.end():] + hash_ + comment
+    elif how == "misplaced":
+        kind = re.search(r"^kind = (\w+)$", text, re.M).group(1)
+        keys = [("scenario", f"{key} = 100")
+                for key in ("assert_less_than", "assert_at_least", "exceeds")
+                if key not in BOUND_KEYS.get(kind, ("assert_less_than",))]
+        if "[curve]" in lines and kind != "s_curve_bound":
+            z = next(line for line in lines if line.startswith("z = "))
+            keys.append(("curve", z.replace("z = ", "dominate_via = ")))
+        section, line = rng.choice(keys)
+        lines.insert(lines.index(f"[{section}]") + 1, line)
     else:
         i, section, _ = rng.choice(entries)
         lines.insert(i + 1, "bogus = 1")
     return "\n".join(lines) + "\n", section
 
 
-@pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "unknown"])
+@pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "unknown", "misplaced"])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
     damaged section; the next scenario in the batch still passes."""

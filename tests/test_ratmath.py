@@ -60,6 +60,14 @@ def test_integrate_region_bound_order_violation():
         integrate_region(Poly.constant(1), 0, 1, 1 + U, 2 - U)
 
 
+def test_integrate_region_rejects_bounds_not_affine_in_u():
+    """The bound order is checked at the two ends only, which is exact for
+    affine bounds; u^2 lies above 0 on [0, 1] but is still refused."""
+    for lo, hi in ((0, U * U), (U * U - 1, 1), (0, 1 + V)):
+        with pytest.raises(ValueError, match="not affine in u"):
+            integrate_region(Poly.constant(1), 0, 1, lo, hi)
+
+
 def test_rational_roots_examples():
     assert rational_roots(V * V - 4) == [F(-2), F(2)]
     assert rational_roots(2 * (2 * V - 2) * (V - 2)) == [F(1), F(2)]

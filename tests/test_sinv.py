@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -183,6 +184,18 @@ def test_schedule_identity(scenarios):
             for _, cls, coeff in chamber.negative:
                 total = total + cls.scale(coeff)
             assert total == mk
+
+
+@pytest.mark.parametrize("bounds,message", [
+    ((), "has no chambers"),
+    (((1, 2),), "chambers must start at u = 0"),
+    (((0, 1), (F(3, 2), 2)), "chambers are not contiguous at u = 1"),
+    (((0, 1), (1, 1), (1, 2)), "the chamber [1, 1] is empty"),
+    (((0, 1), (1, F(1, 2))), "the chamber [1, 1/2] is empty"),
+])
+def test_schedule_shape_is_checked_on_construction(bounds, message):
+    with pytest.raises(sinv.ScheduleError, match=re.escape(message)):
+        sinv.Schedule(tuple(sinv.ScheduleChamber(F(lo), F(hi)) for lo, hi in bounds))
 
 
 def test_schedule_validation_negative_coefficient(scenarios, model):
