@@ -18,7 +18,7 @@ Exact rationals only: ``3/2`` never ``1.5``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .lattice import DivisorClass, LatticeBasis
 from .ratmath import Coeff, Poly
@@ -170,13 +170,15 @@ def parse_poly(text: str) -> Poly:
     return Poly.of(parse_expression(text, _uv_variable))
 
 
-def parse_divisor_expr(text: str, basis: LatticeBasis) -> DivisorClass:
-    """Parse a signed sum of optionally-coefficiented generator names."""
-    if not text.strip():
-        raise ExprSyntaxError("empty expression")
+def iter_terms(text: str) -> Iterator[tuple[Coeff, str | None, int]]:
+    """The terms of a signed sum of optionally-coefficiented names, in order.
+
+    Each term is ``(coefficient, name, position)``; a bare coefficient (a
+    constant term) has name None.  A coefficient is a rational or a
+    parenthesized polynomial in u and v, so ``+`` splits terms only outside
+    parentheses.
+    """
     parser = _Parser(text, _uv_variable)
-    coeffs: list[Coeff] = [Fraction(0)] * basis.rank
-    constant: Coeff = Fraction(0)
     while parser.peek()[0] is not None:
         kind, txt, at = parser.peek()
         if kind not in ("+", "-") and parser.pos > 0:
@@ -196,18 +198,31 @@ def parse_divisor_expr(text: str, basis: LatticeBasis) -> DivisorClass:
                 raise ExprSyntaxError(
                     f"{txt!r} at position {at}: u and v may only appear inside "
                     "a parenthesized coefficient")
-            try:
-                index = basis.index(txt)
-            except KeyError:
-                raise ExprSyntaxError(
-                    f"unknown generator {txt!r} at position {at}; "
-                    f"basis is {' '.join(basis.names)}") from None
             parser.take()
-            coeffs[index] = coeffs[index] + coeff
+            yield coeff, txt, at
         elif have_coeff:
-            constant = constant + coeff
+            yield coeff, None, at
         else:
             raise ExprSyntaxError(f"expected a generator name at position {at}")
+
+
+def parse_divisor_expr(text: str, basis: LatticeBasis) -> DivisorClass:
+    """Parse a signed sum of optionally-coefficiented generator names."""
+    if not text.strip():
+        raise ExprSyntaxError("empty expression")
+    coeffs: list[Coeff] = [Fraction(0)] * basis.rank
+    constant: Coeff = Fraction(0)
+    for coeff, name, at in iter_terms(text):
+        if name is None:
+            constant = constant + coeff
+            continue
+        try:
+            index = basis.index(name)
+        except KeyError:
+            raise ExprSyntaxError(
+                f"unknown generator {name!r} at position {at}; "
+                f"basis is {' '.join(basis.names)}") from None
+        coeffs[index] = coeffs[index] + coeff
     if constant:
         raise ExprSyntaxError("a divisor expression cannot have a nonzero constant term")
     return DivisorClass(basis, coeffs)

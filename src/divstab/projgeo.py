@@ -4,16 +4,17 @@ Polynomials live in a sparse ring over Fraction whose variables are the
 projective coordinates ``x0..x3`` together with whatever parameters a
 computation needs (``s``, ``t``, the conic coefficients ``a1..a6``, and the
 line/curve parametrization letters).  Homogeneity is a property of the
-x-block only.  Everything is exact; the only extension beyond the rationals
-is a Gaussian-rational value type used when *evaluating* at points whose
-coordinates involve the imaginary unit (the polynomials themselves stay
-rational).
+x-block only.  Everything is exact and rational.
+
+Linear systems whose entries are polynomials in one parameter (the forms
+cutting out a line, the containment conditions on a conic) are solved by
+one routine, :func:`_poly_kernel`, which returns a normalized kernel basis.
 
 The verification entry point is :func:`verify_secant_lemma`, which certifies
 the whole containment story for the invariant-line family inside the secant
-quartic: solving the conic coefficients, clearing denominators, extracting
-the two-parameter condition system, the factorization that forces the
-diagonal, and the elimination of the reciprocal branch.
+quartic: solving the conic coefficients once, pulling that conic back to the
+quartic, extracting the two-parameter condition system, the factorization
+that forces the diagonal, and the elimination of the reciprocal branch.
 """
 
 from __future__ import annotations
@@ -38,57 +39,6 @@ class DegenerateLineError(ValueError):
 
 class IrrationalEigenvalueError(ArithmeticError):
     """A linear action has eigenvalues outside the rationals."""
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """a + b*i with rational a, b; only evaluation ever needs it."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __add__(self, other):
-        other = _gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_gauss(other))
-
-    def __rsub__(self, other):
-        return _gauss(other) + (-self)
-
-    def __mul__(self, other):
-        other = _gauss(other)
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = GaussianRational(Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __str__(self):
-        return f"{format_rational(self.re)}{'+' if self.im >= 0 else ''}{format_rational(self.im)}i"
-
-
-I = GaussianRational(Fraction(0), Fraction(1))
-
-
-def _gauss(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(Fraction(x))
 
 
 class MPoly:
@@ -219,9 +169,9 @@ class MPoly:
             out = out + term
         return out
 
-    def evaluate(self, values: Mapping[str, Union[Scalar, GaussianRational]]):
-        """Evaluate at a point; values may be Gaussian rationals."""
-        total = None
+    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
+        """Evaluate at a rational point."""
+        total = Fraction(0)
         for exps, c in self.terms.items():
             term = c
             for v, e in zip(self.vars, exps):
@@ -230,9 +180,7 @@ class MPoly:
                 if v not in values:
                     raise KeyError(f"no value supplied for {v}")
                 term = term * values[v] ** e
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
+            total += term
         return total
 
     def coefficients_in(self, names: Sequence[str]) -> dict[tuple[int, ...], "MPoly"]:
@@ -254,11 +202,9 @@ class MPoly:
         """Positive rational c with self/c having coprime integer coefficients."""
         if not self.terms:
             return Fraction(1)
-        nums = gcd(*(abs(c.numerator) for c in self.terms.values()))
-        dens = 1
-        for c in self.terms.values():
-            dens = dens * c.denominator // gcd(dens, c.denominator)
-        return Fraction(nums, dens)
+        coeffs = self.terms.values()
+        return Fraction(gcd(*(c.numerator for c in coeffs)),
+                        lcm(*(c.denominator for c in coeffs)))
 
     def primitive(self) -> "MPoly":
         c = self.content()
@@ -541,14 +487,6 @@ def invariant_quadrics() -> dict[str, MPoly]:
     }
 
 
-def cubic_quadric_points() -> list[tuple[GaussianRational, ...]]:
-    """The six points where the line-swept quadric meets the twisted cubic,
-    as Gaussian-rational coordinate tuples."""
-    one, zero = GaussianRational(Fraction(1)), GaussianRational(Fraction(0))
-    params = [(zero, one), (one, zero), (one, one), (one, -one), (one, I), (one, -I)]
-    return [(x ** 3, x ** 2 * y, x * y ** 2, y ** 3) for x, y in params]
-
-
 # --- the quadric map and the secant quartic -------------------------------
 
 def quadric_map_components() -> tuple[MPoly, MPoly, MPoly]:
@@ -603,53 +541,16 @@ class ParamLine:
     def parametrization(self) -> list[MPoly]:
         """Point of the line as a * V1 + b * V2 with polynomial components.
 
-        V1, V2 are primitive null vectors of the 2x4 coefficient matrix,
-        computed by Cramer's rule on the first independent pivot pair.
+        V1, V2 are the kernel basis of the 2x4 coefficient matrix.
         """
-        m = self.coefficient_matrix()
-        pivots = None
-        for c1 in range(4):
-            for c2 in range(c1 + 1, 4):
-                det = m[0][c1] * m[1][c2] - m[0][c2] * m[1][c1]
-                if not det.is_zero():
-                    pivots = (c1, c2, det)
-                    break
-            if pivots:
-                break
-        if pivots is None:
+        rows = [[_unipoly(p, self.parameter) for p in row]
+                for row in self.coefficient_matrix()]
+        kernel = _poly_kernel(rows, 4)
+        if len(kernel) != 2:
             raise DegenerateLineError("the two forms are dependent")
-        c1, c2, det = pivots
-        free = [k for k in range(4) if k not in (c1, c2)]
-        letters = ("a", "b")
-        point = [MPoly.constant(0)] * 4
-        for letter, j in zip(letters, free):
-            # null vector: x_j = det, pivot entries by Cramer, then primitive
-            vec = [MPoly.constant(0)] * 4
-            vec[j] = det
-            vec[c1] = -(m[1][c2] * m[0][j] - m[0][c2] * m[1][j])
-            vec[c2] = -(m[0][c1] * m[1][j] - m[1][c1] * m[0][j])
-            vec = _primitive_vector(vec, self.parameter)
-            coord = MPoly.variable(letter)
-            for k in range(4):
-                point[k] = point[k] + vec[k] * coord
-        return point
-
-
-def _primitive_vector(vec: list[MPoly], parameter: str) -> list[MPoly]:
-    """Divide a polynomial vector by its polynomial gcd and rational content."""
-    polys = _primitive_polys([_unipoly(p, parameter) for p in vec])
-    coeffs = [c for p in polys for c in p.coeffs]
-    scale = Fraction(lcm(*(c.denominator for c in coeffs)),
-                     gcd(*(c.numerator for c in coeffs)) or 1)
-    if next((p.coeffs[-1] for p in polys if p), 1) < 0:
-        scale = -scale
-    return [_mpoly(p * scale, parameter) for p in polys]
-
-
-def _primitive_polys(polys: list[Poly]) -> list[Poly]:
-    """The polynomials divided by their monic gcd."""
-    g = reduce(poly_gcd, polys, Poly())
-    return [p // g for p in polys] if g.degree > 0 else polys
+        a, b = MPoly.variable("a"), MPoly.variable("b")
+        return [_mpoly(p, self.parameter) * a + _mpoly(q, self.parameter) * b
+                for p, q in zip(*kernel)]
 
 
 def line_containment_conditions(f: MPoly, line: ParamLine) -> list[MPoly]:
@@ -680,12 +581,52 @@ def invariant_line(parameter: str) -> ParamLine:
     return ParamLine((x0 - c * x2, x3 - c * x1), parameter)
 
 
-def solve_conic_through_line(parameter: str = "s") -> dict[str, tuple[MPoly, MPoly]]:
-    """Conic coefficients forced by containment of the invariant line.
+def _poly_kernel(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
+    """A basis of the kernel of a matrix with univariate polynomial entries.
 
-    Returns each of a1..a6 as a (numerator, denominator) pair of polynomials
-    in the parameter, normalized so a4 = 1.
+    Fraction-free Gauss-Jordan elimination gives one vector per free column,
+    as in the reduced row echelon form.  Each vector is divided by the monic
+    gcd of its entries, scaled to integer content 1, and signed so that its
+    first nonzero entry has a positive leading coefficient.
     """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                lead_r, lead_p = m[r][col], m[row][col]
+                m[r] = [lead_p * m[r][c] - lead_r * m[row][c] for c in range(ncols)]
+        pivots.append(col)
+    det = Poly.constant(1)
+    for r, c in enumerate(pivots):
+        det = det * m[r][c]
+    basis = []
+    for j in (c for c in range(ncols) if c not in pivots):
+        # row r reads m[r][c] * x_c + m[r][j] * x_j = 0; take x_j = det
+        vec = [Poly()] * ncols
+        vec[j] = det
+        for r, c in enumerate(pivots):
+            vec[c] = -(m[r][j] * det) // m[r][c]
+        g = reduce(poly_gcd, vec)
+        vec = [p // g for p in vec]
+        coeffs = [c for p in vec for c in p.coeffs]
+        scale = Fraction(lcm(*(c.denominator for c in coeffs)),
+                         gcd(*(c.numerator for c in coeffs)))
+        if next(p for p in vec if p).coeffs[-1] < 0:
+            scale = -scale
+        basis.append([p * scale for p in vec])
+    return basis
+
+
+def _secant_conic(parameter: str) -> list[Poly]:
+    """Coefficients a1..a6 of the conic whose pullback contains the invariant
+    line: the one kernel vector of the containment system, scaled so that a4
+    is monic."""
     conditions = line_containment_conditions(symbolic_conic_pullback(),
                                              invariant_line(parameter))
     names = [f"a{k}" for k in range(1, 7)]
@@ -698,76 +639,41 @@ def solve_conic_through_line(parameter: str = "s") -> dict[str, tuple[MPoly, MPo
         if not const.is_zero():
             raise ValueError("containment conditions are not linear in a1..a6")
         rows.append([_unipoly(p, parameter) for p in row])
-    kernel = _poly_kernel(rows)
-    if kernel is None:
+    kernel = _poly_kernel(rows, 6)
+    if len(kernel) != 1:
         raise ValueError("containment system does not have a one-dimensional solution")
-    a4 = kernel[3]
-    if not a4:
+    conic = kernel[0]
+    if not conic[3]:
         raise ValueError("cannot normalize: the solved a4 vanishes identically")
+    return [p * (1 / conic[3].coeffs[-1]) for p in conic]
+
+
+def _reduced_by_a4(conic: list[Poly], parameter: str) -> dict[str, tuple[MPoly, MPoly]]:
+    """Each a_k / a4 in lowest terms with a monic denominator."""
     out = {}
-    for name, num in zip(names, kernel):
-        # lowest terms with a monic denominator
-        g = poly_gcd(num, a4)
-        num, den = num // g, a4 // g
+    for k, num in enumerate(conic, start=1):
+        g = poly_gcd(num, conic[3])
+        num, den = num // g, conic[3] // g
         lead = 1 / den.coeffs[-1]
-        out[name] = (_mpoly(num * lead, parameter), _mpoly(den * lead, parameter))
+        out[f"a{k}"] = (_mpoly(num * lead, parameter), _mpoly(den * lead, parameter))
     return out
 
 
-def _poly_kernel(rows: list[list[Poly]]) -> list[Poly] | None:
-    """One-dimensional kernel of a matrix with univariate polynomial entries.
+def solve_conic_through_line(parameter: str = "s") -> dict[str, tuple[MPoly, MPoly]]:
+    """Conic coefficients forced by containment of the invariant line.
 
-    Fraction-free elimination: eliminate with cross-multiplication, keep
-    entries polynomial, and read the kernel vector off the echelon form.
+    Returns each of a1..a6 as a (numerator, denominator) pair of polynomials
+    in the parameter, normalized so a4 = 1.
     """
-    m = [list(row) for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                lead_r, lead_p = m[r][col], m[row][col]
-                m[r] = [lead_p * m[r][c] - lead_r * m[row][c] for c in range(ncols)]
-        pivots.append((row, col))
-        row += 1
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    if len(free) != 1:
-        return None
-    j = free[0]
-    vec = [Poly()] * ncols
-    det = Poly.constant(1)
-    for r, c in pivots:
-        det = det * m[r][c]
-    vec[j] = det
-    for r, c in pivots:
-        # m[r][c] * x_c + m[r][j] * x_j = 0, with x_j = det
-        quotient, rem = divmod(-(m[r][j] * det), m[r][c])
-        if rem:
-            return None
-        vec[c] = quotient
-    return _primitive_polys(vec)
+    return _reduced_by_a4(_secant_conic(parameter), parameter)
 
 
 def secant_quartic(parameter: str = "s") -> MPoly:
-    """The quartic surface swept by the secants meeting the invariant line,
-    with the parameter denominator cleared."""
-    solved = solve_conic_through_line(parameter)
-    conic = []
-    p = MPoly.variable(parameter)
-    common = MPoly.variable(parameter)  # every denominator divides the parameter
-    for k in range(1, 7):
-        num, den = solved[f"a{k}"]
-        quotient, rem = divmod(_unipoly(common, parameter), _unipoly(den, parameter))
-        if rem:
-            raise ValueError("unexpected denominator in the solved conic")
-        conic.append(num * _mpoly(quotient, parameter))
-    return pullback_under_quadric_map(conic)
+    """The quartic surface swept by the secants meeting the invariant line:
+    the pullback of the solved conic, whose polynomial coefficients have no
+    common factor."""
+    return pullback_under_quadric_map([_mpoly(p, parameter)
+                                       for p in _secant_conic(parameter)])
 
 
 def secant_condition_displays() -> tuple[MPoly, MPoly]:
@@ -813,8 +719,9 @@ class SecantLemmaReport:
 
 def verify_secant_lemma() -> SecantLemmaReport:
     """Run the full containment analysis and certify each algebraic step."""
-    solved = solve_conic_through_line("s")
-    quartic = secant_quartic("s")
+    conic = _secant_conic("s")
+    solved = _reduced_by_a4(conic, "s")
+    quartic = pullback_under_quadric_map([_mpoly(p, "s") for p in conic])
     closure = line_containment_conditions(quartic, invariant_line("s")) == []
     conditions = line_containment_conditions(quartic, invariant_line("t"))
     s, t = MPoly.variable("s"), MPoly.variable("t")

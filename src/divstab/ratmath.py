@@ -45,7 +45,7 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        if not den or "/" in den:
+        if not den or "/" in den or int(den) == 0:
             raise ValueError(f"malformed rational {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))

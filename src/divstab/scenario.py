@@ -44,7 +44,7 @@ from typing import Sequence
 from . import sinv
 from .cones import (ConeSpec, Infeasible, effective_decompose, feasible_interval,
                     format_functional)
-from .exprs import ExprSyntaxError, parse_divisor_expr, parse_poly
+from .exprs import ExprSyntaxError, iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve)
 from .ratmath import Poly, format_poly, format_rational, parse_rational
@@ -247,22 +247,23 @@ def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.Surfac
 
 def _parse_negative_part(text: str, named: dict[str, DivisorClass],
                          where: str) -> tuple[tuple[str, DivisorClass, Poly], ...]:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
     out = []
-    for piece in text.split("+"):
-        piece = piece.strip()
-        coeff = Poly.constant(1)
-        name = piece
-        if "*" in piece:
-            coeff_text, _, name = piece.rpartition("*")
-            coeff = _parse_u_poly(coeff_text, where)
-            name = name.strip()
-        if name not in named:
-            raise ScenarioFormatError(
-                f"{where}: unknown divisor {name!r} in the negative part")
-        out.append((name, named[name], coeff))
+    try:
+        for coeff, name, at in iter_terms(text):
+            if name is None:
+                raise ScenarioFormatError(
+                    f"{where}: expected a divisor name at position {at} in the negative part")
+            if name not in named:
+                raise ScenarioFormatError(
+                    f"{where}: unknown divisor {name!r} in the negative part")
+            coeff = Poly.of(coeff)
+            if coeff.degree_v > 0:
+                raise ScenarioFormatError(f"{where}: expected a polynomial in u only")
+            out.append((name, named[name], coeff))
+    except ExprSyntaxError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from None
     return tuple(out)
 
 

@@ -19,6 +19,7 @@ U = Poly.variable("u")
 V = Poly.variable("v")
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.json"
+GOLDEN_GEO = Path(__file__).parent / "golden" / "geo_all.txt"
 
 SECTION_FILES = ("lemma_4_1", "lemma_4_2_s", "lemma_4_2_r", "lemma_4_3_l1",
                  "lemma_4_3_l2", "lemma_4_3_mixed", "lemma_4_3_ec_term",
@@ -241,6 +242,13 @@ def test_an_empty_chamber_is_a_parse_error():
         parse_scenario(text)
 
 
+def test_a_negative_part_coefficient_may_hold_a_plus():
+    """Terms of a negative part split only at a ``+`` outside parentheses."""
+    text = load_bundled("sdiv_plane.scn").replace("(u - 1)*R", "(-1 + u)*R")
+    result = run_verify([("sdiv_plane", text)]).results[0]
+    assert (result.status, result.computed) == ("PASS", "227/448")
+
+
 def test_verify_seconds_include_parse_time(monkeypatch):
     """Each result's seconds run from before its parse, evaluated or not."""
     from divstab import scenario
@@ -374,6 +382,32 @@ def test_cli_geo_all(capsys):
         assert f"PASS  geo {check}" in out
 
 
+def test_cli_geo_all_matches_golden(capsys):
+    """``divstab geo all`` is byte-identical to the recorded output."""
+    assert main(["geo", "all"]) == 0
+    assert capsys.readouterr().out == GOLDEN_GEO.read_text(encoding="utf-8")
+
+
+def test_geo_characters_computes_each_character_once(monkeypatch, capsys):
+    from divstab import projgeo
+    calls = []
+    original = projgeo.equation_character
+
+    def counted(g, f):
+        calls.append(1)
+        return original(g, f)
+
+    monkeypatch.setattr(projgeo, "equation_character", counted)
+    assert main(["geo", "characters"]) == 0
+    assert "characters pairwise distinct: True" in capsys.readouterr().out
+    assert len(calls) == 6
+
+
+def test_cli_zero_denominator_is_a_usage_error(capsys):
+    assert main(["zariski", "lemma_4_1", "--u", "1/0", "--v", "0"]) == 2
+    assert "malformed rational '1/0'" in capsys.readouterr().err
+
+
 def test_cli_usage_error_on_missing_file(capsys):
     assert main(["verify", "does-not-exist"]) == 2
     assert "no scenario file" in capsys.readouterr().err
@@ -415,12 +449,14 @@ def _damage(text, how, rng):
     elif how == "duplicate":
         section = rng.choice(sorted({s for _, s, _ in entries}))
         lines += [f"[{section}]"] + [lines[i] for i, s, _ in entries if s == section]
-    elif how == "abc":
+    elif how in ("abc", "zero"):
+        # a rational replaced by abc, or its denominator by 0
         i, section, _ = rng.choice([e for e in entries
                                     if RATIONAL.search(lines[e[0]].split("#", 1)[0])])
         code, hash_, comment = lines[i].partition("#")
         spot = rng.choice(list(RATIONAL.finditer(code)))
-        lines[i] = code[:spot.start()] + "abc" + code[spot.end():] + hash_ + comment
+        new = "abc" if how == "abc" else spot.group().partition("/")[0] + "/0"
+        lines[i] = code[:spot.start()] + new + code[spot.end():] + hash_ + comment
     elif how == "misplaced":
         kind = re.search(r"^kind = (\w+)$", text, re.M).group(1)
         keys = [("scenario", f"{key} = 100")
@@ -437,7 +473,7 @@ def _damage(text, how, rng):
     return "\n".join(lines) + "\n", section
 
 
-@pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "unknown", "misplaced"])
+@pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced"])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
     damaged section; the next scenario in the batch still passes."""

@@ -1,19 +1,21 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from divstab.projgeo import (PROJ_VARS, DegenerateLineError, GaussianRational, I,
+from divstab import projgeo
+from divstab.projgeo import (PROJ_VARS, DegenerateLineError,
                              IrrationalEigenvalueError, LinearAction, MPoly,
-                             ParamCurve, ParamLine, common_fixed_points,
-                             contains_param_curve, cubic_quadric_points,
-                             equation_character, format_mpoly, identity_action,
-                             invariant_line, invariant_quadrics,
+                             ParamCurve, ParamLine, _poly_kernel, common_fixed_points,
+                             contains_param_curve, equation_character, format_mpoly,
+                             identity_action, invariant_line, invariant_quadrics,
                              line_containment_conditions, parse_mpoly,
                              pullback_under_quadric_map, secant_condition_displays,
                              secant_quartic, solve_conic_through_line,
                              standard_involutions, symbolic_conic_pullback,
                              transform_poly, twisted_cubic, verify_secant_lemma)
+from divstab.ratmath import Poly, poly_gcd
 
 SWAP, SIGNS = standard_involutions()
 QUADRICS = invariant_quadrics()
@@ -118,35 +120,70 @@ def test_irrational_eigenvalues_rejected():
 
 
 def test_six_intersection_points():
-    q4 = QUADRICS["Q4"]
-    points = cubic_quadric_points()
-    assert len(points) == 6
-    for point in points:
-        value = q4.evaluate(dict(zip(PROJ_VARS, point)))
-        assert GaussianRational(F(0)) == value or value == 0
-    # the restriction of the quadric to the cubic is exactly x*y*(x^4 - y^4)
+    """The restriction of the swept quadric to the cubic is exactly
+    x*y*(x^4 - y^4), whose six linear factors are the six points."""
     x, y = MPoly.variable("x"), MPoly.variable("y")
-    cubic = twisted_cubic()
-    restricted = q4.subs(dict(zip(PROJ_VARS, cubic.components)))
+    restricted = QUADRICS["Q4"].subs(dict(zip(PROJ_VARS, twisted_cubic().components)))
     assert restricted == x ** 5 * y - x * y ** 5
 
 
 def test_swap_exchanges_the_first_two_points():
-    points = cubic_quadric_points()
-    p1, p2 = points[0], points[1]
-    image = SWAP.apply(list(p1))
-    lead = next(c for c in image if not c.is_zero())
-    conj = [(GaussianRational(c.re, c.im) if isinstance(c, GaussianRational)
-             else GaussianRational(F(c))) for c in image]
-    assert all((a - b).is_zero() for a, b in zip(conj, p2))
+    """SWAP applied to the cubic's components gives the cubic with x and y
+    exchanged, so it maps the point at (x:y) to the one at (y:x); in
+    particular it exchanges (0:1) and (1:0)."""
+    x, y = MPoly.variable("x"), MPoly.variable("y")
+    components = twisted_cubic().components
+    exchanged = [c.subs({"x": y, "y": x}) for c in components]
+    assert SWAP.apply(list(components)) == exchanged
+    assert SWAP.apply(list(components)) != list(components)
 
 
-def test_gaussian_rational_arithmetic():
-    z = GaussianRational(F(1), F(2))
-    assert z * z == GaussianRational(F(-3), F(4))
-    assert I * I == GaussianRational(F(-1))
-    assert (z - z).is_zero()
-    assert F(2) * z == GaussianRational(F(2), F(4))
+def test_poly_kernel_is_a_normalized_basis():
+    """One primitive vector per free column, each annihilated by the matrix:
+    entries without a common factor, integer content 1, and a positive
+    leading coefficient on the first nonzero entry."""
+    u = Poly.variable("u")
+    rows = [[1 + u, 2 * u, Poly(), F(1, 2) * u * u],
+            [2 + 2 * u, 4 * u, u, Poly()],
+            [3 + 3 * u, 6 * u, u, F(1, 2) * u * u]]   # row 3 = row 1 + row 2
+    kernel = _poly_kernel(rows, 4)
+    assert len(kernel) == 2
+    for vec in kernel:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), Poly()) == Poly()
+        gcd_all = Poly()
+        for p in vec:
+            gcd_all = poly_gcd(gcd_all, p)
+        assert gcd_all == Poly.constant(1)
+        coeffs = [c for p in vec for c in p.coeffs]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*(c.numerator for c in coeffs)) == 1
+        assert next(p for p in vec if p).coeffs[-1] > 0
+    one = Poly.constant(1)
+    assert _poly_kernel([[one, Poly()], [Poly(), one]], 2) == []
+    assert _poly_kernel([], 3) == [[one, Poly(), Poly()], [Poly(), one, Poly()],
+                                   [Poly(), Poly(), one]]
+
+
+def test_line_parametrization_is_the_kernel_basis():
+    point = invariant_line("s").parametrization()
+    a, b, s = (MPoly.variable(n) for n in ("a", "b", "s"))
+    # x0 = s x2 and x3 = s x1, with the free columns x2 = a and x3 = b scaled
+    # to polynomial vectors (s, 0, 1, 0) and (0, 1, 0, s)
+    assert point == [s * a, b, a, s * b]
+
+
+def test_verify_secant_lemma_solves_the_conic_once(monkeypatch):
+    calls = []
+    original = projgeo.symbolic_conic_pullback
+
+    def counted():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(projgeo, "symbolic_conic_pullback", counted)
+    assert verify_secant_lemma().all_verified()
+    assert len(calls) == 1
 
 
 def test_pullback_symbolic_display():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,12 @@ def test_rational_text_round_trip():
         parse_rational("1.5")
     with pytest.raises(ValueError):
         parse_rational("1/2/3")
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", "5/-0"])
+def test_zero_denominator_is_a_malformed_rational(text):
+    with pytest.raises(ValueError, match=f"malformed rational '{re.escape(text)}'"):
+        parse_rational(text)
 
 
 def test_integrate_univariate_examples():
