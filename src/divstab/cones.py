@@ -8,9 +8,10 @@ of the dP5 surface give a 10-generator cone.  Everything is settled by
 solving small rational systems exactly -- no pivoting tolerances, no LP
 library.
 
-Each :class:`ConeSpec` computes its H-representation once, on first use
-(Minkowski--Weyl): the equalities of its linear span and its facet
-functionals, as primitive integer vectors.  By the Farkas lemma a class is
+A cone's H-representation (Minkowski--Weyl) is the equalities of its span
+and its facet functionals, as primitive integer vectors.  It is computed
+once per process for each basis and generator list, and every
+:class:`ConeSpec` with that data shares it.  By the Farkas lemma a class is
 outside the cone iff it violates one of them, which is the separating
 witness of an :class:`Infeasible`.  The members of an affine family
 ``a + u b`` form an interval with rational ends (:func:`feasible_interval`),
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -82,37 +83,44 @@ class ConeSpec:
     @cached_property
     def equalities(self) -> tuple[Functional, ...]:
         """A basis of the functionals vanishing on every generator."""
-        vectors = [_vector_of(g) for g in self.generators]
-        return tuple(map(_primitive, linalg.null_space(vectors)))
+        return _h_representation(self.basis.names, tuple(map(_vector_of, self.generators)))[0]
 
     @cached_property
     def facets(self) -> tuple[Functional, ...]:
-        """The facet functionals: >= 0 on every generator, one per facet.
+        """The facet functionals: >= 0 on every generator, one per facet."""
+        return _h_representation(self.basis.names, tuple(map(_vector_of, self.generators)))[1]
 
-        A facet of a d-dimensional cone is spanned by d - 1 independent
-        generators, so each (d - 1)-subset that, stacked with the equalities,
-        has a one-dimensional null space gives a candidate.  It is a facet
-        when it has one sign on every generator.
-        """
-        vectors = [_vector_of(g) for g in self.generators]
-        dim = self.basis.rank - len(self.equalities)
-        if dim == 0:
-            return ()
-        found: list[Functional] = []
-        for subset in combinations(vectors, dim - 1):
-            null = linalg.null_space([*subset, *self.equalities] or [[0] * self.basis.rank])
-            if len(null) != 1:
-                continue
-            y = null[0]
-            values = [_dot(y, g) for g in vectors]
-            if all(x <= 0 for x in values):
-                y = [-c for c in y]
-            elif not all(x >= 0 for x in values):
-                continue
-            f = _primitive(y)
-            if f not in found:
-                found.append(f)
-        return tuple(found)
+
+@cache
+def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...], ...]
+                      ) -> tuple[tuple[Functional, ...], tuple[Functional, ...]]:
+    """The equalities and facets of the cone spanned by ``vectors`` over basis ``names``.
+
+    A facet of a d-dimensional cone is spanned by d - 1 independent
+    generators, so each (d - 1)-subset that, stacked with the equalities,
+    has a one-dimensional null space gives a candidate.  It is a facet when
+    it has one sign on every generator.
+    """
+    rank = len(names)
+    equalities = tuple(map(_primitive, linalg.null_space(vectors)))
+    dim = rank - len(equalities)
+    if dim == 0:
+        return equalities, ()
+    found: list[Functional] = []
+    for subset in combinations(vectors, dim - 1):
+        null = linalg.null_space([*subset, *equalities] or [[0] * rank])
+        if len(null) != 1:
+            continue
+        y = null[0]
+        values = [_dot(y, g) for g in vectors]
+        if all(x <= 0 for x in values):
+            y = [-c for c in y]
+        elif not all(x >= 0 for x in values):
+            continue
+        f = _primitive(y)
+        if f not in found:
+            found.append(f)
+    return equalities, tuple(found)
 
 
 @dataclass(frozen=True)
@@ -184,10 +192,10 @@ def is_nef(d: DivisorClass, curves: Sequence[Union[CurvePairing, tuple[str, Divi
     return NefCertificate(True)
 
 
-def _vector_of(d: DivisorClass) -> list[Fraction]:
+def _vector_of(d: DivisorClass) -> tuple[Fraction, ...]:
     if not all(isinstance(c, Fraction) for c in d.coeffs):
         raise ValueError("decomposition needs rational coefficients")
-    return list(d.coeffs)
+    return d.coeffs
 
 
 def _support_subsets(count: int, max_size: int):
@@ -197,7 +205,7 @@ def _support_subsets(count: int, max_size: int):
         yield from combinations(range(count), size)
 
 
-def _separate(target: list[Fraction], cone: ConeSpec) -> Infeasible:
+def _separate(target: Sequence[Fraction], cone: ConeSpec) -> Infeasible:
     """The first equality or facet the target violates, as a witness."""
     for e in cone.equalities:
         value = _dot(e, target)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .lattice import DivisorClass, LatticeBasis
-from .ratmath import Coeff, Poly
+from .ratmath import Coeff, Poly, parse_rational
 
 
 class ExprSyntaxError(ValueError):
@@ -57,11 +57,8 @@ def _tokenize(text: str):
 
 def _parse_number(text: str, at: int) -> Fraction:
     try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ValueError:
         raise ExprSyntaxError(f"malformed rational {text!r} at position {at}") from None
 
 

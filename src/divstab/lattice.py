@@ -264,17 +264,33 @@ def _all_rational(*classes: DivisorClass) -> bool:
 
 def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass,
                    form: ThreefoldForm) -> Coeff:
-    """Trilinear expansion of the intersection form; exact."""
+    """Trilinear expansion of the intersection form; exact.
+
+    The form's values are summed per distinct product first: per sorted
+    triple for a cube ``P^3``, per sorted pair and third index for
+    ``P^2.Y``.  Each product is then formed once, scalar factors first.
+    """
     for d in (d1, d2, d3):
         if d.basis != form.basis:
             raise BasisMismatchError("class is not over the form's basis")
-    total = Fraction(0)
+    same12 = d1 == d2
+    same = same12 and d2 == d3
+    weights: dict[tuple[int, int, int], Fraction] = {}
     for (i, j, k), t in form.values.items():
-        for a, b, c in {(i, j, k), (i, k, j), (j, i, k),
-                        (j, k, i), (k, i, j), (k, j, i)}:
-            x, y, z = d1.coeffs[a], d2.coeffs[b], d3.coeffs[c]
-            if x and y and z:
-                total += t * x * y * z
+        orders = {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}
+        if same:
+            weights[i, j, k] = t * len(orders)
+            continue
+        for a, b, c in orders:
+            key = (min(a, b), max(a, b), c) if same12 else (a, b, c)
+            weights[key] = weights.get(key, 0) + t
+    total = Fraction(0)
+    for (a, b, c), w in weights.items():
+        factors = (d1.coeffs[a], d2.coeffs[b], d3.coeffs[c])
+        if all(factors):
+            for x in sorted(factors, key=lambda x: isinstance(x, Poly)):
+                w = x * w
+            total += w
     return total if _all_rational(d1, d2, d3) else Poly.of(total)
 
 
@@ -287,7 +303,7 @@ def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
         for k, l in {(i, j), (j, i)}:
             x, y = a.coeffs[k], b.coeffs[l]
             if x and y:
-                total += t * x * y
+                total += y * (x * t) if isinstance(y, Poly) else x * (y * t)
     return total if _all_rational(a, b) else Poly.of(total)
 
 

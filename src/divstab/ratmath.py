@@ -2,15 +2,17 @@
 
 Everything in this package reduces to arithmetic over the rationals.  The
 scalar type is :class:`fractions.Fraction` (arbitrary precision, always in
-lowest terms with positive denominator), serialized as ``p/q`` or ``p`` text
-with no whitespace and no decimals.
+lowest terms with positive denominator), serialized as ``p/q`` or ``p`` text:
+ASCII digits with one optional leading ``-``, nothing else.
 
 One polynomial type, :class:`Poly`, covers all parameter dependence that
-occurs downstream: a dense polynomial in ``u`` and ``v`` whose entries are
-Fractions.  A polynomial in one variable is the same type; ``p.coeffs`` and
-``p(x)`` read it along the variable it depends on.  Arithmetic takes ``int``
-and ``Fraction`` operands directly.  Degrees stay tiny (at most 4), so dense
-storage is the simple choice.
+occurs downstream: a dense polynomial in ``u`` and ``v`` with rational
+coefficients, stored as rows of integer numerators over one common
+denominator, so that its arithmetic runs on Python ints and builds no
+Fraction per coefficient.  A polynomial in one variable is the same type;
+``p.coeffs`` and ``p(x)`` read it along the variable it depends on.
+Arithmetic takes ``int`` and ``Fraction`` operands directly.  Degrees stay
+tiny (at most 4), so dense storage is the simple choice.
 
 Along its one variable a polynomial also divides with remainder (``divmod``,
 ``//``, ``%``), differentiates, and has a monic :func:`poly_gcd` and its
@@ -23,7 +25,9 @@ error rather than approximated.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from itertools import chain, zip_longest
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -40,15 +44,21 @@ class InvalidRegionError(ValueError):
     """Integration bounds are out of order somewhere on the u-interval."""
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` text (no whitespace, no decimals)."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if not den or "/" in den or int(den) == 0:
-            raise ValueError(f"malformed rational {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse ``p`` or ``p/q`` text: ASCII digits, one optional leading ``-``.
+
+    Nothing else is a rational: no whitespace, ``+``, decimals, digit-group
+    underscores, other scripts' digits or signed denominators.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"malformed rational {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(q: Fraction) -> str:
@@ -85,26 +95,43 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
-class Poly:
-    """Dense polynomial over Fraction in u and v: ``rows[i][j]`` is the u^i v^j coefficient.
+def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
+    """``q^d * c(p/q)`` for integer coefficients c of length d + 1, by Horner's rule."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
 
-    Each row is trimmed of trailing zeros and trailing empty rows are
-    dropped, so equal polynomials have equal ``rows`` and the zero
-    polynomial has none.  Instances are immutable.
+
+def _lin(x: Sequence[int], a: int, y: Sequence[int], b: int) -> list[int]:
+    """``a x + b y`` for integer sequences, the shorter padded with zeros."""
+    return [c * a + d * b for c, d in zip_longest(x, y, fillvalue=0)]
+
+
+def _combine(x, a: int, y, b: int) -> list[list[int]]:
+    """``a x + b y`` for integer tables, row by row."""
+    return [_lin(rx, a, ry, b) for rx, ry in zip_longest(x, y, fillvalue=())]
+
+
+class Poly:
+    """Dense polynomial over Q in u and v: integer numerators over one denominator.
+
+    The u^i v^j coefficient is ``num[i][j] / den``.  Each row of ``num`` is
+    trimmed of trailing zeros, trailing empty rows are dropped, ``den > 0``
+    and ``gcd(den, *nums) == 1``; so equal polynomials have equal
+    ``(num, den)`` and the zero polynomial has no rows and ``den`` 1.
+    Arithmetic runs on the integers and reduces each result once.  ``rows``
+    is the same table as Fractions.  Instances are immutable.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("num", "den")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]] = ()):
-        object.__setattr__(self, "rows",
-                           _trim([[_as_fraction(c) for c in row] for row in rows]))
-
-    @classmethod
-    def _trusted(cls, rows: list[list[Fraction]]) -> "Poly":
-        """Build from rows whose entries are already Fractions."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "rows", _trim(rows))
-        return p
+        table = [[_as_fraction(c) for c in row] for row in rows]
+        den = math.lcm(*(c.denominator for row in table for c in row))
+        _reduce([[c.numerator * (den // c.denominator) for c in row] for row in table],
+                den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -112,7 +139,10 @@ class Poly:
     @classmethod
     def of(cls, x: Union[Scalar, "Poly"]) -> "Poly":
         """``x`` itself if it is a Poly, else the constant polynomial ``x``."""
-        return x if isinstance(x, Poly) else cls._trusted([[_as_fraction(x)]])
+        if isinstance(x, Poly):
+            return x
+        x = _as_fraction(x)
+        return _reduce([[x.numerator]], x.denominator)
 
     @classmethod
     def constant(cls, value: Scalar) -> "Poly":
@@ -126,111 +156,123 @@ class Poly:
             return cls([[0, 1]])
         raise ValueError(f"variable must be 'u' or 'v', got {name!r}")
 
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``rows[i][j]`` is the u^i v^j coefficient, trimmed as ``num`` is."""
+        den = self.den
+        return tuple(tuple(Fraction(c, den) for c in row) for row in self.num)
+
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return bool(self.num)
 
     def is_constant(self) -> bool:
-        rows = self.rows
-        return not rows or (len(rows) == 1 and len(rows[0]) <= 1)
+        num = self.num
+        return not num or (len(num) == 1 and len(num[0]) <= 1)
 
     @property
     def degree_u(self) -> int:
-        return len(self.rows) - 1
+        return len(self.num) - 1
 
     @property
     def degree_v(self) -> int:
-        return max(map(len, self.rows), default=0) - 1
+        return max(map(len, self.num), default=0) - 1
 
     def coefficient(self, i: int, j: int) -> Fraction:
         """The coefficient of u^i v^j."""
-        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
-            return self.rows[i][j]
+        num = self.num
+        if 0 <= i < len(num) and 0 <= j < len(num[i]):
+            return Fraction(num[i][j], self.den)
         return _ZERO
+
+    def _numerators(self) -> Sequence[int]:
+        """Numerators along the one variable this polynomial depends on."""
+        num = self.num
+        if len(num) <= 1:
+            return num[0] if num else ()
+        if any(len(row) > 1 for row in num):
+            raise ValueError(f"{format_poly(self)} depends on both u and v")
+        return tuple(row[0] if row else 0 for row in num)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients along the one variable this polynomial depends on."""
-        rows = self.rows
-        if len(rows) <= 1:
-            return rows[0] if rows else ()
-        if any(len(row) > 1 for row in rows):
-            raise ValueError(f"{format_poly(self)} depends on both u and v")
-        return tuple(row[0] if row else _ZERO for row in rows)
+        den = self.den
+        return tuple(Fraction(c, den) for c in self._numerators())
 
     @property
     def degree(self) -> int:
         """Degree along the one variable; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self._numerators()) - 1
 
     def __call__(self, x, y=None):
         """``p(u, v)`` at a point, or ``p(x)`` along the one variable.
 
-        Horner's rule: exact for Fraction input, float for float input.
+        Horner's rule: on the integers for rational input, with one Fraction
+        at the end; float for float input.
         """
-        if y is None:
+        rational = (int, Fraction)
+        if y is not None:
+            if isinstance(x, rational) and isinstance(y, rational):
+                return self.subs_v(y)(x)
+            return _horner([_horner(row, y) for row in self.rows], x)
+        if not isinstance(x, rational):
             return _horner(self.coeffs, x)
-        return _horner([_horner(row, y) for row in self.rows], x)
+        cs, q = self._numerators(), x.denominator
+        return Fraction(_homogeneous(cs, x.numerator, q), self.den * q ** max(len(cs) - 1, 0))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.rows == other.rows
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            rows = self.rows
-            if not rows:
+            num = self.num
+            if not num:
                 return other == 0
-            return len(rows) == 1 and len(rows[0]) == 1 and rows[0][0] == other
+            return (len(num) == 1 and len(num[0]) == 1 and num[0][0] == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.coefficient(0, 0))
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted([[-c for c in row] for row in self.rows])
+        return _reduce([[-c for c in row] for row in self.num], self.den)
+
+    def _plus(self, other, sign: int):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.of(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign > 0 else -other
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        return _reduce(_combine(self.num, db // g, other.num, sign * (da // g)), da // g * db)
 
     def __add__(self, other):
-        if isinstance(other, Poly):
-            a, b = self.rows, other.rows
-            if len(a) < len(b):
-                a, b = b, a
-            out = [list(row) for row in a]
-            for row, rb in zip(out, b):
-                n = min(len(row), len(rb))
-                row[:n] = [x + y for x, y in zip(row, rb)]
-                row.extend(rb[n:])
-            return Poly._trusted(out)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self
-            out = [list(row) for row in self.rows] or [[]]
-            if out[0]:
-                out[0][0] += other
-            else:
-                out[0].append(_as_fraction(other))
-            return Poly._trusted(out)
-        return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (Poly, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.rows, other.rows
+            a, b = self.num, other.num
             if not a or not b:
                 return _ZERO_POLY
             width = max(map(len, a)) + max(map(len, b)) - 1
-            out = [[_ZERO] * width for _ in range(len(a) + len(b) - 1)]
+            out = [[0] * width for _ in range(len(a) + len(b) - 1)]
             for i, ra in enumerate(a):
                 for j, x in enumerate(ra):
                     if not x:
@@ -239,11 +281,13 @@ class Poly:
                         row = out[i + k]
                         for l, y in enumerate(rb, j):
                             row[l] += x * y
-            return Poly._trusted(out)
+            return _reduce(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            if not other:
+            if not other or not self.num:
                 return _ZERO_POLY
-            return Poly._trusted([[c * other for c in row] for row in self.rows])
+            n = other.numerator
+            return _reduce([[c * n for c in row] for row in self.num],
+                           self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -259,50 +303,61 @@ class Poly:
     def subs_u(self, u0: Scalar) -> "Poly":
         """Evaluate u, leaving a polynomial in v."""
         u0 = _as_fraction(u0)
-        out = _ZERO_POLY
-        for row in reversed(self.rows):
-            out = out * u0 + Poly._trusted([list(row)])
-        return out
+        a, b = u0.numerator, u0.denominator
+        acc: list[int] = []
+        for k, row in enumerate(reversed(self.num)):
+            acc = _lin(acc, a, row, b ** k)
+        return _reduce([acc], self.den * b ** max(len(self.num) - 1, 0))
 
     def subs_v(self, v0: Union[Scalar, "Poly"]) -> "Poly":
         """Substitute v by a rational or by a polynomial, by Horner's rule."""
+        num = self.num
         if not isinstance(v0, Poly):
             v0 = _as_fraction(v0)
-            return Poly._trusted([[_horner(row, v0)] for row in self.rows])
+            c, d = v0.numerator, v0.denominator
+            width = max(map(len, num), default=1)
+            return _reduce([[_homogeneous(row, c, d) * d ** (width - len(row))] for row in num],
+                           self.den * d ** (width - 1))
         out = _ZERO_POLY
         for j in range(self.degree_v, -1, -1):
-            column = Poly._trusted([[self.coefficient(i, j)] for i in range(len(self.rows))])
+            column = _reduce([[row[j]] if j < len(row) else [] for row in num], self.den)
             out = out * v0 + column
         return out
 
-    def _along(self, coeffs: list[Fraction], other: "Poly") -> "Poly":
-        """``coeffs`` along the one variable of self and other, which must agree."""
-        in_u = len(self.rows) > 1 or len(other.rows) > 1
-        if in_u and any(len(p.rows) == 1 and len(p.rows[0]) > 1 for p in (self, other)):
+    def _along(self, nums: list[int], den: int, other: "Poly") -> "Poly":
+        """``nums / den`` along the one variable of self and other, which must agree."""
+        in_u = len(self.num) > 1 or len(other.num) > 1
+        if in_u and any(len(p.num) == 1 and len(p.num[0]) > 1 for p in (self, other)):
             raise ValueError(f"{format_poly(self)} and {format_poly(other)} "
                              "depend on different variables")
-        return Poly._trusted([[c] for c in coeffs] if in_u else [coeffs])
+        return _reduce([[c] for c in nums] if in_u else [list(nums)], den)
 
     def derivative(self) -> "Poly":
         """Derivative along the one variable."""
-        return self._along([k * c for k, c in enumerate(self.coeffs)][1:], self)
+        return self._along([k * c for k, c in enumerate(self._numerators())][1:], self.den, self)
 
     def __divmod__(self, other):
-        """Quotient and remainder along the one variable, ``deg r < deg other``."""
+        """Quotient and remainder along the one variable, ``deg r < deg other``.
+
+        Pseudo-division on the numerators, ``l^k a = q b + r`` with l the
+        leading numerator of b: every step divides exactly by l.
+        """
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
         other = Poly.of(other)
-        rem, den = list(self.coeffs), other.coeffs
-        if not den:
+        b = other._numerators()
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        quot = [_ZERO] * max(len(rem) - len(den) + 1, 0)
-        for shift in reversed(range(len(quot))):
-            factor = rem[shift + len(den) - 1] / den[-1]
-            quot[shift] = factor
-            if factor:
-                for i, c in enumerate(den):
-                    rem[shift + i] -= factor * c
-        return self._along(quot, other), self._along(rem[:len(den) - 1], other)
+        lead, k = b[-1], max(len(self._numerators()) - len(b) + 1, 0)
+        rem = [c * lead ** k for c in self._numerators()]
+        quot = [0] * k
+        for shift in reversed(range(k)):
+            factor = quot[shift] = rem[shift + len(b) - 1] // lead
+            for i, c in enumerate(b):
+                rem[shift + i] -= factor * c
+        den = self.den * lead ** k
+        return (self._along([c * other.den for c in quot], den, other),
+                self._along(rem[:len(b) - 1], den, other))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -311,8 +366,9 @@ class Poly:
         return divmod(self, other)[1]
 
     def antiderivative_v(self) -> "Poly":
-        return Poly._trusted([[_ZERO] + [c / (j + 1) for j, c in enumerate(row)]
-                              for row in self.rows])
+        scale = math.lcm(*range(1, self.degree_v + 2))
+        return _reduce([[0] + [c * (scale // (j + 1)) for j, c in enumerate(row)]
+                        for row in self.num], self.den * scale)
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
@@ -321,16 +377,36 @@ class Poly:
         return format_poly(self)
 
 
-def _trim(table: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
+
+
+def _reduce(table: list[list[int]], den: int, p: Poly | None = None) -> Poly:
+    """Fill ``p`` (or a new Poly) with ``table / den``, trimmed and in lowest terms.
+
+    The lists of ``table`` are consumed.
+    """
     rows = []
     for row in table:
-        w = len(row)
-        while w and not row[w - 1]:
-            w -= 1
-        rows.append(tuple(row[:w]))
+        while row and not row[-1]:
+            row.pop()
+        rows.append(tuple(row))
     while rows and not rows[-1]:
         rows.pop()
-    return tuple(rows)
+    if not rows:
+        den = 1
+    else:
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = [tuple(c // g for c in row) for row in rows]
+            den //= g
+    if p is None:
+        p = object.__new__(Poly)
+    _set_num(p, tuple(rows))
+    _set_den(p, den)
+    return p
 
 
 _ZERO_POLY = Poly()

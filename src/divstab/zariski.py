@@ -340,10 +340,11 @@ def _derive_cell(ray, d0, z, lo, hi, curves, form, solved) -> list:
         else:
             branches = _branches(vol)
             v_hi = next(w for w in branches if w(mid) == sw.v_hi)
-        for a, b in combinations([v_lo, v_hi, *lines.values(), *branches], 2):
-            diff = (a - b).coeffs
-            if len(diff) == 2:
-                found.append(-diff[0] / diff[1])
+        walls = [(w.coefficient(0, 0), w.coefficient(1, 0))
+                 for w in (v_lo, v_hi, *lines.values(), *branches)]
+        for (a0, a1), (b0, b1) in combinations(walls, 2):
+            if a1 != b1:
+                found.append((b0 - a0) / (a1 - b1))
         found.extend(fixed)
         stack.append((v_lo, v_hi, sw.support, positive, vol))
         v_lo = v_hi

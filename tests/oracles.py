@@ -2,8 +2,9 @@
 
 These deliberately do not share code with the exact implementation: float
 arithmetic, a hand-rolled Gaussian solve, midpoint-rule quadrature, an
-exhaustive grid search, and a threshold found by support enumeration instead
-of the cone's facets.  Agreement within coarse tolerances is evidence that
+exhaustive grid search, a threshold found by support enumeration instead
+of the cone's facets, and the trilinear form expanded over every permutation
+of its entries.  Agreement within coarse tolerances is evidence that
 the exact path computes the right thing, not just a self-consistent thing.
 """
 
@@ -15,6 +16,7 @@ from itertools import combinations
 from divstab import linalg
 from divstab.cones import (Decomposition, Infeasible, UnboundedThresholdError,
                            effective_decompose)
+from divstab.ratmath import Poly
 
 
 def midpoint_1d(f, a: float, b: float, n: int = 10_000) -> float:
@@ -191,3 +193,16 @@ def threshold_oracle(a, b, cone) -> Fraction:
         if isinstance(effective_decompose(shifted, cone), Decomposition):
             return u
     raise AssertionError("unreachable: u = 0 is always feasible")
+
+
+def triple_product_oracle(d1, d2, d3, form):
+    """The trilinear form expanded term by term: one product per permutation."""
+    total = Fraction(0)
+    for (i, j, k), t in form.values.items():
+        for a, b, c in {(i, j, k), (i, k, j), (j, i, k),
+                        (j, k, i), (k, i, j), (k, j, i)}:
+            x, y, z = d1.coeffs[a], d2.coeffs[b], d3.coeffs[c]
+            if x and y and z:
+                total += t * x * y * z
+    rational = all(isinstance(c, Fraction) for d in (d1, d2, d3) for c in d.coeffs)
+    return total if rational else Poly.of(total)

@@ -38,6 +38,8 @@ def test_parse_divisor_errors_report_positions():
         parse_divisor_expr("4H - Z", X)
     with pytest.raises(ExprSyntaxError, match="malformed rational"):
         parse_divisor_expr("4/0H", X)
+    with pytest.raises(ExprSyntaxError, match="malformed rational '\u0663' at position 0"):
+        parse_poly("\u0663*u")
     with pytest.raises(ExprSyntaxError):
         parse_divisor_expr("", X)
 
@@ -247,6 +249,17 @@ def test_a_negative_part_coefficient_may_hold_a_plus():
     text = load_bundled("sdiv_plane.scn").replace("(u - 1)*R", "(-1 + u)*R")
     result = run_verify([("sdiv_plane", text)]).results[0]
     assert (result.status, result.computed) == ("PASS", "227/448")
+
+
+def test_a_rational_with_digit_group_underscores_is_an_error():
+    text = load_bundled("sdiv_plane.scn").replace("expected = 227/448",
+                                                  "expected = 2_27/4_48")
+    report = run_verify([("sdiv_plane", text),
+                         ("lemma_4_2_s", load_bundled("lemma_4_2_s.scn"))])
+    first, second = report.results
+    assert (first.status, first.detail) == (
+        "ERROR", "[scenario] expected: malformed rational '2_27/4_48'")
+    assert second.status == "PASS"
 
 
 def test_verify_seconds_include_parse_time(monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,
                            UnboundedThresholdError, effective_decompose, is_nef,
                            pseudoeffective_threshold)
-from divstab.lattice import DivisorClass
+from divstab import linalg
+from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
+from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
 from oracles import grid_decompose
 
 U = Poly.variable("u")
@@ -81,6 +83,34 @@ def test_lower_dimensional_cone_has_equalities(model):
     assert outcome.witness == (0, -1, 0)
     assert outcome.detail == ("functional (0, -1, 0) vanishes on every generator "
                               "but takes -2 on the class")
+
+
+def test_cones_with_equal_data_share_one_h_representation(model):
+    """Facets are computed once per basis and generator list, not per ConeSpec."""
+    entries = list(zip(model.effective_cone.names, model.effective_cone.generators))
+    again = ConeSpec([(name, DivisorClass(g.basis, g.coeffs)) for name, g in entries])
+    assert again.facets is model.effective_cone.facets
+    assert again.equalities is model.effective_cone.equalities
+    renamed = LatticeBasis(["A", "B", "C"])
+    other = ConeSpec([(name, DivisorClass(renamed, g.coeffs)) for name, g in entries])
+    assert other.facets == again.facets and other.facets is not again.facets
+
+
+def test_a_second_verify_pass_solves_no_facets(monkeypatch):
+    """Every bundled scenario builds its own cones; their facets are solved
+    only on the first pass in a process."""
+    texts = [(name, load_bundled(name)) for name in bundled_scenario_names()]
+    run_verify(texts)
+    calls = []
+    null_space = linalg.null_space
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return null_space(matrix)
+    monkeypatch.setattr(linalg, "null_space", counted)
+    report = run_verify(texts)
+    assert len(report.results) == 17 and report.all_pass
+    assert calls == []
 
 
 def test_effective_decompose_zero_class(model):

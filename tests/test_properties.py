@@ -1,11 +1,13 @@
-"""Property tests: the polynomial ring and its univariate toolkit, the shared
-parser, the class canonical form, and the cones' two representations
-(generators and facets).
+"""Property tests: the polynomial ring, its integer representation against a
+Fraction-dict reference, and its univariate toolkit; the shared parser, the
+class canonical form, the trilinear form against its permutation expansion,
+and the cones' two representations (generators and facets).
 
 Needs ``hypothesis`` (test-only; skipped where it is not installed).  Runs
 are derandomized and keep no example database, so results are repeatable.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,10 +19,11 @@ from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
                            UnboundedThresholdError, effective_decompose,
                            feasible_interval, pseudoeffective_threshold)
 from divstab.exprs import parse_divisor_expr, parse_poly  # noqa: E402
-from divstab.lattice import DivisorClass, LatticeBasis  # noqa: E402
+from divstab.lattice import (DivisorClass, LatticeBasis, ThreefoldForm,  # noqa: E402
+                             triple_product)
 from divstab.projgeo import MPoly, format_mpoly, parse_mpoly  # noqa: E402
 from divstab.ratmath import Poly, format_poly, poly_gcd, rational_roots  # noqa: E402
-from oracles import threshold_oracle  # noqa: E402
+from oracles import threshold_oracle, triple_product_oracle  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 U, V = Poly.variable("u"), Poly.variable("v")
@@ -28,7 +31,8 @@ BASIS = LatticeBasis(["H", "EC", "EL"])
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 scalars = st.one_of(fractions, st.integers(-5, 5))
-polys = st.lists(st.lists(fractions, max_size=3), max_size=3).map(Poly)
+tables = st.lists(st.lists(fractions, max_size=3), max_size=3)
+polys = tables.map(Poly)
 coeffs = st.one_of(fractions, polys)
 mpolys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), fractions, max_size=5).map(
     lambda terms: MPoly(("x0", "x1", "s"), terms))
@@ -65,6 +69,89 @@ def test_poly_evaluation_is_a_ring_map(a, b, x, y):
     assert (a + b)(x, y) == a(x, y) + b(x, y)
     assert mixed(x, y) == a(x, y) * x + b(x, y) * y
     assert a.subs_u(x).subs_v(y) == a.subs_v(y).subs_u(x) == a(x, y)
+
+
+def _reference(table) -> dict:
+    """A polynomial as {(i, j): nonzero Fraction coefficient of u^i v^j}."""
+    return {(i, j): F(c) for i, row in enumerate(table) for j, c in enumerate(row) if c}
+
+
+def _ref_of(p: Poly) -> dict:
+    return {(i, j): F(c, p.den) for i, row in enumerate(p.num) for j, c in enumerate(row) if c}
+
+
+def _ref_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_at(a: dict, x, y) -> F:
+    return sum((c * F(x) ** i * F(y) ** j for (i, j), c in a.items()), F(0))
+
+
+@SETTINGS
+@given(tables, tables, fractions, fractions)
+def test_integer_poly_matches_the_fraction_reference(ta, tb, x, y):
+    a, b = Poly(ta), Poly(tb)
+    ra, rb = _reference(ta), _reference(tb)
+    assert _ref_of(a) == ra
+    assert _ref_of(a + b) == _ref_add(ra, rb)
+    assert _ref_of(a - b) == _ref_add(ra, rb, -1)
+    assert _ref_of(a * b) == _ref_mul(ra, rb)
+    assert _ref_of(a * x) == _ref_mul(ra, _reference([[x]]))
+    assert a(x, y) == _ref_at(ra, x, y)
+    at_u: dict = {}
+    at_v: dict = {}
+    for (i, j), c in ra.items():
+        at_u = _ref_add(at_u, {(0, j): c * x ** i})
+        at_v = _ref_add(at_v, {(i, 0): c * y ** j})
+    assert _ref_of(a.subs_u(x)) == at_u
+    assert _ref_of(a.subs_v(y)) == at_v
+    composed: dict = {}
+    for (i, j), c in ra.items():
+        term = {(i, 0): c}
+        for _ in range(j):
+            term = _ref_mul(term, rb)
+        composed = _ref_add(composed, term)
+    assert _ref_of(a.subs_v(b)) == composed
+    assert a.rows == tuple(tuple(ra.get((i, j), 0) for j in range(len(row)))
+                           for i, row in enumerate(a.num))
+    assert all(type(c) is F for row in a.rows for c in row)
+
+
+@SETTINGS
+@given(st.lists(fractions, max_size=4), st.sampled_from("uv"), fractions)
+def test_coeffs_and_evaluation_along_one_variable(cs, var, x):
+    p = sum((c * Poly.variable(var) ** k for k, c in enumerate(cs)), Poly())
+    trimmed = list(cs)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert p.coeffs == tuple(trimmed) and all(type(c) is F for c in p.coeffs)
+    assert p(x) == sum((c * x ** k for k, c in enumerate(cs)), F(0))
+
+
+@SETTINGS
+@given(polys, polys, scalars)
+def test_poly_canonical_form(a, b, q):
+    """Rows trimmed, den > 0 and coprime to the numerators: equal values are equal data."""
+    for p in (a, b, a * b, a + b, a * q):
+        assert p.den > 0 and math.gcd(p.den, *(c for row in p.num for c in row)) == 1
+        assert all(row[-1] for row in p.num if row) and (not p.num or p.num[-1])
+        assert type(p.den) is int and all(type(c) is int for row in p.num for c in row)
+    for same in ((a + b) - b, a * 2 * F(1, 2), Poly(a.rows), -(-a)):
+        assert (same.num, same.den) == (a.num, a.den) and hash(same) == hash(a)
+    assert (Poly().num, Poly().den) == ((), 1)
+    assert Poly.of(q) == q and hash(Poly.of(q)) == hash(q) == hash(Poly.of(q) + b - b)
 
 
 # three polynomials in one variable, u or v
@@ -133,6 +220,23 @@ def test_divisor_class_canonical_form(cs, noise):
     assert same == d and hash(same) == hash(d)
     assert same.coeffs == d.coeffs
     assert parse_divisor_expr(str(d), BASIS) == d
+
+
+triples = st.tuples(*[st.sampled_from(BASIS.names)] * 3).map(lambda t: tuple(sorted(t)))
+forms = st.dictionaries(triples, fractions, max_size=6).map(
+    lambda entries: ThreefoldForm(BASIS, entries))
+classes = st.lists(coeffs, min_size=3, max_size=3).map(lambda cs: DivisorClass(BASIS, cs))
+
+
+@SETTINGS
+@given(forms, classes, classes, classes)
+def test_triple_product_matches_the_permutation_expansion(form, a, b, c):
+    """Equal first classes (the cube, P^2.Y) and distinct ones alike."""
+    for d1, d2, d3 in ((a, a, a), (a, DivisorClass(BASIS, a.coeffs), a), (a, a, b),
+                       (a, b, a), (a, b, c)):
+        value = triple_product(d1, d2, d3, form)
+        expected = triple_product_oracle(d1, d2, d3, form)
+        assert value == expected and type(value) is type(expected)
 
 
 @st.composite

@@ -29,6 +29,12 @@ def test_zero_denominator_is_a_malformed_rational(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["2_27/4_48", "\u0663/2", "3/ 2", "-3/-2", "+3", " 3"])
+def test_only_ascii_digits_and_a_leading_minus_make_a_rational(text):
+    with pytest.raises(ValueError, match=f"malformed rational '{re.escape(text)}'"):
+        parse_rational(text)
+
+
 def test_integrate_univariate_examples():
     assert integrate_univariate(U, 0, 1) == F(1, 2)
     assert integrate_univariate(4 * (U - 1) * (6 - 4 * U), 1, F(3, 2)) == F(1, 3)
