@@ -18,6 +18,7 @@ Exit codes: 0 all pass, 1 any failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -185,7 +186,9 @@ def _cmd_geo(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="divstab",
         description="Exact divisor-stability computations and scenario verification.")
@@ -220,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

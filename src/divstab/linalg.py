@@ -1,7 +1,8 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  Sizes in this package never exceed
-6x6, so plain Gaussian elimination with exact pivots is all that is needed.
+Matrices are lists of lists of Fraction.  The systems in this package are
+small, so one Gauss-Jordan elimination with exact pivots serves solves, null
+spaces and rank.
 Right-hand sides may carry Poly entries (division only ever happens by
 Fraction pivots), which is how parametric Gram systems are solved.
 """
@@ -10,6 +11,37 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+
+def _gauss_jordan(m: list[list], b: list | None = None) -> list[int]:
+    """Reduce ``m`` in place to reduced row echelon form; return the pivot columns.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row.  The same row operations are applied to ``b`` when given.
+    """
+    nrows = len(m)
+    pivots: list[int] = []
+    for col in range(len(m[0]) if nrows else 0):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = Fraction(1) / m[row][col]
+        m[row] = [inv * x for x in m[row]]
+        if b is not None:
+            b[row], b[pivot] = b[pivot], b[row]
+            b[row] = b[row] * inv
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+                if b is not None:
+                    b[r] = b[r] - b[row] * factor
+        pivots.append(col)
+    return pivots
 
 
 def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list | None:
@@ -21,37 +53,12 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list | 
     """
     m = [list(row) for row in matrix]
     b = list(rhs)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            return None  # free column: not unique (or zero column)
-        m[row], m[pivot] = m[pivot], m[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [inv * x for x in m[row]]
-        b[row] = b[row] * inv
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-                b[r] = b[r] - b[row] * factor
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    if len(pivots) < ncols:
-        return None
-    for r in range(row, nrows):
-        if _is_nonzero(b[r]):
-            return None  # inconsistent
-    out = [None] * ncols
-    for r, c in pivots:
-        out[c] = b[r]
-    return out
+    ncols = len(m[0]) if m else 0
+    if len(_gauss_jordan(m, b)) < ncols:
+        return None  # a free column: not unique (or a zero column)
+    if any(_is_nonzero(x) for x in b[ncols:]):
+        return None  # inconsistent
+    return b[:ncols]
 
 
 def _is_nonzero(x) -> bool:
@@ -63,25 +70,8 @@ def _is_nonzero(x) -> bool:
 def null_space(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right null space of a rational matrix."""
     m = [list(map(Fraction, row)) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [inv * x for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
+    ncols = len(m[0]) if m else 0
+    pivots = _gauss_jordan(m)
     basis = []
     for free in range(ncols):
         if free in pivots:

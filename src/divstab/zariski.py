@@ -16,24 +16,27 @@ distinguished:
   inside it, :class:`IndefiniteSupportError`, which means the curve data is
   wrong.
 
-``v_sweep`` walks ``D0 - v Z`` upward in v from 0: walls occur where an
-affine pairing function crosses zero (a curve enters the support; ties enter
-together) and the sweep terminates at the smallest rational root of the
-quadratic ``vol(v)``.  The support only grows, so a negative-part
-coefficient that would fall to 0 inside a chamber is reported as an error.
+``v_sweep`` walks ``D0 - v Z`` upward in v from 0 at a fixed u, keeping u
+symbolic as ``D0`` gives it.  Each chamber's support is solved once for all
+(u, v): the positive part, the volume and the wall forms, each form affine
+in v (a negative-part coefficient on the support, the pairing of the
+positive part with a curve off it).  The next wall is the least root at u of
+a form falling in v; every curve on it toggles: an off-support curve enters,
+a support curve whose coefficient reaches 0 leaves.  The sweep terminates at
+the smallest rational root of the quadratic ``vol(u, v)``.  On each chamber
+every form is >= 0 and the support's Gram matrix is negative definite, which
+is Zariski's characterization of the decomposition.
 
-``build_chart`` derives the symbolic picture over each u-interval exactly.
-On a fixed support the Gram matrix is constant, so one solve with the
-(u, v)-parametric ray gives the positive part, affine in (u, v), and the
-volume, quadratic.  Every wall is an affine line v = w(u); the terminal
-boundary is a factor of the volume over Q[u] (a volume that does not factor
-raises :class:`IrrationalBreakpointError`).  One sweep at the midpoint of a
-cell names the supports; the cell is cut wherever two walls meet in a
-chamber or a wall form constant in v vanishes, the pieces are derived
-afresh, and adjacent pieces with identical chambers are merged again.  Chambers are
-locally polyhedral on a fixed support (Bauer--Kuronya--Szemberg, *Zariski
-chambers, volumes, and stable base loci*, 2004), which is what makes the
-cut points finite and rational.
+``build_chart`` derives the symbolic picture over each u-interval exactly
+and reads its chambers off one sweep at the midpoint of each cell.  Every
+wall is an affine line v = w(u); the terminal boundary is a factor of the
+volume over Q[u] (a volume that does not factor raises
+:class:`IrrationalBreakpointError`).  The cell is cut wherever two walls meet
+in a chamber or a wall form constant in v vanishes, the pieces are swept
+afresh, and adjacent pieces with identical chambers are merged again.
+Chambers are locally polyhedral on a fixed support (Bauer--Kuronya--Szemberg,
+*Zariski chambers, volumes, and stable base loci*, 2004), which is what
+makes the cut points finite and rational.
 """
 
 from __future__ import annotations
@@ -143,13 +146,26 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
 
 @dataclass(frozen=True)
 class SweepChamber:
-    """One v-interval of constant support along a sweep at fixed u."""
+    """One v-interval of constant support along a sweep at fixed u.
+
+    ``positive`` and ``vol`` are read at the sweep's u.  ``toggled`` names
+    the curves that enter or leave the support at ``v_hi``; it is empty for
+    the last chamber, which ends where vol vanishes.  The last three fields
+    are the same support solved for all (u, v): ``forms`` lists ``(curve,
+    form, slope)``, where the form is the curve's negative-part coefficient
+    on the support and the pairing of the positive part with it off the
+    support; each form is affine in v, with a constant slope as z is rational.
+    """
 
     v_lo: Fraction
     v_hi: Fraction
     support: tuple[str, ...]
     positive: DivisorClass       # coefficients are affine in v
     vol: Poly                    # quadratic in v
+    toggled: tuple[str, ...]
+    positive_uv: DivisorClass    # coefficients in u, affine in v
+    vol_uv: Poly
+    forms: tuple[tuple[str, Poly, Fraction], ...]
 
 
 def _terminal_root(vol: Poly, after: Fraction, at_most: Fraction | None):
@@ -195,52 +211,33 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
         raise NotPseudoEffectiveError(
             f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
     v = Poly.variable("v")
-    ray = DivisorClass(start.basis, [a - v * b for a, b in zip(start.coeffs, z.coeffs)])
-    support = [(name, cls) for name, cls in extremal_curves if name in base.support]
+    ray = DivisorClass(d0.basis, [a - v * b for a, b in zip(d0.coeffs, z.coeffs)])
+    support = tuple(name for name, _ in extremal_curves if name in base.support)
     chambers: list[SweepChamber] = []
     v0 = Fraction(0)
+    # N is convex in the class, so each coefficient vanishes on one interval
+    # of the ray: a curve toggles at most twice
     for _ in range(2 * len(extremal_curves) + 2):
-        p, coeffs = _subtract_support(ray, support, form)
-        vol = Poly.of(surface_pair(p, p, form))
-        walls: list[tuple[Fraction, str, DivisorClass]] = []
-        for name, cls in extremal_curves:
-            if name in (n for n, _ in support):
-                continue
-            root = _falling_root(surface_pair(p, cls, form))
-            if root is not None and root >= v0:
-                walls.append((root, name, cls))
-        wall_v = min((w for w, _, _ in walls), default=None)
-        if wall_v == v0:
-            # a curve is exactly on its wall at the chamber floor: absorb it
-            support.extend((n, c) for w, n, c in walls if w == v0)
-            continue
-        terminal = _terminal_root(vol, v0, wall_v)
-        top = wall_v if terminal is None else terminal
-        for (name, _), n in zip(support, coeffs):
-            zero = _falling_root(n)
-            if zero is not None and (top is None or zero < top):
-                raise ValueError(
-                    f"the negative-part coefficient of {name!r} falls to 0 at "
-                    f"v = {format_rational(zero)} inside the chamber starting at "
-                    f"v = {format_rational(v0)}: a sweep only adds curves to the support")
-        if terminal is not None:
-            chambers.append(SweepChamber(v0, terminal, tuple(n for n, _ in support), p, vol))
-            return chambers
-        if wall_v is None:
-            raise NotPseudoEffectiveError(
-                "sweep does not terminate: the subtracted curve class is not constraining")
-        chambers.append(SweepChamber(v0, wall_v, tuple(n for n, _ in support), p, vol))
-        support.extend((n, c) for w, n, c in walls if w == wall_v)
-        v0 = wall_v
-    raise AssertionError("support cannot grow beyond the supplied curve list")
-
-
-def _falling_root(f) -> Fraction | None:
-    """Where an affine function of v that decreases reaches 0, else None."""
-    coeffs = Poly.of(f).coeffs
-    if len(coeffs) != 2 or coeffs[1] >= 0:
-        return None  # constant or nondecreasing: never crosses downward
-    return -coeffs[0] / coeffs[1]
+        positive, vol_uv, forms = _solve_chamber(ray, support, extremal_curves, form)
+        walls = [(-f(u, 0) / slope, name) for name, f, slope in forms if slope < 0]
+        wall_v = min((w for w, _ in walls if w >= v0), default=None)
+        toggled = tuple(name for w, name in walls if w == wall_v)
+        if wall_v != v0:  # else a form is 0 at the floor: toggle with no chamber
+            vol = vol_uv.subs_u(u)
+            terminal = _terminal_root(vol, v0, wall_v)
+            if terminal is not None:
+                wall_v, toggled = terminal, ()
+            elif wall_v is None:
+                raise NotPseudoEffectiveError(
+                    "sweep does not terminate: the subtracted curve class is not constraining")
+            chambers.append(SweepChamber(v0, wall_v, support, positive.evaluate(u=u), vol,
+                                         toggled, positive, vol_uv, forms))
+            if not toggled:
+                return chambers
+            v0 = wall_v
+        support = (tuple(n for n in support if n not in toggled)
+                   + tuple(n for n in toggled if n not in support))
+    raise AssertionError("a curve toggled more than twice along one ray")
 
 
 @dataclass(frozen=True)
@@ -299,13 +296,10 @@ def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
     breaks = sorted(set(Fraction(b) for b in u_breaks))
     if len(breaks) < 2:
         raise ValueError("need at least two u-breakpoints")
-    v = Poly.variable("v")
-    ray = DivisorClass(d0.basis, [a - v * b for a, b in zip(d0.coeffs, z.coeffs)])
-    solved: dict = {}
     chambers: list[ChartChamber] = []
     for lo, hi in zip(breaks, breaks[1:]):
         merged: list = []
-        for u_lo, u_hi, stack in _derive_cell(ray, d0, z, lo, hi, extremal_curves, form, solved):
+        for u_lo, u_hi, stack in _derive_cell(d0, z, lo, hi, extremal_curves, form):
             if merged and merged[-1][2] == stack:
                 u_lo = merged.pop()[0]
             merged.append((u_lo, u_hi, stack))
@@ -314,72 +308,64 @@ def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
     return ZariskiChart(tuple(chambers))
 
 
-def _derive_cell(ray, d0, z, lo, hi, curves, form, solved) -> list:
+def _derive_cell(d0, z, lo, hi, curves, form) -> list:
     """Pieces ``(u_lo, u_hi, stack)`` of [lo, hi], each of one chamber structure.
 
     A stack lists ``(v_lo, v_hi, support, positive, vol)`` per chamber, in
-    sweep order.  The supports come from one sweep at the midpoint; every
-    wall is then an affine function of u, and the structure can only change
-    where two walls of a chamber meet or where a wall form that is constant
-    in v vanishes.  Any such u inside the cell cuts it, and the pieces are
-    derived afresh.  The volume needs no cuts of its own: d vol/dv = -2 P.z
-    <= 0 for effective z, so where it vanishes on a chamber boundary, the
-    chambers above either close up (their walls meet) or have zero volume
-    on that whole slice u = const, which changes nothing.
+    sweep order, read off one ``v_sweep`` at the midpoint: each chamber comes
+    with its support solved for all (u, v), so every wall is an affine line
+    v = w(u).  A chamber's top is the line of a curve toggled there, and the
+    last chamber's top is the branch of vol through the sweep's end.  The
+    structure can only change where two walls of a chamber meet or where a
+    wall form that is constant in v vanishes.  Any such u inside the cell
+    cuts it, and the pieces are derived afresh.  The volume needs no cuts of
+    its own: d vol/dv = -2 P.z <= 0 for effective z, so where it vanishes on
+    a chamber boundary, the chambers above either close up (their walls
+    meet) or have zero volume on that whole slice u = const, which changes
+    nothing.
     """
     mid = (lo + hi) / 2
-    sweep = v_sweep(d0, z, mid, curves, form)
     stack: list = []
     found: list[Fraction] = []
     v_lo = Poly()
-    for k, sw in enumerate(sweep):
-        positive, vol, lines, fixed = _solve_chamber(ray, sw.support, curves, form, solved)
-        if k + 1 < len(sweep):
+    for sw in v_sweep(d0, z, mid, curves, form):
+        lines = {}
+        for name, f, slope in sw.forms:
+            base = f.subs_v(0)
+            if slope:
+                lines[name] = base * (-1 / slope)
+            elif base.degree == 1:
+                found.append(-base.coeffs[0] / base.coeffs[1])
+        if sw.toggled:
             branches = []
-            v_hi = lines[sweep[k + 1].support[len(sw.support)]]  # first entering curve
+            v_hi = lines[sw.toggled[0]]
         else:
-            branches = _branches(vol)
+            branches = _branches(sw.vol_uv)
             v_hi = next(w for w in branches if w(mid) == sw.v_hi)
         walls = [(w.coefficient(0, 0), w.coefficient(1, 0))
                  for w in (v_lo, v_hi, *lines.values(), *branches)]
         for (a0, a1), (b0, b1) in combinations(walls, 2):
             if a1 != b1:
                 found.append((b0 - a0) / (a1 - b1))
-        found.extend(fixed)
-        stack.append((v_lo, v_hi, sw.support, positive, vol))
+        stack.append((v_lo, v_hi, sw.support, sw.positive_uv, sw.vol_uv))
         v_lo = v_hi
     cuts = sorted({u for u in found if lo < u < hi})
     if not cuts:
         return [(lo, hi, stack)]
     points = [lo, *cuts, hi]
     return [piece for a, b in zip(points, points[1:])
-            for piece in _derive_cell(ray, d0, z, a, b, curves, form, solved)]
+            for piece in _derive_cell(d0, z, a, b, curves, form)]
 
 
-def _solve_chamber(ray, support, curves, form, solved):
-    """Positive part, volume and walls of one support, for all (u, v) at once.
-
-    The walls are affine forms in (u, v): the pairing of the positive part
-    with each curve outside the support, and each negative-part coefficient.
-    A form with a v-term is returned as its line ``v = w(u)``, keyed by its
-    curve; the others only vanish at a fixed u, returned in ``fixed``.
-    """
-    if support not in solved:
-        chosen = [(name, cls) for name, cls in curves if name in support]
-        p, coeffs = _subtract_support(ray, chosen, form)
-        forms = {name: n for (name, _), n in zip(chosen, coeffs)}
-        forms.update((name, surface_pair(p, cls, form))
-                     for name, cls in curves if name not in support)
-        lines, fixed = {}, []
-        for name, f in forms.items():
-            f = Poly.of(f)
-            slope, base = f.coefficient(0, 1), f.subs_v(0)
-            if slope:
-                lines[name] = base * (-1 / slope)
-            elif base.degree == 1:
-                fixed.append(-base.coeffs[0] / base.coeffs[1])
-        solved[support] = (p, Poly.of(surface_pair(p, p, form)), lines, fixed)
-    return solved[support]
+def _solve_chamber(ray, support, curves, form):
+    """Positive part, volume and wall forms of one support, for all (u, v) at once."""
+    chosen = [(name, cls) for name, cls in curves if name in support]
+    p, coeffs = _subtract_support(ray, chosen, form)
+    forms = [(name, Poly.of(n)) for (name, _), n in zip(chosen, coeffs)]
+    forms += [(name, Poly.of(surface_pair(p, cls, form)))
+              for name, cls in curves if name not in support]
+    return (p, Poly.of(surface_pair(p, p, form)),
+            tuple((name, f, f.coefficient(0, 1)) for name, f in forms))
 
 
 def _branches(vol: Poly) -> list[Poly]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from divstab.cli import main
+from divstab.cli import build_parser, main
 from divstab.exprs import ExprSyntaxError, parse_divisor_expr, parse_poly
 from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
@@ -319,6 +319,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    """Each argparse parser is a web of reference cycles: build one per process."""
+    parser = build_parser()
+    assert build_parser() is parser
+    assert main(["s-curve", "sdiv_plane"]) == 2
+    assert main(["geo", "characters"]) == 0
+    capsys.readouterr()
+    assert build_parser() is parser
+    assert parser.parse_args(["verify"]).files == []
 
 
 def test_cli_json_output(capsys):

@@ -1,7 +1,8 @@
 """Property tests: the polynomial ring, its integer representation against a
 Fraction-dict reference, and its univariate toolkit; the shared parser, the
 class canonical form, the trilinear form against its permutation expansion,
-and the cones' two representations (generators and facets).
+the cones' two representations (generators and facets), and the chamber
+walk along a ray against the pointwise Zariski decomposition.
 
 Needs ``hypothesis`` (test-only; skipped where it is not installed).  Runs
 are derandomized and keep no example database, so results are repeatable.
@@ -22,7 +23,10 @@ from divstab.exprs import parse_divisor_expr, parse_poly  # noqa: E402
 from divstab.lattice import (DivisorClass, LatticeBasis, ThreefoldForm,  # noqa: E402
                              triple_product)
 from divstab.projgeo import MPoly, format_mpoly, parse_mpoly  # noqa: E402
-from divstab.ratmath import Poly, format_poly, poly_gcd, rational_roots  # noqa: E402
+from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly,  # noqa: E402
+                             poly_gcd, rational_roots)
+from divstab.scenario import load_bundled_scenario  # noqa: E402
+from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
 from oracles import threshold_oracle, triple_product_oracle  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -330,3 +334,41 @@ def test_feasible_interval_agrees_with_pointwise_membership(case, extra):
     for u in points:
         feasible = isinstance(effective_decompose(a + b.scale(u), cone), Decomposition)
         assert feasible == (u in interval)
+
+
+# the three bundled surfaces, each with its anticanonical class -K_S
+SURFACES = [(load_bundled_scenario(name + ".scn").surface, minus_k) for name, minus_k in (
+    ("lemma_4_1", [3, -1, -1, -1, -1]), ("lemma_4_2_s", [2, 2]),
+    ("lemma_4_3_l1", [2, 2, -1, -1]))]
+weights = st.lists(st.one_of(st.just(0), st.fractions(min_value=0, max_value=3,
+                                                      max_denominator=2)),
+                   min_size=10, max_size=10)
+
+
+@SETTINGS
+@given(st.sampled_from(SURFACES), weights, weights)
+def test_sweep_chambers_match_the_pointwise_decomposition(surface_and_k, a, b):
+    """d0 = -K_S + sum a_i C_i and z = sum b_i C_i != 0: every chamber of the
+    sweep is the pointwise decomposition at its midpoint, the chambers are
+    contiguous from v = 0, and vol vanishes at the top."""
+    surface, minus_k = surface_and_k
+    curves, form = surface.extremal_curves, surface.form
+    d0 = DivisorClass(surface.basis, minus_k)
+    z = surface.basis.zero()
+    for (_, cls), x, y in zip(curves, a, b):
+        d0, z = d0 + cls.scale(x), z + cls.scale(y)
+    if z.is_zero():
+        return
+    try:
+        sweep = v_sweep(d0, z, F(0), curves, form)
+    except IrrationalBreakpointError:
+        return
+    top = F(0)
+    for chamber in sweep:
+        assert chamber.v_lo == top < chamber.v_hi
+        top = chamber.v_hi
+        v = (chamber.v_lo + chamber.v_hi) / 2
+        result = zariski_decompose(d0 - z.scale(v), curves, form)
+        assert set(result.support) == set(chamber.support)
+        assert result.positive == chamber.positive.evaluate(v=v)
+    assert sweep[-1].vol(top) == 0

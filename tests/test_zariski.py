@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -131,14 +132,33 @@ def test_v_sweep_errors_on_irrational_terminal():
         v_sweep(d0, z, F(1, 2), [("B", basis.unit("B"))], form)
 
 
-@pytest.mark.parametrize("z", [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0]], ids=["l+E1", "E1"])
-def test_v_sweep_rejects_a_shrinking_support(dp5, z):
-    # along 3l + 2E1 - v z the negative part is (2 - v) E1, which reaches 0 at
-    # v = 2 and would go negative above it (for z = l + E1, at v = 9/4 the true
-    # decomposition has N = 0 and vol 1/2): the sweep must say so, not go on
+V = Poly.variable("v")
+
+
+@pytest.mark.parametrize("z,chambers", [
+    ([1, 1, 0, 0, 0], [(0, 2, {"E1"}, (3 - V) ** 2), (2, F(5, 2), set(), 5 - 2 * V)]),
+    ([0, 1, 0, 0, 0], [(0, 2, {"E1"}, Poly.constant(9)), (2, 5, set(), (5 - V) * (1 + V))]),
+], ids=["l+E1", "E1"])
+def test_v_sweep_follows_a_shrinking_support(dp5, z, chambers):
+    # along 3l + 2E1 - v z the negative part is (2 - v) E1 up to v = 2, where
+    # E1 leaves the support; for z = l + E1 the volume at v = 9/4 is 5 - 9/2 = 1/2
     d0 = DivisorClass(dp5.basis, [3, 2, 0, 0, 0])
-    with pytest.raises(ValueError, match=r"'E1' falls to 0 at v = 2 "):
-        v_sweep(d0, DivisorClass(dp5.basis, z), F(1), dp5.extremal_curves, dp5.form)
+    z = DivisorClass(dp5.basis, z)
+    sweep = v_sweep(d0, z, F(1), dp5.extremal_curves, dp5.form)
+    assert [(c.v_lo, c.v_hi, set(c.support), c.vol) for c in sweep] == chambers
+    for c in sweep:
+        v = (c.v_lo + c.v_hi) / 2
+        result = zariski_decompose(d0 - z.scale(v), dp5.extremal_curves, dp5.form)
+        assert set(result.support) == set(c.support)
+        assert result.positive == c.positive.evaluate(v=v)
+
+
+def test_chart_follows_a_shrinking_support(dp5):
+    d0 = DivisorClass(dp5.basis, [3 + 0 * U, 2 + U, 0, 0, 0])
+    z = DivisorClass(dp5.basis, [1, 1, 0, 0, 0])
+    chart = build_chart(d0, z, [0, 1], dp5.extremal_curves, dp5.form)
+    assert chart.volume_integral() == F(431, 48)
+    assert [set(ch.support) for ch in chart.chambers] == [{"E1"}, set()]
 
 
 def test_chart_errors_on_non_affine_terminal_boundary():
@@ -333,3 +353,29 @@ def test_chart_rejects_non_affine_family(ruled):
     z = ruled.basis.unit("s")
     with pytest.raises(ValueError, match="affine in u"):
         build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form)
+
+
+def test_a_verify_pass_solves_each_chamber_once(monkeypatch):
+    """One ``run_verify`` of the bundled scenarios makes 17 exact solves (26
+    when each chart solved its supports a second time after the midpoint
+    sweep), and every derived piece of a chart is read off one sweep."""
+    from divstab import linalg, sinv, zariski
+    from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((linalg, "solve_unique"), (zariski, "v_sweep"),
+                         (zariski, "_derive_cell"), (sinv, "build_chart")):
+        counting(module, name)
+    names = bundled_scenario_names()
+    assert len(names) == 17
+    assert run_verify([(n, load_bundled(n)) for n in names]).all_pass
+    assert calls["solve_unique"] == 17
+    assert calls["v_sweep"] == calls["_derive_cell"] > calls["build_chart"] > 0
