@@ -4,19 +4,21 @@ The effective cone is handed in as an explicit generator list and the Mori
 cone as an explicit dual test set (curve tables or surface curve classes);
 the scenario is responsible for supplying generating sets.  Ranks never
 exceed 5; the threefold cones have 4 to 6 generators and the extremal curves
-of the dP5 surface give a 10-generator cone.  Everything is settled by
-solving small rational systems exactly -- no pivoting tolerances, no LP
-library.
+of the dP5 surface give a 10-generator cone.  Everything is exact: integer
+minors and small rational solves, no pivoting tolerances, no LP library.
 
 A cone's H-representation (Minkowski--Weyl) is the equalities of its span
-and its facet functionals, as primitive integer vectors.  It is computed
-once per process for each basis and generator list, and every
-:class:`ConeSpec` with that data shares it.  By the Farkas lemma a class is
-outside the cone iff it violates one of them, which is the separating
-witness of an :class:`Infeasible`.  The members of an affine family
+and its facet functionals, as primitive integer vectors.  The equalities are
+the null space of the generators; each facet is the vector of signed
+maximal minors of d - 1 generators stacked with the equalities, taken in
+integers.  It is computed once per process for each basis and generator
+list, and every :class:`ConeSpec` with that data shares it.  The facets
+decide membership: by the Farkas lemma a class is outside the cone iff it
+violates one of them, which is the separating witness of an
+:class:`Infeasible`, found with no solve.  The members of an affine family
 ``a + u b`` form an interval with rational ends (:func:`feasible_interval`),
-and the pseudo-effective threshold is its upper end.  Support enumeration is
-kept only to produce the coefficients of a feasible class.
+and the pseudo-effective threshold is its upper end.  Support enumeration
+only produces the coefficients of a class already known to be a member.
 """
 
 from __future__ import annotations
@@ -98,29 +100,54 @@ def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...
 
     A facet of a d-dimensional cone is spanned by d - 1 independent
     generators, so each (d - 1)-subset that, stacked with the equalities,
-    has a one-dimensional null space gives a candidate.  It is a facet when
-    it has one sign on every generator.
+    has rank ``len(names) - 1`` gives a candidate: the vector of signed
+    maximal minors of those rows, which spans their null space (it is zero
+    when the rank is smaller).  It is a facet when it has one sign on every
+    generator.  Generators are scaled to primitive integer vectors first, a
+    positive multiple each, so the minors and the sign test are exact
+    integer arithmetic.
     """
     rank = len(names)
     equalities = tuple(map(_primitive, linalg.null_space(vectors)))
     dim = rank - len(equalities)
     if dim == 0:
         return equalities, ()
+    generators = [_primitive(g) for g in vectors]
     found: list[Functional] = []
-    for subset in combinations(vectors, dim - 1):
-        null = linalg.null_space([*subset, *equalities] or [[0] * rank])
-        if len(null) != 1:
-            continue
-        y = null[0]
-        values = [_dot(y, g) for g in vectors]
+    for subset in combinations(generators, dim - 1):
+        rows = [*subset, *equalities]
+        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in rows])
+                  for j in range(rank)]
+        if not any(normal):
+            continue  # the null space has dimension > 1
+        values = [_dot(normal, g) for g in generators]
         if all(x <= 0 for x in values):
-            y = [-c for c in y]
+            normal = [-c for c in normal]
         elif not all(x >= 0 for x in values):
             continue
-        f = _primitive(y)
+        f = _primitive(normal)
         if f not in found:
             found.append(f)
     return equalities, tuple(found)
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
+    m = [list(row) for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
 @dataclass(frozen=True)
@@ -205,8 +232,8 @@ def _support_subsets(count: int, max_size: int):
         yield from combinations(range(count), size)
 
 
-def _separate(target: Sequence[Fraction], cone: ConeSpec) -> Infeasible:
-    """The first equality or facet the target violates, as a witness."""
+def _separate(target: Sequence[Fraction], cone: ConeSpec) -> Infeasible | None:
+    """The first equality or facet the target violates, as a witness, or None."""
     for e in cone.equalities:
         value = _dot(e, target)
         if value != 0:
@@ -220,20 +247,26 @@ def _separate(target: Sequence[Fraction], cone: ConeSpec) -> Infeasible:
             return Infeasible(f, f"functional {format_functional(f)} is nonnegative on "
                                  f"every generator but takes {format_rational(value)} "
                                  "on the class")
-    raise AssertionError("facets and generators disagree")
+    return None
 
 
 def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infeasible:
     """Exact nonnegative solution of ``sum x_i g_i = d``, or Infeasible.
 
-    Supports of size up to the basis rank are enumerated and each square
-    (or overdetermined) subsystem is solved exactly; the first consistent
-    nonnegative solution wins.  When none is, the cone's H-representation
-    names the violated equality or facet.
+    The cone's H-representation decides membership: a violated equality or
+    facet is the witness of an :class:`Infeasible`, and no system is solved.
+    For a member, supports of size up to the basis rank are enumerated and
+    each square (or overdetermined) subsystem is solved exactly; the first
+    consistent nonnegative solution gives the coefficients.  One exists by
+    Caratheodory: a member is a nonnegative combination of independent
+    generators.
     """
     if d.basis != cone.basis:
         raise BasisMismatchError("class and cone are over different bases")
     target = _vector_of(d)
+    outside = _separate(target, cone)
+    if outside is not None:
+        return outside
     cols = [_vector_of(g) for g in cone.generators]
     rank = d.basis.rank
     for subset in _support_subsets(len(cols), min(rank, len(cols))):
@@ -249,7 +282,7 @@ def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infe
         for x, j in zip(solution, subset):
             full[j] = x
         return Decomposition(cone, tuple(full))
-    return _separate(target, cone)
+    raise AssertionError("facets and generators disagree")
 
 
 class FeasibleInterval:

@@ -16,6 +16,14 @@ distinguished:
   inside it, :class:`IndefiniteSupportError`, which means the curve data is
   wrong.
 
+Both ``zariski_decompose`` and each ``v_sweep`` pair their class D with the
+curves once, in one table: D.C_k for every listed curve, D.D, and C_i.C_j
+formed on demand.  A support S then needs no further pairing with D.  Its
+coefficients are n = G_S^-1 (D.C_S), with G_S the Gram matrix of S; the
+positive part is P = D - sum n_i C_i, its pairings are P.C_k = D.C_k -
+sum n_i C_i.C_k, and its volume is vol = P.P = D.D - sum n_i D.C_i,
+because P.C_i = 0 for every C_i in S.
+
 ``v_sweep`` walks ``D0 - v Z`` upward in v from 0 at a fixed u, keeping u
 symbolic as ``D0`` gives it.  Each chamber's support is solved once for all
 (u, v): the positive part, the volume and the wall forms, each form affine
@@ -76,27 +84,52 @@ class ZariskiResult:
         return out
 
 
-def _solve_support(d: DivisorClass, support: list[NamedCurve], form: SurfaceForm):
-    """Coefficients n with (d - sum n_i C_i) . C_j = 0 for all j in support."""
-    gram = form.gram([cls for _, cls in support])
-    if not linalg.is_negative_definite(gram):
-        names = [name for name, _ in support]
-        raise IndefiniteSupportError(
-            f"support {names} has a Gram matrix that is not negative definite "
-            "(the input class is not pseudo-effective, or the curve data is wrong)")
-    rhs = [surface_pair(d, cls, form) for _, cls in support]
-    solution = linalg.solve_unique(gram, rhs)
-    assert solution is not None  # negative definite => nonsingular
-    return solution
+class _PairingTable:
+    """D.C_k for every listed curve, D.D, and C_i.C_j on demand, for one class D.
 
+    :meth:`solve` reads a support's decomposition off them, as the module
+    docstring derives.
+    """
 
-def _subtract_support(d: DivisorClass, support: list[NamedCurve], form: SurfaceForm):
-    """The positive part ``d - sum n_i C_i`` on a support, and the coefficients n."""
-    coeffs = _solve_support(d, support, form) if support else []
-    p = d
-    for (_, cls), n in zip(support, coeffs):
-        p = p - cls.scale(n)
-    return p, coeffs
+    def __init__(self, d: DivisorClass, curves: Sequence[NamedCurve], form: SurfaceForm):
+        self.d, self.curves, self.form = d, tuple(curves), form
+        self.classes = dict(curves)
+        self.with_d = {name: surface_pair(d, cls, form) for name, cls in curves}
+        self.square = surface_pair(d, d, form)
+        self._between: dict[tuple[str, str], Fraction] = {}
+
+    def between(self, a: str, b: str) -> Fraction:
+        """C_a . C_b."""
+        key = (a, b) if a <= b else (b, a)
+        if key not in self._between:
+            self._between[key] = surface_pair(self.classes[a], self.classes[b], self.form)
+        return self._between[key]
+
+    def solve(self, support: Sequence[str]):
+        """Coefficients n on ``support``, P, P.C_k for each curve off it, and vol."""
+        coeffs = []
+        if support:
+            gram = [[self.between(a, b) for b in support] for a in support]
+            if not linalg.is_negative_definite(gram):
+                raise IndefiniteSupportError(
+                    f"support {list(support)} has a Gram matrix that is not negative definite "
+                    "(the input class is not pseudo-effective, or the curve data is wrong)")
+            coeffs = linalg.solve_unique(gram, [self.with_d[a] for a in support])
+            assert coeffs is not None  # negative definite => nonsingular
+        p, vol = self.d, self.square
+        for name, n in zip(support, coeffs):
+            p = p - self.classes[name].scale(n)
+            vol = vol - n * self.with_d[name]
+        pairings = {}
+        for name, _ in self.curves:
+            if name not in support:
+                value = self.with_d[name]
+                for a, n in zip(support, coeffs):
+                    meet = self.between(a, name)
+                    if meet:
+                        value = value - n * meet
+                pairings[name] = value
+        return coeffs, p, pairings, vol
 
 
 def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
@@ -104,26 +137,23 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
     """Unique decomposition d = P + N for a pseudo-effective rational class."""
     if not all(isinstance(c, Fraction) for c in d.coeffs):
         raise ValueError("pointwise decomposition needs rational coefficients")
-    support: list[NamedCurve] = []
-    coeffs: list[Fraction] = []
-    p = d
+    table = _PairingTable(d, extremal_curves, form)
+    support: list[str] = []
+    coeffs, p, pairings, vol = table.solve(support)
     for _ in range(len(extremal_curves) + 1):
         entering = []
-        for name, cls in extremal_curves:
-            if name in (n for n, _ in support):
-                continue
-            value = surface_pair(p, cls, form)
+        for name, value in pairings.items():
             if value < 0:
-                if surface_pair(cls, cls, form) >= 0:
+                if table.between(name, name) >= 0:
                     raise NotPseudoEffectiveError(
                         f"not pseudo-effective: pairing with the nef curve {name!r} "
                         f"is {format_rational(value)} < 0")
-                entering.append((name, cls))
+                entering.append(name)
         if not entering:
             break
         support.extend(entering)
         try:
-            p, coeffs = _subtract_support(d, support, form)
+            coeffs, p, pairings, vol = table.solve(support)
         except IndefiniteSupportError:
             outcome = effective_decompose(d, ConeSpec(list(extremal_curves)))
             if isinstance(outcome, Infeasible):
@@ -134,14 +164,11 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
     if any(n < 0 for n in coeffs):
         raise NotPseudoEffectiveError(
             "not pseudo-effective: a negative-part coefficient came out negative")
-    vol = surface_pair(p, p, form)
     if vol < 0:
         raise NotPseudoEffectiveError(
             f"not pseudo-effective: positive part has self-intersection {format_rational(vol)}")
-    return ZariskiResult(
-        positive=p,
-        negative=tuple((name, n) for (name, _), n in zip(support, coeffs)),
-        support=tuple(name for name, _ in support))
+    return ZariskiResult(positive=p, negative=tuple(zip(support, coeffs)),
+                         support=tuple(support))
 
 
 @dataclass(frozen=True)
@@ -212,13 +239,14 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
             f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
     v = Poly.variable("v")
     ray = DivisorClass(d0.basis, [a - v * b for a, b in zip(d0.coeffs, z.coeffs)])
+    table = _PairingTable(ray, extremal_curves, form)
     support = tuple(name for name, _ in extremal_curves if name in base.support)
     chambers: list[SweepChamber] = []
     v0 = Fraction(0)
     # N is convex in the class, so each coefficient vanishes on one interval
     # of the ray: a curve toggles at most twice
     for _ in range(2 * len(extremal_curves) + 2):
-        positive, vol_uv, forms = _solve_chamber(ray, support, extremal_curves, form)
+        positive, vol_uv, forms = _solve_chamber(table, support)
         walls = [(-f(u, 0) / slope, name) for name, f, slope in forms if slope < 0]
         wall_v = min((w for w, _ in walls if w >= v0), default=None)
         toggled = tuple(name for w, name in walls if w == wall_v)
@@ -357,15 +385,13 @@ def _derive_cell(d0, z, lo, hi, curves, form) -> list:
             for piece in _derive_cell(d0, z, a, b, curves, form)]
 
 
-def _solve_chamber(ray, support, curves, form):
+def _solve_chamber(table: _PairingTable, support):
     """Positive part, volume and wall forms of one support, for all (u, v) at once."""
-    chosen = [(name, cls) for name, cls in curves if name in support]
-    p, coeffs = _subtract_support(ray, chosen, form)
-    forms = [(name, Poly.of(n)) for (name, _), n in zip(chosen, coeffs)]
-    forms += [(name, Poly.of(surface_pair(p, cls, form)))
-              for name, cls in curves if name not in support]
-    return (p, Poly.of(surface_pair(p, p, form)),
-            tuple((name, f, f.coefficient(0, 1)) for name, f in forms))
+    chosen = [name for name, _ in table.curves if name in support]
+    coeffs, p, pairings, vol = table.solve(chosen)
+    forms = [(name, Poly.of(n)) for name, n in zip(chosen, coeffs)]
+    forms += [(name, Poly.of(value)) for name, value in pairings.items()]
+    return p, Poly.of(vol), tuple((name, f, f.coefficient(0, 1)) for name, f in forms)
 
 
 def _branches(vol: Poly) -> list[Poly]:

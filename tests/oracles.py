@@ -3,20 +3,24 @@
 These deliberately do not share code with the exact implementation: float
 arithmetic, a hand-rolled Gaussian solve, midpoint-rule quadrature, an
 exhaustive grid search, a threshold found by support enumeration instead
-of the cone's facets, and the trilinear form expanded over every permutation
-of its entries.  Agreement within coarse tolerances is evidence that
+of the cone's facets, cone membership decided by support enumeration before
+any facet is read, facets found as rational null spaces instead of integer
+minors, and the trilinear form expanded over every permutation of its
+entries.  Agreement within coarse tolerances is evidence that
 the exact path computes the right thing, not just a self-consistent thing.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from divstab import linalg
 from divstab.cones import (Decomposition, Infeasible, UnboundedThresholdError,
                            effective_decompose)
-from divstab.ratmath import Poly
+from divstab.ratmath import Poly, format_rational
 
 
 def midpoint_1d(f, a: float, b: float, n: int = 10_000) -> float:
@@ -193,6 +197,87 @@ def threshold_oracle(a, b, cone) -> Fraction:
         if isinstance(effective_decompose(shifted, cone), Decomposition):
             return u
     raise AssertionError("unreachable: u = 0 is always feasible")
+
+
+def _primitive(y) -> tuple[int, ...]:
+    scale = math.lcm(*(Fraction(c).denominator for c in y))
+    ints = [int(c * scale) for c in y]
+    g = math.gcd(*ints) or 1
+    return tuple(i // g for i in ints)
+
+
+@cache
+def h_representation_oracle(rank: int, vectors: tuple[tuple, ...]) -> tuple[tuple, tuple]:
+    """The equalities and facets of a cone, each facet a rational null space.
+
+    Each (d - 1)-subset of generators stacked with the equalities whose null
+    space is one-dimensional gives a candidate, kept when it has one sign on
+    every generator; the same order and the same primitive integer vectors
+    as ``cones.ConeSpec`` promises.
+    """
+    vectors = [[Fraction(c) for c in g] for g in vectors]
+    equalities = tuple(map(_primitive, linalg.null_space(vectors)))
+    dim = rank - len(equalities)
+    if dim == 0:
+        return equalities, ()
+    found = []
+    for subset in combinations(vectors, dim - 1):
+        null = linalg.null_space([*subset, *equalities] or [[0] * rank])
+        if len(null) != 1:
+            continue
+        y = null[0]
+        values = [sum(a * b for a, b in zip(y, g)) for g in vectors]
+        if all(x <= 0 for x in values):
+            y = [-c for c in y]
+        elif not all(x >= 0 for x in values):
+            continue
+        f = _primitive(y)
+        if f not in found:
+            found.append(f)
+    return equalities, tuple(found)
+
+
+def effective_decompose_oracle(d, cone):
+    """Membership decided by support enumeration, before any facet is read.
+
+    Supports of size up to the rank are solved exactly, largest first; the
+    first nonnegative solution wins.  Only when none exists is a witness
+    taken, from :func:`h_representation_oracle`: the first equality or
+    facet the class violates, with the same detail text as
+    ``cones.effective_decompose``.
+    """
+    target = list(d.coeffs)
+    cols = [list(g.coeffs) for g in cone.generators]
+    rank = d.basis.rank
+    for size in range(min(rank, len(cols)), -1, -1):
+        for subset in combinations(range(len(cols)), size):
+            if not subset:
+                if all(t == 0 for t in target):
+                    return Decomposition(cone, tuple(Fraction(0) for _ in cols))
+                continue
+            matrix = [[cols[j][i] for j in subset] for i in range(rank)]
+            solution = linalg.solve_unique(matrix, target)
+            if solution is None or any(x < 0 for x in solution):
+                continue
+            full = [Fraction(0)] * len(cols)
+            for x, j in zip(solution, subset):
+                full[j] = x
+            return Decomposition(cone, tuple(full))
+    equalities, facets = h_representation_oracle(rank, tuple(map(tuple, cols)))
+    for e in equalities:
+        value = sum(a * b for a, b in zip(e, target))
+        if value != 0:
+            if value > 0:
+                e, value = tuple(-c for c in e), -value
+            return Infeasible(e, f"functional ({', '.join(map(str, e))}) vanishes on every "
+                                 f"generator but takes {format_rational(value)} on the class")
+    for f in facets:
+        value = sum(a * b for a, b in zip(f, target))
+        if value < 0:
+            return Infeasible(f, f"functional ({', '.join(map(str, f))}) is nonnegative on "
+                                 f"every generator but takes {format_rational(value)} "
+                                 "on the class")
+    raise AssertionError("no decomposition and no violated facet")
 
 
 def triple_product_oracle(d1, d2, d3, form):

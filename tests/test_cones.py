@@ -1,8 +1,10 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from divstab import cones as cones_module
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,
                            UnboundedThresholdError, effective_decompose, is_nef,
                            pseudoeffective_threshold)
@@ -10,7 +12,7 @@ from divstab import linalg
 from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
 from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
-from oracles import grid_decompose
+from oracles import effective_decompose_oracle, grid_decompose
 
 U = Poly.variable("u")
 
@@ -111,6 +113,82 @@ def test_a_second_verify_pass_solves_no_facets(monkeypatch):
     report = run_verify(texts)
     assert len(report.results) == 17 and report.all_pass
     assert calls == []
+
+
+def test_the_first_verify_builds_each_h_representation_from_one_null_space(monkeypatch):
+    """The equalities are one rational null space; the facets are integer
+    minors, with no further null space per candidate subset."""
+    fresh = functools.cache(cones_module._h_representation.__wrapped__)
+    monkeypatch.setattr(cones_module, "_h_representation", fresh)
+    calls = []
+    null_space = linalg.null_space
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return null_space(matrix)
+    monkeypatch.setattr(linalg, "null_space", counted)
+    report = run_verify([(name, load_bundled(name)) for name in bundled_scenario_names()])
+    assert len(report.results) == 17 and report.all_pass
+    built = fresh.cache_info().misses
+    assert built > 0 and len(calls) == built
+
+
+def _seeded_classes(cone, rng, count):
+    """Integer classes near the cone: half are generator combinations plus noise."""
+    rank = cone.basis.rank
+    out = []
+    for k in range(count):
+        cls = DivisorClass(cone.basis, [rng.randint(-3, 3) if k % 2 else 0
+                                        for _ in range(rank)])
+        if k % 4 < 2:
+            for g in cone.generators:
+                cls = cls + g.scale(F(rng.randint(0, 4), 2))
+        else:
+            cls = cls + DivisorClass(cone.basis, [rng.randint(-6, 6) for _ in range(rank)])
+        out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize("which", ["lemma_4_1", "lemma_3_8", "dp6", "dp5"])
+def test_effective_decompose_matches_the_enumeration_oracle(scenarios, which):
+    """Facet-first membership gives what enumerating supports first gave:
+    the same coefficients for a member, the same witness and detail otherwise."""
+    if which.startswith("dp"):
+        surface = scenarios["lemma_4_1" if which == "dp5" else "lemma_4_3_l1"].surface
+        cone = ConeSpec(list(surface.extremal_curves))
+    else:
+        cone = scenarios[which].model.effective_cone
+    rng = random.Random(which)
+    outcomes = set()
+    for cls in _seeded_classes(cone, rng, 40):
+        outcome, expected = effective_decompose(cls, cone), effective_decompose_oracle(cls, cone)
+        assert type(outcome) is type(expected)
+        if isinstance(outcome, Decomposition):
+            assert outcome.coefficients == expected.coefficients
+        else:
+            assert (outcome.witness, outcome.detail) == (expected.witness, expected.detail)
+        outcomes.add(type(outcome))
+    assert outcomes == {Decomposition, Infeasible}
+
+
+def test_an_infeasible_class_is_decided_without_a_solve(zcone_model, monkeypatch):
+    """H - 2EC is outside the lemma 3.8 cone: a violated facet answers at
+    once, where enumerating its supports first took 25 solves."""
+    cone = zcone_model.effective_cone
+    cone.facets  # the H-representation is formed once per process, before this query
+    calls = []
+    solve_unique = linalg.solve_unique
+
+    def counted(*args):
+        calls.append(args)
+        return solve_unique(*args)
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    h, ec = zcone_model.basis.unit("H"), zcone_model.basis.unit("EC")
+    outcome = effective_decompose(h - ec.scale(2), cone)
+    assert isinstance(outcome, Infeasible) and outcome.witness == (2, 3, 2)
+    assert calls == []
+    effective_decompose_oracle(h - ec.scale(2), cone)
+    assert len(calls) == 25
 
 
 def test_effective_decompose_zero_class(model):

@@ -1,7 +1,8 @@
 """Property tests: the polynomial ring, its integer representation against a
 Fraction-dict reference, and its univariate toolkit; the shared parser, the
 class canonical form, the trilinear form against its permutation expansion,
-the cones' two representations (generators and facets), and the chamber
+the cones' two representations (generators and facets) against support
+enumeration and a rational null-space derivation of the facets, and the chamber
 walk along a ray against the pointwise Zariski decomposition.
 
 Needs ``hypothesis`` (test-only; skipped where it is not installed).  Runs
@@ -16,6 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from divstab import cones as cones_module  # noqa: E402
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
                            UnboundedThresholdError, effective_decompose,
                            feasible_interval, pseudoeffective_threshold)
@@ -27,7 +29,8 @@ from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly,  # no
                              poly_gcd, rational_roots)
 from divstab.scenario import load_bundled_scenario  # noqa: E402
 from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
-from oracles import threshold_oracle, triple_product_oracle  # noqa: E402
+from oracles import (effective_decompose_oracle, h_representation_oracle,  # noqa: E402
+                     threshold_oracle, triple_product_oracle)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 U, V = Poly.variable("u"), Poly.variable("v")
@@ -294,7 +297,9 @@ def test_decomposition_exists_iff_no_facet_is_violated(case):
         assert all(_dot(f, g) >= 0 for g in cone.generators)
     assert all(_dot(e, g) == 0 for e in cone.equalities for g in cone.generators)
     outcome = effective_decompose(cls, cone)
-    assert isinstance(outcome, Decomposition) == (not _violated(cone, cls))
+    # existence decided independently of the facets: supports enumerated first
+    exists = isinstance(effective_decompose_oracle(cls, cone), Decomposition)
+    assert isinstance(outcome, Decomposition) == exists == (not _violated(cone, cls))
     if isinstance(outcome, Decomposition):
         assert outcome.recombine() == cls and min(outcome.coefficients) >= 0
     else:
@@ -302,6 +307,35 @@ def test_decomposition_exists_iff_no_facet_is_violated(case):
         assert all(_dot(outcome.witness, g) >= 0 for g in cone.generators)
         assert _dot(outcome.witness, cls) < 0
         assert f"functional ({', '.join(map(str, outcome.witness))})" in outcome.detail
+
+
+@st.composite
+def generator_lists(draw):
+    """Integer generators of rank 2-5, 1-8 of them: few give lower-dimensional
+    cones, a shared zero coordinate gives one inside a hyperplane, and a
+    repeated or a parallel generator gives the same cone twice over."""
+    rank = draw(st.integers(2, 5))
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                         min_size=1, max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        zero = draw(st.integers(0, rank - 1))
+        gens = [[0 if i == zero else c for i, c in enumerate(g)] for g in gens]
+    extra = draw(st.sampled_from([None, 1, 2, 3]))
+    if extra is not None and len(gens) < 8:
+        source = draw(st.sampled_from(gens))
+        gens.append([extra * c for c in source])
+    return rank, tuple(tuple(F(c) for c in g) for g in gens)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(generator_lists())
+def test_integer_facets_match_the_null_space_derivation(case):
+    """The integer-minor H-representation is the rational null-space one:
+    the same equalities, and the same facets in the same order and sign."""
+    rank, vectors = case
+    names = tuple(f"x{i}" for i in range(rank))
+    assert (cones_module._h_representation.__wrapped__(names, vectors)
+            == h_representation_oracle(rank, vectors))
 
 
 def _threshold_outcome(threshold, a, b, cone):

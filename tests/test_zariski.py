@@ -153,6 +153,39 @@ def test_v_sweep_follows_a_shrinking_support(dp5, z, chambers):
         assert result.positive == c.positive.evaluate(v=v)
 
 
+def test_a_sweep_pairs_its_ray_with_each_curve_once(scenarios, dp5, monkeypatch):
+    """Each chamber reads its pairings off one table for the ray: D.C_k per
+    curve and D.D are the only pairings with a polynomial argument, however
+    many chambers the sweep has."""
+    from divstab import zariski
+    calls = []
+
+    def counted(a, b, form):
+        if any(isinstance(c, Poly) for d in (a, b) for c in d.coeffs):
+            calls.append((a, b))
+        return surface_pair(a, b, form)
+    monkeypatch.setattr(zariski, "surface_pair", counted)
+    rays = [(DivisorClass(dp5.basis, [3, -1, -1, -1, -1]),
+             DivisorClass(dp5.basis, [2, 1, 1, -1, 0]), F(0), dp5),
+            (DivisorClass(dp5.basis, [3, 2, 0, 0, 0]),
+             DivisorClass(dp5.basis, [1, 1, 0, 0, 0]), F(1), dp5)]
+    for name in ("lemma_4_1", "lemma_4_3_l1"):
+        scenario = scenarios[name]
+        sched = scenario.schedule
+        for chamber in sched.chambers:
+            p = sched.positive_part(scenario.surface.cls, scenario.model.anticanonical,
+                                    chamber)
+            rays.append((restrict(p, scenario.surface.restriction), scenario.z,
+                         (chamber.u_lo + chamber.u_hi) / 2, scenario.surface))
+    counts = Counter()
+    for d0, z, u, surface in rays:
+        calls.clear()
+        sweep = v_sweep(d0, z, u, surface.extremal_curves, surface.form)
+        assert 0 < len(calls) <= len(surface.extremal_curves) + 1
+        counts[len(sweep)] += 1
+    assert set(counts) == {1, 2, 3}
+
+
 def test_chart_follows_a_shrinking_support(dp5):
     d0 = DivisorClass(dp5.basis, [3 + 0 * U, 2 + U, 0, 0, 0])
     z = DivisorClass(dp5.basis, [1, 1, 0, 0, 0])
