@@ -91,9 +91,13 @@ def _cmd_zariski(args) -> int:
                                         scenario.model.anticanonical, chamber)
     d0 = restrict(p, scenario.surface.restriction).evaluate(u=u)
     target = d0 - scenario.z.scale(v)
-    result = zariski.zariski_decompose(target, scenario.surface.extremal_curves,
-                                       scenario.surface.form)
     print(f"class: {target}")
+    try:
+        result = zariski.zariski_decompose(target, scenario.surface.extremal_curves,
+                                           scenario.surface.form)
+    except (zariski.NotPseudoEffectiveError, zariski.IndefiniteSupportError) as exc:
+        print(exc)
+        return 1
     print(f"positive part: {result.positive}")
     if result.negative:
         for curve, coeff in result.negative:

@@ -5,20 +5,20 @@ cone as an explicit dual test set (curve tables or surface curve classes);
 the scenario is responsible for supplying generating sets.  Ranks never
 exceed 5; the threefold cones have 4 to 6 generators and the extremal curves
 of the dP5 surface give a 10-generator cone.  Everything is exact: integer
-minors and small rational solves, no pivoting tolerances, no LP library.
+kernels and small rational solves, no pivoting tolerances, no LP library.
 
 A cone's H-representation (Minkowski--Weyl) is the equalities of its span
 and its facet functionals, as primitive integer vectors.  The equalities are
-the null space of the generators; each facet is the vector of signed
-maximal minors of d - 1 generators stacked with the equalities, taken in
-integers.  It is computed once per process for each basis and generator
-list, and every :class:`ConeSpec` with that data shares it.  The facets
-decide membership: by the Farkas lemma a class is outside the cone iff it
-violates one of them, which is the separating witness of an
-:class:`Infeasible`, found with no solve.  The members of an affine family
-``a + u b`` form an interval with rational ends (:func:`feasible_interval`),
-and the pseudo-effective threshold is its upper end.  Support enumeration
-only produces the coefficients of a class already known to be a member.
+the null space of the generators; each facet is the one kernel vector of
+d - 1 generators stacked with the equalities, taken in integers.  It is
+computed once per process for each basis and generator list, and every
+:class:`ConeSpec` with that data shares it.  The facets decide membership:
+by the Farkas lemma a class is outside the cone iff it violates one of
+them, which is the separating witness of an :class:`Infeasible`, found with
+no solve.  The members of an affine family ``a + u b`` form an interval
+with rational ends (:func:`feasible_interval`), and the pseudo-effective
+threshold is its upper end.  Support enumeration only produces the
+coefficients of a class already known to be a member.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...
 
     A facet of a d-dimensional cone is spanned by d - 1 independent
     generators, so each (d - 1)-subset that, stacked with the equalities,
-    has rank ``len(names) - 1`` gives a candidate: the vector of signed
-    maximal minors of those rows, which spans their null space (it is zero
-    when the rank is smaller).  It is a facet when it has one sign on every
-    generator.  Generators are scaled to primitive integer vectors first, a
-    positive multiple each, so the minors and the sign test are exact
-    integer arithmetic.
+    has rank ``len(names) - 1`` gives a candidate: the one
+    :func:`linalg.kernel` vector of those rows (a subset of smaller rank
+    has more than one and is skipped).  It is a facet when it has one sign
+    on every generator.  Generators are scaled to primitive integer vectors
+    first, a positive multiple each, so the kernel and the sign test are
+    exact integer arithmetic.
     """
     rank = len(names)
     equalities = tuple(map(_primitive, linalg.null_space(vectors)))
@@ -115,11 +115,10 @@ def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...
     generators = [_primitive(g) for g in vectors]
     found: list[Functional] = []
     for subset in combinations(generators, dim - 1):
-        rows = [*subset, *equalities]
-        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in rows])
-                  for j in range(rank)]
-        if not any(normal):
-            continue  # the null space has dimension > 1
+        normals = linalg.kernel([*subset, *equalities], rank)
+        if len(normals) != 1:
+            continue  # the rows are dependent: no facet
+        normal = normals[0]
         values = [_dot(normal, g) for g in generators]
         if all(x <= 0 for x in values):
             normal = [-c for c in normal]
@@ -129,25 +128,6 @@ def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...
         if f not in found:
             found.append(f)
     return equalities, tuple(found)
-
-
-def _det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
-    m = [list(row) for row in m]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
 
 
 @dataclass(frozen=True)

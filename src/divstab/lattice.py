@@ -193,7 +193,10 @@ class ThreefoldForm:
 
 @dataclass(frozen=True)
 class SurfaceForm:
-    """Symmetric bilinear form on a surface lattice."""
+    """Symmetric bilinear form on a surface lattice.
+
+    ``values`` holds each nonzero entry under both ``(i, j)`` and ``(j, i)``.
+    """
 
     basis: LatticeBasis
     values: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
@@ -201,16 +204,16 @@ class SurfaceForm:
     def __init__(self, basis: LatticeBasis, entries: Mapping[tuple[str, str], Fraction]):
         table: dict[tuple[int, int], Fraction] = {}
         for names, value in entries.items():
-            key = _sym_key(basis.index(n) for n in names)
+            i, j = (basis.index(n) for n in names)
             value = Fraction(value)
-            if key in table and table[key] != value:
+            if table.get((i, j), value) != value:
                 raise ValueError(f"pairing symmetry violated at {names}")
-            table[key] = value
+            table[i, j] = table[j, i] = value
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "values", dict(table))
+        object.__setattr__(self, "values", table)
 
     def value(self, i: int, j: int) -> Fraction:
-        return self.values.get(_sym_key((i, j)), Fraction(0))
+        return self.values.get((i, j), Fraction(0))
 
     def gram(self, classes: Sequence[DivisorClass]) -> list[list[Fraction]]:
         return [[surface_pair(a, b, self) for b in classes] for a in classes]
@@ -300,10 +303,9 @@ def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
         raise BasisMismatchError("class is not over the form's basis")
     total = Fraction(0)
     for (i, j), t in form.values.items():
-        for k, l in {(i, j), (j, i)}:
-            x, y = a.coeffs[k], b.coeffs[l]
-            if x and y:
-                total += y * (x * t) if isinstance(y, Poly) else x * (y * t)
+        x, y = a.coeffs[i], b.coeffs[j]
+        if x and y:
+            total += y * (x * t) if isinstance(y, Poly) else x * (y * t)
     return total if _all_rational(a, b) else Poly.of(total)
 
 

@@ -1,23 +1,29 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  The systems in this package are
-small, so one Gauss-Jordan elimination with exact pivots serves solves, null
-spaces and rank.
-Right-hand sides may carry Poly entries (division only ever happens by
-Fraction pivots), which is how parametric Gram systems are solved.
+One fraction-free Gauss-Jordan elimination (:func:`_eliminate`) serves
+solves, kernels, null spaces and rank.  It uses ring operations only (``+``,
+``-``, ``*`` and truthiness), so the entries may be int, Fraction or
+one-variable Poly; every matrix here has at most six columns, so they grow
+only a little without division.  A Poly right-hand side is how parametric
+Gram systems are solved; the one division left, by each pivot, happens in
+:func:`solve_unique` after the elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 
-def _gauss_jordan(m: list[list], b: list | None = None) -> list[int]:
-    """Reduce ``m`` in place to reduced row echelon form; return the pivot columns.
+def _eliminate(m: list[list], b: list | None = None) -> list[int]:
+    """Reduce ``m`` in place, fraction-free; return the pivot columns.
 
     The pivot of each column is its first nonzero entry at or below the
-    current row.  The same row operations are applied to ``b`` when given.
+    current row.  Every other row r with a nonzero entry in that column
+    becomes ``lead * m[r] - factor * m[row]``, a nonzero multiple of its
+    Gauss-Jordan row, so the pivot columns are those of the reduced row
+    echelon form.  The same row operations are applied to ``b`` when given.
     """
     nrows = len(m)
     pivots: list[int] = []
@@ -25,23 +31,44 @@ def _gauss_jordan(m: list[list], b: list | None = None) -> list[int]:
         row = len(pivots)
         if row == nrows:
             break
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [inv * x for x in m[row]]
         if b is not None:
             b[row], b[pivot] = b[pivot], b[row]
-            b[row] = b[row] * inv
+        lead = m[row][col]
         for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+            factor = m[r][col]
+            if r != row and factor:
+                m[r] = [lead * x - factor * y for x, y in zip(m[r], m[row])]
                 if b is not None:
-                    b[r] = b[r] - b[row] * factor
+                    b[r] = lead * b[r] - factor * b[row]
         pivots.append(col)
     return pivots
+
+
+def kernel(matrix: Sequence[Sequence], ncols: int) -> list[list]:
+    """A kernel basis, one vector per free column, with no division.
+
+    For free column j, x_j is the product of the pivots, every other free
+    column is 0, and the pivot column of row r gets -m[r][j] times the
+    product of the other pivots.  The last nonzero entry of each vector is
+    the one at its free column.  ``ncols`` covers a matrix with no rows.
+    """
+    m = [list(row) for row in matrix]
+    pivots = _eliminate(m)
+    leads = [m[r][c] for r, c in enumerate(pivots)]
+    det = math.prod(leads)
+    others = [math.prod(leads[:r] + leads[r + 1:]) for r in range(len(leads))]
+    basis = []
+    for j in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[j] = det
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][j] * others[r]
+        basis.append(vec)
+    return basis
 
 
 def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list | None:
@@ -49,45 +76,34 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list | 
 
     The matrix may be rectangular (rows >= cols); None means the system is
     inconsistent or the solution is not unique.  RHS entries only need to
-    support +, -, and multiplication/division by Fraction.
+    support +, -, and multiplication by Fraction.
     """
     m = [list(row) for row in matrix]
     b = list(rhs)
     ncols = len(m[0]) if m else 0
-    if len(_gauss_jordan(m, b)) < ncols:
+    if len(_eliminate(m, b)) < ncols:
         return None  # a free column: not unique (or a zero column)
-    if any(_is_nonzero(x) for x in b[ncols:]):
+    if any(b[ncols:]):
         return None  # inconsistent
-    return b[:ncols]
-
-
-def _is_nonzero(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return not x.is_zero()
-    return x != 0
+    return [b[r] * (1 / Fraction(m[r][r])) for r in range(ncols)]
 
 
 def null_space(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right null space of a rational matrix."""
-    m = [list(map(Fraction, row)) for row in matrix]
-    ncols = len(m[0]) if m else 0
-    pivots = _gauss_jordan(m)
+    """Basis of the right null space of a rational matrix.
+
+    The reduced-row-echelon basis: each :func:`kernel` vector divided by its
+    entry at its free column.
+    """
+    ncols = len(matrix[0]) if matrix else 0
     basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][free]
-        basis.append(vec)
+    for vec in kernel([list(map(Fraction, row)) for row in matrix], ncols):
+        free = next(x for x in reversed(vec) if x)
+        basis.append([Fraction(x, free) for x in vec])
     return basis
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    return ncols - len(null_space(matrix)) if nrows else 0
+    return len(_eliminate([list(row) for row in matrix]))
 
 
 def is_negative_definite(gram: Sequence[Sequence[Fraction]]) -> bool:

@@ -8,7 +8,8 @@ x-block only.  Everything is exact and rational.
 
 Linear systems whose entries are polynomials in one parameter (the forms
 cutting out a line, the containment conditions on a conic) are solved by
-one routine, :func:`_poly_kernel`, which returns a normalized kernel basis.
+:func:`_poly_kernel`, which normalizes the kernel basis that the package's
+one fraction-free elimination, :func:`divstab.linalg.kernel`, returns.
 
 The verification entry point is :func:`verify_secant_lemma`, which certifies
 the whole containment story for the invariant-line family inside the secant
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .exprs import parse_expression
-from .ratmath import Poly, format_rational, poly_gcd, rational_roots
+from .ratmath import Poly, format_rational, format_terms, poly_gcd, rational_roots
 
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
@@ -226,24 +227,7 @@ def _leading_key(p: MPoly) -> tuple[int, ...]:
 
 
 def format_mpoly(p: MPoly) -> str:
-    if not p.terms:
-        return "0"
-    items = sorted(p.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-    parts = []
-    for exps, c in items:
-        factors = [f"{v}^{e}" if e > 1 else v
-                   for v, e in zip(p.vars, exps) if e]
-        if not factors:
-            body = format_rational(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rational(abs(c))] + factors)
-        parts.append(("-" if c < 0 else "+", body))
-    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return format_terms(p.terms.items(), p.vars)
 
 
 def parse_mpoly(text: str) -> MPoly:
@@ -582,36 +566,15 @@ def invariant_line(parameter: str) -> ParamLine:
 
 
 def _poly_kernel(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
-    """A basis of the kernel of a matrix with univariate polynomial entries.
+    """A normalized basis of the kernel of a matrix with univariate polynomial entries.
 
-    Fraction-free Gauss-Jordan elimination gives one vector per free column,
-    as in the reduced row echelon form.  Each vector is divided by the monic
-    gcd of its entries, scaled to integer content 1, and signed so that its
-    first nonzero entry has a positive leading coefficient.
+    Each :func:`linalg.kernel` vector is divided by the monic gcd of its
+    entries, scaled to integer content 1, and signed so that its first
+    nonzero entry has a positive leading coefficient.
     """
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                lead_r, lead_p = m[r][col], m[row][col]
-                m[r] = [lead_p * m[r][c] - lead_r * m[row][c] for c in range(ncols)]
-        pivots.append(col)
-    det = Poly.constant(1)
-    for r, c in enumerate(pivots):
-        det = det * m[r][c]
     basis = []
-    for j in (c for c in range(ncols) if c not in pivots):
-        # row r reads m[r][c] * x_c + m[r][j] * x_j = 0; take x_j = det
-        vec = [Poly()] * ncols
-        vec[j] = det
-        for r, c in enumerate(pivots):
-            vec[c] = -(m[r][j] * det) // m[r][c]
+    for vec in linalg.kernel(rows, ncols):
+        vec = [Poly.of(x) for x in vec]
         g = reduce(poly_gcd, vec)
         vec = [p // g for p in vec]
         coeffs = [c for p in vec for c in p.coeffs]

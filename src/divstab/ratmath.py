@@ -500,32 +500,24 @@ def _factors(n: int) -> list[int]:
     return small + [n // d for d in small]
 
 
+def format_terms(terms: Iterable[tuple[Sequence[int], Fraction]],
+                 names: Sequence[str]) -> str:
+    """Render nonzero ``(exponents, coefficient)`` terms over ``names`` as plain
+    text, highest total degree first, e.g. ``-3/2*u + 5/2`` or ``x0^2 - s*x1``."""
+    text = ""
+    for exps, c in sorted(terms, key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0]))):
+        factors = [f"{name}^{e}" if e > 1 else name for name, e in zip(names, exps) if e]
+        if not factors or abs(c) != 1:
+            factors.insert(0, format_rational(abs(c)))
+        text += f" {'-' if c < 0 else '+'} {'*'.join(factors)}"
+    if not text:
+        return "0"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
 def format_poly(p: Union[Scalar, Poly]) -> str:
     """Render a polynomial as plain text, e.g. ``-3/2*u + 5/2`` or ``u*v^2``."""
     if isinstance(p, (int, Fraction)):
         return format_rational(_as_fraction(p))
-    items = [((i, j), c) for i, row in enumerate(p.rows) for j, c in enumerate(row) if c]
-    if not items:
-        return "0"
-    items.sort(key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-    terms = []
-    for exps, c in items:
-        factors = []
-        for name, e in zip(("u", "v"), exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = format_rational(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rational(abs(c))] + factors)
-        sign = "-" if c < 0 else "+"
-        terms.append((sign, body))
-    first_sign, first_body = terms[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        text += f" {sign} {body}"
-    return text
+    return format_terms((((i, j), c) for i, row in enumerate(p.rows)
+                         for j, c in enumerate(row) if c), ("u", "v"))

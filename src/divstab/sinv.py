@@ -162,12 +162,6 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                 raise ScheduleError(
                     f"the negative-part coefficient {coeff} of {name} is not affine in u")
         p = sched.positive_part(y, mk, ch)
-        # exact identity P + N + uY = -K
-        total = p + y.scale(_U)
-        for _, cls, coeff in ch.negative:
-            total = total + cls.scale(coeff)
-        if total != mk:
-            raise ScheduleError("P(u) + N(u) + u*Y does not reproduce the anticanonical class")
         cube = triple_product(p, p, p, model.form)
         pairings = [(curve.name, pair_with_curve(p, curve)) for curve in model.mori_curves]
         for u0 in (lo, hi):

@@ -4,10 +4,12 @@ These deliberately do not share code with the exact implementation: float
 arithmetic, a hand-rolled Gaussian solve, midpoint-rule quadrature, an
 exhaustive grid search, a threshold found by support enumeration instead
 of the cone's facets, cone membership decided by support enumeration before
-any facet is read, facets found as rational null spaces instead of integer
-minors, and the trilinear form expanded over every permutation of its
-entries.  Agreement within coarse tolerances is evidence that
-the exact path computes the right thing, not just a self-consistent thing.
+any facet is read, Gauss-Jordan solves and null spaces that divide by each
+pivot instead of eliminating fraction-free, facets found as those rational
+null spaces instead of integer kernels, and the trilinear form expanded
+over every permutation of its entries.  Agreement within coarse tolerances
+is evidence that the exact path computes the right thing, not just a
+self-consistent thing.
 """
 
 from __future__ import annotations
@@ -199,6 +201,63 @@ def threshold_oracle(a, b, cone) -> Fraction:
     raise AssertionError("unreachable: u = 0 is always feasible")
 
 
+def _gauss_jordan(m: list[list], b: list | None = None) -> list[int]:
+    """Reduce ``m`` in place to reduced row echelon form, dividing by each
+    pivot; return the pivot columns.  The same row operations go to ``b``."""
+    nrows = len(m)
+    pivots: list[int] = []
+    for col in range(len(m[0]) if nrows else 0):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = Fraction(1) / m[row][col]
+        m[row] = [inv * x for x in m[row]]
+        if b is not None:
+            b[row], b[pivot] = b[pivot], b[row]
+            b[row] = b[row] * inv
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+                if b is not None:
+                    b[r] = b[r] - b[row] * factor
+        pivots.append(col)
+    return pivots
+
+
+def solve_unique_oracle(matrix, rhs) -> list | None:
+    """The unique solution of M x = rhs by Gauss-Jordan with division, or None."""
+    m = [list(row) for row in matrix]
+    b = list(rhs)
+    ncols = len(m[0]) if m else 0
+    if len(_gauss_jordan(m, b)) < ncols:
+        return None
+    if any(x != 0 for x in b[ncols:]):
+        return None
+    return b[:ncols]
+
+
+def null_space_oracle(matrix) -> list[list[Fraction]]:
+    """The reduced-row-echelon null-space basis, one vector per free column."""
+    m = [list(map(Fraction, row)) for row in matrix]
+    ncols = len(m[0]) if m else 0
+    pivots = _gauss_jordan(m)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][free]
+        basis.append(vec)
+    return basis
+
+
 def _primitive(y) -> tuple[int, ...]:
     scale = math.lcm(*(Fraction(c).denominator for c in y))
     ints = [int(c * scale) for c in y]
@@ -216,13 +275,13 @@ def h_representation_oracle(rank: int, vectors: tuple[tuple, ...]) -> tuple[tupl
     as ``cones.ConeSpec`` promises.
     """
     vectors = [[Fraction(c) for c in g] for g in vectors]
-    equalities = tuple(map(_primitive, linalg.null_space(vectors)))
+    equalities = tuple(map(_primitive, null_space_oracle(vectors)))
     dim = rank - len(equalities)
     if dim == 0:
         return equalities, ()
     found = []
     for subset in combinations(vectors, dim - 1):
-        null = linalg.null_space([*subset, *equalities] or [[0] * rank])
+        null = null_space_oracle([*subset, *equalities] or [[0] * rank])
         if len(null) != 1:
             continue
         y = null[0]

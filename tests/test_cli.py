@@ -383,6 +383,15 @@ def test_cli_zariski_at_nef_point(capsys):
     assert "support: {}" in out
 
 
+def test_cli_zariski_outside_the_pseudo_effective_cone_prints_the_witness(capsys):
+    assert main(["zariski", "lemma_4_1", "--u", "5/4", "--v", "100"]) == 1
+    assert capsys.readouterr().out == (
+        "class: -393/4*l - 3/4*E1 - 1/2*E2 - 1/2*E3 - 1/2*E4\n"
+        "not pseudo-effective: outside the cone of the extremal curves; "
+        "functional (1, 0, 0, 0, 0) is nonnegative on every generator "
+        "but takes -393/4 on the class\n")
+
+
 def test_cli_effdec_subcommand(capsys):
     assert main(["effdec", "lemma_3_8", "--class", "4H - EC - EL"]) == 0
     out = capsys.readouterr().out

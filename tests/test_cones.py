@@ -116,8 +116,8 @@ def test_a_second_verify_pass_solves_no_facets(monkeypatch):
 
 
 def test_the_first_verify_builds_each_h_representation_from_one_null_space(monkeypatch):
-    """The equalities are one rational null space; the facets are integer
-    minors, with no further null space per candidate subset."""
+    """The equalities are one rational null space; each facet is an integer
+    kernel vector, with no further null space per candidate subset."""
     fresh = functools.cache(cones_module._h_representation.__wrapped__)
     monkeypatch.setattr(cones_module, "_h_representation", fresh)
     calls = []

@@ -2,8 +2,9 @@
 Fraction-dict reference, and its univariate toolkit; the shared parser, the
 class canonical form, the trilinear form against its permutation expansion,
 the cones' two representations (generators and facets) against support
-enumeration and a rational null-space derivation of the facets, and the chamber
-walk along a ray against the pointwise Zariski decomposition.
+enumeration and a rational null-space derivation of the facets, the
+fraction-free elimination against a Gauss-Jordan that divides by each pivot,
+and the chamber walk along a ray against the pointwise Zariski decomposition.
 
 Needs ``hypothesis`` (test-only; skipped where it is not installed).  Runs
 are derandomized and keep no example database, so results are repeatable.
@@ -17,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from divstab import cones as cones_module  # noqa: E402
+from divstab import cones as cones_module, linalg  # noqa: E402
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
                            UnboundedThresholdError, effective_decompose,
                            feasible_interval, pseudoeffective_threshold)
@@ -30,7 +31,8 @@ from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly,  # no
 from divstab.scenario import load_bundled_scenario  # noqa: E402
 from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
 from oracles import (effective_decompose_oracle, h_representation_oracle,  # noqa: E402
-                     threshold_oracle, triple_product_oracle)
+                     null_space_oracle, solve_unique_oracle, threshold_oracle,
+                     triple_product_oracle)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 U, V = Poly.variable("u"), Poly.variable("v")
@@ -330,12 +332,77 @@ def generator_lists(draw):
 @settings(SETTINGS, max_examples=300)
 @given(generator_lists())
 def test_integer_facets_match_the_null_space_derivation(case):
-    """The integer-minor H-representation is the rational null-space one:
+    """The integer-kernel H-representation is the rational null-space one:
     the same equalities, and the same facets in the same order and sign."""
     rank, vectors = case
     names = tuple(f"x{i}" for i in range(rank))
     assert (cones_module._h_representation.__wrapped__(names, vectors)
             == h_representation_oracle(rank, vectors))
+
+
+@st.composite
+def exact_systems(draw):
+    """An int or Fraction matrix of 0-6 rows and 1-6 columns, often rank
+    deficient (a zero row, or a row that is a combination of two others),
+    with a right-hand side of scalars or polynomials: M x for a drawn x
+    about half the time, so that consistent systems occur."""
+    ncols = draw(st.integers(1, 6))
+    entries = st.integers(-3, 3) if draw(st.booleans()) else st.one_of(
+        st.just(F(0)), fractions)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6))
+    if rows and len(rows) < 6:
+        k = draw(st.integers(0, 2))
+        if k == 0:
+            rows.append([0] * ncols)
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([k * x - y for x, y in zip(a, b)])
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        x = draw(st.lists(coeffs, min_size=ncols, max_size=ncols))
+        rhs = [sum((c * xj for c, xj in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.one_of(fractions, polys), min_size=len(rows),
+                            max_size=len(rows)))
+    return rows, ncols, rhs
+
+
+@st.composite
+def poly_matrices(draw):
+    """Up to 4 rows and 1-4 columns of polynomials in u of degree <= 2, with
+    integer coefficients; a row may be u times one row minus another."""
+    width = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-2, 2), max_size=3).map(lambda cs: Poly([[c] for c in cs]))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=4))
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows[-1] = [U * x - y for x, y in zip(a, b)]
+    return rows, width
+
+
+@settings(SETTINGS, max_examples=300)
+@given(exact_systems(), poly_matrices())
+def test_fraction_free_elimination_matches_gauss_jordan(system, poly_system):
+    """null_space, rank and solve_unique agree with a Gauss-Jordan that divides
+    by each pivot: the same vectors in the same order, None in the same
+    cases; and kernel on polynomial matrices is annihilated and has one
+    vector per free column."""
+    rows, ncols, rhs = system
+    null = null_space_oracle(rows)
+    assert linalg.null_space(rows) == null
+    assert linalg.rank(rows) == (ncols - len(null) if rows else 0)
+    assert linalg.solve_unique(rows, rhs) == solve_unique_oracle(rows, rhs)
+    # the rank over Q(u) is the largest rank at 13 points: a nonzero minor
+    # here has degree <= 12
+    matrix, width = poly_system
+    basis = linalg.kernel(matrix, width)
+    generic = max(width - len(null_space_oracle([[p(F(x)) for p in row] for row in matrix]))
+                  if matrix else 0 for x in range(-6, 7))
+    assert len(basis) == width - generic
+    for vec in basis:
+        assert any(vec)
+        for row in matrix:
+            assert sum((p * c for p, c in zip(row, vec)), Poly()) == 0
 
 
 def _threshold_outcome(threshold, a, b, cone):
