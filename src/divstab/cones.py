@@ -200,7 +200,7 @@ def is_nef(d: DivisorClass, curves: Sequence[Union[CurvePairing, tuple[str, Divi
 
 
 def _vector_of(d: DivisorClass) -> tuple[Fraction, ...]:
-    if not all(isinstance(c, Fraction) for c in d.coeffs):
+    if not d.rational:
         raise ValueError("decomposition needs rational coefficients")
     return d.coeffs
 

@@ -6,7 +6,8 @@ embedded surface: its own curve basis).  A :class:`DivisorClass` is a
 coefficient vector over such a basis.  Each coefficient is a Fraction or a
 non-constant :class:`~divstab.ratmath.Poly` in the parameters u, v; the
 constructor stores a constant Poly as its Fraction, so equal classes have
-equal coefficient tuples.  The pairings return a Fraction for rational
+equal coefficient tuples, and records in ``rational`` whether every
+coefficient is a Fraction.  The pairings return a Fraction for rational
 classes and a Poly otherwise: the input types decide, never the value.
 
 Intersection data is shipped as value tables:
@@ -72,14 +73,17 @@ class LatticeBasis:
 class DivisorClass:
     """Exact coefficient vector over a named lattice basis."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis", "coeffs", "rational")
 
     def __init__(self, basis: LatticeBasis, coeffs: Sequence[CoeffIn]):
         cs = []
+        rational = True
         for c in coeffs:
             if isinstance(c, Poly):
                 if c.is_constant():
                     c = c.coefficient(0, 0)
+                else:
+                    rational = False
             elif not isinstance(c, Fraction):
                 c = Fraction(c)
             cs.append(c)
@@ -87,6 +91,7 @@ class DivisorClass:
             raise ValueError(f"expected {basis.rank} coefficients, got {len(cs)}")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "rational", rational)
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
@@ -261,10 +266,6 @@ class CurvePairing:
                            tuple(Fraction(table[n]) for n in basis.names))
 
 
-def _all_rational(*classes: DivisorClass) -> bool:
-    return all(isinstance(c, Fraction) for d in classes for c in d.coeffs)
-
-
 def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass,
                    form: ThreefoldForm) -> Coeff:
     """Trilinear expansion of the intersection form; exact.
@@ -294,7 +295,7 @@ def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass,
             for x in sorted(factors, key=lambda x: isinstance(x, Poly)):
                 w = x * w
             total += w
-    return total if _all_rational(d1, d2, d3) else Poly.of(total)
+    return total if d1.rational and d2.rational and d3.rational else Poly.of(total)
 
 
 def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
@@ -306,7 +307,7 @@ def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
         x, y = a.coeffs[i], b.coeffs[j]
         if x and y:
             total += y * (x * t) if isinstance(y, Poly) else x * (y * t)
-    return total if _all_rational(a, b) else Poly.of(total)
+    return total if a.rational and b.rational else Poly.of(total)
 
 
 def restrict(d: DivisorClass, rmap: RestrictionMap) -> DivisorClass:
@@ -327,4 +328,4 @@ def pair_with_curve(d: DivisorClass, curve: CurvePairing) -> Coeff:
     for coeff, value in zip(d.coeffs, curve.table):
         if coeff and value:
             total += value * coeff
-    return total if _all_rational(d) else Poly.of(total)
+    return total if d.rational else Poly.of(total)

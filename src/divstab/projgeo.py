@@ -6,6 +6,12 @@ computation needs (``s``, ``t``, the conic coefficients ``a1..a6``, and the
 line/curve parametrization letters).  Homogeneity is a property of the
 x-block only.  Everything is exact and rational.
 
+An :class:`MPoly` has one canonical form: ``terms`` maps each monomial, the
+name-sorted tuple of its ``(name, exponent)`` pairs with exponent > 0, to a
+nonzero Fraction, so equal polynomials have equal ``terms`` and no operation
+aligns variable lists.  :func:`format_mpoly` prints graded lex over the sorted
+names (Cox-Little-O'Shea, section 2.2), leading term first.
+
 Linear systems whose entries are polynomials in one parameter (the forms
 cutting out a line, the containment conditions on a conic) are solved by
 :func:`_poly_kernel`, which normalizes the kernel basis that the package's
@@ -32,6 +38,7 @@ from .ratmath import Poly, format_rational, format_terms, poly_gcd, rational_roo
 
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
+Monomial = tuple[tuple[str, int], ...]
 
 
 class DegenerateLineError(ValueError):
@@ -43,81 +50,77 @@ class IrrationalEigenvalueError(ArithmeticError):
 
 
 class MPoly:
-    """Sparse multivariate polynomial over Fraction with named variables."""
+    """Sparse multivariate polynomial over Fraction with named variables.
 
-    __slots__ = ("vars", "terms")
+    ``terms`` maps each monomial to its nonzero Fraction coefficient.  A
+    monomial is the tuple of its ``(name, exponent)`` pairs, exponent > 0,
+    sorted by name, so the constant monomial is ``()`` and ``x0^2*s`` is
+    ``(("s", 1), ("x0", 2))``.  A constant equals and hashes as its Fraction.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, variables: Iterable[str],
                  terms: Mapping[tuple[int, ...], Scalar] = ()):
+        """From exponent tuples over ``variables``, e.g. ``MPoly(("x", "y"), {(2, 1): 3})``
+        for 3*x^2*y."""
         variables = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names in {variables}")
+        out: dict[Monomial, Fraction] = {}
         for exps, c in dict(terms).items():
-            c = Fraction(c)
-            if c != 0:
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", clean)
+            mono = tuple(sorted((v, e) for v, e in zip(variables, exps, strict=True) if e))
+            out[mono] = out.get(mono, 0) + Fraction(c)
+        object.__setattr__(self, "terms", {m: c for m, c in out.items() if c})
+
+    @classmethod
+    def _of(cls, terms: Mapping[Monomial, Fraction]) -> "MPoly":
+        """The polynomial with these canonical terms, zero coefficients dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
     @classmethod
     def constant(cls, value: Scalar) -> "MPoly":
-        return cls((), {(): value} if value else {})
+        return cls._of({(): Fraction(value)})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._of({((name, 1),): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _aligned(self, other: "MPoly") -> tuple[tuple[str, ...], "MPoly", "MPoly"]:
-        if self.vars == other.vars:
-            return self.vars, self, other
-        merged = list(self.vars) + [v for v in other.vars if v not in self.vars]
-        return tuple(merged), self._embed(merged), other._embed(merged)
-
-    def _embed(self, variables: Sequence[str]) -> "MPoly":
-        idx = [list(variables).index(v) for v in self.vars]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            key = [0] * len(variables)
-            for i, e in zip(idx, exps):
-                key[i] = e
-            out[tuple(key)] = c
-        return MPoly(variables, out)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.constant(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.terms == other.terms
 
     def __hash__(self):
-        canon = tuple(sorted(
-            (tuple(sorted((v, e) for v, e in zip(self.vars, exps) if e)), c)
-            for exps, c in self.terms.items()))
-        return hash(canon)
+        # a constant hashes as its Fraction, which it equals
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
+        return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.constant(other)
-        variables, a, b = self._aligned(other)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(variables, out)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return MPoly._of(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -125,79 +128,68 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        variables, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return MPoly(variables, out)
+            return MPoly._of({m: c * other for m, c in self.terms.items()})
+        out: dict[Monomial, Fraction] = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                m = _monomial_product(ma, mb)
+                out[m] = out.get(m, 0) + ca * cb
+        return MPoly._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
+        if n < 0:
+            raise ValueError("negative power")
         out = MPoly.constant(1)
         for _ in range(n):
             out = out * self
         return out
 
     def degree_in(self, names: Sequence[str]) -> int:
-        picked = [i for i, v in enumerate(self.vars) if v in names]
         if not self.terms:
             return -1
-        return max(sum(e[i] for i in picked) for e in self.terms)
+        return max(_degree(m, names) for m in self.terms)
 
     def is_homogeneous_in(self, names: Sequence[str]) -> bool:
-        picked = [i for i, v in enumerate(self.vars) if v in names]
-        degrees = {sum(e[i] for i in picked) for e in self.terms}
-        return len(degrees) <= 1
+        return len({_degree(m, names) for m in self.terms}) <= 1
 
     def subs(self, mapping: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
         """Substitute polynomials (or scalars) for variables."""
-        out = MPoly.constant(0)
-        for exps, c in self.terms.items():
-            term = MPoly.constant(c)
-            for v, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                repl = mapping.get(v)
-                if repl is None:
-                    repl = MPoly.variable(v)
-                elif not isinstance(repl, MPoly):
-                    repl = MPoly.constant(repl)
-                term = term * repl ** e
-            out = out + term
-        return out
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            term = MPoly._of({tuple(p for p in mono if p[0] not in mapping): c})
+            for v, e in mono:
+                if v in mapping:
+                    term = term * mapping[v] ** e
+            for m, tc in term.terms.items():
+                out[m] = out.get(m, 0) + tc
+        return MPoly._of(out)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point."""
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(self.vars, exps):
-                if not e:
-                    continue
+        for mono, c in self.terms.items():
+            for v, e in mono:
                 if v not in values:
                     raise KeyError(f"no value supplied for {v}")
-                term = term * values[v] ** e
-            total += term
+                c = c * values[v] ** e
+            total += c
         return total
 
     def coefficients_in(self, names: Sequence[str]) -> dict[tuple[int, ...], "MPoly"]:
-        """Collect coefficients of monomials in the given variables."""
-        picked = [i for i, v in enumerate(self.vars) if v in names]
+        """Collect coefficients of monomials in the given variables, keyed by
+        their exponent tuples over ``names``."""
         order = {v: j for j, v in enumerate(names)}
-        rest = [i for i, v in enumerate(self.vars) if v not in names]
-        rest_vars = tuple(self.vars[i] for i in rest)
-        grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for exps, c in self.terms.items():
+        grouped: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+        for mono, c in self.terms.items():
             key = [0] * len(names)
-            for i in picked:
-                key[order[self.vars[i]]] = exps[i]
-            inner = tuple(exps[i] for i in rest)
-            grouped.setdefault(tuple(key), {})[inner] = c
-        return {k: MPoly(rest_vars, inner) for k, inner in grouped.items()}
+            for v, e in mono:
+                if v in order:
+                    key[order[v]] = e
+            rest = tuple(p for p in mono if p[0] not in order)
+            grouped.setdefault(tuple(key), {})[rest] = c
+        return {k: MPoly._of(inner) for k, inner in grouped.items()}
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
@@ -222,12 +214,38 @@ class MPoly:
         return f"MPoly({format_mpoly(self)!r})"
 
 
-def _leading_key(p: MPoly) -> tuple[int, ...]:
-    return max(p.terms, key=lambda e: (sum(e), e))
+def _monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _degree(mono: Monomial, names: Sequence[str]) -> int:
+    return sum(e for v, e in mono if v in names)
+
+
+def _sorted_names(p: MPoly) -> list[str]:
+    return sorted({v for mono in p.terms for v, _ in mono})
+
+
+def _exponents(mono: Monomial, names: Sequence[str]) -> tuple[int, ...]:
+    exps = dict(mono)
+    return tuple(exps.get(v, 0) for v in names)
+
+
+def _leading_key(p: MPoly) -> Monomial:
+    """The graded-lex largest monomial over the sorted names, which
+    :func:`format_mpoly` prints first."""
+    names = _sorted_names(p)
+    return max(p.terms, key=lambda m: (_degree(m, names), _exponents(m, names)))
 
 
 def format_mpoly(p: MPoly) -> str:
-    return format_terms(p.terms.items(), p.vars)
+    names = _sorted_names(p)
+    return format_terms(((_exponents(m, names), c) for m, c in p.terms.items()), names)
 
 
 def parse_mpoly(text: str) -> MPoly:
@@ -265,23 +283,17 @@ def twisted_cubic() -> ParamCurve:
 
 def _unipoly(p: MPoly, var: str) -> Poly:
     """A polynomial in the single variable ``var``, as a one-row :class:`Poly`."""
-    coeffs: list[Fraction] = []
-    for exps, c in p.terms.items():
-        deg = 0
-        for v, e in zip(p.vars, exps):
-            if e and v != var:
-                raise ValueError(f"{p} is not univariate in {var}")
-            if v == var:
-                deg = e
-        while len(coeffs) <= deg:
-            coeffs.append(Fraction(0))
-        coeffs[deg] += c
-    return Poly([coeffs])
+    coeffs: dict[int, Fraction] = {}
+    for mono, c in p.terms.items():
+        if any(v != var for v, _ in mono):
+            raise ValueError(f"{p} is not univariate in {var}")
+        coeffs[mono[0][1] if mono else 0] = c
+    return Poly([[coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]])
 
 
 def _mpoly(p: Poly, var: str) -> MPoly:
     """The inverse of :func:`_unipoly`."""
-    return MPoly((var,), {(k,): c for k, c in enumerate(p.coeffs)})
+    return MPoly._of({((var, k),) if k else (): c for k, c in enumerate(p.coeffs)})
 
 
 def _common_binary_factor(components: Sequence[MPoly], variables: tuple[str, str]) -> bool:
@@ -334,9 +346,8 @@ def equation_character(g: LinearAction, f: MPoly) -> Fraction | None:
     gf = transform_poly(g, f)
     if f.is_zero():
         return None
-    variables, a, b = f._aligned(gf)
-    key = next(iter(a.terms))
-    chi = b.terms.get(key, Fraction(0)) / a.terms[key]
+    key = next(iter(f.terms))
+    chi = gf.terms.get(key, Fraction(0)) / f.terms[key]
     return chi if (gf - f * chi).is_zero() else None
 
 
@@ -412,10 +423,11 @@ def common_fixed_points(g1: LinearAction, g2: LinearAction) -> FixedPointReport:
     _check_projective_commute(g1, g2)
     report_points: list[tuple[Fraction, ...]] = []
     loci: list[FixedLocus] = []
+    spaces2 = [(lam2, _eigen_matrix(g2.matrix, lam2))
+               for lam2 in _rational_eigenvalues(g2.matrix)]
     for lam1 in _rational_eigenvalues(g1.matrix):
         space1 = _eigen_matrix(g1.matrix, lam1)
-        for lam2 in _rational_eigenvalues(g2.matrix):
-            space2 = _eigen_matrix(g2.matrix, lam2)
+        for lam2, space2 in spaces2:
             joint = linalg.null_space(space1 + space2)
             if not joint:
                 continue
@@ -432,20 +444,12 @@ def _eigen_matrix(m, lam: Fraction):
 
 
 def _check_projective_commute(g1: LinearAction, g2: LinearAction) -> None:
-    a = [[sum(g1.matrix[i][k] * g2.matrix[k][j] for k in range(4)) for j in range(4)]
-         for i in range(4)]
-    b = [[sum(g2.matrix[i][k] * g1.matrix[k][j] for k in range(4)) for j in range(4)]
-         for i in range(4)]
-    ratio = None
-    for i in range(4):
-        for j in range(4):
-            if b[i][j] != 0:
-                ratio = a[i][j] / b[i][j]
-                break
-        if ratio is not None:
-            break
-    if ratio is None or any(a[i][j] != ratio * b[i][j]
-                            for i in range(4) for j in range(4)):
+    m1, m2 = g1.matrix, g2.matrix
+    a, b = ([sum(p[i][k] * q[k][j] for k in range(4)) for i in range(4) for j in range(4)]
+            for p, q in ((m1, m2), (m2, m1)))
+    # both actions are invertible, so m2 m1 has a nonzero entry
+    ratio = next(x / y for x, y in zip(a, b) if y)
+    if any(x != ratio * y for x, y in zip(a, b)):
         raise ValueError("actions do not commute up to scalar")
 
 
@@ -490,12 +494,7 @@ def pullback_under_quadric_map(conic: Sequence[Union[MPoly, Scalar]]) -> MPoly:
     big_x, big_y, big_z = quadric_map_components()
     basis = (big_x * big_x, big_x * big_y, big_x * big_z,
              big_y * big_y, big_y * big_z, big_z * big_z)
-    out = MPoly.constant(0)
-    for c, monomial in zip(conic, basis):
-        if not isinstance(c, MPoly):
-            c = MPoly.constant(c)
-        out = out + c * monomial
-    return out
+    return sum((c * monomial for c, monomial in zip(conic, basis)), MPoly.constant(0))
 
 
 def symbolic_conic_pullback() -> MPoly:
@@ -510,17 +509,9 @@ class ParamLine:
     parameter: str
 
     def coefficient_matrix(self) -> list[list[MPoly]]:
-        rows = []
-        for form in self.forms:
-            coeffs = form.coefficients_in(PROJ_VARS)
-            if any(sum(e) != 1 for e in coeffs):
-                raise ValueError("line forms must be homogeneous linear in x0..x3")
-            row = []
-            for k in range(4):
-                key = tuple(1 if i == k else 0 for i in range(4))
-                row.append(coeffs.get(key, MPoly.constant(0)))
-            rows.append(row)
-        return rows
+        return [_linear_coefficients(form, PROJ_VARS,
+                                     "line forms must be homogeneous linear in x0..x3")
+                for form in self.forms]
 
     def parametrization(self) -> list[MPoly]:
         """Point of the line as a * V1 + b * V2 with polynomial components.
@@ -535,6 +526,19 @@ class ParamLine:
         a, b = MPoly.variable("a"), MPoly.variable("b")
         return [_mpoly(p, self.parameter) * a + _mpoly(q, self.parameter) * b
                 for p, q in zip(*kernel)]
+
+
+def _linear_coefficients(p: MPoly, names: Sequence[str], message: str) -> list[MPoly]:
+    """The coefficient of each of ``names`` in p, which must be homogeneous
+    linear in them: any monomial of another degree in ``names`` raises
+    ``ValueError(message)``."""
+    rows: dict[str, dict[Monomial, Fraction]] = {v: {} for v in names}
+    for mono, c in p.terms.items():
+        picked = [pair for pair in mono if pair[0] in rows]
+        if len(picked) != 1 or picked[0][1] != 1:
+            raise ValueError(message)
+        rows[picked[0][0]][tuple(pair for pair in mono if pair != picked[0])] = c
+    return [MPoly._of(rows[v]) for v in names]
 
 
 def line_containment_conditions(f: MPoly, line: ParamLine) -> list[MPoly]:
@@ -593,15 +597,9 @@ def _secant_conic(parameter: str) -> list[Poly]:
     conditions = line_containment_conditions(symbolic_conic_pullback(),
                                              invariant_line(parameter))
     names = [f"a{k}" for k in range(1, 7)]
-    rows = []
-    for cond in conditions:
-        grouped = cond.coefficients_in(names)
-        row = [grouped.get(tuple(1 if i == k else 0 for i in range(6)),
-                           MPoly.constant(0)) for k in range(6)]
-        const = grouped.get((0,) * 6, MPoly.constant(0))
-        if not const.is_zero():
-            raise ValueError("containment conditions are not linear in a1..a6")
-        rows.append([_unipoly(p, parameter) for p in row])
+    rows = [[_unipoly(p, parameter) for p in _linear_coefficients(
+                cond, names, "containment conditions are not linear in a1..a6")]
+            for cond in conditions]
     kernel = _poly_kernel(rows, 6)
     if len(kernel) != 1:
         raise ValueError("containment system does not have a one-dimensional solution")
@@ -668,7 +666,7 @@ class SecantLemmaReport:
     def describe(self) -> str:
         lines = ["secant-line containment certificates:"]
         solved = ", ".join(
-            f"{name} = {num}" if den == MPoly.constant(1) else f"{name} = ({num})/({den})"
+            f"{name} = {num}" if den == 1 else f"{name} = ({num})/({den})"
             for name, (num, den) in sorted(self.solved_coefficients.items()))
         lines.append(f"  solved conic: {solved}")
         lines.append(f"  containment closure in the family parameter: {self.closure}")
@@ -689,19 +687,17 @@ def verify_secant_lemma() -> SecantLemmaReport:
     conditions = line_containment_conditions(quartic, invariant_line("t"))
     s, t = MPoly.variable("s"), MPoly.variable("t")
     first, second = secant_condition_displays()
-    matched = {id(c) for c in conditions
-               for d in (first, second) if c == d.primitive() or c == -d.primitive()}
-    conditions_match = (len(conditions) == 2 and len(matched) == 2)
+    # primitive parts are canonical up to sign, so a match up to sign is equality
+    conditions_match = (len(conditions) == 2
+                        and all(d.primitive() in conditions for d in (first, second)))
     factor_identity = second == (s - t) * (1 - s * t)
     # substitute t = 1/s into the first condition and clear s^4
     branch = MPoly.constant(0)
-    for exps, c in first._embed(("s", "t")).terms.items():
-        ds, dt = exps
+    for mono, c in first.terms.items():
+        ds, dt = _exponents(mono, ("s", "t"))
         branch = branch + MPoly(("s",), {(ds - dt + 4,): c})
-    reciprocal_eliminated = (branch == (s * s - 1) ** 3) or (branch == -((s * s - 1) ** 3))
-    two = Fraction(2)
-    diagonal = (first.evaluate({"s": two, "t": two}) == 0
-                and second.evaluate({"s": two, "t": two}) == 0)
+    reciprocal_eliminated = branch in ((s * s - 1) ** 3, -((s * s - 1) ** 3))
+    diagonal = all(d.evaluate({"s": 2, "t": 2}) == 0 for d in (first, second))
     return SecantLemmaReport(
         solved_coefficients=solved,
         quartic=quartic,

@@ -135,7 +135,7 @@ class _PairingTable:
 def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
                       form: SurfaceForm) -> ZariskiResult:
     """Unique decomposition d = P + N for a pseudo-effective rational class."""
-    if not all(isinstance(c, Fraction) for c in d.coeffs):
+    if not d.rational:
         raise ValueError("pointwise decomposition needs rational coefficients")
     table = _PairingTable(d, extremal_curves, form)
     support: list[str] = []
@@ -318,7 +318,7 @@ def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
     structure changes, at points derived exactly, and adjacent pieces with
     identical chamber stacks are merged again, so the chart is minimal.
     """
-    if not all(isinstance(c, Fraction) for c in z.coeffs) or any(
+    if not z.rational or any(
             isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0) for c in d0.coeffs):
         raise ValueError(f"a chart needs d0 affine in u and z rational, got d0 = {d0}, z = {z}")
     breaks = sorted(set(Fraction(b) for b in u_breaks))

@@ -7,7 +7,8 @@ import pytest
 from divstab import projgeo
 from divstab.projgeo import (PROJ_VARS, DegenerateLineError,
                              IrrationalEigenvalueError, LinearAction, MPoly,
-                             ParamCurve, ParamLine, _poly_kernel, common_fixed_points,
+                             ParamCurve, ParamLine, _linear_coefficients, _poly_kernel,
+                             common_fixed_points,
                              contains_param_curve, equation_character, format_mpoly,
                              identity_action, invariant_line, invariant_quadrics,
                              line_containment_conditions, parse_mpoly,
@@ -87,6 +88,19 @@ def test_transform_is_ring_homomorphism():
 def test_common_fixed_points_of_the_involution_pair():
     report = common_fixed_points(SWAP, SIGNS)
     assert report.is_empty()
+
+
+def test_common_fixed_points_forms_each_characteristic_polynomial_once(monkeypatch):
+    calls = []
+    original = projgeo._char_poly
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(projgeo, "_char_poly", counted)
+    assert common_fixed_points(SWAP, SIGNS).is_empty()
+    assert len(calls) == 2
 
 
 def test_fixed_locus_of_one_involution():
@@ -238,6 +252,20 @@ def test_line_containment_conditions_for_the_second_parameter():
         assert any(c == target or c == -target for c in conditions)
 
 
+def test_linear_coefficients_reject_every_other_degree():
+    names = [f"a{k}" for k in range(1, 7)]
+    s = MPoly.variable("s")
+    assert (_linear_coefficients(parse_mpoly("s*a1 - a3 + a1"), names, "not linear")
+            == [s + 1, 0, -1, 0, 0, 0])
+    for text in ("a1*a2 + a3", "s*a1 + 1", "a4^2"):
+        with pytest.raises(ValueError, match="not linear in a1..a6"):
+            _linear_coefficients(parse_mpoly(text), names,
+                                 "containment conditions are not linear in a1..a6")
+    line = ParamLine((parse_mpoly("x0*x1"), parse_mpoly("x3")), "t")
+    with pytest.raises(ValueError, match="homogeneous linear in x0..x3"):
+        line.coefficient_matrix()
+
+
 def test_trivial_containment():
     line = ParamLine((parse_mpoly("x2"), parse_mpoly("x3")), "t")
     assert line_containment_conditions(parse_mpoly("x3"), line) == []
@@ -298,3 +326,24 @@ def test_mpoly_evaluate_requires_all_variables():
     f = parse_mpoly("x0*x1")
     with pytest.raises(KeyError):
         f.evaluate({"x0": F(1)})
+
+
+def test_mpoly_constant_equals_and_hashes_as_its_fraction():
+    assert MPoly.constant(3) == 3 and hash(MPoly.constant(3)) == hash(3)
+    assert hash(MPoly.constant(F(-1, 2))) == hash(F(-1, 2))
+    assert hash(MPoly.constant(0)) == hash(0) and MPoly.constant(0).is_zero()
+    assert len({MPoly.constant(3), 3, F(3)}) == 1
+
+
+def test_mpoly_prints_in_sorted_variable_order():
+    assert str(parse_mpoly("x0*x3*x1*x2")) == "x0*x1*x2*x3"
+    assert MPoly(("t", "s"), {(2, 1): 1}) == MPoly(("s", "t"), {(1, 2): 1})
+
+
+def test_mpoly_rejects_bad_exponent_tuples_and_negative_powers():
+    with pytest.raises(ValueError, match="duplicate"):
+        MPoly(("s", "s"), {(1, 1): 1})
+    with pytest.raises(ValueError):
+        MPoly(("s",), {(1, 2): 1})
+    with pytest.raises(ValueError, match="negative power"):
+        MPoly.variable("s") ** -1

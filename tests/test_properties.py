@@ -1,5 +1,6 @@
 """Property tests: the polynomial ring, its integer representation against a
-Fraction-dict reference, and its univariate toolkit; the shared parser, the
+Fraction-dict reference, and its univariate toolkit; projgeo's multivariate
+ring against evaluation, and its canonical form; the shared parser, the
 class canonical form, the trilinear form against its permutation expansion,
 the cones' two representations (generators and facets) against support
 enumeration and a rational null-space derivation of the facets, the
@@ -43,8 +44,9 @@ scalars = st.one_of(fractions, st.integers(-5, 5))
 tables = st.lists(st.lists(fractions, max_size=3), max_size=3)
 polys = tables.map(Poly)
 coeffs = st.one_of(fractions, polys)
-mpolys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), fractions, max_size=5).map(
-    lambda terms: MPoly(("x0", "x1", "s"), terms))
+MPOLY_VARS = ("x0", "x1", "s")
+mpoly_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), fractions, max_size=5)
+mpolys = mpoly_terms.map(lambda terms: MPoly(MPOLY_VARS, terms))
 
 
 @SETTINGS
@@ -218,12 +220,38 @@ def test_parse_mpoly_inverts_format_mpoly(p):
 
 
 @SETTINGS
+@given(mpoly_terms, mpolys, mpolys, st.permutations(MPOLY_VARS),
+       st.lists(fractions, min_size=3, max_size=3))
+def test_mpoly_ring_laws_and_canonical_form(terms, b, c, order, point):
+    """Ring laws; evaluation at a rational point is a ring map; the same
+    polynomial built over permuted variables is equal, hashes equally and
+    prints the same; a primitive part prints with a positive first term."""
+    a = MPoly(MPOLY_VARS, terms)
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a - a == 0 and a + 0 == a and a * 1 == a and (a * 0).is_zero()
+    at = dict(zip(MPOLY_VARS, point))
+    assert (a + b).evaluate(at) == a.evaluate(at) + b.evaluate(at)
+    assert (a - b).evaluate(at) == a.evaluate(at) - b.evaluate(at)
+    assert (a * b).evaluate(at) == a.evaluate(at) * b.evaluate(at)
+    picks = [MPOLY_VARS.index(v) for v in order]
+    same = MPoly(order, {tuple(e[i] for i in picks): x for e, x in terms.items()})
+    assert same == a and hash(same) == hash(a) and str(same) == str(a)
+    assert str(b * a) == str(a * b)
+    if not a.is_zero():
+        assert not str(a.primitive()).startswith("-")
+        assert a.primitive() * a.content() in (a, -a)
+
+
+@SETTINGS
 @given(st.lists(coeffs, min_size=3, max_size=3), polys)
 def test_divisor_class_canonical_form(cs, noise):
     """Constants are stored as Fractions, and equal classes hash equally."""
     d = DivisorClass(BASIS, cs)
     for c in d.coeffs:
         assert type(c) is F or (type(c) is Poly and not c.is_constant())
+    assert d.rational == all(type(c) is F for c in d.coeffs)
     # the same class, built from coefficients of other kinds
     same = DivisorClass(BASIS, [Poly.of(c) + noise - noise for c in cs])
     assert same == d and hash(same) == hash(d)
