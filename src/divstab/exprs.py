@@ -28,6 +28,10 @@ class ExprSyntaxError(ValueError):
     """Malformed expression; the message includes the character position."""
 
 
+# deepest nesting of parentheses the parser follows (five stack frames a level)
+MAX_DEPTH = 50
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -75,6 +79,7 @@ class _Parser:
         self.end = len(text)
         self.variable = variable
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, self.end)
@@ -130,7 +135,12 @@ class _Parser:
         if kind == "name":
             return self.variable(txt, at)
         if kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_DEPTH} at position {at}")
+            self.depth += 1
             inner = self.sum()
+            self.depth -= 1
             k, _, at2 = self.take()
             if k != ")":
                 raise ExprSyntaxError(f"missing ')' at position {at2}")

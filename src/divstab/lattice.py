@@ -224,6 +224,14 @@ class SurfaceForm:
         return [[surface_pair(a, b, self) for b in classes] for a in classes]
 
 
+def _check_names(what: str, basis: LatticeBasis, table: Mapping[str, object]) -> None:
+    """Raise ValueError unless ``table`` has exactly the generators of ``basis``."""
+    missing, extra = set(basis.names) - set(table), set(table) - set(basis.names)
+    if missing or extra:
+        raise ValueError(f"{what} is missing generators {sorted(missing)}" if missing else
+                         f"{what} names {sorted(extra)} outside the basis {basis.names}")
+
+
 @dataclass(frozen=True)
 class RestrictionMap:
     """Linear map from the threefold lattice to a surface lattice."""
@@ -234,9 +242,7 @@ class RestrictionMap:
 
     def __init__(self, source: LatticeBasis, target: LatticeBasis,
                  images: Mapping[str, DivisorClass]):
-        missing = set(source.names) - set(images)
-        if missing:
-            raise ValueError(f"restriction map is missing generators {sorted(missing)}")
+        _check_names("restriction map", source, images)
         ordered = []
         for name in source.names:
             img = images[name]
@@ -257,9 +263,7 @@ class CurvePairing:
     table: tuple[Fraction, ...]
 
     def __init__(self, name: str, basis: LatticeBasis, table: Mapping[str, Fraction]):
-        missing = set(basis.names) - set(table)
-        if missing:
-            raise ValueError(f"curve table {name!r} is missing generators {sorted(missing)}")
+        _check_names(f"curve table {name!r}", basis, table)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table",

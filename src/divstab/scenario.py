@@ -27,24 +27,31 @@ Scenario kinds, with the sections each reads besides ``[scenario]``:
 five kinds with a rational value pass iff it equals ``expected`` and meets
 the bounds their kind reads: ``assert_less_than`` for the curve kinds and
 ``s_divisor``, ``assert_at_least`` and ``exceeds`` for ``curve_pairing``.
-Every scenario is validated eagerly at parse time, and any other key, in
-any section, is an error; evaluation failures in a batch are recorded per
-scenario and never abort the run.
+
+One reader takes every value: a :class:`_Section` maps each key to its text
+and line, and reads a key at most once, through a parser whose ValueError
+or KeyError it reports as ``[section] key: ...``.  Every ``name:value``
+list (the tensor, a surface ``pairing``, a Mori curve table, the expected
+cone coefficients) goes through :func:`_entries`.  A repeated section, key
+or list name is an error, and so is a key no kind reads, in any section.
+Every scenario is validated eagerly at parse time; evaluation failures in a
+batch are recorded per scenario and never abort the run.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import sinv
 from .cones import (ConeSpec, Infeasible, effective_decompose, feasible_interval,
                     format_functional)
-from .exprs import ExprSyntaxError, iter_terms, parse_divisor_expr, parse_poly
+from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve)
 from .ratmath import Poly, format_poly, format_rational, parse_rational
@@ -70,31 +77,45 @@ class ScenarioFormatError(ValueError):
     """A scenario file failed validation; the message locates the problem."""
 
 
-@dataclass
 class _Section:
-    name: str
-    entries: list[tuple[str, str, int]] = field(default_factory=list)
-    read: set[str] = field(default_factory=set)
+    """One ``[name]`` section: each key with its value text and line.
 
-    def get(self, key: str, default: str | None = None) -> str | None:
+    :meth:`value` and :meth:`each` read keys and mark them read; both go
+    through :meth:`parse`, the one place a parser's error becomes a
+    :class:`ScenarioFormatError`.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.entries: dict[str, tuple[str, int]] = {}
+        self.read: set[str] = set()
+
+    def parse(self, key: str, text, fn: Callable):
+        """``fn(text)``, its ValueError or KeyError reported under ``key``."""
+        try:
+            return fn(text)
+        except (ValueError, KeyError) as exc:
+            # str() of a KeyError quotes its message as if it were a key
+            why = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            raise ScenarioFormatError(f"[{self.name}] {key}: {why}") from None
+
+    def value(self, key: str, parse: Callable = str, required: bool = True):
+        """The parsed value of ``key``; None when it is absent and optional."""
         self.read.add(key)
-        for k, v, _ in self.entries:
-            if k == key:
-                return v
-        return default
-
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
+        if key in self.entries:
+            return self.parse(key, self.entries[key][0], parse)
+        if required:
             raise ScenarioFormatError(f"[{self.name}] is missing the key {key!r}")
-        return value
+        return None
 
-    def all(self, prefix: str) -> list[tuple[str, str, int]]:
+    def each(self, prefix: str, parse: Callable) -> list[tuple[str, object]]:
+        """``(name, parsed value)`` of every ``prefix name`` key, in file order."""
+        prefix += " "
         out = []
-        for k, v, line in self.entries:
-            if k.startswith(prefix + " "):
-                self.read.add(k)
-                out.append((k[len(prefix) + 1:], v, line))
+        for key, (text, _) in self.entries.items():
+            if key.startswith(prefix):
+                self.read.add(key)
+                out.append((key[len(prefix):], self.parse(key, text, parse)))
         return out
 
 
@@ -117,7 +138,11 @@ def _split_sections(text: str) -> dict[str, _Section]:
             raise ScenarioFormatError(
                 f"[{current.name}] line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        current.entries.append((key.strip(), value.strip(), line_no))
+        key = key.strip()
+        if key in current.entries:
+            raise ScenarioFormatError(f"[{current.name}] line {line_no}: repeated key {key!r}, "
+                                      f"first given at line {current.entries[key][1]}")
+        current.entries[key] = (value.strip(), line_no)
     return sections
 
 
@@ -144,139 +169,88 @@ class Scenario:
     pairing_curve: CurvePairing | None = None
 
 
-def _parse_rational_value(section: _Section, key: str, text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"[{section.name}] {key}: {exc}") from None
+def _entries(text: str, arity: int) -> dict:
+    """The rationals of a ``name.name...:value`` list with ``arity`` names an
+    item, keyed by the tuple of names, or by the name alone for arity 1."""
+    out = {}
+    for item in text.split():
+        names, _, value = item.partition(":")
+        key = tuple(names.split("."))
+        if len(key) != arity:
+            raise ValueError(f"{item!r} is not {'.'.join(['name'] * arity)}:value")
+        key = key if arity > 1 else names
+        if key in out:
+            raise ValueError(f"repeated entry {names!r}")
+        out[key] = parse_rational(value)
+    return out
 
 
-def _parse_class(text: str, basis: LatticeBasis, where: str) -> DivisorClass:
-    try:
-        return parse_divisor_expr(text, basis)
-    except ExprSyntaxError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from None
+def _lo_hi(text: str, form: str = "'<lo> <hi>'") -> tuple[Fraction, Fraction]:
+    """The two rationals of a ``lo hi`` pair."""
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected {form}")
+    return parse_rational(parts[0]), parse_rational(parts[1])
 
 
-def _parse_u_poly(text: str, where: str) -> Poly:
-    try:
-        value = parse_poly(text)
-    except ExprSyntaxError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from None
+def _u_only(value: Poly) -> Poly:
     if value.degree_v > 0:
-        raise ScenarioFormatError(f"{where}: expected a polynomial in u only")
+        raise ValueError("expected a polynomial in u only")
     return value
 
 
 def _build_threefold(section: _Section) -> tuple[sinv.ThreefoldModel, dict[str, DivisorClass]]:
-    basis = LatticeBasis(section.require("basis").split())
-    entries = {}
-    for triple in section.require("tensor").split():
-        names, _, value = triple.partition(":")
-        parts = tuple(names.split("."))
-        if len(parts) != 3:
-            raise ScenarioFormatError(
-                f"[{section.name}] tensor: {triple!r} is not name.name.name:value")
-        key = parts
-        val = _parse_rational_value(section, "tensor", value)
-        if key in entries and entries[key] != val:
-            raise ScenarioFormatError(
-                f"[{section.name}] tensor: tensor symmetry violated at {names}")
-        entries[key] = val
-    try:
-        form = ThreefoldForm(basis, entries)
-    except (ValueError, KeyError) as exc:
-        raise ScenarioFormatError(f"[{section.name}] tensor: {exc}") from None
-    anticanonical = _parse_class(section.require("anticanonical"), basis,
-                                 f"[{section.name}] anticanonical")
-    curves = []
-    for name, value, line in section.all("curve"):
-        table = {}
-        for item in value.split():
-            gen, _, num = item.partition(":")
-            table[gen] = _parse_rational_value(section, f"curve {name}", num)
-        try:
-            curves.append(CurvePairing(name, basis, table))
-        except (ValueError, KeyError) as exc:
-            raise ScenarioFormatError(f"[{section.name}] curve {name}: {exc}") from None
-    cone_entries = []
-    named: dict[str, DivisorClass] = {n: basis.unit(n) for n in basis.names}
-    for name, value, line in section.all("cone"):
-        cls = _parse_class(value, basis, f"[{section.name}] cone {name}")
-        cone_entries.append((name, cls))
-        named.setdefault(name, cls)
-    for name, value, line in section.all("divisor"):
-        named[name] = _parse_class(value, basis, f"[{section.name}] divisor {name}")
+    basis = section.value("basis", lambda text: LatticeBasis(text.split()))
+    form = section.value("tensor", lambda text: ThreefoldForm(basis, _entries(text, 3)))
+    divisor = partial(parse_divisor_expr, basis=basis)
+    anticanonical = section.value("anticanonical", divisor)
+    curves = tuple(section.parse(f"curve {name}", table,
+                                 lambda table: CurvePairing(name, basis, table))
+                   for name, table in section.each("curve", lambda text: _entries(text, 1)))
+    cone_entries = section.each("cone", divisor)
+    # a negative part may name a generator, a cone generator or a divisor
+    named = {**dict(cone_entries), **{n: basis.unit(n) for n in basis.names},
+             **dict(section.each("divisor", divisor))}
     if not cone_entries:
         raise ScenarioFormatError(f"[{section.name}] needs at least one cone generator")
-    model = sinv.ThreefoldModel(basis, form, anticanonical, tuple(curves),
-                                ConeSpec(cone_entries))
+    model = sinv.ThreefoldModel(basis, form, anticanonical, curves, ConeSpec(cone_entries))
     return model, named
 
 
 def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.SurfaceData:
-    basis = LatticeBasis(section.require("basis").split())
-    entries = {}
-    for pair in section.require("pairing").split():
-        names, _, value = pair.partition(":")
-        parts = tuple(names.split("."))
-        if len(parts) != 2:
-            raise ScenarioFormatError(
-                f"[{section.name}] pairing: {pair!r} is not name.name:value")
-        entries[parts] = _parse_rational_value(section, "pairing", value)
-    try:
-        form = SurfaceForm(basis, entries)
-    except (ValueError, KeyError) as exc:
-        raise ScenarioFormatError(f"[{section.name}] pairing: {exc}") from None
-    cls = _parse_class(section.require("class"), model.basis, f"[{section.name}] class")
-    images = {}
-    for name, value, line in section.all("restrict"):
-        images[name] = _parse_class(value, basis, f"[{section.name}] restrict {name}")
-    try:
-        restriction = RestrictionMap(model.basis, basis, images)
-    except (ValueError, KeyError) as exc:
-        raise ScenarioFormatError(f"[{section.name}] restrict: {exc}") from None
-    curves = []
-    for name, value, line in section.all("curve"):
-        curves.append((name, _parse_class(value, basis, f"[{section.name}] curve {name}")))
+    basis = section.value("basis", lambda text: LatticeBasis(text.split()))
+    form = section.value("pairing", lambda text: SurfaceForm(basis, _entries(text, 2)))
+    cls = section.value("class", partial(parse_divisor_expr, basis=model.basis))
+    divisor = partial(parse_divisor_expr, basis=basis)
+    images = dict(section.each("restrict", divisor))
+    restriction = section.parse("restrict", images,
+                                lambda images: RestrictionMap(model.basis, basis, images))
+    curves = tuple(section.each("curve", divisor))
     if not curves:
         raise ScenarioFormatError(f"[{section.name}] needs at least one extremal curve")
-    return sinv.SurfaceData(section.get("name", "Y"), cls, basis, form,
-                            restriction, tuple(curves))
+    name = section.value("name", required=False)
+    return sinv.SurfaceData("Y" if name is None else name, cls, basis, form,
+                            restriction, curves)
 
 
-def _parse_negative_part(text: str, named: dict[str, DivisorClass],
-                         where: str) -> tuple[tuple[str, DivisorClass, Poly], ...]:
-    if not text.strip():
-        return ()
+def _negative_part(text: str, named: dict[str, DivisorClass]
+                   ) -> tuple[tuple[str, DivisorClass, Poly], ...]:
     out = []
-    try:
-        for coeff, name, at in iter_terms(text):
-            if name is None:
-                raise ScenarioFormatError(
-                    f"{where}: expected a divisor name at position {at} in the negative part")
-            if name not in named:
-                raise ScenarioFormatError(
-                    f"{where}: unknown divisor {name!r} in the negative part")
-            coeff = Poly.of(coeff)
-            if coeff.degree_v > 0:
-                raise ScenarioFormatError(f"{where}: expected a polynomial in u only")
-            out.append((name, named[name], coeff))
-    except ExprSyntaxError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from None
+    for coeff, name, at in iter_terms(text):
+        if name is None:
+            raise ValueError(f"expected a divisor name at position {at} in the negative part")
+        if name not in named:
+            raise ValueError(f"unknown divisor {name!r} in the negative part")
+        out.append((name, named[name], _u_only(Poly.of(coeff))))
     return tuple(out)
 
 
 def _build_schedule(section: _Section, named: dict[str, DivisorClass]) -> sinv.Schedule:
     chambers = []
-    for bounds, value, line in section.all("chamber"):
-        parts = bounds.split()
-        if len(parts) != 2:
-            raise ScenarioFormatError(
-                f"[{section.name}] chamber: expected 'chamber <lo> <hi> = ...' at line {line}")
-        lo = _parse_rational_value(section, "chamber", parts[0])
-        hi = _parse_rational_value(section, "chamber", parts[1])
-        negative = _parse_negative_part(value, named, f"[{section.name}] chamber {bounds}")
+    for bounds, negative in section.each("chamber", lambda text: _negative_part(text, named)):
+        line = section.entries[f"chamber {bounds}"][1]
+        form = f"'chamber <lo> <hi> = ...' at line {line}"
+        lo, hi = section.parse("chamber", bounds, lambda text: _lo_hi(text, form))
         chambers.append(sinv.ScheduleChamber(lo, hi, negative))
     try:
         return sinv.Schedule(tuple(sorted(chambers, key=lambda ch: ch.u_lo)))
@@ -289,7 +263,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     sections = _split_sections(text)
     scenario = _build_scenario(sections, name)
     for section in sections.values():
-        for key, _, line in section.entries:
+        for key, (_, line) in section.entries.items():
             if key not in section.read:
                 raise ScenarioFormatError(f"[{section.name}] line {line}: unknown key {key!r}")
     return scenario
@@ -299,60 +273,56 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     if "scenario" not in sections:
         raise ScenarioFormatError("missing the [scenario] section")
     head = sections["scenario"]
-    kind = head.require("kind")
+    kind = head.value("kind")
     if kind not in KINDS:
         raise ScenarioFormatError(
             f"[scenario] kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     needs, bound_keys = KINDS[kind]
-    scen_name = head.get("name", name)
-    expected_text = head.require("expected")
+    scen_name = head.value("name", required=False)
+    expected_text = head.value("expected")
     expected, bounds = None, ()
     if bound_keys is not None:
-        expected = _parse_rational_value(head, "expected", expected_text)
-        bounds = tuple((key, _parse_rational_value(head, key, raw)) for key in bound_keys
-                       if (raw := head.get(key)) is not None)
+        expected = head.parse("expected", expected_text, parse_rational)
+        bounds = tuple((key, bound) for key in bound_keys
+                       if (bound := head.value(key, parse_rational, False)) is not None)
     for section_name in needs:
         if section_name not in sections:
             raise ScenarioFormatError(f"missing the [{section_name}] section")
     model, named = _build_threefold(sections["threefold"])
-    common = dict(name=scen_name, kind=kind, expected_text=expected_text,
-                  expected=expected, bounds=bounds, model=model)
+    common = dict(name=name if scen_name is None else scen_name, kind=kind,
+                  expected_text=expected_text, expected=expected, bounds=bounds, model=model)
+    threefold_class = partial(parse_divisor_expr, basis=model.basis)
 
     if kind in CURVE_KINDS:
         surface = _build_surface(sections["surface"], model)
         schedule = _build_schedule(sections["schedule"], named)
         curve_sec = sections["curve"]
-        z = _parse_class(curve_sec.require("z"), surface.basis, "[curve] z")
-        ord_items = [p.strip() for p in curve_sec.require("ord").split(",")]
-        if len(ord_items) != len(schedule.chambers):
+        surface_class = partial(parse_divisor_expr, basis=surface.basis)
+        z = curve_sec.value("z", surface_class)
+        ord_coeffs = curve_sec.value("ord", lambda text: tuple(
+            _u_only(parse_poly(item)) for item in text.split(",")))
+        if len(ord_coeffs) != len(schedule.chambers):
             raise ScenarioFormatError(
                 "[curve] ord: need exactly one coefficient per schedule chamber")
-        ord_coeffs = tuple(_parse_u_poly(p, "[curve] ord") for p in ord_items)
         via = None
         if kind == "s_curve_bound":
-            via = _parse_class(curve_sec.require("dominate_via"), surface.basis,
-                               "[curve] dominate_via")
+            via = curve_sec.value("dominate_via", surface_class)
         return Scenario(surface=surface, schedule=schedule, z=z,
                         ord_coeffs=ord_coeffs, dominate_via=via, **common)
 
     if kind == "s_divisor":
-        divisor = _parse_class(sections["divisor"].require("class"), model.basis,
-                               "[divisor] class")
+        divisor = sections["divisor"].value("class", threefold_class)
         schedule = _build_schedule(sections["schedule"], named)
         return Scenario(divisor=divisor, schedule=schedule, **common)
 
     if kind in ("effective_decomposition", "infeasible_scan"):
         dec = sections["decompose"]
-        cls = _parse_class(dec.require("class"), model.basis, "[decompose] class")
+        cls = dec.value("class", threefold_class)
         if kind == "infeasible_scan":
             if expected_text != "infeasible":
                 raise ScenarioFormatError(
                     "[scenario] expected: an infeasible scan expects 'infeasible'")
-            parts = dec.require("range").split()
-            if len(parts) != 2:
-                raise ScenarioFormatError("[decompose] range: expected '<lo> <hi>'")
-            lo = _parse_rational_value(dec, "range", parts[0])
-            hi = _parse_rational_value(dec, "range", parts[1])
+            lo, hi = dec.value("range", _lo_hi)
             if not lo < hi:
                 raise ScenarioFormatError("[decompose] range: expected lo < hi")
             if any(isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0)
@@ -362,21 +332,17 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
             return Scenario(decompose_class=cls, scan_range=(lo, hi), **common)
         coeffs = None
         if expected_text != "infeasible":
-            coeffs = []
-            for item in expected_text.split():
-                gen, _, num = item.partition(":")
-                coeffs.append((gen, _parse_rational_value(head, "expected", num)))
-            names = [n for n, _ in coeffs]
-            if names != list(model.effective_cone.names):
+            coeffs = head.parse("expected", expected_text, lambda text: _entries(text, 1))
+            if tuple(coeffs) != model.effective_cone.names:
                 raise ScenarioFormatError(
                     "[scenario] expected: coefficients must list every cone generator in order")
-            coeffs = tuple(coeffs)
+            coeffs = tuple(coeffs.items())
         return Scenario(decompose_class=cls, expected_coeffs=coeffs, **common)
 
     # curve_pairing
     pairing = sections["pairing"]
-    cls = _parse_class(pairing.require("class"), model.basis, "[pairing] class")
-    curve_name = pairing.require("curve")
+    cls = pairing.value("class", threefold_class)
+    curve_name = pairing.value("curve")
     curve = next((c for c in model.mori_curves if c.name == curve_name), None)
     if curve is None:
         raise ScenarioFormatError(f"[pairing] curve: unknown curve {curve_name!r}")
@@ -458,7 +424,7 @@ def _rational_value(scenario: Scenario) -> tuple[Fraction, str]:
         return value, (f"value {format_rational(value)} {verb} the bound "
                        f"{format_rational(exceeds)}")
     inp = sinv.SCurveInput(scenario.model, scenario.surface, scenario.z,
-                           scenario.schedule, scenario.ord_coeffs, scenario.dominate_via)
+                           scenario.schedule, scenario.ord_coeffs)
     if kind == "negative_part":
         sinv.validate_schedule(scenario.model, scenario.surface.cls, scenario.schedule)
         return sinv.negative_part_term(inp), ""

@@ -131,7 +131,6 @@ class SCurveInput:
     z: DivisorClass                       # curve class on the surface lattice
     schedule: Schedule
     ord_coeffs: tuple[Poly, ...]          # one per schedule chamber
-    dominating: DivisorClass | None = None
 
 
 def validate_schedule(model: ThreefoldModel, y: DivisorClass,

@@ -49,5 +49,4 @@ def dp6(scenarios):
 
 def curve_input(scenario) -> sinv.SCurveInput:
     return sinv.SCurveInput(scenario.model, scenario.surface, scenario.z,
-                            scenario.schedule, scenario.ord_coeffs,
-                            scenario.dominate_via)
+                            scenario.schedule, scenario.ord_coeffs)

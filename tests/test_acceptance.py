@@ -49,7 +49,7 @@ def golden_values(scenarios):
             values[label] = sinv.negative_part_term(inp)
         else:
             values[label] = (sinv.negative_part_term(inp)
-                             + sinv.dominance_bound(inp, inp.dominating).value)
+                             + sinv.dominance_bound(inp, scenarios[name].dominate_via).value)
     return values, time.perf_counter() - start
 
 

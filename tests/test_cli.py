@@ -236,6 +236,56 @@ def test_every_bound_a_kind_reads_is_enforced(name, old, new, detail):
         assert result.detail == detail
 
 
+@pytest.mark.parametrize("old,new,detail", [
+    ("assert_less_than = 1\n", "assert_less_than = 1\nassert_less_than = 1/2\n",
+     "[scenario] line 8: repeated key 'assert_less_than', first given at line 7"),
+    ("restrict EL = e1 + e2\n", "restrict EL = e1 + e2\nrestrict EL = e1\n",
+     "[surface] line 30: repeated key 'restrict EL', first given at line 29"),
+    ("pairing = l1.l2:1", "pairing = l1.l2:1 l1.l2:2",
+     "[surface] pairing: repeated entry 'l1.l2'"),
+    ("curve lR = H:1 EC:2 EL:1", "curve lR = H:1 EC:2 EL:1 EC:3",
+     "[threefold] curve lR: repeated entry 'EC'"),
+    ("basis = l1 l2 e1 e2", "basis = l1 l2 e1 e2 l1",
+     "[surface] basis: duplicate generator names in ('l1', 'l2', 'e1', 'e2', 'l1')"),
+    ("curve lR = H:1 EC:2 EL:1", "curve lR = H:1 EC:2 EL:1 XY:7",
+     "[threefold] curve lR: curve table 'lR' names ['XY'] outside the basis "
+     "('H', 'EC', 'EL')"),
+    ("restrict EL = e1 + e2\n", "restrict EL = e1 + e2\nrestrict XX = e1\n",
+     "[surface] restrict: restriction map names ['XX'] outside the basis "
+     "('H', 'EC', 'EL')"),
+    ("tensor = H.H.H:1", "tensor = H.H.X:1 H.H.H:1",
+     "[threefold] tensor: unknown generator 'X'; basis is ('H', 'EC', 'EL')"),
+], ids=["assert", "restrict", "pairing", "curve", "basis", "curve-name", "restrict-name",
+        "tensor-name"])
+def test_repeats_and_names_outside_a_basis_are_isolated_errors(old, new, detail):
+    """A repeated key or list name, or a name outside the basis, is one ERROR
+    row naming its section; before, each passed 109/112 or aborted the batch."""
+    text = load_bundled("lemma_4_3_l1.scn")
+    assert old in text
+    report = run_verify([("lemma_4_3_l1", text.replace(old, new)),
+                         ("lemma_4_2_s", load_bundled("lemma_4_2_s.scn"))])
+    first, second = report.results
+    assert (first.status, first.detail) == ("ERROR", detail)
+    assert second.status == "PASS"
+
+
+DEEP = "(" * 400 + "1" + ")" * 400
+
+
+def test_deep_parentheses_are_an_isolated_error():
+    text = load_bundled("lemma_3_8.scn").replace("class = ", f"class = {DEEP}*H + ")
+    report = run_verify([("lemma_3_8", text), ("lemma_4_2_s", load_bundled("lemma_4_2_s.scn"))])
+    first, second = report.results
+    assert (first.status, first.detail) == (
+        "ERROR", "[decompose] class: parentheses nested deeper than 50 at position 50")
+    assert second.status == "PASS"
+
+
+def test_cli_deep_parentheses_are_a_usage_error(capsys):
+    assert main(["effdec", "lemma_3_8", "--class", f"{DEEP}*H"]) == 2
+    assert "parentheses nested deeper than 50" in capsys.readouterr().err
+
+
 def test_an_empty_chamber_is_a_parse_error():
     text = load_bundled("sdiv_plane.scn").replace("chamber 0 1 =",
                                                   "chamber 0 0 =\nchamber 0 1 =")
@@ -500,13 +550,22 @@ def _damage(text, how, rng):
             keys.append(("curve", z.replace("z = ", "dominate_via = ")))
         section, line = rng.choice(keys)
         lines.insert(lines.index(f"[{section}]") + 1, line)
+    elif how == "repeat":
+        i, section, _ = rng.choice(entries)
+        lines.insert(i + 1, lines[i])
+    elif how == "basis":
+        i, section, _ = rng.choice([e for e in entries if e[2] == "basis"])
+        code, hash_, comment = lines[i].partition("#")
+        name = rng.choice(code.partition("=")[2].split())
+        lines[i] = f"{code.rstrip()} {name} {hash_}{comment}"
     else:
         i, section, _ = rng.choice(entries)
         lines.insert(i + 1, "bogus = 1")
     return "\n".join(lines) + "\n", section
 
 
-@pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced"])
+@pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced",
+                                 "repeat", "basis"])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
     damaged section; the next scenario in the batch still passes."""

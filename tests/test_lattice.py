@@ -5,9 +5,9 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from divstab.lattice import (BasisMismatchError, CurvePairing, DivisorClass,
-                             LatticeBasis, SurfaceForm, ThreefoldForm,
-                             pair_with_curve, restrict, surface_pair,
-                             triple_product)
+                             LatticeBasis, RestrictionMap, SurfaceForm,
+                             ThreefoldForm, pair_with_curve, restrict,
+                             surface_pair, triple_product)
 from divstab.ratmath import Poly
 
 U = Poly.variable("u")
@@ -184,6 +184,20 @@ def test_tensor_symmetry_validation():
 def test_curve_table_requires_totality(model):
     with pytest.raises(ValueError, match="missing"):
         CurvePairing("broken", model.basis, {"H": F(1)})
+
+
+def test_curve_table_rejects_names_outside_the_basis(model):
+    table = {"H": F(1), "EC": F(2), "EL": F(1), "XY": F(7)}
+    with pytest.raises(ValueError, match=r"names \['XY'\] outside the basis"):
+        CurvePairing("lR", model.basis, table)
+
+
+def test_restriction_map_rejects_names_outside_the_basis(model, dp6):
+    images = dict(zip(model.basis.names, dp6.restriction.images))
+    assert RestrictionMap(model.basis, dp6.basis, images) == dp6.restriction
+    images["XX"] = dp6.basis.unit("e1")
+    with pytest.raises(ValueError, match=r"names \['XX'\] outside the basis"):
+        RestrictionMap(model.basis, dp6.basis, images)
 
 
 def test_evaluate_parametric_class(model):

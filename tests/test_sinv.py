@@ -82,12 +82,13 @@ def test_curve_invariant_carries_its_terms_and_charts(scenarios):
 
 
 @pytest.mark.parametrize("name,invariant", [
-    ("lemma_4_1", sinv.s_curve),
-    ("lemma_4_3_ec_bound", lambda inp: sinv.dominance_bound(inp, inp.dominating)),
+    ("lemma_4_1", lambda inp, scenario: sinv.s_curve(inp)),
+    ("lemma_4_3_ec_bound",
+     lambda inp, scenario: sinv.dominance_bound(inp, scenario.dominate_via)),
 ], ids=["s_curve", "s_curve_bound"])
 def test_scenario_detail_renders_the_invariants_charts(scenarios, name, invariant):
     scenario = scenarios[name]
-    charts = invariant(curve_input(scenario)).charts
+    charts = invariant(curve_input(scenario), scenario).charts
     detail = evaluate_scenario(scenario).detail
     assert detail == "\n".join(chart.describe() for chart in charts)
 
