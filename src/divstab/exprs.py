@@ -30,6 +30,9 @@ class ExprSyntaxError(ValueError):
 
 # deepest nesting of parentheses the parser follows (five stack frames a level)
 MAX_DEPTH = 50
+# largest exponent the parser raises to: the cost of a power grows about as
+# its cube, and the shipped data needs at most 6
+MAX_POWER = 20
 
 
 def _tokenize(text: str):
@@ -126,6 +129,8 @@ class _Parser:
         kind, txt, at = self.take()
         if kind != "number" or "/" in txt:
             raise ExprSyntaxError(f"exponent must be an integer at position {at}")
+        if int(txt) > MAX_POWER:
+            raise ExprSyntaxError(f"exponent {txt} is larger than {MAX_POWER} at position {at}")
         return base ** int(txt)
 
     def atom(self):

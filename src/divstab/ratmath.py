@@ -412,6 +412,29 @@ def _reduce(table: list[list[int]], den: int, p: Poly | None = None) -> Poly:
 _ZERO_POLY = Poly()
 
 
+def combination(coeffs: Sequence[Union[Scalar, Poly]], weights: Sequence[int],
+                den: int = 1) -> Poly:
+    """``sum w_k c_k / den`` for rationals or Polys c_k and integers w_k.
+
+    The sum runs on integer tables over one running denominator and is
+    reduced once, where ``+`` and ``*`` would reduce every term.
+    """
+    table: list[list[int]] = []
+    scale = 1
+    for c, w in zip(coeffs, weights):
+        if not (c and w):
+            continue
+        if isinstance(c, Poly):
+            num, c_den = c.num, c.den
+        else:
+            c = _as_fraction(c)
+            num, c_den = ((c.numerator,),), c.denominator
+        common = scale // math.gcd(scale, c_den) * c_den
+        table = _combine(table, common // scale, num, w * (common // c_den))
+        scale = common
+    return _reduce(table, scale * den)
+
+
 def integrate_univariate(p: Poly, a: Scalar, b: Scalar) -> Fraction:
     """Exact definite integral of p between rational bounds.
 

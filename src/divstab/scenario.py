@@ -33,7 +33,9 @@ and line, and reads a key at most once, through a parser whose ValueError
 or KeyError it reports as ``[section] key: ...``.  Every ``name:value``
 list (the tensor, a surface ``pairing``, a Mori curve table, the expected
 cone coefficients) goes through :func:`_entries`.  A repeated section, key
-or list name is an error, and so is a key no kind reads, in any section.
+or list name is an error, and so is a key no kind reads, in any section,
+and a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator or
+cone name another class.
 Every scenario is validated eagerly at parse time; evaluation failures in a
 batch are recorded per scenario and never abort the run.
 """
@@ -208,11 +210,18 @@ def _build_threefold(section: _Section) -> tuple[sinv.ThreefoldModel, dict[str, 
                                  lambda table: CurvePairing(name, basis, table))
                    for name, table in section.each("curve", lambda text: _entries(text, 1)))
     cone_entries = section.each("cone", divisor)
-    # a negative part may name a generator, a cone generator or a divisor
-    named = {**dict(cone_entries), **{n: basis.unit(n) for n in basis.names},
-             **dict(section.each("divisor", divisor))}
     if not cone_entries:
         raise ScenarioFormatError(f"[{section.name}] needs at least one cone generator")
+    # a negative part may name a generator, a cone generator or a divisor; a
+    # name given twice must name one class (``cone EC = EC`` restates EC)
+    named = {n: basis.unit(n) for n in basis.names}
+    for prefix, entries in (("cone", cone_entries), ("divisor", section.each("divisor", divisor))):
+        for name, cls in entries:
+            if named.setdefault(name, cls) != cls:
+                line = section.entries[f"{prefix} {name}"][1]
+                raise ScenarioFormatError(
+                    f"[{section.name}] line {line}: {prefix} {name!r} is {cls}, but "
+                    f"{name!r} already names {named[name]}")
     model = sinv.ThreefoldModel(basis, form, anticanonical, curves, ConeSpec(cone_entries))
     return model, named
 

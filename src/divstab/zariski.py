@@ -16,13 +16,18 @@ distinguished:
   inside it, :class:`IndefiniteSupportError`, which means the curve data is
   wrong.
 
-Both ``zariski_decompose`` and each ``v_sweep`` pair their class D with the
-curves once, in one table: D.C_k for every listed curve, D.D, and C_i.C_j
-formed on demand.  A support S then needs no further pairing with D.  Its
-coefficients are n = G_S^-1 (D.C_S), with G_S the Gram matrix of S; the
-positive part is P = D - sum n_i C_i, its pairings are P.C_k = D.C_k -
-sum n_i C_i.C_k, and its volume is vol = P.P = D.D - sum n_i D.C_i,
-because P.C_i = 0 for every C_i in S.
+The lattice data of a surface is formed once, in one :class:`SurfaceTable`
+per curve list and form: each curve's row of pairings with the basis
+generators and the curve Gram matrix C_i.C_j.  ``zariski_decompose``,
+``v_sweep`` and ``build_chart`` all read it (:func:`surface_table` finds it
+by the identity of the curve tuple, else by value), so no C_i.C_j is formed
+twice in a process.  Each pointwise decomposition and each sweep then pairs
+its class D with the curves once, D.C_k as a dot product with a row, and
+forms D.D.  A support S needs no further pairing with D.  Its coefficients
+are n = G_S^-1 (D.C_S), with G_S the Gram matrix of S; the positive part is
+P = D - sum n_i C_i, its pairings are P.C_k = D.C_k - sum n_i C_i.C_k, and
+its volume is vol = P.P = D.D - sum n_i D.C_i, because P.C_i = 0 for every
+C_i in S.  The definiteness test and the solve of G_S stay per call.
 
 ``v_sweep`` walks ``D0 - v Z`` upward in v from 0 at a fixed u, keeping u
 symbolic as ``D0`` gives it.  Each chamber's support is solved once for all
@@ -49,6 +54,8 @@ makes the cut points finite and rational.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -56,9 +63,9 @@ from typing import Sequence
 
 from . import linalg
 from .cones import ConeSpec, Infeasible, effective_decompose
-from .lattice import DivisorClass, SurfaceForm, surface_pair
-from .ratmath import (IrrationalBreakpointError, Poly, format_poly, format_rational,
-                      integrate_region, rational_roots, rational_sqrt)
+from .lattice import BasisMismatchError, DivisorClass, SurfaceForm, surface_pair
+from .ratmath import (Coeff, IrrationalBreakpointError, Poly, combination, format_poly,
+                      format_rational, integrate_region, rational_roots, rational_sqrt)
 
 NamedCurve = tuple[str, DivisorClass]
 
@@ -77,39 +84,93 @@ class ZariskiResult:
     negative: tuple[tuple[str, Fraction], ...]  # curve name -> coefficient >= 0
     support: tuple[str, ...]
 
-    def negative_class(self, curves: dict[str, DivisorClass]) -> DivisorClass:
-        out = self.positive.basis.zero()
-        for name, coeff in self.negative:
-            out = out + curves[name].scale(coeff)
-        return out
+
+class SurfaceTable:
+    """The lattice data of one curve list under one form: formed once, then read.
+
+    ``rows`` holds each curve's pairings with the basis generators, as
+    integer numerators over one denominator, so D.C_k is a dot product with
+    no call to :func:`surface_pair`; ``gram[a, b]`` is C_a.C_b for every two
+    listed curves.  :func:`surface_table` shares one table between every
+    pairing table, sweep and chart on the surface, so nothing changes it
+    after construction.
+    """
+
+    __slots__ = ("curves", "classes", "rows", "gram")
+
+    def __init__(self, curves: Sequence[NamedCurve], form: SurfaceForm):
+        self.curves = tuple(curves)
+        self.classes = dict(self.curves)
+        rank = form.basis.rank
+        self.rows = {}
+        for name, cls in self.curves:
+            if cls.basis != form.basis:
+                raise BasisMismatchError(f"curve {name!r} is not over the form's basis")
+            if not cls.rational:
+                raise ValueError(f"curve {name!r} needs rational coefficients, got {cls}")
+            row = [sum((c * form.value(i, j) for i, c in enumerate(cls.coeffs) if c),
+                       Fraction(0)) for j in range(rank)]
+            den = math.lcm(*(x.denominator for x in row))
+            self.rows[name] = (tuple(x.numerator * (den // x.denominator) for x in row), den)
+        self.gram = {(a, b): value for a, cls in self.curves
+                     for b, value in self.pairings(cls).items()}
+
+    def pairings(self, d: DivisorClass) -> dict[str, Coeff]:
+        """D.C_k for every listed curve, of the type :func:`surface_pair` returns."""
+        if d.rational:
+            den = math.lcm(*(c.denominator for c in d.coeffs))
+            nums = [c.numerator * (den // c.denominator) for c in d.coeffs]
+            return {name: Fraction(sum(map(operator.mul, nums, row)), den * row_den)
+                    for name, (row, row_den) in self.rows.items()}
+        return {name: combination(d.coeffs, row, row_den)
+                for name, (row, row_den) in self.rows.items()}
+
+
+# the tables by value, so a fresh parse of a surface finds its table again
+_SURFACES: dict[tuple, SurfaceTable] = {}
+
+
+def surface_table(curves: Sequence[NamedCurve], form: SurfaceForm) -> SurfaceTable:
+    """The one :class:`SurfaceTable` of ``curves`` under ``form``.
+
+    The form keeps the table of the last curve tuple it was asked for, found
+    again by identity with no hashing: a scenario passes one tuple to every
+    call.  Any other sequence is looked up by value, in a process-wide dict
+    that holds one table per distinct surface.
+    """
+    memo = vars(form).get("_curve_table")
+    if memo is not None and memo[0] is curves:
+        return memo[1]
+    key = (form.basis.names, tuple(sorted(form.values.items())),
+           tuple((name, cls.coeffs) for name, cls in curves))
+    table = _SURFACES.get(key)
+    if table is None:
+        table = _SURFACES[key] = SurfaceTable(curves, form)
+    if type(curves) is tuple:  # immutable, so its identity stands for its value
+        object.__setattr__(form, "_curve_table", (curves, table))
+    return table
 
 
 class _PairingTable:
-    """D.C_k for every listed curve, D.D, and C_i.C_j on demand, for one class D.
+    """D.C_k for every listed curve and D.D, for one class D, beside its
+    surface's :class:`SurfaceTable`.
 
     :meth:`solve` reads a support's decomposition off them, as the module
     docstring derives.
     """
 
     def __init__(self, d: DivisorClass, curves: Sequence[NamedCurve], form: SurfaceForm):
-        self.d, self.curves, self.form = d, tuple(curves), form
-        self.classes = dict(curves)
-        self.with_d = {name: surface_pair(d, cls, form) for name, cls in curves}
+        self.d = d
+        self.surface = surface_table(curves, form)
         self.square = surface_pair(d, d, form)
-        self._between: dict[tuple[str, str], Fraction] = {}
-
-    def between(self, a: str, b: str) -> Fraction:
-        """C_a . C_b."""
-        key = (a, b) if a <= b else (b, a)
-        if key not in self._between:
-            self._between[key] = surface_pair(self.classes[a], self.classes[b], self.form)
-        return self._between[key]
+        self.with_d = self.surface.pairings(d)
 
     def solve(self, support: Sequence[str]):
         """Coefficients n on ``support``, P, P.C_k for each curve off it, and vol."""
+        between, classes = self.surface.gram, self.surface.classes
         coeffs = []
         if support:
-            gram = [[self.between(a, b) for b in support] for a in support]
+            gram = [[between[a, b] for b in support] for a in support]
             if not linalg.is_negative_definite(gram):
                 raise IndefiniteSupportError(
                     f"support {list(support)} has a Gram matrix that is not negative definite "
@@ -118,14 +179,14 @@ class _PairingTable:
             assert coeffs is not None  # negative definite => nonsingular
         p, vol = self.d, self.square
         for name, n in zip(support, coeffs):
-            p = p - self.classes[name].scale(n)
+            p = p - classes[name].scale(n)
             vol = vol - n * self.with_d[name]
         pairings = {}
-        for name, _ in self.curves:
+        for name, _ in self.surface.curves:
             if name not in support:
                 value = self.with_d[name]
                 for a, n in zip(support, coeffs):
-                    meet = self.between(a, name)
+                    meet = between[a, name]
                     if meet:
                         value = value - n * meet
                 pairings[name] = value
@@ -144,7 +205,7 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
         entering = []
         for name, value in pairings.items():
             if value < 0:
-                if table.between(name, name) >= 0:
+                if table.surface.gram[name, name] >= 0:
                     raise NotPseudoEffectiveError(
                         f"not pseudo-effective: pairing with the nef curve {name!r} "
                         f"is {format_rational(value)} < 0")
@@ -297,13 +358,6 @@ class ZariskiChart:
             total += integrate_region(ch.vol, ch.u_lo, ch.u_hi, ch.v_lo, ch.v_hi)
         return total
 
-    def u_cells(self) -> list[tuple[Fraction, Fraction]]:
-        return sorted({(ch.u_lo, ch.u_hi) for ch in self.chambers})
-
-    def stack(self, u_lo: Fraction, u_hi: Fraction) -> list[ChartChamber]:
-        column = [ch for ch in self.chambers if (ch.u_lo, ch.u_hi) == (u_lo, u_hi)]
-        return sorted(column, key=lambda ch: ch.v_lo((u_lo + u_hi) / 2))
-
     def describe(self) -> str:
         return "\n".join(ch.describe() for ch in self.chambers)
 
@@ -387,7 +441,7 @@ def _derive_cell(d0, z, lo, hi, curves, form) -> list:
 
 def _solve_chamber(table: _PairingTable, support):
     """Positive part, volume and wall forms of one support, for all (u, v) at once."""
-    chosen = [name for name, _ in table.curves if name in support]
+    chosen = [name for name, _ in table.surface.curves if name in support]
     coeffs, p, pairings, vol = table.solve(chosen)
     forms = [(name, Poly.of(n)) for name, n in zip(chosen, coeffs)]
     forms += [(name, Poly.of(value)) for name, value in pairings.items()]

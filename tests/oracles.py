@@ -6,10 +6,15 @@ exhaustive grid search, a threshold found by support enumeration instead
 of the cone's facets, cone membership decided by support enumeration before
 any facet is read, Gauss-Jordan solves and null spaces that divide by each
 pivot instead of eliminating fraction-free, facets found as those rational
-null spaces instead of integer kernels, and the trilinear form expanded
-over every permutation of its entries.  Agreement within coarse tolerances
-is evidence that the exact path computes the right thing, not just a
+null spaces instead of integer kernels, the trilinear form expanded
+over every permutation of its entries, and the pointwise Zariski fixpoint
+with every pairing formed by ``surface_pair`` for one class at a time, with
+no table shared between classes.  Agreement within coarse tolerances is
+evidence that the exact path computes the right thing, not just a
 self-consistent thing.
+
+The chart and decomposition readers at the end (:func:`negative_class`,
+:func:`u_cells`, :func:`chart_stack`) give tests views that no command needs.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from functools import cache
 from itertools import combinations
 
 from divstab import linalg
-from divstab.cones import (Decomposition, Infeasible, UnboundedThresholdError,
+from divstab.cones import (ConeSpec, Decomposition, Infeasible, UnboundedThresholdError,
                            effective_decompose)
+from divstab.lattice import surface_pair
 from divstab.ratmath import Poly, format_rational
+from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
 
 def midpoint_1d(f, a: float, b: float, n: int = 10_000) -> float:
@@ -350,3 +357,81 @@ def triple_product_oracle(d1, d2, d3, form):
                 total += t * x * y * z
     rational = all(isinstance(c, Fraction) for d in (d1, d2, d3) for c in d.coeffs)
     return total if rational else Poly.of(total)
+
+
+def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:
+    """``zariski.zariski_decompose`` with each pairing formed by ``surface_pair``.
+
+    The same fixpoint, the same errors and the same order of the support:
+    D.C_k and D.D per class, C_i.C_j on demand per class, nothing kept
+    between calls.
+    """
+    if not d.rational:
+        raise ValueError("pointwise decomposition needs rational coefficients")
+    classes = dict(curves)
+    with_d = {name: surface_pair(d, cls, form) for name, cls in curves}
+    between = {}
+
+    def meet(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key not in between:
+            between[key] = surface_pair(classes[a], classes[b], form)
+        return between[key]
+
+    def solve(support):
+        coeffs = []
+        if support:
+            gram = [[meet(a, b) for b in support] for a in support]
+            if not linalg.is_negative_definite(gram):
+                raise IndefiniteSupportError(f"support {list(support)}")
+            coeffs = linalg.solve_unique(gram, [with_d[a] for a in support])
+        p, vol = d, surface_pair(d, d, form)
+        for name, n in zip(support, coeffs):
+            p = p - classes[name].scale(n)
+            vol = vol - n * with_d[name]
+        pairings = {name: with_d[name] - sum((n * meet(a, name)
+                                              for a, n in zip(support, coeffs)), Fraction(0))
+                    for name, _ in curves if name not in support}
+        return coeffs, p, pairings, vol
+
+    support: list[str] = []
+    coeffs, p, pairings, vol = solve(support)
+    for _ in range(len(curves) + 1):
+        entering = []
+        for name, value in pairings.items():
+            if value < 0:
+                if meet(name, name) >= 0:
+                    raise NotPseudoEffectiveError(f"nef curve {name!r}")
+                entering.append(name)
+        if not entering:
+            break
+        support.extend(entering)
+        try:
+            coeffs, p, pairings, vol = solve(support)
+        except IndefiniteSupportError:
+            if isinstance(effective_decompose(d, ConeSpec(list(curves))), Infeasible):
+                raise NotPseudoEffectiveError("outside the curve cone") from None
+            raise
+    if any(n < 0 for n in coeffs) or vol < 0:
+        raise NotPseudoEffectiveError("negative coefficient or volume")
+    return ZariskiResult(positive=p, negative=tuple(zip(support, coeffs)),
+                         support=tuple(support))
+
+
+def negative_class(result: ZariskiResult, curves: dict):
+    """N = sum n_i C_i of a decomposition, over ``curves`` by name."""
+    out = result.positive.basis.zero()
+    for name, coeff in result.negative:
+        out = out + curves[name].scale(coeff)
+    return out
+
+
+def u_cells(chart) -> list[tuple[Fraction, Fraction]]:
+    """The u-intervals of a chart's chambers, in order."""
+    return sorted({(ch.u_lo, ch.u_hi) for ch in chart.chambers})
+
+
+def chart_stack(chart, u_lo, u_hi) -> list:
+    """The chambers over one u-interval, from the lowest v up."""
+    column = [ch for ch in chart.chambers if (ch.u_lo, ch.u_hi) == (u_lo, u_hi)]
+    return sorted(column, key=lambda ch: ch.v_lo((u_lo + u_hi) / 2))

@@ -19,8 +19,8 @@ from divstab.lattice import DivisorClass, restrict, surface_pair, triple_product
 from divstab.ratmath import Poly
 from divstab.zariski import NotPseudoEffectiveError, zariski_decompose
 from conftest import curve_input
-from oracles import grid_decompose, midpoint_1d, negative_term_oracle, \
-    volume_term_oracle
+from oracles import chart_stack, grid_decompose, midpoint_1d, negative_class, \
+    negative_term_oracle, u_cells, volume_term_oracle
 
 U = Poly.variable("u")
 
@@ -194,9 +194,9 @@ def test_criterion_2_chart_bounds(scenarios):
     half = F(1, 2)
     plane = sinv.volume_charts(curve_input(scenarios["lemma_4_1"]))
     assert [ch.v_hi for ch in plane[0].chambers] == [2 - U]
-    cells = plane[1].u_cells()
+    cells = u_cells(plane[1])
     assert cells == [(1, F(7, 5)), (F(7, 5), F(3, 2))]
-    low, high = plane[1].stack(*cells[0]), plane[1].stack(*cells[1])
+    low, high = chart_stack(plane[1], *cells[0]), chart_stack(plane[1], *cells[1])
     assert [ch.v_hi for ch in low] == [3 - 2 * U, (5 - 3 * U) * half]
     assert [ch.v_hi for ch in high] == [3 - 2 * U, 6 - 4 * U]
     print("criterion 2 [plane chart]: bounds 2-u; 3-2u; (5-3u)/2 with u-break 7/5; "
@@ -314,7 +314,7 @@ def test_criterion_5_zariski_invariants(scenarios, name):
         result = zariski_decompose(d, surface.extremal_curves, surface.form)
         assert set(result.support) == set(ch.support)
         assert ch.positive.evaluate(u=u, v=v) == result.positive
-        assert result.positive + result.negative_class(curves) == d
+        assert result.positive + negative_class(result, curves) == d
         assert all(coeff >= 0 for _, coeff in result.negative)
         for cname, ccls in surface.extremal_curves:
             pairing = surface_pair(result.positive, ccls, surface.form)

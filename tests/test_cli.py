@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from divstab.cli import build_parser, main
-from divstab.exprs import ExprSyntaxError, parse_divisor_expr, parse_poly
+from divstab.exprs import MAX_POWER, ExprSyntaxError, parse_divisor_expr, parse_poly
 from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
 from divstab.scenario import (ScenarioFormatError, bundled_scenario_names,
@@ -75,6 +75,15 @@ def test_parse_poly_kinds():
     assert parse_poly("(2 - u)*(2 + u)") == 4 - U * U
     with pytest.raises(ExprSyntaxError):
         parse_poly("w + 1")
+
+
+def test_exponents_are_capped():
+    """A power costs about the cube of its exponent, so one beyond the cap
+    is refused at once instead of stalling the batch."""
+    assert parse_poly(f"u^{MAX_POWER}") == U ** MAX_POWER
+    with pytest.raises(ExprSyntaxError, match=f"exponent 400 is larger than {MAX_POWER} "
+                                              "at position 12"):
+        parse_poly("(1 + u + v)^400")
 
 
 def test_parse_bundled_scenario():
@@ -506,6 +515,10 @@ REQUIRED_KEYS = {"scenario": ("kind", "expected"),
 # the others, and dominate_via outside s_curve_bound, are misplaced keys
 BOUND_KEYS = {"curve_pairing": ("assert_at_least", "exceeds"),
               "effective_decomposition": (), "infeasible_scan": ()}
+# the keys whose value is a divisor expression, by section and first word
+DIVISOR_KEYS = {"threefold": ("anticanonical", "cone", "divisor"),
+                "surface": ("class", "restrict", "curve"), "curve": ("z", "dominate_via"),
+                "divisor": ("class",), "decompose": ("class",), "pairing": ("class",)}
 # a standalone rational: not part of a name like E1 or lemma_4_1, nor of 4H
 RATIONAL = re.compile(r"(?<![\w./])-?\d+(?:/\d+)?(?![\w./])")
 
@@ -558,6 +571,26 @@ def _damage(text, how, rng):
         code, hash_, comment = lines[i].partition("#")
         name = rng.choice(code.partition("=")[2].split())
         lines[i] = f"{code.rstrip()} {name} {hash_}{comment}"
+    elif how == "power":
+        # a zero constant term whose exponent is just beyond the cap
+        i, section, _ = rng.choice([e for e in entries
+                                    if e[2].split()[0] in DIVISOR_KEYS.get(e[1], ())])
+        code, hash_, comment = lines[i].partition("#")
+        k = rng.randint(MAX_POWER + 1, 3 * MAX_POWER)
+        lines[i] = f"{code.rstrip()} + (u^{k} - u^{k}) {hash_}{comment}"
+    elif how == "shadow":
+        # a divisor line that gives a generator or cone name another class
+        section = "threefold"
+        values = {key: lines[i].split("#", 1)[0].partition("=")[2].strip()
+                  for i, s, key in entries if s == section}
+        generators = values["basis"].split()
+        names = {g: g for g in generators}
+        names.update((key.split()[1], value) for key, value in values.items()
+                     if key.startswith("cone "))
+        taken = {key.split()[1] for key in values if key.startswith("divisor ")}
+        name = rng.choice(sorted(set(names) - taken))
+        other = rng.choice([g for g in generators if g != names[name]])
+        lines.insert(lines.index(f"[{section}]") + 1, f"divisor {name} = {other}")
     else:
         i, section, _ = rng.choice(entries)
         lines.insert(i + 1, "bogus = 1")
@@ -565,7 +598,7 @@ def _damage(text, how, rng):
 
 
 @pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced",
-                                 "repeat", "basis"])
+                                 "repeat", "basis", "power", "shadow"])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
     damaged section; the next scenario in the batch still passes."""

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly,
+from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, combination,
                              format_poly, format_rational, integrate_region,
                              integrate_univariate, parse_rational, rational_roots)
 from oracles import midpoint_1d
@@ -125,6 +125,19 @@ def test_ring_laws_poly2():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
+
+
+def test_combination_equals_the_sum_of_products():
+    rng = random.Random(5)
+    for _ in range(50):
+        coeffs = [rng.choice([F(rng.randint(-5, 5), rng.randint(1, 6)),
+                              F(rng.randint(-3, 3), 2) * U + F(rng.randint(-3, 3), 3) * V * V,
+                              Poly()])
+                  for _ in range(rng.randint(0, 5))]
+        weights = [rng.randint(-4, 4) for _ in coeffs]
+        den = rng.randint(1, 9)
+        expected = sum((w * c for c, w in zip(coeffs, weights)), Poly()) * F(1, den)
+        assert combination(coeffs, weights, den) == expected
 
 
 def test_mixed_variable_promotion():

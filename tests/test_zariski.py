@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from divstab.ratmath import IrrationalBreakpointError, Poly
 from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
                              build_chart, v_sweep, zariski_decompose)
 from conftest import curve_input
+from oracles import chart_stack, negative_class, u_cells, zariski_decompose_oracle
 
 U = Poly.variable("u")
 
@@ -30,7 +32,7 @@ def test_decompose_in_the_line_support_chamber(dp5):
     curves = dict(dp5.extremal_curves)
     for name in result.support:
         assert surface_pair(result.positive, curves[name], dp5.form) == 0
-    rebuilt = result.positive + result.negative_class(curves)
+    rebuilt = result.positive + negative_class(result, curves)
     assert rebuilt == dp5_ray(dp5, u, v)
 
 
@@ -212,10 +214,10 @@ def test_chart_reproduces_displayed_walls(dp5):
     chart_a = build_chart(d0a, z, [0, 1], dp5.extremal_curves, dp5.form)
     assert [ch.v_hi for ch in chart_a.chambers] == [2 - U]
     chart_b = build_chart(d0b, z, [1, F(3, 2)], dp5.extremal_curves, dp5.form)
-    cells = chart_b.u_cells()
+    cells = u_cells(chart_b)
     assert cells == [(1, F(7, 5)), (F(7, 5), F(3, 2))]
-    first = chart_b.stack(*cells[0])
-    second = chart_b.stack(*cells[1])
+    first = chart_stack(chart_b, *cells[0])
+    second = chart_stack(chart_b, *cells[1])
     assert [ch.v_hi for ch in first] == [3 - 2 * U, (5 - 3 * U) * F(1, 2)]
     assert [ch.v_hi for ch in second] == [3 - 2 * U, 6 - 4 * U]
     assert first[1].support == second[1].support == ("L12", "L13", "L14")
@@ -245,9 +247,9 @@ def test_chart_cells_are_exact_and_minimal(dp6, coeffs, cell, cells):
     d0 = DivisorClass(dp6.basis, coeffs)
     z = dp6.basis.unit("l1")
     chart = build_chart(d0, z, cell, dp6.extremal_curves, dp6.form)
-    assert chart.u_cells() == cells
-    for lo, hi in chart.u_cells():
-        stack = chart.stack(lo, hi)
+    assert u_cells(chart) == cells
+    for lo, hi in u_cells(chart):
+        stack = chart_stack(chart, lo, hi)
         for u in (lo + (hi - lo) / 4, (lo + hi) / 2, lo + (hi - lo) * 3 / 4):
             sweep = v_sweep(d0, z, u, dp6.extremal_curves, dp6.form)
             assert stack[-1].v_hi(u) == sweep[-1].v_hi
@@ -317,8 +319,8 @@ def test_volume_continuity_across_chambers(scenarios):
     """Adjacent chambers' volumes agree identically on the shared wall."""
     for name in ("lemma_4_1", "lemma_4_3_l1", "lemma_4_3_l2", "lemma_4_3_mixed"):
         for chart in _charts_for(scenarios[name]):
-            for lo, hi in chart.u_cells():
-                stack = chart.stack(lo, hi)
+            for lo, hi in u_cells(chart):
+                stack = chart_stack(chart, lo, hi)
                 for below, above in zip(stack, stack[1:]):
                     assert below.v_hi == above.v_lo
                     wall = below.v_hi
@@ -412,3 +414,96 @@ def test_a_verify_pass_solves_each_chamber_once(monkeypatch):
     assert run_verify([(n, load_bundled(n)) for n in names]).all_pass
     assert calls["solve_unique"] == 17
     assert calls["v_sweep"] == calls["_derive_cell"] > calls["build_chart"] > 0
+
+
+def _random_class(rng, surface):
+    """A seeded rational class: a nonnegative combination of the curves plus
+    a small perturbation, so decompositions and errors both come up."""
+    basis = surface.basis
+    out = DivisorClass(basis, [F(rng.randint(-2, 2), rng.randint(1, 4))
+                               for _ in basis.names])
+    for _, cls in surface.extremal_curves:
+        out = out + cls.scale(F(rng.randint(0, 6), rng.randint(1, 3)))
+    return out
+
+
+@pytest.mark.parametrize("surface_name", ["dp5", "dp6", "ruled"])
+def test_decompose_matches_the_per_class_pairing_oracle(request, surface_name):
+    """The shared surface table changes no decomposition and no error: at
+    seeded rational classes, ``zariski_decompose`` equals the fixpoint that
+    pairs every class and curve afresh through ``surface_pair``."""
+    surface = request.getfixturevalue(surface_name)
+    curves, form = surface.extremal_curves, surface.form
+    rng = random.Random(f"table-{surface_name}")
+    outcomes = Counter()
+    for _ in range(150):
+        d = _random_class(rng, surface)
+        try:
+            expected = zariski_decompose_oracle(d, curves, form)
+        except (NotPseudoEffectiveError, IndefiniteSupportError) as exc:
+            with pytest.raises(type(exc)):
+                zariski_decompose(d, curves, form)
+            outcomes["error"] += 1
+            continue
+        assert zariski_decompose(d, curves, form) == expected
+        outcomes["support" if expected.support else "nef"] += 1
+    # the quadric has no negative curve, so no class there has a support
+    assert len(outcomes) == (2 if surface_name == "ruled" else 3)
+
+
+@pytest.mark.parametrize("surface_name,count", [("dp5", 75), ("dp6", 17), ("ruled", 0)])
+def test_negative_definite_supports_of_each_surface(request, surface_name, count):
+    """Zariski chambers are indexed by the negative definite supports
+    (Bauer-Kuronya-Szemberg 2004); the del Pezzo surfaces of degree 5 and 6
+    have 76 and 18 chambers with the empty one (Bauer-Funke-Neumann 2010),
+    and the quadric only the empty one.  The table's Gram is the form's."""
+    from divstab.linalg import is_negative_definite
+    from divstab.zariski import surface_table
+    surface = request.getfixturevalue(surface_name)
+    table = surface_table(surface.extremal_curves, surface.form)
+    for a, ca in surface.extremal_curves:
+        for b, cb in surface.extremal_curves:
+            assert table.gram[a, b] == surface_pair(ca, cb, surface.form)
+    names = [name for name, _ in surface.extremal_curves]
+    supports = [s for k in range(1, len(names) + 1) for s in combinations(names, k)
+                if is_negative_definite([[table.gram[a, b] for b in s] for a in s])]
+    assert len(supports) == count
+
+
+def test_a_fresh_parse_finds_its_surface_table(scenarios):
+    """The table is found by identity for the same curve tuple and by value
+    for a fresh parse or a list of the same curves."""
+    from divstab.scenario import load_bundled_scenario
+    from divstab.zariski import surface_table
+    surface = scenarios["lemma_4_1"].surface
+    table = surface_table(surface.extremal_curves, surface.form)
+    fresh = load_bundled_scenario("lemma_4_1.scn").surface
+    assert fresh.form is not surface.form
+    assert surface_table(fresh.extremal_curves, fresh.form) is table
+    assert surface_table(list(surface.extremal_curves), surface.form) is table
+    assert surface_table(surface.extremal_curves[1:], surface.form) is not table
+
+
+def test_a_second_verify_pass_pairs_no_two_curves(scenarios, monkeypatch):
+    """C_i.C_j is formed once per surface, in its table: a second
+    ``run_verify`` of the bundled scenarios calls ``surface_pair`` on no two
+    listed curves."""
+    from divstab import cones, lattice, zariski
+    from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
+    curves = {cls for sc in scenarios.values() if sc.surface is not None
+              for _, cls in sc.surface.extremal_curves}
+    calls = Counter()
+    original = lattice.surface_pair
+
+    def counted(a, b, form):
+        calls[a in curves and b in curves] += 1
+        return original(a, b, form)
+    for module in (lattice, zariski, cones):
+        monkeypatch.setattr(module, "surface_pair", counted)
+    items = [(n, load_bundled(n)) for n in bundled_scenario_names()]
+    assert len(items) == 17
+    assert run_verify(items).all_pass
+    calls.clear()
+    assert run_verify(items).all_pass
+    assert calls[True] == 0
+    assert calls[False] > 0
