@@ -220,9 +220,6 @@ class SurfaceForm:
     def value(self, i: int, j: int) -> Fraction:
         return self.values.get((i, j), Fraction(0))
 
-    def gram(self, classes: Sequence[DivisorClass]) -> list[list[Fraction]]:
-        return [[surface_pair(a, b, self) for b in classes] for a in classes]
-
 
 def _check_names(what: str, basis: LatticeBasis, table: Mapping[str, object]) -> None:
     """Raise ValueError unless ``table`` has exactly the generators of ``basis``."""

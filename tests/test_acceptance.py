@@ -320,7 +320,8 @@ def test_criterion_5_zariski_invariants(scenarios, name):
             pairing = surface_pair(result.positive, ccls, surface.form)
             assert pairing == 0 if cname in result.support else pairing >= 0
         if result.support:
-            gram = surface.form.gram([curves[c] for c in result.support])
+            gram = [[surface_pair(curves[a], curves[b], surface.form) for b in result.support]
+                    for a in result.support]
             assert linalg.is_negative_definite(gram)
         checked += 1
     print(f"criterion 5 [zariski invariants, {name}]: {checked} samples -> PASS")
