@@ -4,8 +4,8 @@ Submodules:
 
 * :mod:`divstab.ratmath` -- rationals, u/v polynomials, exact integration
 * :mod:`divstab.lattice` -- divisor classes, intersection forms, restrictions
-* :mod:`divstab.cones`   -- nef checks, cone facets, effective decompositions,
-  exact feasible intervals and thresholds
+* :mod:`divstab.cones`   -- cone facets, effective decompositions, exact
+  feasible intervals and thresholds
 * :mod:`divstab.zariski` -- Zariski decompositions and (u, v) chamber charts
 * :mod:`divstab.sinv`    -- the stability functionals assembled from the above
 * :mod:`divstab.projgeo` -- exact projective polynomial geometry checks

@@ -1,11 +1,10 @@
-"""Exact cone queries: nef certificates, nonnegative decomposition, thresholds.
+"""Exact cone queries: nonnegative decomposition, feasible intervals, thresholds.
 
-The effective cone is handed in as an explicit generator list and the Mori
-cone as an explicit dual test set (curve tables or surface curve classes);
-the scenario is responsible for supplying generating sets.  Ranks never
-exceed 5; the threefold cones have 4 to 6 generators and the extremal curves
-of the dP5 surface give a 10-generator cone.  Everything is exact: integer
-kernels and small rational solves, no pivoting tolerances, no LP library.
+The effective cone is handed in as an explicit generator list; the scenario
+is responsible for supplying a generating set.  Ranks never exceed 5; the
+threefold cones have 4 to 6 generators and the extremal curves of the dP5
+surface give a 10-generator cone.  Everything is exact: integer kernels and
+small rational solves, no pivoting tolerances, no LP library.
 
 A cone's H-representation (Minkowski--Weyl) is the equalities of its span
 and its facet functionals, as primitive integer vectors.  The equalities are
@@ -28,11 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import linalg
-from .lattice import (BasisMismatchError, CurvePairing, DivisorClass, SurfaceForm,
-                      pair_with_curve, surface_pair)
+from .lattice import BasisMismatchError, DivisorClass
 from .ratmath import format_rational
 
 Functional = tuple[int, ...]
@@ -137,12 +135,6 @@ class Decomposition:
     cone: ConeSpec
     coefficients: tuple[Fraction, ...]
 
-    def recombine(self) -> DivisorClass:
-        out = self.cone.basis.zero()
-        for c, g in zip(self.coefficients, self.cone.generators):
-            out = out + g.scale(c)
-        return out
-
     def __str__(self):
         return "\n".join(f"{name}: {format_rational(c)}"
                          for name, c in zip(self.cone.names, self.coefficients))
@@ -161,42 +153,6 @@ class Infeasible:
 
     def __bool__(self):
         return False
-
-
-@dataclass(frozen=True)
-class NefCertificate:
-    nef: bool
-    violating_curve: str | None = None
-    pairing: Fraction | None = None
-
-    def __bool__(self):
-        return self.nef
-
-
-def is_nef(d: DivisorClass, curves: Sequence[Union[CurvePairing, tuple[str, DivisorClass]]],
-           form: SurfaceForm | None = None) -> NefCertificate:
-    """Check ``d . c >= 0`` for every supplied curve.
-
-    Curves are either :class:`CurvePairing` tables (threefold) or named
-    surface classes ``(name, class)`` paired through ``form``.  The result
-    names a violating curve when there is one.
-    """
-    if not curves:
-        raise ValueError("empty curve list")
-    for entry in curves:
-        if isinstance(entry, CurvePairing):
-            name, value = entry.name, pair_with_curve(d, entry)
-        else:
-            name, cls = entry
-            if form is None:
-                raise ValueError("surface curve classes need the surface form")
-            value = surface_pair(d, cls, form)
-        if not isinstance(value, Fraction):
-            raise ValueError("is_nef needs rational coefficients; "
-                             "evaluate parametric classes at a point first")
-        if value < 0:
-            return NefCertificate(False, name, value)
-    return NefCertificate(True)
 
 
 def _vector_of(d: DivisorClass) -> tuple[Fraction, ...]:

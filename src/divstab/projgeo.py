@@ -17,6 +17,15 @@ cutting out a line, the containment conditions on a conic) are solved by
 :func:`_poly_kernel`, which normalizes the kernel basis that the package's
 one fraction-free elimination, :func:`divstab.linalg.kernel`, returns.
 
+Two polynomial types meet here, and both stay.  :class:`MPoly` has no
+division, gcd or root finding; :class:`divstab.ratmath.Poly` is the
+package's one univariate toolkit and has all three.  :func:`_unipoly` and
+:func:`_mpoly` are the only crossings, at the three one-variable steps: the
+gcd of binary forms (:func:`_common_binary_factor`), the kernel over Q[s]
+(:func:`_poly_kernel`) and the reduction of each a_k / a4
+(:func:`_reduced_by_a4`).  Giving MPoly these operations would be a second
+copy of Poly's.
+
 The verification entry point is :func:`verify_secant_lemma`, which certifies
 the whole containment story for the invariant-line family inside the secant
 quartic: solving the conic coefficients once, pulling that conic back to the
@@ -34,7 +43,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .exprs import parse_expression
-from .ratmath import Poly, format_rational, format_terms, poly_gcd, rational_roots
+from .ratmath import Poly, format_terms, poly_gcd, rational_roots
 
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
@@ -331,10 +340,6 @@ class LinearAction:
                     start=point[0] * 0) for row in self.matrix]
 
 
-def identity_action() -> LinearAction:
-    return LinearAction([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-
-
 def transform_poly(g: LinearAction, f: MPoly) -> MPoly:
     """Compose f with the coordinate substitution x -> g(x)."""
     images = g.apply([MPoly.variable(v) for v in PROJ_VARS])
@@ -390,13 +395,6 @@ class FixedLocus:
     eigenvalues: tuple[Fraction, Fraction]
     dimension: int                      # projective dimension
     basis: tuple[tuple[Fraction, ...], ...]
-
-    def describe(self) -> str:
-        if self.dimension >= 3:
-            return "all of projective space"
-        kind = {1: "line", 2: "plane"}.get(self.dimension, f"{self.dimension}-fold")
-        return f"{kind} spanned by " + ", ".join(
-            "[" + ":".join(format_rational(c) for c in vec) + "]" for vec in self.basis)
 
 
 @dataclass(frozen=True)
@@ -620,23 +618,6 @@ def _reduced_by_a4(conic: list[Poly], parameter: str) -> dict[str, tuple[MPoly, 
     return out
 
 
-def solve_conic_through_line(parameter: str = "s") -> dict[str, tuple[MPoly, MPoly]]:
-    """Conic coefficients forced by containment of the invariant line.
-
-    Returns each of a1..a6 as a (numerator, denominator) pair of polynomials
-    in the parameter, normalized so a4 = 1.
-    """
-    return _reduced_by_a4(_secant_conic(parameter), parameter)
-
-
-def secant_quartic(parameter: str = "s") -> MPoly:
-    """The quartic surface swept by the secants meeting the invariant line:
-    the pullback of the solved conic, whose polynomial coefficients have no
-    common factor."""
-    return pullback_under_quadric_map([_mpoly(p, parameter)
-                                       for p in _secant_conic(parameter)])
-
-
 def secant_condition_displays() -> tuple[MPoly, MPoly]:
     """The two vanishing conditions for the second line parameter t."""
     s, t = MPoly.variable("s"), MPoly.variable("t")
@@ -649,8 +630,8 @@ def secant_condition_displays() -> tuple[MPoly, MPoly]:
 class SecantLemmaReport:
     """Certificates for the invariant-line containment analysis."""
 
-    solved_coefficients: dict[str, tuple[MPoly, MPoly]]
-    quartic: MPoly
+    solved_coefficients: dict[str, tuple[MPoly, MPoly]]  # a_k / a4 as (num, den) in s
+    quartic: MPoly                 # pullback of the solved conic, no common factor in s
     conditions: tuple[MPoly, ...]
     conditions_match: bool         # conditions = the two display polynomials (up to sign)
     factor_identity: bool          # second condition = (s - t)(1 - s t)

@@ -145,10 +145,6 @@ class Poly:
         return _reduce([[x.numerator]], x.denominator)
 
     @classmethod
-    def constant(cls, value: Scalar) -> "Poly":
-        return cls([[value]])
-
-    @classmethod
     def variable(cls, name: str) -> "Poly":
         if name == "u":
             return cls([[0], [1]])
@@ -295,7 +291,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.constant(1)
+        result = Poly.of(1)
         for _ in range(n):
             result = result * self
         return result

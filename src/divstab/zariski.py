@@ -295,9 +295,6 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     u = Fraction(u)
     start = d0.evaluate(u=u)
     base = zariski_decompose(start, extremal_curves, form)  # validates v = 0
-    if surface_pair(base.positive, base.positive, form) == 0:
-        raise NotPseudoEffectiveError(
-            f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
     v = Poly.variable("v")
     ray = DivisorClass(d0.basis, [a - v * b for a, b in zip(d0.coeffs, z.coeffs)])
     table = _PairingTable(ray, extremal_curves, form)
@@ -306,8 +303,11 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     v0 = Fraction(0)
     # N is convex in the class, so each coefficient vanishes on one interval
     # of the ray: a curve toggles at most twice
-    for _ in range(2 * len(extremal_curves) + 2):
+    for step in range(2 * len(extremal_curves) + 2):
         positive, vol_uv, forms = _solve_chamber(table, support)
+        if step == 0 and vol_uv(u, 0) == 0:  # the start's support: vol of the start
+            raise NotPseudoEffectiveError(
+                f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
         walls = [(-f(u, 0) / slope, name) for name, f, slope in forms if slope < 0]
         wall_v = min((w for w, _ in walls if w >= v0), default=None)
         toggled = tuple(name for w, name in walls if w == wall_v)

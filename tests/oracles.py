@@ -13,8 +13,9 @@ no table shared between classes.  Agreement within coarse tolerances is
 evidence that the exact path computes the right thing, not just a
 self-consistent thing.
 
-The chart and decomposition readers at the end (:func:`negative_class`,
-:func:`u_cells`, :func:`chart_stack`) give tests views that no command needs.
+The chart and decomposition readers at the end (:func:`recombine`,
+:func:`negative_class`, :func:`u_cells`, :func:`chart_stack`) give tests
+views that no command needs.
 """
 
 from __future__ import annotations
@@ -416,6 +417,15 @@ def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:
         raise NotPseudoEffectiveError("negative coefficient or volume")
     return ZariskiResult(positive=p, negative=tuple(zip(support, coeffs)),
                          support=tuple(support))
+
+
+def recombine(decomposition: Decomposition):
+    """sum x_i g_i of a cone decomposition, over the cone's generators."""
+    cone = decomposition.cone
+    out = cone.basis.zero()
+    for c, g in zip(decomposition.coefficients, cone.generators):
+        out = out + g.scale(c)
+    return out
 
 
 def negative_class(result: ZariskiResult, curves: dict):

@@ -6,41 +6,15 @@ import pytest
 
 from divstab import cones as cones_module
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,
-                           UnboundedThresholdError, effective_decompose, is_nef,
+                           UnboundedThresholdError, effective_decompose,
                            pseudoeffective_threshold)
 from divstab import linalg
 from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
 from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
-from oracles import effective_decompose_oracle, grid_decompose
+from oracles import effective_decompose_oracle, grid_decompose, recombine
 
 U = Poly.variable("u")
-
-
-def test_is_nef_on_dp5(dp5):
-    curves = dp5.extremal_curves
-    cls = DivisorClass(dp5.basis, [4 - F(1, 2) - 1, -1, -1, -1, -1])
-    cert = is_nef(cls, curves, dp5.form)
-    assert cert.nef and cert.violating_curve is None
-    e1 = dp5.basis.unit("E1")
-    cert = is_nef(e1, [("E1", e1)], dp5.form)
-    assert not cert.nef and cert.violating_curve == "E1" and cert.pairing == -1
-
-
-def test_is_nef_names_the_violating_line(dp5):
-    u, v = F(5, 4), F(1)
-    cls = DivisorClass(dp5.basis, [8 - 5 * u - v, u - 2, 2 * u - 3, 2 * u - 3, 2 * u - 3])
-    cert = is_nef(cls, dp5.extremal_curves, dp5.form)
-    assert not cert.nef
-    assert cert.violating_curve in ("L12", "L13", "L14")
-    assert cert.pairing == 3 - 2 * u - v == F(-1, 2)
-
-
-def test_is_nef_against_curve_tables(model):
-    cert = is_nef(model.anticanonical, model.mori_curves)
-    assert cert.nef
-    with pytest.raises(ValueError, match="empty"):
-        is_nef(model.anticanonical, [])
 
 
 def test_effective_decompose_integral_cone(zcone_model):
@@ -49,7 +23,7 @@ def test_effective_decompose_integral_cone(zcone_model):
     outcome = effective_decompose(zcone_model.anticanonical, cone)
     assert isinstance(outcome, Decomposition)
     assert outcome.coefficients == (2, 1, 0, 1, 0)
-    assert outcome.recombine() == zcone_model.anticanonical
+    assert recombine(outcome) == zcone_model.anticanonical
 
 
 def test_effective_decompose_infeasible_with_witness(model):
@@ -254,7 +228,7 @@ def test_round_trip_on_random_feasible_classes(zcone_model):
             target = target + g.scale(c)
         outcome = effective_decompose(target, cone)
         assert isinstance(outcome, Decomposition)
-        assert outcome.recombine() == target
+        assert recombine(outcome) == target
 
 
 def test_brute_force_oracle_agreement(zcone_model):

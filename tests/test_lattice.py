@@ -147,7 +147,7 @@ def test_coefficient_kind_promotion(model):
     assert [type(c) for c in mixed.coeffs] == [Poly, Poly, F]
     # a constant Poly is stored as its Fraction, so equality and hashing
     # are plain tuple comparisons
-    collapsed = DivisorClass(basis, [4 - U + U, Poly.constant(-1), 0 * V])
+    collapsed = DivisorClass(basis, [4 - U + U, Poly.of(-1), 0 * V])
     assert [type(c) for c in collapsed.coeffs] == [F, F, F]
     assert collapsed == DivisorClass(basis, [4, -1, 0])
     assert hash(collapsed) == hash(DivisorClass(basis, [4, -1, 0]))

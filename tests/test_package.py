@@ -1,5 +1,6 @@
-"""Package-wide guards: the runtime imports only the standard library, and a
-re-import leaves no old module alive."""
+"""Package-wide guards: the runtime imports only the standard library, every
+module-level function and class is read somewhere, and a re-import leaves no
+old module alive."""
 
 import ast
 import gc
@@ -11,6 +12,7 @@ from pathlib import Path
 import divstab
 
 SOURCES = sorted(Path(divstab.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -27,6 +29,34 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def _names_read(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement reads: as a name, an attribute or an
+    import alias, less its own name, so a definition does not read itself."""
+    read = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    read.discard(getattr(stmt, "name", None))
+    return read
+
+
+def test_every_module_level_definition_is_read():
+    """No function or class of the package is read by tests alone: each is
+    named somewhere in the package or the benchmark, outside its own body."""
+    assert BENCH
+    defined, read = [], set()
+    for path in SOURCES + BENCH:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            read |= _names_read(stmt)
+            if path in SOURCES and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, stmt.name))
+    assert [f"{module}.{name}" for module, name in defined if name not in read] == []
 
 
 def test_reimporting_the_package_frees_the_old_modules():

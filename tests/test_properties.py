@@ -32,8 +32,8 @@ from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly,  # no
 from divstab.scenario import load_bundled_scenario  # noqa: E402
 from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
 from oracles import (effective_decompose_oracle, h_representation_oracle,  # noqa: E402
-                     null_space_oracle, solve_unique_oracle, threshold_oracle,
-                     triple_product_oracle)
+                     null_space_oracle, recombine, solve_unique_oracle,
+                     threshold_oracle, triple_product_oracle)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 U, V = Poly.variable("u"), Poly.variable("v")
@@ -331,7 +331,7 @@ def test_decomposition_exists_iff_no_facet_is_violated(case):
     exists = isinstance(effective_decompose_oracle(cls, cone), Decomposition)
     assert isinstance(outcome, Decomposition) == exists == (not _violated(cone, cls))
     if isinstance(outcome, Decomposition):
-        assert outcome.recombine() == cls and min(outcome.coefficients) >= 0
+        assert recombine(outcome) == cls and min(outcome.coefficients) >= 0
     else:
         assert isinstance(outcome, Infeasible)
         assert all(_dot(outcome.witness, g) >= 0 for g in cone.generators)

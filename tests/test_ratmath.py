@@ -51,7 +51,7 @@ def test_integrate_region_examples():
     # midpoint oracle below agrees
     f = (4 - U - V) ** 2 - 4
     assert integrate_region(f, 0, 1, 0, 2 - U) == F(71, 12)
-    assert integrate_region(Poly.constant(1), 0, 1, 0, 1) == 1
+    assert integrate_region(Poly.of(1), 0, 1, 0, 1) == 1
     g = 2 * (1 + U - V) * (3 - U - 3 * V)
     assert integrate_region(g, 0, 1, 0, (3 - U) * F(1, 3)) == F(131, 54)
 
@@ -70,7 +70,7 @@ def test_integrate_region_matches_float_quadrature():
 
 def test_integrate_region_bound_order_violation():
     with pytest.raises(InvalidRegionError):
-        integrate_region(Poly.constant(1), 0, 1, 1 + U, 2 - U)
+        integrate_region(Poly.of(1), 0, 1, 1 + U, 2 - U)
 
 
 def test_integrate_region_rejects_bounds_not_affine_in_u():
@@ -78,7 +78,7 @@ def test_integrate_region_rejects_bounds_not_affine_in_u():
     affine bounds; u^2 lies above 0 on [0, 1] but is still refused."""
     for lo, hi in ((0, U * U), (U * U - 1, 1), (0, 1 + V)):
         with pytest.raises(ValueError, match="not affine in u"):
-            integrate_region(Poly.constant(1), 0, 1, lo, hi)
+            integrate_region(Poly.of(1), 0, 1, lo, hi)
 
 
 def test_rational_roots_examples():
@@ -145,7 +145,7 @@ def test_mixed_variable_promotion():
     p = U * V
     assert isinstance(p, Poly) and p.rows == ((), (0, 1))
     assert p(F(2), F(3)) == 6
-    assert U + 1 - U == 1 and U + 1 - U == Poly.constant(1)
+    assert U + 1 - U == 1 and U + 1 - U == Poly.of(1)
     assert (3 - 2 * U).coeffs == (3, -2) and (3 - 2 * U)(F(1, 2)) == 2
     assert (V * V - 1).coeffs == (-1, 0, 1) and (V * V - 1)(F(3)) == 8
     with pytest.raises(ValueError, match="both u and v"):

@@ -227,7 +227,7 @@ def test_schedule_validation_rejects_a_coefficient_that_dips_between_samples(mod
     """Nonnegative at 1, 9/8, 5/4, 11/8 and 3/2, but -41/1024 at u = 17/16:
     a five-point sample passed this schedule, and s_divisor gave 13093/25872."""
     r = DivisorClass(model.basis, [4, -2, -1])
-    product = Poly.constant(1024)
+    product = Poly.of(1024)
     for s in (F(1), F(9, 8), F(5, 4), F(11, 8), F(3, 2)):
         product = product * (U - s)
     dip = U - 1 - product

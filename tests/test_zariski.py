@@ -139,7 +139,7 @@ V = Poly.variable("v")
 
 @pytest.mark.parametrize("z,chambers", [
     ([1, 1, 0, 0, 0], [(0, 2, {"E1"}, (3 - V) ** 2), (2, F(5, 2), set(), 5 - 2 * V)]),
-    ([0, 1, 0, 0, 0], [(0, 2, {"E1"}, Poly.constant(9)), (2, 5, set(), (5 - V) * (1 + V))]),
+    ([0, 1, 0, 0, 0], [(0, 2, {"E1"}, Poly.of(9)), (2, 5, set(), (5 - V) * (1 + V))]),
 ], ids=["l+E1", "E1"])
 def test_v_sweep_follows_a_shrinking_support(dp5, z, chambers):
     # along 3l + 2E1 - v z the negative part is (2 - v) E1 up to v = 2, where
@@ -158,13 +158,14 @@ def test_v_sweep_follows_a_shrinking_support(dp5, z, chambers):
 def test_a_sweep_pairs_its_ray_with_each_curve_once(scenarios, dp5, monkeypatch):
     """Each chamber reads its pairings off one table for the ray: D.C_k per
     curve and D.D are the only pairings with a polynomial argument, however
-    many chambers the sweep has."""
+    many chambers the sweep has.  The one rational pairing is the start's D.D
+    in its own decomposition: the check for a start on the boundary reads vol
+    off the first chamber's solve."""
     from divstab import zariski
-    calls = []
+    calls = Counter()
 
     def counted(a, b, form):
-        if any(isinstance(c, Poly) for d in (a, b) for c in d.coeffs):
-            calls.append((a, b))
+        calls[a.rational and b.rational] += 1
         return surface_pair(a, b, form)
     monkeypatch.setattr(zariski, "surface_pair", counted)
     rays = [(DivisorClass(dp5.basis, [3, -1, -1, -1, -1]),
@@ -183,9 +184,18 @@ def test_a_sweep_pairs_its_ray_with_each_curve_once(scenarios, dp5, monkeypatch)
     for d0, z, u, surface in rays:
         calls.clear()
         sweep = v_sweep(d0, z, u, surface.extremal_curves, surface.form)
-        assert 0 < len(calls) <= len(surface.extremal_curves) + 1
+        assert 0 < calls[False] <= len(surface.extremal_curves) + 1
+        assert calls[True] == 1
         counts[len(sweep)] += 1
     assert set(counts) == {1, 2, 3}
+
+
+def test_a_sweep_starting_on_the_boundary_raises(dp5):
+    # l - E1 is effective with volume 0, so the ray has no chamber
+    l, e1 = dp5.basis.unit("l"), dp5.basis.unit("E1")
+    with pytest.raises(NotPseudoEffectiveError,
+                       match="at u=1 starts on the pseudo-effective boundary"):
+        v_sweep(l - e1, e1, 1, dp5.extremal_curves, dp5.form)
 
 
 def test_chart_follows_a_shrinking_support(dp5):
@@ -230,7 +240,7 @@ def test_chart_on_ruled_surface(ruled):
     chart_a = build_chart(d0a, z, [0, 1], ruled.extremal_curves, ruled.form)
     chart_b = build_chart(d0b, z, [1, F(3, 2)], ruled.extremal_curves, ruled.form)
     assert [ch.v_hi for ch in chart_a.chambers] == [1 + U]
-    assert [ch.v_hi for ch in chart_b.chambers] == [Poly.constant(2)]
+    assert [ch.v_hi for ch in chart_b.chambers] == [Poly.of(2)]
     assert all(ch.support == () for ch in chart_a.chambers + chart_b.chambers)
 
 
@@ -267,7 +277,7 @@ def test_chart_trivial_when_z_has_positive_square(ruled):
     chart = build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form)
     assert len(chart.chambers) == 1
     assert chart.chambers[0].support == ()
-    assert chart.chambers[0].v_hi == Poly.constant(2)
+    assert chart.chambers[0].v_hi == Poly.of(2)
 
 
 def _charts_for(scenario):
@@ -488,7 +498,7 @@ def test_a_second_verify_pass_pairs_no_two_curves(scenarios, monkeypatch):
     """C_i.C_j is formed once per surface, in its table: a second
     ``run_verify`` of the bundled scenarios calls ``surface_pair`` on no two
     listed curves."""
-    from divstab import cones, lattice, zariski
+    from divstab import lattice, zariski
     from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
     curves = {cls for sc in scenarios.values() if sc.surface is not None
               for _, cls in sc.surface.extremal_curves}
@@ -498,7 +508,7 @@ def test_a_second_verify_pass_pairs_no_two_curves(scenarios, monkeypatch):
     def counted(a, b, form):
         calls[a in curves and b in curves] += 1
         return original(a, b, form)
-    for module in (lattice, zariski, cones):
+    for module in (lattice, zariski):
         monkeypatch.setattr(module, "surface_pair", counted)
     items = [(n, load_bundled(n)) for n in bundled_scenario_names()]
     assert len(items) == 17
