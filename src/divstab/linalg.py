@@ -92,11 +92,12 @@ def null_space(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right null space of a rational matrix.
 
     The reduced-row-echelon basis: each :func:`kernel` vector divided by its
-    entry at its free column.
+    entry at its free column.  The elimination runs on the entries as given,
+    so an integer matrix is eliminated over the ints.
     """
     ncols = len(matrix[0]) if matrix else 0
     basis = []
-    for vec in kernel([list(map(Fraction, row)) for row in matrix], ncols):
+    for vec in kernel(matrix, ncols):
         free = next(x for x in reversed(vec) if x)
         basis.append([Fraction(x, free) for x in vec])
     return basis

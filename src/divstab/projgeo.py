@@ -1,16 +1,22 @@
 """Exact multivariate polynomial geometry over the rationals.
 
-Polynomials live in a sparse ring over Fraction whose variables are the
+Polynomials live in a sparse ring over the rationals whose variables are the
 projective coordinates ``x0..x3`` together with whatever parameters a
 computation needs (``s``, ``t``, the conic coefficients ``a1..a6``, and the
 line/curve parametrization letters).  Homogeneity is a property of the
-x-block only.  Everything is exact and rational.
+x-block only.  Everything is exact and rational: a float never enters, as a
+coefficient, a matrix entry or a substituted value, and :class:`TypeError`
+says so.
 
 An :class:`MPoly` has one canonical form: ``terms`` maps each monomial, the
 name-sorted tuple of its ``(name, exponent)`` pairs with exponent > 0, to a
-nonzero Fraction, so equal polynomials have equal ``terms`` and no operation
-aligns variable lists.  :func:`format_mpoly` prints graded lex over the sorted
-names (Cox-Little-O'Shea, section 2.2), leading term first.
+nonzero coefficient that is an ``int`` when integral and otherwise a
+Fraction with denominator > 1, so equal polynomials have equal ``terms``, no
+operation aligns variable lists, and the arithmetic of integral coefficients
+runs on Python ints.  :class:`LinearAction` stores its matrix by the same
+rule, and :func:`_char_poly` clears its denominators to run over the ints.
+:func:`format_mpoly` prints graded lex over the sorted names
+(Cox-Little-O'Shea, section 2.2), leading term first.
 
 Linear systems whose entries are polynomials in one parameter (the forms
 cutting out a line, the containment conditions on a conic) are solved by
@@ -58,13 +64,32 @@ class IrrationalEigenvalueError(ArithmeticError):
     """A linear action has eigenvalues outside the rationals."""
 
 
-class MPoly:
-    """Sparse multivariate polynomial over Fraction with named variables.
+def _exact(c) -> Scalar:
+    """An exact scalar in canonical form: an int when integral, otherwise a
+    Fraction with denominator > 1.  Anything else, a float included, raises
+    :class:`TypeError`, as :mod:`divstab.ratmath` does."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an exact scalar, got {type(c).__name__}")
+    return c.numerator if c.denominator == 1 else c
 
-    ``terms`` maps each monomial to its nonzero Fraction coefficient.  A
-    monomial is the tuple of its ``(name, exponent)`` pairs, exponent > 0,
-    sorted by name, so the constant monomial is ``()`` and ``x0^2*s`` is
+
+def _lift(x) -> "MPoly | None":
+    """An MPoly, or an exact scalar as a constant MPoly; None for anything else."""
+    if isinstance(x, MPoly):
+        return x
+    return MPoly.constant(x) if isinstance(x, (int, Fraction)) else None
+
+
+class MPoly:
+    """Sparse multivariate polynomial over the rationals with named variables.
+
+    ``terms`` maps each monomial to its nonzero coefficient, an ``int`` when
+    integral and otherwise a Fraction with denominator > 1.  A monomial is
+    the tuple of its ``(name, exponent)`` pairs, exponent > 0, sorted by
+    name, so the constant monomial is ``()`` and ``x0^2*s`` is
     ``(("s", 1), ("x0", 2))``.  A constant equals and hashes as its Fraction.
+    Arithmetic takes MPoly, int and Fraction operands; any other operand,
+    a float included, is a :class:`TypeError`.
     """
 
     __slots__ = ("terms",)
@@ -72,21 +97,25 @@ class MPoly:
     def __init__(self, variables: Iterable[str],
                  terms: Mapping[tuple[int, ...], Scalar] = ()):
         """From exponent tuples over ``variables``, e.g. ``MPoly(("x", "y"), {(2, 1): 3})``
-        for 3*x^2*y."""
+        for 3*x^2*y.  Each exponent must be a nonnegative int."""
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names in {variables}")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for exps, c in dict(terms).items():
-            mono = tuple(sorted((v, e) for v, e in zip(variables, exps, strict=True) if e))
-            out[mono] = out.get(mono, 0) + Fraction(c)
-        object.__setattr__(self, "terms", {m: c for m, c in out.items() if c})
+            if any(not isinstance(e, int) or e < 0 for e in exps):
+                raise ValueError(f"exponents must be nonnegative ints, got {exps}")
+            mono = tuple(sorted((v, int(e)) for v, e in zip(variables, exps, strict=True) if e))
+            out[mono] = out.get(mono, 0) + _exact(c)
+        object.__setattr__(self, "terms", MPoly._of(out).terms)
 
     @classmethod
-    def _of(cls, terms: Mapping[Monomial, Fraction]) -> "MPoly":
-        """The polynomial with these canonical terms, zero coefficients dropped."""
+    def _of(cls, terms: Mapping[Monomial, Scalar]) -> "MPoly":
+        """The polynomial with these terms, zero coefficients dropped and
+        integral Fractions stored as ints."""
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(p, "terms", {m: c.numerator if c.denominator == 1 else c
+                                        for m, c in terms.items() if c})
         return p
 
     def __setattr__(self, name, value):
@@ -94,21 +123,18 @@ class MPoly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "MPoly":
-        return cls._of({(): Fraction(value)})
+        return cls._of({(): _exact(value)})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
-        return cls._of({((name, 1),): Fraction(1)})
+        return cls._of({((name, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.terms == other.terms
+        other = _lift(other)
+        return NotImplemented if other is None else self.terms == other.terms
 
     def __hash__(self):
         # a constant hashes as its Fraction, which it equals
@@ -120,8 +146,9 @@ class MPoly:
         return MPoly._of({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(other)
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
@@ -130,15 +157,19 @@ class MPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        other = _lift(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _lift(other)
+        return NotImplemented if other is None else (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return MPoly._of({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        out: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _monomial_product(ma, mb)
@@ -164,13 +195,22 @@ class MPoly:
         return len({_degree(m, names) for m in self.terms}) <= 1
 
     def subs(self, mapping: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
-        """Substitute polynomials (or scalars) for variables."""
-        out: dict[Monomial, Fraction] = {}
+        """Substitute polynomials (or exact scalars) for variables.
+
+        Each image's powers are formed once per call, x^e as x^(e-1)*x, and
+        read by every monomial.
+        """
+        powers = {v: [x if isinstance(x, MPoly) else MPoly.constant(x)]
+                  for v, x in mapping.items()}
+        out: dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
-            term = MPoly._of({tuple(p for p in mono if p[0] not in mapping): c})
+            term = MPoly._of({tuple(p for p in mono if p[0] not in powers): c})
             for v, e in mono:
-                if v in mapping:
-                    term = term * mapping[v] ** e
+                table = powers.get(v)
+                if table is not None:
+                    while len(table) < e:
+                        table.append(table[-1] * table[0])
+                    term = term * table[e - 1]
             for m, tc in term.terms.items():
                 out[m] = out.get(m, 0) + tc
         return MPoly._of(out)
@@ -182,7 +222,7 @@ class MPoly:
             for v, e in mono:
                 if v not in values:
                     raise KeyError(f"no value supplied for {v}")
-                c = c * values[v] ** e
+                c = c * _exact(values[v]) ** e
             total += c
         return total
 
@@ -190,7 +230,7 @@ class MPoly:
         """Collect coefficients of monomials in the given variables, keyed by
         their exponent tuples over ``names``."""
         order = {v: j for j, v in enumerate(names)}
-        grouped: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+        grouped: dict[tuple[int, ...], dict[Monomial, Scalar]] = {}
         for mono, c in self.terms.items():
             key = [0] * len(names)
             for v, e in mono:
@@ -323,12 +363,14 @@ def contains_param_curve(f: MPoly, curve: ParamCurve) -> bool:
 
 @dataclass(frozen=True)
 class LinearAction:
-    """An invertible 4x4 rational matrix acting on projective coordinates."""
+    """An invertible 4x4 rational matrix acting on projective coordinates,
+    its entries canonical as in :class:`MPoly`: int when integral, else
+    Fraction."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[Scalar, ...], ...]
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        m = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        m = tuple(tuple(_exact(x) for x in row) for row in rows)
         if len(m) != 4 or any(len(r) != 4 for r in m):
             raise ValueError("need a 4x4 matrix")
         if linalg.rank(m) < 4:
@@ -352,26 +394,30 @@ def equation_character(g: LinearAction, f: MPoly) -> Fraction | None:
     if f.is_zero():
         return None
     key = next(iter(f.terms))
-    chi = gf.terms.get(key, Fraction(0)) / f.terms[key]
+    chi = Fraction(gf.terms.get(key, 0), f.terms[key])
     return chi if (gf - f * chi).is_zero() else None
 
 
 def _char_poly(m) -> Poly:
-    """det(t I - M) as a one-row :class:`Poly` (Faddeev-LeVerrier)."""
-    n = 4
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [[Fraction(0)] * n for _ in range(n)]
-    identity = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    c = Fraction(1)
+    """det(t I - M) as a one-row :class:`Poly`, for a square rational M.
+
+    Faddeev-LeVerrier runs on the integer matrix A = D M, D the lcm of the
+    denominators of M: A_k = A (A_{k-1} + c_{k-1} I) and c_k = -tr(A_k) / k,
+    an exact integer division since det(t I - A) = sum c_k t^(n-k) has
+    integer coefficients.  Then det(t I - M) = sum (c_k / D^k) t^(n-k).
+    """
+    n = len(m)
+    d = lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
+    coeffs = [1] + [0] * n
+    ak = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # M_k = M (M_{k-1} + c_{k-1} I)
-        shifted = [[mk[i][j] + c * identity[i][j] for j in range(n)] for i in range(n)]
-        mk = [[sum(m[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
+        shifted = [[ak[i][j] + (coeffs[k - 1] if i == j else 0) for j in range(n)]
+                   for i in range(n)]
+        ak = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
               for i in range(n)]
-        c = -sum(mk[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-    return Poly([coeffs])
+        coeffs[k] = -sum(ak[i][i] for i in range(n)) // k
+    return Poly([[Fraction(coeffs[k], d ** k) for k in range(n, -1, -1)]])
 
 
 def _rational_eigenvalues(m) -> list[Fraction]:
@@ -438,7 +484,7 @@ def common_fixed_points(g1: LinearAction, g2: LinearAction) -> FixedPointReport:
 
 
 def _eigen_matrix(m, lam: Fraction):
-    return [[m[i][j] - (lam if i == j else 0) for j in range(4)] for i in range(4)]
+    return [[_exact(m[i][j] - (lam if i == j else 0)) for j in range(4)] for i in range(4)]
 
 
 def _check_projective_commute(g1: LinearAction, g2: LinearAction) -> None:
@@ -446,7 +492,7 @@ def _check_projective_commute(g1: LinearAction, g2: LinearAction) -> None:
     a, b = ([sum(p[i][k] * q[k][j] for k in range(4)) for i in range(4) for j in range(4)]
             for p, q in ((m1, m2), (m2, m1)))
     # both actions are invertible, so m2 m1 has a nonzero entry
-    ratio = next(x / y for x, y in zip(a, b) if y)
+    ratio = next(Fraction(x, y) for x, y in zip(a, b) if y)
     if any(x != ratio * y for x, y in zip(a, b)):
         raise ValueError("actions do not commute up to scalar")
 
@@ -530,7 +576,7 @@ def _linear_coefficients(p: MPoly, names: Sequence[str], message: str) -> list[M
     """The coefficient of each of ``names`` in p, which must be homogeneous
     linear in them: any monomial of another degree in ``names`` raises
     ``ValueError(message)``."""
-    rows: dict[str, dict[Monomial, Fraction]] = {v: {} for v in names}
+    rows: dict[str, dict[Monomial, Scalar]] = {v: {} for v in names}
     for mono, c in p.terms.items():
         picked = [pair for pair in mono if pair[0] in rows]
         if len(picked) != 1 or picked[0][1] != 1:

@@ -7,9 +7,11 @@ of the cone's facets, cone membership decided by support enumeration before
 any facet is read, Gauss-Jordan solves and null spaces that divide by each
 pivot instead of eliminating fraction-free, facets found as those rational
 null spaces instead of integer kernels, the trilinear form expanded
-over every permutation of its entries, and the pointwise Zariski fixpoint
+over every permutation of its entries, the pointwise Zariski fixpoint
 with every pairing formed by ``surface_pair`` for one class at a time, with
-no table shared between classes.  Agreement within coarse tolerances is
+no table shared between classes, and polynomial substitution that raises
+each image to each monomial's exponent afresh instead of reading one table
+of powers.  Agreement within coarse tolerances is
 evidence that the exact path computes the right thing, not just a
 self-consistent thing.
 
@@ -29,6 +31,7 @@ from divstab import linalg
 from divstab.cones import (ConeSpec, Decomposition, Infeasible, UnboundedThresholdError,
                            effective_decompose)
 from divstab.lattice import surface_pair
+from divstab.projgeo import MPoly
 from divstab.ratmath import Poly, format_rational
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
@@ -417,6 +420,20 @@ def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:
         raise NotPseudoEffectiveError("negative coefficient or volume")
     return ZariskiResult(positive=p, negative=tuple(zip(support, coeffs)),
                          support=tuple(support))
+
+
+def subs_per_monomial(p: MPoly, mapping: dict) -> MPoly:
+    """``p.subs(mapping)`` one monomial at a time: each image is raised to
+    the monomial's exponent by repeated multiplication, with no table of
+    powers kept between monomials."""
+    out = MPoly.constant(0)
+    for mono, c in p.terms.items():
+        term = MPoly._of({tuple(pair for pair in mono if pair[0] not in mapping): c})
+        for v, e in mono:
+            if v in mapping:
+                term = term * mapping[v] ** e
+        out = out + term
+    return out
 
 
 def recombine(decomposition: Decomposition):

@@ -16,9 +16,16 @@ from divstab.projgeo import (PROJ_VARS, DegenerateLineError,
                              standard_involutions, symbolic_conic_pullback,
                              transform_poly, twisted_cubic, verify_secant_lemma)
 from divstab.ratmath import Poly, poly_gcd
+from oracles import subs_per_monomial
 
 SWAP, SIGNS = standard_involutions()
 IDENTITY = LinearAction([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def diagonal(*entries):
+    return LinearAction([[entries[i] if i == j else 0 for j in range(4)] for i in range(4)])
+
+
 QUADRICS = invariant_quadrics()
 
 SYMBOLIC_PULLBACK_DISPLAY = (
@@ -346,3 +353,135 @@ def test_mpoly_rejects_bad_exponent_tuples_and_negative_powers():
         MPoly(("s",), {(1, 2): 1})
     with pytest.raises(ValueError, match="negative power"):
         MPoly.variable("s") ** -1
+
+
+def test_mpoly_rejects_non_integer_exponents():
+    for exps in ((-1,), (F(3, 2),), (1.5,), ("2",)):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            MPoly(("x",), {exps: 1})
+    p = MPoly(("x", "y"), {(True, False): 3})
+    assert p == 3 * MPoly.variable("x")
+    assert [type(e) for mono in p.terms for _, e in mono] == [int]
+
+
+def test_no_float_enters_projgeo():
+    x = MPoly.variable("x")
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0.5]]
+    for build in (lambda: MPoly(("x",), {(1,): 0.5}), lambda: MPoly.constant(0.1),
+                  lambda: LinearAction(rows), lambda: x.subs({"x": 0.5}),
+                  lambda: x.evaluate({"x": 0.5})):
+        with pytest.raises(TypeError, match="expected an exact scalar, got float"):
+            build()
+    for combine in (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5, lambda: 0.5 - x,
+                    lambda: x * 0.5, lambda: 0.5 * x, lambda: x + "1"):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()
+    with pytest.raises(TypeError, match="got str"):
+        x.subs({"x": "1"})
+
+
+def _coefficients(value):
+    """Every MPoly coefficient reachable from a report value."""
+    if isinstance(value, MPoly):
+        yield from value.terms.values()
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _coefficients(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _coefficients(item)
+
+
+def _is_canonical(c) -> bool:
+    return type(c) is int or (type(c) is F and c.denominator > 1)
+
+
+def test_coefficients_are_ints_when_integral():
+    report = verify_secant_lemma()
+    reached = list(_coefficients([report.solved_coefficients, report.quartic,
+                                  report.conditions, report.reciprocal_branch]))
+    assert reached and all(_is_canonical(c) for c in reached)
+    rng = random.Random(29)
+    actions = (SWAP, SIGNS, diagonal(F(1, 2), 3, F(-5, 3), 7),
+               LinearAction([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+                             for _ in range(3)] + [[F(1), 0, 0, F(2, 2)]]))
+    for action in actions:
+        assert all(_is_canonical(c) for row in action.matrix for c in row)
+        for f in list(QUADRICS.values()) + [parse_mpoly("1/2*x0^3 - 3/4*x1*x2*x3 + x2^2")]:
+            image = transform_poly(action, f)
+            assert all(_is_canonical(c) for c in image.terms.values())
+    assert LinearAction([[F(2, 1), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                         [0, 0, 0, 1]]).matrix[0][0] == 2
+    assert type(diagonal(F(2, 1), 1, 1, 1).matrix[0][0]) is int
+    assert type(MPoly.constant(F(4, 2)).terms[()]) is int
+    assert (MPoly.variable("x") * F(1, 2) * 2).terms == {(("x", 1),): 1}
+
+
+def test_character_and_fixed_points_are_fractions():
+    chi = equation_character(diagonal(2, 3, 5, 7), parse_mpoly("x0*x1"))
+    assert chi == 6 and type(chi) is F
+    assert type(equation_character(SWAP, QUADRICS["Q1"])) is F
+    report = common_fixed_points(diagonal(F(1, 2), 3, 5, 7), IDENTITY)
+    e = [tuple(F(1 if i == j else 0) for i in range(4)) for j in range(4)]
+    assert sorted(report.points) == sorted(e) and not report.loci
+    assert all(type(c) is F for point in report.points for c in point)
+    locus = common_fixed_points(IDENTITY, IDENTITY).loci[0]
+    assert all(type(c) is F for c in locus.eigenvalues + sum(locus.basis, ()))
+
+
+def test_subs_matches_the_per_monomial_oracle():
+    """Polynomial and scalar images, exponents repeated across monomials."""
+    rng = random.Random(61)
+    names = ("x0", "x1", "x2", "s")
+
+    def random_poly(variables, terms, top):
+        return MPoly(variables, {tuple(rng.randint(0, top) for _ in variables):
+                                 F(rng.randint(-6, 6), rng.randint(1, 3))
+                                 for _ in range(terms)})
+
+    for _ in range(60):
+        f = random_poly(names, rng.randint(1, 8), 4)
+        mapping = {}
+        for v in rng.sample(names, rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                mapping[v] = random_poly(("a", "b", "s"), rng.randint(1, 3), 2)
+            elif kind == 1:
+                mapping[v] = F(rng.randint(-3, 3), rng.randint(1, 2))
+            else:
+                mapping[v] = rng.randint(-2, 2)
+        got = f.subs(mapping)
+        assert got.terms == subs_per_monomial(f, mapping).terms
+        assert all(_is_canonical(c) for c in got.terms.values())
+
+
+def test_char_poly_matches_sympy():
+    """Seeded random rational 4x4 matrices, among them singular ones,
+    against sympy's characteristic polynomial."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    t = sympy.Symbol("t")
+    for trial in range(60):
+        m = [[F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12))) for _ in range(4)]
+             for _ in range(4)]
+        if trial % 3 == 0:
+            k = F(rng.randint(-3, 3), rng.randint(1, 4))
+            m[3] = [a + k * b for a, b in zip(m[0], m[1])]
+        if trial == 0:
+            m = [[F(0)] * 4 for _ in range(4)]
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in m]).charpoly(t).all_coeffs()
+        got = projgeo._char_poly(m)
+        assert list(got.coeffs) == [F(int(c.p), int(c.q)) for c in reversed(want)], m
+        if trial % 3 == 0:
+            assert got.coeffs[0] == 0
+
+
+def test_rational_eigenvalues_of_the_standard_actions():
+    assert projgeo._rational_eigenvalues(SWAP.matrix) == [-1, 1]
+    assert projgeo._rational_eigenvalues(SIGNS.matrix) == [-1, 1]
+    assert projgeo._rational_eigenvalues(IDENTITY.matrix) == [1]
+    assert all(type(lam) is F for lam in projgeo._rational_eigenvalues(SWAP.matrix))
+    rotation = LinearAction([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(IrrationalEigenvalueError):
+        projgeo._rational_eigenvalues(rotation.matrix)
