@@ -20,12 +20,6 @@ from oracles import subs_per_monomial
 
 SWAP, SIGNS = standard_involutions()
 IDENTITY = LinearAction([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-
-
-def diagonal(*entries):
-    return LinearAction([[entries[i] if i == j else 0 for j in range(4)] for i in range(4)])
-
-
 QUADRICS = invariant_quadrics()
 
 SYMBOLIC_PULLBACK_DISPLAY = (
@@ -380,6 +374,10 @@ def test_no_float_enters_projgeo():
         x.subs({"x": "1"})
 
 
+def diagonal(*entries):
+    return LinearAction([[entries[i] if i == j else 0 for j in range(4)] for i in range(4)])
+
+
 def _coefficients(value):
     """Every MPoly coefficient reachable from a report value."""
     if isinstance(value, MPoly):
@@ -458,7 +456,7 @@ def test_subs_matches_the_per_monomial_oracle():
 def test_char_poly_matches_sympy():
     """Seeded random rational 4x4 matrices, among them singular ones,
     against sympy's characteristic polynomial."""
-    sympy = pytest.importorskip("sympy")
+    import sympy
     rng = random.Random(17)
     t = sympy.Symbol("t")
     for trial in range(60):
