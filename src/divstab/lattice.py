@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .ratmath import Coeff, Poly, format_poly, format_rational
@@ -190,7 +191,7 @@ class ThreefoldForm:
                                  f"{table[key]} vs {value}")
             table[key] = value
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "values", dict(table))
+        object.__setattr__(self, "values", MappingProxyType(table))
 
     def value(self, i: int, j: int, k: int) -> Fraction:
         return self.values.get(_sym_key((i, j, k)), Fraction(0))
@@ -215,7 +216,7 @@ class SurfaceForm:
                 raise ValueError(f"pairing symmetry violated at {names}")
             table[i, j] = table[j, i] = value
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "values", table)
+        object.__setattr__(self, "values", MappingProxyType(table))
 
     def value(self, i: int, j: int) -> Fraction:
         return self.values.get((i, j), Fraction(0))

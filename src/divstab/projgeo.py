@@ -592,7 +592,11 @@ def line_containment_conditions(f: MPoly, line: ParamLine) -> list[MPoly]:
     binary form whose coefficients (polynomials in the parameters) must all
     vanish.  Conditions are returned primitive and deduplicated.
     """
-    point = line.parametrization()
+    return _containment_conditions(f, line.parametrization())
+
+
+def _containment_conditions(f: MPoly, point: Sequence[MPoly]) -> list[MPoly]:
+    """:func:`line_containment_conditions` on a line's parametrized point."""
     composed = f.subs(dict(zip(PROJ_VARS, point)))
     conditions = []
     for exps, coeff in composed.coefficients_in(("a", "b")).items():
@@ -634,12 +638,11 @@ def _poly_kernel(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
     return basis
 
 
-def _secant_conic(parameter: str) -> list[Poly]:
+def _secant_conic(point: Sequence[MPoly], parameter: str) -> list[Poly]:
     """Coefficients a1..a6 of the conic whose pullback contains the invariant
-    line: the one kernel vector of the containment system, scaled so that a4
-    is monic."""
-    conditions = line_containment_conditions(symbolic_conic_pullback(),
-                                             invariant_line(parameter))
+    line, given as its parametrized ``point`` in ``parameter``: the one kernel
+    vector of the containment system, scaled so that a4 is monic."""
+    conditions = _containment_conditions(symbolic_conic_pullback(), point)
     names = [f"a{k}" for k in range(1, 7)]
     rows = [[_unipoly(p, parameter) for p in _linear_coefficients(
                 cond, names, "containment conditions are not linear in a1..a6")]
@@ -707,10 +710,12 @@ class SecantLemmaReport:
 
 def verify_secant_lemma() -> SecantLemmaReport:
     """Run the full containment analysis and certify each algebraic step."""
-    conic = _secant_conic("s")
+    # the line in s is parametrized once, for the conic and its closure check
+    point = invariant_line("s").parametrization()
+    conic = _secant_conic(point, "s")
     solved = _reduced_by_a4(conic, "s")
     quartic = pullback_under_quadric_map([_mpoly(p, "s") for p in conic])
-    closure = line_containment_conditions(quartic, invariant_line("s")) == []
+    closure = _containment_conditions(quartic, point) == []
     conditions = line_containment_conditions(quartic, invariant_line("t"))
     s, t = MPoly.variable("s"), MPoly.variable("t")
     first, second = secant_condition_displays()

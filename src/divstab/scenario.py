@@ -36,8 +36,19 @@ cone coefficients) goes through :func:`_entries`.  A repeated section, key
 or list name is an error, and so is a key no kind reads, in any section,
 and a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator or
 cone name another class.
+A ``[surface]`` section must satisfy the projection formula
+D1|_S . D2|_S = D1.D2.S for every two threefold generators; a failure is
+reported under ``restrict``.
 Every scenario is validated eagerly at parse time; evaluation failures in a
 batch are recorded per scenario and never abort the run.
+
+Equal section texts share one built object per process: the ``[threefold]``,
+``[surface]`` and ``[schedule]`` builds are kept in one cache keyed by the
+section's ``(key, value)`` pairs in file order, with no line numbers, and a
+surface or schedule also by the threefold it is built over.  Every built
+object is immutable, and a hit marks the same keys read as the build did.
+Errors are never cached, so a damaged section is rebuilt on every parse and
+names its line each time.
 """
 
 from __future__ import annotations
@@ -48,14 +59,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from typing import Callable, Sequence
+from itertools import combinations_with_replacement
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from . import sinv
 from .cones import (ConeSpec, Infeasible, effective_decompose, feasible_interval,
                     format_functional)
 from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
-                      SurfaceForm, ThreefoldForm, pair_with_curve)
+                      SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair)
 from .ratmath import Poly, format_poly, format_rational, parse_rational
 
 _CURVE = (("threefold", "surface", "schedule", "curve"), ("assert_less_than",))
@@ -201,7 +214,26 @@ def _u_only(value: Poly) -> Poly:
     return value
 
 
-def _build_threefold(section: _Section) -> tuple[sinv.ThreefoldModel, dict[str, DivisorClass]]:
+# every clean build by value: (the key of the [threefold] section it is built
+# over, or None; the section name; its (key, value) pairs in file order) ->
+# (the built object, the keys the build read)
+_BUILT: dict[tuple, tuple[object, frozenset[str]]] = {}
+
+
+def _build_once(section: _Section, build: Callable, *args, over: tuple | None = None):
+    """``build(section, *args)`` and its cache key, built once per process for
+    each distinct key; a hit marks the keys the build read."""
+    key = (over, section.name, tuple((k, text) for k, (text, _) in section.entries.items()))
+    hit = _BUILT.get(key)
+    if hit is None:
+        hit = _BUILT[key] = (build(section, *args), frozenset(section.read))
+    else:
+        section.read.update(hit[1])
+    return hit[0], key
+
+
+def _build_threefold(section: _Section
+                     ) -> tuple[sinv.ThreefoldModel, Mapping[str, DivisorClass]]:
     basis = section.value("basis", lambda text: LatticeBasis(text.split()))
     form = section.value("tensor", lambda text: ThreefoldForm(basis, _entries(text, 3)))
     divisor = partial(parse_divisor_expr, basis=basis)
@@ -223,7 +255,7 @@ def _build_threefold(section: _Section) -> tuple[sinv.ThreefoldModel, dict[str, 
                     f"[{section.name}] line {line}: {prefix} {name!r} is {cls}, but "
                     f"{name!r} already names {named[name]}")
     model = sinv.ThreefoldModel(basis, form, anticanonical, curves, ConeSpec(cone_entries))
-    return model, named
+    return model, MappingProxyType(named)
 
 
 def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.SurfaceData:
@@ -234,6 +266,8 @@ def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.Surfac
     images = dict(section.each("restrict", divisor))
     restriction = section.parse("restrict", images,
                                 lambda images: RestrictionMap(model.basis, basis, images))
+    section.parse("restrict", restriction,
+                  lambda restriction: _projection_formula(model, cls, form, restriction))
     curves = tuple(section.each("curve", divisor))
     if not curves:
         raise ScenarioFormatError(f"[{section.name}] needs at least one extremal curve")
@@ -242,7 +276,21 @@ def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.Surfac
                             restriction, curves)
 
 
-def _negative_part(text: str, named: dict[str, DivisorClass]
+def _projection_formula(model: sinv.ThreefoldModel, cls: DivisorClass, form: SurfaceForm,
+                        restriction: RestrictionMap) -> None:
+    """Raise ValueError unless D1|_S . D2|_S = D1.D2.S for every two generators."""
+    names = model.basis.names
+    for i, j in combinations_with_replacement(range(len(names)), 2):
+        on_s = surface_pair(restriction.images[i], restriction.images[j], form)
+        on_x = sum((c * model.form.value(i, j, k) for k, c in enumerate(cls.coeffs) if c),
+                   Fraction(0))
+        if on_s != on_x:
+            a, b = names[i], names[j]
+            raise ValueError(f"the projection formula fails: {a}|S.{b}|S = "
+                             f"{format_poly(on_s)}, but {a}.{b}.S = {format_poly(on_x)}")
+
+
+def _negative_part(text: str, named: Mapping[str, DivisorClass]
                    ) -> tuple[tuple[str, DivisorClass, Poly], ...]:
     out = []
     for coeff, name, at in iter_terms(text):
@@ -254,7 +302,7 @@ def _negative_part(text: str, named: dict[str, DivisorClass]
     return tuple(out)
 
 
-def _build_schedule(section: _Section, named: dict[str, DivisorClass]) -> sinv.Schedule:
+def _build_schedule(section: _Section, named: Mapping[str, DivisorClass]) -> sinv.Schedule:
     chambers = []
     for bounds, negative in section.each("chamber", lambda text: _negative_part(text, named)):
         line = section.entries[f"chamber {bounds}"][1]
@@ -297,14 +345,14 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     for section_name in needs:
         if section_name not in sections:
             raise ScenarioFormatError(f"missing the [{section_name}] section")
-    model, named = _build_threefold(sections["threefold"])
+    (model, named), threefold = _build_once(sections["threefold"], _build_threefold)
     common = dict(name=name if scen_name is None else scen_name, kind=kind,
                   expected_text=expected_text, expected=expected, bounds=bounds, model=model)
     threefold_class = partial(parse_divisor_expr, basis=model.basis)
 
     if kind in CURVE_KINDS:
-        surface = _build_surface(sections["surface"], model)
-        schedule = _build_schedule(sections["schedule"], named)
+        surface, _ = _build_once(sections["surface"], _build_surface, model, over=threefold)
+        schedule, _ = _build_once(sections["schedule"], _build_schedule, named, over=threefold)
         curve_sec = sections["curve"]
         surface_class = partial(parse_divisor_expr, basis=surface.basis)
         z = curve_sec.value("z", surface_class)
@@ -321,7 +369,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
 
     if kind == "s_divisor":
         divisor = sections["divisor"].value("class", threefold_class)
-        schedule = _build_schedule(sections["schedule"], named)
+        schedule, _ = _build_once(sections["schedule"], _build_schedule, named, over=threefold)
         return Scenario(divisor=divisor, schedule=schedule, **common)
 
     if kind in ("effective_decomposition", "infeasible_scan"):

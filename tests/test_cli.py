@@ -591,6 +591,13 @@ def _damage(text, how, rng):
         name = rng.choice(sorted(set(names) - taken))
         other = rng.choice([g for g in generators if g != names[name]])
         lines.insert(lines.index(f"[{section}]") + 1, f"divisor {name} = {other}")
+    elif how == "restrict":
+        # one more surface generator in the image of a threefold generator
+        i, section, _ = rng.choice([e for e in entries if e[2].startswith("restrict ")])
+        basis = next(lines[j] for j, s, key in entries if s == section and key == "basis")
+        code, hash_, comment = lines[i].partition("#")
+        generator = rng.choice(basis.split("#", 1)[0].partition("=")[2].split())
+        lines[i] = f"{code.rstrip()} + {generator} {hash_}{comment}"
     else:
         i, section, _ = rng.choice(entries)
         lines.insert(i + 1, "bogus = 1")
@@ -598,14 +605,17 @@ def _damage(text, how, rng):
 
 
 @pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced",
-                                 "repeat", "basis", "power", "shadow"])
+                                 "repeat", "basis", "power", "shadow", "restrict"])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
     damaged section; the next scenario in the batch still passes."""
     names = bundled_scenario_names()
+    # a restrict line is damaged only where there is one
+    damageable = ([k for k, n in enumerate(names) if n.removesuffix(".scn") in SECTION_FILES]
+                  if how == "restrict" else range(len(names)))
     rng = random.Random(f"damage-{how}")
     for _ in range(12):
-        k = rng.randrange(len(names))
+        k = rng.choice(damageable)
         neighbour = names[(k + 1) % len(names)]
         damaged, section = _damage(load_bundled(names[k]), how, rng)
         report = run_verify([("damaged", damaged), (neighbour, load_bundled(neighbour))])
@@ -613,3 +623,59 @@ def test_damaged_scenarios_are_isolated_errors(how):
         assert first.status == "ERROR", (names[k], section, first)
         assert f"[{section}]" in first.detail, (names[k], first.detail)
         assert second.status == "PASS", (neighbour, second)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty section cache, and a count of the section builds by kind."""
+    from collections import Counter
+
+    from divstab import scenario
+    monkeypatch.setattr(scenario, "_BUILT", {})
+    calls = Counter()
+    for kind in ("threefold", "surface", "schedule"):
+        def counted(*args, kind=kind, build=getattr(scenario, f"_build_{kind}")):
+            calls[kind] += 1
+            return build(*args)
+        monkeypatch.setattr(scenario, f"_build_{kind}", counted)
+    return calls
+
+
+def test_each_distinct_section_is_built_once_per_process(builds):
+    """The 17 files hold 3 distinct [threefold], [surface] and [schedule]
+    texts: a first pass builds each once and a second builds none."""
+    items = [(n, load_bundled(n)) for n in bundled_scenario_names()]
+    assert len(items) == 17
+    assert run_verify(items).all_pass
+    assert dict(builds) == {"threefold": 3, "surface": 3, "schedule": 3}
+    builds.clear()
+    assert run_verify(items).all_pass
+    assert not builds
+
+
+def test_a_damaged_section_names_its_line_on_every_parse(builds):
+    """An error is never cached: the same damaged section gives the same ERROR
+    row, with the same line, each time it is parsed."""
+    text = load_bundled("lemma_4_1.scn").replace(
+        "divisor R = 4H - 2EC - EL", "divisor R = 4H - 2EC - EL\ndivisor EL = H")
+    line = text.splitlines().index("divisor EL = H") + 1
+    first, second = run_verify([("damaged", text), ("damaged", text)]).results
+    assert first.status == "ERROR"
+    assert f"[threefold] line {line}: divisor 'EL'" in first.detail
+    assert first.line() == second.line() and first.detail == second.detail
+    assert builds["threefold"] == 2
+
+
+def test_a_section_moved_down_by_comments_is_found_again(builds):
+    """The cache key holds no line numbers: a clean section further down the
+    file finds the objects built for it before."""
+    text = load_bundled("lemma_4_1.scn")
+    moved = text.replace("[threefold]", "# a\n# b\n\n# c\n[threefold]")
+    assert moved != text
+    first = parse_scenario(text, "lemma_4_1")
+    second = parse_scenario(moved, "lemma_4_1")
+    assert dict(builds) == {"threefold": 1, "surface": 1, "schedule": 1}
+    assert (second.model, second.surface, second.schedule) == (
+        first.model, first.surface, first.schedule)
+    assert second.model is first.model and second.surface is first.surface
+    assert evaluate_scenario(second).status == "PASS"

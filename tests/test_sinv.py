@@ -117,10 +117,13 @@ def test_verify_validates_once_and_builds_one_chart_per_chamber(monkeypatch, nam
 
 
 def test_verify_pass_computes_each_degree_once(monkeypatch):
-    """One ``run_verify`` of the bundled scenarios: (-K)^3 once per parsed model
-    that needs it (12 of the 38 triple products; 20 of 46 when it was recomputed
-    per call), and ``effective_decompose`` only for the two feasible queries."""
+    """One ``run_verify`` of the bundled scenarios from an empty section cache:
+    (-K)^3 once per distinct model that needs it, and the 12 files that need it
+    share one model (1 of the 27 triple products; 12 of 38 when every parse
+    built its own model, 20 of 46 when it was recomputed per call), and
+    ``effective_decompose`` only for the two feasible queries."""
     from divstab import scenario, zariski
+    monkeypatch.setattr(scenario, "_BUILT", {})
     calls = Counter()
 
     def counting(module, name):
@@ -137,7 +140,7 @@ def test_verify_pass_computes_each_degree_once(monkeypatch):
     names = bundled_scenario_names()
     assert len(names) == 17
     assert run_verify([(n, load_bundled(n)) for n in names]).all_pass
-    assert (calls["triple_product"], calls["effective_decompose"]) == (38, 2)
+    assert (calls["triple_product"], calls["effective_decompose"]) == (27, 2)
 
 
 def test_dominance_violation(scenarios):

@@ -481,15 +481,22 @@ def test_negative_definite_supports_of_each_surface(request, surface_name, count
 
 
 def test_a_fresh_parse_finds_its_surface_table(scenarios):
-    """The table is found by identity for the same curve tuple and by value
-    for a fresh parse or a list of the same curves."""
+    """The table is found by identity for the same curve tuple, and by value
+    for a form and curves built outside the parser or a list of the same
+    curves.  A fresh parse of an equal [surface] text finds it either way."""
     from divstab.scenario import load_bundled_scenario
     from divstab.zariski import surface_table
     surface = scenarios["lemma_4_1"].surface
     table = surface_table(surface.extremal_curves, surface.form)
     fresh = load_bundled_scenario("lemma_4_1.scn").surface
-    assert fresh.form is not surface.form
     assert surface_table(fresh.extremal_curves, fresh.form) is table
+    names = surface.basis.names
+    form = SurfaceForm(surface.basis, {(names[i], names[j]): value
+                                       for (i, j), value in surface.form.values.items()})
+    curves = tuple((name, DivisorClass(surface.basis, cls.coeffs))
+                   for name, cls in surface.extremal_curves)
+    assert form is not surface.form and curves is not surface.extremal_curves
+    assert surface_table(curves, form) is table
     assert surface_table(list(surface.extremal_curves), surface.form) is table
     assert surface_table(surface.extremal_curves[1:], surface.form) is not table
 
