@@ -2,6 +2,8 @@
 
 Submodules:
 
+* :mod:`divstab.record`  -- ``Record``, the immutable value base of every
+  record type below
 * :mod:`divstab.ratmath` -- rationals, u/v polynomials, exact integration
 * :mod:`divstab.lattice` -- divisor classes, intersection forms, restrictions
 * :mod:`divstab.cones`   -- cone facets, effective decompositions, exact

@@ -72,7 +72,7 @@ def _cmd_single(args, kinds: tuple[str, ...]) -> int:
               f"got {scenario.kind}", file=sys.stderr)
         return USAGE_ERROR
     result = evaluate_scenario(scenario)
-    return _emit(args, Report([result]))
+    return _emit(args, Report((result,)))
 
 
 def _cmd_zariski(args) -> int:

@@ -23,7 +23,6 @@ coefficients of a class already known to be a member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
@@ -32,6 +31,7 @@ from typing import Sequence
 from . import linalg
 from .lattice import BasisMismatchError, DivisorClass
 from .ratmath import format_rational
+from .record import Record
 
 Functional = tuple[int, ...]
 
@@ -56,8 +56,7 @@ def format_functional(f: Functional) -> str:
     return f"({', '.join(map(str, f))})"
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(Record):
     """Named generators of an effective cone, all over one basis."""
 
     names: tuple[str, ...]
@@ -128,8 +127,7 @@ def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...
     return equalities, tuple(found)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Nonnegative coefficients per cone generator, reconstructing the input."""
 
     cone: ConeSpec
@@ -140,8 +138,7 @@ class Decomposition:
                          for name, c in zip(self.cone.names, self.coefficients))
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record):
     """No nonnegative decomposition exists; carries a separating witness.
 
     ``witness`` is a primitive integer functional y with y(g) >= 0 on every

@@ -25,12 +25,12 @@ be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .ratmath import Coeff, Poly, format_poly, format_rational
+from .record import Record
 
 # a string, so the Union that typing caches does not keep this module's Poly alive
 CoeffIn = Union[int, Fraction, "Poly"]
@@ -40,8 +40,7 @@ class BasisMismatchError(ValueError):
     """Classes from different bases were combined."""
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """Ordered generator names; order is fixed for the lifetime of a scenario."""
 
     names: tuple[str, ...]
@@ -173,12 +172,11 @@ def _sym_key(indices: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(indices))
 
 
-@dataclass(frozen=True)
-class ThreefoldForm:
+class ThreefoldForm(Record):
     """Symmetric trilinear form given by its nonzero values on basis triples."""
 
     basis: LatticeBasis
-    values: Mapping[tuple[int, int, int], Fraction] = field(default_factory=dict)
+    values: Mapping[tuple[int, int, int], Fraction]
 
     def __init__(self, basis: LatticeBasis,
                  entries: Mapping[tuple[str, str, str], Fraction]):
@@ -197,15 +195,14 @@ class ThreefoldForm:
         return self.values.get(_sym_key((i, j, k)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class SurfaceForm:
+class SurfaceForm(Record):
     """Symmetric bilinear form on a surface lattice.
 
     ``values`` holds each nonzero entry under both ``(i, j)`` and ``(j, i)``.
     """
 
     basis: LatticeBasis
-    values: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    values: Mapping[tuple[int, int], Fraction]
 
     def __init__(self, basis: LatticeBasis, entries: Mapping[tuple[str, str], Fraction]):
         table: dict[tuple[int, int], Fraction] = {}
@@ -230,8 +227,7 @@ def _check_names(what: str, basis: LatticeBasis, table: Mapping[str, object]) ->
                          f"{what} names {sorted(extra)} outside the basis {basis.names}")
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
+class RestrictionMap(Record):
     """Linear map from the threefold lattice to a surface lattice."""
 
     source: LatticeBasis
@@ -252,8 +248,7 @@ class RestrictionMap:
         object.__setattr__(self, "images", tuple(ordered))
 
 
-@dataclass(frozen=True)
-class CurvePairing:
+class CurvePairing(Record):
     """Intersection numbers of one named curve against the threefold generators."""
 
     name: str

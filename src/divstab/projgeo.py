@@ -41,7 +41,6 @@ that forces the diagonal, and the elimination of the reciprocal branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -50,6 +49,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import linalg
 from .exprs import parse_expression
 from .ratmath import Poly, format_terms, poly_gcd, rational_roots
+from .record import Record
 
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
@@ -306,8 +306,7 @@ def parse_mpoly(text: str) -> MPoly:
     return value if isinstance(value, MPoly) else MPoly.constant(value)
 
 
-@dataclass(frozen=True)
-class ParamCurve:
+class ParamCurve(Record):
     """Four homogeneous binary forms of equal degree, no common factor."""
 
     components: tuple[MPoly, MPoly, MPoly, MPoly]
@@ -361,8 +360,7 @@ def contains_param_curve(f: MPoly, curve: ParamCurve) -> bool:
     return f.subs(mapping).is_zero()
 
 
-@dataclass(frozen=True)
-class LinearAction:
+class LinearAction(Record):
     """An invertible 4x4 rational matrix acting on projective coordinates,
     its entries canonical as in :class:`MPoly`: int when integral, else
     Fraction."""
@@ -434,8 +432,7 @@ def _rational_eigenvalues(m) -> list[Fraction]:
     return roots
 
 
-@dataclass(frozen=True)
-class FixedLocus:
+class FixedLocus(Record):
     """A positive-dimensional common eigenspace, recorded by a basis."""
 
     eigenvalues: tuple[Fraction, Fraction]
@@ -443,8 +440,7 @@ class FixedLocus:
     basis: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(Record):
     points: tuple[tuple[Fraction, ...], ...]
     loci: tuple[FixedLocus, ...]
 
@@ -545,8 +541,7 @@ def symbolic_conic_pullback() -> MPoly:
     return pullback_under_quadric_map([MPoly.variable(f"a{k}") for k in range(1, 7)])
 
 
-@dataclass(frozen=True)
-class ParamLine:
+class ParamLine(Record):
     """A line cut out by two linear forms with coefficients in one parameter."""
 
     forms: tuple[MPoly, MPoly]
@@ -675,8 +670,7 @@ def secant_condition_displays() -> tuple[MPoly, MPoly]:
     return first, second
 
 
-@dataclass(frozen=True)
-class SecantLemmaReport:
+class SecantLemmaReport(Record):
     """Certificates for the invariant-line containment analysis."""
 
     solved_coefficients: dict[str, tuple[MPoly, MPoly]]  # a_k / a4 as (num, den) in s

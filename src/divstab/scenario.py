@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -70,6 +69,7 @@ from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair)
 from .ratmath import Poly, format_poly, format_rational, parse_rational
+from .record import Record
 
 _CURVE = (("threefold", "surface", "schedule", "curve"), ("assert_less_than",))
 # kind -> (the sections it reads besides [scenario], in the order their
@@ -161,8 +161,7 @@ def _split_sections(text: str) -> dict[str, _Section]:
     return sections
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A fully validated scenario, ready to evaluate."""
 
     name: str
@@ -406,8 +405,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     return Scenario(pairing_class=cls, pairing_curve=curve, **common)
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(Record):
     name: str
     kind: str
     status: str                  # PASS, FAIL, or ERROR
@@ -420,9 +418,8 @@ class ScenarioResult:
         return f"{self.status:5s} {self.name}: computed {self.computed}, expected {self.expected}"
 
 
-@dataclass
-class Report:
-    results: list[ScenarioResult]
+class Report(Record):
+    results: tuple[ScenarioResult, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -553,9 +550,8 @@ def run_verify(items: Sequence[tuple[str, str]]) -> Report:
                 result = ScenarioResult(scenario.name, scenario.kind, "ERROR",
                                         "-", scenario.expected_text,
                                         f"{type(exc).__name__}: {exc}")
-        result.seconds = time.perf_counter() - start   # parse time included
-        results.append(result)
-    return Report(results)
+        results.append(result.replace(seconds=time.perf_counter() - start))  # parse time included
+    return Report(tuple(results))
 
 
 def bundled_scenario_names() -> list[str]:

@@ -25,7 +25,6 @@ volume term was integrated from, so no caller rebuilds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -35,6 +34,7 @@ from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve, restrict,
                       triple_product)
 from .ratmath import Poly, format_rational, integrate_univariate
+from .record import Record
 from .zariski import NamedCurve, ZariskiChart, build_chart
 
 _U = Poly.variable("u")
@@ -53,8 +53,7 @@ class DominanceError(ValueError):
     """The bounding curve class is not componentwise dominated."""
 
 
-@dataclass(frozen=True)
-class ThreefoldModel:
+class ThreefoldModel(Record):
     """The ambient threefold: basis, intersection tensor, cones, curve tables."""
 
     basis: LatticeBasis
@@ -70,8 +69,7 @@ class ThreefoldModel:
         return triple_product(k, k, k, self.form)
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(Record):
     """An embedded surface: its class on X, its own lattice, and restriction."""
 
     name: str
@@ -82,16 +80,14 @@ class SurfaceData:
     extremal_curves: tuple[NamedCurve, ...]
 
 
-@dataclass(frozen=True)
-class ScheduleChamber:
+class ScheduleChamber(Record):
     u_lo: Fraction
     u_hi: Fraction
     # negative part on X: (divisor name, class, coefficient polynomial in u)
     negative: tuple[tuple[str, DivisorClass, Poly], ...] = ()
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """u-chambers of the threefold decomposition of ``-K - u Y``: nonempty,
     in increasing order and contiguous from u = 0, checked on construction."""
 
@@ -122,8 +118,7 @@ class Schedule:
         return p
 
 
-@dataclass(frozen=True)
-class SCurveInput:
+class SCurveInput(Record):
     """Everything one curve-invariant evaluation needs."""
 
     model: ThreefoldModel
@@ -265,8 +260,7 @@ def volume_charts(inp: SCurveInput) -> tuple[ZariskiChart, ...]:
     return tuple(charts)
 
 
-@dataclass(frozen=True)
-class CurveInvariant:
+class CurveInvariant(Record):
     """A curve invariant with the terms and the charts it was computed from."""
 
     value: Fraction
@@ -307,6 +301,6 @@ def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
         raise DominanceError(
             "dominance violation: the bound class must be nonzero and dominated "
             "by Z over the surface's extremal curves")
-    lowered = replace(inp, z=z_lower, ord_coeffs=())
-    lowered = replace(lowered, ord_coeffs=expected_ord_coeffs(lowered))
+    lowered = inp.replace(z=z_lower, ord_coeffs=())
+    lowered = lowered.replace(ord_coeffs=expected_ord_coeffs(lowered))
     return s_curve(lowered)

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -66,6 +65,7 @@ from .cones import ConeSpec, Infeasible, effective_decompose
 from .lattice import BasisMismatchError, DivisorClass, SurfaceForm, surface_pair
 from .ratmath import (Coeff, IrrationalBreakpointError, Poly, combination, format_poly,
                       format_rational, integrate_region, rational_roots, rational_sqrt)
+from .record import Record
 
 NamedCurve = tuple[str, DivisorClass]
 
@@ -78,8 +78,7 @@ class IndefiniteSupportError(ArithmeticError):
     """A candidate support's Gram matrix is not negative definite."""
 
 
-@dataclass(frozen=True)
-class ZariskiResult:
+class ZariskiResult(Record):
     positive: DivisorClass
     negative: tuple[tuple[str, Fraction], ...]  # curve name -> coefficient >= 0
     support: tuple[str, ...]
@@ -232,8 +231,7 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
                          support=tuple(support))
 
 
-@dataclass(frozen=True)
-class SweepChamber:
+class SweepChamber(Record):
     """One v-interval of constant support along a sweep at fixed u.
 
     ``positive`` and ``vol`` are read at the sweep's u.  ``toggled`` names
@@ -329,8 +327,7 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     raise AssertionError("a curve toggled more than twice along one ray")
 
 
-@dataclass(frozen=True)
-class ChartChamber:
+class ChartChamber(Record):
     """One chamber of a symbolic (u, v) chart."""
 
     u_lo: Fraction
@@ -348,8 +345,7 @@ class ChartChamber:
                 f"vol = {format_poly(self.vol)}")
 
 
-@dataclass(frozen=True)
-class ZariskiChart:
+class ZariskiChart(Record):
     chambers: tuple[ChartChamber, ...]
 
     def volume_integral(self) -> Fraction:

@@ -1,10 +1,13 @@
-"""Package-wide guards: the runtime imports only the standard library, every
-module-level function and class is read somewhere, and a re-import leaves no
-old module alive."""
+"""Package-wide guards: the runtime imports only the standard library, the
+command line starts without ``dataclasses`` or ``inspect``, every module-level
+function and class is read somewhere, and a re-import leaves no old module
+alive."""
 
 import ast
 import gc
 import importlib
+import os
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -29,6 +32,17 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_cold_cli_import_leaves_out_dataclasses_and_inspect():
+    """``import divstab.cli`` in a fresh interpreter loads neither module: each
+    command is a fresh process, and importing them was most of its start-up."""
+    code = ("import sys; before = set(sys.modules); import divstab.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(divstab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []
 
 
 def _names_read(stmt: ast.stmt) -> set[str]:

@@ -1,7 +1,6 @@
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -62,7 +61,7 @@ def test_dominance_bounds(scenarios):
     assert sinv.negative_part_term(ec_case) + bound == F(223, 224)
     # bounding a section-plus-fiber class through the bare section class
     el_case = curve_input(scenarios["lemma_4_2_s"])
-    thick = replace(el_case, z=DivisorClass(el_case.surface.basis, [2, 1]))
+    thick = el_case.replace(z=DivisorClass(el_case.surface.basis, [2, 1]))
     assert sinv.dominance_bound(thick, el_case.surface.basis.unit("s")).value == F(13, 16)
     # bounding by itself is exact
     r_case = curve_input(scenarios["lemma_4_2_r"])
@@ -245,8 +244,8 @@ def test_schedule_validation_rejects_a_negative_bernstein_coefficient(model):
     """With lR missing from the curve table, P(u) on [1, 3/2] is not nef: the
     cube's Bernstein coefficients are 189, -27/2, 0, 0.  Every five-point
     sample of the cube is nonnegative, and s_divisor used to give 571/448."""
-    partial = replace(model, mori_curves=tuple(c for c in model.mori_curves
-                                               if c.name != "lR"))
+    partial = model.replace(mori_curves=tuple(c for c in model.mori_curves
+                                              if c.name != "lR"))
     h, ec = model.basis.unit("H"), model.basis.unit("EC")
     r = DivisorClass(model.basis, [4, -2, -1])
     sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1)),
@@ -257,12 +256,10 @@ def test_schedule_validation_rejects_a_negative_bernstein_coefficient(model):
 
 
 def test_ord_consistency_checked(scenarios):
-    lying = replace(curve_input(scenarios["lemma_4_1"]),
-                    ord_coeffs=(Poly(), U - 1))
+    lying = curve_input(scenarios["lemma_4_1"]).replace(ord_coeffs=(Poly(), U - 1))
     with pytest.raises(sinv.OrdMismatchError):
         sinv.negative_part_term(lying)
-    silent = replace(curve_input(scenarios["lemma_4_3_ec_term"]),
-                     ord_coeffs=(Poly(), Poly()))
+    silent = curve_input(scenarios["lemma_4_3_ec_term"]).replace(ord_coeffs=(Poly(), Poly()))
     with pytest.raises(sinv.OrdMismatchError):
         sinv.negative_part_term(silent)
 
