@@ -34,10 +34,12 @@ from .scenario import (CURVE_KINDS, Report, ScenarioFormatError, bundled_scenari
 USAGE_ERROR = 2
 
 
-def _read_scenario_text(path: str) -> tuple[str, str]:
+def _read_scenario(path: str) -> tuple[str, str | bytes]:
+    """The name and content of a scenario file, as bytes that
+    :func:`parse_scenario` decodes, or of a bundled scenario, as text."""
     p = Path(path)
     if p.exists():
-        return p.stem, p.read_text(encoding="utf-8")
+        return p.stem, p.read_bytes()
     bundled = path if path.endswith(".scn") else path + ".scn"
     if bundled in bundled_scenario_names():
         return bundled.removesuffix(".scn"), load_bundled(bundled)
@@ -57,7 +59,7 @@ def _emit(args, report: Report) -> int:
 
 def _cmd_verify(args) -> int:
     if args.files:
-        items = [_read_scenario_text(f) for f in args.files]
+        items = [_read_scenario(f) for f in args.files]
     else:
         items = [(n.removesuffix(".scn"), load_bundled(n))
                  for n in bundled_scenario_names()]
@@ -65,7 +67,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_single(args, kinds: tuple[str, ...]) -> int:
-    name, text = _read_scenario_text(args.file)
+    name, text = _read_scenario(args.file)
     scenario = parse_scenario(text, name)
     if scenario.kind not in kinds:
         print(f"{name}: expected a scenario of kind {' or '.join(kinds)}, "
@@ -76,7 +78,7 @@ def _cmd_single(args, kinds: tuple[str, ...]) -> int:
 
 
 def _cmd_zariski(args) -> int:
-    name, text = _read_scenario_text(args.file)
+    name, text = _read_scenario(args.file)
     scenario = parse_scenario(text, name)
     if scenario.surface is None or scenario.z is None:
         print(f"{name}: scenario has no surface/curve data", file=sys.stderr)
@@ -109,7 +111,7 @@ def _cmd_zariski(args) -> int:
 
 
 def _cmd_effdec(args) -> int:
-    name, text = _read_scenario_text(args.file)
+    name, text = _read_scenario(args.file)
     scenario = parse_scenario(text, name)
     try:
         cls = parse_divisor_expr(args.cls, scenario.model.basis)
@@ -123,9 +125,6 @@ def _cmd_effdec(args) -> int:
         return 1
     print(outcome)
     return 0
-
-
-GEO_CHECKS = ("characters", "fixed-points", "invariant-lines", "secant-lemma")
 
 
 def _geo_characters() -> tuple[bool, str]:
@@ -159,12 +158,11 @@ def _geo_fixed_points() -> tuple[bool, str]:
 
 def _geo_invariant_lines() -> tuple[bool, str]:
     q4 = projgeo.invariant_quadrics()["Q4"]
-    a, b, t, x, y = (projgeo.MPoly.variable(n) for n in ("a", "b", "t", "x", "y"))
-    family = dict(zip(projgeo.PROJ_VARS, (-t * a, b, a, -t * b)))
-    family_ok = q4.subs(family).is_zero()
+    x, y = projgeo.MPoly.variable("x"), projgeo.MPoly.variable("y")
+    family_ok = projgeo.contains_param_curve(q4, projgeo.invariant_line("t"))
     # Q4 restricted to the cubic is x*y*(x^4 - y^4); its six linear factors
     # are the six points where the cubic meets the swept quadric
-    cubic = dict(zip(projgeo.PROJ_VARS, projgeo.twisted_cubic().components))
+    cubic = dict(zip(projgeo.PROJ_VARS, projgeo.twisted_cubic()))
     points_ok = q4.subs(cubic) == x ** 5 * y - x * y ** 5
     text = (f"  line family inside the swept quadric: {family_ok}\n"
             f"  all six cubic intersection points on it: {points_ok}")
@@ -176,14 +174,16 @@ def _geo_secant_lemma() -> tuple[bool, str]:
     return report.all_verified(), "  " + report.describe().replace("\n", "\n  ")
 
 
+# each geometry check by name, in the order ``geo all`` runs them
+GEO_CHECKS = {"characters": _geo_characters, "fixed-points": _geo_fixed_points,
+              "invariant-lines": _geo_invariant_lines, "secant-lemma": _geo_secant_lemma}
+
+
 def _cmd_geo(args) -> int:
     checks = GEO_CHECKS if args.check == "all" else (args.check,)
-    runners = {"characters": _geo_characters, "fixed-points": _geo_fixed_points,
-               "invariant-lines": _geo_invariant_lines,
-               "secant-lemma": _geo_secant_lemma}
     all_ok = True
     for check in checks:
-        ok, text = runners[check]()
+        ok, text = GEO_CHECKS[check]()
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'}  geo {check}")
         print(text)
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divisor expression over the scenario basis")
 
     p = sub.add_parser("geo", help="run a named geometry check")
-    p.add_argument("check", choices=GEO_CHECKS + ("all",))
+    p.add_argument("check", choices=(*GEO_CHECKS, "all"))
     return parser
 
 

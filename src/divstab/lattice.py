@@ -29,7 +29,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .ratmath import Coeff, Poly, format_poly, format_rational
+from .ratmath import Coeff, Poly, _as_fraction, format_poly, format_rational
 from .record import Record
 
 # a string, so the Union that typing caches does not keep this module's Poly alive
@@ -85,7 +85,7 @@ class DivisorClass:
                 else:
                     rational = False
             elif not isinstance(c, Fraction):
-                c = Fraction(c)
+                c = _as_fraction(c)
             cs.append(c)
         if len(cs) != basis.rank:
             raise ValueError(f"expected {basis.rank} coefficients, got {len(cs)}")
@@ -138,11 +138,11 @@ class DivisorClass:
         for c in self.coeffs:
             if isinstance(c, Poly):
                 if u is not None and v is not None:
-                    c = c(Fraction(u), Fraction(v))
+                    c = c(u, v)
                 elif u is not None:
-                    c = c.subs_u(Fraction(u))
+                    c = c.subs_u(u)
                 elif v is not None:
-                    c = c.subs_v(Fraction(v))
+                    c = c.subs_v(v)
             out.append(c)
         return DivisorClass(self.basis, out)
 
@@ -183,7 +183,7 @@ class ThreefoldForm(Record):
         table: dict[tuple[int, int, int], Fraction] = {}
         for names, value in entries.items():
             key = _sym_key(basis.index(n) for n in names)
-            value = Fraction(value)
+            value = _as_fraction(value)
             if key in table and table[key] != value:
                 raise ValueError(f"tensor symmetry violated at {names}: "
                                  f"{table[key]} vs {value}")
@@ -208,7 +208,7 @@ class SurfaceForm(Record):
         table: dict[tuple[int, int], Fraction] = {}
         for names, value in entries.items():
             i, j = (basis.index(n) for n in names)
-            value = Fraction(value)
+            value = _as_fraction(value)
             if table.get((i, j), value) != value:
                 raise ValueError(f"pairing symmetry violated at {names}")
             table[i, j] = table[j, i] = value
@@ -260,7 +260,7 @@ class CurvePairing(Record):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table",
-                           tuple(Fraction(table[n]) for n in basis.names))
+                           tuple(_as_fraction(table[n]) for n in basis.names))
 
 
 def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass,

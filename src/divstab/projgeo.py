@@ -3,10 +3,10 @@
 Polynomials live in a sparse ring over the rationals whose variables are the
 projective coordinates ``x0..x3`` together with whatever parameters a
 computation needs (``s``, ``t``, the conic coefficients ``a1..a6``, and the
-line/curve parametrization letters).  Homogeneity is a property of the
-x-block only.  Everything is exact and rational: a float never enters, as a
-coefficient, a matrix entry or a substituted value, and :class:`TypeError`
-says so.
+letters ``x, y`` of the twisted cubic and ``a, b`` of a line).  Homogeneity
+is a property of the x-block only.  Everything is exact and rational: a
+float never enters, as a coefficient, a matrix entry or a substituted value,
+and :class:`TypeError` says so.
 
 An :class:`MPoly` has one canonical form: ``terms`` maps each monomial, the
 name-sorted tuple of its ``(name, exponent)`` pairs with exponent > 0, to a
@@ -18,19 +18,19 @@ rule, and :func:`_char_poly` clears its denominators to run over the ints.
 :func:`format_mpoly` prints graded lex over the sorted names
 (Cox-Little-O'Shea, section 2.2), leading term first.
 
-Linear systems whose entries are polynomials in one parameter (the forms
-cutting out a line, the containment conditions on a conic) are solved by
-:func:`_poly_kernel`, which normalizes the kernel basis that the package's
-one fraction-free elimination, :func:`divstab.linalg.kernel`, returns.
+The fixed objects are written in closed form: the twisted cubic's four
+components (:func:`twisted_cubic`) and the point of each invariant line
+(:func:`invariant_line`).
 
 Two polynomial types meet here, and both stay.  :class:`MPoly` has no
 division, gcd or root finding; :class:`divstab.ratmath.Poly` is the
 package's one univariate toolkit and has all three.  :func:`_unipoly` and
-:func:`_mpoly` are the only crossings, at the three one-variable steps: the
-gcd of binary forms (:func:`_common_binary_factor`), the kernel over Q[s]
-(:func:`_poly_kernel`) and the reduction of each a_k / a4
-(:func:`_reduced_by_a4`).  Giving MPoly these operations would be a second
-copy of Poly's.
+:func:`_mpoly` are the only crossings, confined to the secant-conic steps:
+the kernel over Q[s] of the containment conditions on a conic
+(:func:`_poly_kernel`, which normalizes the kernel basis that the package's
+one fraction-free elimination, :func:`divstab.linalg.kernel`, returns) and
+the reduction of each a_k / a4 (:func:`_reduced_by_a4`).  Giving MPoly these
+operations would be a second copy of Poly's.
 
 The verification entry point is :func:`verify_secant_lemma`, which certifies
 the whole containment story for the invariant-line family inside the secant
@@ -54,10 +54,6 @@ from .record import Record
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
 Monomial = tuple[tuple[str, int], ...]
-
-
-class DegenerateLineError(ValueError):
-    """The two forms of a parametrized line are dependent."""
 
 
 class IrrationalEigenvalueError(ArithmeticError):
@@ -186,14 +182,6 @@ class MPoly:
             out = out * self
         return out
 
-    def degree_in(self, names: Sequence[str]) -> int:
-        if not self.terms:
-            return -1
-        return max(_degree(m, names) for m in self.terms)
-
-    def is_homogeneous_in(self, names: Sequence[str]) -> bool:
-        return len({_degree(m, names) for m in self.terms}) <= 1
-
     def subs(self, mapping: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
         """Substitute polynomials (or exact scalars) for variables.
 
@@ -306,58 +294,17 @@ def parse_mpoly(text: str) -> MPoly:
     return value if isinstance(value, MPoly) else MPoly.constant(value)
 
 
-class ParamCurve(Record):
-    """Four homogeneous binary forms of equal degree, no common factor."""
-
-    components: tuple[MPoly, MPoly, MPoly, MPoly]
-    variables: tuple[str, str] = ("x", "y")
-
-    def __post_init__(self):
-        degs = {c.degree_in(self.variables) for c in self.components}
-        if len(degs) != 1:
-            raise ValueError("curve components must share one degree")
-        for c in self.components:
-            if not c.is_homogeneous_in(self.variables):
-                raise ValueError("curve components must be homogeneous")
-        if _common_binary_factor(self.components, self.variables):
-            raise ValueError("curve components share a common factor")
-
-
-def twisted_cubic() -> ParamCurve:
-    """The degree-3 rational normal curve [x:y] -> [x^3 : x^2 y : x y^2 : y^3]."""
+def twisted_cubic() -> tuple[MPoly, MPoly, MPoly, MPoly]:
+    """The components of the degree-3 rational normal curve
+    [x:y] -> [x^3 : x^2 y : x y^2 : y^3], binary cubic forms with no
+    common factor."""
     x, y = MPoly.variable("x"), MPoly.variable("y")
-    return ParamCurve((x ** 3, x ** 2 * y, x * y ** 2, y ** 3))
+    return (x ** 3, x ** 2 * y, x * y ** 2, y ** 3)
 
 
-def _unipoly(p: MPoly, var: str) -> Poly:
-    """A polynomial in the single variable ``var``, as a one-row :class:`Poly`."""
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in p.terms.items():
-        if any(v != var for v, _ in mono):
-            raise ValueError(f"{p} is not univariate in {var}")
-        coeffs[mono[0][1] if mono else 0] = c
-    return Poly([[coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]])
-
-
-def _mpoly(p: Poly, var: str) -> MPoly:
-    """The inverse of :func:`_unipoly`."""
-    return MPoly._of({((var, k),) if k else (): c for k, c in enumerate(p.coeffs)})
-
-
-def _common_binary_factor(components: Sequence[MPoly], variables: tuple[str, str]) -> bool:
-    x, y = variables
-    deg = components[0].degree_in(variables)
-    # a common y-power: every component misses the pure x^deg monomial scale
-    if all(p.degree_in((x,)) < deg for p in components):
-        return True
-    dehom = [_unipoly(p.subs({y: 1}), x) for p in components]
-    return reduce(poly_gcd, dehom).degree > 0
-
-
-def contains_param_curve(f: MPoly, curve: ParamCurve) -> bool:
-    """Is the composite f(curve(x, y)) the zero polynomial?"""
-    mapping = dict(zip(PROJ_VARS, curve.components))
-    return f.subs(mapping).is_zero()
+def contains_param_curve(f: MPoly, components: Sequence[MPoly]) -> bool:
+    """Is f composed with the curve's four components the zero polynomial?"""
+    return f.subs(dict(zip(PROJ_VARS, components))).is_zero()
 
 
 class LinearAction(Record):
@@ -541,57 +488,27 @@ def symbolic_conic_pullback() -> MPoly:
     return pullback_under_quadric_map([MPoly.variable(f"a{k}") for k in range(1, 7)])
 
 
-class ParamLine(Record):
-    """A line cut out by two linear forms with coefficients in one parameter."""
-
-    forms: tuple[MPoly, MPoly]
-    parameter: str
-
-    def coefficient_matrix(self) -> list[list[MPoly]]:
-        return [_linear_coefficients(form, PROJ_VARS,
-                                     "line forms must be homogeneous linear in x0..x3")
-                for form in self.forms]
-
-    def parametrization(self) -> list[MPoly]:
-        """Point of the line as a * V1 + b * V2 with polynomial components.
-
-        V1, V2 are the kernel basis of the 2x4 coefficient matrix.
-        """
-        rows = [[_unipoly(p, self.parameter) for p in row]
-                for row in self.coefficient_matrix()]
-        kernel = _poly_kernel(rows, 4)
-        if len(kernel) != 2:
-            raise DegenerateLineError("the two forms are dependent")
-        a, b = MPoly.variable("a"), MPoly.variable("b")
-        return [_mpoly(p, self.parameter) * a + _mpoly(q, self.parameter) * b
-                for p, q in zip(*kernel)]
-
-
-def _linear_coefficients(p: MPoly, names: Sequence[str], message: str) -> list[MPoly]:
+def _linear_coefficients(p: MPoly, names: Sequence[str]) -> list[MPoly]:
     """The coefficient of each of ``names`` in p, which must be homogeneous
     linear in them: any monomial of another degree in ``names`` raises
-    ``ValueError(message)``."""
+    :class:`ValueError`."""
     rows: dict[str, dict[Monomial, Scalar]] = {v: {} for v in names}
     for mono, c in p.terms.items():
         picked = [pair for pair in mono if pair[0] in rows]
         if len(picked) != 1 or picked[0][1] != 1:
-            raise ValueError(message)
+            raise ValueError(f"{p} is not homogeneous linear in {names[0]}..{names[-1]}")
         rows[picked[0][0]][tuple(pair for pair in mono if pair != picked[0])] = c
     return [MPoly._of(rows[v]) for v in names]
 
 
-def line_containment_conditions(f: MPoly, line: ParamLine) -> list[MPoly]:
+def line_containment_conditions(f: MPoly, point: Sequence[MPoly]) -> list[MPoly]:
     """Vanishing conditions for the line to lie inside the hypersurface f.
 
-    The line is parametrized by two free coordinates; the composite is a
-    binary form whose coefficients (polynomials in the parameters) must all
+    The line is given by its point in the two free coordinates a and b, as
+    :func:`invariant_line` returns it; the composite is a binary form in a
+    and b whose coefficients (polynomials in the parameters) must all
     vanish.  Conditions are returned primitive and deduplicated.
     """
-    return _containment_conditions(f, line.parametrization())
-
-
-def _containment_conditions(f: MPoly, point: Sequence[MPoly]) -> list[MPoly]:
-    """:func:`line_containment_conditions` on a line's parametrized point."""
     composed = f.subs(dict(zip(PROJ_VARS, point)))
     conditions = []
     for exps, coeff in composed.coefficients_in(("a", "b")).items():
@@ -603,13 +520,27 @@ def _containment_conditions(f: MPoly, point: Sequence[MPoly]) -> list[MPoly]:
     return conditions
 
 
-def invariant_line(parameter: str) -> ParamLine:
-    """The invariant-line family, oriented so the solved data matches the
-    displayed coefficients (the family coordinate c names the line
-    ``x0 = c x2, x3 = c x1``)."""
-    x0, x1, x2, x3 = (MPoly.variable(v) for v in PROJ_VARS)
-    c = MPoly.variable(parameter)
-    return ParamLine((x0 - c * x2, x3 - c * x1), parameter)
+def invariant_line(parameter: str) -> list[MPoly]:
+    """The point ``[c a : b : a : c b]`` of the invariant line
+    ``x0 = c x2, x3 = c x1``, c the family coordinate named ``parameter``
+    and a, b the free coordinates x2, x1."""
+    a, b, c = MPoly.variable("a"), MPoly.variable("b"), MPoly.variable(parameter)
+    return [c * a, b, a, c * b]
+
+
+def _unipoly(p: MPoly, var: str) -> Poly:
+    """A polynomial in the single variable ``var``, as a one-row :class:`Poly`."""
+    coeffs: dict[int, Fraction] = {}
+    for mono, c in p.terms.items():
+        if any(v != var for v, _ in mono):
+            raise ValueError(f"{p} is not univariate in {var}")
+        coeffs[mono[0][1] if mono else 0] = c
+    return Poly([[coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]])
+
+
+def _mpoly(p: Poly, var: str) -> MPoly:
+    """The inverse of :func:`_unipoly`."""
+    return MPoly._of({((var, k),) if k else (): c for k, c in enumerate(p.coeffs)})
 
 
 def _poly_kernel(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
@@ -637,10 +568,9 @@ def _secant_conic(point: Sequence[MPoly], parameter: str) -> list[Poly]:
     """Coefficients a1..a6 of the conic whose pullback contains the invariant
     line, given as its parametrized ``point`` in ``parameter``: the one kernel
     vector of the containment system, scaled so that a4 is monic."""
-    conditions = _containment_conditions(symbolic_conic_pullback(), point)
+    conditions = line_containment_conditions(symbolic_conic_pullback(), point)
     names = [f"a{k}" for k in range(1, 7)]
-    rows = [[_unipoly(p, parameter) for p in _linear_coefficients(
-                cond, names, "containment conditions are not linear in a1..a6")]
+    rows = [[_unipoly(p, parameter) for p in _linear_coefficients(cond, names)]
             for cond in conditions]
     kernel = _poly_kernel(rows, 6)
     if len(kernel) != 1:
@@ -704,12 +634,11 @@ class SecantLemmaReport(Record):
 
 def verify_secant_lemma() -> SecantLemmaReport:
     """Run the full containment analysis and certify each algebraic step."""
-    # the line in s is parametrized once, for the conic and its closure check
-    point = invariant_line("s").parametrization()
+    point = invariant_line("s")
     conic = _secant_conic(point, "s")
     solved = _reduced_by_a4(conic, "s")
     quartic = pullback_under_quadric_map([_mpoly(p, "s") for p in conic])
-    closure = _containment_conditions(quartic, point) == []
+    closure = line_containment_conditions(quartic, point) == []
     conditions = line_containment_conditions(quartic, invariant_line("t"))
     s, t = MPoly.variable("s"), MPoly.variable("t")
     first, second = secant_condition_displays()

@@ -62,8 +62,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Serialize a Fraction as ``p/q`` or ``p``."""
-    q = Fraction(q)
+    """Serialize an exact scalar as ``p/q`` or ``p``."""
+    q = _as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -203,19 +203,15 @@ class Poly:
         """Degree along the one variable; the zero polynomial has degree -1."""
         return len(self._numerators()) - 1
 
-    def __call__(self, x, y=None):
-        """``p(u, v)`` at a point, or ``p(x)`` along the one variable.
+    def __call__(self, x: Scalar, y: Scalar | None = None) -> Fraction:
+        """``p(u, v)`` at a rational point, or ``p(x)`` along the one variable.
 
-        Horner's rule: on the integers for rational input, with one Fraction
-        at the end; float for float input.
+        Horner's rule on the integers, with one Fraction at the end.  Any
+        other argument, a float included, is a :class:`TypeError`.
         """
-        rational = (int, Fraction)
         if y is not None:
-            if isinstance(x, rational) and isinstance(y, rational):
-                return self.subs_v(y)(x)
-            return _horner([_horner(row, y) for row in self.rows], x)
-        if not isinstance(x, rational):
-            return _horner(self.coeffs, x)
+            return self.subs_v(y)(x)
+        x = _as_fraction(x)
         cs, q = self._numerators(), x.denominator
         return Fraction(_homogeneous(cs, x.numerator, q), self.den * q ** max(len(cs) - 1, 0))
 

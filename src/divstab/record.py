@@ -15,7 +15,12 @@ of the same name is the field's default.  A record
 
 A class may define its own ``__init__`` and store its fields with
 ``object.__setattr__``.  :meth:`Record.replace` builds the copy through
-``__init__``, so the class's validation runs again.
+``__init__``, so the class's validation runs again.  It therefore rebuilds
+only records whose ``__init__`` takes their fields, as the default one and
+``LatticeBasis`` do.  The six classes whose ``__init__`` takes other
+arguments (``ConeSpec``, ``ThreefoldForm``, ``SurfaceForm``,
+``RestrictionMap``, ``CurvePairing``, ``LinearAction``) raise
+:class:`TypeError` or :class:`ValueError` from it instead.
 
 The package does not use ``dataclasses``: importing it (with ``inspect``,
 ``ast`` and ``dis``) and generating each class's methods took most of the
@@ -102,5 +107,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def replace(self, **changes):
-        """A copy with ``changes`` applied, built and validated by ``__init__``."""
+        """A copy with ``changes`` applied, built and validated by ``__init__``,
+        which must take the record's fields (see the module docstring)."""
         return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})

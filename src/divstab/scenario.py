@@ -314,8 +314,14 @@ def _build_schedule(section: _Section, named: Mapping[str, DivisorClass]) -> sin
         raise ScenarioFormatError(f"[{section.name}] {exc}") from None
 
 
-def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
-    """Parse and eagerly validate one scenario file."""
+def parse_scenario(text: str | bytes, name: str = "<scenario>") -> Scenario:
+    """Parse and eagerly validate one scenario file, given as text or as
+    UTF-8 bytes."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"not UTF-8 text: {exc}") from None
     sections = _split_sections(text)
     scenario = _build_scenario(sections, name)
     for section in sections.values():
@@ -534,7 +540,7 @@ def _evaluate_scan(scenario: Scenario) -> tuple[str, bool, str]:
             f"{format_rational(end)}]", False, detail)
 
 
-def run_verify(items: Sequence[tuple[str, str]]) -> Report:
+def run_verify(items: Sequence[tuple[str, str | bytes]]) -> Report:
     """Parse and evaluate a batch; failures are isolated per scenario."""
     results = []
     for name, text in items:

@@ -1,7 +1,8 @@
 """Independent numeric and brute-force oracles used by the test suite.
 
 These deliberately do not share code with the exact implementation: float
-arithmetic, a hand-rolled Gaussian solve, midpoint-rule quadrature, an
+arithmetic, polynomials evaluated by a float Horner rule over their
+coefficients, a hand-rolled Gaussian solve, midpoint-rule quadrature, an
 exhaustive grid search, a threshold found by support enumeration instead
 of the cone's facets, cone membership decided by support enumeration before
 any facet is read, Gauss-Jordan solves and null spaces that divide by each
@@ -39,6 +40,20 @@ from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, Zar
 def midpoint_1d(f, a: float, b: float, n: int = 10_000) -> float:
     h = (b - a) / n
     return sum(f(a + (k + 0.5) * h) for k in range(n)) * h
+
+
+def float_eval(p: Poly, x: float, y: float | None = None) -> float:
+    """``p(x)`` along its one variable, or ``p(x, y)`` at (u, v) = (x, y), by
+    Horner's rule over float coefficients."""
+    def horner(coeffs, t):
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    if y is None:
+        return horner([float(c) for c in p.coeffs], x)
+    return horner([horner([float(c) for c in row], y) for row in p.rows], x)
 
 
 def solve_float(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -117,7 +132,7 @@ def volume_term_oracle(inp, z=None, grid: int = 200, v_cap: float = 4.0) -> floa
         dv = v_cap / grid
         for i in range(grid):
             u = lo + (i + 0.5) * du
-            base = [r(u, 0.0) for r in rows]
+            base = [float_eval(r, u, 0.0) for r in rows]
             for j in range(grid):
                 v = (j + 0.5) * dv
                 d = [b - v * zc for b, zc in zip(base, zf)]
@@ -137,7 +152,7 @@ def negative_term_oracle(inp, n: int = 10_000) -> float:
             continue
         p = inp.schedule.positive_part(inp.surface.cls, inp.model.anticanonical, chamber)
         p2y = triple_product(p, p, inp.surface.cls, inp.model.form)
-        total += midpoint_1d(lambda u: p2y(u) * ord_coeff(u),
+        total += midpoint_1d(lambda u: float_eval(p2y, u) * float_eval(ord_coeff, u),
                              float(chamber.u_lo), float(chamber.u_hi), n)
     return 3.0 * total / float(inp.model.degree)
 

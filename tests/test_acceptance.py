@@ -19,8 +19,8 @@ from divstab.lattice import DivisorClass, restrict, surface_pair, triple_product
 from divstab.ratmath import Poly
 from divstab.zariski import NotPseudoEffectiveError, zariski_decompose
 from conftest import curve_input
-from oracles import chart_stack, grid_decompose, midpoint_1d, negative_class, \
-    negative_term_oracle, recombine, u_cells, volume_term_oracle
+from oracles import chart_stack, float_eval, grid_decompose, midpoint_1d, \
+    negative_class, negative_term_oracle, recombine, u_cells, volume_term_oracle
 
 U = Poly.variable("u")
 
@@ -358,7 +358,7 @@ def test_criterion_5_one_dimensional_integrals(scenarios):
             p = scenario.schedule.positive_part(
                 scenario.divisor, scenario.model.anticanonical, chamber)
             cube = triple_product(p, p, p, scenario.model.form)
-            total += midpoint_1d(lambda x: cube(x), float(chamber.u_lo),
+            total += midpoint_1d(lambda x: float_eval(cube, x), float(chamber.u_lo),
                                  float(chamber.u_hi), 10_000)
         estimate = total / float(scenario.model.degree)
         ok = abs(float(exact) - estimate) / float(exact) < 1e-6

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from divstab.cli import build_parser, main
+from divstab.cli import GEO_CHECKS, build_parser, main
 from divstab.exprs import MAX_POWER, ExprSyntaxError, parse_divisor_expr, parse_poly
 from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
@@ -472,6 +472,7 @@ def test_cli_geo_all(capsys):
     out = capsys.readouterr().out
     for check in ("characters", "fixed-points", "invariant-lines", "secant-lemma"):
         assert f"PASS  geo {check}" in out
+    assert list(GEO_CHECKS) == ["characters", "fixed-points", "invariant-lines", "secant-lemma"]
 
 
 def test_cli_geo_all_matches_golden(capsys):
@@ -498,6 +499,23 @@ def test_geo_characters_computes_each_character_once(monkeypatch, capsys):
 def test_cli_zero_denominator_is_a_usage_error(capsys):
     assert main(["zariski", "lemma_4_1", "--u", "1/0", "--v", "0"]) == 2
     assert "malformed rational '1/0'" in capsys.readouterr().err
+
+
+def test_a_non_utf8_scenario_file_is_one_error_row(tmp_path, capsys):
+    """A file that is not UTF-8 is one ERROR row naming the decode error;
+    the other files of the batch are still verified."""
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(load_bundled("lemma_3_8.scn").encode("utf-8") + b"# caf\xe9\n")
+    crlf = tmp_path / "crlf.scn"
+    crlf.write_bytes(load_bundled("lemma_3_8.scn").replace("\n", "\r\n").encode("utf-8"))
+    assert main(["--json", "verify", str(bad), "lemma_3_8", str(crlf)]) == 1
+    rows = json.loads(capsys.readouterr().out)["scenarios"]
+    # a parsed file takes the name its [scenario] section gives
+    assert [(r["name"], r["status"]) for r in rows] == [
+        ("latin1", "ERROR"), ("lemma_3_8", "PASS"), ("lemma_3_8", "PASS")]
+    assert rows[0]["detail"].startswith("not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+    assert main(["effdec", str(bad), "--class", "H"]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cli_usage_error_on_missing_file(capsys):

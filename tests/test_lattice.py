@@ -8,7 +8,7 @@ from divstab.lattice import (BasisMismatchError, CurvePairing, DivisorClass,
                              LatticeBasis, RestrictionMap, SurfaceForm,
                              ThreefoldForm, pair_with_curve, restrict,
                              surface_pair, triple_product)
-from divstab.ratmath import Poly
+from divstab.ratmath import Poly, format_rational
 
 U = Poly.variable("u")
 V = Poly.variable("v")
@@ -204,3 +204,20 @@ def test_evaluate_parametric_class(model):
     p = DivisorClass(model.basis, [8 - 4 * U, -(3 - 2 * U), -2])
     at = p.evaluate(u=F(5, 4))
     assert at == DivisorClass(model.basis, [3, F(-1, 2), -2])
+
+
+def test_lattice_takes_exact_scalars_only():
+    """A float coefficient, table entry or evaluation point is a TypeError,
+    never a binary fraction such as 3602879701896397/36028797018963968."""
+    basis = LatticeBasis(["H", "E"])
+    for build in (lambda: DivisorClass(basis, [F(1), 0.1]),
+                  lambda: ThreefoldForm(basis, {("H", "H", "H"): 0.5}),
+                  lambda: SurfaceForm(basis, {("H", "E"): 1.0}),
+                  lambda: CurvePairing("C", basis, {"H": 1, "E": 0.5}),
+                  lambda: DivisorClass(basis, [U, 0]).evaluate(u=0.5),
+                  lambda: format_rational(0.1)):
+        with pytest.raises(TypeError, match="expected an exact scalar, got float"):
+            build()
+    assert DivisorClass(basis, [1, F(1, 2)]).coeffs == (1, F(1, 2))
+    assert DivisorClass(basis, [U, 0]).evaluate(u=2) == DivisorClass(basis, [2, 0])
+    assert format_rational(-3) == "-3" and format_rational(F(6, 4)) == "3/2"

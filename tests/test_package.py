@@ -1,7 +1,7 @@
 """Package-wide guards: the runtime imports only the standard library, the
 command line starts without ``dataclasses`` or ``inspect``, every module-level
-function and class is read somewhere, and a re-import leaves no old module
-alive."""
+function and class and every non-dunder method is read somewhere, and a
+re-import leaves no old module alive."""
 
 import ast
 import gc
@@ -71,6 +71,25 @@ def test_every_module_level_definition_is_read():
             if path in SOURCES and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.stem, stmt.name))
     assert [f"{module}.{name}" for module, name in defined if name not in read] == []
+
+
+def test_every_method_is_read():
+    """No method of a package class, dunders aside, is read by tests alone:
+    each name is read somewhere in the package or the benchmark, outside its
+    own body.  A class body counts statement by statement, so a method read
+    by a sibling method counts as read."""
+    defined, read = [], set()
+    for path in SOURCES + BENCH:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(stmt, ast.ClassDef):
+                read |= _names_read(stmt)
+                continue
+            for item in stmt.body:
+                read |= _names_read(item)
+                if (path in SOURCES and isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    defined.append((path.stem, stmt.name, item.name))
+    assert [".".join(d) for d in defined if d[2] not in read] == []
 
 
 def test_reimporting_the_package_frees_the_old_modules():

@@ -5,9 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from divstab import projgeo
-from divstab.projgeo import (PROJ_VARS, DegenerateLineError,
-                             IrrationalEigenvalueError, LinearAction, MPoly,
-                             ParamCurve, ParamLine, _linear_coefficients, _poly_kernel,
+from divstab.projgeo import (PROJ_VARS, IrrationalEigenvalueError, LinearAction, MPoly,
+                             _linear_coefficients, _poly_kernel,
                              common_fixed_points,
                              contains_param_curve, equation_character, format_mpoly,
                              invariant_line, invariant_quadrics,
@@ -42,9 +41,26 @@ def test_quadrics_contain_the_twisted_cubic():
 
 
 def test_line_family_on_the_swept_quadric():
-    a, b, t = (MPoly.variable(n) for n in ("a", "b", "t"))
-    family = dict(zip(PROJ_VARS, (-t * a, b, a, -t * b)))
-    assert QUADRICS["Q4"].subs(family).is_zero()
+    assert contains_param_curve(QUADRICS["Q4"], invariant_line("t"))
+    assert not contains_param_curve(QUADRICS["Q1"], invariant_line("t"))
+
+
+def test_twisted_cubic_components_are_coprime_binary_cubics():
+    """The four components are binary cubic forms in x, y with no common
+    factor, checked by sympy's gcd."""
+    import sympy
+
+    def to_sympy(p):
+        return sympy.Add(*(c * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in mono))
+                           for mono, c in p.terms.items()))
+
+    x, y = sympy.symbols("x y")
+    forms = [sympy.Poly(to_sympy(c), x, y) for c in twisted_cubic()]
+    assert len(forms) == 4
+    assert all(f.is_homogeneous and f.total_degree() == 3 for f in forms)
+    assert sympy.gcd_list([f.as_expr() for f in forms]) == 1
+    # the same gcd sees a shared factor
+    assert sympy.gcd_list([f.as_expr() * (x + y) for f in forms]) == x + y
 
 
 def test_character_table():
@@ -137,7 +153,7 @@ def test_six_intersection_points():
     """The restriction of the swept quadric to the cubic is exactly
     x*y*(x^4 - y^4), whose six linear factors are the six points."""
     x, y = MPoly.variable("x"), MPoly.variable("y")
-    restricted = QUADRICS["Q4"].subs(dict(zip(PROJ_VARS, twisted_cubic().components)))
+    restricted = QUADRICS["Q4"].subs(dict(zip(PROJ_VARS, twisted_cubic())))
     assert restricted == x ** 5 * y - x * y ** 5
 
 
@@ -146,7 +162,7 @@ def test_swap_exchanges_the_first_two_points():
     exchanged, so it maps the point at (x:y) to the one at (y:x); in
     particular it exchanges (0:1) and (1:0)."""
     x, y = MPoly.variable("x"), MPoly.variable("y")
-    components = twisted_cubic().components
+    components = twisted_cubic()
     exchanged = [c.subs({"x": y, "y": x}) for c in components]
     assert SWAP.apply(list(components)) == exchanged
     assert SWAP.apply(list(components)) != list(components)
@@ -180,9 +196,17 @@ def test_poly_kernel_is_a_normalized_basis():
 
 
 def test_line_parametrization_is_the_kernel_basis():
-    point = invariant_line("s").parametrization()
+    """The closed-form point is a V1 + b V2 for the normalized kernel basis
+    V1, V2 over Q[s] of the forms x0 - s x2 and x3 - s x1 that cut out the line."""
     a, b, s = (MPoly.variable(n) for n in ("a", "b", "s"))
-    # x0 = s x2 and x3 = s x1, with the free columns x2 = a and x3 = b scaled
+    one, zero = MPoly.constant(1), MPoly.constant(0)
+    rows = [[projgeo._unipoly(p, "s") for p in row]
+            for row in ([one, zero, -s, zero], [zero, -s, zero, one])]
+    v1, v2 = _poly_kernel(rows, 4)
+    point = invariant_line("s")
+    assert point == [projgeo._mpoly(p, "s") * a + projgeo._mpoly(q, "s") * b
+                     for p, q in zip(v1, v2)]
+    # x0 = s x2 and x3 = s x1, with the free columns x2 = a and x1 = b scaled
     # to polynomial vectors (s, 0, 1, 0) and (0, 1, 0, s)
     assert point == [s * a, b, a, s * b]
 
@@ -255,26 +279,17 @@ def test_line_containment_conditions_for_the_second_parameter():
 def test_linear_coefficients_reject_every_other_degree():
     names = [f"a{k}" for k in range(1, 7)]
     s = MPoly.variable("s")
-    assert (_linear_coefficients(parse_mpoly("s*a1 - a3 + a1"), names, "not linear")
+    assert (_linear_coefficients(parse_mpoly("s*a1 - a3 + a1"), names)
             == [s + 1, 0, -1, 0, 0, 0])
     for text in ("a1*a2 + a3", "s*a1 + 1", "a4^2"):
-        with pytest.raises(ValueError, match="not linear in a1..a6"):
-            _linear_coefficients(parse_mpoly(text), names,
-                                 "containment conditions are not linear in a1..a6")
-    line = ParamLine((parse_mpoly("x0*x1"), parse_mpoly("x3")), "t")
-    with pytest.raises(ValueError, match="homogeneous linear in x0..x3"):
-        line.coefficient_matrix()
+        with pytest.raises(ValueError, match="is not homogeneous linear in a1..a6"):
+            _linear_coefficients(parse_mpoly(text), names)
 
 
 def test_trivial_containment():
-    line = ParamLine((parse_mpoly("x2"), parse_mpoly("x3")), "t")
-    assert line_containment_conditions(parse_mpoly("x3"), line) == []
-
-
-def test_degenerate_line_rejected():
-    line = ParamLine((parse_mpoly("x0"), parse_mpoly("2*x0")), "t")
-    with pytest.raises(DegenerateLineError):
-        line.parametrization()
+    a, b = MPoly.variable("a"), MPoly.variable("b")
+    # the line x2 = x3 = 0
+    assert line_containment_conditions(parse_mpoly("x3"), [a, b, 0, 0]) == []
 
 
 def test_secant_lemma_certificates():
@@ -300,14 +315,6 @@ def test_diagonal_point_values():
     assert first.evaluate({"s": F(2), "t": F(2)}) == 0
     assert second.evaluate({"s": F(2), "t": F(2)}) == 0
     assert first.evaluate({"s": F(2), "t": F(3)}) != 0
-
-
-def test_param_curve_rejects_common_factors():
-    x, y = MPoly.variable("x"), MPoly.variable("y")
-    with pytest.raises(ValueError, match="common factor"):
-        ParamCurve((x * x, x * y, x * y, x * x))
-    with pytest.raises(ValueError, match="degree"):
-        ParamCurve((x, x * y, y, x))
 
 
 def test_mpoly_parse_format_round_trip():

@@ -7,7 +7,7 @@ import pytest
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, combination,
                              format_poly, format_rational, integrate_region,
                              integrate_univariate, parse_rational, rational_roots)
-from oracles import midpoint_1d
+from oracles import float_eval, midpoint_1d
 
 U = Poly.variable("u")
 V = Poly.variable("v")
@@ -61,7 +61,7 @@ def test_integrate_region_matches_float_quadrature():
     hi = 2 - U
 
     def slice_integral(u):
-        return midpoint_1d(lambda v: f(u, v), 0.0, hi(u), 400)
+        return midpoint_1d(lambda v: float_eval(f, u, v), 0.0, float_eval(hi, u), 400)
 
     estimate = midpoint_1d(slice_integral, 0.0, 1.0, 400)
     exact = integrate_region(f, 0, 1, 0, hi)
@@ -185,7 +185,7 @@ def test_exact_integrals_match_midpoint_oracle():
     ]
     for p, a, b in cases:
         exact = integrate_univariate(p, a, b)
-        estimate = midpoint_1d(lambda x: p(x), float(a), float(b), 10_000)
+        estimate = midpoint_1d(lambda x: float_eval(p, x), float(a), float(b), 10_000)
         scale = max(1.0, abs(float(exact)))
         assert abs(estimate - float(exact)) / scale < 1e-6
 
@@ -194,3 +194,11 @@ def test_format_poly_readable():
     assert format_poly((5 - 3 * U) * F(1, 2)) == "-3/2*u + 5/2"
     assert format_poly(Poly()) == "0"
     assert format_poly(U * V - 2) == "u*v - 2"
+
+
+def test_poly_takes_no_float_argument():
+    p = (2 - U) ** 3
+    for call in (lambda: p(0.5), lambda: (U * V)(0.5, 1), lambda: (U * V)(1, 0.5)):
+        with pytest.raises(TypeError, match="expected an exact scalar, got float"):
+            call()
+    assert p(F(1, 2)) == F(27, 8) and p(3) == -1 and (U * V)(2, F(1, 3)) == F(2, 3)

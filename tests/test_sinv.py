@@ -282,7 +282,7 @@ def test_s_curve_matches_grid_oracle(scenarios, name):
 
 def test_s_divisor_matches_quadrature(scenarios):
     from divstab.lattice import triple_product
-    from oracles import midpoint_1d
+    from oracles import float_eval, midpoint_1d
     scenario = scenarios["sdiv_line_exceptional"]
     exact = sinv.s_divisor(scenario.model, scenario.divisor, scenario.schedule)
     total = 0.0
@@ -290,7 +290,7 @@ def test_s_divisor_matches_quadrature(scenarios):
         p = scenario.schedule.positive_part(scenario.divisor,
                                             scenario.model.anticanonical, chamber)
         cube = triple_product(p, p, p, scenario.model.form)
-        total += midpoint_1d(lambda u: cube(u), float(chamber.u_lo),
+        total += midpoint_1d(lambda u: float_eval(cube, u), float(chamber.u_lo),
                              float(chamber.u_hi), 10_000)
     estimate = total / float(scenario.model.degree)
     assert abs(float(exact) - estimate) / float(exact) < 1e-6
