@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +40,10 @@ def _read_scenario(path: str) -> tuple[str, str | bytes]:
     :func:`parse_scenario` decodes, or of a bundled scenario, as text."""
     p = Path(path)
     if p.exists():
-        return p.stem, p.read_bytes()
+        try:
+            return p.stem, p.read_bytes()
+        except OSError as exc:
+            raise ScenarioFormatError(f"cannot read {path!r}: {exc.strerror}") from None
     bundled = path if path.endswith(".scn") else path + ".scn"
     if bundled in bundled_scenario_names():
         return bundled.removesuffix(".scn"), load_bundled(bundled)
@@ -59,7 +63,12 @@ def _emit(args, report: Report) -> int:
 
 def _cmd_verify(args) -> int:
     if args.files:
-        items = [_read_scenario(f) for f in args.files]
+        items = []
+        for f in args.files:
+            try:
+                items.append(_read_scenario(f))
+            except ScenarioFormatError as exc:  # an ERROR row, and the batch goes on
+                items.append((f, exc))
     else:
         items = [(n.removesuffix(".scn"), load_bundled(n))
                  for n in bundled_scenario_names()]
@@ -244,6 +253,9 @@ def main(argv=None) -> int:
     except (ScenarioFormatError, ExprSyntaxError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:  # the reader closed stdout: exit quietly, flush to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     raise AssertionError("unknown command")
 
 

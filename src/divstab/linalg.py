@@ -1,12 +1,12 @@
 """Small exact linear algebra over the rationals.
 
 One fraction-free Gauss-Jordan elimination (:func:`_eliminate`) serves
-solves, kernels, null spaces and rank.  It uses ring operations only (``+``,
-``-``, ``*`` and truthiness), so the entries may be int, Fraction or
-one-variable Poly; every matrix here has at most six columns, so they grow
-only a little without division.  A Poly right-hand side is how parametric
-Gram systems are solved; the one division left, by each pivot, happens in
-:func:`solve_unique` after the elimination.
+solves, kernels, null spaces, rank and the Zariski kernel's integer systems
+[G_S | D.C_S].  It uses ring operations only (``+``, ``-``, ``*`` and
+truthiness), so the entries may be int, Fraction or one-variable Poly; every
+matrix here has at most eight columns, so they grow only a little without
+division.  The one division left, by each pivot, happens after the
+elimination, in :func:`solve_unique` or in the caller.
 """
 
 from __future__ import annotations

@@ -404,29 +404,6 @@ def _reduce(table: list[list[int]], den: int, p: Poly | None = None) -> Poly:
 _ZERO_POLY = Poly()
 
 
-def combination(coeffs: Sequence[Union[Scalar, Poly]], weights: Sequence[int],
-                den: int = 1) -> Poly:
-    """``sum w_k c_k / den`` for rationals or Polys c_k and integers w_k.
-
-    The sum runs on integer tables over one running denominator and is
-    reduced once, where ``+`` and ``*`` would reduce every term.
-    """
-    table: list[list[int]] = []
-    scale = 1
-    for c, w in zip(coeffs, weights):
-        if not (c and w):
-            continue
-        if isinstance(c, Poly):
-            num, c_den = c.num, c.den
-        else:
-            c = _as_fraction(c)
-            num, c_den = ((c.numerator,),), c.denominator
-        common = scale // math.gcd(scale, c_den) * c_den
-        table = _combine(table, common // scale, num, w * (common // c_den))
-        scale = common
-    return _reduce(table, scale * den)
-
-
 def integrate_univariate(p: Poly, a: Scalar, b: Scalar) -> Fraction:
     """Exact definite integral of p between rational bounds.
 
@@ -475,23 +452,23 @@ def rational_roots(p: Poly) -> list[Fraction]:
     form: a quadratic with real but irrational roots raises
     :class:`IrrationalBreakpointError`, and a negative discriminant (no real
     roots) yields an empty list.  From degree 3 on, the candidates are the
-    fractions p/q of the rational root theorem, and roots that are not
-    rational are left out; a caller that needs the polynomial to split over
-    the rationals compares the count with its squarefree degree.
+    fractions p/q of the rational root theorem, each tested as q^d c(p/q) on
+    the integer numerators, and roots that are not rational are left out; a
+    caller that needs the polynomial to split over the rationals compares the
+    count with its squarefree degree.
     """
-    coeffs = p.coeffs
-    if not coeffs:
+    ints = p._numerators()
+    if not ints:
         raise ValueError("zero polynomial has every point as a root")
-    if len(coeffs) > 3:
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * scale) for c in coeffs]
+    if len(ints) > 3:
         lowest = next(c for c in ints if c)    # the constant term once t^k is divided out
         roots = {_ZERO} if not ints[0] else set()
         for num in _factors(lowest):
             for den in _factors(ints[-1]):
-                roots.update(r for r in (Fraction(num, den), Fraction(-num, den))
-                             if not _horner(coeffs, r))
+                roots.update(Fraction(x, den) for x in (num, -num)
+                             if not _homogeneous(ints, x, den))
         return sorted(roots)
+    coeffs = p.coeffs
     if len(coeffs) == 1:
         return []
     if len(coeffs) == 2:

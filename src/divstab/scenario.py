@@ -540,12 +540,14 @@ def _evaluate_scan(scenario: Scenario) -> tuple[str, bool, str]:
             f"{format_rational(end)}]", False, detail)
 
 
-def run_verify(items: Sequence[tuple[str, str | bytes]]) -> Report:
+def run_verify(items: Sequence[tuple[str, str | bytes | ScenarioFormatError]]) -> Report:
     """Parse and evaluate a batch; failures are isolated per scenario."""
     results = []
     for name, text in items:
         start = time.perf_counter()
         try:
+            if isinstance(text, ScenarioFormatError):  # the error reading the file raised
+                raise text
             scenario = parse_scenario(text, name)
         except ScenarioFormatError as exc:
             result = ScenarioResult(name, "?", "ERROR", "-", "-", str(exc))

@@ -17,17 +17,19 @@ distinguished:
   wrong.
 
 The lattice data of a surface is formed once, in one :class:`SurfaceTable`
-per curve list and form: each curve's row of pairings with the basis
-generators and the curve Gram matrix C_i.C_j.  ``zariski_decompose``,
-``v_sweep`` and ``build_chart`` all read it (:func:`surface_table` finds it
-by the identity of the curve tuple, else by value), so no C_i.C_j is formed
-twice in a process.  Each pointwise decomposition and each sweep then pairs
-its class D with the curves once, D.C_k as a dot product with a row, and
-forms D.D.  A support S needs no further pairing with D.  Its coefficients
-are n = G_S^-1 (D.C_S), with G_S the Gram matrix of S; the positive part is
-P = D - sum n_i C_i, its pairings are P.C_k = D.C_k - sum n_i C_i.C_k, and
-its volume is vol = P.P = D.D - sum n_i D.C_i, because P.C_i = 0 for every
-C_i in S.  The definiteness test and the solve of G_S stay per call.
+per curve list and form: integer views, each over one denominator, of the
+form matrix F, the curve classes, their pairings with the basis generators
+and the curve Gram C_i.C_j.  ``zariski_decompose``, ``v_sweep`` and
+``build_chart`` all read it (:func:`surface_table` finds it by the identity
+of the curve tuple, else by value).  One integer kernel solves every
+support.  A class D is integer columns over one denominator, one column per
+monomial: (1, u, ..., u^K, v) for a ray d0(u) - v z, (1,) for a rational
+class.  D.C_k (a dot product with each row) and D.D (the column Gram
+c_t^T F c_s) are formed once per class.  For a support S with Gram matrix
+G_S, one fraction-free elimination of [G_S | D.C_S] gives n = G_S^-1 (D.C_S)
+for every column; the positive part is P = D - sum n_i C_i, its pairings are
+P.C_k = D.C_k - sum n_i C_i.C_k, and vol = P.P = D.D - sum n_i D.C_i, as
+P.C_i = 0 on S.  All come out as integers over one denominator each.
 
 ``v_sweep`` walks ``D0 - v Z`` upward in v from 0 at a fixed u, keeping u
 symbolic as ``D0`` gives it.  Each chamber's support is solved once for all
@@ -63,8 +65,8 @@ from typing import Sequence
 from . import linalg
 from .cones import ConeSpec, Infeasible, effective_decompose
 from .lattice import BasisMismatchError, DivisorClass, SurfaceForm, surface_pair
-from .ratmath import (Coeff, IrrationalBreakpointError, Poly, combination, format_poly,
-                      format_rational, integrate_region, rational_roots, rational_sqrt)
+from .ratmath import (IrrationalBreakpointError, Poly, _reduce, format_poly, format_rational,
+                      integrate_region, rational_roots, rational_sqrt)
 from .record import Record
 
 NamedCurve = tuple[str, DivisorClass]
@@ -87,42 +89,39 @@ class ZariskiResult(Record):
 class SurfaceTable:
     """The lattice data of one curve list under one form: formed once, then read.
 
-    ``rows`` holds each curve's pairings with the basis generators, as
-    integer numerators over one denominator, so D.C_k is a dot product with
-    no call to :func:`surface_pair`; ``gram[a, b]`` is C_a.C_b for every two
-    listed curves.  :func:`surface_table` shares one table between every
-    pairing table, sweep and chart on the surface, so nothing changes it
-    after construction.
+    Integer views, each over one denominator: ``form``, the form matrix, over
+    ``form_den``; ``classes[k]``, the class of C_k, over ``class_den``;
+    ``rows[k]``, C_k's pairings with the basis generators, over form_den *
+    class_den; ``int_gram[a][b]`` = C_a.C_b over form_den * class_den^2.
+    Every decomposition, sweep and chart on the surface shares the one table,
+    so nothing changes it.
     """
 
-    __slots__ = ("curves", "classes", "rows", "gram")
+    __slots__ = ("names", "form", "form_den", "classes", "class_den", "rows", "int_gram")
 
     def __init__(self, curves: Sequence[NamedCurve], form: SurfaceForm):
-        self.curves = tuple(curves)
-        self.classes = dict(self.curves)
-        rank = form.basis.rank
-        self.rows = {}
-        for name, cls in self.curves:
+        for name, cls in curves:
             if cls.basis != form.basis:
                 raise BasisMismatchError(f"curve {name!r} is not over the form's basis")
             if not cls.rational:
                 raise ValueError(f"curve {name!r} needs rational coefficients, got {cls}")
-            row = [sum((c * form.value(i, j) for i, c in enumerate(cls.coeffs) if c),
-                       Fraction(0)) for j in range(rank)]
-            den = math.lcm(*(x.denominator for x in row))
-            self.rows[name] = (tuple(x.numerator * (den // x.denominator) for x in row), den)
-        self.gram = {(a, b): value for a, cls in self.curves
-                     for b, value in self.pairings(cls).items()}
+        self.names = tuple(name for name, _ in curves)
+        rank = form.basis.rank
+        self.form_den, self.form = _integers(
+            [[form.value(i, j) for j in range(rank)] for i in range(rank)])
+        self.class_den, self.classes = _integers([cls.coeffs for _, cls in curves])
+        self.rows = [[_dot(f, c) for f in self.form] for c in self.classes]
+        self.int_gram = [[_dot(row, c) for c in self.classes] for row in self.rows]
 
-    def pairings(self, d: DivisorClass) -> dict[str, Coeff]:
-        """D.C_k for every listed curve, of the type :func:`surface_pair` returns."""
-        if d.rational:
-            den = math.lcm(*(c.denominator for c in d.coeffs))
-            nums = [c.numerator * (den // c.denominator) for c in d.coeffs]
-            return {name: Fraction(sum(map(operator.mul, nums, row)), den * row_den)
-                    for name, (row, row_den) in self.rows.items()}
-        return {name: combination(d.coeffs, row, row_den)
-                for name, (row, row_den) in self.rows.items()}
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _integers(rows) -> tuple[int, list[list[int]]]:
+    """Rows of Fractions as integer numerators over their least common denominator."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 # the tables by value, so a fresh parse of a surface finds its table again
@@ -150,46 +149,104 @@ def surface_table(curves: Sequence[NamedCurve], form: SurfaceForm) -> SurfaceTab
     return table
 
 
-class _PairingTable:
-    """D.C_k for every listed curve and D.D, for one class D, beside its
-    surface's :class:`SurfaceTable`.
+class _Columns:
+    """A class D = sum_t cols[t] m_t / den, each column a coefficient vector.
 
-    :meth:`solve` reads a support's decomposition off them, as the module
-    docstring derives.
+    The monomials m_t are (1, u, ..., u^K, v) for a ray, (1,) for a rational
+    class.  ``meets[k][t]`` is the m_t numerator of D.C_k over den * form_den
+    * class_den, and ``square[t][s]`` that of m_t m_s in D.D over den^2 *
+    form_den: the column Gram c_t^T F c_s.
     """
 
-    def __init__(self, d: DivisorClass, curves: Sequence[NamedCurve], form: SurfaceForm):
-        self.d = d
-        self.surface = surface_table(curves, form)
-        self.square = surface_pair(d, d, form)
-        self.with_d = self.surface.pairings(d)
+    __slots__ = ("table", "cols", "den", "meets", "square")
 
-    def solve(self, support: Sequence[str]):
-        """Coefficients n on ``support``, P, P.C_k for each curve off it, and vol."""
-        between, classes = self.surface.gram, self.surface.classes
-        coeffs = []
-        if support:
-            gram = [[between[a, b] for b in support] for a in support]
-            if not linalg.is_negative_definite(gram):
-                raise IndefiniteSupportError(
-                    f"support {list(support)} has a Gram matrix that is not negative definite "
-                    "(the input class is not pseudo-effective, or the curve data is wrong)")
-            coeffs = linalg.solve_unique(gram, [self.with_d[a] for a in support])
-            assert coeffs is not None  # negative definite => nonsingular
-        p, vol = self.d, self.square
-        for name, n in zip(support, coeffs):
-            p = p - classes[name].scale(n)
-            vol = vol - n * self.with_d[name]
-        pairings = {}
-        for name, _ in self.surface.curves:
-            if name not in support:
-                value = self.with_d[name]
-                for a, n in zip(support, coeffs):
-                    meet = between[a, name]
-                    if meet:
-                        value = value - n * meet
-                pairings[name] = value
-        return coeffs, p, pairings, vol
+    def __init__(self, table: SurfaceTable, cols: list[list[int]], den: int,
+                 square: list[list[int]] | None = None):
+        self.table, self.cols, self.den = table, cols, den
+        self.meets = [[_dot(row, col) for col in cols] for row in table.rows]
+        if square is None:
+            images = [[_dot(f, col) for f in table.form] for col in cols]
+            square = [[_dot(image, col) for col in cols] for image in images]
+        self.square = square
+
+
+def _ray(table: SurfaceTable, d0: DivisorClass, z: DivisorClass) -> _Columns:
+    """``d0(u) - v z`` as columns over (1, u, ..., u^K, v), K >= 1, read off
+    each coefficient's ``num``/``den`` or numerator/denominator."""
+    if not z.rational or any(isinstance(c, Poly) and c.degree_v > 0 for c in d0.coeffs):
+        raise ValueError(f"a sweep needs d0 free of v and z rational, got d0 = {d0}, z = {z}")
+    polys = [c for c in d0.coeffs if isinstance(c, Poly)]
+    k = max([1] + [c.degree_u for c in polys])
+    den = math.lcm(*(c.den for c in polys), *(c.denominator for c in d0.coeffs + z.coeffs
+                                             if not isinstance(c, Poly)))
+    cols = [[0] * len(d0.coeffs) for _ in range(k + 1)]
+    for g, c in enumerate(d0.coeffs):
+        if isinstance(c, Poly):
+            for t, row in enumerate(c.num):
+                cols[t][g] = row[0] * (den // c.den) if row else 0
+        else:
+            cols[0][g] = c.numerator * (den // c.denominator)
+    cols.append([-c.numerator * (den // c.denominator) for c in z.coeffs])
+    return _Columns(table, cols, den)
+
+
+class IntegerSolution(Record):
+    """One support solved for every column of a class at once, in integers.
+
+    ``forms`` lists ``(curve, numerators)``, one numerator per column: each
+    n_i on the support, in the order solved, then P.C_k for each curve off
+    it, in curve order.  Their denominators are positive (positive_den /
+    class_den for n, positive_den * form_den * class_den for P.C_k), so the
+    numerators give their signs and roots.  ``positive[g]`` is generator g's
+    coefficient of P over ``positive_den``, one numerator per column, and
+    ``vol[t][s]`` the m_t m_s numerator of P.P over ``vol_den``.
+    """
+
+    forms: tuple[tuple[str, tuple[int, ...]], ...]
+    positive: tuple[tuple[int, ...], ...]
+    positive_den: int
+    vol: tuple[tuple[int, ...], ...]
+    vol_den: int
+
+
+def _solve(d: _Columns, support: Sequence[str]) -> IntegerSolution:
+    """Coefficients, pairings, positive part and volume of one support, as the
+    module docstring derives, from one elimination of [G_S | D.C_S]."""
+    table = d.table
+    chosen = [table.names.index(name) for name in support]
+    m = [[table.int_gram[a][b] for b in chosen] + d.meets[a] for a in chosen]
+    size = len(chosen)
+    if m:
+        if not linalg.is_negative_definite([row[:size] for row in m]):
+            raise IndefiniteSupportError(
+                f"support {list(support)} has a Gram matrix that is not negative definite "
+                "(the input class is not pseudo-effective, or the curve data is wrong)")
+        linalg._eliminate(m)
+    # scale the solved rows to one positive pivot: n_i = coeffs[i] * class_den / (scale * den)
+    scale = math.lcm(*(m[r][r] for r in range(size)))
+    coeffs = [[x * (scale // m[r][r]) for x in m[r][size:]] for r in range(size)]
+    ns = [[n[t] for n in coeffs] for t in range(len(d.cols))]    # n_S per column
+    pairings = zip(*(_minus(scale, w, n, [table.int_gram[a] for a in chosen])
+                     for w, n in zip(zip(*d.meets), ns)))       # P.C_k per curve
+    forms = [*zip(support, map(tuple, coeffs)),
+             *((name, p) for k, (name, p) in enumerate(zip(table.names, pairings))
+               if k not in chosen)]
+    positive = tuple(zip(*(_minus(scale, col, n, [table.classes[a] for a in chosen])
+                           for col, n in zip(d.cols, ns))))
+    vol = tuple(tuple(_minus(scale, row, n, [d.meets[a] for a in chosen]))
+                for row, n in zip(d.square, ns))
+    return IntegerSolution(tuple(forms), positive, scale * d.den, vol,
+                           scale * d.den ** 2 * table.form_den)
+
+
+def _minus(scale: int, base: Sequence[int], coeffs: Sequence[int],
+           vectors: Sequence[Sequence[int]]) -> list[int]:
+    """``scale * base - sum_i coeffs[i] * vectors[i]``, entry by entry."""
+    out = [scale * x for x in base]
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            out = [x - c * y for x, y in zip(out, vec)]
+    return out
 
 
 def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
@@ -197,14 +254,21 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
     """Unique decomposition d = P + N for a pseudo-effective rational class."""
     if not d.rational:
         raise ValueError("pointwise decomposition needs rational coefficients")
-    table = _PairingTable(d, extremal_curves, form)
+    table = surface_table(extremal_curves, form)
+    square = surface_pair(d, d, form)
+    den, cols = _integers([d.coeffs])
+    full = den * den * table.form_den
+    columns = _Columns(table, cols, den, [[square.numerator * (full // square.denominator)]])
     support: list[str] = []
-    coeffs, p, pairings, vol = table.solve(support)
-    for _ in range(len(extremal_curves) + 1):
+    solution = _solve(columns, support)
+    for _ in range(len(table.names) + 1):
         entering = []
-        for name, value in pairings.items():
+        for name, (value,) in solution.forms[len(support):]:
             if value < 0:
-                if table.surface.gram[name, name] >= 0:
+                k = table.names.index(name)
+                if table.int_gram[k][k] >= 0:
+                    value = Fraction(value, solution.positive_den * table.form_den
+                                     * table.class_den)
                     raise NotPseudoEffectiveError(
                         f"not pseudo-effective: pairing with the nef curve {name!r} "
                         f"is {format_rational(value)} < 0")
@@ -213,7 +277,7 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
             break
         support.extend(entering)
         try:
-            coeffs, p, pairings, vol = table.solve(support)
+            solution = _solve(columns, support)
         except IndefiniteSupportError:
             outcome = effective_decompose(d, ConeSpec(list(extremal_curves)))
             if isinstance(outcome, Infeasible):
@@ -221,14 +285,20 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
                     "not pseudo-effective: outside the cone of the extremal curves; "
                     + outcome.detail) from None
             raise
-    if any(n < 0 for n in coeffs):
+    negative = solution.forms[:len(support)]
+    if any(n < 0 for _, (n,) in negative):
         raise NotPseudoEffectiveError(
             "not pseudo-effective: a negative-part coefficient came out negative")
+    ((vol,),) = solution.vol
     if vol < 0:
-        raise NotPseudoEffectiveError(
-            f"not pseudo-effective: positive part has self-intersection {format_rational(vol)}")
-    return ZariskiResult(positive=p, negative=tuple(zip(support, coeffs)),
-                         support=tuple(support))
+        raise NotPseudoEffectiveError("not pseudo-effective: positive part has self-intersection "
+                                      + format_rational(Fraction(vol, solution.vol_den)))
+    p_den = solution.positive_den
+    positive = (DivisorClass(d.basis, [Fraction(p, p_den) for (p,) in solution.positive])
+                if support else d)
+    return ZariskiResult(
+        positive, tuple((name, Fraction(n * table.class_den, p_den)) for name, (n,) in negative),
+        tuple(support))
 
 
 class SweepChamber(Record):
@@ -236,11 +306,8 @@ class SweepChamber(Record):
 
     ``positive`` and ``vol`` are read at the sweep's u.  ``toggled`` names
     the curves that enter or leave the support at ``v_hi``; it is empty for
-    the last chamber, which ends where vol vanishes.  The last three fields
-    are the same support solved for all (u, v): ``forms`` lists ``(curve,
-    form, slope)``, where the form is the curve's negative-part coefficient
-    on the support and the pairing of the positive part with it off the
-    support; each form is affine in v, with a constant slope as z is rational.
+    the last chamber, which ends where vol vanishes.  ``solution`` is the
+    support solved for all (u, v), over the ray's monomials (1, u, ..., v).
     """
 
     v_lo: Fraction
@@ -249,9 +316,7 @@ class SweepChamber(Record):
     positive: DivisorClass       # coefficients are affine in v
     vol: Poly                    # quadratic in v
     toggled: tuple[str, ...]
-    positive_uv: DivisorClass    # coefficients in u, affine in v
-    vol_uv: Poly
-    forms: tuple[tuple[str, Poly, Fraction], ...]
+    solution: IntegerSolution
 
 
 def _terminal_root(vol: Poly, after: Fraction, at_most: Fraction | None):
@@ -293,32 +358,43 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     u = Fraction(u)
     start = d0.evaluate(u=u)
     base = zariski_decompose(start, extremal_curves, form)  # validates v = 0
-    v = Poly.variable("v")
-    ray = DivisorClass(d0.basis, [a - v * b for a, b in zip(d0.coeffs, z.coeffs)])
-    table = _PairingTable(ray, extremal_curves, form)
-    support = tuple(name for name, _ in extremal_curves if name in base.support)
+    table = surface_table(extremal_curves, form)
+    ray = _ray(table, d0, z)
+    # b^K times each u^t, so a column's value at u is a dot product over b^K
+    a, b, k = u.numerator, u.denominator, len(ray.cols) - 2
+    powers = [a ** t * b ** (k - t) for t in range(k + 1)]
+    scale = b ** k
+    support = tuple(name for name in table.names if name in base.support)
     chambers: list[SweepChamber] = []
     v0 = Fraction(0)
     # N is convex in the class, so each coefficient vanishes on one interval
     # of the ray: a curve toggles at most twice
-    for step in range(2 * len(extremal_curves) + 2):
-        positive, vol_uv, forms = _solve_chamber(table, support)
-        if step == 0 and vol_uv(u, 0) == 0:  # the start's support: vol of the start
+    for step in range(2 * len(table.names) + 2):
+        solution = _solve(ray, [name for name in table.names if name in support])
+        # vol at u is (c0 + c1 v + c2 v^2) / vol_den; c0 and c1 are scaled by b^2K and b^K
+        head = solution.vol[:-1]
+        vol_at_0 = _dot(powers, [_dot(row, powers) for row in head])
+        if step == 0 and vol_at_0 == 0:  # the start's support: vol of the start
             raise NotPseudoEffectiveError(
                 f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
-        walls = [(-f(u, 0) / slope, name) for name, f, slope in forms if slope < 0]
+        walls = [(Fraction(-_dot(f, powers), f[-1] * scale), name)
+                 for name, f in solution.forms if f[-1] < 0]
         wall_v = min((w for w, _ in walls if w >= v0), default=None)
         toggled = tuple(name for w, name in walls if w == wall_v)
         if wall_v != v0:  # else a form is 0 at the floor: toggle with no chamber
-            vol = vol_uv.subs_u(u)
+            linear = _dot(powers, [row[-1] for row in head]) + _dot(solution.vol[-1], powers)
+            vol = _reduce([[vol_at_0, linear * scale, solution.vol[-1][-1] * scale ** 2]],
+                          solution.vol_den * scale ** 2)
             terminal = _terminal_root(vol, v0, wall_v)
             if terminal is not None:
                 wall_v, toggled = terminal, ()
             elif wall_v is None:
                 raise NotPseudoEffectiveError(
                     "sweep does not terminate: the subtracted curve class is not constraining")
-            chambers.append(SweepChamber(v0, wall_v, support, positive.evaluate(u=u), vol,
-                                         toggled, positive, vol_uv, forms))
+            positive = DivisorClass(d0.basis, [
+                _reduce([[_dot(p, powers), p[-1] * scale]], solution.positive_den * scale)
+                for p in solution.positive])
+            chambers.append(SweepChamber(v0, wall_v, support, positive, vol, toggled, solution))
             if not toggled:
                 return chambers
             v0 = wall_v
@@ -392,8 +468,8 @@ def _derive_cell(d0, z, lo, hi, curves, form) -> list:
     A stack lists ``(v_lo, v_hi, support, positive, vol)`` per chamber, in
     sweep order, read off one ``v_sweep`` at the midpoint: each chamber comes
     with its support solved for all (u, v), so every wall is an affine line
-    v = w(u).  A chamber's top is the line of a curve toggled there, and the
-    last chamber's top is the branch of vol through the sweep's end.  The
+    v = w0 + w1 u.  A chamber's top is the line of a curve toggled there, and
+    the last chamber's top is the branch of vol through the sweep's end.  The
     structure can only change where two walls of a chamber meet or where a
     wall form that is constant in v vanishes.  Any such u inside the cell
     cuts it, and the pieces are derived afresh.  The volume needs no cuts of
@@ -405,27 +481,33 @@ def _derive_cell(d0, z, lo, hi, curves, form) -> list:
     mid = (lo + hi) / 2
     stack: list = []
     found: list[Fraction] = []
-    v_lo = Poly()
+    v_lo = (Fraction(0), Fraction(0))
     for sw in v_sweep(d0, z, mid, curves, form):
+        solution = sw.solution
         lines = {}
-        for name, f, slope in sw.forms:
-            base = f.subs_v(0)
+        for name, (f0, f1, slope) in solution.forms:  # f0 + f1 u + slope v
             if slope:
-                lines[name] = base * (-1 / slope)
-            elif base.degree == 1:
-                found.append(-base.coeffs[0] / base.coeffs[1])
+                lines[name] = (Fraction(-f0, slope), Fraction(-f1, slope))
+            elif f1:
+                found.append(Fraction(-f0, f1))
+        table = [[0] * 3 for _ in range(3)]  # vol over the monomials (1, u, v)
+        for t, row in enumerate(solution.vol):
+            for s, x in enumerate(row):
+                table[(t == 1) + (s == 1)][(t == 2) + (s == 2)] += x
+        vol = _reduce(table, solution.vol_den)
         if sw.toggled:
             branches = []
             v_hi = lines[sw.toggled[0]]
         else:
-            branches = _branches(sw.vol_uv)
-            v_hi = next(w for w in branches if w(mid) == sw.v_hi)
-        walls = [(w.coefficient(0, 0), w.coefficient(1, 0))
-                 for w in (v_lo, v_hi, *lines.values(), *branches)]
-        for (a0, a1), (b0, b1) in combinations(walls, 2):
+            branches = [(w.coefficient(0, 0), w.coefficient(1, 0)) for w in _branches(vol)]
+            v_hi = next(w for w in branches if w[0] + w[1] * mid == sw.v_hi)
+        for (a0, a1), (b0, b1) in combinations([v_lo, v_hi, *lines.values(), *branches], 2):
             if a1 != b1:
                 found.append((b0 - a0) / (a1 - b1))
-        stack.append((v_lo, v_hi, sw.support, sw.positive_uv, sw.vol_uv))
+        positive = DivisorClass(d0.basis, [_reduce([[p0, pv], [p1]], solution.positive_den)
+                                           for p0, p1, pv in solution.positive])
+        stack.append((Poly([[v_lo[0]], [v_lo[1]]]), Poly([[v_hi[0]], [v_hi[1]]]),
+                      sw.support, positive, vol))
         v_lo = v_hi
     cuts = sorted({u for u in found if lo < u < hi})
     if not cuts:
@@ -433,15 +515,6 @@ def _derive_cell(d0, z, lo, hi, curves, form) -> list:
     points = [lo, *cuts, hi]
     return [piece for a, b in zip(points, points[1:])
             for piece in _derive_cell(d0, z, a, b, curves, form)]
-
-
-def _solve_chamber(table: _PairingTable, support):
-    """Positive part, volume and wall forms of one support, for all (u, v) at once."""
-    chosen = [name for name, _ in table.surface.curves if name in support]
-    coeffs, p, pairings, vol = table.solve(chosen)
-    forms = [(name, Poly.of(n)) for name, n in zip(chosen, coeffs)]
-    forms += [(name, Poly.of(value)) for name, value in pairings.items()]
-    return p, Poly.of(vol), tuple((name, f, f.coefficient(0, 1)) for name, f in forms)
 
 
 def _branches(vol: Poly) -> list[Poly]:

@@ -10,7 +10,9 @@ pivot instead of eliminating fraction-free, facets found as those rational
 null spaces instead of integer kernels, the trilinear form expanded
 over every permutation of its entries, the pointwise Zariski fixpoint
 with every pairing formed by ``surface_pair`` for one class at a time, with
-no table shared between classes, and polynomial substitution that raises
+no table shared between classes, the pairings of a ray d0(u) - v z formed
+by ``surface_pair`` on its Poly class instead of integer columns, and
+polynomial substitution that raises
 each image to each monomial's exponent afresh instead of reading one table
 of powers.  Agreement within coarse tolerances is
 evidence that the exact path computes the right thing, not just a
@@ -31,7 +33,7 @@ from itertools import combinations
 from divstab import linalg
 from divstab.cones import (ConeSpec, Decomposition, Infeasible, UnboundedThresholdError,
                            effective_decompose)
-from divstab.lattice import surface_pair
+from divstab.lattice import DivisorClass, surface_pair
 from divstab.projgeo import MPoly
 from divstab.ratmath import Poly, format_rational
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
@@ -113,6 +115,15 @@ class FloatSurface:
                     return None
             support.extend(entering)
         return None
+
+
+def ray_pairings_oracle(d0, z, curves, form) -> tuple[dict[str, Poly], Poly]:
+    """D.C_k for every curve, and D.D, of the ray D = d0(u) - v z as Polys in
+    (u, v): ``surface_pair`` on the ray's Poly class, one pairing at a time."""
+    v = Poly.variable("v")
+    ray = DivisorClass(d0.basis, [Poly.of(a) - v * b for a, b in zip(d0.coeffs, z.coeffs)])
+    return ({name: Poly.of(surface_pair(ray, cls, form)) for name, cls in curves},
+            Poly.of(surface_pair(ray, ray, form)))
 
 
 def volume_term_oracle(inp, z=None, grid: int = 200, v_cap: float = 4.0) -> float:

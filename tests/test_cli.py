@@ -1,11 +1,15 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import divstab
 from divstab.cli import GEO_CHECKS, build_parser, main
 from divstab.exprs import MAX_POWER, ExprSyntaxError, parse_divisor_expr, parse_poly
 from divstab.lattice import DivisorClass, LatticeBasis
@@ -516,6 +520,45 @@ def test_a_non_utf8_scenario_file_is_one_error_row(tmp_path, capsys):
     assert rows[0]["detail"].startswith("not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
     assert main(["effdec", str(bad), "--class", "H"]) == 2
     assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_an_unreadable_path_is_one_error_row(tmp_path, capsys, monkeypatch):
+    """A directory or a file that cannot be read is one ERROR row naming the
+    path in a batch, whose other files are still verified; a single-scenario
+    command reports it as a usage error."""
+    locked = tmp_path / "locked.scn"
+    locked.write_text(load_bundled("lemma_3_8.scn"), encoding="utf-8")
+    read_bytes = Path.read_bytes
+
+    def refuse(path):
+        if path.name == locked.name:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert main(["--json", "verify", str(tmp_path), "lemma_3_8", str(locked)]) == 1
+    rows = json.loads(capsys.readouterr().out)["scenarios"]
+    assert [(r["name"], r["status"]) for r in rows] == [
+        (str(tmp_path), "ERROR"), ("lemma_3_8", "PASS"), (str(locked), "ERROR")]
+    assert rows[0]["detail"] == f"cannot read {str(tmp_path)!r}: Is a directory"
+    assert rows[2]["detail"] == f"cannot read {str(locked)!r}: Permission denied"
+    for argv in (["s-curve", str(tmp_path)], ["zariski", str(locked), "--u", "1", "--v", "0"],
+                 ["effdec", str(tmp_path), "--class", "H"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
+
+def test_a_closed_stdout_ends_quietly():
+    """A reader that closes the pipe before the report is written (as
+    ``divstab --json verify | head -1`` can) gets exit code 1 and no
+    traceback, and the flush at exit writes nothing to stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(divstab.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "divstab.cli", "--json", "verify"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_cli_usage_error_on_missing_file(capsys):

@@ -1,10 +1,11 @@
+import math
 import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
-from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, combination,
+from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly,
                              format_poly, format_rational, integrate_region,
                              integrate_univariate, parse_rational, rational_roots)
 from oracles import float_eval, midpoint_1d
@@ -94,6 +95,37 @@ def test_rational_roots_examples():
     assert rational_roots((V - 3) ** 2) == [F(3)]
 
 
+def test_rational_roots_of_higher_degree_match_fraction_evaluation():
+    """From degree 3 on, each candidate p/q is tested over the integers; the
+    roots are exactly the candidates at which a Fraction Horner rule over the
+    coefficients gives 0, so planted roots are found and no others."""
+    rng = random.Random(2023)
+    for _ in range(200):
+        roots = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        p = Poly.of(F(rng.randint(1, 5), rng.randint(1, 3)))
+        for r in roots:
+            p = p * (V - r)
+        while p.degree < 3:  # pad with factors that may or may not split
+            p = p * (V * V + rng.randint(-4, 4) * V + rng.randint(-4, 4))
+        coeffs = p.coeffs
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        low = next(c for c in ints if c)
+        candidates = {F(sign * a, b) for a in _divisors(low) for b in _divisors(ints[-1])
+                      for sign in (1, -1)}
+        if not coeffs[0]:
+            candidates.add(F(0))
+        expected = sorted(r for r in candidates if sum(c * r ** k for k, c in enumerate(coeffs)) == 0)
+        assert rational_roots(p) == expected
+        assert set(roots) <= set(expected)
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in small]
+
+
 def _random_fraction(rng):
     return F(rng.randint(-8, 8), rng.randint(1, 6))
 
@@ -125,19 +157,6 @@ def test_ring_laws_poly2():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
-
-
-def test_combination_equals_the_sum_of_products():
-    rng = random.Random(5)
-    for _ in range(50):
-        coeffs = [rng.choice([F(rng.randint(-5, 5), rng.randint(1, 6)),
-                              F(rng.randint(-3, 3), 2) * U + F(rng.randint(-3, 3), 3) * V * V,
-                              Poly()])
-                  for _ in range(rng.randint(0, 5))]
-        weights = [rng.randint(-4, 4) for _ in coeffs]
-        den = rng.randint(1, 9)
-        expected = sum((w * c for c, w in zip(coeffs, weights)), Poly()) * F(1, den)
-        assert combination(coeffs, weights, den) == expected
 
 
 def test_mixed_variable_promotion():

@@ -12,7 +12,8 @@ from divstab.ratmath import IrrationalBreakpointError, Poly
 from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
                              build_chart, v_sweep, zariski_decompose)
 from conftest import curve_input
-from oracles import chart_stack, negative_class, u_cells, zariski_decompose_oracle
+from oracles import (chart_stack, negative_class, ray_pairings_oracle, u_cells,
+                     zariski_decompose_oracle)
 
 U = Poly.variable("u")
 
@@ -156,18 +157,25 @@ def test_v_sweep_follows_a_shrinking_support(dp5, z, chambers):
 
 
 def test_a_sweep_pairs_its_ray_with_each_curve_once(scenarios, dp5, monkeypatch):
-    """Each chamber reads its pairings off one table for the ray: D.C_k per
-    curve and D.D are the only pairings with a polynomial argument, however
-    many chambers the sweep has.  The one rational pairing is the start's D.D
-    in its own decomposition: the check for a start on the boundary reads vol
-    off the first chamber's solve."""
+    """The ray is paired with the curves once, as integer columns, and each
+    chamber is one kernel solve of that one ray, however many chambers the
+    sweep has.  No pairing has a polynomial argument; the one rational
+    pairing is the start's D.D in its own decomposition: the check for a
+    start on the boundary reads vol off the first chamber's solve."""
     from divstab import zariski
-    calls = Counter()
+    calls, rays_solved = Counter(), []
+    solve = zariski._solve
 
     def counted(a, b, form):
         calls[a.rational and b.rational] += 1
         return surface_pair(a, b, form)
+
+    def counted_solve(d, support):
+        if len(d.cols) > 1:  # the ray's columns (1, u, v); a rational class has one
+            rays_solved.append(d)
+        return solve(d, support)
     monkeypatch.setattr(zariski, "surface_pair", counted)
+    monkeypatch.setattr(zariski, "_solve", counted_solve)
     rays = [(DivisorClass(dp5.basis, [3, -1, -1, -1, -1]),
              DivisorClass(dp5.basis, [2, 1, 1, -1, 0]), F(0), dp5),
             (DivisorClass(dp5.basis, [3, 2, 0, 0, 0]),
@@ -183,9 +191,12 @@ def test_a_sweep_pairs_its_ray_with_each_curve_once(scenarios, dp5, monkeypatch)
     counts = Counter()
     for d0, z, u, surface in rays:
         calls.clear()
+        rays_solved.clear()
         sweep = v_sweep(d0, z, u, surface.extremal_curves, surface.form)
-        assert 0 < calls[False] <= len(surface.extremal_curves) + 1
+        assert calls[False] == 0
         assert calls[True] == 1
+        assert len(rays_solved) == len(sweep)
+        assert len(set(map(id, rays_solved))) == 1
         counts[len(sweep)] += 1
     assert set(counts) == {1, 2, 3}
 
@@ -401,28 +412,31 @@ def test_chart_rejects_non_affine_family(ruled):
 
 
 def test_a_verify_pass_solves_each_chamber_once(monkeypatch):
-    """One ``run_verify`` of the bundled scenarios makes 17 exact solves (26
-    when each chart solved its supports a second time after the midpoint
-    sweep), and every derived piece of a chart is read off one sweep."""
-    from divstab import linalg, sinv, zariski
+    """One ``run_verify`` of the bundled scenarios makes 27 kernel solves of
+    a ray, one per chamber of its 16 sweeps (54 when each chamber was solved
+    twice), and 16 of a rational class, one per sweep start; every derived
+    piece of a chart is read off one sweep."""
+    from divstab import sinv, zariski
     from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
     calls = Counter()
 
-    def counting(module, name):
+    def counting(module, name, key=None):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key(*args) if key else name] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((linalg, "solve_unique"), (zariski, "v_sweep"),
-                         (zariski, "_derive_cell"), (sinv, "build_chart")):
+    counting(zariski, "_solve", lambda d, support: "ray" if len(d.cols) > 1 else "point")
+    for module, name in ((zariski, "v_sweep"), (zariski, "_derive_cell"),
+                         (sinv, "build_chart")):
         counting(module, name)
     names = bundled_scenario_names()
     assert len(names) == 17
     assert run_verify([(n, load_bundled(n)) for n in names]).all_pass
-    assert calls["solve_unique"] == 17
+    assert calls["ray"] == 27
+    assert calls["point"] == calls["v_sweep"] == 16
     assert calls["v_sweep"] == calls["_derive_cell"] > calls["build_chart"] > 0
 
 
@@ -461,22 +475,81 @@ def test_decompose_matches_the_per_class_pairing_oracle(request, surface_name):
     assert len(outcomes) == (2 if surface_name == "ruled" else 3)
 
 
+def _over_1_u_v(matrix, den):
+    """sum matrix[t][s] m_t m_s / den over the monomials m = (1, u, v)."""
+    mono = [Poly.of(1), U, V]
+    return sum((x * mono[t] * mono[s] for t, row in enumerate(matrix)
+                for s, x in enumerate(row)), Poly()) * F(1, den)
+
+
+@pytest.mark.parametrize("surface_name", ["dp5", "dp6", "ruled"])
+def test_the_integer_kernel_matches_the_poly_route(request, surface_name):
+    """At seeded rays d0(u) - v z affine in u, the kernel's D.C_k and D.D
+    equal ``surface_pair`` on the ray's Poly class, and each sweep chamber's
+    forms and positive part, read at an interior (u, v), are the coefficients,
+    pairings and positive part that ``zariski_decompose`` finds there."""
+    from divstab.zariski import _ray, surface_table
+    surface = request.getfixturevalue(surface_name)
+    curves, form = surface.extremal_curves, surface.form
+    table = surface_table(curves, form)
+    rng = random.Random(f"kernel-{surface_name}")
+    swept = 0
+    for _ in range(40):
+        a, b = _random_class(rng, surface), _random_class(rng, surface)
+        d0 = DivisorClass(surface.basis, [x + (y - x) * U for x, y in zip(a.coeffs, b.coeffs)])
+        z = surface.basis.zero()
+        while z.is_zero():
+            for _, cls in curves:
+                z = z + cls.scale(rng.randint(0, 2))
+        ray = _ray(table, d0, z)
+        meets, square = ray_pairings_oracle(d0, z, curves, form)
+        den = ray.den * table.form_den * table.class_den
+        for (name, _), row in zip(curves, ray.meets):
+            assert _over_1_u_v([row], den) == meets[name]
+        assert _over_1_u_v(ray.square, ray.den ** 2 * table.form_den) == square
+        u = F(rng.randint(1, 15), 16)
+        try:
+            sweep = v_sweep(d0, z, u, curves, form)
+        except (NotPseudoEffectiveError, IrrationalBreakpointError):
+            continue
+        for ch in sweep:
+            v = (ch.v_lo + ch.v_hi) / 2
+            result = zariski_decompose(d0.evaluate(u=u) - z.scale(v), curves, form)
+            assert set(result.support) == set(ch.support)
+            negative, solution = dict(result.negative), ch.solution
+            at = [F(1), u, v]
+            for name, nums in solution.forms:
+                value = sum(x * m for x, m in zip(nums, at)) / solution.positive_den
+                if name in ch.support:
+                    assert value * table.class_den == negative[name]
+                else:
+                    assert value / (table.form_den * table.class_den) == surface_pair(
+                        result.positive, dict(curves)[name], form)
+            assert result.positive == DivisorClass(surface.basis, [
+                sum(x * m for x, m in zip(nums, at)) / solution.positive_den
+                for nums in solution.positive])
+            swept += 1
+    assert swept >= 20
+
+
 @pytest.mark.parametrize("surface_name,count", [("dp5", 75), ("dp6", 17), ("ruled", 0)])
 def test_negative_definite_supports_of_each_surface(request, surface_name, count):
     """Zariski chambers are indexed by the negative definite supports
     (Bauer-Kuronya-Szemberg 2004); the del Pezzo surfaces of degree 5 and 6
     have 76 and 18 chambers with the empty one (Bauer-Funke-Neumann 2010),
-    and the quadric only the empty one.  The table's Gram is the form's."""
+    and the quadric only the empty one.  The table's integer Gram, over its
+    one denominator, is the form's."""
     from divstab.linalg import is_negative_definite
     from divstab.zariski import surface_table
     surface = request.getfixturevalue(surface_name)
     table = surface_table(surface.extremal_curves, surface.form)
-    for a, ca in surface.extremal_curves:
-        for b, cb in surface.extremal_curves:
-            assert table.gram[a, b] == surface_pair(ca, cb, surface.form)
-    names = [name for name, _ in surface.extremal_curves]
-    supports = [s for k in range(1, len(names) + 1) for s in combinations(names, k)
-                if is_negative_definite([[table.gram[a, b] for b in s] for a in s])]
+    den = table.form_den * table.class_den ** 2
+    for (_, ca), row in zip(surface.extremal_curves, table.int_gram):
+        for (_, cb), x in zip(surface.extremal_curves, row):
+            assert F(x, den) == surface_pair(ca, cb, surface.form)
+    indices = range(len(surface.extremal_curves))
+    supports = [s for k in range(1, len(indices) + 1) for s in combinations(indices, k)
+                if is_negative_definite([[table.int_gram[a][b] for b in s] for a in s])]
     assert len(supports) == count
 
 
