@@ -37,7 +37,10 @@ USAGE_ERROR = 2
 
 def _read_scenario(path: str) -> tuple[str, str | bytes]:
     """The name and content of a scenario file, as bytes that
-    :func:`parse_scenario` decodes, or of a bundled scenario, as text."""
+    :func:`parse_scenario` decodes, or of a bundled scenario, as text.
+
+    A path that is neither, or cannot be read, raises ScenarioFormatError:
+    ``verify`` reports it as one ERROR row and goes on with the batch."""
     p = Path(path)
     if p.exists():
         try:
@@ -47,7 +50,7 @@ def _read_scenario(path: str) -> tuple[str, str | bytes]:
     bundled = path if path.endswith(".scn") else path + ".scn"
     if bundled in bundled_scenario_names():
         return bundled.removesuffix(".scn"), load_bundled(bundled)
-    raise FileNotFoundError(f"no scenario file or bundled scenario named {path!r}")
+    raise ScenarioFormatError(f"no scenario file or bundled scenario named {path!r}")
 
 
 def _emit(args, report: Report) -> int:

@@ -9,7 +9,8 @@ reviewable.
 Scenario kinds, with the sections each reads besides ``[scenario]``:
 
 * ``s_curve``          -- full curve invariant, compared exactly
-* ``s_curve_bound``    -- negative-part term plus a dominated volume bound
+* ``s_curve_bound``    -- negative-part term of Z plus the volume term of the
+  class ``dominate_via`` that Z dominates, an upper bound for the invariant
 * ``negative_part``    -- the negative-part term alone
   (these three read ``[threefold]``, ``[surface]``, ``[schedule]`` and
   ``[curve]``, whose ``dominate_via`` only ``s_curve_bound`` reads)
@@ -38,7 +39,10 @@ and a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator or
 cone name another class.
 A ``[surface]`` section must satisfy the projection formula
 D1|_S . D2|_S = D1.D2.S for every two threefold generators; a failure is
-reported under ``restrict``.
+reported under ``restrict``.  A ``[curve]`` ``ord`` list must give, chamber
+by chamber, the ord coefficient :func:`sinv.expected_ord_coeffs` derives
+from the schedule; the declaration stays on the scenario as an independent
+input, and evaluation reads the derivation.
 Every scenario is validated eagerly at parse time; evaluation failures in a
 batch are recorded per scenario and never abort the run.
 
@@ -58,7 +62,7 @@ import time
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -173,7 +177,7 @@ class Scenario(Record):
     surface: sinv.SurfaceData | None = None
     schedule: sinv.Schedule | None = None
     z: DivisorClass | None = None
-    ord_coeffs: tuple[Poly, ...] = ()
+    ord_coeffs: tuple[Poly, ...] = ()     # as declared, equal to the derived ones
     dominate_via: DivisorClass | None = None
     divisor: DivisorClass | None = None
     decompose_class: DivisorClass | None = None
@@ -314,6 +318,18 @@ def _build_schedule(section: _Section, named: Mapping[str, DivisorClass]) -> sin
         raise ScenarioFormatError(f"[{section.name}] {exc}") from None
 
 
+def _check_ord(declared: tuple[Poly, ...], derived: tuple[Poly, ...]) -> None:
+    """Raise ValueError at the first schedule chamber whose declared ord
+    coefficient is not the one the restricted negative part gives."""
+    for k, (said, computed) in enumerate(zip_longest(declared, derived)):
+        if said is None or computed is None:
+            raise ValueError(f"chamber {k}: need exactly one coefficient per schedule "
+                             f"chamber, {len(derived)} in all")
+        if said != computed:
+            raise ValueError(f"chamber {k}: declared {format_poly(said)}, but the "
+                             f"restricted negative part gives {format_poly(computed)}")
+
+
 def parse_scenario(text: str | bytes, name: str = "<scenario>") -> Scenario:
     """Parse and eagerly validate one scenario file, given as text or as
     UTF-8 bytes."""
@@ -363,9 +379,8 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         z = curve_sec.value("z", surface_class)
         ord_coeffs = curve_sec.value("ord", lambda text: tuple(
             _u_only(parse_poly(item)) for item in text.split(",")))
-        if len(ord_coeffs) != len(schedule.chambers):
-            raise ScenarioFormatError(
-                "[curve] ord: need exactly one coefficient per schedule chamber")
+        derived = sinv.expected_ord_coeffs(sinv.SCurveInput(model, surface, z, schedule))
+        curve_sec.parse("ord", ord_coeffs, lambda declared: _check_ord(declared, derived))
         via = None
         if kind == "s_curve_bound":
             via = curve_sec.value("dominate_via", surface_class)
@@ -483,19 +498,14 @@ def _rational_value(scenario: Scenario) -> tuple[Fraction, str]:
         verb = "exceeds" if value > exceeds else "does not exceed"
         return value, (f"value {format_rational(value)} {verb} the bound "
                        f"{format_rational(exceeds)}")
-    inp = sinv.SCurveInput(scenario.model, scenario.surface, scenario.z,
-                           scenario.schedule, scenario.ord_coeffs)
+    inp = sinv.SCurveInput(scenario.model, scenario.surface, scenario.z, scenario.schedule)
     if kind == "negative_part":
         sinv.validate_schedule(scenario.model, scenario.surface.cls, scenario.schedule)
         return sinv.negative_part_term(inp), ""
     # the invariant validates the schedule and carries its charts
-    if kind == "s_curve":
-        result = sinv.s_curve(inp)
-        value = result.value
-    else:
-        result = sinv.dominance_bound(inp, scenario.dominate_via)
-        value = sinv.negative_part_term(inp) + result.value
-    return value, "\n".join(chart.describe() for chart in result.charts)
+    result = (sinv.s_curve(inp) if kind == "s_curve"
+              else sinv.dominance_bound(inp, scenario.dominate_via))
+    return result.value, "\n".join(chart.describe() for chart in result.charts)
 
 
 def _evaluate_decomposition(scenario: Scenario) -> tuple[str, bool, str]:

@@ -10,10 +10,10 @@ The curve invariant of an irreducible curve Z inside a surface Y adds two
 contributions: a line integral of ``(P(u)^2 . Y) * ord_Z(N(u)|_Y)`` over the
 chambers where Z appears in the restricted negative part, and the double
 integral of the chamber-chart volumes of ``P(u)|_Y - v Z``.  The ord
-coefficient is scenario data with a consistency check: components of N(u)
-whose restriction is an exact rational multiple of Z must reproduce the
-declared coefficient (identifying Z inside an arbitrary restricted divisor
-needs geometric input the lattice alone does not carry).
+coefficient is derived from the schedule: it sums the coefficients of the
+components of N(u) whose restriction is an exact rational multiple of Z,
+times that multiple (:func:`expected_ord_coeffs`).  A scenario declares it
+too, and the scenario reader checks the declaration against this derivation.
 
 All eight golden fractions of the verification suite come out of
 :func:`s_curve` / :func:`negative_part_term` / :func:`dominance_bound`.
@@ -43,10 +43,6 @@ _U = Poly.variable("u")
 class ScheduleError(ValueError):
     """Schedule data violates one of its invariants; names the chamber end or
     the chamber where it fails."""
-
-
-class OrdMismatchError(ValueError):
-    """Declared ord coefficient disagrees with the restricted negative part."""
 
 
 class DominanceError(ValueError):
@@ -125,7 +121,6 @@ class SCurveInput(Record):
     surface: SurfaceData
     z: DivisorClass                       # curve class on the surface lattice
     schedule: Schedule
-    ord_coeffs: tuple[Poly, ...]          # one per schedule chamber
 
 
 def validate_schedule(model: ThreefoldModel, y: DivisorClass,
@@ -191,24 +186,12 @@ def s_divisor(model: ThreefoldModel, y: DivisorClass, sched: Schedule) -> Fracti
 
 
 def _multiple_of(cls: DivisorClass, z: DivisorClass) -> Fraction | None:
-    """m with cls = m * z, if the restricted class is an exact multiple."""
-    m = None
-    for a, b in zip(cls.coeffs, z.coeffs):
-        if not b:
-            if a:
-                return None
-            continue
-        if not a:
-            ratio = Fraction(0)
-        elif isinstance(a, Poly) or isinstance(b, Poly):
-            return None
-        else:
-            ratio = a / b
-        if m is None:
-            m = ratio
-        elif m != ratio:
-            return None
-    return m
+    """m with cls = m * z, if the restricted class is an exact rational multiple."""
+    if not (cls.rational and z.rational) or z.is_zero():
+        return None
+    i = next(i for i, b in enumerate(z.coeffs) if b)
+    m = cls.coeffs[i] / z.coeffs[i]
+    return m if z.scale(m) == cls else None
 
 
 def expected_ord_coeffs(inp: SCurveInput) -> tuple[Poly, ...]:
@@ -224,23 +207,11 @@ def expected_ord_coeffs(inp: SCurveInput) -> tuple[Poly, ...]:
     return tuple(out)
 
 
-def check_ord_coeffs(inp: SCurveInput) -> None:
-    expected = expected_ord_coeffs(inp)
-    if len(inp.ord_coeffs) != len(inp.schedule.chambers):
-        raise OrdMismatchError("one ord coefficient per schedule chamber is required")
-    for k, (declared, computed) in enumerate(zip(inp.ord_coeffs, expected)):
-        if declared != computed:
-            raise OrdMismatchError(
-                f"chamber {k}: declared ord coefficient {declared} does not match "
-                f"the restricted negative part ({computed})")
-
-
 def negative_part_term(inp: SCurveInput) -> Fraction:
     """The line-integral contribution of Z sitting inside N(u)|_Y."""
-    check_ord_coeffs(inp)
     model, sched = inp.model, inp.schedule
     total = Fraction(0)
-    for ch, ord_coeff in zip(sched.chambers, inp.ord_coeffs):
+    for ch, ord_coeff in zip(sched.chambers, expected_ord_coeffs(inp)):
         if ord_coeff.is_zero():
             continue
         p = sched.positive_part(inp.surface.cls, model.anticanonical, ch)
@@ -284,14 +255,15 @@ def s_curve(inp: SCurveInput) -> CurveInvariant:
 
 
 def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
-    """Curve invariant of a dominated class.
+    """An upper bound for the curve invariant of Z through a class it dominates.
 
     Volumes are monotone: replacing Z by a class it dominates (Z minus the
     replacement decomposes over the surface's extremal curves) can only grow
-    every integrand, so the returned value is an upper bound for the curve
-    invariant of Z.  The ord coefficients of the replacement are recomputed
-    from the schedule (they belong to the replacement curve, not to Z).  The
-    result is :func:`s_curve` of the replacement, charts included.
+    every integrand, so the volume term of the replacement bounds the volume
+    term of Z, and neg(Z) + vol(Z_lower) bounds S(Z).  The result carries
+    the negative-part term of Z, the volume term of the replacement and the
+    charts that term was integrated from; bounding Z by itself gives
+    :func:`s_curve` of Z.
     """
     diff = inp.z - z_lower
     curve_cone = ConeSpec(list(inp.surface.extremal_curves))
@@ -301,6 +273,7 @@ def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
         raise DominanceError(
             "dominance violation: the bound class must be nonzero and dominated "
             "by Z over the surface's extremal curves")
-    lowered = inp.replace(z=z_lower, ord_coeffs=())
-    lowered = lowered.replace(ord_coeffs=expected_ord_coeffs(lowered))
-    return s_curve(lowered)
+    lowered = s_curve(inp.replace(z=z_lower))
+    negative = negative_part_term(inp)
+    return CurveInvariant(negative + lowered.volume_term, negative,
+                          lowered.volume_term, lowered.charts)

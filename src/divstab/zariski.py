@@ -328,27 +328,18 @@ def _terminal_root(vol: Poly, after: Fraction, at_most: Fraction | None):
     coeffs = vol.coeffs
     if len(coeffs) <= 1:
         return None
-    if len(coeffs) == 2:
-        root = -coeffs[0] / coeffs[1]
-        if root > after and (at_most is None or root <= at_most):
-            return root
-        return None
-    c0, c1, lead = coeffs
-    disc = c1 ** 2 - 4 * lead * c0
-    if disc < 0:
-        return None
-    if at_most is not None:
-        hi = vol(at_most)
-        if hi > 0:
+    if len(coeffs) == 3:
+        c0, c1, lead = coeffs
+        if c1 ** 2 - 4 * lead * c0 < 0:
+            return None
+        if at_most is not None and vol(at_most) > 0:
             if lead < 0:
                 return None  # concave, positive at both ends
             vertex = -c1 / (2 * lead)
             if not (after < vertex < at_most) or vol(vertex) > 0:
                 return None
-    roots = [r for r in rational_roots(vol) if r > after]
-    if at_most is not None:
-        roots = [r for r in roots if r <= at_most]
-    return min(roots) if roots else None
+    return min((r for r in rational_roots(vol)
+                if r > after and (at_most is None or r <= at_most)), default=None)
 
 
 def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,

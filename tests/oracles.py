@@ -154,11 +154,12 @@ def volume_term_oracle(inp, z=None, grid: int = 200, v_cap: float = 4.0) -> floa
     return 3.0 * total / float(inp.model.degree)
 
 
-def negative_term_oracle(inp, n: int = 10_000) -> float:
-    """Midpoint-rule mirror of the negative-part line integral."""
+def negative_term_oracle(inp, ord_coeffs, n: int = 10_000) -> float:
+    """Midpoint-rule mirror of the negative-part line integral, weighted by
+    the declared ord coefficients rather than the derived ones."""
     from divstab.lattice import triple_product
     total = 0.0
-    for chamber, ord_coeff in zip(inp.schedule.chambers, inp.ord_coeffs):
+    for chamber, ord_coeff in zip(inp.schedule.chambers, ord_coeffs):
         if ord_coeff.is_zero():
             continue
         p = inp.schedule.positive_part(inp.surface.cls, inp.model.anticanonical, chamber)

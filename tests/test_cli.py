@@ -562,8 +562,20 @@ def test_a_closed_stdout_ends_quietly():
 
 
 def test_cli_usage_error_on_missing_file(capsys):
-    assert main(["verify", "does-not-exist"]) == 2
-    assert "no scenario file" in capsys.readouterr().err
+    """A single-scenario command stops on a missing path with a usage error;
+    ``verify`` gives the path one ERROR row and goes on with its batch."""
+    for argv in (["s-curve", "does-not-exist"], ["s-divisor", "does-not-exist"],
+                 ["zariski", "does-not-exist", "--u", "1", "--v", "0"],
+                 ["effdec", "does-not-exist", "--class", "H"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: no scenario file or bundled scenario named 'does-not-exist'\n")
+    for files, statuses in ((["does-not-exist"], ["ERROR"]),
+                            (["does-not-exist", "lemma_3_8"], ["ERROR", "PASS"])):
+        assert main(["verify", *files]) == 1
+        rows = capsys.readouterr().out.splitlines()[:-1]
+        assert [row.split()[0] for row in rows] == statuses
+        assert rows[0] == "ERROR does-not-exist: computed -, expected -"
 
 
 # keys whose absence is an error in every scenario that has the section
@@ -652,6 +664,14 @@ def _damage(text, how, rng):
         name = rng.choice(sorted(set(names) - taken))
         other = rng.choice([g for g in generators if g != names[name]])
         lines.insert(lines.index(f"[{section}]") + 1, f"divisor {name} = {other}")
+    elif how == "ord":
+        # one declared ord coefficient moved off the one the schedule gives
+        section = "curve"
+        i = next(i for i, line in enumerate(lines) if line.startswith("ord = "))
+        items = lines[i].removeprefix("ord = ").split(",")
+        k = rng.randrange(len(items))
+        items[k] = f"{items[k].strip()} + {rng.randint(1, 5)}"
+        lines[i] = "ord = " + ", ".join(items)
     elif how == "restrict":
         # one more surface generator in the image of a threefold generator
         i, section, _ = rng.choice([e for e in entries if e[2].startswith("restrict ")])
@@ -666,14 +686,14 @@ def _damage(text, how, rng):
 
 
 @pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced",
-                                 "repeat", "basis", "power", "shadow", "restrict"])
+                                 "repeat", "basis", "power", "shadow", "restrict", "ord"])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
     damaged section; the next scenario in the batch still passes."""
     names = bundled_scenario_names()
-    # a restrict line is damaged only where there is one
+    # a restrict or ord line is damaged only where there is one
     damageable = ([k for k, n in enumerate(names) if n.removesuffix(".scn") in SECTION_FILES]
-                  if how == "restrict" else range(len(names)))
+                  if how in ("restrict", "ord") else range(len(names)))
     rng = random.Random(f"damage-{how}")
     for _ in range(12):
         k = rng.choice(damageable)

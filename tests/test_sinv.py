@@ -8,9 +8,9 @@ import pytest
 from divstab import sinv
 from divstab.lattice import DivisorClass
 from divstab.ratmath import Poly
-from divstab.scenario import (bundled_scenario_names, evaluate_scenario, load_bundled,
-                              load_bundled_scenario, parse_scenario, run_verify)
-from conftest import curve_input
+from divstab.scenario import (ScenarioFormatError, bundled_scenario_names, evaluate_scenario,
+                              load_bundled, load_bundled_scenario, parse_scenario, run_verify)
+from conftest import CURVE_SCENARIOS, curve_input
 from oracles import negative_term_oracle, volume_term_oracle
 
 U = Poly.variable("u")
@@ -56,9 +56,9 @@ def test_negative_part_terms(scenarios):
 def test_dominance_bounds(scenarios):
     ec_case = curve_input(scenarios["lemma_4_3_ec_bound"])
     l1 = ec_case.surface.basis.unit("l1")
-    bound = sinv.dominance_bound(ec_case, l1).value
-    assert bound == F(109, 112)
-    assert sinv.negative_part_term(ec_case) + bound == F(223, 224)
+    bound = sinv.dominance_bound(ec_case, l1)
+    assert bound.volume_term == F(109, 112)
+    assert bound.value == F(223, 224)
     # bounding a section-plus-fiber class through the bare section class
     el_case = curve_input(scenarios["lemma_4_2_s"])
     thick = el_case.replace(z=DivisorClass(el_case.surface.basis, [2, 1]))
@@ -78,6 +78,23 @@ def test_curve_invariant_carries_its_terms_and_charts(scenarios):
     assert result.volume_term == 3 * volume / inp.model.degree
     # bounding by itself is exact, down to the charts
     assert sinv.dominance_bound(inp, inp.z) == result
+
+
+@pytest.mark.parametrize("name", CURVE_SCENARIOS)
+def test_bound_by_itself_is_the_curve_invariant(scenarios, name):
+    inp = curve_input(scenarios[name])
+    assert sinv.dominance_bound(inp, inp.z) == sinv.s_curve(inp)
+
+
+def test_bound_scenario_counts_the_negative_term_once():
+    """``lemma_4_3_ec_bound`` bounded through its own z gives S(Z) = 19/56:
+    neg(Z) + vol(Z), not neg(Z) + neg(Z) + vol(Z) = 81/224."""
+    text = load_bundled("lemma_4_3_ec_bound.scn")
+    assert "z = l1 + 2*l2\n" in text and "dominate_via = l1\n" in text
+    scenario = parse_scenario(text.replace("dominate_via = l1\n", "dominate_via = l1 + 2*l2\n"),
+                              "lemma_4_3_ec_bound")
+    assert sinv.s_curve(curve_input(scenario)).value == F(19, 56)
+    assert evaluate_scenario(scenario).computed == "19/56"
 
 
 @pytest.mark.parametrize("name,invariant", [
@@ -155,13 +172,15 @@ def test_s_curve_monotone_under_domination(scenarios):
     rng = random.Random(17)
     for name in ("lemma_4_1", "lemma_4_2_r", "lemma_4_3_l1", "lemma_4_3_mixed"):
         inp = curve_input(scenarios[name])
+        exact = sinv.s_curve(inp).value
         base = sinv.dominance_bound(inp, inp.z).value
-        assert base >= 0
+        assert base >= exact >= 0
         for _ in range(4):
             scale = F(rng.randint(1, 7), 8)
             smaller = inp.z.scale(scale)
             value = sinv.dominance_bound(inp, smaller).value
             assert value >= base >= 0
+            assert value >= exact
 
 
 def test_s_divisor_values(scenarios, model):
@@ -255,20 +274,25 @@ def test_schedule_validation_rejects_a_negative_bernstein_coefficient(model):
         sinv.s_divisor(partial, h, sched)
 
 
-def test_ord_consistency_checked(scenarios):
-    lying = curve_input(scenarios["lemma_4_1"]).replace(ord_coeffs=(Poly(), U - 1))
-    with pytest.raises(sinv.OrdMismatchError):
-        sinv.negative_part_term(lying)
-    silent = curve_input(scenarios["lemma_4_3_ec_term"]).replace(ord_coeffs=(Poly(), Poly()))
-    with pytest.raises(sinv.OrdMismatchError):
-        sinv.negative_part_term(silent)
+def test_ord_consistency_checked():
+    """A declared ``[curve] ord`` that is not the derived one fails to parse."""
+    for name, declared, message in [
+        ("lemma_4_1", "0, u - 1", "declared u - 1, but the restricted negative part gives 0"),
+        ("lemma_4_3_ec_term", "0, 0", "declared 0, but the restricted negative part gives u - 1"),
+        ("lemma_4_1", "0", "need exactly one coefficient per schedule chamber, 2 in all"),
+    ]:
+        text = load_bundled(name + ".scn")
+        line = re.search(r"^ord = .*$", text, re.M).group()
+        with pytest.raises(ScenarioFormatError,
+                           match=re.escape(f"[curve] ord: chamber 1: {message}")):
+            parse_scenario(text.replace(line, f"ord = {declared}"), name)
 
 
 def test_expected_ord_matches_declared(scenarios):
     for name in ("lemma_4_1", "lemma_4_2_s", "lemma_4_2_r",
                  "lemma_4_3_l1", "lemma_4_3_ec_term"):
         inp = curve_input(scenarios[name])
-        assert sinv.expected_ord_coeffs(inp) == inp.ord_coeffs
+        assert sinv.expected_ord_coeffs(inp) == scenarios[name].ord_coeffs
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -276,7 +300,8 @@ def test_s_curve_matches_grid_oracle(scenarios, name):
     """Exact values agree with a float 200x200 pointwise-decomposition oracle."""
     inp = curve_input(scenarios[name])
     exact = sinv.s_curve(inp).value
-    estimate = negative_term_oracle(inp, 2000) + volume_term_oracle(inp, grid=200)
+    estimate = (negative_term_oracle(inp, scenarios[name].ord_coeffs, 2000)
+                + volume_term_oracle(inp, grid=200))
     assert abs(float(exact) - estimate) < 1e-3
 
 
