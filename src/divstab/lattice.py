@@ -10,6 +10,16 @@ equal coefficient tuples, and records in ``rational`` whether every
 coefficient is a Fraction.  The pairings return a Fraction for rational
 classes and a Poly otherwise: the input types decide, never the value.
 
+The pairings and the linear maps run on the integers.  A class is brought
+once to integer tables over one denominator (:meth:`DivisorClass.tables`,
+kept on the class): ``Poly.num`` for a polynomial coefficient,
+``[[numerator]]`` for a Fraction.  :func:`triple_product`, :func:`restrict`,
+:func:`pair_with_curve` and :func:`combination` (behind
+``Schedule.positive_part``) sum products of such tables on ints and reduce
+each coefficient of the result once.  The trilinear form's weights are
+summed per symmetry pattern of the three classes once per form, and kept on
+the form.  :func:`surface_pair` stays on Fractions and ``Poly``.
+
 Intersection data is shipped as value tables:
 
 * :class:`ThreefoldForm` -- symmetric trilinear form, nonzero triples only.
@@ -20,16 +30,18 @@ Intersection data is shipped as value tables:
   divisor-class intersections in the modeled lattice).
 
 All values are immutable and all operations are pure, so everything here may
-be shared freely between concurrent workers.
+be shared freely between concurrent workers.  The kept tables and weights
+are derived values: two workers that form one at once store equal values.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .ratmath import Coeff, Poly, _as_fraction, format_poly, format_rational
+from .ratmath import Coeff, Poly, _as_fraction, _reduce, format_poly, format_rational
 from .record import Record
 
 # a string, so the Union that typing caches does not keep this module's Poly alive
@@ -71,9 +83,12 @@ class LatticeBasis(Record):
 
 
 class DivisorClass:
-    """Exact coefficient vector over a named lattice basis."""
+    """Exact coefficient vector over a named lattice basis.
 
-    __slots__ = ("basis", "coeffs", "rational")
+    Its integer tables (:meth:`tables`) are formed on first use and kept.
+    """
+
+    __slots__ = ("basis", "coeffs", "rational", "_ints")
 
     def __init__(self, basis: LatticeBasis, coeffs: Sequence[CoeffIn]):
         cs = []
@@ -98,6 +113,16 @@ class DivisorClass:
 
     def coefficient(self, name: str) -> Coeff:
         return self.coeffs[self.basis.index(name)]
+
+    def tables(self) -> tuple[int, list]:
+        """The coefficients as integer tables over one denominator (see
+        :func:`_tables`), formed on first use and kept."""
+        try:
+            return self._ints
+        except AttributeError:
+            ints = _tables(self.coeffs)
+            object.__setattr__(self, "_ints", ints)
+            return ints
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -263,36 +288,89 @@ class CurvePairing(Record):
                            tuple(_as_fraction(table[n]) for n in basis.names))
 
 
+def _add_product(acc: list[list[int]], w: int, x, y) -> None:
+    """``acc += w x y`` in place for integer tables (rows over u, entries over
+    v), growing ``acc`` as the product needs."""
+    for _ in range(len(x) + len(y) - 1 - len(acc)):
+        acc.append([])
+    for i, rx in enumerate(x):
+        for j, a in enumerate(rx):
+            if a:
+                a *= w
+                for k, ry in enumerate(y, i):
+                    row = acc[k]
+                    if len(row) < j + len(ry):
+                        row.extend([0] * (j + len(ry) - len(row)))
+                    for l, b in enumerate(ry, j):
+                        row[l] += a * b
+
+
+def _tables(coeffs: Sequence) -> tuple[int, list]:
+    """Coefficients as integer tables over one denominator: ``Poly.num``, or
+    ``[[numerator]]`` for a Fraction or int (no rows for 0)."""
+    den = math.lcm(*(c.den if isinstance(c, Poly) else c.denominator for c in coeffs))
+    tables = []
+    for c in coeffs:
+        if isinstance(c, Poly):
+            k = den // c.den
+            tables.append(c.num if k == 1 else [[x * k for x in row] for row in c.num])
+        else:
+            tables.append([[c.numerator * (den // c.denominator)]] if c else [])
+    return den, tables
+
+
+def _weights(form: ThreefoldForm, same12: bool, same: bool) -> tuple[int, list]:
+    """The form's values summed per distinct product of one symmetry pattern,
+    as ``(a, b, c, numerator)`` over one denominator.
+
+    Per sorted triple for a cube ``P^3`` (``same``), per sorted pair and third
+    index for ``P^2.Y`` (``same12``), per ordered triple otherwise.  Formed
+    once per form and pattern, and kept on the form.
+    """
+    memo = vars(form).setdefault("_weights", {})
+    hit = memo.get((same12, same))
+    if hit is None:
+        weights: dict[tuple[int, int, int], Fraction] = {}
+        for (i, j, k), t in form.values.items():
+            orders = {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}
+            if same:
+                weights[i, j, k] = t * len(orders)
+                continue
+            for a, b, c in orders:
+                key = (min(a, b), max(a, b), c) if same12 else (a, b, c)
+                weights[key] = weights.get(key, 0) + t
+        den, nums = _tables(list(weights.values()))
+        hit = memo[same12, same] = (den, [(*key, num[0][0]) for key, num in zip(weights, nums)
+                                          if num])
+    return hit
+
+
 def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass,
                    form: ThreefoldForm) -> Coeff:
     """Trilinear expansion of the intersection form; exact.
 
-    The form's values are summed per distinct product first: per sorted
-    triple for a cube ``P^3``, per sorted pair and third index for
-    ``P^2.Y``.  Each product is then formed once, scalar factors first.
+    The form's weights of the symmetry pattern of (d1, d2, d3) come from
+    :func:`_weights`.  Each class is brought to integer tables once, each
+    product of tables is summed on the integers, and the total is reduced
+    once.
     """
     for d in (d1, d2, d3):
         if d.basis != form.basis:
             raise BasisMismatchError("class is not over the form's basis")
     same12 = d1 == d2
     same = same12 and d2 == d3
-    weights: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), t in form.values.items():
-        orders = {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}
-        if same:
-            weights[i, j, k] = t * len(orders)
-            continue
-        for a, b, c in orders:
-            key = (min(a, b), max(a, b), c) if same12 else (a, b, c)
-            weights[key] = weights.get(key, 0) + t
-    total = Fraction(0)
-    for (a, b, c), w in weights.items():
-        factors = (d1.coeffs[a], d2.coeffs[b], d3.coeffs[c])
-        if all(factors):
-            for x in sorted(factors, key=lambda x: isinstance(x, Poly)):
-                w = x * w
-            total += w
-    return total if d1.rational and d2.rational and d3.rational else Poly.of(total)
+    den, weights = _weights(form, same12, same)
+    den1, t1 = d1.tables()
+    den2, t2 = d2.tables()
+    den3, t3 = d3.tables()
+    total: list[list[int]] = []
+    for a, b, c, w in weights:
+        if t1[a] and t2[b] and t3[c]:
+            xy: list[list[int]] = []
+            _add_product(xy, 1, t1[a], t2[b])
+            _add_product(total, w, xy, t3[c])
+    value = _reduce(total, den * den1 * den2 * den3)
+    return value.coefficient(0, 0) if d1.rational and d2.rational and d3.rational else value
 
 
 def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
@@ -307,22 +385,46 @@ def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
     return total if a.rational and b.rational else Poly.of(total)
 
 
+def combination(basis: LatticeBasis,
+                terms: Iterable[tuple[CoeffIn, DivisorClass]]) -> DivisorClass:
+    """``sum_k c_k D_k`` over ``basis``, for scalar or Poly coefficients c_k.
+
+    Each coefficient of the result is summed on the integers, over one
+    denominator, and reduced once.
+    """
+    parts = []
+    for c, cls in terms:
+        if cls.basis != basis:
+            raise BasisMismatchError("class is not over the combination's basis")
+        c_den, (x,) = _tables((c,))
+        if x:
+            den, tables = cls.tables()
+            parts.append((c_den * den, x, tables))
+    full = math.lcm(*(den for den, _, _ in parts))
+    totals: list[list] = [[] for _ in range(basis.rank)]
+    for den, x, tables in parts:
+        for total, table in zip(totals, tables):
+            if table:
+                _add_product(total, full // den, x, table)
+    return DivisorClass(basis, [_reduce(total, full) for total in totals])
+
+
 def restrict(d: DivisorClass, rmap: RestrictionMap) -> DivisorClass:
     """Linear image of a threefold class on the surface."""
     if d.basis != rmap.source:
         raise BasisMismatchError("class is not over the restriction map's source basis")
-    out = rmap.target.zero()
-    for coeff, image in zip(d.coeffs, rmap.images):
-        out = out + image.scale(coeff)
-    return out
+    return combination(rmap.target, zip(d.coeffs, rmap.images))
 
 
 def pair_with_curve(d: DivisorClass, curve: CurvePairing) -> Coeff:
     """Linear extension of a curve's intersection table."""
     if d.basis != curve.basis:
         raise BasisMismatchError("class is not over the curve table's basis")
-    total = Fraction(0)
-    for coeff, value in zip(d.coeffs, curve.table):
-        if coeff and value:
-            total += value * coeff
-    return total if d.rational else Poly.of(total)
+    den, xs = d.tables()
+    value_den, values = _tables(curve.table)
+    total: list[list[int]] = []
+    for x, value in zip(xs, values):
+        if x and value:
+            _add_product(total, 1, x, value)
+    value = _reduce(total, den * value_den)
+    return value.coefficient(0, 0) if d.rational else value

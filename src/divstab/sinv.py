@@ -31,13 +31,13 @@ from functools import cached_property
 from .cones import (ConeSpec, Decomposition, effective_decompose,
                     pseudoeffective_threshold)
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
-                      SurfaceForm, ThreefoldForm, pair_with_curve, restrict,
+                      SurfaceForm, ThreefoldForm, combination, pair_with_curve, restrict,
                       triple_product)
 from .ratmath import Poly, format_rational, integrate_univariate
 from .record import Record
 from .zariski import NamedCurve, ZariskiChart, build_chart
 
-_U = Poly.variable("u")
+_MINUS_U = -Poly.variable("u")
 
 
 class ScheduleError(ValueError):
@@ -108,10 +108,10 @@ class Schedule(Record):
 
     def positive_part(self, y: DivisorClass, anticanonical: DivisorClass,
                       chamber: ScheduleChamber) -> DivisorClass:
-        p = anticanonical - y.scale(_U)
-        for _, cls, coeff in chamber.negative:
-            p = p - cls.scale(coeff)
-        return p
+        """``-K - u Y - N(u)`` on the chamber, as one combination."""
+        return combination(anticanonical.basis, [
+            (1, anticanonical), (_MINUS_U, y),
+            *((-coeff, cls) for _, cls, coeff in chamber.negative)])
 
 
 class SCurveInput(Record):

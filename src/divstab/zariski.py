@@ -44,11 +44,18 @@ is Zariski's characterization of the decomposition.
 
 ``build_chart`` derives the symbolic picture over each u-interval exactly
 and reads its chambers off one sweep at the midpoint of each cell.  Every
-wall is an affine line v = w(u); the terminal boundary is a factor of the
-volume over Q[u] (a volume that does not factor raises
+wall is an integer line v = (c0 + c1 u) / d, d != 0, read straight off
+its form in the sweep's solution; each test on lines cross-multiplies, so
+the sign of d never matters.  The terminal boundary is a factor of the
+volume over Q[u], read off the integer volume table through its
+discriminant and ``math.isqrt`` (a volume that does not factor raises
 :class:`IrrationalBreakpointError`).  The cell is cut wherever two walls meet
-in a chamber or a wall form constant in v vanishes, the pieces are swept
-afresh, and adjacent pieces with identical chambers are merged again.
+in a chamber or a wall form constant in v vanishes.  Cuts are found and
+tested against the cell by cross-multiplying integers, and only a cut inside
+the cell becomes a Fraction.  The pieces are swept afresh; only the
+chambers of a piece that is not cut again become ``Poly`` and
+``DivisorClass``, and adjacent pieces with identical chambers are merged
+again.
 Chambers are locally polyhedral on a fixed support (Bauer--Kuronya--Szemberg,
 *Zariski chambers, volumes, and stable base loci*, 2004), which is what
 makes the cut points finite and rational.
@@ -66,7 +73,7 @@ from . import linalg
 from .cones import ConeSpec, Infeasible, effective_decompose
 from .lattice import BasisMismatchError, DivisorClass, SurfaceForm, surface_pair
 from .ratmath import (IrrationalBreakpointError, Poly, _reduce, format_poly, format_rational,
-                      integrate_region, rational_roots, rational_sqrt)
+                      integrate_region, rational_roots)
 from .record import Record
 
 NamedCurve = tuple[str, DivisorClass]
@@ -458,88 +465,123 @@ def _derive_cell(d0, z, lo, hi, curves, form) -> list:
 
     A stack lists ``(v_lo, v_hi, support, positive, vol)`` per chamber, in
     sweep order, read off one ``v_sweep`` at the midpoint: each chamber comes
-    with its support solved for all (u, v), so every wall is an affine line
-    v = w0 + w1 u.  A chamber's top is the line of a curve toggled there, and
-    the last chamber's top is the branch of vol through the sweep's end.  The
-    structure can only change where two walls of a chamber meet or where a
-    wall form that is constant in v vanishes.  Any such u inside the cell
-    cuts it, and the pieces are derived afresh.  The volume needs no cuts of
-    its own: d vol/dv = -2 P.z <= 0 for effective z, so where it vanishes on
-    a chamber boundary, the chambers above either close up (their walls
-    meet) or have zero volume on that whole slice u = const, which changes
-    nothing.
+    with its support solved for all (u, v), so every wall is an integer line
+    v = (c0 + c1 u) / d read off its form.  A chamber's top is the line of a
+    curve toggled there, and the last chamber's top is the branch of vol
+    through the sweep's end.  The structure can only change where two walls
+    of a chamber meet or where a wall form that is constant in v vanishes.
+    Any such u inside the cell cuts it, and the pieces are derived afresh;
+    only the chambers of a piece that is not cut again become ``Poly``.  The
+    volume needs no cuts of its own: d vol/dv = -2 P.z <= 0 for effective z,
+    so where it vanishes on a chamber boundary, the chambers above either
+    close up (their walls meet) or have zero volume on that whole slice
+    u = const, which changes nothing.
     """
     mid = (lo + hi) / 2
-    stack: list = []
-    found: list[Fraction] = []
-    v_lo = (Fraction(0), Fraction(0))
+    rows = []
+    cuts: set[Fraction] = set()
+    v_lo = (0, 0, 1)
     for sw in v_sweep(d0, z, mid, curves, form):
         solution = sw.solution
         lines = {}
         for name, (f0, f1, slope) in solution.forms:  # f0 + f1 u + slope v
             if slope:
-                lines[name] = (Fraction(-f0, slope), Fraction(-f1, slope))
+                lines[name] = (-f0, -f1, slope)
             elif f1:
-                found.append(Fraction(-f0, f1))
-        table = [[0] * 3 for _ in range(3)]  # vol over the monomials (1, u, v)
-        for t, row in enumerate(solution.vol):
-            for s, x in enumerate(row):
-                table[(t == 1) + (s == 1)][(t == 2) + (s == 2)] += x
-        vol = _reduce(table, solution.vol_den)
+                cut = _inside(-f0, f1, lo, hi)
+                if cut is not None:
+                    cuts.add(cut)
+        vol = _vol_table(solution)
         if sw.toggled:
             branches = []
             v_hi = lines[sw.toggled[0]]
         else:
-            branches = [(w.coefficient(0, 0), w.coefficient(1, 0)) for w in _branches(vol)]
-            v_hi = next(w for w in branches if w[0] + w[1] * mid == sw.v_hi)
-        for (a0, a1), (b0, b1) in combinations([v_lo, v_hi, *lines.values(), *branches], 2):
-            if a1 != b1:
-                found.append((b0 - a0) / (a1 - b1))
+            branches = _branches(vol, solution.vol_den)
+            a, b, top = mid.numerator, mid.denominator, sw.v_hi
+            v_hi = next(w for w in branches  # (w0 + w1 mid) / w2 == top, cross-multiplied
+                        if (w[0] * b + w[1] * a) * top.denominator == top.numerator * w[2] * b)
+        cuts.update(_crossings([v_lo, v_hi, *lines.values(), *branches], lo, hi))
+        rows.append((v_lo, v_hi, sw, vol))
+        v_lo = v_hi
+    if cuts:
+        points = [lo, *sorted(cuts), hi]
+        return [piece for a, b in zip(points, points[1:])
+                for piece in _derive_cell(d0, z, a, b, curves, form)]
+    stack = []
+    for v_lo, v_hi, sw, vol in rows:
+        solution = sw.solution
         positive = DivisorClass(d0.basis, [_reduce([[p0, pv], [p1]], solution.positive_den)
                                            for p0, p1, pv in solution.positive])
-        stack.append((Poly([[v_lo[0]], [v_lo[1]]]), Poly([[v_hi[0]], [v_hi[1]]]),
-                      sw.support, positive, vol))
-        v_lo = v_hi
-    cuts = sorted({u for u in found if lo < u < hi})
-    if not cuts:
-        return [(lo, hi, stack)]
-    points = [lo, *cuts, hi]
-    return [piece for a, b in zip(points, points[1:])
-            for piece in _derive_cell(d0, z, a, b, curves, form)]
+        stack.append((_line(v_lo), _line(v_hi), sw.support, positive,
+                      _reduce(vol, solution.vol_den)))
+    return [(lo, hi, stack)]
 
 
-def _branches(vol: Poly) -> list[Poly]:
-    """The lines ``v = w(u)`` on which a terminal chamber's volume vanishes.
+def _line(w: tuple[int, int, int]) -> Poly:
+    """The integer line v = (c0 + c1 u) / d as a Poly in u."""
+    c0, c1, d = w
+    return _reduce([[c0], [c1]], d)
 
-    The v^2 coefficient of a chamber volume is constant.  If it is zero the
-    volume is linear in v and its root must divide out as an affine
-    polynomial; otherwise the v-discriminant must be the square of one.
+
+def _vol_table(solution: IntegerSolution) -> list[list[int]]:
+    """A chart chamber's vol as ``table[i][j]``, the u^i v^j numerator over
+    ``solution.vol_den``, from its m_t m_s table over the monomials (1, u, v)."""
+    table = [[0] * 3 for _ in range(3)]
+    for t, row in enumerate(solution.vol):
+        for s, x in enumerate(row):
+            table[(t == 1) + (s == 1)][(t == 2) + (s == 2)] += x
+    return table
+
+
+def _inside(num: int, den: int, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """``num / den`` as a Fraction if it lies strictly inside (lo, hi), else
+    None; the test cross-multiplies integers.  ``den`` is nonzero."""
+    if den < 0:
+        num, den = -num, -den
+    if lo.numerator * den < num * lo.denominator and num * hi.denominator < hi.numerator * den:
+        return Fraction(num, den)
+    return None
+
+
+def _crossings(lines: Sequence[tuple[int, int, int]], lo: Fraction, hi: Fraction) -> set:
+    """Each u strictly inside (lo, hi) where two of the integer lines
+    v = (c0 + c1 u) / d meet; parallel and equal lines never cross."""
+    found = set()
+    for (a0, a1, ad), (b0, b1, bd) in combinations(lines, 2):
+        den = a1 * bd - b1 * ad
+        if den:
+            cut = _inside(b0 * ad - a0 * bd, den, lo, hi)
+            if cut is not None:
+                found.add(cut)
+    return found
+
+
+def _branches(vol: list[list[int]], den: int) -> list[tuple[int, int, int]]:
+    """The lines v = (c0 + c1 u) / d on which a terminal chamber's
+    volume vanishes, from its integer table (:func:`_vol_table`) over ``den``.
+
+    The volume is a v^2 + b(u) v + c(u) with a constant.  If a = 0 the root
+    -c / b must be affine, so b divides c.  Otherwise the discriminant
+    b^2 - 4ac must be the square of an affine t + s u, found by ``math.isqrt``
+    and checked exactly, and the branches are (-b - (t + s u)) / 2a, then
+    (-b + (t + s u)) / 2a.
     """
-    a = vol.coefficient(0, 2)
-    b0, b1 = vol.coefficient(0, 1), vol.coefficient(1, 1)
-    b = Poly([[b0], [b1]])
-    c = vol.subs_v(0)
+    (c0, b0, a), (c1, b1, _), (c2, _, _) = vol
     if a == 0:
-        # (b0 + b1 u)(t + s u) = -c, coefficient by coefficient
-        ts = linalg.solve_unique([[b0, 0], [b1, b0], [0, b1]],
-                                 [-vol.coefficient(k, 0) for k in range(3)])
-        roots = None if ts is None else [Poly([[t] for t in ts])]
+        if b1:    # c vanishes at the root -b0/b1 of b
+            ok = b1 * b1 * c0 - b0 * b1 * c1 + b0 * b0 * c2 == 0
+            roots = [(b0 * c2 - b1 * c1, -b1 * c2, b1 * b1)]
+        else:
+            ok = b0 != 0 and c2 == 0
+            roots = [(-c0, -c1, b0)]
     else:
-        root = _affine_sqrt(b * b - 4 * a * c)
-        roots = None if root is None else [(-b - root) * (1 / (2 * a)),
-                                           (-b + root) * (1 / (2 * a))]
-    if roots is None:
+        d0, d1, d2 = b0 * b0 - 4 * a * c0, 2 * b0 * b1 - 4 * a * c1, b1 * b1 - 4 * a * c2
+        s = math.isqrt(d2) if d2 >= 0 else 0
+        t = d1 // (2 * s) if s else math.isqrt(max(d0, 0))
+        ok = s * s == d2 and 2 * t * s == d1 and t * t == d0
+        roots = [(-b0 - t, -b1 - s, 2 * a), (-b0 + t, -b1 + s, 2 * a)]
+    if not ok:
         raise IrrationalBreakpointError(
-            f"irrational breakpoint: where {format_poly(vol)} vanishes is not affine in u")
+            f"irrational breakpoint: where {format_poly(_reduce(vol, den))} vanishes "
+            "is not affine in u")
     return roots
-
-
-def _affine_sqrt(p: Poly) -> Poly | None:
-    """An affine polynomial in u whose square is p, or None."""
-    s = rational_sqrt(p.coefficient(2, 0))
-    t = p.coefficient(1, 0) / (2 * s) if s else rational_sqrt(p.coefficient(0, 0))
-    if s is None or t is None:
-        return None
-    root = Poly([[t], [s]])
-    return root if root * root == p else None
-

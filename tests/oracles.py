@@ -11,8 +11,11 @@ null spaces instead of integer kernels, the trilinear form expanded
 over every permutation of its entries, the pointwise Zariski fixpoint
 with every pairing formed by ``surface_pair`` for one class at a time, with
 no table shared between classes, the pairings of a ray d0(u) - v z formed
-by ``surface_pair`` on its Poly class instead of integer columns, and
-polynomial substitution that raises
+by ``surface_pair`` on its Poly class instead of integer columns, the
+lines where a terminal chamber's volume vanishes by Poly arithmetic and a
+linear solve instead of an integer discriminant, linear combinations,
+restrictions and curve pairings by DivisorClass and Poly arithmetic
+instead of integer tables, and polynomial substitution that raises
 each image to each monomial's exponent afresh instead of reading one table
 of powers.  Agreement within coarse tolerances is
 evidence that the exact path computes the right thing, not just a
@@ -35,7 +38,8 @@ from divstab.cones import (ConeSpec, Decomposition, Infeasible, UnboundedThresho
                            effective_decompose)
 from divstab.lattice import DivisorClass, surface_pair
 from divstab.projgeo import MPoly
-from divstab.ratmath import Poly, format_rational
+from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly, format_rational,
+                             rational_sqrt)
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
 
@@ -388,6 +392,65 @@ def triple_product_oracle(d1, d2, d3, form):
                 total += t * x * y * z
     rational = all(isinstance(c, Fraction) for d in (d1, d2, d3) for c in d.coeffs)
     return total if rational else Poly.of(total)
+
+
+def combination_oracle(basis, terms):
+    """sum c_k D_k by DivisorClass arithmetic, one scaled class at a time."""
+    out = basis.zero()
+    for c, cls in terms:
+        out = out + cls.scale(c)
+    return out
+
+
+def restrict_oracle(d, rmap):
+    """The image of d on the surface, summed generator by generator."""
+    return combination_oracle(rmap.target, zip(d.coeffs, rmap.images))
+
+
+def pair_with_curve_oracle(d, curve):
+    """The curve's table paired with d, one coefficient at a time."""
+    total = Fraction(0)
+    for coeff, value in zip(d.coeffs, curve.table):
+        if coeff and value:
+            total += value * coeff
+    return total if d.rational else Poly.of(total)
+
+
+def branches_oracle(vol: Poly) -> list[Poly]:
+    """The lines ``v = w(u)`` on which a terminal chamber's volume vanishes.
+
+    The v^2 coefficient a is constant.  If it is zero the root must divide
+    out as an affine polynomial, found by a linear solve; otherwise the
+    v-discriminant must be the square of one, and the roots are
+    (-b - root) / 2a, then (-b + root) / 2a.
+    """
+    a = vol.coefficient(0, 2)
+    b0, b1 = vol.coefficient(0, 1), vol.coefficient(1, 1)
+    b = Poly([[b0], [b1]])
+    c = vol.subs_v(0)
+    if a == 0:
+        # (b0 + b1 u)(t + s u) = -c, coefficient by coefficient
+        ts = linalg.solve_unique([[b0, 0], [b1, b0], [0, b1]],
+                                 [-vol.coefficient(k, 0) for k in range(3)])
+        roots = None if ts is None else [Poly([[t] for t in ts])]
+    else:
+        root = _affine_sqrt(b * b - 4 * a * c)
+        roots = None if root is None else [(-b - root) * (1 / (2 * a)),
+                                           (-b + root) * (1 / (2 * a))]
+    if roots is None:
+        raise IrrationalBreakpointError(
+            f"irrational breakpoint: where {format_poly(vol)} vanishes is not affine in u")
+    return roots
+
+
+def _affine_sqrt(p: Poly) -> Poly | None:
+    """An affine polynomial in u whose square is p, or None."""
+    s = rational_sqrt(p.coefficient(2, 0))
+    t = p.coefficient(1, 0) / (2 * s) if s else rational_sqrt(p.coefficient(0, 0))
+    if s is None or t is None:
+        return None
+    root = Poly([[t], [s]])
+    return root if root * root == p else None
 
 
 def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:

@@ -221,3 +221,64 @@ def test_lattice_takes_exact_scalars_only():
     assert DivisorClass(basis, [1, F(1, 2)]).coeffs == (1, F(1, 2))
     assert DivisorClass(basis, [U, 0]).evaluate(u=2) == DivisorClass(basis, [2, 0])
     assert format_rational(-3) == "-3" and format_rational(F(6, 4)) == "3/2"
+
+
+def _seeded_coeff(rng, kind):
+    if kind == "zero":
+        return F(0)
+    if kind == "fraction":
+        return _random_coeff(rng)
+    rows = [[_random_coeff(rng)], [_random_coeff(rng)]]
+    if kind == "u, v":
+        rows[0].append(_random_coeff(rng))
+    return Poly(rows)
+
+
+def _seeded_class(rng, basis, kind):
+    """A class of one kind: Fraction, u-only Poly or (u, v) Poly coefficients
+    mixed with Fractions, or zero."""
+    kinds = (kind, "fraction", "zero") if kind != "zero" else ("zero",)
+    return DivisorClass(basis, [_seeded_coeff(rng, rng.choice(kinds)) for _ in basis.names])
+
+
+def _same(got, expected):
+    """Equal values of equal kinds: a constant comes back as a Fraction."""
+    if isinstance(expected, DivisorClass):
+        return (got == expected and got.rational == expected.rational
+                and [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs])
+    return got == expected and type(got) is type(expected)
+
+
+def test_integer_lattice_paths_match_class_arithmetic(model, dp5, dp6, ruled):
+    """``restrict``, ``triple_product``, ``pair_with_curve``, ``combination``
+    and ``Schedule.positive_part`` on integer tables equal DivisorClass and
+    Poly arithmetic on seeded classes of every coefficient kind."""
+    from divstab.lattice import combination
+    from divstab.sinv import Schedule, ScheduleChamber
+    from oracles import (combination_oracle, pair_with_curve_oracle, restrict_oracle,
+                         triple_product_oracle)
+    rng = random.Random(25)
+    basis, form = model.basis, model.form
+    kinds = ("zero", "fraction", "u", "u, v")
+    for _ in range(60):
+        a, b, c = (_seeded_class(rng, basis, rng.choice(kinds)) for _ in range(3))
+        for surface in (dp5, dp6, ruled):
+            assert _same(restrict(a, surface.restriction),
+                         restrict_oracle(a, surface.restriction))
+        for curve in model.mori_curves:
+            assert _same(pair_with_curve(a, curve), pair_with_curve_oracle(a, curve))
+        for triple in ((a, a, a), (a, DivisorClass(basis, a.coeffs), b), (a, b, a), (a, b, c)):
+            assert _same(triple_product(*triple, form), triple_product_oracle(*triple, form))
+        terms = [(_seeded_coeff(rng, rng.choice(kinds)), cls) for cls in (a, b, c)]
+        assert _same(combination(basis, terms), combination_oracle(basis, terms))
+        negative = tuple((f"N{k}", cls, _seeded_coeff(rng, rng.choice(("u", "fraction"))))
+                         for k, cls in enumerate((b, c)[:rng.randint(0, 2)]))
+        chamber = ScheduleChamber(F(0), F(1), negative)
+        expected = combination_oracle(basis, [(1, model.anticanonical), (-U, a),
+                                              *((-coeff, cls) for _, cls, coeff in negative)])
+        assert _same(Schedule((chamber,)).positive_part(a, model.anticanonical, chamber),
+                     expected)
+    zero = basis.zero()
+    assert _same(triple_product(zero, zero, zero, form), F(0))
+    assert _same(restrict(zero, dp5.restriction), dp5.basis.zero())
+    assert _same(combination(basis, []), zero)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -11,9 +12,9 @@ from divstab.lattice import DivisorClass, LatticeBasis, SurfaceForm, restrict, s
 from divstab.ratmath import IrrationalBreakpointError, Poly
 from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
                              build_chart, v_sweep, zariski_decompose)
-from conftest import curve_input
-from oracles import (chart_stack, negative_class, ray_pairings_oracle, u_cells,
-                     zariski_decompose_oracle)
+from conftest import CURVE_SCENARIOS, curve_input
+from oracles import (branches_oracle, chart_stack, negative_class, ray_pairings_oracle,
+                     u_cells, zariski_decompose_oracle)
 
 U = Poly.variable("u")
 
@@ -597,3 +598,138 @@ def test_a_second_verify_pass_pairs_no_two_curves(scenarios, monkeypatch):
     assert run_verify(items).all_pass
     assert calls[True] == 0
     assert calls[False] > 0
+
+
+def _vol_over(vol: Poly) -> tuple[list[list[int]], int]:
+    """A volume of degree <= 2 as the 3 x 3 integer table ``_branches`` reads."""
+    table = [[0] * 3 for _ in range(3)]
+    for i, row in enumerate(vol.num):
+        table[i][:len(row)] = row
+    return table, vol.den
+
+
+def _branch_lines(table, den):
+    """The integer branches as Polys, or the message of the error they raise."""
+    from divstab.zariski import _branches, _line
+    try:
+        return [_line(w) for w in _branches(table, den)]
+    except IrrationalBreakpointError as exc:
+        return str(exc)
+
+
+def _oracle_lines(vol):
+    try:
+        return branches_oracle(vol)
+    except IrrationalBreakpointError as exc:
+        return str(exc)
+
+
+def test_terminal_branches_of_the_bundled_charts_match_the_poly_route(scenarios):
+    """Each terminal chamber of each bundled chart cell: the integer branches
+    are the Poly route's lines, in its order (the chart picks the first line
+    through the sweep's end)."""
+    from divstab.ratmath import _reduce
+    from divstab.zariski import _vol_table
+    kinds = Counter()
+    for name in CURVE_SCENARIOS:
+        scenario = scenarios[name]
+        surface, sched = scenario.surface, scenario.schedule
+        for chamber, chart in zip(sched.chambers, _charts_for(scenario)):
+            p = sched.positive_part(surface.cls, scenario.model.anticanonical, chamber)
+            d0 = restrict(p, surface.restriction)
+            for lo, hi in u_cells(chart):
+                sweep = v_sweep(d0, scenario.z, (lo + hi) / 2, surface.extremal_curves,
+                                surface.form)
+                solution = sweep[-1].solution
+                table = _vol_table(solution)
+                vol = _reduce([row[:] for row in table], solution.vol_den)
+                assert _branch_lines(table, solution.vol_den) == branches_oracle(vol)
+                kinds["linear" if table[0][2] == 0 else "quadratic"] += 1
+    assert kinds["linear"] > 0 and kinds["quadratic"] > 0
+
+
+def test_seeded_branches_match_the_poly_route():
+    """Seeded volumes: a square discriminant, a constant one (parallel
+    branches), a non-square one, and the linear case a = 0 with b dividing c
+    or not.  The lines, their order and the error message all agree."""
+    rng = random.Random(25)
+
+    def affine():
+        return rng.randint(-5, 5) + F(rng.randint(-6, 6), rng.randint(1, 4)) * U
+
+    def quadratic():
+        return affine() + F(rng.randint(-3, 3), rng.randint(1, 3)) * U * U
+
+    seen = Counter()
+    for _ in range(500):
+        kind = rng.choice(["square", "constant", "any", "linear", "linear any"])
+        a = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        if kind == "square":
+            vol = a * (V - affine()) * (V - affine())
+        elif kind == "constant":
+            r = affine()
+            vol = a * (V - r) * (V - r - F(rng.randint(-4, 4), rng.randint(1, 3)))
+        elif kind == "any":
+            vol = a * V * V + affine() * V + quadratic()
+        elif kind == "linear":
+            vol = affine() * (V - affine())
+        else:
+            vol = affine() * V + quadratic()
+        expected = _oracle_lines(vol)
+        assert _branch_lines(*_vol_over(vol)) == expected
+        seen[kind, isinstance(expected, str)] += 1
+    for kind in ("square", "constant", "linear"):
+        assert seen[kind, False] > 0
+    assert seen["any", True] > 0 and seen["linear any", True] > 0
+    # discriminants that fail one exactness check only: 4u + 9u^2 (s = 3 and
+    # t = 0 fit u^2 and 1, but 2ts != 4), 4 + 4u (s = 0, t = 2, 2ts != 4),
+    # 4 + 4u - u^2 (no square root of -1); and a volume constant in v
+    for vol in (V * V + U * V - U - 2 * U * U, V * V - 1 - U,
+                V * V - (4 + 4 * U - U * U) * F(1, 4), Poly.of(3) + U):
+        expected = _oracle_lines(vol)
+        assert isinstance(expected, str) and _branch_lines(*_vol_over(vol)) == expected
+
+
+def test_cut_finder_matches_the_fraction_formula():
+    """``_crossings`` on seeded integer lines v = (c0 + c1 u) / d, with
+    denominators of either sign, parallel and equal pairs, and pairs that
+    meet exactly at lo or hi, which are not cuts: it equals
+    {(b0 - a0) / (a1 - b1)} inside (lo, hi) on the lines as Fractions."""
+    from divstab.zariski import _crossings, _inside
+    rng = random.Random(25)
+
+    def scaled(c0, c1):
+        d = math.lcm(c0.denominator, c1.denominator) * rng.choice([1, -1, 2, -3])
+        return (int(c0 * d), int(c1 * d), d)
+
+    def through(u, v):
+        slope = F(rng.randint(-4, 4), rng.randint(1, 3))
+        return scaled(v - slope * u, slope)
+
+    seen = Counter()
+    for _ in range(300):
+        lo = F(rng.randint(-6, 6), rng.randint(1, 4))
+        hi = lo + F(rng.randint(1, 8), rng.randint(1, 4))
+        lines = [(rng.randint(-4, 4), rng.randint(-3, 3), rng.choice([-3, -2, -1, 1, 2, 4]))
+                 for _ in range(rng.randint(0, 4))]
+        for u in (lo, hi, (lo + hi) / 2):
+            v = F(rng.randint(-5, 5), rng.randint(1, 3))
+            lines += [through(u, v), through(u, v)]
+        lines.append(scaled(*(F(c, lines[0][2]) + 1 for c in lines[0][:2])))  # parallel
+        lines.append(tuple(-c for c in lines[0]))                            # equal
+        expected = set()
+        for (a0, a1, ad), (b0, b1, bd) in combinations(lines, 2):
+            a0, a1, b0, b1 = F(a0, ad), F(a1, ad), F(b0, bd), F(b1, bd)
+            if a1 == b1:
+                seen["parallel"] += 1
+                continue
+            u = (b0 - a0) / (a1 - b1)
+            seen["at an end" if u in (lo, hi) else "inside" if lo < u < hi else "outside"] += 1
+            if lo < u < hi:
+                expected.add(u)
+        assert _crossings(lines, lo, hi) == expected
+        for num, den in ((lo.numerator, lo.denominator), (-hi.numerator, -hi.denominator),
+                         (rng.randint(-40, 40), rng.choice([-7, -2, -1, 1, 3, 5]))):
+            at = F(num, den)
+            assert _inside(num, den, lo, hi) == (at if lo < at < hi else None)
+    assert min(seen[k] for k in ("parallel", "at an end", "inside", "outside")) > 0
