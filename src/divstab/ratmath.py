@@ -9,10 +9,12 @@ One polynomial type, :class:`Poly`, covers all parameter dependence that
 occurs downstream: a dense polynomial in ``u`` and ``v`` with rational
 coefficients, stored as rows of integer numerators over one common
 denominator, so that its arithmetic runs on Python ints and builds no
-Fraction per coefficient.  A polynomial in one variable is the same type;
-``p.coeffs`` and ``p(x)`` read it along the variable it depends on.
-Arithmetic takes ``int`` and ``Fraction`` operands directly.  Degrees stay
-tiny (at most 4), so dense storage is the simple choice.
+Fraction per coefficient.  Integration runs on the same integer tables,
+with one Fraction at the end of each integral.  A polynomial in one
+variable is the same type; ``p.coeffs`` and ``p(x)`` read it along the
+variable it depends on.  Arithmetic takes ``int`` and ``Fraction`` operands
+directly.  Degrees stay tiny (at most 4), so dense storage is the simple
+choice.
 
 Along its one variable a polynomial also divides with remainder (``divmod``,
 ``//``, ``%``), differentiates, and has a monic :func:`poly_gcd` and its
@@ -86,13 +88,6 @@ def _as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
-
-
-def _horner(coeffs: Sequence, x):
-    acc = x * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
@@ -357,11 +352,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def antiderivative_v(self) -> "Poly":
-        scale = math.lcm(*range(1, self.degree_v + 2))
-        return _reduce([[0] + [c * (scale // (j + 1)) for j, c in enumerate(row)]
-                        for row in self.num], self.den * scale)
-
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
 
@@ -404,38 +394,73 @@ def _reduce(table: list[list[int]], den: int, p: Poly | None = None) -> Poly:
 _ZERO_POLY = Poly()
 
 
+def _definite(cs: Sequence[int], den: int, a: Fraction, b: Fraction) -> Fraction:
+    """The integral from a to b of ``sum cs[k] x^k / den``, as one Fraction."""
+    n, scale = len(cs), math.lcm(*range(1, len(cs) + 1))
+    anti = [0] + [c * (scale // k) for k, c in enumerate(cs, 1)]
+    (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+    return Fraction(_homogeneous(anti, r, s) * q ** n - _homogeneous(anti, p, q) * s ** n,
+                    den * scale * (q * s) ** n)
+
+
 def integrate_univariate(p: Poly, a: Scalar, b: Scalar) -> Fraction:
-    """Exact definite integral of p between rational bounds.
+    """Exact definite integral of p between rational bounds, on the integer
+    numerators of p with one Fraction at the end.
 
     ``a > b`` is allowed and yields the signed value, so orientation bugs
     surface as sign flips in downstream golden comparisons.
     """
-    anti = [_ZERO] + [c / (k + 1) for k, c in enumerate(p.coeffs)]
-    return _horner(anti, _as_fraction(b)) - _horner(anti, _as_fraction(a))
+    return _definite(p._numerators(), p.den, _as_fraction(a), _as_fraction(b))
+
+
+def _table(x: Union[Scalar, Poly]) -> tuple[Sequence[Sequence[int]], int]:
+    """A Poly or a scalar as integer numerator rows over one denominator."""
+    if isinstance(x, Poly):
+        return x.num, x.den
+    x = _as_fraction(x)
+    return ((x.numerator,),), x.denominator
 
 
 def integrate_region(f: Union[Poly, Scalar], u_lo: Scalar, u_hi: Scalar,
                      v_lo: Union[Scalar, Poly], v_hi: Union[Scalar, Poly]) -> Fraction:
     """Exact iterated integral of f over ``u in [u_lo, u_hi], v in [v_lo(u), v_hi(u)]``.
 
-    The inner antiderivative in v is evaluated at the bounds, which leaves a
-    univariate polynomial in u.  The bounds must be affine in u (else
-    ``ValueError``), so their order holds on the whole u-interval iff it
-    holds at its two ends, which is where it is checked.
+    The bounds must be affine in u (else ``ValueError``), so their order
+    holds on the whole u-interval iff it holds at its two ends, where it is
+    checked by cross-multiplying.  For bounds A/a and B/b (integer lines) and
+    f of width J in v, the inner integral of v^j, ``(B^(j+1)/b^(j+1) -
+    A^(j+1)/a^(j+1)) / (j+1)``, comes from integer power tables of A and B
+    over ``lcm(1..J) a^J b^J``; the u integral is one Fraction, as in
+    :func:`integrate_univariate`.
     """
     u_lo, u_hi = _as_fraction(u_lo), _as_fraction(u_hi)
-    lo, hi = Poly.of(v_lo), Poly.of(v_hi)
-    for bound in (lo, hi):
-        if bound.degree_u > 1 or bound.degree_v > 0:
+    (lo, a), (hi, b) = _table(v_lo), _table(v_hi)
+    for bound, rows in ((v_lo, lo), (v_hi, hi)):
+        if len(rows) > 2 or any(len(row) > 1 for row in rows):
             raise ValueError(f"the v bound {bound} is not affine in u")
+    (a0, a1), (b0, b1) = ([*(row[0] if row else 0 for row in rows), 0, 0][:2] for rows in (lo, hi))
     for u0 in (u_lo, u_hi):
-        if lo(u0) > hi(u0):
+        p, q = u0.numerator, u0.denominator
+        low, high = a0 * q + a1 * p, b0 * q + b1 * p
+        if low * b > high * a:
             raise InvalidRegionError(
                 f"v bounds out of order at u={format_rational(u0)}: "
-                f"{format_rational(lo(u0))} > {format_rational(hi(u0))}")
-    anti = Poly.of(f).antiderivative_v()
-    inner = anti.subs_v(hi) - anti.subs_v(lo)
-    return integrate_univariate(inner, u_lo, u_hi)
+                f"{format_rational(Fraction(low, a * q))} > "
+                f"{format_rational(Fraction(high, b * q))}")
+    rows, den = _table(f)
+    width = max(map(len, rows), default=0)
+    scale, aj, bj = math.lcm(*range(1, width + 1)), a ** width, b ** width
+    inner = [0] * (len(rows) + width)
+    apow, bpow = [1], [1]                 # A^k and B^k as coefficients in u
+    for k in range(1, width + 1):
+        apow, bpow = _lin(apow, a0, [0, *apow], a1), _lin(bpow, b0, [0, *bpow], b1)
+        w = scale // k
+        diff = _lin(bpow, w * aj * b ** (width - k), apow, -w * bj * a ** (width - k))
+        for i, row in enumerate(rows):
+            if k <= len(row) and row[k - 1]:
+                for l, x in enumerate(diff, i):
+                    inner[l] += row[k - 1] * x
+    return _definite(inner, den * scale * aj * bj, u_lo, u_hi)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

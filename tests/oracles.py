@@ -15,7 +15,9 @@ by ``surface_pair`` on its Poly class instead of integer columns, the
 lines where a terminal chamber's volume vanishes by Poly arithmetic and a
 linear solve instead of an integer discriminant, linear combinations,
 restrictions and curve pairings by DivisorClass and Poly arithmetic
-instead of integer tables, and polynomial substitution that raises
+instead of integer tables, region and univariate integrals by Poly
+substitution of the bounds and a Fraction Horner rule instead of integer
+power tables, and polynomial substitution that raises
 each image to each monomial's exponent afresh instead of reading one table
 of powers.  Agreement within coarse tolerances is
 evidence that the exact path computes the right thing, not just a
@@ -38,8 +40,8 @@ from divstab.cones import (ConeSpec, Decomposition, Infeasible, UnboundedThresho
                            effective_decompose)
 from divstab.lattice import DivisorClass, surface_pair
 from divstab.projgeo import MPoly
-from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly, format_rational,
-                             rational_sqrt)
+from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _as_fraction,
+                             format_poly, format_rational, rational_sqrt)
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
 
@@ -78,47 +80,59 @@ def solve_float(matrix: list[list[float]], rhs: list[float]) -> list[float] | No
 
 
 class FloatSurface:
-    """Float mirror of a surface: pairing matrix and extremal curve vectors."""
+    """Float mirror of a surface: pairing matrix and extremal curve vectors.
+
+    Each curve c is kept with its image G c under the Gram matrix G, so that
+    a pairing with a curve is one dot product."""
 
     def __init__(self, surface):
         rank = surface.basis.rank
         self.gram = [[float(surface.form.value(i, j)) for j in range(rank)]
                      for i in range(rank)]
-        self.curves = [(name, [float(c) for c in cls.coeffs])
-                       for name, cls in surface.extremal_curves]
+        self.curves = []
+        for name, cls in surface.extremal_curves:
+            c = [float(x) for x in cls.coeffs]
+            self.curves.append((name, c, self.image(c)))
+
+    def image(self, b) -> list[float]:
+        """G b, the Gram matrix times b."""
+        return [sum(g * x for g, x in zip(row, b)) for row in self.gram]
 
     def pair(self, a, b) -> float:
-        return sum(a[i] * self.gram[i][j] * b[j]
-                   for i in range(len(a)) for j in range(len(b)))
+        return _dot(a, self.image(b))
 
     def zariski_volume(self, d: list[float]) -> float | None:
         """vol of the positive part, or None once outside the effective cone."""
-        support: list[tuple[str, list[float]]] = []
+        support: list[tuple[str, list[float], list[float]]] = []
         for _ in range(len(self.curves) + 1):
             if support:
-                gram = [[self.pair(a, b) for _, b in support] for _, a in support]
-                rhs = [self.pair(d, c) for _, c in support]
+                gram = [[_dot(a, gb) for _, _, gb in support] for _, a, _ in support]
+                rhs = [_dot(d, gc) for _, _, gc in support]
                 coeffs = solve_float(gram, rhs)
                 if coeffs is None:
                     return None
                 p = d[:]
-                for x, (_, c) in zip(coeffs, support):
+                for x, (_, c, _) in zip(coeffs, support):
                     p = [pi - x * ci for pi, ci in zip(p, c)]
                 if any(x < -1e-9 for x in coeffs):
                     return None
             else:
                 p = d[:]
-            entering = [(name, c) for name, c in self.curves
-                        if name not in {n for n, _ in support}
-                        and self.pair(p, c) < -1e-11]
+            names = {n for n, _, _ in support}
+            entering = [curve for curve in self.curves
+                        if curve[0] not in names and _dot(p, curve[2]) < -1e-11]
             if not entering:
                 vol = self.pair(p, p)
                 return vol if vol > 1e-12 else None
-            for name, c in entering:
-                if self.pair(c, c) >= -1e-12:
+            for _, c, gc in entering:
+                if _dot(c, gc) >= -1e-12:
                     return None
             support.extend(entering)
         return None
+
+
+def _dot(a, b) -> float:
+    return sum(x * y for x, y in zip(a, b))
 
 
 def ray_pairings_oracle(d0, z, curves, form) -> tuple[dict[str, Poly], Poly]:
@@ -451,6 +465,45 @@ def _affine_sqrt(p: Poly) -> Poly | None:
         return None
     root = Poly([[t], [s]])
     return root if root * root == p else None
+
+
+def _horner(coeffs, x):
+    acc = x * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _antiderivative_v(p: Poly) -> Poly:
+    """The antiderivative in v with zero constant term, by Poly arithmetic."""
+    return Poly([[0] + [c / (j + 1) for j, c in enumerate(row)] for row in p.rows])
+
+
+def integrate_univariate_oracle(p: Poly, a, b) -> Fraction:
+    """``ratmath.integrate_univariate`` on Fraction coefficients: the
+    antiderivative evaluated at both ends by a Fraction Horner rule."""
+    anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)]
+    return _horner(anti, _as_fraction(b)) - _horner(anti, _as_fraction(a))
+
+
+def integrate_region_oracle(f, u_lo, u_hi, v_lo, v_hi) -> Fraction:
+    """``ratmath.integrate_region`` through Poly arithmetic: the inner
+    antiderivative in v has each bound substituted by ``Poly.subs_v``, and
+    the difference, a Poly in u, is integrated by the univariate oracle.
+    The same checks in the same order, with the same messages."""
+    u_lo, u_hi = _as_fraction(u_lo), _as_fraction(u_hi)
+    lo, hi = Poly.of(v_lo), Poly.of(v_hi)
+    for bound in (lo, hi):
+        if bound.degree_u > 1 or bound.degree_v > 0:
+            raise ValueError(f"the v bound {bound} is not affine in u")
+    for u0 in (u_lo, u_hi):
+        if lo(u0) > hi(u0):
+            raise InvalidRegionError(
+                f"v bounds out of order at u={format_rational(u0)}: "
+                f"{format_rational(lo(u0))} > {format_rational(hi(u0))}")
+    anti = _antiderivative_v(Poly.of(f))
+    inner = anti.subs_v(hi) - anti.subs_v(lo)
+    return integrate_univariate_oracle(inner, u_lo, u_hi)
 
 
 def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:

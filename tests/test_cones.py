@@ -6,7 +6,7 @@ import pytest
 
 from divstab import cones as cones_module
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,
-                           UnboundedThresholdError, effective_decompose,
+                           UnboundedThresholdError, effective_decompose, feasible_interval,
                            pseudoeffective_threshold)
 from divstab import linalg
 from divstab.lattice import DivisorClass, LatticeBasis
@@ -274,3 +274,16 @@ def test_decomposition_report_format(zcone_model):
                                   zcone_model.effective_cone)
     text = str(outcome)
     assert "H-EL: 2" in text and "EC: 0" in text
+
+
+def test_feasible_interval_pins_the_first_facet_at_a_tie():
+    """(u - 1)(A + B) meets both facets of the quadrant at u = 1, from below
+    and, reversed, from above: the cut at each end is the first facet."""
+    basis = LatticeBasis(["A", "B"])
+    cone = ConeSpec([("A", basis.unit("A")), ("B", basis.unit("B"))])
+    ones = DivisorClass(basis, [1, 1])
+    assert len(cone.facets) == 2 and not cone.equalities
+    rising = feasible_interval(ones.scale(-1), ones, cone)
+    falling = feasible_interval(ones, ones.scale(-1), cone)
+    assert (rising.lo, rising.hi, falling.lo, falling.hi) == (1, None, None, 1)
+    assert rising.lo_cut == falling.hi_cut == cone.facets[0]

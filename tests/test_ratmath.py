@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly,
                              format_poly, format_rational, integrate_region,
                              integrate_univariate, parse_rational, rational_roots)
-from oracles import float_eval, midpoint_1d
+from oracles import (float_eval, integrate_region_oracle, integrate_univariate_oracle,
+                     midpoint_1d)
 
 U = Poly.variable("u")
 V = Poly.variable("v")
@@ -221,3 +223,86 @@ def test_poly_takes_no_float_argument():
         with pytest.raises(TypeError, match="expected an exact scalar, got float"):
             call()
     assert p(F(1, 2)) == F(27, 8) and p(3) == -1 and (U * V)(2, F(1, 3)) == F(2, 3)
+
+
+def _outcome(integral, *args):
+    """The value of an integral, or the type and message of what it raises."""
+    try:
+        return integral(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_integrals_match_the_poly_route():
+    """Seeded integrands up to degree 4 in u and v (and 0, ints and
+    Fractions), bounds that are affine with mixed denominators, constant,
+    zero or not affine, and u-intervals in either order: the value, or the
+    error type and message, is the Poly route's."""
+    rng = random.Random(26)
+    seen = Counter()
+
+    def bound():
+        kind = rng.choice(["zero", "int", "fraction", "constant", "affine", "affine",
+                           "affine", "not affine"])
+        seen[kind] += 1
+        if kind == "zero":
+            return rng.choice([0, F(0), Poly()])
+        if kind == "int":
+            return rng.randint(-3, 3)
+        if kind in ("fraction", "constant"):
+            c = _random_fraction(rng)
+            return c if kind == "fraction" else Poly.of(c)
+        line = _random_fraction(rng) + _random_fraction(rng) * U
+        return line if kind == "affine" else line + rng.choice([U * U, V, U * V])
+
+    def integrand():
+        kind = rng.choice(["zero", "scalar", "poly", "poly", "poly", "poly"])
+        seen[f"f {kind}"] += 1
+        if kind == "zero":
+            return rng.choice([0, Poly()])
+        if kind == "scalar":
+            return rng.choice([rng.randint(-5, 5), _random_fraction(rng)])
+        return Poly([[_random_fraction(rng) for _ in range(rng.randint(0, 5))]
+                     for _ in range(rng.randint(0, 5))])
+
+    for _ in range(1500):
+        f, lo, hi = integrand(), bound(), bound()
+        a, b = _random_fraction(rng), rng.choice([_random_fraction(rng), rng.randint(-2, 2)])
+        got = _outcome(integrate_region, f, a, b, lo, hi)
+        assert got == _outcome(integrate_region_oracle, f, a, b, lo, hi)
+        seen[got[0].__name__ if isinstance(got, tuple) else "reversed" if a > b else "value"] += 1
+        assert isinstance(got, (tuple, F))
+        p = rng.choice([_random_poly1(rng, "u"), _random_poly1(rng, "v"), _random_poly2(rng)])
+        got = _outcome(integrate_univariate, p, a, b)
+        assert got == _outcome(integrate_univariate_oracle, p, a, b)
+        seen["both u and v" if isinstance(got, tuple) else "univariate"] += 1
+    for case in ("zero", "int", "fraction", "constant", "affine", "not affine", "f zero",
+                 "f scalar", "f poly", "InvalidRegionError", "ValueError", "reversed",
+                 "value", "both u and v", "univariate"):
+        assert seen[case] >= 20, (case, seen)
+
+
+def test_integrals_form_one_fraction_and_no_poly(monkeypatch):
+    """The integer path builds no Poly and one Fraction per integral."""
+    from divstab import ratmath
+    f = (4 - U - V) ** 2 - 4 * U * V * V
+    lo, hi, a, b = F(1, 3) * U - 1, 2 - F(3, 7) * U, F(-1, 2), F(5, 3)
+    made = Counter()
+    fraction_new, reduce = F.__new__, ratmath._reduce
+
+    def counted_fraction(cls, *args, **kwargs):
+        made["Fraction"] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def counted_reduce(*args):
+        made["Poly"] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted_fraction))
+    monkeypatch.setattr(ratmath, "_reduce", counted_reduce)
+    region, univariate = integrate_region(f, a, b, lo, hi), integrate_univariate(hi, a, b)
+    counts = dict(made)
+    monkeypatch.undo()
+    assert counts == {"Fraction": 2}
+    assert (region, univariate) == (integrate_region_oracle(f, a, b, lo, hi),
+                                    integrate_univariate_oracle(hi, a, b))

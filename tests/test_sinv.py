@@ -6,12 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from divstab import sinv
+from divstab.cones import ConeSpec
 from divstab.lattice import DivisorClass
-from divstab.ratmath import Poly
+from divstab.ratmath import Poly, integrate_region, integrate_univariate
 from divstab.scenario import (ScenarioFormatError, bundled_scenario_names, evaluate_scenario,
                               load_bundled, load_bundled_scenario, parse_scenario, run_verify)
 from conftest import CURVE_SCENARIOS, curve_input
-from oracles import negative_term_oracle, volume_term_oracle
+from oracles import (integrate_region_oracle, integrate_univariate_oracle, negative_term_oracle,
+                     volume_term_oracle)
 
 U = Poly.variable("u")
 
@@ -319,3 +321,46 @@ def test_s_divisor_matches_quadrature(scenarios):
                              float(chamber.u_hi), 10_000)
     estimate = total / float(scenario.model.degree)
     assert abs(float(exact) - estimate) / float(exact) < 1e-6
+
+
+def test_bundled_integrals_match_the_poly_route(monkeypatch):
+    """Every integral of a verify pass over the bundled scenarios: each
+    chamber of each chart, each schedule cube and each negative-part
+    integrand integrates to the Poly route's value."""
+    from divstab import zariski
+    calls = {"region": [], "univariate": []}
+
+    def recording(kind, integral):
+        def record(*args):
+            calls[kind].append(args)
+            return integral(*args)
+        return record
+
+    monkeypatch.setattr(zariski, "integrate_region",
+                        recording("region", zariski.integrate_region))
+    monkeypatch.setattr(sinv, "integrate_univariate",
+                        recording("univariate", sinv.integrate_univariate))
+    names = bundled_scenario_names()
+    assert run_verify([(n, load_bundled(n)) for n in names]).all_pass
+    monkeypatch.undo()
+    assert (len(calls["region"]), len(calls["univariate"])) == (25, 10)
+    for args in calls["region"]:
+        assert integrate_region(*args) == integrate_region_oracle(*args)
+    for args in calls["univariate"]:
+        assert integrate_univariate(*args) == integrate_univariate_oracle(*args)
+
+
+def test_schedule_validation_needs_the_cube_to_vanish_at_tau(model):
+    """A declared effective cone narrower than the real one, generated by
+    3H - EC - EL, H, EC and EL, puts the threshold of -K - uH at 1, where
+    P(1) = 3H - EC - EL is nef with a nonzero cube.  The schedule [0, 1]
+    passes every other check: nonnegative pairings and Bernstein
+    coefficients, and its end is the threshold."""
+    h, ec, el = (model.basis.unit(n) for n in ("H", "EC", "EL"))
+    cone = ConeSpec([("G", h.scale(3) - ec - el), ("H", h), ("EC", ec), ("EL", el)])
+    narrow = model.replace(effective_cone=cone)
+    sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1)),))
+    assert sinv.pseudoeffective_threshold(model.anticanonical, h, cone) == 1
+    with pytest.raises(sinv.ScheduleError,
+                       match=re.escape("P(u)^3 does not vanish at the terminal u = 1")):
+        sinv.validate_schedule(narrow, h, sched)

@@ -86,6 +86,20 @@ def test_indefinite_support_inside_the_cone_means_wrong_curve_data():
         zariski_decompose(d, curves, form)
 
 
+def test_curves_that_pair_negatively_give_a_negative_coefficient_that_is_refused():
+    """Two distinct irreducible curves never pair negatively, which is what
+    keeps every support's solution nonnegative.  Here A.B = -1: both curves
+    enter together and solve to N = -A + 3B, with P = H of square 1.  Only
+    the final sign check on the coefficients refuses it."""
+    basis = LatticeBasis(["H", "A", "B"])
+    form = SurfaceForm(basis, {("H", "H"): F(1), ("A", "A"): F(-2), ("B", "B"): F(-2),
+                               ("A", "B"): F(-1)})
+    curves = [("CA", basis.unit("A")), ("CB", basis.unit("B"))]
+    with pytest.raises(NotPseudoEffectiveError,
+                       match="a negative-part coefficient came out negative"):
+        zariski_decompose(DivisorClass(basis, [1, -1, 3]), curves, form)
+
+
 def test_decompose_of_nef_class_is_trivial(dp5):
     cls = dp5_ray(dp5, F(9, 8), F(1, 4))  # inside the nef chamber
     result = zariski_decompose(cls, dp5.extremal_curves, dp5.form)
