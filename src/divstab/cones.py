@@ -16,7 +16,9 @@ by the Farkas lemma a class is outside the cone iff it violates one of
 them, which is the separating witness of an :class:`Infeasible`, found with
 no solve.  The members of an affine family ``a + u b`` form an interval
 with rational ends (:func:`feasible_interval`), and the pseudo-effective
-threshold is its upper end.  Support enumeration only produces the
+threshold is its upper end.  Both queries dot the functionals with a class's
+integer numerators over one denominator, and form a Fraction only for a
+value they return or print.  Support enumeration only produces the
 coefficients of a class already known to be a member.
 """
 
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from . import linalg
 from .lattice import BasisMismatchError, DivisorClass
-from .ratmath import format_rational
+from .ratmath import _dot, _integers, format_rational
 from .record import Record
 
 Functional = tuple[int, ...]
@@ -40,14 +42,9 @@ class UnboundedThresholdError(ArithmeticError):
     """The subtracted class does not constrain: the threshold is +infinity."""
 
 
-def _dot(f: Sequence, x: Sequence) -> Fraction:
-    return sum(a * b for a, b in zip(f, x))
-
-
 def _primitive(y: Sequence[Fraction]) -> Functional:
     """The primitive integer vector on the ray of a rational vector (0 for 0)."""
-    scale = math.lcm(*(c.denominator for c in y))
-    ints = [int(c * scale) for c in y]
+    _, (ints,) = _integers([y])
     g = math.gcd(*ints) or 1
     return tuple(i // g for i in ints)
 
@@ -167,19 +164,20 @@ def _support_subsets(count: int, max_size: int):
 
 def _separate(target: Sequence[Fraction], cone: ConeSpec) -> Infeasible | None:
     """The first equality or facet the target violates, as a witness, or None."""
+    den, (ints,) = _integers([target])
     for e in cone.equalities:
-        value = _dot(e, target)
-        if value != 0:
+        value = _dot(e, ints)
+        if value:
             if value > 0:
                 e, value = tuple(-c for c in e), -value
-            return Infeasible(e, f"functional {format_functional(e)} vanishes on every "
-                                 f"generator but takes {format_rational(value)} on the class")
+            return Infeasible(e, f"functional {format_functional(e)} vanishes on every generator "
+                                 f"but takes {format_rational(Fraction(value, den))} on the class")
     for f in cone.facets:
-        value = _dot(f, target)
+        value = _dot(f, ints)
         if value < 0:
             return Infeasible(f, f"functional {format_functional(f)} is nonnegative on "
-                                 f"every generator but takes {format_rational(value)} "
-                                 "on the class")
+                                 f"every generator but takes "
+                                 f"{format_rational(Fraction(value, den))} on the class")
     return None
 
 
@@ -265,21 +263,22 @@ def feasible_interval(a: DivisorClass, b: DivisorClass, cone: ConeSpec) -> Feasi
     """
     if a.basis != cone.basis or b.basis != cone.basis:
         raise BasisMismatchError("family and cone are over different bases")
-    ta, tb = _vector_of(a), _vector_of(b)
+    (da, (ta,)), (db, (tb,)) = _integers([_vector_of(a)]), _integers([_vector_of(b)])
     lo = hi = lo_cut = hi_cut = None
     constraints = ([(e, True) for e in cone.equalities]
                    + [(f, False) for f in cone.facets])
     for f, equality in constraints:
         fa, fb = _dot(f, ta), _dot(f, tb)
-        if fb == 0:
-            if fa < 0 or (equality and fa != 0):
+        if not fb:
+            if fa < 0 or (equality and fa):
                 return FeasibleInterval(never=f)
             continue
-        root = -fa / fb
-        if (equality or fb > 0) and (lo is None or root > lo):
-            lo, lo_cut = root, f
-        if (equality or fb < 0) and (hi is None or root < hi):
-            hi, hi_cut = root, f
+        n, d = (-fa, fb) if fb > 0 else (fa, -fb)      # the root is (n / d) (db / da), d > 0
+        if (equality or fb > 0) and (lo is None or n * lo[1] > lo[0] * d):
+            lo, lo_cut = (n, d), f
+        if (equality or fb < 0) and (hi is None or n * hi[1] < hi[0] * d):
+            hi, hi_cut = (n, d), f
+    lo, hi = (None if end is None else Fraction(end[0] * db, end[1] * da) for end in (lo, hi))
     return FeasibleInterval(lo, hi, lo_cut, hi_cut)
 
 
@@ -287,16 +286,16 @@ def pseudoeffective_threshold(a: DivisorClass, b: DivisorClass,
                               cone: ConeSpec) -> Fraction:
     """Largest rational u with ``a - u b`` in the cone.
 
-    The upper end of :func:`feasible_interval` along ``-b``: the minimum of
-    f.a / f.b over the facets with f.b > 0, or 0 when an equality is nonzero
-    on b.
+    Minus the lower end of :func:`feasible_interval` along ``b``: the
+    minimum of f.a / f.b over the facets with f.b > 0, or 0 when an equality
+    is nonzero on b.
     """
     if a.basis != b.basis or a.basis != cone.basis:
         raise BasisMismatchError("threshold arguments are over different bases")
-    ray = feasible_interval(a, -b, cone)
+    ray = feasible_interval(a, b, cone)
     if 0 not in ray:
         raise ValueError("a - u b is not in the cone at u = 0")
-    if ray.hi is None:
+    if ray.lo is None:
         raise UnboundedThresholdError(
             "threshold is unbounded: the subtracted class is not constraining")
-    return ray.hi
+    return -ray.lo

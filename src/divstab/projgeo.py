@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .exprs import parse_expression
-from .ratmath import Poly, format_terms, poly_gcd, rational_roots
+from .ratmath import Poly, _integers, format_terms, poly_gcd, rational_roots
 from .record import Record
 
 Scalar = Union[int, Fraction]
@@ -352,8 +352,7 @@ def _char_poly(m) -> Poly:
     integer coefficients.  Then det(t I - M) = sum (c_k / D^k) t^(n-k).
     """
     n = len(m)
-    d = lcm(*(x.denominator for row in m for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
+    d, a = _integers(m)
     coeffs = [1] + [0] * n
     ak = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):

@@ -27,6 +27,7 @@ error rather than approximated.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from itertools import chain, zip_longest
@@ -99,6 +100,16 @@ def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
+def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
+    return sum(map(operator.mul, a, b))
+
+
+def _integers(rows) -> tuple[int, list[list[int]]]:
+    """Rows of rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 def _lin(x: Sequence[int], a: int, y: Sequence[int], b: int) -> list[int]:
     """``a x + b y`` for integer sequences, the shorter padded with zeros."""
     return [c * a + d * b for c, d in zip_longest(x, y, fillvalue=0)]
@@ -123,10 +134,8 @@ class Poly:
     __slots__ = ("num", "den")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]] = ()):
-        table = [[_as_fraction(c) for c in row] for row in rows]
-        den = math.lcm(*(c.denominator for row in table for c in row))
-        _reduce([[c.numerator * (den // c.denominator) for c in row] for row in table],
-                den, self)
+        den, ints = _integers([[_as_fraction(c) for c in row] for row in rows])
+        _reduce(ints, den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -296,20 +305,13 @@ class Poly:
             acc = _lin(acc, a, row, b ** k)
         return _reduce([acc], self.den * b ** max(len(self.num) - 1, 0))
 
-    def subs_v(self, v0: Union[Scalar, "Poly"]) -> "Poly":
-        """Substitute v by a rational or by a polynomial, by Horner's rule."""
-        num = self.num
-        if not isinstance(v0, Poly):
-            v0 = _as_fraction(v0)
-            c, d = v0.numerator, v0.denominator
-            width = max(map(len, num), default=1)
-            return _reduce([[_homogeneous(row, c, d) * d ** (width - len(row))] for row in num],
-                           self.den * d ** (width - 1))
-        out = _ZERO_POLY
-        for j in range(self.degree_v, -1, -1):
-            column = _reduce([[row[j]] if j < len(row) else [] for row in num], self.den)
-            out = out * v0 + column
-        return out
+    def subs_v(self, v0: Scalar) -> "Poly":
+        """Evaluate v, leaving a polynomial in u."""
+        v0 = _as_fraction(v0)
+        c, d, num = v0.numerator, v0.denominator, self.num
+        width = max(map(len, num), default=1)
+        return _reduce([[_homogeneous(row, c, d) * d ** (width - len(row))] for row in num],
+                       self.den * d ** (width - 1))
 
     def _along(self, nums: list[int], den: int, other: "Poly") -> "Poly":
         """``nums / den`` along the one variable of self and other, which must agree."""

@@ -72,7 +72,7 @@ from .cones import (ConeSpec, Infeasible, effective_decompose, feasible_interval
 from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair)
-from .ratmath import Poly, format_poly, format_rational, parse_rational
+from .ratmath import Poly, _dot, format_poly, format_rational, parse_rational
 from .record import Record
 
 _CURVE = (("threefold", "surface", "schedule", "curve"), ("assert_less_than",))
@@ -534,8 +534,7 @@ def _evaluate_scan(scenario: Scenario) -> tuple[str, bool, str]:
     cuts = [feasible.never] if feasible.never else [feasible.lo_cut, feasible.hi_cut]
     for f in dict.fromkeys(c for c in cuts if c is not None):
         what = "facet" if f in cone.facets else "equality"
-        value = Poly([[sum(x * y for x, y in zip(f, a.coeffs))],
-                      [sum(x * y for x, y in zip(f, b.coeffs))]])
+        value = Poly([[_dot(f, a.coeffs)], [_dot(f, b.coeffs)]])
         parts.append(f"the {what} {format_functional(f)} takes {format_poly(value)} "
                      "on the class")
     detail = "; ".join(parts)

@@ -33,7 +33,7 @@ from .cones import (ConeSpec, Decomposition, effective_decompose,
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, combination, pair_with_curve, restrict,
                       triple_product)
-from .ratmath import Poly, format_rational, integrate_univariate
+from .ratmath import Poly, _homogeneous, format_rational, integrate_univariate
 from .record import Record
 from .zariski import NamedCurve, ZariskiChart, build_chart
 
@@ -133,8 +133,11 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
     the cube ``P(u)^3`` has the Bernstein coefficients A^3, A^2 B, A B^2 and
     B^3 on [lo, hi]; they are mixed products of nef classes when the curve
     table generates the Mori cone, hence nonnegative, and they bound the
-    cube from below.  Returns ``P(u)^3`` per chamber, the polynomials the
-    checks were made on.
+    cube from below.  Each check is the sign of an integer: a polynomial c at
+    u0 = p/q is read as ``q^deg c(p/q)`` on its integer numerators
+    (:func:`_homogeneous`), and a Fraction is formed only for an error
+    message.  Returns ``P(u)^3`` per chamber, the polynomials the checks
+    were made on.
     """
     mk = model.anticanonical
     tau = sched.tau
@@ -151,27 +154,35 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                 raise ScheduleError(
                     f"the negative-part coefficient {coeff} of {name} is not affine in u")
         p = sched.positive_part(y, mk, ch)
-        cube = triple_product(p, p, p, model.form)
-        pairings = [(curve.name, pair_with_curve(p, curve)) for curve in model.mori_curves]
+        cube = Poly.of(triple_product(p, p, p, model.form))
+        pairings = [(curve.name, Poly.of(pair_with_curve(p, curve))._numerators())
+                    for curve in model.mori_curves]
         for u0 in (lo, hi):
             for _, _, coeff in ch.negative:
-                if coeff(u0) < 0:
+                if _homogeneous(coeff._numerators(), *u0.as_integer_ratio()) < 0:
                     raise ScheduleError(
                         f"negative-part coefficient below zero at u = {format_rational(u0)}")
             for name, pairing in pairings:
-                if pairing(u0) < 0:
+                if _homogeneous(pairing, *u0.as_integer_ratio()) < 0:
                     raise ScheduleError(
                         f"P(u) pairs negatively with {name} at u = {format_rational(u0)}")
-        slope, third = cube.derivative(), (hi - lo) / 3
-        bernstein = (cube(lo), cube(lo) + third * slope(lo),
-                     cube(hi) - third * slope(hi), cube(hi))
-        if min(bernstein) < 0:
+        # c(lo), c(lo) + (hi - lo) c'(lo)/3, c(hi) - (hi - lo) c'(hi)/3, c(hi) as (num, den > 0)
+        cs = cube._numerators()
+        slope, deg = [k * c for k, c in enumerate(cs)][1:], max(len(cs) - 1, 0)
+        (n0, d0), (n1, d1) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        w, m = n1 * d0 - n0 * d1, 3 * d0 * d1
+        at_lo, at_hi = _homogeneous(cs, n0, d0), _homogeneous(cs, n1, d1)
+        bernstein = ((at_lo, d0 ** deg),
+                     (m * at_lo + w * d0 * _homogeneous(slope, n0, d0), m * d0 ** deg),
+                     (m * at_hi - w * d1 * _homogeneous(slope, n1, d1), m * d1 ** deg),
+                     (at_hi, d1 ** deg))
+        if min(n for n, _ in bernstein) < 0:
             raise ScheduleError(
                 f"P(u)^3 has the Bernstein coefficients "
-                f"{', '.join(map(format_rational, bernstein))} on "
-                f"[{format_rational(lo)}, {format_rational(hi)}]: one is negative")
+                f"{', '.join(format_rational(Fraction(n, d * cube.den)) for n, d in bernstein)}"
+                f" on [{format_rational(lo)}, {format_rational(hi)}]: one is negative")
         cubes.append(cube)
-    if cubes[-1](tau) != 0:
+    if at_hi:                                             # the last cube at tau
         raise ScheduleError(
             f"P(u)^3 does not vanish at the terminal u = {format_rational(tau)}")
     return tuple(cubes)

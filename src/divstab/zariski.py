@@ -64,7 +64,6 @@ makes the cut points finite and rational.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -72,8 +71,8 @@ from typing import Sequence
 from . import linalg
 from .cones import ConeSpec, Infeasible, effective_decompose
 from .lattice import BasisMismatchError, DivisorClass, SurfaceForm, surface_pair
-from .ratmath import (IrrationalBreakpointError, Poly, _reduce, format_poly, format_rational,
-                      integrate_region, rational_roots)
+from .ratmath import (IrrationalBreakpointError, Poly, _dot, _integers, _reduce, format_poly,
+                      format_rational, integrate_region, rational_roots)
 from .record import Record
 
 NamedCurve = tuple[str, DivisorClass]
@@ -119,16 +118,6 @@ class SurfaceTable:
         self.class_den, self.classes = _integers([cls.coeffs for _, cls in curves])
         self.rows = [[_dot(f, c) for f in self.form] for c in self.classes]
         self.int_gram = [[_dot(row, c) for c in self.classes] for row in self.rows]
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(operator.mul, a, b))
-
-
-def _integers(rows) -> tuple[int, list[list[int]]]:
-    """Rows of Fractions as integer numerators over their least common denominator."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 # the tables by value, so a fresh parse of a surface finds its table again

@@ -17,7 +17,9 @@ linear solve instead of an integer discriminant, linear combinations,
 restrictions and curve pairings by DivisorClass and Poly arithmetic
 instead of integer tables, region and univariate integrals by Poly
 substitution of the bounds and a Fraction Horner rule instead of integer
-power tables, and polynomial substitution that raises
+power tables, cone membership, feasible intervals and schedule checks
+summed and compared as Fractions instead of integer numerators, and
+polynomial substitution that raises
 each image to each monomial's exponent afresh instead of reading one table
 of powers.  Agreement within coarse tolerances is
 evidence that the exact path computes the right thing, not just a
@@ -36,12 +38,14 @@ from functools import cache
 from itertools import combinations
 
 from divstab import linalg
-from divstab.cones import (ConeSpec, Decomposition, Infeasible, UnboundedThresholdError,
-                           effective_decompose)
-from divstab.lattice import DivisorClass, surface_pair
+from divstab.cones import (ConeSpec, Decomposition, FeasibleInterval, Infeasible,
+                           UnboundedThresholdError, effective_decompose, format_functional,
+                           pseudoeffective_threshold)
+from divstab.lattice import DivisorClass, pair_with_curve, surface_pair, triple_product
 from divstab.projgeo import MPoly
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _as_fraction,
                              format_poly, format_rational, rational_sqrt)
+from divstab.sinv import ScheduleError
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
 
@@ -395,6 +399,92 @@ def effective_decompose_oracle(d, cone):
     raise AssertionError("no decomposition and no violated facet")
 
 
+def separate_oracle(target, cone) -> Infeasible | None:
+    """``cones._separate`` summing Fractions: the first equality or facet the
+    target violates, as a witness with the same detail text, or None."""
+    for e in cone.equalities:
+        value = sum(a * b for a, b in zip(e, target))
+        if value != 0:
+            if value > 0:
+                e, value = tuple(-c for c in e), -value
+            return Infeasible(e, f"functional {format_functional(e)} vanishes on every "
+                                 f"generator but takes {format_rational(value)} on the class")
+    for f in cone.facets:
+        value = sum(a * b for a, b in zip(f, target))
+        if value < 0:
+            return Infeasible(f, f"functional {format_functional(f)} is nonnegative on "
+                                 f"every generator but takes {format_rational(value)} "
+                                 "on the class")
+    return None
+
+
+def feasible_interval_oracle(a, b, cone) -> FeasibleInterval:
+    """``cones.feasible_interval`` on Fractions: each root -f.a / f.b formed
+    and compared as a Fraction, the first functional kept at a tie."""
+    ta, tb = a.coeffs, b.coeffs
+    lo = hi = lo_cut = hi_cut = None
+    constraints = ([(e, True) for e in cone.equalities]
+                   + [(f, False) for f in cone.facets])
+    for f, equality in constraints:
+        fa, fb = sum(x * y for x, y in zip(f, ta)), sum(x * y for x, y in zip(f, tb))
+        if fb == 0:
+            if fa < 0 or (equality and fa != 0):
+                return FeasibleInterval(never=f)
+            continue
+        root = -fa / fb
+        if (equality or fb > 0) and (lo is None or root > lo):
+            lo, lo_cut = root, f
+        if (equality or fb < 0) and (hi is None or root < hi):
+            hi, hi_cut = root, f
+    return FeasibleInterval(lo, hi, lo_cut, hi_cut)
+
+
+def validate_schedule_oracle(model, y, sched) -> tuple[Poly, ...]:
+    """``sinv.validate_schedule`` on Fractions: every end value, pairing and
+    Bernstein coefficient evaluated by ``Poly.__call__`` and compared as a
+    Fraction.  The same checks in the same order, with the same messages."""
+    mk = model.anticanonical
+    tau = sched.tau
+    recomputed = pseudoeffective_threshold(mk, y, model.effective_cone)
+    if recomputed != tau:
+        raise ScheduleError(
+            f"schedule ends at u = {format_rational(tau)} but the pseudo-effective "
+            f"threshold is {format_rational(recomputed)}")
+    cubes = []
+    for ch in sched.chambers:
+        lo, hi = ch.u_lo, ch.u_hi
+        for name, _, coeff in ch.negative:
+            if coeff.degree_u > 1 or coeff.degree_v > 0:
+                raise ScheduleError(
+                    f"the negative-part coefficient {coeff} of {name} is not affine in u")
+        p = sched.positive_part(y, mk, ch)
+        cube = Poly.of(triple_product(p, p, p, model.form))
+        pairings = [(curve.name, Poly.of(pair_with_curve(p, curve)))
+                    for curve in model.mori_curves]
+        for u0 in (lo, hi):
+            for _, _, coeff in ch.negative:
+                if coeff(u0) < 0:
+                    raise ScheduleError(
+                        f"negative-part coefficient below zero at u = {format_rational(u0)}")
+            for name, pairing in pairings:
+                if pairing(u0) < 0:
+                    raise ScheduleError(
+                        f"P(u) pairs negatively with {name} at u = {format_rational(u0)}")
+        slope, third = cube.derivative(), (hi - lo) / 3
+        bernstein = (cube(lo), cube(lo) + third * slope(lo),
+                     cube(hi) - third * slope(hi), cube(hi))
+        if min(bernstein) < 0:
+            raise ScheduleError(
+                f"P(u)^3 has the Bernstein coefficients "
+                f"{', '.join(map(format_rational, bernstein))} on "
+                f"[{format_rational(lo)}, {format_rational(hi)}]: one is negative")
+        cubes.append(cube)
+    if cubes[-1](tau) != 0:
+        raise ScheduleError(
+            f"P(u)^3 does not vanish at the terminal u = {format_rational(tau)}")
+    return tuple(cubes)
+
+
 def triple_product_oracle(d1, d2, d3, form):
     """The trilinear form expanded term by term: one product per permutation."""
     total = Fraction(0)
@@ -479,6 +569,15 @@ def _antiderivative_v(p: Poly) -> Poly:
     return Poly([[0] + [c / (j + 1) for j, c in enumerate(row)] for row in p.rows])
 
 
+def subs_v_poly(p: Poly, q: Poly) -> Poly:
+    """``p(u, q)``: v substituted by a polynomial, by Horner's rule over the
+    columns of p in Poly arithmetic."""
+    out = Poly()
+    for j in range(p.degree_v, -1, -1):
+        out = out * q + Poly([[row[j]] if j < len(row) else [] for row in p.rows])
+    return out
+
+
 def integrate_univariate_oracle(p: Poly, a, b) -> Fraction:
     """``ratmath.integrate_univariate`` on Fraction coefficients: the
     antiderivative evaluated at both ends by a Fraction Horner rule."""
@@ -488,7 +587,7 @@ def integrate_univariate_oracle(p: Poly, a, b) -> Fraction:
 
 def integrate_region_oracle(f, u_lo, u_hi, v_lo, v_hi) -> Fraction:
     """``ratmath.integrate_region`` through Poly arithmetic: the inner
-    antiderivative in v has each bound substituted by ``Poly.subs_v``, and
+    antiderivative in v has each bound substituted by :func:`subs_v_poly`, and
     the difference, a Poly in u, is integrated by the univariate oracle.
     The same checks in the same order, with the same messages."""
     u_lo, u_hi = _as_fraction(u_lo), _as_fraction(u_hi)
@@ -502,7 +601,7 @@ def integrate_region_oracle(f, u_lo, u_hi, v_lo, v_hi) -> Fraction:
                 f"v bounds out of order at u={format_rational(u0)}: "
                 f"{format_rational(lo(u0))} > {format_rational(hi(u0))}")
     anti = _antiderivative_v(Poly.of(f))
-    inner = anti.subs_v(hi) - anti.subs_v(lo)
+    inner = subs_v_poly(anti, hi) - subs_v_poly(anti, lo)
     return integrate_univariate_oracle(inner, u_lo, u_hi)
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,8 @@ from divstab import linalg
 from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
 from divstab.scenario import bundled_scenario_names, load_bundled, run_verify
-from oracles import effective_decompose_oracle, grid_decompose, recombine
+from oracles import (effective_decompose_oracle, feasible_interval_oracle, grid_decompose,
+                     recombine, separate_oracle)
 
 U = Poly.variable("u")
 
@@ -287,3 +289,91 @@ def test_feasible_interval_pins_the_first_facet_at_a_tie():
     falling = feasible_interval(ones, ones.scale(-1), cone)
     assert (rising.lo, rising.hi, falling.lo, falling.hi) == (1, None, None, 1)
     assert rising.lo_cut == falling.hi_cut == cone.facets[0]
+
+
+def _random_cone(rng):
+    """A cone of 2 to rank + 2 small integer generators, a third of them flat
+    (every generator in the hyperplane of a nonzero functional), so the cone
+    has equalities."""
+    rank = rng.choice((2, 3, 4))
+    basis = LatticeBasis([f"g{i}" for i in range(rank)])
+    flat = [rng.randint(-1, 1) for _ in range(rank)] if rng.random() < 0.3 else None
+    generators = []
+    while len(generators) < rng.randint(2, rank + 2):
+        g = [rng.randint(-2, 2) for _ in range(rank)]
+        if flat is not None and any(flat):
+            i = next(i for i, c in enumerate(flat) if c)
+            g[i] = 0
+            g[i] = -sum(c * x for c, x in zip(flat, g)) * flat[i]   # flat . g = 0
+        if any(g):
+            generators.append((f"G{len(generators)}", DivisorClass(basis, g)))
+    return ConeSpec(generators)
+
+
+def _random_member(cone, rng, den):
+    """A class with small numerators over ``den``: a generator combination
+    plus noise, or noise alone."""
+    rank = cone.basis.rank
+    cls = DivisorClass(cone.basis, [F(rng.randint(-3, 3), den) for _ in range(rank)])
+    if rng.random() < 0.5:
+        for g in cone.generators:
+            cls = cls + g.scale(F(rng.randint(0, 3), den))
+    return cls
+
+
+def test_cone_queries_match_the_fraction_oracles():
+    """``feasible_interval``, ``pseudoeffective_threshold`` and
+    ``_separate`` on integer numerators give what summing and comparing
+    Fractions gave: the same ends, cuts, ``never``, threshold or error,
+    witness and detail."""
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(1500):
+        cone = _random_cone(rng)
+        dens = {"a": rng.choice((1, 2, 6, 10**12 + 39)), "b": rng.choice((1, 3, 4, 2**61 - 1))}
+        a = _random_member(cone, rng, dens["a"])
+        b = (_random_member(cone, rng, dens["b"]) if rng.random() < 0.8
+             else rng.choice(cone.generators).scale(F(rng.choice((-1, 1)), dens["b"])))
+        for name, den in dens.items():
+            seen[f"{name} den {'large' if den > 10**6 else 'small'}"] += 1
+        got, want = feasible_interval(a, b, cone), feasible_interval_oracle(a, b, cone)
+        assert ((got.lo, got.hi, got.lo_cut, got.hi_cut, got.never)
+                == (want.lo, want.hi, want.lo_cut, want.hi_cut, want.never))
+        ray = feasible_interval_oracle(a, -b, cone)
+        try:
+            threshold = pseudoeffective_threshold(a, b, cone)
+        except UnboundedThresholdError:
+            threshold = "unbounded"
+        except ValueError:
+            threshold = "outside"
+        assert threshold == ("outside" if 0 not in ray else
+                             "unbounded" if ray.hi is None else ray.hi)
+        assert cones_module._separate(a.coeffs, cone) == separate_oracle(a.coeffs, cone)
+        outside = separate_oracle(a.coeffs, cone)
+        seen["member" if outside is None else "outside an equality"
+             if outside.witness in cone.equalities or tuple(-c for c in outside.witness)
+             in cone.equalities else "outside a facet"] += 1
+        if want.never is not None:
+            seen["never: equality" if want.never in cone.equalities else "never: facet"] += 1
+            continue
+        seen["lo unbounded" if want.lo is None else "lo bounded"] += 1
+        seen["hi unbounded" if want.hi is None else "hi bounded"] += 1
+        roots = {"lo": [], "hi": []}
+        for f in cone.equalities + cone.facets:
+            fa = sum(x * y for x, y in zip(f, a.coeffs))
+            fb = sum(x * y for x, y in zip(f, b.coeffs))
+            if fb:
+                if f in cone.equalities:
+                    seen["equality pins a point"] += 1
+                if f in cone.equalities or fb > 0:
+                    roots["lo"].append(-fa / fb)
+                if f in cone.equalities or fb < 0:
+                    roots["hi"].append(-fa / fb)
+        for end, value in (("lo", want.lo), ("hi", want.hi)):
+            if value is not None and roots[end].count(value) > 1:
+                seen[f"tie at {end}"] += 1
+    for case in ("a den small", "a den large", "b den small", "b den large", "member",
+                 "outside an equality", "outside a facet", "never: equality", "never: facet",
+                 "lo unbounded", "lo bounded", "hi unbounded", "hi bounded",
+                 "equality pins a point", "tie at lo", "tie at hi"):
+        assert seen[case] >= 10, (case, seen)

@@ -32,7 +32,7 @@ from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly,  # no
 from divstab.scenario import load_bundled_scenario  # noqa: E402
 from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
 from oracles import (effective_decompose_oracle, h_representation_oracle,  # noqa: E402
-                     null_space_oracle, recombine, solve_unique_oracle,
+                     null_space_oracle, recombine, solve_unique_oracle, subs_v_poly,
                      threshold_oracle, triple_product_oracle)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -134,7 +134,7 @@ def test_integer_poly_matches_the_fraction_reference(ta, tb, x, y):
         for _ in range(j):
             term = _ref_mul(term, rb)
         composed = _ref_add(composed, term)
-    assert _ref_of(a.subs_v(b)) == composed
+    assert _ref_of(subs_v_poly(a, b)) == composed
     assert a.rows == tuple(tuple(ra.get((i, j), 0) for j in range(len(row)))
                            for i, row in enumerate(a.num))
     assert all(type(c) is F for row in a.rows for c in row)

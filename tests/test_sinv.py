@@ -13,7 +13,7 @@ from divstab.scenario import (ScenarioFormatError, bundled_scenario_names, evalu
                               load_bundled, load_bundled_scenario, parse_scenario, run_verify)
 from conftest import CURVE_SCENARIOS, curve_input
 from oracles import (integrate_region_oracle, integrate_univariate_oracle, negative_term_oracle,
-                     volume_term_oracle)
+                     validate_schedule_oracle, volume_term_oracle)
 
 U = Poly.variable("u")
 
@@ -350,6 +350,18 @@ def test_bundled_integrals_match_the_poly_route(monkeypatch):
         assert integrate_univariate(*args) == integrate_univariate_oracle(*args)
 
 
+def test_schedule_validation_takes_a_chamber_where_the_positive_part_is_constant(model):
+    """N(u) = u (-EL) on [0, 1] leaves P(u) = -K there, a rational class whose
+    cube and pairings are Fractions: the chamber is checked like any other,
+    and its cube comes back as a constant polynomial."""
+    el = model.basis.unit("EL")
+    r = DivisorClass(model.basis, [4, -2, -1])
+    sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1), (("M", -el, U),)),
+                           sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, U - 1),))))
+    cubes = sinv.validate_schedule(model, el, sched)
+    assert cubes[0] == Poly.of(model.degree) and cubes == validate_schedule_oracle(model, el, sched)
+
+
 def test_schedule_validation_needs_the_cube_to_vanish_at_tau(model):
     """A declared effective cone narrower than the real one, generated by
     3H - EC - EL, H, EC and EL, puts the threshold of -K - uH at 1, where
@@ -364,3 +376,139 @@ def test_schedule_validation_needs_the_cube_to_vanish_at_tau(model):
     with pytest.raises(sinv.ScheduleError,
                        match=re.escape("P(u)^3 does not vanish at the terminal u = 1")):
         sinv.validate_schedule(narrow, h, sched)
+
+
+def _validated_schedules(monkeypatch) -> list[tuple]:
+    """The arguments of every ``validate_schedule`` call of a verify pass."""
+    calls = []
+    validate = sinv.validate_schedule
+
+    def record(*args):
+        calls.append(args)
+        return validate(*args)
+    monkeypatch.setattr(sinv, "validate_schedule", record)
+    names = bundled_scenario_names()
+    assert run_verify([(n, load_bundled(n)) for n in names]).all_pass
+    monkeypatch.undo()
+    assert len(calls) == 12
+    return calls
+
+
+def _damaged(rng, model, y, sched):
+    """One seeded damage to a schedule or its model, and the chamber it hits.
+
+    Half the time a chamber is first cut in two, which damages nothing but
+    gives chamber ends of larger denominators.  Then ``dip`` lowers a
+    negative-part coefficient below zero at one end of its chamber and keeps
+    it at the other; ``extra`` adds a negative-part component, and ``drop``
+    also drops Mori curves, so P(u) may fail to be nef where no pairing
+    shows it; ``tau`` moves the last end; ``narrow`` ends the schedule inside
+    a chamber and narrows the cone so that the end is the threshold; and
+    ``none`` leaves the schedule as it is.
+    """
+    chambers = list(sched.chambers)
+    if rng.random() < 0.5:
+        k = rng.randrange(len(chambers))
+        ch = chambers[k]
+        at = ch.u_lo + (ch.u_hi - ch.u_lo) * F(rng.randint(1, 9), 10)
+        chambers[k:k + 1] = [ch.replace(u_hi=at), ch.replace(u_lo=at)]
+    k = rng.randrange(len(chambers))
+    ch = chambers[k]
+    lo, hi = ch.u_lo, ch.u_hi
+    step, inside = F(rng.randint(1, 6), rng.randint(1, 4)), F(rng.randint(1, 7), 8)
+    kind = rng.choice(["dip", "extra", "drop", "tau", "narrow", "none"])
+    if kind == "dip" and ch.negative:
+        end, other = rng.choice(((lo, hi), (hi, lo)))
+        name, cls, coeff = ch.negative[0]
+        dip = coeff - (coeff(end) + step) * (U - other) * (1 / (end - other))
+        chambers[k] = ch.replace(negative=((name, cls, dip), *ch.negative[1:]))
+    elif kind in ("extra", "drop"):
+        cls = DivisorClass(model.basis, [rng.randint(-2, 2) for _ in model.basis.names])
+        coeff = step * (U - lo if rng.random() < 0.5 else hi - U)
+        chambers[k] = ch.replace(negative=(*ch.negative, ("X", cls, coeff)))
+        if kind == "drop":
+            model = model.replace(mori_curves=tuple(c for c in model.mori_curves
+                                                    if rng.random() < 0.5))
+    elif kind == "tau":
+        last = chambers[-1]
+        shift = rng.choice((-1, 1)) * (last.u_hi - last.u_lo) * inside
+        chambers[-1] = last.replace(u_hi=last.u_hi + shift)
+    elif kind == "narrow":
+        t = lo + (hi - lo) * inside
+        chambers[k:] = [ch.replace(u_hi=t)]
+        cone = ConeSpec([("G", model.anticanonical - y.scale(t)), ("Y", y)])
+        model = model.replace(effective_cone=cone)
+    return model, sinv.Schedule(tuple(chambers)), ch
+
+
+def _validation(check, *args):
+    try:
+        return check(*args)
+    except sinv.ScheduleError as error:
+        return [type(error), str(error)]
+
+
+def test_damaged_schedules_match_the_fraction_oracle(monkeypatch):
+    """Validation on integer numerators returns the oracle's cubes, or raises
+    its ScheduleError with the same message, on seeded damage to the
+    bundled schedules that reaches every check."""
+    bundled = list({(id(m), y, s): (m, y, s) for m, y, s in _validated_schedules(monkeypatch)}
+                   .values())
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(600):
+        model, y, sched = rng.choice(bundled)
+        model, sched, ch = _damaged(rng, model, y, sched)
+        got = _validation(sinv.validate_schedule, model, y, sched)
+        assert got == _validation(validate_schedule_oracle, model, y, sched)
+        message = got[1] if isinstance(got, list) else ""
+        if "below zero" in message:
+            at = message.rsplit("= ", 1)[1]
+            seen[{str(ch.u_lo): "coefficient at lo", str(ch.u_hi): "coefficient at hi"}[at]] += 1
+        elif "Bernstein" in message:
+            values = re.search(r"coefficients (.*) on \[", message).group(1).split(", ")
+            for i in (1, 2):
+                seen[f"inner Bernstein {i}"] += values[i].startswith("-")
+        for case, text in (("Mori pairing", "pairs negatively"), ("cube at tau", "vanish"),
+                           ("threshold", "threshold is"), ("passes", None)):
+            seen[case] += text in message if text else not message
+    for case in ("coefficient at lo", "coefficient at hi", "Mori pairing", "inner Bernstein 1",
+                 "inner Bernstein 2", "cube at tau", "threshold", "passes"):
+        assert seen[case] >= 3, (case, seen)
+
+
+def test_validation_forms_fractions_only_for_the_threshold(monkeypatch):
+    """Past the threshold (lo, hi and -lo at most) and the positive parts it
+    reads (one Fraction per constant coefficient of each returned class),
+    validating the bundled schedules forms no Fraction."""
+    calls = _validated_schedules(monkeypatch)
+    made, where, constants = Counter(), ["checks"], []
+    fraction_new = F.__new__
+    threshold, positive_part = sinv.pseudoeffective_threshold, sinv.Schedule.positive_part
+
+    def counted(cls, *args, **kwargs):
+        made[where[-1]] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def inside(name, step):
+        def run(*args):
+            where.append(name)
+            try:
+                return step(*args)
+            finally:
+                where.pop()
+        return run
+
+    def part(*args):
+        p = positive_part(*args)
+        constants.append(sum(not isinstance(c, Poly) for c in p.coeffs))
+        return p
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    monkeypatch.setattr(sinv, "pseudoeffective_threshold", inside("threshold", threshold))
+    monkeypatch.setattr(sinv.Schedule, "positive_part", inside("positive parts", part))
+    cubes = [sinv.validate_schedule(*args) for args in calls]
+    monkeypatch.undo()
+    assert made["checks"] == 0
+    assert made["threshold"] <= 3 * len(calls)
+    assert made["positive parts"] <= sum(constants)
+    assert cubes == [validate_schedule_oracle(*args) for args in calls]
