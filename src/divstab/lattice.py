@@ -10,15 +10,15 @@ equal coefficient tuples, and records in ``rational`` whether every
 coefficient is a Fraction.  The pairings return a Fraction for rational
 classes and a Poly otherwise: the input types decide, never the value.
 
-The pairings and the linear maps run on the integers.  A class is brought
-once to integer tables over one denominator (:meth:`DivisorClass.tables`,
-kept on the class): ``Poly.num`` for a polynomial coefficient,
-``[[numerator]]`` for a Fraction.  :func:`triple_product`, :func:`restrict`,
-:func:`pair_with_curve` and :func:`combination` (behind
-``Schedule.positive_part``) sum products of such tables on ints and reduce
-each coefficient of the result once.  The trilinear form's weights are
-summed per symmetry pattern of the three classes once per form, and kept on
-the form.  :func:`surface_pair` stays on Fractions and ``Poly``.
+The pairings and the linear maps run on the integer tables of
+:mod:`divstab.ratmath`.  A class forms its tables once, on first use
+(:meth:`DivisorClass.tables`); a :class:`CurvePairing` and a
+:class:`SurfaceForm` form theirs when built.  :func:`triple_product`,
+:func:`surface_pair`, :func:`pair_with_curve`, :func:`restrict` and
+:func:`combination` (behind ``Schedule.positive_part``) sum products of such
+tables on ints and reduce each coefficient of the result once.  The
+trilinear form's weights are summed per symmetry pattern of the three
+classes once per form, and kept on the form.
 
 Intersection data is shipped as value tables:
 
@@ -41,7 +41,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .ratmath import Coeff, Poly, _as_fraction, _reduce, format_poly, format_rational
+from .ratmath import (Coeff, Poly, _add_product, _as_fraction, _integers, _reduce, _tables,
+                      format_poly, format_rational)
 from .record import Record
 
 # a string, so the Union that typing caches does not keep this module's Poly alive
@@ -116,7 +117,7 @@ class DivisorClass:
 
     def tables(self) -> tuple[int, list]:
         """The coefficients as integer tables over one denominator (see
-        :func:`_tables`), formed on first use and kept."""
+        :func:`~divstab.ratmath._tables`), formed on first use and kept."""
         try:
             return self._ints
         except AttributeError:
@@ -223,7 +224,8 @@ class ThreefoldForm(Record):
 class SurfaceForm(Record):
     """Symmetric bilinear form on a surface lattice.
 
-    ``values`` holds each nonzero entry under both ``(i, j)`` and ``(j, i)``.
+    ``values`` holds each nonzero entry under both ``(i, j)`` and ``(j, i)``,
+    and ``matrix`` the full matrix as integer rows over one denominator.
     """
 
     basis: LatticeBasis
@@ -239,6 +241,8 @@ class SurfaceForm(Record):
             table[i, j] = table[j, i] = value
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "values", MappingProxyType(table))
+        object.__setattr__(self, "matrix", _integers(
+            [[table.get((i, j), 0) for j in range(basis.rank)] for i in range(basis.rank)]))
 
     def value(self, i: int, j: int) -> Fraction:
         return self.values.get((i, j), Fraction(0))
@@ -274,7 +278,8 @@ class RestrictionMap(Record):
 
 
 class CurvePairing(Record):
-    """Intersection numbers of one named curve against the threefold generators."""
+    """Intersection numbers of one named curve against the threefold generators,
+    kept also as ``tables``, integer tables over one denominator."""
 
     name: str
     basis: LatticeBasis
@@ -286,37 +291,7 @@ class CurvePairing(Record):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "table",
                            tuple(_as_fraction(table[n]) for n in basis.names))
-
-
-def _add_product(acc: list[list[int]], w: int, x, y) -> None:
-    """``acc += w x y`` in place for integer tables (rows over u, entries over
-    v), growing ``acc`` as the product needs."""
-    for _ in range(len(x) + len(y) - 1 - len(acc)):
-        acc.append([])
-    for i, rx in enumerate(x):
-        for j, a in enumerate(rx):
-            if a:
-                a *= w
-                for k, ry in enumerate(y, i):
-                    row = acc[k]
-                    if len(row) < j + len(ry):
-                        row.extend([0] * (j + len(ry) - len(row)))
-                    for l, b in enumerate(ry, j):
-                        row[l] += a * b
-
-
-def _tables(coeffs: Sequence) -> tuple[int, list]:
-    """Coefficients as integer tables over one denominator: ``Poly.num``, or
-    ``[[numerator]]`` for a Fraction or int (no rows for 0)."""
-    den = math.lcm(*(c.den if isinstance(c, Poly) else c.denominator for c in coeffs))
-    tables = []
-    for c in coeffs:
-        if isinstance(c, Poly):
-            k = den // c.den
-            tables.append(c.num if k == 1 else [[x * k for x in row] for row in c.num])
-        else:
-            tables.append([[c.numerator * (den // c.denominator)]] if c else [])
-    return den, tables
+        object.__setattr__(self, "tables", _tables(self.table))
 
 
 def _weights(form: ThreefoldForm, same12: bool, same: bool) -> tuple[int, list]:
@@ -339,9 +314,8 @@ def _weights(form: ThreefoldForm, same12: bool, same: bool) -> tuple[int, list]:
             for a, b, c in orders:
                 key = (min(a, b), max(a, b), c) if same12 else (a, b, c)
                 weights[key] = weights.get(key, 0) + t
-        den, nums = _tables(list(weights.values()))
-        hit = memo[same12, same] = (den, [(*key, num[0][0]) for key, num in zip(weights, nums)
-                                          if num])
+        den, (nums,) = _integers([weights.values()])
+        hit = memo[same12, same] = (den, [(*key, num) for key, num in zip(weights, nums) if num])
     return hit
 
 
@@ -374,15 +348,21 @@ def triple_product(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass,
 
 
 def surface_pair(a: DivisorClass, b: DivisorClass, form: SurfaceForm) -> Coeff:
-    """Bilinear expansion of a surface intersection form; exact."""
+    """Bilinear expansion of a surface intersection form on integer tables
+    (the form's ``matrix`` and each class's), reduced once; exact."""
     if a.basis != form.basis or b.basis != form.basis:
         raise BasisMismatchError("class is not over the form's basis")
-    total = Fraction(0)
-    for (i, j), t in form.values.items():
-        x, y = a.coeffs[i], b.coeffs[j]
-        if x and y:
-            total += y * (x * t) if isinstance(y, Poly) else x * (y * t)
-    return total if a.rational and b.rational else Poly.of(total)
+    form_den, matrix = form.matrix
+    den_a, ta = a.tables()
+    den_b, tb = b.tables()
+    total: list[list[int]] = []
+    for x, row in zip(ta, matrix):
+        if x:
+            for y, w in zip(tb, row):
+                if w and y:
+                    _add_product(total, w, x, y)
+    value = _reduce(total, form_den * den_a * den_b)
+    return value.coefficient(0, 0) if a.rational and b.rational else value
 
 
 def combination(basis: LatticeBasis,
@@ -421,7 +401,7 @@ def pair_with_curve(d: DivisorClass, curve: CurvePairing) -> Coeff:
     if d.basis != curve.basis:
         raise BasisMismatchError("class is not over the curve table's basis")
     den, xs = d.tables()
-    value_den, values = _tables(curve.table)
+    value_den, values = curve.tables
     total: list[list[int]] = []
     for x, value in zip(xs, values):
         if x and value:

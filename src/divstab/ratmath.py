@@ -10,8 +10,11 @@ occurs downstream: a dense polynomial in ``u`` and ``v`` with rational
 coefficients, stored as rows of integer numerators over one common
 denominator, so that its arithmetic runs on Python ints and builds no
 Fraction per coefficient.  Integration runs on the same integer tables,
-with one Fraction at the end of each integral.  A polynomial in one
-variable is the same type; ``p.coeffs`` and ``p(x)`` read it along the
+with one Fraction at the end of each integral.  That table format lives here
+alone: ``_tables`` reads Poly and scalar coefficients as tables over one
+denominator; ``_add_product``, the one product of tables, serves
+``Poly.__mul__`` and every pairing of :mod:`divstab.lattice`.  A polynomial
+in one variable is the same type; ``p.coeffs`` and ``p(x)`` read it along the
 variable it depends on.  Arithmetic takes ``int`` and ``Fraction`` operands
 directly.  Degrees stay tiny (at most 4), so dense storage is the simple
 choice.
@@ -118,6 +121,39 @@ def _lin(x: Sequence[int], a: int, y: Sequence[int], b: int) -> list[int]:
 def _combine(x, a: int, y, b: int) -> list[list[int]]:
     """``a x + b y`` for integer tables, row by row."""
     return [_lin(rx, a, ry, b) for rx, ry in zip_longest(x, y, fillvalue=())]
+
+
+def _add_product(acc: list[list[int]], w: int, x, y) -> None:
+    """``acc += w x y`` in place for integer tables (rows over u, entries over
+    v), growing ``acc`` as the product needs."""
+    for _ in range(len(x) + len(y) - 1 - len(acc)):
+        acc.append([])
+    for i, rx in enumerate(x):
+        for j, a in enumerate(rx):
+            if a:
+                a *= w
+                for k, ry in enumerate(y, i):
+                    row = acc[k]
+                    if len(row) < j + len(ry):
+                        row.extend([0] * (j + len(ry) - len(row)))
+                    for l, b in enumerate(ry, j):
+                        row[l] += a * b
+
+
+def _tables(coeffs: Sequence[Union[Scalar, "Poly"]]) -> tuple[int, list]:
+    """Coefficients as integer tables over one denominator: ``Poly.num``, or
+    ``[[numerator]]`` for a Fraction or int (no rows for 0); else TypeError."""
+    pairs = []
+    for c in coeffs:
+        if isinstance(c, Poly):
+            pairs.append((c.num, c.den))
+        elif isinstance(c, (int, Fraction)):
+            pairs.append(([[c.numerator]] if c else [], c.denominator))
+        else:
+            raise TypeError(f"expected an exact scalar or a Poly, got {type(c).__name__}")
+    den = math.lcm(*(d for _, d in pairs))
+    return den, [t if d == den else [[x * (den // d) for x in row] for row in t]
+                 for t, d in pairs]
 
 
 class Poly:
@@ -263,28 +299,16 @@ class Poly:
         return (-self)._plus(other, 1)
 
     def __mul__(self, other):
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
+        if not self.num or not other:
+            return _ZERO_POLY
         if isinstance(other, Poly):
-            a, b = self.num, other.num
-            if not a or not b:
-                return _ZERO_POLY
-            width = max(map(len, a)) + max(map(len, b)) - 1
-            out = [[0] * width for _ in range(len(a) + len(b) - 1)]
-            for i, ra in enumerate(a):
-                for j, x in enumerate(ra):
-                    if not x:
-                        continue
-                    for k, rb in enumerate(b):
-                        row = out[i + k]
-                        for l, y in enumerate(rb, j):
-                            row[l] += x * y
+            out: list[list[int]] = []
+            _add_product(out, 1, self.num, other.num)
             return _reduce(out, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            if not other or not self.num:
-                return _ZERO_POLY
-            n = other.numerator
-            return _reduce([[c * n for c in row] for row in self.num],
-                           self.den * other.denominator)
-        return NotImplemented
+        n = other.numerator
+        return _reduce([[c * n for c in row] for row in self.num], self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -415,14 +439,6 @@ def integrate_univariate(p: Poly, a: Scalar, b: Scalar) -> Fraction:
     return _definite(p._numerators(), p.den, _as_fraction(a), _as_fraction(b))
 
 
-def _table(x: Union[Scalar, Poly]) -> tuple[Sequence[Sequence[int]], int]:
-    """A Poly or a scalar as integer numerator rows over one denominator."""
-    if isinstance(x, Poly):
-        return x.num, x.den
-    x = _as_fraction(x)
-    return ((x.numerator,),), x.denominator
-
-
 def integrate_region(f: Union[Poly, Scalar], u_lo: Scalar, u_hi: Scalar,
                      v_lo: Union[Scalar, Poly], v_hi: Union[Scalar, Poly]) -> Fraction:
     """Exact iterated integral of f over ``u in [u_lo, u_hi], v in [v_lo(u), v_hi(u)]``.
@@ -436,7 +452,7 @@ def integrate_region(f: Union[Poly, Scalar], u_lo: Scalar, u_hi: Scalar,
     :func:`integrate_univariate`.
     """
     u_lo, u_hi = _as_fraction(u_lo), _as_fraction(u_hi)
-    (lo, a), (hi, b) = _table(v_lo), _table(v_hi)
+    (a, (lo,)), (b, (hi,)) = _tables((v_lo,)), _tables((v_hi,))
     for bound, rows in ((v_lo, lo), (v_hi, hi)):
         if len(rows) > 2 or any(len(row) > 1 for row in rows):
             raise ValueError(f"the v bound {bound} is not affine in u")
@@ -449,7 +465,7 @@ def integrate_region(f: Union[Poly, Scalar], u_lo: Scalar, u_hi: Scalar,
                 f"v bounds out of order at u={format_rational(u0)}: "
                 f"{format_rational(Fraction(low, a * q))} > "
                 f"{format_rational(Fraction(high, b * q))}")
-    rows, den = _table(f)
+    den, (rows,) = _tables((f,))
     width = max(map(len, rows), default=0)
     scale, aj, bj = math.lcm(*range(1, width + 1)), a ** width, b ** width
     inner = [0] * (len(rows) + width)

@@ -17,11 +17,11 @@ distinguished:
   wrong.
 
 The lattice data of a surface is formed once, in one :class:`SurfaceTable`
-per curve list and form: integer views, each over one denominator, of the
-form matrix F, the curve classes, their pairings with the basis generators
-and the curve Gram C_i.C_j.  ``zariski_decompose``, ``v_sweep`` and
-``build_chart`` all read it (:func:`surface_table` finds it by the identity
-of the curve tuple, else by value).  One integer kernel solves every
+per curve tuple and form: integer views, each over one denominator, of the
+form matrix F (the form's ``matrix``), the curve classes, their pairings
+with the basis generators and the curve Gram C_i.C_j.  ``zariski_decompose``,
+``v_sweep`` and ``build_chart`` read it, kept on the form by curve tuple,
+not by value (:func:`surface_table`).  One integer kernel solves every
 support.  A class D is integer columns over one denominator, one column per
 monomial: (1, u, ..., u^K, v) for a ray d0(u) - v z, (1,) for a rational
 class.  D.C_k (a dot product with each row) and D.D (the column Gram
@@ -71,8 +71,8 @@ from typing import Sequence
 from . import linalg
 from .cones import ConeSpec, Infeasible, effective_decompose
 from .lattice import BasisMismatchError, DivisorClass, SurfaceForm, surface_pair
-from .ratmath import (IrrationalBreakpointError, Poly, _dot, _integers, _reduce, format_poly,
-                      format_rational, integrate_region, rational_roots)
+from .ratmath import (IrrationalBreakpointError, Poly, _dot, _integers, _reduce, _tables,
+                      format_poly, format_rational, integrate_region, rational_roots)
 from .record import Record
 
 NamedCurve = tuple[str, DivisorClass]
@@ -96,7 +96,7 @@ class SurfaceTable:
     """The lattice data of one curve list under one form: formed once, then read.
 
     Integer views, each over one denominator: ``form``, the form matrix, over
-    ``form_den``; ``classes[k]``, the class of C_k, over ``class_den``;
+    ``form_den`` (the form's ``matrix``); ``classes[k]``, C_k, over ``class_den``;
     ``rows[k]``, C_k's pairings with the basis generators, over form_den *
     class_den; ``int_gram[a][b]`` = C_a.C_b over form_den * class_den^2.
     Every decomposition, sweep and chart on the surface shares the one table,
@@ -112,34 +112,24 @@ class SurfaceTable:
             if not cls.rational:
                 raise ValueError(f"curve {name!r} needs rational coefficients, got {cls}")
         self.names = tuple(name for name, _ in curves)
-        rank = form.basis.rank
-        self.form_den, self.form = _integers(
-            [[form.value(i, j) for j in range(rank)] for i in range(rank)])
+        self.form_den, self.form = form.matrix
         self.class_den, self.classes = _integers([cls.coeffs for _, cls in curves])
         self.rows = [[_dot(f, c) for f in self.form] for c in self.classes]
         self.int_gram = [[_dot(row, c) for c in self.classes] for row in self.rows]
 
 
-# the tables by value, so a fresh parse of a surface finds its table again
-_SURFACES: dict[tuple, SurfaceTable] = {}
-
-
 def surface_table(curves: Sequence[NamedCurve], form: SurfaceForm) -> SurfaceTable:
-    """The one :class:`SurfaceTable` of ``curves`` under ``form``.
+    """The :class:`SurfaceTable` of ``curves`` under ``form``.
 
     The form keeps the table of the last curve tuple it was asked for, found
     again by identity with no hashing: a scenario passes one tuple to every
-    call.  Any other sequence is looked up by value, in a process-wide dict
-    that holds one table per distinct surface.
+    call, and the parser hands out one per distinct section.  Any other
+    sequence gets a table of its own: there is no lookup by value.
     """
     memo = vars(form).get("_curve_table")
     if memo is not None and memo[0] is curves:
         return memo[1]
-    key = (form.basis.names, tuple(sorted(form.values.items())),
-           tuple((name, cls.coeffs) for name, cls in curves))
-    table = _SURFACES.get(key)
-    if table is None:
-        table = _SURFACES[key] = SurfaceTable(curves, form)
+    table = SurfaceTable(curves, form)
     if type(curves) is tuple:  # immutable, so its identity stands for its value
         object.__setattr__(form, "_curve_table", (curves, table))
     return table
@@ -168,21 +158,14 @@ class _Columns:
 
 def _ray(table: SurfaceTable, d0: DivisorClass, z: DivisorClass) -> _Columns:
     """``d0(u) - v z`` as columns over (1, u, ..., u^K, v), K >= 1, read off
-    each coefficient's ``num``/``den`` or numerator/denominator."""
+    the integer tables of the coefficients of d0 and z over one denominator."""
     if not z.rational or any(isinstance(c, Poly) and c.degree_v > 0 for c in d0.coeffs):
         raise ValueError(f"a sweep needs d0 free of v and z rational, got d0 = {d0}, z = {z}")
-    polys = [c for c in d0.coeffs if isinstance(c, Poly)]
-    k = max([1] + [c.degree_u for c in polys])
-    den = math.lcm(*(c.den for c in polys), *(c.denominator for c in d0.coeffs + z.coeffs
-                                             if not isinstance(c, Poly)))
-    cols = [[0] * len(d0.coeffs) for _ in range(k + 1)]
-    for g, c in enumerate(d0.coeffs):
-        if isinstance(c, Poly):
-            for t, row in enumerate(c.num):
-                cols[t][g] = row[0] * (den // c.den) if row else 0
-        else:
-            cols[0][g] = c.numerator * (den // c.denominator)
-    cols.append([-c.numerator * (den // c.denominator) for c in z.coeffs])
+    den, tables = _tables(d0.coeffs + z.coeffs)
+    d0s, zs = tables[:len(d0.coeffs)], tables[len(d0.coeffs):]
+    k = max([1] + [len(t) - 1 for t in d0s])
+    cols = [[t[i][0] if i < len(t) and t[i] else 0 for t in d0s] for i in range(k + 1)]
+    cols.append([-t[0][0] if t else 0 for t in zs])
     return _Columns(table, cols, den)
 
 

@@ -8,10 +8,11 @@ of the cone's facets, cone membership decided by support enumeration before
 any facet is read, Gauss-Jordan solves and null spaces that divide by each
 pivot instead of eliminating fraction-free, facets found as those rational
 null spaces instead of integer kernels, the trilinear form expanded
-over every permutation of its entries, the pointwise Zariski fixpoint
-with every pairing formed by ``surface_pair`` for one class at a time, with
-no table shared between classes, the pairings of a ray d0(u) - v z formed
-by ``surface_pair`` on its Poly class instead of integer columns, the
+over every permutation of its entries, surface pairings summed over the
+form's entries as Fractions and Polys instead of integer tables, the
+pointwise Zariski fixpoint with every pairing formed that way for one class
+at a time, with no table shared between classes, the pairings of a ray
+d0(u) - v z formed that way on its Poly class instead of integer columns, the
 lines where a terminal chamber's volume vanishes by Poly arithmetic and a
 linear solve instead of an integer discriminant, linear combinations,
 restrictions and curve pairings by DivisorClass and Poly arithmetic
@@ -41,7 +42,7 @@ from divstab import linalg
 from divstab.cones import (ConeSpec, Decomposition, FeasibleInterval, Infeasible,
                            UnboundedThresholdError, effective_decompose, format_functional,
                            pseudoeffective_threshold)
-from divstab.lattice import DivisorClass, pair_with_curve, surface_pair, triple_product
+from divstab.lattice import DivisorClass, pair_with_curve, triple_product
 from divstab.projgeo import MPoly
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _as_fraction,
                              format_poly, format_rational, rational_sqrt)
@@ -139,13 +140,25 @@ def _dot(a, b) -> float:
     return sum(x * y for x, y in zip(a, b))
 
 
+def surface_pair_oracle(a, b, form):
+    """``lattice.surface_pair`` as a sum of Fraction and Poly products over the
+    form's nonzero entries: a Fraction for two rational classes, else a Poly."""
+    total = Fraction(0)
+    for (i, j), t in form.values.items():
+        x, y = a.coeffs[i], b.coeffs[j]
+        if x and y:
+            total += y * (x * t) if isinstance(y, Poly) else x * (y * t)
+    return total if a.rational and b.rational else Poly.of(total)
+
+
 def ray_pairings_oracle(d0, z, curves, form) -> tuple[dict[str, Poly], Poly]:
     """D.C_k for every curve, and D.D, of the ray D = d0(u) - v z as Polys in
-    (u, v): ``surface_pair`` on the ray's Poly class, one pairing at a time."""
+    (u, v): :func:`surface_pair_oracle` on the ray's Poly class, one pairing
+    at a time."""
     v = Poly.variable("v")
     ray = DivisorClass(d0.basis, [Poly.of(a) - v * b for a, b in zip(d0.coeffs, z.coeffs)])
-    return ({name: Poly.of(surface_pair(ray, cls, form)) for name, cls in curves},
-            Poly.of(surface_pair(ray, ray, form)))
+    return ({name: Poly.of(surface_pair_oracle(ray, cls, form)) for name, cls in curves},
+            Poly.of(surface_pair_oracle(ray, ray, form)))
 
 
 def volume_term_oracle(inp, z=None, grid: int = 200, v_cap: float = 4.0) -> float:
@@ -606,7 +619,8 @@ def integrate_region_oracle(f, u_lo, u_hi, v_lo, v_hi) -> Fraction:
 
 
 def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:
-    """``zariski.zariski_decompose`` with each pairing formed by ``surface_pair``.
+    """``zariski.zariski_decompose`` with each pairing formed by
+    :func:`surface_pair_oracle`.
 
     The same fixpoint, the same errors and the same order of the support:
     D.C_k and D.D per class, C_i.C_j on demand per class, nothing kept
@@ -615,13 +629,13 @@ def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:
     if not d.rational:
         raise ValueError("pointwise decomposition needs rational coefficients")
     classes = dict(curves)
-    with_d = {name: surface_pair(d, cls, form) for name, cls in curves}
+    with_d = {name: surface_pair_oracle(d, cls, form) for name, cls in curves}
     between = {}
 
     def meet(a, b):
         key = (a, b) if a <= b else (b, a)
         if key not in between:
-            between[key] = surface_pair(classes[a], classes[b], form)
+            between[key] = surface_pair_oracle(classes[a], classes[b], form)
         return between[key]
 
     def solve(support):
@@ -631,7 +645,7 @@ def zariski_decompose_oracle(d, curves, form) -> ZariskiResult:
             if not linalg.is_negative_definite(gram):
                 raise IndefiniteSupportError(f"support {list(support)}")
             coeffs = linalg.solve_unique(gram, [with_d[a] for a in support])
-        p, vol = d, surface_pair(d, d, form)
+        p, vol = d, surface_pair_oracle(d, d, form)
         for name, n in zip(support, coeffs):
             p = p - classes[name].scale(n)
             vol = vol - n * with_d[name]

@@ -249,6 +249,22 @@ def _same(got, expected):
     return got == expected and type(got) is type(expected)
 
 
+def test_surface_pair_matches_the_fraction_oracle(dp5, dp6, ruled):
+    """``surface_pair`` on integer tables equals the Fraction and Poly sum over
+    the form's entries, in value and in type, on seeded classes of every
+    coefficient kind; the ruled surface's form has off-diagonal entries."""
+    from oracles import surface_pair_oracle
+    assert any(i != j for i, j in ruled.form.values)
+    rng = random.Random(28)
+    kinds = ("zero", "fraction", "u", "u, v")
+    for surface in (dp5, dp6, ruled):
+        for _ in range(40):
+            a, b = (_seeded_class(rng, surface.basis, rng.choice(kinds)) for _ in range(2))
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert _same(surface_pair(x, y, surface.form),
+                             surface_pair_oracle(x, y, surface.form))
+
+
 def test_integer_lattice_paths_match_class_arithmetic(model, dp5, dp6, ruled):
     """``restrict``, ``triple_product``, ``pair_with_curve``, ``combination``
     and ``Schedule.positive_part`` on integer tables equal DivisorClass and

@@ -1,7 +1,8 @@
 """Package-wide guards: the runtime imports only the standard library, the
 command line starts without ``dataclasses`` or ``inspect``, every module-level
-function and class and every non-dunder method is read somewhere, and a
-re-import leaves no old module alive."""
+function and class and every non-dunder method is read somewhere, only
+``ratmath`` reads a polynomial's numerators, and a re-import leaves no old
+module alive."""
 
 import ast
 import gc
@@ -90,6 +91,16 @@ def test_every_method_is_read():
                         and not (item.name.startswith("__") and item.name.endswith("__"))):
                     defined.append((path.stem, stmt.name, item.name))
     assert [".".join(d) for d in defined if d[2] not in read] == []
+
+
+def test_only_ratmath_reads_poly_numerators():
+    """The integer table format is decided in ``ratmath`` alone: no other
+    module of the package reads an attribute named ``num``, so a ``Poly``'s
+    numerators are read through ``ratmath._tables``."""
+    readers = sorted({path.stem for path in SOURCES if path.stem != "ratmath"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr == "num"})
+    assert readers == []
 
 
 def test_reimporting_the_package_frees_the_old_modules():

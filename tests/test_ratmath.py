@@ -225,6 +225,15 @@ def test_poly_takes_no_float_argument():
     assert p(F(1, 2)) == F(27, 8) and p(3) == -1 and (U * V)(2, F(1, 3)) == F(2, 3)
 
 
+def test_integrate_region_takes_no_float_integrand_or_v_bound():
+    """A float integrand or v bound is a TypeError, as a float u bound is."""
+    for call in (lambda: integrate_region(U, 0, 1, 0.5, 1),
+                 lambda: integrate_region(U, 0, 1, 0, 0.5),
+                 lambda: integrate_region(0.5, 0, 1, 0, 1)):
+        with pytest.raises(TypeError, match="expected an exact scalar"):
+            call()
+
+
 def _outcome(integral, *args):
     """The value of an integral, or the type and message of what it raises."""
     try:

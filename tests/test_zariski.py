@@ -14,7 +14,7 @@ from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
                              build_chart, v_sweep, zariski_decompose)
 from conftest import CURVE_SCENARIOS, curve_input
 from oracles import (branches_oracle, chart_stack, negative_class, ray_pairings_oracle,
-                     subs_v_poly, u_cells, zariski_decompose_oracle)
+                     subs_v_poly, surface_pair_oracle, u_cells, zariski_decompose_oracle)
 
 U = Poly.variable("u")
 
@@ -500,9 +500,10 @@ def _over_1_u_v(matrix, den):
 @pytest.mark.parametrize("surface_name", ["dp5", "dp6", "ruled"])
 def test_the_integer_kernel_matches_the_poly_route(request, surface_name):
     """At seeded rays d0(u) - v z affine in u, the kernel's D.C_k and D.D
-    equal ``surface_pair`` on the ray's Poly class, and each sweep chamber's
-    forms and positive part, read at an interior (u, v), are the coefficients,
-    pairings and positive part that ``zariski_decompose`` finds there."""
+    equal the Fraction and Poly pairing oracle on the ray's Poly class, and
+    each sweep chamber's forms and positive part, read at an interior (u, v),
+    are the coefficients, pairings and positive part that
+    ``zariski_decompose`` finds there."""
     from divstab.zariski import _ray, surface_table
     surface = request.getfixturevalue(surface_name)
     curves, form = surface.extremal_curves, surface.form
@@ -538,7 +539,7 @@ def test_the_integer_kernel_matches_the_poly_route(request, surface_name):
                 if name in ch.support:
                     assert value * table.class_den == negative[name]
                 else:
-                    assert value / (table.form_den * table.class_den) == surface_pair(
+                    assert value / (table.form_den * table.class_den) == surface_pair_oracle(
                         result.positive, dict(curves)[name], form)
             assert result.positive == DivisorClass(surface.basis, [
                 sum(x * m for x, m in zip(nums, at)) / solution.positive_den
@@ -553,7 +554,7 @@ def test_negative_definite_supports_of_each_surface(request, surface_name, count
     (Bauer-Kuronya-Szemberg 2004); the del Pezzo surfaces of degree 5 and 6
     have 76 and 18 chambers with the empty one (Bauer-Funke-Neumann 2010),
     and the quadric only the empty one.  The table's integer Gram, over its
-    one denominator, is the form's."""
+    one denominator, is the form's, as the Fraction pairing oracle sums it."""
     from divstab.linalg import is_negative_definite
     from divstab.zariski import surface_table
     surface = request.getfixturevalue(surface_name)
@@ -561,7 +562,7 @@ def test_negative_definite_supports_of_each_surface(request, surface_name, count
     den = table.form_den * table.class_den ** 2
     for (_, ca), row in zip(surface.extremal_curves, table.int_gram):
         for (_, cb), x in zip(surface.extremal_curves, row):
-            assert F(x, den) == surface_pair(ca, cb, surface.form)
+            assert F(x, den) == surface_pair_oracle(ca, cb, surface.form)
     indices = range(len(surface.extremal_curves))
     supports = [s for k in range(1, len(indices) + 1) for s in combinations(indices, k)
                 if is_negative_definite([[table.int_gram[a][b] for b in s] for a in s])]
@@ -569,9 +570,10 @@ def test_negative_definite_supports_of_each_surface(request, surface_name, count
 
 
 def test_a_fresh_parse_finds_its_surface_table(scenarios):
-    """The table is found by identity for the same curve tuple, and by value
-    for a form and curves built outside the parser or a list of the same
-    curves.  A fresh parse of an equal [surface] text finds it either way."""
+    """The table is found by identity for the same curve tuple, and a fresh
+    parse of an equal [surface] text finds it, since the parser hands out one
+    surface per distinct section.  A form and curves built outside the
+    parser, or a list of the same curves, get an equal table of their own."""
     from divstab.scenario import load_bundled_scenario
     from divstab.zariski import surface_table
     surface = scenarios["lemma_4_1"].surface
@@ -584,8 +586,10 @@ def test_a_fresh_parse_finds_its_surface_table(scenarios):
     curves = tuple((name, DivisorClass(surface.basis, cls.coeffs))
                    for name, cls in surface.extremal_curves)
     assert form is not surface.form and curves is not surface.extremal_curves
-    assert surface_table(curves, form) is table
-    assert surface_table(list(surface.extremal_curves), surface.form) is table
+    for other in (surface_table(curves, form),
+                  surface_table(list(surface.extremal_curves), surface.form)):
+        assert [other.form, other.classes, other.rows, other.int_gram] == [
+            table.form, table.classes, table.rows, table.int_gram]
     assert surface_table(surface.extremal_curves[1:], surface.form) is not table
 
 
