@@ -19,30 +19,30 @@ rule, and :func:`_char_poly` clears its denominators to run over the ints.
 (Cox-Little-O'Shea, section 2.2), leading term first.
 
 The fixed objects are written in closed form: the twisted cubic's four
-components (:func:`twisted_cubic`) and the point of each invariant line
-(:func:`invariant_line`).
+components (:func:`twisted_cubic`), the point of each invariant line
+(:func:`invariant_line`) and the secant conic (:func:`secant_conic`).  A
+linear action maps each coordinate to the linear form read off its matrix
+row (:func:`transform_poly`).
 
 Two polynomial types meet here, and both stay.  :class:`MPoly` has no
 division, gcd or root finding; :class:`divstab.ratmath.Poly` is the
 package's one univariate toolkit and has all three.  :func:`_unipoly` and
-:func:`_mpoly` are the only crossings, confined to the secant-conic steps:
-the kernel over Q[s] of the containment conditions on a conic
-(:func:`_poly_kernel`, which normalizes the kernel basis that the package's
-one fraction-free elimination, :func:`divstab.linalg.kernel`, returns) and
-the reduction of each a_k / a4 (:func:`_reduced_by_a4`).  Giving MPoly these
-operations would be a second copy of Poly's.
+:func:`_mpoly` are the only crossings, confined to the reduction of each
+a_k / a4 (:func:`_reduced_by_a4`).  Giving MPoly these operations would be
+a second copy of Poly's.
 
 The verification entry point is :func:`verify_secant_lemma`, which certifies
 the whole containment story for the invariant-line family inside the secant
-quartic: solving the conic coefficients once, pulling that conic back to the
-quartic, extracting the two-parameter condition system, the factorization
-that forces the diagonal, and the elimination of the reciprocal branch.
+quartic: certifying the closed-form conic as the only one up to scale (the
+containment system has rank 5 at s = 2, and the conic satisfies it
+identically in s), pulling that conic back to the quartic, extracting the
+two-parameter condition system, the factorization that forces the
+diagonal, and the elimination of the reciprocal branch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -322,22 +322,19 @@ class LinearAction(Record):
             raise ValueError("action matrix must be invertible")
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, point: Sequence) -> list:
-        return [sum((row[j] * point[j] for j in range(4)),
-                    start=point[0] * 0) for row in self.matrix]
-
 
 def transform_poly(g: LinearAction, f: MPoly) -> MPoly:
-    """Compose f with the coordinate substitution x -> g(x)."""
-    images = g.apply([MPoly.variable(v) for v in PROJ_VARS])
+    """Compose f with the coordinate substitution x -> g(x): the image of
+    x_i is sum_j m_ij x_j, read straight off row i of the matrix."""
+    images = [MPoly._of({((v, 1),): c for v, c in zip(PROJ_VARS, row)}) for row in g.matrix]
     return f.subs(dict(zip(PROJ_VARS, images)))
 
 
 def equation_character(g: LinearAction, f: MPoly) -> Fraction | None:
     """The scalar by which g multiplies the equation f, or None."""
-    gf = transform_poly(g, f)
     if f.is_zero():
         return None
+    gf = transform_poly(g, f)
     key = next(iter(f.terms))
     chi = Fraction(gf.terms.get(key, 0), f.terms[key])
     return chi if (gf - f * chi).is_zero() else None
@@ -542,46 +539,35 @@ def _mpoly(p: Poly, var: str) -> MPoly:
     return MPoly._of({((var, k),) if k else (): c for k, c in enumerate(p.coeffs)})
 
 
-def _poly_kernel(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
-    """A normalized basis of the kernel of a matrix with univariate polynomial entries.
-
-    Each :func:`linalg.kernel` vector is divided by the monic gcd of its
-    entries, scaled to integer content 1, and signed so that its first
-    nonzero entry has a positive leading coefficient.
-    """
-    basis = []
-    for vec in linalg.kernel(rows, ncols):
-        vec = [Poly.of(x) for x in vec]
-        g = reduce(poly_gcd, vec)
-        vec = [p // g for p in vec]
-        coeffs = [c for p in vec for c in p.coeffs]
-        scale = Fraction(lcm(*(c.denominator for c in coeffs)),
-                         gcd(*(c.numerator for c in coeffs)))
-        if next(p for p in vec if p).coeffs[-1] < 0:
-            scale = -scale
-        basis.append([p * scale for p in vec])
-    return basis
-
-
-def _secant_conic(point: Sequence[MPoly], parameter: str) -> list[Poly]:
-    """Coefficients a1..a6 of the conic whose pullback contains the invariant
-    line, given as its parametrized ``point`` in ``parameter``: the one kernel
-    vector of the containment system, scaled so that a4 is monic."""
+def _containment_rank(value: int) -> int:
+    """The rank of the containment conditions on a1..a6 for the invariant
+    line at the family coordinate ``value``, the point ``[value a : b : a : value b]``."""
+    point = [p.subs({"c": value}) for p in invariant_line("c")]
     conditions = line_containment_conditions(symbolic_conic_pullback(), point)
     names = [f"a{k}" for k in range(1, 7)]
-    rows = [[_unipoly(p, parameter) for p in _linear_coefficients(cond, names)]
-            for cond in conditions]
-    kernel = _poly_kernel(rows, 6)
-    if len(kernel) != 1:
+    return linalg.rank([[p.terms.get((), 0) for p in _linear_coefficients(cond, names)]
+                        for cond in conditions])
+
+
+def secant_conic(parameter: str) -> list[MPoly]:
+    """Coefficients a1..a6 of the conic whose pullback contains the invariant
+    line in ``parameter``, in closed form and scaled so that a4 is monic:
+    ``(-1, 0, 0, s, s^2 + 1, s)``.
+
+    It is the only such conic up to scale.  The containment system has rank 5
+    at s = 2, and its rank over Q(s) is at least its rank at any value of s,
+    so its kernel over Q(s) is one-dimensional; :func:`verify_secant_lemma`
+    checks that this conic lies in it (its ``closure``).
+    """
+    if _containment_rank(2) != 5:
         raise ValueError("containment system does not have a one-dimensional solution")
-    conic = kernel[0]
-    if not conic[3]:
-        raise ValueError("cannot normalize: the solved a4 vanishes identically")
-    return [p * (1 / conic[3].coeffs[-1]) for p in conic]
+    s = MPoly.variable(parameter)
+    return [MPoly.constant(-1), MPoly.constant(0), MPoly.constant(0), s, s * s + 1, s]
 
 
-def _reduced_by_a4(conic: list[Poly], parameter: str) -> dict[str, tuple[MPoly, MPoly]]:
+def _reduced_by_a4(conic: Sequence[MPoly], parameter: str) -> dict[str, tuple[MPoly, MPoly]]:
     """Each a_k / a4 in lowest terms with a monic denominator."""
+    conic = [_unipoly(p, parameter) for p in conic]
     out = {}
     for k, num in enumerate(conic, start=1):
         g = poly_gcd(num, conic[3])
@@ -634,9 +620,10 @@ class SecantLemmaReport(Record):
 def verify_secant_lemma() -> SecantLemmaReport:
     """Run the full containment analysis and certify each algebraic step."""
     point = invariant_line("s")
-    conic = _secant_conic(point, "s")
+    conic = secant_conic("s")
     solved = _reduced_by_a4(conic, "s")
-    quartic = pullback_under_quadric_map([_mpoly(p, "s") for p in conic])
+    quartic = pullback_under_quadric_map(conic)
+    # with the rank check in secant_conic, closure makes the conic the kernel
     closure = line_containment_conditions(quartic, point) == []
     conditions = line_containment_conditions(quartic, invariant_line("t"))
     s, t = MPoly.variable("s"), MPoly.variable("t")

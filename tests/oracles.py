@@ -22,7 +22,8 @@ power tables, cone membership, feasible intervals and schedule checks
 summed and compared as Fractions instead of integer numerators, and
 polynomial substitution that raises
 each image to each monomial's exponent afresh instead of reading one table
-of powers.  Agreement within coarse tolerances is
+of powers, and the secant conic solved as a kernel over Q[s] instead of
+written in closed form.  Agreement within coarse tolerances is
 evidence that the exact path computes the right thing, not just a
 self-consistent thing.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 
 from divstab import linalg
@@ -45,7 +46,7 @@ from divstab.cones import (ConeSpec, Decomposition, FeasibleInterval, Infeasible
 from divstab.lattice import DivisorClass, pair_with_curve, triple_product
 from divstab.projgeo import MPoly
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _as_fraction,
-                             format_poly, format_rational, rational_sqrt)
+                             format_poly, format_rational, poly_gcd, rational_sqrt)
 from divstab.sinv import ScheduleError
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
@@ -690,6 +691,28 @@ def subs_per_monomial(p: MPoly, mapping: dict) -> MPoly:
                 term = term * mapping[v] ** e
         out = out + term
     return out
+
+
+def poly_kernel_oracle(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
+    """A normalized basis of the kernel of a matrix with univariate polynomial
+    entries, the solve that ``projgeo.secant_conic`` replaces by a closed form.
+
+    Each :func:`linalg.kernel` vector is divided by the monic gcd of its
+    entries, scaled to integer content 1, and signed so that its first
+    nonzero entry has a positive leading coefficient.
+    """
+    basis = []
+    for vec in linalg.kernel(rows, ncols):
+        vec = [Poly.of(x) for x in vec]
+        g = reduce(poly_gcd, vec)
+        vec = [p // g for p in vec]
+        coeffs = [c for p in vec for c in p.coeffs]
+        scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
+                         math.gcd(*(c.numerator for c in coeffs)))
+        if next(p for p in vec if p).coeffs[-1] < 0:
+            scale = -scale
+        basis.append([p * scale for p in vec])
+    return basis
 
 
 def recombine(decomposition: Decomposition):

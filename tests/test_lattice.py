@@ -298,3 +298,51 @@ def test_integer_lattice_paths_match_class_arithmetic(model, dp5, dp6, ruled):
     assert _same(triple_product(zero, zero, zero, form), F(0))
     assert _same(restrict(zero, dp5.restriction), dp5.basis.zero())
     assert _same(combination(basis, []), zero)
+
+
+def _shipped_threefolds(scenarios):
+    """The distinct models built from the bundled ``[threefold]`` sections."""
+    models = []
+    for scenario in scenarios.values():
+        if scenario.model is not None and scenario.model not in models:
+            models.append(scenario.model)
+    return models
+
+
+def test_shipped_tensor_follows_the_blowup_formulas(scenarios):
+    """Blowing up P^3 along disjoint smooth curves of degree d and genus g:
+    H^3 = 1, H^2.E = 0, H.E^2 = -d, E^3 = -(4d + 2g - 2), a product of two
+    different exceptional divisors is 0, and (-K)^3 = 64 - sum(8d - 2g + 2)."""
+    # (d, g) of the twisted cubic and of the line
+    centers = {"EC": (3, 0), "EL": (1, 0)}
+    models = _shipped_threefolds(scenarios)
+    assert models
+    for model in models:
+        h = model.basis.unit("H")
+        e = {name: model.basis.unit(name) for name in centers}
+        form = model.form
+        assert triple_product(h, h, h, form) == 1
+        for name, (d, g) in centers.items():
+            assert triple_product(h, h, e[name], form) == 0
+            assert triple_product(h, e[name], e[name], form) == -d
+            assert triple_product(e[name], e[name], e[name], form) == -(4 * d + 2 * g - 2)
+        for first, second in permutations(centers, 2):
+            for third in (h, e[first], e[second]):
+                assert triple_product(e[first], e[second], third, form) == 0
+        assert model.anticanonical == 4 * h - sum(e.values(), model.basis.zero())
+        mk = model.anticanonical
+        assert triple_product(mk, mk, mk, form) == 64 - sum(8 * d - 2 * g + 2
+                                                            for d, g in centers.values())
+        assert model.degree == 28
+
+
+def test_anticanonical_class_is_positive_on_every_shipped_curve(scenarios):
+    """Kleiman: -K = 4H - EC - EL pairs positively with every curve of the
+    shipped ``[threefold]`` sections, 1 on lC, lL and lR and 12 on Z."""
+    expected = {"lC": 1, "lL": 1, "lR": 1, "Z": 12}
+    seen = set()
+    for model in _shipped_threefolds(scenarios):
+        for curve in model.mori_curves:
+            assert pair_with_curve(model.anticanonical, curve) == expected[curve.name]
+            seen.add(curve.name)
+    assert seen == set(expected)

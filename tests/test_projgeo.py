@@ -6,16 +6,15 @@ import pytest
 
 from divstab import projgeo
 from divstab.projgeo import (PROJ_VARS, IrrationalEigenvalueError, LinearAction, MPoly,
-                             _linear_coefficients, _poly_kernel,
-                             common_fixed_points,
+                             _linear_coefficients, common_fixed_points,
                              contains_param_curve, equation_character, format_mpoly,
                              invariant_line, invariant_quadrics,
                              line_containment_conditions, parse_mpoly,
                              pullback_under_quadric_map, secant_condition_displays,
-                             standard_involutions, symbolic_conic_pullback,
+                             secant_conic, standard_involutions, symbolic_conic_pullback,
                              transform_poly, twisted_cubic, verify_secant_lemma)
 from divstab.ratmath import Poly, poly_gcd
-from oracles import subs_per_monomial
+from oracles import poly_kernel_oracle, subs_per_monomial
 
 SWAP, SIGNS = standard_involutions()
 IDENTITY = LinearAction([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -163,9 +162,37 @@ def test_swap_exchanges_the_first_two_points():
     particular it exchanges (0:1) and (1:0)."""
     x, y = MPoly.variable("x"), MPoly.variable("y")
     components = twisted_cubic()
+    cubic = dict(zip(PROJ_VARS, components))
     exchanged = [c.subs({"x": y, "y": x}) for c in components]
-    assert SWAP.apply(list(components)) == exchanged
-    assert SWAP.apply(list(components)) != list(components)
+    swapped = [transform_poly(SWAP, MPoly.variable(v)).subs(cubic) for v in PROJ_VARS]
+    assert swapped == exchanged
+    assert swapped != list(components)
+
+
+def test_transform_reads_each_image_off_its_matrix_row():
+    """The image of x_i is sum_j m_ij x_j, zero entries left out."""
+    rng = random.Random(31)
+    variables = [MPoly.variable(v) for v in PROJ_VARS]
+    for action in (SWAP, SIGNS, IDENTITY, diagonal(F(1, 2), 3, F(-5, 3), 7),
+                   LinearAction([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+                                 for _ in range(3)] + [[1, 0, 0, 1]])):
+        for v, row in zip(PROJ_VARS, action.matrix):
+            image = transform_poly(action, MPoly.variable(v))
+            assert image == sum((c * x for c, x in zip(row, variables)), MPoly.constant(0))
+
+
+def test_zero_equation_has_no_character_and_is_not_transformed(monkeypatch):
+    calls = []
+    original = projgeo.transform_poly
+
+    def counted(g, f):
+        calls.append(1)
+        return original(g, f)
+
+    monkeypatch.setattr(projgeo, "transform_poly", counted)
+    assert equation_character(SWAP, MPoly.constant(0)) is None
+    assert calls == []
+    assert equation_character(SWAP, QUADRICS["Q1"]) == 1 and calls == [1]
 
 
 def test_poly_kernel_is_a_normalized_basis():
@@ -176,7 +203,7 @@ def test_poly_kernel_is_a_normalized_basis():
     rows = [[1 + u, 2 * u, Poly(), F(1, 2) * u * u],
             [2 + 2 * u, 4 * u, u, Poly()],
             [3 + 3 * u, 6 * u, u, F(1, 2) * u * u]]   # row 3 = row 1 + row 2
-    kernel = _poly_kernel(rows, 4)
+    kernel = poly_kernel_oracle(rows, 4)
     assert len(kernel) == 2
     for vec in kernel:
         for row in rows:
@@ -190,9 +217,9 @@ def test_poly_kernel_is_a_normalized_basis():
         assert math.gcd(*(c.numerator for c in coeffs)) == 1
         assert next(p for p in vec if p).coeffs[-1] > 0
     one = Poly.of(1)
-    assert _poly_kernel([[one, Poly()], [Poly(), one]], 2) == []
-    assert _poly_kernel([], 3) == [[one, Poly(), Poly()], [Poly(), one, Poly()],
-                                   [Poly(), Poly(), one]]
+    assert poly_kernel_oracle([[one, Poly()], [Poly(), one]], 2) == []
+    assert poly_kernel_oracle([], 3) == [[one, Poly(), Poly()], [Poly(), one, Poly()],
+                                         [Poly(), Poly(), one]]
 
 
 def test_line_parametrization_is_the_kernel_basis():
@@ -202,13 +229,48 @@ def test_line_parametrization_is_the_kernel_basis():
     one, zero = MPoly.constant(1), MPoly.constant(0)
     rows = [[projgeo._unipoly(p, "s") for p in row]
             for row in ([one, zero, -s, zero], [zero, -s, zero, one])]
-    v1, v2 = _poly_kernel(rows, 4)
+    v1, v2 = poly_kernel_oracle(rows, 4)
     point = invariant_line("s")
     assert point == [projgeo._mpoly(p, "s") * a + projgeo._mpoly(q, "s") * b
                      for p, q in zip(v1, v2)]
     # x0 = s x2 and x3 = s x1, with the free columns x2 = a and x1 = b scaled
     # to polynomial vectors (s, 0, 1, 0) and (0, 1, 0, s)
     assert point == [s * a, b, a, s * b]
+
+
+def test_secant_conic_is_the_normalized_kernel_over_q_s():
+    """The closed form equals the one kernel vector over Q[s] of the
+    containment system, scaled so that a4 is monic."""
+    names = [f"a{k}" for k in range(1, 7)]
+    for parameter in ("s", "t"):
+        conditions = line_containment_conditions(symbolic_conic_pullback(),
+                                                 invariant_line(parameter))
+        rows = [[projgeo._unipoly(p, parameter) for p in _linear_coefficients(cond, names)]
+                for cond in conditions]
+        (vec,) = poly_kernel_oracle(rows, 6)
+        want = [projgeo._mpoly(p * (1 / vec[3].coeffs[-1]), parameter) for p in vec]
+        assert secant_conic(parameter) == want
+    s = MPoly.variable("s")
+    assert secant_conic("s") == [-1, 0, 0, s, s * s + 1, s]
+
+
+def test_containment_rank_at_integer_points():
+    """Rank 5 away from s = +-1, where the line collapses onto one point of
+    the plane and only one condition is left."""
+    assert [projgeo._containment_rank(value) for value in (0, 2, 3)] == [5, 5, 5]
+    assert [projgeo._containment_rank(value) for value in (1, -1)] == [1, 1]
+
+
+def test_secant_conic_refuses_a_family_without_a_unique_conic(monkeypatch):
+    """The line x0 = x2, x3 = x1 for every value of the parameter maps to one
+    point of the plane, so every conic through that point contains it."""
+    def collapsed(parameter):
+        a, b = MPoly.variable("a"), MPoly.variable("b")
+        return [a, b, a, b]
+
+    monkeypatch.setattr(projgeo, "invariant_line", collapsed)
+    with pytest.raises(ValueError, match="does not have a one-dimensional solution"):
+        secant_conic("s")
 
 
 def test_verify_secant_lemma_solves_the_conic_once(monkeypatch):
