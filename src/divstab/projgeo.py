@@ -24,12 +24,10 @@ components (:func:`twisted_cubic`), the point of each invariant line
 linear action maps each coordinate to the linear form read off its matrix
 row (:func:`transform_poly`).
 
-Two polynomial types meet here, and both stay.  :class:`MPoly` has no
-division, gcd or root finding; :class:`divstab.ratmath.Poly` is the
-package's one univariate toolkit and has all three.  :func:`_unipoly` and
-:func:`_mpoly` are the only crossings, confined to the reduction of each
-a_k / a4 (:func:`_reduced_by_a4`).  Giving MPoly these operations would be
-a second copy of Poly's.
+Nothing here crosses to :class:`divstab.ratmath.Poly`: a4 of the closed-form
+conic is s, so :func:`_reduced_by_a4` reads each a_k / a4 off a_k's
+coefficients in s, and :func:`_rational_eigenvalues` divides the integer roots
+out of a monic integer characteristic polynomial.
 
 The verification entry point is :func:`verify_secant_lemma`, which certifies
 the whole containment story for the invariant-line family inside the secant
@@ -43,12 +41,13 @@ diagonal, and the elimination of the reciprocal branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .exprs import parse_expression
-from .ratmath import Poly, _integers, format_terms, poly_gcd, rational_roots
+from .ratmath import _integers, format_terms
 from .record import Record
 
 Scalar = Union[int, Fraction]
@@ -340,13 +339,13 @@ def equation_character(g: LinearAction, f: MPoly) -> Fraction | None:
     return chi if (gf - f * chi).is_zero() else None
 
 
-def _char_poly(m) -> Poly:
-    """det(t I - M) as a one-row :class:`Poly`, for a square rational M.
+def _char_poly(m) -> tuple[int, list[int]]:
+    """D and the integer coefficients of det(t I - D M), highest degree first,
+    for a square rational M and D the lcm of its denominators.
 
-    Faddeev-LeVerrier runs on the integer matrix A = D M, D the lcm of the
-    denominators of M: A_k = A (A_{k-1} + c_{k-1} I) and c_k = -tr(A_k) / k,
-    an exact integer division since det(t I - A) = sum c_k t^(n-k) has
-    integer coefficients.  Then det(t I - M) = sum (c_k / D^k) t^(n-k).
+    Faddeev-LeVerrier runs on the integer matrix A = D M: A_k = A (A_{k-1} +
+    c_{k-1} I) and c_k = -tr(A_k) / k, an exact integer division since
+    det(t I - A) = sum c_k t^(n-k) has integer coefficients.
     """
     n = len(m)
     d, a = _integers(m)
@@ -358,21 +357,37 @@ def _char_poly(m) -> Poly:
         ak = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
               for i in range(n)]
         coeffs[k] = -sum(ak[i][i] for i in range(n)) // k
-    return Poly([[Fraction(coeffs[k], d ** k) for k in range(n, -1, -1)]])
+    return d, coeffs
 
 
 def _rational_eigenvalues(m) -> list[Fraction]:
     """The distinct eigenvalues; errors unless the char poly splits over Q.
 
-    It splits iff its squarefree part ``char // gcd(char, char')`` has one
-    root per degree, all of them rational.
+    det(t I - D M) = t^n + c_1 t^(n-1) + ... + c_n is monic over Z, so its
+    rational roots r are 0 and divisors of its lowest nonzero coefficient, each
+    below B, the first power of 2 with B^n > sum |c_k| B^(n-k); r / D is an
+    eigenvalue of M.  Each root is divided out by synthetic division as often
+    as it is one, and the char poly splits iff nothing of degree > 0 is left.
     """
-    char = _char_poly(m)
-    roots = rational_roots(char)
-    if (char // poly_gcd(char, char.derivative())).degree != len(roots):
+    d, coeffs = _char_poly(m)
+    n, lowest = len(coeffs) - 1, abs(next(c for c in reversed(coeffs) if c))
+    bound = 1
+    while bound ** n <= sum(abs(c) * bound ** (n - k) for k, c in enumerate(coeffs) if k):
+        bound *= 2
+    divisors = [k for k in range(1, min(isqrt(lowest), bound) + 1) if not lowest % k]
+    divisors += [lowest // k for k in divisors]
+    roots = set()
+    for r in {0, *divisors, *(-k for k in divisors)}:
+        while len(coeffs) > 1:
+            partial = list(accumulate(coeffs, lambda acc, c: acc * r + c))
+            if partial[-1]:
+                break
+            coeffs = partial[:-1]
+            roots.add(r)
+    if len(coeffs) > 1:
         raise IrrationalEigenvalueError(
             "the action has irrational (or non-real) eigenvalues")
-    return roots
+    return sorted({Fraction(r, d) for r in roots})
 
 
 class FixedLocus(Record):
@@ -524,21 +539,6 @@ def invariant_line(parameter: str) -> list[MPoly]:
     return [c * a, b, a, c * b]
 
 
-def _unipoly(p: MPoly, var: str) -> Poly:
-    """A polynomial in the single variable ``var``, as a one-row :class:`Poly`."""
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in p.terms.items():
-        if any(v != var for v, _ in mono):
-            raise ValueError(f"{p} is not univariate in {var}")
-        coeffs[mono[0][1] if mono else 0] = c
-    return Poly([[coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]])
-
-
-def _mpoly(p: Poly, var: str) -> MPoly:
-    """The inverse of :func:`_unipoly`."""
-    return MPoly._of({((var, k),) if k else (): c for k, c in enumerate(p.coeffs)})
-
-
 def _containment_rank(value: int) -> int:
     """The rank of the containment conditions on a1..a6 for the invariant
     line at the family coordinate ``value``, the point ``[value a : b : a : value b]``."""
@@ -566,14 +566,17 @@ def secant_conic(parameter: str) -> list[MPoly]:
 
 
 def _reduced_by_a4(conic: Sequence[MPoly], parameter: str) -> dict[str, tuple[MPoly, MPoly]]:
-    """Each a_k / a4 in lowest terms with a monic denominator."""
-    conic = [_unipoly(p, parameter) for p in conic]
+    """Each a_k / a4 in lowest terms with a monic denominator: a4 is the
+    parameter s, so (a_k / s, 1) when s divides a_k, 0 included, else (a_k, s)."""
+    s = MPoly.variable(parameter)
+    if conic[3] != s:
+        raise ValueError(f"a4 = {conic[3]} is not {parameter}")
     out = {}
-    for k, num in enumerate(conic, start=1):
-        g = poly_gcd(num, conic[3])
-        num, den = num // g, conic[3] // g
-        lead = 1 / den.coeffs[-1]
-        out[f"a{k}"] = (_mpoly(num * lead, parameter), _mpoly(den * lead, parameter))
+    for k, a in enumerate(conic, start=1):
+        coeffs = a.coefficients_in((parameter,))
+        out[f"a{k}"] = ((a, s) if (0,) in coeffs else
+                        (sum((c * s ** (e - 1) for (e,), c in coeffs.items()), MPoly.constant(0)),
+                         MPoly.constant(1)))
     return out
 
 

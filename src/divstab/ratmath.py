@@ -19,12 +19,10 @@ variable it depends on.  Arithmetic takes ``int`` and ``Fraction`` operands
 directly.  Degrees stay tiny (at most 4), so dense storage is the simple
 choice.
 
-Along its one variable a polynomial also divides with remainder (``divmod``,
-``//``, ``%``), differentiates, and has a monic :func:`poly_gcd` and its
-:func:`rational_roots`; this is the package's only univariate toolkit.
-Chamber breakpoints are roots of degree <= 2, and every breakpoint that
-legitimately occurs is rational; an irrational one is reported as a hard
-error rather than approximated.
+Chamber breakpoints are the roots of polynomials of degree <= 2 along their
+one variable (:func:`rational_roots`, in closed form), and every breakpoint
+that legitimately occurs is rational; an irrational one is reported as a
+hard error rather than approximated.
 """
 
 from __future__ import annotations
@@ -337,47 +335,6 @@ class Poly:
         return _reduce([[_homogeneous(row, c, d) * d ** (width - len(row))] for row in num],
                        self.den * d ** (width - 1))
 
-    def _along(self, nums: list[int], den: int, other: "Poly") -> "Poly":
-        """``nums / den`` along the one variable of self and other, which must agree."""
-        in_u = len(self.num) > 1 or len(other.num) > 1
-        if in_u and any(len(p.num) == 1 and len(p.num[0]) > 1 for p in (self, other)):
-            raise ValueError(f"{format_poly(self)} and {format_poly(other)} "
-                             "depend on different variables")
-        return _reduce([[c] for c in nums] if in_u else [list(nums)], den)
-
-    def derivative(self) -> "Poly":
-        """Derivative along the one variable."""
-        return self._along([k * c for k, c in enumerate(self._numerators())][1:], self.den, self)
-
-    def __divmod__(self, other):
-        """Quotient and remainder along the one variable, ``deg r < deg other``.
-
-        Pseudo-division on the numerators, ``l^k a = q b + r`` with l the
-        leading numerator of b: every step divides exactly by l.
-        """
-        if not isinstance(other, (Poly, int, Fraction)):
-            return NotImplemented
-        other = Poly.of(other)
-        b = other._numerators()
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead, k = b[-1], max(len(self._numerators()) - len(b) + 1, 0)
-        rem = [c * lead ** k for c in self._numerators()]
-        quot = [0] * k
-        for shift in reversed(range(k)):
-            factor = quot[shift] = rem[shift + len(b) - 1] // lead
-            for i, c in enumerate(b):
-                rem[shift + i] -= factor * c
-        den = self.den * lead ** k
-        return (self._along([c * other.den for c in quot], den, other),
-                self._along(rem[:len(b) - 1], den, other))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
 
@@ -481,37 +438,20 @@ def integrate_region(f: Union[Poly, Scalar], u_lo: Scalar, u_hi: Scalar,
     return _definite(inner, den * scale * aj * bj, u_lo, u_hi)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor along the one variable; ``poly_gcd(0, 0)`` is 0."""
-    while b:
-        a, b = b, a % b
-    return a * (1 / a.coeffs[-1]) if a else a
-
-
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, in increasing order.
+    """All rational roots of a nonzero polynomial of degree <= 2 along its one
+    variable, in increasing order and in closed form.
 
-    Multiplicities are collapsed.  Up to degree 2 the roots come in closed
-    form: a quadratic with real but irrational roots raises
-    :class:`IrrationalBreakpointError`, and a negative discriminant (no real
-    roots) yields an empty list.  From degree 3 on, the candidates are the
-    fractions p/q of the rational root theorem, each tested as q^d c(p/q) on
-    the integer numerators, and roots that are not rational are left out; a
-    caller that needs the polynomial to split over the rationals compares the
-    count with its squarefree degree.
+    Multiplicities are collapsed.  A quadratic with real but irrational roots
+    raises :class:`IrrationalBreakpointError`, and a negative discriminant
+    (no real roots) yields an empty list.  Degree 3 or more is a
+    :class:`ValueError`.
     """
-    ints = p._numerators()
-    if not ints:
-        raise ValueError("zero polynomial has every point as a root")
-    if len(ints) > 3:
-        lowest = next(c for c in ints if c)    # the constant term once t^k is divided out
-        roots = {_ZERO} if not ints[0] else set()
-        for num in _factors(lowest):
-            for den in _factors(ints[-1]):
-                roots.update(Fraction(x, den) for x in (num, -num)
-                             if not _homogeneous(ints, x, den))
-        return sorted(roots)
     coeffs = p.coeffs
+    if not coeffs:
+        raise ValueError("zero polynomial has every point as a root")
+    if len(coeffs) > 3:
+        raise ValueError(f"rational_roots takes degree <= 2, got {format_poly(p)}")
     if len(coeffs) == 1:
         return []
     if len(coeffs) == 2:
@@ -524,15 +464,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
     if sq is None:
         raise IrrationalBreakpointError(
             f"irrational breakpoint: roots of {format_poly(p)} are not rational")
-    roots = sorted({(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)})
-    return roots
-
-
-def _factors(n: int) -> list[int]:
-    """The positive divisors of a nonzero integer, possibly repeated."""
-    n = abs(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
-    return small + [n // d for d in small]
+    return sorted({(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)})
 
 
 def format_terms(terms: Iterable[tuple[Sequence[int], Fraction]],

@@ -22,10 +22,10 @@ power tables, cone membership, feasible intervals and schedule checks
 summed and compared as Fractions instead of integer numerators, and
 polynomial substitution that raises
 each image to each monomial's exponent afresh instead of reading one table
-of powers, and the secant conic solved as a kernel over Q[s] instead of
-written in closed form.  Agreement within coarse tolerances is
-evidence that the exact path computes the right thing, not just a
-self-consistent thing.
+of powers, and the secant conic solved as a kernel over Q[s], normalized by
+sympy's gcd and exact quotient, instead of written in closed form.
+Agreement within coarse tolerances is evidence that the exact path computes
+the right thing, not just a self-consistent thing.
 
 The chart and decomposition readers at the end (:func:`recombine`,
 :func:`negative_class`, :func:`u_cells`, :func:`chart_stack`) give tests
@@ -46,7 +46,7 @@ from divstab.cones import (ConeSpec, Decomposition, FeasibleInterval, Infeasible
 from divstab.lattice import DivisorClass, pair_with_curve, triple_product
 from divstab.projgeo import MPoly
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _as_fraction,
-                             format_poly, format_rational, poly_gcd, rational_sqrt)
+                             format_poly, format_rational, rational_sqrt)
 from divstab.sinv import ScheduleError
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
@@ -484,7 +484,8 @@ def validate_schedule_oracle(model, y, sched) -> tuple[Poly, ...]:
                 if pairing(u0) < 0:
                     raise ScheduleError(
                         f"P(u) pairs negatively with {name} at u = {format_rational(u0)}")
-        slope, third = cube.derivative(), (hi - lo) / 3
+        slope = Poly([[k * c] for k, c in enumerate(cube.coeffs)][1:])   # d/du of the cube
+        third = (hi - lo) / 3
         bernstein = (cube(lo), cube(lo) + third * slope(lo),
                      cube(hi) - third * slope(hi), cube(hi))
         if min(bernstein) < 0:
@@ -693,19 +694,59 @@ def subs_per_monomial(p: MPoly, mapping: dict) -> MPoly:
     return out
 
 
+def unipoly(p: MPoly, var: str) -> Poly:
+    """A polynomial in the single variable ``var``, as a one-row :class:`Poly`."""
+    coeffs: dict[int, Fraction] = {}
+    for mono, c in p.terms.items():
+        if any(v != var for v, _ in mono):
+            raise ValueError(f"{p} is not univariate in {var}")
+        coeffs[mono[0][1] if mono else 0] = c
+    return Poly([[coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]])
+
+
+def mpoly(p: Poly, var: str) -> MPoly:
+    """The inverse of :func:`unipoly`."""
+    return MPoly._of({((var, k),) if k else (): c for k, c in enumerate(p.coeffs)})
+
+
+def companion(p: Poly) -> list[list]:
+    """The companion matrix of p made monic: its characteristic polynomial is
+    p divided by its leading coefficient, along p's one variable."""
+    coeffs = p.coeffs
+    n = len(coeffs) - 1
+    return [[-coeffs[i] / coeffs[-1] if j == n - 1 else int(i == j + 1) for j in range(n)]
+            for i in range(n)]
+
+
+def to_sympy(p: Poly, x):
+    """p along its one variable as a sympy expression in the symbol x."""
+    import sympy
+    return sum((sympy.Rational(c.numerator, c.denominator) * x ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
 def poly_kernel_oracle(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
     """A normalized basis of the kernel of a matrix with univariate polynomial
     entries, the solve that ``projgeo.secant_conic`` replaces by a closed form.
 
-    Each :func:`linalg.kernel` vector is divided by the monic gcd of its
-    entries, scaled to integer content 1, and signed so that its first
-    nonzero entry has a positive leading coefficient.
+    Each :func:`linalg.kernel` vector is divided by the gcd of its entries
+    (sympy's gcd and exact quotient, back in the vector's variable u or v),
+    scaled to integer content 1, and signed so that its first nonzero entry
+    has a positive leading coefficient.
     """
+    import sympy
+    x = sympy.Symbol("x")
     basis = []
     for vec in linalg.kernel(rows, ncols):
-        vec = [Poly.of(x) for x in vec]
-        g = reduce(poly_gcd, vec)
-        vec = [p // g for p in vec]
+        vec = [Poly.of(p) for p in vec]
+        var = Poly.variable("u" if any(p.degree_u > 0 for p in vec) else "v")
+        exprs = [to_sympy(p, x) for p in vec]
+        g = reduce(sympy.gcd, exprs)
+        vec = []
+        for e in exprs:
+            quotient = sympy.Poly(sympy.exquo(e, g, x, domain="QQ"), x).all_coeffs()
+            vec.append(sum((Fraction(int(c.p), int(c.q)) * var ** k
+                            for k, c in enumerate(reversed(quotient))), Poly()))
         coeffs = [c for p in vec for c in p.coeffs]
         scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
                          math.gcd(*(c.numerator for c in coeffs)))

@@ -103,6 +103,14 @@ def test_only_ratmath_reads_poly_numerators():
     assert readers == []
 
 
+def test_projgeo_reads_no_univariate_poly():
+    """projgeo runs on MPoly and integers alone: it reads no name ``Poly``,
+    ``rational_roots`` or ``poly_gcd``."""
+    (path,) = [path for path in SOURCES if path.stem == "projgeo"]
+    read = set().union(*map(_names_read, ast.parse(path.read_text(encoding="utf-8")).body))
+    assert read & {"Poly", "rational_roots", "poly_gcd"} == set()
+
+
 def test_reimporting_the_package_frees_the_old_modules():
     """No module-level value may pin a class in a cache that outlives the
     module (``typing`` caches every ``Union`` it builds, with its args)."""

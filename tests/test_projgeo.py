@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -13,8 +14,8 @@ from divstab.projgeo import (PROJ_VARS, IrrationalEigenvalueError, LinearAction,
                              pullback_under_quadric_map, secant_condition_displays,
                              secant_conic, standard_involutions, symbolic_conic_pullback,
                              transform_poly, twisted_cubic, verify_secant_lemma)
-from divstab.ratmath import Poly, poly_gcd
-from oracles import poly_kernel_oracle, subs_per_monomial
+from divstab.ratmath import Poly
+from oracles import companion, mpoly, poly_kernel_oracle, subs_per_monomial, to_sympy, unipoly
 
 SWAP, SIGNS = standard_involutions()
 IDENTITY = LinearAction([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -199,6 +200,8 @@ def test_poly_kernel_is_a_normalized_basis():
     """One primitive vector per free column, each annihilated by the matrix:
     entries without a common factor, integer content 1, and a positive
     leading coefficient on the first nonzero entry."""
+    import sympy
+    x = sympy.Symbol("x")
     u = Poly.variable("u")
     rows = [[1 + u, 2 * u, Poly(), F(1, 2) * u * u],
             [2 + 2 * u, 4 * u, u, Poly()],
@@ -208,10 +211,7 @@ def test_poly_kernel_is_a_normalized_basis():
     for vec in kernel:
         for row in rows:
             assert sum((a * b for a, b in zip(row, vec)), Poly()) == Poly()
-        gcd_all = Poly()
-        for p in vec:
-            gcd_all = poly_gcd(gcd_all, p)
-        assert gcd_all == Poly.of(1)
+        assert reduce(sympy.gcd, [to_sympy(p, x) for p in vec]) == 1
         coeffs = [c for p in vec for c in p.coeffs]
         assert all(c.denominator == 1 for c in coeffs)
         assert math.gcd(*(c.numerator for c in coeffs)) == 1
@@ -227,11 +227,11 @@ def test_line_parametrization_is_the_kernel_basis():
     V1, V2 over Q[s] of the forms x0 - s x2 and x3 - s x1 that cut out the line."""
     a, b, s = (MPoly.variable(n) for n in ("a", "b", "s"))
     one, zero = MPoly.constant(1), MPoly.constant(0)
-    rows = [[projgeo._unipoly(p, "s") for p in row]
+    rows = [[unipoly(p, "s") for p in row]
             for row in ([one, zero, -s, zero], [zero, -s, zero, one])]
     v1, v2 = poly_kernel_oracle(rows, 4)
     point = invariant_line("s")
-    assert point == [projgeo._mpoly(p, "s") * a + projgeo._mpoly(q, "s") * b
+    assert point == [mpoly(p, "s") * a + mpoly(q, "s") * b
                      for p, q in zip(v1, v2)]
     # x0 = s x2 and x3 = s x1, with the free columns x2 = a and x1 = b scaled
     # to polynomial vectors (s, 0, 1, 0) and (0, 1, 0, s)
@@ -245,10 +245,10 @@ def test_secant_conic_is_the_normalized_kernel_over_q_s():
     for parameter in ("s", "t"):
         conditions = line_containment_conditions(symbolic_conic_pullback(),
                                                  invariant_line(parameter))
-        rows = [[projgeo._unipoly(p, parameter) for p in _linear_coefficients(cond, names)]
+        rows = [[unipoly(p, parameter) for p in _linear_coefficients(cond, names)]
                 for cond in conditions]
         (vec,) = poly_kernel_oracle(rows, 6)
-        want = [projgeo._mpoly(p * (1 / vec[3].coeffs[-1]), parameter) for p in vec]
+        want = [mpoly(p * (1 / vec[3].coeffs[-1]), parameter) for p in vec]
         assert secant_conic(parameter) == want
     s = MPoly.variable("s")
     assert secant_conic("s") == [-1, 0, 0, s, s * s + 1, s]
@@ -296,6 +296,7 @@ def test_pullback_single_coefficient():
 
 
 def test_solved_conic_coefficients():
+    """Each a_k / a4 exactly, in lowest terms with a monic denominator."""
     solved = verify_secant_lemma().solved_coefficients
     s = MPoly.variable("s")
     one = MPoly.constant(1)
@@ -307,9 +308,19 @@ def test_solved_conic_coefficients():
         "a5": (s * s + 1, s),
         "a6": (one, one),
     }
-    for name, (num, den) in expected.items():
-        got_num, got_den = solved[name]
-        assert got_num * den == num * got_den, name
+    assert solved == expected
+
+
+def test_reduced_by_a4_needs_a4_to_be_the_parameter():
+    """a_k / s is read off the coefficients of a_k in s, so a4 must be s."""
+    s, t = MPoly.variable("s"), MPoly.variable("t")
+    conic = [s * s * t + s, MPoly.constant(0), 1 + s, s, MPoly.constant(3), s]
+    solved = projgeo._reduced_by_a4(conic, "s")
+    assert solved["a1"] == (s * t + 1, 1) and solved["a3"] == (1 + s, s)
+    for a4 in (2 * s, s + 1, t):
+        conic[3] = a4
+        with pytest.raises(ValueError, match="is not s"):
+            projgeo._reduced_by_a4(conic, "s")
 
 
 def test_cleared_quartic_matches_display():
@@ -523,8 +534,9 @@ def test_subs_matches_the_per_monomial_oracle():
 
 
 def test_char_poly_matches_sympy():
-    """Seeded random rational 4x4 matrices, among them singular ones,
-    against sympy's characteristic polynomial."""
+    """Seeded random rational 4x4 matrices M, among them singular ones: D is
+    the lcm of the denominators of M, and the integer coefficients are
+    sympy's characteristic polynomial of D M."""
     import sympy
     rng = random.Random(17)
     t = sympy.Symbol("t")
@@ -536,12 +548,14 @@ def test_char_poly_matches_sympy():
             m[3] = [a + k * b for a, b in zip(m[0], m[1])]
         if trial == 0:
             m = [[F(0)] * 4 for _ in range(4)]
-        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+        d, got = projgeo._char_poly(m)
+        assert d == math.lcm(*(x.denominator for row in m for x in row))
+        want = sympy.Matrix([[sympy.Rational(d * x.numerator, x.denominator) for x in row]
                              for row in m]).charpoly(t).all_coeffs()
-        got = projgeo._char_poly(m)
-        assert list(got.coeffs) == [F(int(c.p), int(c.q)) for c in reversed(want)], m
+        assert got == [int(c) for c in want] and all(c.q == 1 for c in want), m
+        assert all(type(c) is int for c in got)
         if trial % 3 == 0:
-            assert got.coeffs[0] == 0
+            assert got[-1] == 0
 
 
 def test_rational_eigenvalues_of_the_standard_actions():
@@ -552,3 +566,64 @@ def test_rational_eigenvalues_of_the_standard_actions():
     rotation = LinearAction([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(IrrationalEigenvalueError):
         projgeo._rational_eigenvalues(rotation.matrix)
+
+
+def test_rational_eigenvalues_of_companion_matrices_match_fraction_evaluation():
+    """The companion matrix of each seeded polynomial, made monic.  Its
+    eigenvalues are the candidates p/q of the rational root theorem at which a
+    Fraction Horner rule over the coefficients gives 0, so planted roots are
+    found and no others; they are returned iff every padding quadratic splits
+    over the integers, and otherwise the char poly does not split."""
+    v = Poly.variable("v")
+    rng = random.Random(2023)
+    for _ in range(200):
+        roots = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        p = Poly.of(F(rng.randint(1, 5), rng.randint(1, 3)))
+        for r in roots:
+            p = p * (v - r)
+        splits = True
+        while p.degree < 3:  # pad with factors that may or may not split
+            b = rng.randint(-4, 4)
+            c = rng.randint(-4, 4)
+            p = p * (v * v + b * v + c)
+            disc = b * b - 4 * c
+            splits = splits and disc >= 0 and math.isqrt(disc) ** 2 == disc
+        coeffs = p.coeffs
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        low = next(c for c in ints if c)
+        candidates = {F(sign * a, b) for a in _divisors(low) for b in _divisors(ints[-1])
+                      for sign in (1, -1)}
+        if not coeffs[0]:
+            candidates.add(F(0))
+        expected = sorted(r for r in candidates if sum(c * r ** k for k, c in enumerate(coeffs)) == 0)
+        assert set(roots) <= set(expected)
+        if splits:
+            assert projgeo._rational_eigenvalues(companion(p)) == expected
+        else:
+            with pytest.raises(IrrationalEigenvalueError):
+                projgeo._rational_eigenvalues(companion(p))
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in small]
+
+
+@pytest.mark.parametrize("m, want", [
+    ([[2, 1, 0], [0, 2, 0], [0, 0, -3]], [-3, 2]),                   # a Jordan block
+    ([[0, 1, 0], [0, 0, 0], [0, 0, 5]], [0, 5]),                     # a double zero root
+    ([[F(1, 2), 0, 0, 0], [0, F(-2, 3), 0, 0], [0, 0, F(1, 2), 1], [0, 0, 0, F(1, 2)]],
+     [F(-2, 3), F(1, 2)]),                                            # D = 6, root 1/2 thrice
+    ([[97, 0], [0, 1]], [1, 97]),                                     # a root above isqrt
+])
+def test_rational_eigenvalues_of_split_matrices(m, want):
+    assert projgeo._rational_eigenvalues(m) == want
+
+
+def test_rational_eigenvalues_refuse_a_char_poly_that_does_not_split():
+    """(v - 1)^2 (v^2 - 2): the root 1 divides out twice and v^2 - 2 is left."""
+    v = Poly.variable("v")
+    with pytest.raises(IrrationalEigenvalueError):
+        projgeo._rational_eigenvalues(companion((v - 1) ** 2 * (v * v - 2)))

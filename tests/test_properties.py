@@ -1,8 +1,8 @@
-"""Property tests: the polynomial ring, its integer representation against a
-Fraction-dict reference, and its univariate toolkit; projgeo's multivariate
-ring against evaluation, and its canonical form; the shared parser, the
-class canonical form, the trilinear form against its permutation expansion,
-the cones' two representations (generators and facets) against support
+"""Property tests: the polynomial ring and its integer representation against
+a Fraction-dict reference; projgeo's multivariate ring against evaluation,
+its canonical form and its eigenvalues on companion matrices; the shared
+parser, the class canonical form, the trilinear form against its permutation
+expansion, the cones' two representations (generators and facets) against support
 enumeration and a rational null-space derivation of the facets, the
 fraction-free elimination against a Gauss-Jordan that divides by each pivot,
 and the chamber walk along a ray against the pointwise Zariski decomposition.
@@ -19,21 +19,22 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from divstab import cones as cones_module, linalg  # noqa: E402
+from divstab import cones as cones_module, linalg, projgeo  # noqa: E402
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
                            UnboundedThresholdError, effective_decompose,
                            feasible_interval, pseudoeffective_threshold)
 from divstab.exprs import parse_divisor_expr, parse_poly  # noqa: E402
 from divstab.lattice import (DivisorClass, LatticeBasis, ThreefoldForm,  # noqa: E402
                              triple_product)
-from divstab.projgeo import MPoly, format_mpoly, parse_mpoly  # noqa: E402
-from divstab.ratmath import (IrrationalBreakpointError, Poly, format_poly,  # noqa: E402
-                             poly_gcd, rational_roots)
+from divstab.projgeo import (IrrationalEigenvalueError, MPoly, format_mpoly,  # noqa: E402
+                             parse_mpoly)
+from divstab.ratmath import IrrationalBreakpointError, Poly, format_poly  # noqa: E402
 from divstab.scenario import load_bundled_scenario  # noqa: E402
 from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
-from oracles import (effective_decompose_oracle, h_representation_oracle,  # noqa: E402
-                     null_space_oracle, recombine, solve_unique_oracle, subs_v_poly,
-                     threshold_oracle, triple_product_oracle)
+from oracles import (companion, effective_decompose_oracle,  # noqa: E402
+                     h_representation_oracle, null_space_oracle, recombine,
+                     solve_unique_oracle, subs_v_poly, threshold_oracle,
+                     triple_product_oracle)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 U, V = Poly.variable("u"), Poly.variable("v")
@@ -165,46 +166,20 @@ def test_poly_canonical_form(a, b, q):
     assert Poly.of(q) == q and hash(Poly.of(q)) == hash(q) == hash(Poly.of(q) + b - b)
 
 
-# three polynomials in one variable, u or v
-univariate = st.sampled_from([U, V]).flatmap(lambda x: st.tuples(*[
-    st.lists(fractions, max_size=5).map(
-        lambda cs: sum((c * x ** k for k, c in enumerate(cs)), Poly()))] * 3))
-
-
-@SETTINGS
-@given(univariate)
-def test_division_with_remainder(abc):
-    a, b, _ = abc
-    if b:
-        q, r = divmod(a, b)
-        assert a == q * b + r and r.degree < b.degree
-        assert (q, r) == (a // b, a % b)
-
-
-@SETTINGS
-@given(univariate)
-def test_poly_gcd_is_monic_and_divides_both(abc):
-    a, b, c = abc
-    g = poly_gcd(a, b)
-    if not (a or b):
-        assert g == 0
-        return
-    assert g.coeffs[-1] == 1
-    assert a % g == 0 and b % g == 0
-    if c:
-        assert poly_gcd(a * c, b * c) == g * c * (1 / c.coeffs[-1])
-
-
 @SETTINGS
 @given(st.lists(fractions, min_size=1, max_size=4), st.integers(0, 2),
        st.sampled_from([V * V + 1, V * V - 2]), st.sampled_from([-3, 1, F(2, 5)]))
-def test_rational_roots_of_products_of_linear_factors(roots, extra, quadratic, lead):
-    """Degree >= 3: every rational root is found, once, and nothing else."""
+def test_rational_eigenvalues_of_products_of_linear_factors(roots, extra, quadratic, lead):
+    """The companion matrix of lead * prod (v - r), made monic: every eigenvalue
+    is found, once, and nothing else; times a quadratic with no rational root
+    its char poly does not split."""
     roots += [roots[0]] * extra
-    p = lead * quadratic
+    p = Poly.of(lead)
     for r in roots:
         p = p * (V - r)
-    assert rational_roots(p) == sorted(set(roots))
+    assert projgeo._rational_eigenvalues(companion(p)) == sorted(set(roots))
+    with pytest.raises(IrrationalEigenvalueError):
+        projgeo._rational_eigenvalues(companion(p * quadratic))
 
 
 @SETTINGS
