@@ -35,8 +35,8 @@ or KeyError it reports as ``[section] key: ...``.  Every ``name:value``
 list (the tensor, a surface ``pairing``, a Mori curve table, the expected
 cone coefficients) goes through :func:`_entries`.  A repeated section, key
 or list name is an error, and so is a key no kind reads, in any section,
-and a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator or
-cone name another class.
+a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator or
+cone name another class, and an ``anticanonical`` class outside the cone.
 A ``[surface]`` section must satisfy the projection formula
 D1|_S . D2|_S = D1.D2.S for every two threefold generators; a failure is
 reported under ``restrict``.  A ``[curve]`` ``ord`` list must give, chamber
@@ -67,8 +67,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import sinv
-from .cones import (ConeSpec, Infeasible, effective_decompose, feasible_interval,
-                    format_functional)
+from .cones import (ConeSpec, Infeasible, _separate, _vector_of, effective_decompose,
+                    feasible_interval, format_functional)
 from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair)
@@ -257,7 +257,13 @@ def _build_threefold(section: _Section
                 raise ScenarioFormatError(
                     f"[{section.name}] line {line}: {prefix} {name!r} is {cls}, but "
                     f"{name!r} already names {named[name]}")
-    model = sinv.ThreefoldModel(basis, form, anticanonical, curves, ConeSpec(cone_entries))
+    cone = ConeSpec(cone_entries)     # each ray -K - u Y starts at -K, which must be in it
+    outside = section.parse("anticanonical", anticanonical,
+                            lambda k: _separate(_vector_of(k), cone))
+    if outside is not None:
+        raise ScenarioFormatError(f"[{section.name}] anticanonical: {anticanonical} is "
+                                  f"outside the effective cone: {outside.detail}")
+    model = sinv.ThreefoldModel(basis, form, anticanonical, curves, cone)
     return model, MappingProxyType(named)
 
 
@@ -500,8 +506,8 @@ def _rational_value(scenario: Scenario) -> tuple[Fraction, str]:
                        f"{format_rational(exceeds)}")
     inp = sinv.SCurveInput(scenario.model, scenario.surface, scenario.z, scenario.schedule)
     if kind == "negative_part":
-        sinv.validate_schedule(scenario.model, scenario.surface.cls, scenario.schedule)
-        return sinv.negative_part_term(inp), ""
+        chambers = sinv.validate_schedule(inp.model, inp.surface.cls, inp.schedule)
+        return sinv.negative_part_term(inp, chambers), ""
     # the invariant validates the schedule and carries its charts
     result = (sinv.s_curve(inp) if kind == "s_curve"
               else sinv.dominance_bound(inp, scenario.dominate_via))

@@ -18,9 +18,10 @@ too, and the scenario reader checks the declaration against this derivation.
 All eight golden fractions of the verification suite come out of
 :func:`s_curve` / :func:`negative_part_term` / :func:`dominance_bound`.
 Each evaluation computes every intermediate once: :func:`validate_schedule`
-returns the cubes :func:`s_divisor` integrates, and a curve invariant comes
-back as a :class:`CurveInvariant` carrying its two terms and the charts its
-volume term was integrated from, so no caller rebuilds them.
+returns the :class:`Chamber` records (P(u) and P(u)^3) its checks read, and
+every reader takes them, so the integrals and charts read the certified P(u);
+a :class:`CurveInvariant` carries its two terms, chambers and charts, so no
+caller rebuilds them.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ class Schedule(Record):
             *((-coeff, cls) for _, cls, coeff in chamber.negative)])
 
 
+class Chamber(Record):
+    """One validated schedule chamber: P(u) and P(u)^3 as validation checked them."""
+
+    u_lo: Fraction
+    u_hi: Fraction
+    positive: DivisorClass                # P(u) = -K - u Y - N(u)
+    cube: Poly                            # P(u)^3
+
+
 class SCurveInput(Record):
     """Everything one curve-invariant evaluation needs."""
 
@@ -124,7 +134,7 @@ class SCurveInput(Record):
 
 
 def validate_schedule(model: ThreefoldModel, y: DivisorClass,
-                      sched: Schedule) -> tuple[Poly, ...]:
+                      sched: Schedule) -> tuple[Chamber, ...]:
     """Check every schedule invariant exactly; raise ScheduleError on the first failure.
 
     Each negative-part coefficient must be affine in u, so P(u) is affine
@@ -136,8 +146,8 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
     cube from below.  Each check is the sign of an integer: a polynomial c at
     u0 = p/q is read as ``q^deg c(p/q)`` on its integer numerators
     (:func:`_homogeneous`), and a Fraction is formed only for an error
-    message.  Returns ``P(u)^3`` per chamber, the polynomials the checks
-    were made on.
+    message.  Returns one :class:`Chamber` per schedule chamber, holding the
+    P(u) and ``P(u)^3`` the checks were made on.
     """
     mk = model.anticanonical
     tau = sched.tau
@@ -146,7 +156,7 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
         raise ScheduleError(
             f"schedule ends at u = {format_rational(tau)} but the pseudo-effective "
             f"threshold is {format_rational(recomputed)}")
-    cubes = []
+    chambers = []
     for ch in sched.chambers:
         lo, hi = ch.u_lo, ch.u_hi
         for name, _, coeff in ch.negative:
@@ -181,18 +191,17 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                 f"P(u)^3 has the Bernstein coefficients "
                 f"{', '.join(format_rational(Fraction(n, d * cube.den)) for n, d in bernstein)}"
                 f" on [{format_rational(lo)}, {format_rational(hi)}]: one is negative")
-        cubes.append(cube)
+        chambers.append(Chamber(lo, hi, p, cube))
     if at_hi:                                             # the last cube at tau
         raise ScheduleError(
             f"P(u)^3 does not vanish at the terminal u = {format_rational(tau)}")
-    return tuple(cubes)
+    return tuple(chambers)
 
 
 def s_divisor(model: ThreefoldModel, y: DivisorClass, sched: Schedule) -> Fraction:
     """Normalized volume integral of the ray ``-K - u Y``."""
-    cubes = validate_schedule(model, y, sched)
-    total = sum((integrate_univariate(cube, ch.u_lo, ch.u_hi)
-                 for ch, cube in zip(sched.chambers, cubes)), Fraction(0))
+    total = sum((integrate_univariate(ch.cube, ch.u_lo, ch.u_hi)
+                 for ch in validate_schedule(model, y, sched)), Fraction(0))
     return total / model.degree
 
 
@@ -218,51 +227,48 @@ def expected_ord_coeffs(inp: SCurveInput) -> tuple[Poly, ...]:
     return tuple(out)
 
 
-def negative_part_term(inp: SCurveInput) -> Fraction:
-    """The line-integral contribution of Z sitting inside N(u)|_Y."""
-    model, sched = inp.model, inp.schedule
+def negative_part_term(inp: SCurveInput, chambers: tuple[Chamber, ...]) -> Fraction:
+    """The line-integral contribution of Z sitting inside N(u)|_Y, on validated chambers."""
+    model, y = inp.model, inp.surface.cls
     total = Fraction(0)
-    for ch, ord_coeff in zip(sched.chambers, expected_ord_coeffs(inp)):
+    for ch, ord_coeff in zip(chambers, expected_ord_coeffs(inp)):
         if ord_coeff.is_zero():
             continue
-        p = sched.positive_part(inp.surface.cls, model.anticanonical, ch)
-        p2y = triple_product(p, p, inp.surface.cls, model.form)
+        p2y = triple_product(ch.positive, ch.positive, y, model.form)
         total += integrate_univariate(p2y * ord_coeff, ch.u_lo, ch.u_hi)
     return 3 * total / model.degree
 
 
-def volume_charts(inp: SCurveInput) -> tuple[ZariskiChart, ...]:
-    """One chart per schedule chamber for ``P(u)|_Y - v Z``."""
-    charts = []
-    for ch in inp.schedule.chambers:
-        p = inp.schedule.positive_part(inp.surface.cls, inp.model.anticanonical, ch)
-        d0 = restrict(p, inp.surface.restriction)
-        charts.append(build_chart(d0, inp.z, [ch.u_lo, ch.u_hi],
-                                  inp.surface.extremal_curves, inp.surface.form))
-    return tuple(charts)
+def volume_charts(inp: SCurveInput, chambers: tuple[Chamber, ...]) -> tuple[ZariskiChart, ...]:
+    """One chart per validated chamber for ``P(u)|_Y - v Z``."""
+    surface = inp.surface
+    return tuple(build_chart(restrict(ch.positive, surface.restriction), inp.z,
+                             [ch.u_lo, ch.u_hi], surface.extremal_curves, surface.form)
+                 for ch in chambers)
 
 
 class CurveInvariant(Record):
-    """A curve invariant with the terms and the charts it was computed from."""
+    """A curve invariant with the terms, chambers and charts it was computed from."""
 
     value: Fraction
     negative_term: Fraction
     volume_term: Fraction
+    chambers: tuple[Chamber, ...]         # the validated schedule
     charts: tuple[ZariskiChart, ...]      # one per schedule chamber
 
 
 def s_curve(inp: SCurveInput) -> CurveInvariant:
     """The full curve invariant: negative-part term plus chart volumes.
 
-    The schedule is validated and each chamber's chart built exactly once;
-    the volume term is integrated from the charts the result carries.
+    The schedule is validated once, both terms read its chambers, and the
+    volume term is integrated from the charts the result carries.
     """
-    validate_schedule(inp.model, inp.surface.cls, inp.schedule)
-    negative = negative_part_term(inp)
-    charts = volume_charts(inp)
+    chambers = validate_schedule(inp.model, inp.surface.cls, inp.schedule)
+    negative = negative_part_term(inp, chambers)
+    charts = volume_charts(inp, chambers)
     volume = 3 * sum((chart.volume_integral() for chart in charts),
                      Fraction(0)) / inp.model.degree
-    return CurveInvariant(negative + volume, negative, volume, charts)
+    return CurveInvariant(negative + volume, negative, volume, chambers, charts)
 
 
 def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
@@ -273,8 +279,8 @@ def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
     every integrand, so the volume term of the replacement bounds the volume
     term of Z, and neg(Z) + vol(Z_lower) bounds S(Z).  The result carries
     the negative-part term of Z, the volume term of the replacement and the
-    charts that term was integrated from; bounding Z by itself gives
-    :func:`s_curve` of Z.
+    chambers (neg(Z) reads them too) and charts that term was integrated
+    from; bounding Z by itself gives :func:`s_curve` of Z.
     """
     diff = inp.z - z_lower
     curve_cone = ConeSpec(list(inp.surface.extremal_curves))
@@ -285,6 +291,6 @@ def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
             "dominance violation: the bound class must be nonzero and dominated "
             "by Z over the surface's extremal curves")
     lowered = s_curve(inp.replace(z=z_lower))
-    negative = negative_part_term(inp)
+    negative = negative_part_term(inp, lowered.chambers)
     return CurveInvariant(negative + lowered.volume_term, negative,
-                          lowered.volume_term, lowered.charts)
+                          lowered.volume_term, lowered.chambers, lowered.charts)

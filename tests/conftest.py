@@ -49,3 +49,10 @@ def dp6(scenarios):
 
 def curve_input(scenario) -> sinv.SCurveInput:
     return sinv.SCurveInput(scenario.model, scenario.surface, scenario.z, scenario.schedule)
+
+
+def curve_args(scenario) -> tuple[sinv.SCurveInput, tuple[sinv.Chamber, ...]]:
+    """A curve scenario's input and the chambers ``validate_schedule`` returns
+    for it: the arguments of ``negative_part_term`` and ``volume_charts``."""
+    inp = curve_input(scenario)
+    return inp, sinv.validate_schedule(inp.model, inp.surface.cls, inp.schedule)

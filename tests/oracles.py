@@ -22,8 +22,10 @@ power tables, cone membership, feasible intervals and schedule checks
 summed and compared as Fractions instead of integer numerators, and
 polynomial substitution that raises
 each image to each monomial's exponent afresh instead of reading one table
-of powers, and the secant conic solved as a kernel over Q[s], normalized by
-sympy's gcd and exact quotient, instead of written in closed form.
+of powers, the secant conic solved as a kernel over Q[s], normalized by
+sympy's gcd and exact quotient, instead of written in closed form, and its
+containment rank read off the whole symbolic pullback of a conic instead of
+the quadric map composed with the line.
 Agreement within coarse tolerances is evidence that the exact path computes
 the right thing, not just a self-consistent thing.
 
@@ -44,7 +46,8 @@ from divstab.cones import (ConeSpec, Decomposition, FeasibleInterval, Infeasible
                            UnboundedThresholdError, effective_decompose, format_functional,
                            pseudoeffective_threshold)
 from divstab.lattice import DivisorClass, pair_with_curve, triple_product
-from divstab.projgeo import MPoly
+from divstab.projgeo import (MPoly, invariant_line, line_containment_conditions,
+                             pullback_under_quadric_map)
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _as_fraction,
                              format_poly, format_rational, rational_sqrt)
 from divstab.sinv import ScheduleError
@@ -453,10 +456,12 @@ def feasible_interval_oracle(a, b, cone) -> FeasibleInterval:
     return FeasibleInterval(lo, hi, lo_cut, hi_cut)
 
 
-def validate_schedule_oracle(model, y, sched) -> tuple[Poly, ...]:
+def validate_schedule_oracle(model, y, sched) -> tuple[tuple[DivisorClass, Poly], ...]:
     """``sinv.validate_schedule`` on Fractions: every end value, pairing and
     Bernstein coefficient evaluated by ``Poly.__call__`` and compared as a
-    Fraction.  The same checks in the same order, with the same messages."""
+    Fraction, on P(u) formed by DivisorClass arithmetic.  The same checks in
+    the same order, with the same messages; returns each chamber's
+    (P(u), P(u)^3)."""
     mk = model.anticanonical
     tau = sched.tau
     recomputed = pseudoeffective_threshold(mk, y, model.effective_cone)
@@ -464,14 +469,15 @@ def validate_schedule_oracle(model, y, sched) -> tuple[Poly, ...]:
         raise ScheduleError(
             f"schedule ends at u = {format_rational(tau)} but the pseudo-effective "
             f"threshold is {format_rational(recomputed)}")
-    cubes = []
+    chambers = []
     for ch in sched.chambers:
         lo, hi = ch.u_lo, ch.u_hi
         for name, _, coeff in ch.negative:
             if coeff.degree_u > 1 or coeff.degree_v > 0:
                 raise ScheduleError(
                     f"the negative-part coefficient {coeff} of {name} is not affine in u")
-        p = sched.positive_part(y, mk, ch)
+        p = combination_oracle(mk.basis, [(1, mk), (-Poly.variable("u"), y),
+                                          *((-coeff, cls) for _, cls, coeff in ch.negative)])
         cube = Poly.of(triple_product(p, p, p, model.form))
         pairings = [(curve.name, Poly.of(pair_with_curve(p, curve)))
                     for curve in model.mori_curves]
@@ -493,11 +499,11 @@ def validate_schedule_oracle(model, y, sched) -> tuple[Poly, ...]:
                 f"P(u)^3 has the Bernstein coefficients "
                 f"{', '.join(map(format_rational, bernstein))} on "
                 f"[{format_rational(lo)}, {format_rational(hi)}]: one is negative")
-        cubes.append(cube)
-    if cubes[-1](tau) != 0:
+        chambers.append((p, cube))
+    if cube(tau) != 0:
         raise ScheduleError(
             f"P(u)^3 does not vanish at the terminal u = {format_rational(tau)}")
-    return tuple(cubes)
+    return tuple(chambers)
 
 
 def triple_product_oracle(d1, d2, d3, form):
@@ -723,6 +729,36 @@ def to_sympy(p: Poly, x):
     import sympy
     return sum((sympy.Rational(c.numerator, c.denominator) * x ** k
                 for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def symbolic_conic_pullback() -> MPoly:
+    """The pullback of the conic with symbolic coefficients a1..a6: quartics
+    in x0..x3 times a1..a6."""
+    return pullback_under_quadric_map([MPoly.variable(f"a{k}") for k in range(1, 7)])
+
+
+def linear_coefficients(p: MPoly, names) -> list[MPoly]:
+    """The coefficient of each of ``names`` in p, which must be homogeneous
+    linear in them: any monomial of another degree in ``names`` raises
+    :class:`ValueError`."""
+    rows = {v: {} for v in names}
+    for mono, c in p.terms.items():
+        picked = [pair for pair in mono if pair[0] in rows]
+        if len(picked) != 1 or picked[0][1] != 1:
+            raise ValueError(f"{p} is not homogeneous linear in {names[0]}..{names[-1]}")
+        rows[picked[0][0]][tuple(pair for pair in mono if pair != picked[0])] = c
+    return [MPoly._of(rows[v]) for v in names]
+
+
+def containment_rank_oracle(value: int) -> int:
+    """``projgeo._containment_rank`` through the whole symbolic pullback: the
+    line's point substituted into the quartics in x times a1..a6, and the
+    rank of the conditions' coefficients in a1..a6."""
+    point = [p.subs({"c": value}) for p in invariant_line("c")]
+    conditions = line_containment_conditions(symbolic_conic_pullback(), point)
+    names = [f"a{k}" for k in range(1, 7)]
+    return linalg.rank([[p.terms.get((), 0) for p in linear_coefficients(cond, names)]
+                        for cond in conditions])
 
 
 def poly_kernel_oracle(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:

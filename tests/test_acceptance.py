@@ -18,7 +18,7 @@ from divstab.lattice import DivisorClass, restrict, surface_pair, triple_product
     pair_with_curve
 from divstab.ratmath import Poly
 from divstab.zariski import NotPseudoEffectiveError, zariski_decompose
-from conftest import curve_input
+from conftest import curve_args, curve_input
 from oracles import chart_stack, float_eval, grid_decompose, midpoint_1d, \
     negative_class, negative_term_oracle, recombine, u_cells, volume_term_oracle
 
@@ -46,7 +46,7 @@ def golden_values(scenarios):
         if mode == "s_curve":
             values[label] = sinv.s_curve(inp).value
         elif mode == "negative_part":
-            values[label] = sinv.negative_part_term(inp)
+            values[label] = sinv.negative_part_term(*curve_args(scenarios[name]))
         else:
             values[label] = sinv.dominance_bound(inp, scenarios[name].dominate_via).value
     return values, time.perf_counter() - start
@@ -137,7 +137,7 @@ def test_criterion_1_mixed_class_derivation(scenarios):
     for u in (F(5, 4), F(4, 3)):
         assert n_q.evaluate(u=u).coeffs == (u - 1, 2 * (u - 1), 0, 0)
     assert sched.chambers[0].negative == ()
-    assert sinv.negative_part_term(curve_input(scenario)) == 0
+    assert sinv.negative_part_term(*curve_args(scenario)) == 0
 
     integrals = []
     for u_lo, u_hi, v_lo, v_hi, support, vol in MIXED_PIECES:
@@ -191,7 +191,7 @@ def test_criterion_2_thresholds(model):
 
 def test_criterion_2_chart_bounds(scenarios):
     half = F(1, 2)
-    plane = sinv.volume_charts(curve_input(scenarios["lemma_4_1"]))
+    plane = sinv.volume_charts(*curve_args(scenarios["lemma_4_1"]))
     assert [ch.v_hi for ch in plane[0].chambers] == [2 - U]
     cells = u_cells(plane[1])
     assert cells == [(1, F(7, 5)), (F(7, 5), F(3, 2))]
@@ -200,11 +200,11 @@ def test_criterion_2_chart_bounds(scenarios):
     assert [ch.v_hi for ch in high] == [3 - 2 * U, 6 - 4 * U]
     print("criterion 2 [plane chart]: bounds 2-u; 3-2u; (5-3u)/2 with u-break 7/5; "
           "6-4u -> PASS")
-    ruled = sinv.volume_charts(curve_input(scenarios["lemma_4_2_s"]))
+    ruled = sinv.volume_charts(*curve_args(scenarios["lemma_4_2_s"]))
     assert [ch.v_hi for ch in ruled[0].chambers] == [1 + U]
     assert [ch.v_hi for ch in ruled[1].chambers] == [Poly.of(2)]
     print("criterion 2 [ruled chart]: bounds 1+u; 2 -> PASS")
-    mixed = sinv.volume_charts(curve_input(scenarios["lemma_4_3_mixed"]))
+    mixed = sinv.volume_charts(*curve_args(scenarios["lemma_4_3_mixed"]))
     one = Poly.of(1)
     assert [ch.v_hi for ch in mixed[0].chambers] == [one, Poly.of(2)]
     assert [ch.v_hi for ch in mixed[1].chambers] == [one, 4 - 2 * U]
@@ -291,8 +291,7 @@ def test_criterion_5_zariski_invariants(scenarios, name):
     scenario = scenarios[name]
     surface = scenario.surface
     curves = dict(surface.extremal_curves)
-    inp = curve_input(scenario)
-    charts = sinv.volume_charts(inp)
+    charts = sinv.volume_charts(*curve_args(scenario))
     restricted = {}
     for chamber in scenario.schedule.chambers:
         p = scenario.schedule.positive_part(surface.cls,
@@ -342,7 +341,7 @@ def test_criterion_5_one_dimensional_integrals(scenarios):
     cases = [("lemma_4_3_ec_term", F(5, 224)), ("lemma_4_2_r", F(1, 28))]
     for name, expected in cases:
         inp = curve_input(scenarios[name])
-        exact = sinv.negative_part_term(inp)
+        exact = sinv.negative_part_term(*curve_args(scenarios[name]))
         assert exact == expected
         estimate = negative_term_oracle(inp, scenarios[name].ord_coeffs, 10_000)
         ok = abs(float(exact) - estimate) / float(exact) < 1e-6

@@ -672,6 +672,12 @@ def _damage(text, how, rng):
         k = rng.randrange(len(items))
         items[k] = f"{items[k].strip()} + {rng.randint(1, 5)}"
         lines[i] = "ord = " + ", ".join(items)
+    elif how == "cone":
+        # the cone generators that put -K in the cone (4H - EC - EL is R + EC,
+        # or 2(H - EL) + (2H - EC) + EL) dropped, so -K is outside it
+        section = "threefold"
+        dropped = {i for i, s, key in entries if key in ("cone R", "cone 2H-EC")}
+        lines = [line for i, line in enumerate(lines) if i not in dropped]
     elif how == "restrict":
         # one more surface generator in the image of a threefold generator
         i, section, _ = rng.choice([e for e in entries if e[2].startswith("restrict ")])
@@ -686,7 +692,8 @@ def _damage(text, how, rng):
 
 
 @pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced",
-                                 "repeat", "basis", "power", "shadow", "restrict", "ord"])
+                                 "repeat", "basis", "power", "shadow", "restrict", "ord",
+                                 "cone"])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
     damaged section; the next scenario in the batch still passes."""

@@ -1,8 +1,9 @@
 """Package-wide guards: the runtime imports only the standard library, the
 command line starts without ``dataclasses`` or ``inspect``, every module-level
 function and class and every non-dunder method is read somewhere, only
-``ratmath`` reads a polynomial's numerators, and a re-import leaves no old
-module alive."""
+``ratmath`` reads a polynomial's numerators, only schedule validation and the
+``zariski`` command form a chamber's positive part, and a re-import leaves no
+old module alive."""
 
 import ast
 import gc
@@ -109,6 +110,19 @@ def test_projgeo_reads_no_univariate_poly():
     (path,) = [path for path in SOURCES if path.stem == "projgeo"]
     read = set().union(*map(_names_read, ast.parse(path.read_text(encoding="utf-8")).body))
     assert read & {"Poly", "rational_roots", "poly_gcd"} == set()
+
+
+def test_only_validation_and_the_zariski_command_form_positive_parts():
+    """P(u) of a schedule chamber is formed by ``validate_schedule``, whose
+    records every invariant reads, and by the pointwise ``zariski`` command,
+    which validates nothing: no other function of the package calls
+    ``positive_part``."""
+    callers = sorted(f"{path.stem}.{stmt.name}" for path in SOURCES
+                     for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                     for node in ast.walk(stmt)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "positive_part")
+    assert callers == ["cli._cmd_zariski", "sinv.validate_schedule"]
 
 
 def test_reimporting_the_package_frees_the_old_modules():

@@ -7,15 +7,16 @@ import pytest
 
 from divstab import projgeo
 from divstab.projgeo import (PROJ_VARS, IrrationalEigenvalueError, LinearAction, MPoly,
-                             _linear_coefficients, common_fixed_points,
-                             contains_param_curve, equation_character, format_mpoly,
-                             invariant_line, invariant_quadrics,
+                             common_fixed_points, contains_param_curve, equation_character,
+                             format_mpoly, invariant_line, invariant_quadrics,
                              line_containment_conditions, parse_mpoly,
                              pullback_under_quadric_map, secant_condition_displays,
-                             secant_conic, standard_involutions, symbolic_conic_pullback,
-                             transform_poly, twisted_cubic, verify_secant_lemma)
+                             secant_conic, standard_involutions, transform_poly,
+                             twisted_cubic, verify_secant_lemma)
 from divstab.ratmath import Poly
-from oracles import companion, mpoly, poly_kernel_oracle, subs_per_monomial, to_sympy, unipoly
+from oracles import (companion, containment_rank_oracle, linear_coefficients, mpoly,
+                     poly_kernel_oracle, subs_per_monomial, symbolic_conic_pullback, to_sympy,
+                     unipoly)
 
 SWAP, SIGNS = standard_involutions()
 IDENTITY = LinearAction([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -245,7 +246,7 @@ def test_secant_conic_is_the_normalized_kernel_over_q_s():
     for parameter in ("s", "t"):
         conditions = line_containment_conditions(symbolic_conic_pullback(),
                                                  invariant_line(parameter))
-        rows = [[unipoly(p, parameter) for p in _linear_coefficients(cond, names)]
+        rows = [[unipoly(p, parameter) for p in linear_coefficients(cond, names)]
                 for cond in conditions]
         (vec,) = poly_kernel_oracle(rows, 6)
         want = [mpoly(p * (1 / vec[3].coeffs[-1]), parameter) for p in vec]
@@ -259,6 +260,14 @@ def test_containment_rank_at_integer_points():
     the plane and only one condition is left."""
     assert [projgeo._containment_rank(value) for value in (0, 2, 3)] == [5, 5, 5]
     assert [projgeo._containment_rank(value) for value in (1, -1)] == [1, 1]
+
+
+def test_containment_rank_matches_the_symbolic_pullback():
+    """The rank read off the quadric map composed with the line equals the
+    rank of the conditions the whole symbolic pullback gives, at s = -3..3."""
+    ranks = [projgeo._containment_rank(value) for value in range(-3, 4)]
+    assert ranks == [containment_rank_oracle(value) for value in range(-3, 4)]
+    assert ranks == [5, 5, 1, 5, 1, 5, 5]
 
 
 def test_secant_conic_refuses_a_family_without_a_unique_conic(monkeypatch):
@@ -275,15 +284,15 @@ def test_secant_conic_refuses_a_family_without_a_unique_conic(monkeypatch):
 
 def test_verify_secant_lemma_solves_the_conic_once(monkeypatch):
     calls = []
-    original = projgeo.symbolic_conic_pullback
+    original = projgeo._containment_rank
 
-    def counted():
-        calls.append(1)
-        return original()
+    def counted(value):
+        calls.append(value)
+        return original(value)
 
-    monkeypatch.setattr(projgeo, "symbolic_conic_pullback", counted)
+    monkeypatch.setattr(projgeo, "_containment_rank", counted)
     assert verify_secant_lemma().all_verified()
-    assert len(calls) == 1
+    assert calls == [2]
 
 
 def test_pullback_symbolic_display():
@@ -352,11 +361,11 @@ def test_line_containment_conditions_for_the_second_parameter():
 def test_linear_coefficients_reject_every_other_degree():
     names = [f"a{k}" for k in range(1, 7)]
     s = MPoly.variable("s")
-    assert (_linear_coefficients(parse_mpoly("s*a1 - a3 + a1"), names)
+    assert (linear_coefficients(parse_mpoly("s*a1 - a3 + a1"), names)
             == [s + 1, 0, -1, 0, 0, 0])
     for text in ("a1*a2 + a3", "s*a1 + 1", "a4^2"):
         with pytest.raises(ValueError, match="is not homogeneous linear in a1..a6"):
-            _linear_coefficients(parse_mpoly(text), names)
+            linear_coefficients(parse_mpoly(text), names)
 
 
 def test_trivial_containment():

@@ -11,7 +11,7 @@ from divstab.lattice import DivisorClass
 from divstab.ratmath import Poly, integrate_region, integrate_univariate
 from divstab.scenario import (ScenarioFormatError, bundled_scenario_names, evaluate_scenario,
                               load_bundled, load_bundled_scenario, parse_scenario, run_verify)
-from conftest import CURVE_SCENARIOS, curve_input
+from conftest import CURVE_SCENARIOS, curve_args, curve_input
 from oracles import (integrate_region_oracle, integrate_univariate_oracle, negative_term_oracle,
                      validate_schedule_oracle, volume_term_oracle)
 
@@ -50,9 +50,9 @@ def test_s_curve_unchanged_by_splitting_a_schedule_chamber(at):
 
 
 def test_negative_part_terms(scenarios):
-    assert sinv.negative_part_term(curve_input(scenarios["lemma_4_3_ec_term"])) == F(5, 224)
-    assert sinv.negative_part_term(curve_input(scenarios["lemma_4_2_r"])) == F(1, 28)
-    assert sinv.negative_part_term(curve_input(scenarios["lemma_4_1"])) == 0
+    assert sinv.negative_part_term(*curve_args(scenarios["lemma_4_3_ec_term"])) == F(5, 224)
+    assert sinv.negative_part_term(*curve_args(scenarios["lemma_4_2_r"])) == F(1, 28)
+    assert sinv.negative_part_term(*curve_args(scenarios["lemma_4_1"])) == 0
 
 
 def test_dominance_bounds(scenarios):
@@ -127,11 +127,14 @@ def test_verify_validates_once_and_builds_one_chart_per_chamber(monkeypatch, nam
 
     monkeypatch.setattr(sinv, "validate_schedule", counting(sinv.validate_schedule))
     monkeypatch.setattr(sinv, "build_chart", counting(sinv.build_chart))
+    monkeypatch.setattr(sinv.Schedule, "positive_part", counting(sinv.Schedule.positive_part))
     assert run_verify([(name, load_bundled(name + ".scn"))]).all_pass
     scenario = load_bundled_scenario(name + ".scn")
     charted = scenario.kind in ("s_curve", "s_curve_bound")
     charts = len(scenario.schedule.chambers) if charted else 0
     assert (calls["validate_schedule"], calls["build_chart"]) == (1, charts)
+    # P(u) is formed once per chamber, by validation, and every reader takes it
+    assert calls["positive_part"] == len(scenario.schedule.chambers)
 
 
 def test_verify_pass_computes_each_degree_once(monkeypatch):
@@ -358,8 +361,11 @@ def test_schedule_validation_takes_a_chamber_where_the_positive_part_is_constant
     r = DivisorClass(model.basis, [4, -2, -1])
     sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1), (("M", -el, U),)),
                            sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, U - 1),))))
-    cubes = sinv.validate_schedule(model, el, sched)
-    assert cubes[0] == Poly.of(model.degree) and cubes == validate_schedule_oracle(model, el, sched)
+    chambers = sinv.validate_schedule(model, el, sched)
+    assert [(ch.u_lo, ch.u_hi) for ch in chambers] == [(0, 1), (1, F(3, 2))]
+    assert chambers[0].positive == model.anticanonical
+    assert chambers[0].cube == Poly.of(model.degree)
+    assert _checked(model, el, sched) == validate_schedule_oracle(model, el, sched)
 
 
 def test_schedule_validation_needs_the_cube_to_vanish_at_tau(model):
@@ -441,6 +447,11 @@ def _damaged(rng, model, y, sched):
     return model, sinv.Schedule(tuple(chambers)), ch
 
 
+def _checked(model, y, sched) -> tuple[tuple[DivisorClass, Poly], ...]:
+    """(P(u), P(u)^3) of each chamber ``validate_schedule`` returns."""
+    return tuple((ch.positive, ch.cube) for ch in sinv.validate_schedule(model, y, sched))
+
+
 def _validation(check, *args):
     try:
         return check(*args)
@@ -449,9 +460,9 @@ def _validation(check, *args):
 
 
 def test_damaged_schedules_match_the_fraction_oracle(monkeypatch):
-    """Validation on integer numerators returns the oracle's cubes, or raises
-    its ScheduleError with the same message, on seeded damage to the
-    bundled schedules that reaches every check."""
+    """Validation on integer numerators returns the oracle's positive parts
+    and cubes, or raises its ScheduleError with the same message, on seeded
+    damage to the bundled schedules that reaches every check."""
     bundled = list({(id(m), y, s): (m, y, s) for m, y, s in _validated_schedules(monkeypatch)}
                    .values())
     rng = random.Random(27)
@@ -459,7 +470,7 @@ def test_damaged_schedules_match_the_fraction_oracle(monkeypatch):
     for _ in range(600):
         model, y, sched = rng.choice(bundled)
         model, sched, ch = _damaged(rng, model, y, sched)
-        got = _validation(sinv.validate_schedule, model, y, sched)
+        got = _validation(_checked, model, y, sched)
         assert got == _validation(validate_schedule_oracle, model, y, sched)
         message = got[1] if isinstance(got, list) else ""
         if "below zero" in message:
@@ -506,9 +517,9 @@ def test_validation_forms_fractions_only_for_the_threshold(monkeypatch):
     monkeypatch.setattr(F, "__new__", staticmethod(counted))
     monkeypatch.setattr(sinv, "pseudoeffective_threshold", inside("threshold", threshold))
     monkeypatch.setattr(sinv.Schedule, "positive_part", inside("positive parts", part))
-    cubes = [sinv.validate_schedule(*args) for args in calls]
+    checked = [_checked(*args) for args in calls]
     monkeypatch.undo()
     assert made["checks"] == 0
     assert made["threshold"] <= 3 * len(calls)
     assert made["positive parts"] <= sum(constants)
-    assert cubes == [validate_schedule_oracle(*args) for args in calls]
+    assert checked == [validate_schedule_oracle(*args) for args in calls]

@@ -12,7 +12,7 @@ from divstab.lattice import DivisorClass, LatticeBasis, SurfaceForm, restrict, s
 from divstab.ratmath import IrrationalBreakpointError, Poly
 from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
                              build_chart, v_sweep, zariski_decompose)
-from conftest import CURVE_SCENARIOS, curve_input
+from conftest import CURVE_SCENARIOS, curve_args
 from oracles import (branches_oracle, chart_stack, negative_class, ray_pairings_oracle,
                      subs_v_poly, surface_pair_oracle, u_cells, zariski_decompose_oracle)
 
@@ -308,7 +308,7 @@ def test_chart_trivial_when_z_has_positive_square(ruled):
 
 def _charts_for(scenario):
     from divstab import sinv
-    return sinv.volume_charts(curve_input(scenario))
+    return sinv.volume_charts(*curve_args(scenario))
 
 
 def test_chart_invariants_at_random_samples(scenarios):
