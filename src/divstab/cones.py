@@ -8,7 +8,7 @@ small rational solves, no pivoting tolerances, no LP library.
 
 A cone's H-representation (Minkowski--Weyl) is the equalities of its span
 and its facet functionals, as primitive integer vectors.  The equalities are
-the null space of the generators; each facet is the one kernel vector of
+the kernel of the generators; each facet is the one kernel vector of
 d - 1 generators stacked with the equalities, taken in integers.  It is
 computed once per process for each basis and generator list, and every
 :class:`ConeSpec` with that data shares it.  The facets decide membership:
@@ -102,7 +102,11 @@ def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...
     exact integer arithmetic.
     """
     rank = len(names)
-    equalities = tuple(map(_primitive, linalg.null_space(vectors)))
+    # a kernel vector's last nonzero entry carries the sign of the pivots'
+    # product: orient each equality so that entry is positive
+    equalities = tuple(_primitive(vec if next(x for x in reversed(vec) if x) > 0
+                                  else [-x for x in vec])
+                       for vec in linalg.kernel(vectors, rank))
     dim = rank - len(equalities)
     if dim == 0:
         return equalities, ()

@@ -1,7 +1,7 @@
 """Small exact linear algebra over the rationals.
 
 One fraction-free Gauss-Jordan elimination (:func:`_eliminate`) serves
-solves, kernels, null spaces, rank and the Zariski kernel's integer systems
+solves, kernels, rank and the Zariski kernel's integer systems
 [G_S | D.C_S].  It uses ring operations only (``+``, ``-``, ``*`` and
 truthiness), so the entries may be int, Fraction or one-variable Poly; every
 matrix here has at most eight columns, so they grow only a little without
@@ -86,21 +86,6 @@ def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list | 
     if any(b[ncols:]):
         return None  # inconsistent
     return [b[r] * (1 / Fraction(m[r][r])) for r in range(ncols)]
-
-
-def null_space(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right null space of a rational matrix.
-
-    The reduced-row-echelon basis: each :func:`kernel` vector divided by its
-    entry at its free column.  The elimination runs on the entries as given,
-    so an integer matrix is eliminated over the ints.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    basis = []
-    for vec in kernel(matrix, ncols):
-        free = next(x for x in reversed(vec) if x)
-        basis.append([Fraction(x, free) for x in vec])
-    return basis
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:

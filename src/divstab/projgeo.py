@@ -407,9 +407,9 @@ class FixedPointReport(Record):
         return not self.points and not self.loci
 
 
-def _normalize_point(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _normalize_point(vec: Sequence) -> tuple[Fraction, ...]:
     lead = next(c for c in vec if c != 0)
-    return tuple(c / lead for c in vec)
+    return tuple(Fraction(c) / lead for c in vec)
 
 
 def common_fixed_points(g1: LinearAction, g2: LinearAction) -> FixedPointReport:
@@ -427,7 +427,7 @@ def common_fixed_points(g1: LinearAction, g2: LinearAction) -> FixedPointReport:
     for lam1 in _rational_eigenvalues(g1.matrix):
         space1 = _eigen_matrix(g1.matrix, lam1)
         for lam2, space2 in spaces2:
-            joint = linalg.null_space(space1 + space2)
+            joint = linalg.kernel(space1 + space2, 4)
             if not joint:
                 continue
             if len(joint) == 1:

@@ -236,11 +236,6 @@ class Poly:
         den = self.den
         return tuple(Fraction(c, den) for c in self._numerators())
 
-    @property
-    def degree(self) -> int:
-        """Degree along the one variable; the zero polynomial has degree -1."""
-        return len(self._numerators()) - 1
-
     def __call__(self, x: Scalar, y: Scalar | None = None) -> Fraction:
         """``p(u, v)`` at a rational point, or ``p(x)`` along the one variable.
 

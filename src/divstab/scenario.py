@@ -30,18 +30,20 @@ the bounds their kind reads: ``assert_less_than`` for the curve kinds and
 ``s_divisor``, ``assert_at_least`` and ``exceeds`` for ``curve_pairing``.
 
 One reader takes every value: a :class:`_Section` maps each key to its text
-and line, and reads a key at most once, through a parser whose ValueError
-or KeyError it reports as ``[section] key: ...``.  Every ``name:value``
-list (the tensor, a surface ``pairing``, a Mori curve table, the expected
-cone coefficients) goes through :func:`_entries`.  A repeated section, key
-or list name is an error, and so is a key no kind reads, in any section,
-a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator or
-cone name another class, and an ``anticanonical`` class outside the cone.
-A ``[surface]`` section must satisfy the projection formula
-D1|_S . D2|_S = D1.D2.S for every two threefold generators; a failure is
-reported under ``restrict``.  A ``[curve]`` ``ord`` list must give, chamber
-by chamber, the ord coefficient :func:`sinv.expected_ord_coeffs` derives
-from the schedule; the declaration stays on the scenario as an independent
+and line, reads a key at most once, and forms every error located in it as
+``[section] key (line N): why``, or as ``[section] (line N): why`` at its
+header line for the whole section, a missing key or a check over several
+lines.  Only a missing section, a line outside any section and bytes that
+are not UTF-8 name no section.  Every ``name:value`` list (the tensor, a
+surface ``pairing``, a Mori curve table, the expected cone coefficients)
+goes through :func:`_entries`.  A repeated section, key or list name is an
+error, and so is a key no kind reads, a ``[threefold]`` ``cone`` or
+``divisor`` name that gives a generator or cone name another class, and an
+``anticanonical`` class outside the cone.  A ``[surface]`` section must
+satisfy the projection formula D1|_S . D2|_S = D1.D2.S for every two
+threefold generators.  A ``[curve]`` ``ord`` list must give, chamber by
+chamber, the ord coefficient :func:`sinv.expected_ord_coeffs` derives from
+the schedule; the declaration stays on the scenario as an independent
 input, and evaluation reads the derivation.
 Every scenario is validated eagerly at parse time; evaluation failures in a
 batch are recorded per scenario and never abort the run.
@@ -97,26 +99,29 @@ class ScenarioFormatError(ValueError):
 
 
 class _Section:
-    """One ``[name]`` section: each key with its value text and line.
+    """One ``[name]`` section: its header line, and each key with its text
+    and line.  :meth:`value` and :meth:`each` read keys and mark them read,
+    through :meth:`parse`; :meth:`error` forms every error located here."""
 
-    :meth:`value` and :meth:`each` read keys and mark them read; both go
-    through :meth:`parse`, the one place a parser's error becomes a
-    :class:`ScenarioFormatError`.
-    """
-
-    def __init__(self, name: str):
+    def __init__(self, name: str, line: int):
         self.name = name
+        self.line = line
         self.entries: dict[str, tuple[str, int]] = {}
         self.read: set[str] = set()
 
+    def error(self, why, key: str = "", line: int | None = None) -> ScenarioFormatError:
+        """``[name] key (line N): why``: N is ``line``, else the key's or the header's."""
+        line = line or (self.entries[key][1] if key else self.line)
+        return ScenarioFormatError(f"[{self.name}] {key + ' ' if key else ''}(line {line}): {why}")
+
     def parse(self, key: str, text, fn: Callable):
-        """``fn(text)``, its ValueError or KeyError reported under ``key``."""
+        """``fn(text)``, its ValueError or KeyError reported at ``key`` ("" for none)."""
         try:
             return fn(text)
         except (ValueError, KeyError) as exc:
             # str() of a KeyError quotes its message as if it were a key
             why = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            raise ScenarioFormatError(f"[{self.name}] {key}: {why}") from None
+            raise self.error(why, key) from None
 
     def value(self, key: str, parse: Callable = str, required: bool = True):
         """The parsed value of ``key``; None when it is absent and optional."""
@@ -124,7 +129,7 @@ class _Section:
         if key in self.entries:
             return self.parse(key, self.entries[key][0], parse)
         if required:
-            raise ScenarioFormatError(f"[{self.name}] is missing the key {key!r}")
+            raise self.error(f"missing the key {key!r}")
         return None
 
     def each(self, prefix: str, parse: Callable) -> list[tuple[str, object]]:
@@ -137,6 +142,12 @@ class _Section:
                 out.append((key[len(prefix):], self.parse(key, text, parse)))
         return out
 
+    def check_all_read(self) -> None:
+        """Raise at the first key that no reader took."""
+        for key in self.entries:
+            if key not in self.read:
+                raise self.error("unknown key", key)
+
 
 def _split_sections(text: str) -> dict[str, _Section]:
     sections: dict[str, _Section] = {}
@@ -148,19 +159,19 @@ def _split_sections(text: str) -> dict[str, _Section]:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name in sections:
-                raise ScenarioFormatError(f"duplicate section [{name}] at line {line_no}")
-            current = sections.setdefault(name, _Section(name))
+                raise sections[name].error(f"repeated section, first given at line "
+                                           f"{sections[name].line}", line=line_no)
+            current = sections[name] = _Section(name, line_no)
             continue
         if current is None:
             raise ScenarioFormatError(f"line {line_no} is outside any section")
-        if "=" not in line:
-            raise ScenarioFormatError(
-                f"[{current.name}] line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
+        key, equals, value = line.partition("=")
         key = key.strip()
+        if not (key and equals):
+            raise current.error("expected 'key = value'", line=line_no)
         if key in current.entries:
-            raise ScenarioFormatError(f"[{current.name}] line {line_no}: repeated key {key!r}, "
-                                      f"first given at line {current.entries[key][1]}")
+            raise current.error(f"repeated key, first given at line {current.entries[key][1]}",
+                                key, line_no)
         current.entries[key] = (value.strip(), line_no)
     return sections
 
@@ -203,11 +214,11 @@ def _entries(text: str, arity: int) -> dict:
     return out
 
 
-def _lo_hi(text: str, form: str = "'<lo> <hi>'") -> tuple[Fraction, Fraction]:
+def _lo_hi(text: str) -> tuple[Fraction, Fraction]:
     """The two rationals of a ``lo hi`` pair."""
     parts = text.split()
     if len(parts) != 2:
-        raise ValueError(f"expected {form}")
+        raise ValueError("expected '<lo> <hi>'")
     return parse_rational(parts[0]), parse_rational(parts[1])
 
 
@@ -246,23 +257,21 @@ def _build_threefold(section: _Section
                    for name, table in section.each("curve", lambda text: _entries(text, 1)))
     cone_entries = section.each("cone", divisor)
     if not cone_entries:
-        raise ScenarioFormatError(f"[{section.name}] needs at least one cone generator")
+        raise section.error("needs at least one cone generator")
     # a negative part may name a generator, a cone generator or a divisor; a
     # name given twice must name one class (``cone EC = EC`` restates EC)
     named = {n: basis.unit(n) for n in basis.names}
     for prefix, entries in (("cone", cone_entries), ("divisor", section.each("divisor", divisor))):
         for name, cls in entries:
             if named.setdefault(name, cls) != cls:
-                line = section.entries[f"{prefix} {name}"][1]
-                raise ScenarioFormatError(
-                    f"[{section.name}] line {line}: {prefix} {name!r} is {cls}, but "
-                    f"{name!r} already names {named[name]}")
+                raise section.error(f"{name!r} is {cls}, but {name!r} already names "
+                                    f"{named[name]}", f"{prefix} {name}")
     cone = ConeSpec(cone_entries)     # each ray -K - u Y starts at -K, which must be in it
     outside = section.parse("anticanonical", anticanonical,
                             lambda k: _separate(_vector_of(k), cone))
     if outside is not None:
-        raise ScenarioFormatError(f"[{section.name}] anticanonical: {anticanonical} is "
-                                  f"outside the effective cone: {outside.detail}")
+        raise section.error(f"{anticanonical} is outside the effective cone: "
+                            f"{outside.detail}", "anticanonical")
     model = sinv.ThreefoldModel(basis, form, anticanonical, curves, cone)
     return model, MappingProxyType(named)
 
@@ -273,13 +282,13 @@ def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.Surfac
     cls = section.value("class", partial(parse_divisor_expr, basis=model.basis))
     divisor = partial(parse_divisor_expr, basis=basis)
     images = dict(section.each("restrict", divisor))
-    restriction = section.parse("restrict", images,
+    restriction = section.parse("", images,
                                 lambda images: RestrictionMap(model.basis, basis, images))
-    section.parse("restrict", restriction,
+    section.parse("", restriction,
                   lambda restriction: _projection_formula(model, cls, form, restriction))
     curves = tuple(section.each("curve", divisor))
     if not curves:
-        raise ScenarioFormatError(f"[{section.name}] needs at least one extremal curve")
+        raise section.error("needs at least one extremal curve")
     name = section.value("name", required=False)
     return sinv.SurfaceData("Y" if name is None else name, cls, basis, form,
                             restriction, curves)
@@ -314,14 +323,10 @@ def _negative_part(text: str, named: Mapping[str, DivisorClass]
 def _build_schedule(section: _Section, named: Mapping[str, DivisorClass]) -> sinv.Schedule:
     chambers = []
     for bounds, negative in section.each("chamber", lambda text: _negative_part(text, named)):
-        line = section.entries[f"chamber {bounds}"][1]
-        form = f"'chamber <lo> <hi> = ...' at line {line}"
-        lo, hi = section.parse("chamber", bounds, lambda text: _lo_hi(text, form))
+        lo, hi = section.parse(f"chamber {bounds}", bounds, _lo_hi)
         chambers.append(sinv.ScheduleChamber(lo, hi, negative))
-    try:
-        return sinv.Schedule(tuple(sorted(chambers, key=lambda ch: ch.u_lo)))
-    except sinv.ScheduleError as exc:
-        raise ScenarioFormatError(f"[{section.name}] {exc}") from None
+    return section.parse("", chambers, lambda chambers: sinv.Schedule(
+        tuple(sorted(chambers, key=lambda ch: ch.u_lo))))
 
 
 def _check_ord(declared: tuple[Poly, ...], derived: tuple[Poly, ...]) -> None:
@@ -347,9 +352,7 @@ def parse_scenario(text: str | bytes, name: str = "<scenario>") -> Scenario:
     sections = _split_sections(text)
     scenario = _build_scenario(sections, name)
     for section in sections.values():
-        for key, (_, line) in section.entries.items():
-            if key not in section.read:
-                raise ScenarioFormatError(f"[{section.name}] line {line}: unknown key {key!r}")
+        section.check_all_read()
     return scenario
 
 
@@ -359,8 +362,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     head = sections["scenario"]
     kind = head.value("kind")
     if kind not in KINDS:
-        raise ScenarioFormatError(
-            f"[scenario] kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+        raise head.error(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}", "kind")
     needs, bound_keys = KINDS[kind]
     scen_name = head.value("name", required=False)
     expected_text = head.value("expected")
@@ -403,22 +405,20 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         cls = dec.value("class", threefold_class)
         if kind == "infeasible_scan":
             if expected_text != "infeasible":
-                raise ScenarioFormatError(
-                    "[scenario] expected: an infeasible scan expects 'infeasible'")
+                raise head.error("an infeasible scan expects 'infeasible'", "expected")
             lo, hi = dec.value("range", _lo_hi)
             if not lo < hi:
-                raise ScenarioFormatError("[decompose] range: expected lo < hi")
+                raise dec.error("expected lo < hi", "range")
             if any(isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0)
                    for c in cls.coeffs):
-                raise ScenarioFormatError(
-                    "[decompose] class: an infeasible scan needs a class affine in u")
+                raise dec.error("an infeasible scan needs a class affine in u", "class")
             return Scenario(decompose_class=cls, scan_range=(lo, hi), **common)
         coeffs = None
         if expected_text != "infeasible":
             coeffs = head.parse("expected", expected_text, lambda text: _entries(text, 1))
             if tuple(coeffs) != model.effective_cone.names:
-                raise ScenarioFormatError(
-                    "[scenario] expected: coefficients must list every cone generator in order")
+                raise head.error("coefficients must list every cone generator in order",
+                                 "expected")
             coeffs = tuple(coeffs.items())
         return Scenario(decompose_class=cls, expected_coeffs=coeffs, **common)
 
@@ -428,7 +428,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     curve_name = pairing.value("curve")
     curve = next((c for c in model.mori_curves if c.name == curve_name), None)
     if curve is None:
-        raise ScenarioFormatError(f"[pairing] curve: unknown curve {curve_name!r}")
+        raise pairing.error(f"unknown curve {curve_name!r}", "curve")
     return Scenario(pairing_class=cls, pairing_curve=curve, **common)
 
 

@@ -53,9 +53,8 @@ discriminant and ``math.isqrt`` (a volume that does not factor raises
 in a chamber or a wall form constant in v vanishes.  Cuts are found and
 tested against the cell by cross-multiplying integers, and only a cut inside
 the cell becomes a Fraction.  The pieces are swept afresh; only the
-chambers of a piece that is not cut again become ``Poly`` and
-``DivisorClass``, and adjacent pieces with identical chambers are merged
-again.
+chambers of a piece that is not cut again become ``Poly``, and adjacent
+pieces with identical chambers are merged again.
 Chambers are locally polyhedral on a fixed support (Bauer--Kuronya--Szemberg,
 *Zariski chambers, volumes, and stable base loci*, 2004), which is what
 makes the cut points finite and rational.
@@ -283,17 +282,16 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
 class SweepChamber(Record):
     """One v-interval of constant support along a sweep at fixed u.
 
-    ``positive`` and ``vol`` are read at the sweep's u.  ``toggled`` names
-    the curves that enter or leave the support at ``v_hi``; it is empty for
-    the last chamber, which ends where vol vanishes.  ``solution`` is the
-    support solved for all (u, v), over the ray's monomials (1, u, ..., v).
+    ``positive`` is read at the sweep's u.  ``toggled`` names the curves
+    that enter or leave the support at ``v_hi``; it is empty for the last
+    chamber, which ends where vol vanishes.  ``solution`` is the support
+    solved for all (u, v), over the ray's monomials (1, u, ..., v).
     """
 
     v_lo: Fraction
     v_hi: Fraction
     support: tuple[str, ...]
     positive: DivisorClass       # coefficients are affine in v
-    vol: Poly                    # quadratic in v
     toggled: tuple[str, ...]
     solution: IntegerSolution
 
@@ -364,7 +362,7 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
             positive = DivisorClass(d0.basis, [
                 _reduce([[_dot(p, powers), p[-1] * scale]], solution.positive_den * scale)
                 for p in solution.positive])
-            chambers.append(SweepChamber(v0, wall_v, support, positive, vol, toggled, solution))
+            chambers.append(SweepChamber(v0, wall_v, support, positive, toggled, solution))
             if not toggled:
                 return chambers
             v0 = wall_v
@@ -381,7 +379,6 @@ class ChartChamber(Record):
     v_lo: Poly                   # affine in u
     v_hi: Poly
     support: tuple[str, ...]
-    positive: DivisorClass       # coefficients affine in u and v
     vol: Poly
 
     def describe(self) -> str:
@@ -435,7 +432,7 @@ def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
 def _derive_cell(d0, z, lo, hi, curves, form) -> list:
     """Pieces ``(u_lo, u_hi, stack)`` of [lo, hi], each of one chamber structure.
 
-    A stack lists ``(v_lo, v_hi, support, positive, vol)`` per chamber, in
+    A stack lists ``(v_lo, v_hi, support, vol)`` per chamber, in
     sweep order, read off one ``v_sweep`` at the midpoint: each chamber comes
     with its support solved for all (u, v), so every wall is an integer line
     v = (c0 + c1 u) / d read off its form.  A chamber's top is the line of a
@@ -479,13 +476,8 @@ def _derive_cell(d0, z, lo, hi, curves, form) -> list:
         points = [lo, *sorted(cuts), hi]
         return [piece for a, b in zip(points, points[1:])
                 for piece in _derive_cell(d0, z, a, b, curves, form)]
-    stack = []
-    for v_lo, v_hi, sw, vol in rows:
-        solution = sw.solution
-        positive = DivisorClass(d0.basis, [_reduce([[p0, pv], [p1]], solution.positive_den)
-                                           for p0, p1, pv in solution.positive])
-        stack.append((_line(v_lo), _line(v_hi), sw.support, positive,
-                      _reduce(vol, solution.vol_den)))
+    stack = [(_line(v_lo), _line(v_hi), sw.support, _reduce(vol, sw.solution.vol_den))
+             for v_lo, v_hi, sw, vol in rows]
     return [(lo, hi, stack)]
 
 

@@ -311,7 +311,7 @@ def test_criterion_5_zariski_invariants(scenarios, name):
         d = d0.evaluate(u=u) - scenario.z.scale(v)
         result = zariski_decompose(d, surface.extremal_curves, surface.form)
         assert set(result.support) == set(ch.support)
-        assert ch.positive.evaluate(u=u, v=v) == result.positive
+        assert surface_pair(result.positive, result.positive, surface.form) == ch.vol(u, v)
         assert result.positive + negative_class(result, curves) == d
         assert all(coeff >= 0 for _, coeff in result.negative)
         for cname, ccls in surface.extremal_curves:

@@ -160,7 +160,7 @@ def test_bad_scan_samples_are_isolated_errors(samples):
     first, second = report.results
     assert first.status == "ERROR"
     line = bad.splitlines().index(f"samples = {samples}") + 1
-    assert first.detail == f"[decompose] line {line}: unknown key 'samples'"
+    assert first.detail == f"[decompose] samples (line {line}): unknown key"
     assert (second.name, second.status) == ("lemma_4_5_a", "PASS")
 
 
@@ -177,7 +177,7 @@ def test_unknown_keys_name_section_key_and_line(section, anchor, line):
     key = line.partition("=")[0].strip()
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario("\n".join(lines))
-    assert str(info.value) == f"[{section}] line {at + 1}: unknown key {key!r}"
+    assert str(info.value) == f"[{section}] {key} (line {at + 1}): unknown key"
 
 
 def test_scan_passes_only_on_an_exact_argument():
@@ -193,20 +193,21 @@ def test_scan_passes_only_on_an_exact_argument():
 
 
 @pytest.mark.parametrize("key,line,message", [
-    ("range", "range = 4/3 4/3", "[decompose] range: expected lo < hi"),
-    ("range", "range = 10/3 4/3", "[decompose] range: expected lo < hi"),
+    ("range", "range = 4/3 4/3", "[decompose] range (line {}): expected lo < hi"),
+    ("range", "range = 10/3 4/3", "[decompose] range (line {}): expected lo < hi"),
     ("class", "class = (u*u)*H - EC",
-     "[decompose] class: an infeasible scan needs a class affine in u"),
+     "[decompose] class (line {}): an infeasible scan needs a class affine in u"),
     ("class", "class = (v)*H - EC",
-     "[decompose] class: an infeasible scan needs a class affine in u"),
+     "[decompose] class (line {}): an infeasible scan needs a class affine in u"),
     ("expected", "expected = 3/4",
-     "[scenario] expected: an infeasible scan expects 'infeasible'"),
+     "[scenario] expected (line {}): an infeasible scan expects 'infeasible'"),
 ])
 def test_scan_rejects_bad_ranges_classes_and_expectations(key, line, message):
     text = load_bundled("lemma_4_5_a.scn")
-    old = next(row for row in text.splitlines() if row.startswith(key + " = "))
-    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
-        parse_scenario(text.replace(old, line))
+    rows = text.splitlines()
+    at = next(i for i, row in enumerate(rows) if row.startswith(key + " = "))
+    with pytest.raises(ScenarioFormatError, match=re.escape(message.format(at + 1))):
+        parse_scenario(text.replace(rows[at], line))
 
 
 @pytest.mark.parametrize("name,section,line", [
@@ -228,7 +229,7 @@ def test_a_key_the_kind_does_not_enforce_is_an_error(name, section, line):
     first, second = report.results
     key = line.partition("=")[0].strip()
     assert (first.status, first.detail) == (
-        "ERROR", f"[{section}] line {at + 1}: unknown key {key!r}")
+        "ERROR", f"[{section}] {key} (line {at + 1}): unknown key")
     assert second.status == "PASS"
 
 
@@ -251,23 +252,23 @@ def test_every_bound_a_kind_reads_is_enforced(name, old, new, detail):
 
 @pytest.mark.parametrize("old,new,detail", [
     ("assert_less_than = 1\n", "assert_less_than = 1\nassert_less_than = 1/2\n",
-     "[scenario] line 8: repeated key 'assert_less_than', first given at line 7"),
+     "[scenario] assert_less_than (line 8): repeated key, first given at line 7"),
     ("restrict EL = e1 + e2\n", "restrict EL = e1 + e2\nrestrict EL = e1\n",
-     "[surface] line 30: repeated key 'restrict EL', first given at line 29"),
+     "[surface] restrict EL (line 30): repeated key, first given at line 29"),
     ("pairing = l1.l2:1", "pairing = l1.l2:1 l1.l2:2",
-     "[surface] pairing: repeated entry 'l1.l2'"),
+     "[surface] pairing (line 26): repeated entry 'l1.l2'"),
     ("curve lR = H:1 EC:2 EL:1", "curve lR = H:1 EC:2 EL:1 EC:3",
-     "[threefold] curve lR: repeated entry 'EC'"),
+     "[threefold] curve lR (line 15): repeated entry 'EC'"),
     ("basis = l1 l2 e1 e2", "basis = l1 l2 e1 e2 l1",
-     "[surface] basis: duplicate generator names in ('l1', 'l2', 'e1', 'e2', 'l1')"),
+     "[surface] basis (line 25): duplicate generator names in ('l1', 'l2', 'e1', 'e2', 'l1')"),
     ("curve lR = H:1 EC:2 EL:1", "curve lR = H:1 EC:2 EL:1 XY:7",
-     "[threefold] curve lR: curve table 'lR' names ['XY'] outside the basis "
+     "[threefold] curve lR (line 15): curve table 'lR' names ['XY'] outside the basis "
      "('H', 'EC', 'EL')"),
     ("restrict EL = e1 + e2\n", "restrict EL = e1 + e2\nrestrict XX = e1\n",
-     "[surface] restrict: restriction map names ['XX'] outside the basis "
+     "[surface] (line 22): restriction map names ['XX'] outside the basis "
      "('H', 'EC', 'EL')"),
     ("tensor = H.H.H:1", "tensor = H.H.X:1 H.H.H:1",
-     "[threefold] tensor: unknown generator 'X'; basis is ('H', 'EC', 'EL')"),
+     "[threefold] tensor (line 12): unknown generator 'X'; basis is ('H', 'EC', 'EL')"),
 ], ids=["assert", "restrict", "pairing", "curve", "basis", "curve-name", "restrict-name",
         "tensor-name"])
 def test_repeats_and_names_outside_a_basis_are_isolated_errors(old, new, detail):
@@ -290,7 +291,7 @@ def test_deep_parentheses_are_an_isolated_error():
     report = run_verify([("lemma_3_8", text), ("lemma_4_2_s", load_bundled("lemma_4_2_s.scn"))])
     first, second = report.results
     assert (first.status, first.detail) == (
-        "ERROR", "[decompose] class: parentheses nested deeper than 50 at position 50")
+        "ERROR", "[decompose] class (line 23): parentheses nested deeper than 50 at position 50")
     assert second.status == "PASS"
 
 
@@ -303,7 +304,7 @@ def test_an_empty_chamber_is_a_parse_error():
     text = load_bundled("sdiv_plane.scn").replace("chamber 0 1 =",
                                                   "chamber 0 0 =\nchamber 0 1 =")
     with pytest.raises(ScenarioFormatError,
-                       match=re.escape("[schedule] the chamber [0, 0] is empty")):
+                       match=re.escape("[schedule] (line 24): the chamber [0, 0] is empty")):
         parse_scenario(text)
 
 
@@ -321,7 +322,7 @@ def test_a_rational_with_digit_group_underscores_is_an_error():
                          ("lemma_4_2_s", load_bundled("lemma_4_2_s.scn"))])
     first, second = report.results
     assert (first.status, first.detail) == (
-        "ERROR", "[scenario] expected: malformed rational '2_27/4_48'")
+        "ERROR", "[scenario] expected (line 5): malformed rational '2_27/4_48'")
     assert second.status == "PASS"
 
 
@@ -713,6 +714,58 @@ def test_damaged_scenarios_are_isolated_errors(how):
         assert second.status == "PASS", (neighbour, second)
 
 
+# the parse errors that name no section, and the evaluation errors whose own
+# message carries the context they arise in
+SECTIONLESS = re.compile(r"missing the \[[^\]]*\] section|line \d+ is outside any section")
+LOCATED = re.compile(r"\[.*?\] (?:.* )?\(line (\d+)\): ")
+CONTEXT_ERRORS = ("ScheduleError", "IrrationalBreakpointError", "UnboundedThresholdError",
+                  "NotPseudoEffectiveError")
+
+
+def _edit(lines, rng):
+    """One seeded edit of a file's lines: a line deleted or duplicated, a token
+    of the file spliced into a line, or 1 to 4 characters cut from one."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    how = rng.choice(("delete", "duplicate", "splice", "cut"))
+    if how == "delete":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "splice":
+        token = rng.choice(" ".join(lines).split())
+        at = rng.randint(0, len(lines[i]))
+        lines[i] = f"{lines[i][:at]} {token} {lines[i][at:]}"
+    else:
+        at = rng.randint(0, len(lines[i]))
+        lines[i] = lines[i][:at] + lines[i][at + rng.randint(1, 4):]
+    return lines
+
+
+def test_seeded_line_edits_give_one_located_row_each():
+    """1,000 seeded one-line edits of the bundled files each give one row
+    through ``run_verify`` and both renderers.  A parse ERROR names its
+    section and a line of the edited file, unless the error has no section
+    to name; an evaluation ERROR is one whose message carries its context.
+    An edit that still passes is not checked here."""
+    files = {name: load_bundled(name).splitlines() for name in bundled_scenario_names()}
+    rng = random.Random("reader-fuzz")
+    for _ in range(1000):
+        name = rng.choice(sorted(files))
+        lines = _edit(files[name], rng)
+        report = run_verify([(name, "\n".join(lines) + "\n")])
+        report.text(include_detail=True)
+        json.dumps(report.json_dict())
+        (row,) = report.results
+        if row.status != "ERROR":
+            continue
+        if row.kind != "?":
+            assert row.detail.startswith(tuple(f"{e}: " for e in CONTEXT_ERRORS)), row.detail
+        elif not SECTIONLESS.fullmatch(row.detail):
+            located = LOCATED.match(row.detail)
+            assert located and 1 <= int(located.group(1)) <= len(lines), row.detail
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """An empty section cache, and a count of the section builds by kind."""
@@ -749,7 +802,7 @@ def test_a_damaged_section_names_its_line_on_every_parse(builds):
     line = text.splitlines().index("divisor EL = H") + 1
     first, second = run_verify([("damaged", text), ("damaged", text)]).results
     assert first.status == "ERROR"
-    assert f"[threefold] line {line}: divisor 'EL'" in first.detail
+    assert f"[threefold] divisor EL (line {line}): 'EL' is" in first.detail
     assert first.line() == second.line() and first.detail == second.detail
     assert builds["threefold"] == 2
 

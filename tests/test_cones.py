@@ -80,33 +80,40 @@ def test_a_second_verify_pass_solves_no_facets(monkeypatch):
     texts = [(name, load_bundled(name)) for name in bundled_scenario_names()]
     run_verify(texts)
     calls = []
-    null_space = linalg.null_space
+    kernel = linalg.kernel
 
-    def counted(matrix):
+    def counted(matrix, ncols):
         calls.append(len(matrix))
-        return null_space(matrix)
-    monkeypatch.setattr(linalg, "null_space", counted)
+        return kernel(matrix, ncols)
+    monkeypatch.setattr(linalg, "kernel", counted)
     report = run_verify(texts)
     assert len(report.results) == 17 and report.all_pass
     assert calls == []
 
 
-def test_the_first_verify_builds_each_h_representation_from_one_null_space(monkeypatch):
-    """The equalities are one rational null space; each facet is an integer
-    kernel vector, with no further null space per candidate subset."""
-    fresh = functools.cache(cones_module._h_representation.__wrapped__)
-    monkeypatch.setattr(cones_module, "_h_representation", fresh)
-    calls = []
-    null_space = linalg.null_space
+def test_the_first_verify_builds_each_h_representation_from_one_equality_kernel(monkeypatch):
+    """The equalities are one kernel of the rational generators; each facet
+    is a kernel vector of integer rows, with no further rational kernel per
+    candidate subset."""
+    built = []
+    build = cones_module._h_representation.__wrapped__
 
-    def counted(matrix):
-        calls.append(len(matrix))
-        return null_space(matrix)
-    monkeypatch.setattr(linalg, "null_space", counted)
+    def recorded(names, vectors):
+        built.append(vectors)
+        return build(names, vectors)
+    monkeypatch.setattr(cones_module, "_h_representation", functools.cache(recorded))
+    calls = []
+    kernel = linalg.kernel
+
+    def counted(matrix, ncols):
+        calls.append(matrix)
+        return kernel(matrix, ncols)
+    monkeypatch.setattr(linalg, "kernel", counted)
     report = run_verify([(name, load_bundled(name)) for name in bundled_scenario_names()])
     assert len(report.results) == 17 and report.all_pass
-    built = fresh.cache_info().misses
-    assert built > 0 and len(calls) == built
+    assert built and [sum(m is vectors for m in calls) for vectors in built] == [1] * len(built)
+    facets = [m for m in calls if not any(m is vectors for vectors in built)]
+    assert facets and all(type(x) is int for m in facets for row in m for x in row)
 
 
 def _seeded_classes(cone, rng, count):

@@ -2,7 +2,8 @@
 command line starts without ``dataclasses`` or ``inspect``, every module-level
 function and class and every non-dunder method is read somewhere, only
 ``ratmath`` reads a polynomial's numerators, only schedule validation and the
-``zariski`` command form a chamber's positive part, and a re-import leaves no
+``zariski`` command form a chamber's positive part, only the scenario reader's
+``_Section`` forms an error that names a section, and a re-import leaves no
 old module alive."""
 
 import ast
@@ -123,6 +124,28 @@ def test_only_validation_and_the_zariski_command_form_positive_parts():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "positive_part")
     assert callers == ["cli._cmd_zariski", "sinv.validate_schedule"]
+
+
+def test_only_the_section_reader_forms_section_errors():
+    """Every ``ScenarioFormatError`` whose message starts with ``[``, naming a
+    section, is built inside ``scenario._Section``, so one method gives each
+    the shape ``[section] key (line N): why``."""
+    (path,) = [path for path in SOURCES if path.stem == "scenario"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (section,) = [stmt for stmt in tree.body
+                  if isinstance(stmt, ast.ClassDef) and stmt.name == "_Section"]
+    inside = set(map(id, ast.walk(section)))
+    sites = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ScenarioFormatError" and node.args):
+            continue
+        head = node.args[0]
+        if isinstance(head, ast.JoinedStr):
+            head = head.values[0]
+        if isinstance(head, ast.Constant) and str(head.value).startswith("["):
+            sites.append((id(node) in inside, node.lineno))
+    assert sites and [line for ok, line in sites if not ok] == []
 
 
 def test_reimporting_the_package_frees_the_old_modules():

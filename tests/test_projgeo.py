@@ -591,7 +591,7 @@ def test_rational_eigenvalues_of_companion_matrices_match_fraction_evaluation():
         for r in roots:
             p = p * (v - r)
         splits = True
-        while p.degree < 3:  # pad with factors that may or may not split
+        while len(p.coeffs) - 1 < 3:  # pad with factors that may or may not split
             b = rng.randint(-4, 4)
             c = rng.randint(-4, 4)
             p = p * (v * v + b * v + c)

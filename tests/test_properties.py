@@ -25,7 +25,7 @@ from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
                            feasible_interval, pseudoeffective_threshold)
 from divstab.exprs import parse_divisor_expr, parse_poly  # noqa: E402
 from divstab.lattice import (DivisorClass, LatticeBasis, ThreefoldForm,  # noqa: E402
-                             triple_product)
+                             surface_pair, triple_product)
 from divstab.projgeo import (IrrationalEigenvalueError, MPoly, format_mpoly,  # noqa: E402
                              parse_mpoly)
 from divstab.ratmath import IrrationalBreakpointError, Poly, format_poly  # noqa: E402
@@ -386,13 +386,15 @@ def poly_matrices(draw):
 @settings(SETTINGS, max_examples=300)
 @given(exact_systems(), poly_matrices())
 def test_fraction_free_elimination_matches_gauss_jordan(system, poly_system):
-    """null_space, rank and solve_unique agree with a Gauss-Jordan that divides
-    by each pivot: the same vectors in the same order, None in the same
-    cases; and kernel on polynomial matrices is annihilated and has one
-    vector per free column."""
+    """kernel, each vector divided by its last nonzero entry, rank and
+    solve_unique agree with a Gauss-Jordan that divides by each pivot: the
+    same vectors in the same order, None in the same cases; and kernel on
+    polynomial matrices is annihilated and has one vector per free column."""
     rows, ncols, rhs = system
     null = null_space_oracle(rows)
-    assert linalg.null_space(rows) == null
+    if rows:
+        assert [[F(x) / next(c for c in reversed(vec) if c) for x in vec]
+                for vec in linalg.kernel(rows, ncols)] == null
     assert linalg.rank(rows) == (ncols - len(null) if rows else 0)
     assert linalg.solve_unique(rows, rhs) == solve_unique_oracle(rows, rhs)
     # the rank over Q(u) is the largest rank at 13 points: a nonzero minor
@@ -475,4 +477,5 @@ def test_sweep_chambers_match_the_pointwise_decomposition(surface_and_k, a, b):
         result = zariski_decompose(d0 - z.scale(v), curves, form)
         assert set(result.support) == set(chamber.support)
         assert result.positive == chamber.positive.evaluate(v=v)
-    assert sweep[-1].vol(top) == 0
+    end = sweep[-1].positive.evaluate(v=top)
+    assert surface_pair(end, end, form) == 0

@@ -287,10 +287,11 @@ def test_ord_consistency_checked():
         ("lemma_4_1", "0", "need exactly one coefficient per schedule chamber, 2 in all"),
     ]:
         text = load_bundled(name + ".scn")
-        line = re.search(r"^ord = .*$", text, re.M).group()
+        line = re.search(r"^ord = .*$", text, re.M)
+        at = text.count("\n", 0, line.start()) + 1
         with pytest.raises(ScenarioFormatError,
-                           match=re.escape(f"[curve] ord: chamber 1: {message}")):
-            parse_scenario(text.replace(line, f"ord = {declared}"), name)
+                           match=re.escape(f"[curve] ord (line {at}): chamber 1: {message}")):
+            parse_scenario(text.replace(line.group(), f"ord = {declared}"), name)
 
 
 def test_expected_ord_matches_declared(scenarios):

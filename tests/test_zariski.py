@@ -163,12 +163,15 @@ def test_v_sweep_follows_a_shrinking_support(dp5, z, chambers):
     d0 = DivisorClass(dp5.basis, [3, 2, 0, 0, 0])
     z = DivisorClass(dp5.basis, z)
     sweep = v_sweep(d0, z, F(1), dp5.extremal_curves, dp5.form)
-    assert [(c.v_lo, c.v_hi, set(c.support), c.vol) for c in sweep] == chambers
-    for c in sweep:
+    assert [(c.v_lo, c.v_hi, set(c.support)) for c in sweep] == [row[:3] for row in chambers]
+    for c, (*_, vol) in zip(sweep, chambers):
         v = (c.v_lo + c.v_hi) / 2
         result = zariski_decompose(d0 - z.scale(v), dp5.extremal_curves, dp5.form)
         assert set(result.support) == set(c.support)
         assert result.positive == c.positive.evaluate(v=v)
+        for x in (c.v_lo, v, c.v_hi):  # P.P is quadratic in v: three values fix it
+            p = c.positive.evaluate(v=x)
+            assert surface_pair(p, p, dp5.form) == vol(x)
 
 
 def test_a_sweep_pairs_its_ray_with_each_curve_once(scenarios, dp5, monkeypatch):
@@ -294,7 +297,7 @@ def test_chart_cells_are_exact_and_minimal(dp6, coeffs, cell, cells):
                 result = zariski_decompose(d0.evaluate(u=u) - z.scale(v),
                                            dp6.extremal_curves, dp6.form)
                 assert set(result.support) == set(ch.support)
-                assert result.positive == ch.positive.evaluate(u=u, v=v)
+                assert surface_pair(result.positive, result.positive, dp6.form) == ch.vol(u, v)
 
 
 def test_chart_trivial_when_z_has_positive_square(ruled):
@@ -329,7 +332,6 @@ def test_chart_invariants_at_random_samples(scenarios):
                     d = _chamber_class(scenario, ch, u, v)
                     result = zariski_decompose(d, surface.extremal_curves, surface.form)
                     assert set(result.support) == set(ch.support)
-                    assert result.positive == ch.positive.evaluate(u=u, v=v)
                     assert all(coeff >= 0 for _, coeff in result.negative)
                     assert surface_pair(result.positive, result.positive,
                                         surface.form) == ch.vol(u, v)
