@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``verify [files...]``   -- evaluate scenarios (all bundled ones by default)
-* ``s-curve <file>``      -- one curve-invariant scenario, with chart dump
+* ``s-curve <file>``      -- one curve-invariant scenario
 * ``s-divisor <file>``    -- one divisor-invariant scenario
 * ``zariski <file> --u p/q --v p/q`` -- pointwise decomposition on the
   scenario's surface at the given parameters
@@ -12,6 +12,8 @@ Subcommands:
 * ``geo <check>``         -- named exact-geometry checks (``characters``,
   ``fixed-points``, ``invariant-lines``, ``secant-lemma``, or ``all``)
 
+``verify``, ``s-curve`` and ``s-divisor`` evaluate through ``run_verify``,
+so an evaluation error is an ERROR row; ``--report`` adds the chart dumps.
 Exit codes: 0 all pass, 1 any failure, 2 usage or parse error.
 """
 
@@ -30,7 +32,7 @@ from .exprs import ExprSyntaxError, parse_divisor_expr
 from .lattice import restrict
 from .ratmath import format_rational, parse_rational
 from .scenario import (CURVE_KINDS, Report, ScenarioFormatError, bundled_scenario_names,
-                       evaluate_scenario, load_bundled, parse_scenario, run_verify)
+                       load_bundled, parse_scenario, run_verify)
 
 USAGE_ERROR = 2
 
@@ -80,13 +82,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_single(args, kinds: tuple[str, ...]) -> int:
     name, text = _read_scenario(args.file)
-    scenario = parse_scenario(text, name)
-    if scenario.kind not in kinds:
-        print(f"{name}: expected a scenario of kind {' or '.join(kinds)}, "
-              f"got {scenario.kind}", file=sys.stderr)
+    kind = parse_scenario(text, name).kind
+    if kind not in kinds:
+        print(f"{name}: expected a scenario of kind {' or '.join(kinds)}, got {kind}",
+              file=sys.stderr)
         return USAGE_ERROR
-    result = evaluate_scenario(scenario)
-    return _emit(args, Report((result,)))
+    return _emit(args, run_verify([(name, text)]))
 
 
 def _cmd_zariski(args) -> int:

@@ -49,8 +49,9 @@ def _primitive(y: Sequence[Fraction]) -> Functional:
     return tuple(i // g for i in ints)
 
 
-def format_functional(f: Functional) -> str:
-    return f"({', '.join(map(str, f))})"
+def format_functional(f: Functional, names: Sequence[str]) -> str:
+    """``(H: 1, EC: 0, EL: 1)``: each coordinate under its basis name."""
+    return f"({', '.join(f'{n}: {c}' for n, c in zip(names, f))})"
 
 
 class ConeSpec(Record):
@@ -169,17 +170,19 @@ def _support_subsets(count: int, max_size: int):
 def _separate(target: Sequence[Fraction], cone: ConeSpec) -> Infeasible | None:
     """The first equality or facet the target violates, as a witness, or None."""
     den, (ints,) = _integers([target])
+    names = cone.basis.names
     for e in cone.equalities:
         value = _dot(e, ints)
         if value:
             if value > 0:
                 e, value = tuple(-c for c in e), -value
-            return Infeasible(e, f"functional {format_functional(e)} vanishes on every generator "
-                                 f"but takes {format_rational(Fraction(value, den))} on the class")
+            return Infeasible(e, f"functional {format_functional(e, names)} vanishes on "
+                                 f"every generator but takes "
+                                 f"{format_rational(Fraction(value, den))} on the class")
     for f in cone.facets:
         value = _dot(f, ints)
         if value < 0:
-            return Infeasible(f, f"functional {format_functional(f)} is nonnegative on "
+            return Infeasible(f, f"functional {format_functional(f, names)} is nonnegative on "
                                  f"every generator but takes "
                                  f"{format_rational(Fraction(value, den))} on the class")
     return None

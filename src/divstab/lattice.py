@@ -112,9 +112,6 @@ class DivisorClass:
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
 
-    def coefficient(self, name: str) -> Coeff:
-        return self.coeffs[self.basis.index(name)]
-
     def tables(self) -> tuple[int, list]:
         """The coefficients as integer tables over one denominator (see
         :func:`~divstab.ratmath._tables`), formed on first use and kept."""

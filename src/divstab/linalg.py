@@ -1,12 +1,13 @@
 """Small exact linear algebra over the rationals.
 
 One fraction-free Gauss-Jordan elimination (:func:`_eliminate`) serves
-solves, kernels, rank and the Zariski kernel's integer systems
-[G_S | D.C_S].  It uses ring operations only (``+``, ``-``, ``*`` and
-truthiness), so the entries may be int, Fraction or one-variable Poly; every
-matrix here has at most eight columns, so they grow only a little without
-division.  The one division left, by each pivot, happens after the
-elimination, in :func:`solve_unique` or in the caller.
+kernels, rank and every solve, each an augmented matrix: [M | rhs] in
+:func:`solve_unique` and the Zariski kernel's integer [G_S | D.C_S].  It
+uses ring operations only (``+``, ``-``, ``*`` and truthiness), so the
+entries may be int, Fraction or one-variable Poly; every matrix here has at
+most eight columns, so they grow only a little without division.  The one
+division left, by each pivot, happens after the elimination, in
+:func:`solve_unique` or in the caller.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _eliminate(m: list[list], b: list | None = None) -> list[int]:
+def _eliminate(m: list[list]) -> list[int]:
     """Reduce ``m`` in place, fraction-free; return the pivot columns.
 
     The pivot of each column is its first nonzero entry at or below the
     current row.  Every other row r with a nonzero entry in that column
     becomes ``lead * m[r] - factor * m[row]``, a nonzero multiple of its
     Gauss-Jordan row, so the pivot columns are those of the reduced row
-    echelon form.  The same row operations are applied to ``b`` when given.
+    echelon form.
     """
     nrows = len(m)
     pivots: list[int] = []
@@ -35,15 +36,11 @@ def _eliminate(m: list[list], b: list | None = None) -> list[int]:
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        if b is not None:
-            b[row], b[pivot] = b[pivot], b[row]
         lead = m[row][col]
         for r in range(nrows):
             factor = m[r][col]
             if r != row and factor:
                 m[r] = [lead * x - factor * y for x, y in zip(m[r], m[row])]
-                if b is not None:
-                    b[r] = lead * b[r] - factor * b[row]
         pivots.append(col)
     return pivots
 
@@ -74,18 +71,15 @@ def kernel(matrix: Sequence[Sequence], ncols: int) -> list[list]:
 def solve_unique(matrix: Sequence[Sequence[Fraction]], rhs: Sequence) -> list | None:
     """Solve M x = rhs for a unique solution, or None.
 
-    The matrix may be rectangular (rows >= cols); None means the system is
-    inconsistent or the solution is not unique.  RHS entries only need to
-    support +, -, and multiplication by Fraction.
+    ``[M | rhs]`` is eliminated: the solution exists and is unique exactly
+    when the pivot columns are those of M, 0 to n - 1.  The matrix may be
+    rectangular (rows >= cols).
     """
-    m = [list(row) for row in matrix]
-    b = list(rhs)
-    ncols = len(m[0]) if m else 0
-    if len(_eliminate(m, b)) < ncols:
-        return None  # a free column: not unique (or a zero column)
-    if any(b[ncols:]):
-        return None  # inconsistent
-    return [b[r] * (1 / Fraction(m[r][r])) for r in range(ncols)]
+    ncols = len(matrix[0]) if matrix else 0
+    m = [[*row, b] for row, b in zip(matrix, rhs)]
+    if _eliminate(m) != list(range(ncols)):
+        return None  # a free column (not unique) or a pivot in rhs (inconsistent)
+    return [m[r][ncols] * (1 / Fraction(m[r][r])) for r in range(ncols)]
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:

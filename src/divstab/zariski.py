@@ -23,7 +23,7 @@ with the basis generators and the curve Gram C_i.C_j.  ``zariski_decompose``,
 ``v_sweep`` and ``build_chart`` read it, kept on the form by curve tuple,
 not by value (:func:`surface_table`).  One integer kernel solves every
 support.  A class D is integer columns over one denominator, one column per
-monomial: (1, u, ..., u^K, v) for a ray d0(u) - v z, (1,) for a rational
+monomial: (1, u, v) for a ray d0(u) - v z, d0 affine in u, (1,) for a rational
 class.  D.C_k (a dot product with each row) and D.D (the column Gram
 c_t^T F c_s) are formed once per class.  For a support S with Gram matrix
 G_S, one fraction-free elimination of [G_S | D.C_S] gives n = G_S^-1 (D.C_S)
@@ -32,17 +32,17 @@ P.C_k = D.C_k - sum n_i C_i.C_k, and vol = P.P = D.D - sum n_i D.C_i, as
 P.C_i = 0 on S.  All come out as integers over one denominator each.
 
 ``v_sweep`` walks ``D0 - v Z`` upward in v from 0 at a fixed u, keeping u
-symbolic as ``D0`` gives it.  Each chamber's support is solved once for all
-(u, v): the positive part, the volume and the wall forms, each form affine
-in v (a negative-part coefficient on the support, the pairing of the
-positive part with a curve off it).  The next wall is the least root at u of
+symbolic.  Each chamber's support is solved once for all (u, v): the
+positive part, the volume and the wall forms, each form affine in v (a
+negative-part coefficient on the support, the pairing of the positive part
+with a curve off it).  The next wall is the least root at u of
 a form falling in v; every curve on it toggles: an off-support curve enters,
 a support curve whose coefficient reaches 0 leaves.  The sweep terminates at
 the smallest rational root of the quadratic ``vol(u, v)``.  On each chamber
 every form is >= 0 and the support's Gram matrix is negative definite, which
 is Zariski's characterization of the decomposition.
 
-``build_chart`` derives the symbolic picture over each u-interval exactly
+``build_chart`` derives the symbolic picture over one u-interval exactly
 and reads its chambers off one sweep at the midpoint of each cell.  Every
 wall is an integer line v = (c0 + c1 u) / d, d != 0, read straight off
 its form in the sweep's solution; each test on lines cross-multiplies, so
@@ -137,9 +137,9 @@ def surface_table(curves: Sequence[NamedCurve], form: SurfaceForm) -> SurfaceTab
 class _Columns:
     """A class D = sum_t cols[t] m_t / den, each column a coefficient vector.
 
-    The monomials m_t are (1, u, ..., u^K, v) for a ray, (1,) for a rational
-    class.  ``meets[k][t]`` is the m_t numerator of D.C_k over den * form_den
-    * class_den, and ``square[t][s]`` that of m_t m_s in D.D over den^2 *
+    The monomials m_t are (1, u, v) for a ray, (1,) for a rational class.
+    ``meets[k][t]`` is the m_t numerator of D.C_k over den * form_den *
+    class_den, and ``square[t][s]`` that of m_t m_s in D.D over den^2 *
     form_den: the column Gram c_t^T F c_s.
     """
 
@@ -156,14 +156,14 @@ class _Columns:
 
 
 def _ray(table: SurfaceTable, d0: DivisorClass, z: DivisorClass) -> _Columns:
-    """``d0(u) - v z`` as columns over (1, u, ..., u^K, v), K >= 1, read off
-    the integer tables of the coefficients of d0 and z over one denominator."""
-    if not z.rational or any(isinstance(c, Poly) and c.degree_v > 0 for c in d0.coeffs):
-        raise ValueError(f"a sweep needs d0 free of v and z rational, got d0 = {d0}, z = {z}")
+    """``d0(u) - v z`` as columns over (1, u, v), read off the integer tables
+    of the coefficients of d0 and z over one denominator."""
+    if not z.rational or any(isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0)
+                             for c in d0.coeffs):
+        raise ValueError(f"a ray needs d0 affine in u and z rational, got d0 = {d0}, z = {z}")
     den, tables = _tables(d0.coeffs + z.coeffs)
     d0s, zs = tables[:len(d0.coeffs)], tables[len(d0.coeffs):]
-    k = max([1] + [len(t) - 1 for t in d0s])
-    cols = [[t[i][0] if i < len(t) and t[i] else 0 for t in d0s] for i in range(k + 1)]
+    cols = [[t[i][0] if i < len(t) and t[i] else 0 for t in d0s] for i in range(2)]
     cols.append([-t[0][0] if t else 0 for t in zs])
     return _Columns(table, cols, den)
 
@@ -285,7 +285,7 @@ class SweepChamber(Record):
     ``positive`` is read at the sweep's u.  ``toggled`` names the curves
     that enter or leave the support at ``v_hi``; it is empty for the last
     chamber, which ends where vol vanishes.  ``solution`` is the support
-    solved for all (u, v), over the ray's monomials (1, u, ..., v).
+    solved for all (u, v), over the ray's monomials (1, u, v).
     """
 
     v_lo: Fraction
@@ -313,7 +313,7 @@ def _terminal_root(vol: Poly, after: Fraction, at_most: Fraction | None):
             if lead < 0:
                 return None  # concave, positive at both ends
             vertex = -c1 / (2 * lead)
-            if not (after < vertex < at_most) or vol(vertex) > 0:
+            if not after < vertex < at_most:  # vol(vertex) = -disc / (4 lead) <= 0
                 return None
     return min((r for r in rational_roots(vol)
                 if r > after and (at_most is None or r <= at_most)), default=None)
@@ -324,14 +324,12 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
             form: SurfaceForm) -> list[SweepChamber]:
     """Chambers of the Zariski decomposition of ``d0(u) - v z`` for v >= 0."""
     u = Fraction(u)
-    start = d0.evaluate(u=u)
-    base = zariski_decompose(start, extremal_curves, form)  # validates v = 0
     table = surface_table(extremal_curves, form)
     ray = _ray(table, d0, z)
-    # b^K times each u^t, so a column's value at u is a dot product over b^K
-    a, b, k = u.numerator, u.denominator, len(ray.cols) - 2
-    powers = [a ** t * b ** (k - t) for t in range(k + 1)]
-    scale = b ** k
+    base = zariski_decompose(d0.evaluate(u=u), extremal_curves, form)  # validates v = 0
+    # u = a / b, so a column's value at u is a dot product with (b, a) over b
+    a, b = u.numerator, u.denominator
+    powers = (b, a)
     support = tuple(name for name in table.names if name in base.support)
     chambers: list[SweepChamber] = []
     v0 = Fraction(0)
@@ -339,20 +337,20 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     # of the ray: a curve toggles at most twice
     for step in range(2 * len(table.names) + 2):
         solution = _solve(ray, [name for name in table.names if name in support])
-        # vol at u is (c0 + c1 v + c2 v^2) / vol_den; c0 and c1 are scaled by b^2K and b^K
+        # vol at u is (c0 + c1 v + c2 v^2) / vol_den; c0 and c1 are scaled by b^2 and b
         head = solution.vol[:-1]
         vol_at_0 = _dot(powers, [_dot(row, powers) for row in head])
         if step == 0 and vol_at_0 == 0:  # the start's support: vol of the start
             raise NotPseudoEffectiveError(
                 f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
-        walls = [(Fraction(-_dot(f, powers), f[-1] * scale), name)
+        walls = [(Fraction(-_dot(f, powers), f[-1] * b), name)
                  for name, f in solution.forms if f[-1] < 0]
         wall_v = min((w for w, _ in walls if w >= v0), default=None)
         toggled = tuple(name for w, name in walls if w == wall_v)
         if wall_v != v0:  # else a form is 0 at the floor: toggle with no chamber
             linear = _dot(powers, [row[-1] for row in head]) + _dot(solution.vol[-1], powers)
-            vol = _reduce([[vol_at_0, linear * scale, solution.vol[-1][-1] * scale ** 2]],
-                          solution.vol_den * scale ** 2)
+            vol = _reduce([[vol_at_0, linear * b, solution.vol[-1][-1] * b ** 2]],
+                          solution.vol_den * b ** 2)
             terminal = _terminal_root(vol, v0, wall_v)
             if terminal is not None:
                 wall_v, toggled = terminal, ()
@@ -360,7 +358,7 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
                 raise NotPseudoEffectiveError(
                     "sweep does not terminate: the subtracted curve class is not constraining")
             positive = DivisorClass(d0.basis, [
-                _reduce([[_dot(p, powers), p[-1] * scale]], solution.positive_den * scale)
+                _reduce([[_dot(p, powers), p[-1] * b]], solution.positive_den * b)
                 for p in solution.positive])
             chambers.append(SweepChamber(v0, wall_v, support, positive, toggled, solution))
             if not toggled:
@@ -403,30 +401,25 @@ class ZariskiChart(Record):
 
 def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
                 extremal_curves: Sequence[NamedCurve], form: SurfaceForm) -> ZariskiChart:
-    """Exact chamber chart of ``d0(u) - v z`` over consecutive u-intervals.
+    """Exact chamber chart of ``d0(u) - v z`` over one u-interval.
 
-    ``d0`` must be affine in u and ``z`` rational.  ``u_breaks`` must include
-    every u where the input family itself changes (the schedule's chamber
-    endpoints).  Each cell between two breaks is cut wherever its chamber
-    structure changes, at points derived exactly, and adjacent pieces with
-    identical chamber stacks are merged again, so the chart is minimal.
+    ``u_breaks`` is the interval's two ends, ascending: a schedule chamber,
+    on which the input family does not change.  ``d0`` must be affine in u
+    and ``z`` rational (:func:`_ray` checks).  The interval is cut wherever
+    its chamber structure changes, at points derived exactly, and adjacent
+    pieces with identical chamber stacks are merged again, so the chart is
+    minimal.
     """
-    if not z.rational or any(
-            isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0) for c in d0.coeffs):
-        raise ValueError(f"a chart needs d0 affine in u and z rational, got d0 = {d0}, z = {z}")
-    breaks = sorted(set(Fraction(b) for b in u_breaks))
-    if len(breaks) < 2:
-        raise ValueError("need at least two u-breakpoints")
-    chambers: list[ChartChamber] = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        merged: list = []
-        for u_lo, u_hi, stack in _derive_cell(d0, z, lo, hi, extremal_curves, form):
-            if merged and merged[-1][2] == stack:
-                u_lo = merged.pop()[0]
-            merged.append((u_lo, u_hi, stack))
-        for u_lo, u_hi, stack in merged:
-            chambers.extend(ChartChamber(u_lo, u_hi, *row) for row in stack)
-    return ZariskiChart(tuple(chambers))
+    if len(u_breaks) != 2 or not u_breaks[0] < u_breaks[1]:
+        raise ValueError(f"a chart needs two ascending u-breakpoints, got {list(u_breaks)}")
+    merged: list = []
+    for u_lo, u_hi, stack in _derive_cell(d0, z, *map(Fraction, u_breaks),
+                                          extremal_curves, form):
+        if merged and merged[-1][2] == stack:
+            u_lo = merged.pop()[0]
+        merged.append((u_lo, u_hi, stack))
+    return ZariskiChart(tuple(ChartChamber(u_lo, u_hi, *row)
+                              for u_lo, u_hi, stack in merged for row in stack))
 
 
 def _derive_cell(d0, z, lo, hi, curves, form) -> list:

@@ -43,7 +43,7 @@ from itertools import combinations
 
 from divstab import linalg
 from divstab.cones import (ConeSpec, Decomposition, FeasibleInterval, Infeasible,
-                           UnboundedThresholdError, effective_decompose, format_functional,
+                           UnboundedThresholdError, effective_decompose,
                            pseudoeffective_threshold)
 from divstab.lattice import DivisorClass, pair_with_curve, triple_product
 from divstab.projgeo import (MPoly, invariant_line, line_containment_conditions,
@@ -373,6 +373,11 @@ def h_representation_oracle(rank: int, vectors: tuple[tuple, ...]) -> tuple[tupl
     return equalities, tuple(found)
 
 
+def named_functional(f, names) -> str:
+    """A functional as a witness detail prints it: ``(H: 1, EC: 0, EL: 1)``."""
+    return "(" + ", ".join(f"{name}: {c}" for name, c in zip(names, f)) + ")"
+
+
 def effective_decompose_oracle(d, cone):
     """Membership decided by support enumeration, before any facet is read.
 
@@ -405,14 +410,15 @@ def effective_decompose_oracle(d, cone):
         if value != 0:
             if value > 0:
                 e, value = tuple(-c for c in e), -value
-            return Infeasible(e, f"functional ({', '.join(map(str, e))}) vanishes on every "
-                                 f"generator but takes {format_rational(value)} on the class")
+            return Infeasible(e, f"functional {named_functional(e, d.basis.names)} vanishes "
+                                 f"on every generator but takes {format_rational(value)} "
+                                 "on the class")
     for f in facets:
         value = sum(a * b for a, b in zip(f, target))
         if value < 0:
-            return Infeasible(f, f"functional ({', '.join(map(str, f))}) is nonnegative on "
-                                 f"every generator but takes {format_rational(value)} "
-                                 "on the class")
+            return Infeasible(f, f"functional {named_functional(f, d.basis.names)} is "
+                                 f"nonnegative on every generator but takes "
+                                 f"{format_rational(value)} on the class")
     raise AssertionError("no decomposition and no violated facet")
 
 
@@ -424,14 +430,15 @@ def separate_oracle(target, cone) -> Infeasible | None:
         if value != 0:
             if value > 0:
                 e, value = tuple(-c for c in e), -value
-            return Infeasible(e, f"functional {format_functional(e)} vanishes on every "
-                                 f"generator but takes {format_rational(value)} on the class")
+            return Infeasible(e, f"functional {named_functional(e, cone.basis.names)} vanishes "
+                                 f"on every generator but takes {format_rational(value)} "
+                                 "on the class")
     for f in cone.facets:
         value = sum(a * b for a, b in zip(f, target))
         if value < 0:
-            return Infeasible(f, f"functional {format_functional(f)} is nonnegative on "
-                                 f"every generator but takes {format_rational(value)} "
-                                 "on the class")
+            return Infeasible(f, f"functional {named_functional(f, cone.basis.names)} is "
+                                 f"nonnegative on every generator but takes "
+                                 f"{format_rational(value)} on the class")
     return None
 
 

@@ -186,7 +186,7 @@ def test_scan_passes_only_on_an_exact_argument():
     result = run_verify([("narrow", text)]).results[0]
     assert (result.status, result.computed) == ("FAIL", "feasible at u in (7/10, 3/4]")
     assert result.detail == ("feasible exactly for u <= 3/4; "
-                             "the facet (1, 0, 1) takes -4*u + 3 on the class")
+                             "the facet (H: 1, EC: 0, EL: 1) takes -4*u + 3 on the class")
     bound = text.replace("range = 7/10 27/10", "range = 3/4 27/10")
     result = run_verify([("bound", bound)]).results[0]
     assert (result.status, result.computed) == ("PASS", "infeasible at all u in (3/4, 27/10]")
@@ -265,8 +265,8 @@ def test_every_bound_a_kind_reads_is_enforced(name, old, new, detail):
      "[threefold] curve lR (line 15): curve table 'lR' names ['XY'] outside the basis "
      "('H', 'EC', 'EL')"),
     ("restrict EL = e1 + e2\n", "restrict EL = e1 + e2\nrestrict XX = e1\n",
-     "[surface] (line 22): restriction map names ['XX'] outside the basis "
-     "('H', 'EC', 'EL')"),
+     "[surface] restrict XX (line 30): 'XX' is not a generator of the threefold basis "
+     "H EC EL"),
     ("tensor = H.H.H:1", "tensor = H.H.X:1 H.H.H:1",
      "[threefold] tensor (line 12): unknown generator 'X'; basis is ('H', 'EC', 'EL')"),
 ], ids=["assert", "restrict", "pairing", "curve", "basis", "curve-name", "restrict-name",
@@ -440,6 +440,32 @@ def test_cli_s_divisor_subcommand(capsys):
     assert "expected a scenario of kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,name,old,new,error", [
+    ("s-divisor", "sdiv_anticanonical", "class = 4H - EC - EL\n", "class = -EC\n",
+     "UnboundedThresholdError: "),
+    ("s-curve", "lemma_4_1", "curve L12 = l - E1 - E2\n", "", "IrrationalBreakpointError: "),
+    ("s-divisor", "sdiv_plane", "chamber 1 3/2 =", "chamber 1 2 =", "ScheduleError: "),
+], ids=["s-divisor", "s-curve", "schedule"])
+def test_a_single_scenario_command_reports_an_evaluation_error_as_verify_does(
+        tmp_path, capsys, command, name, old, new, error):
+    """``s-divisor`` and ``s-curve`` evaluate through ``run_verify``: an error
+    raised while evaluating is one ERROR row and exit code 1, the row that
+    ``verify`` gives the same file, and neither a traceback nor a usage error
+    (a ScheduleError exited 2)."""
+    text = load_bundled(name + ".scn")
+    assert old in text
+    path = tmp_path / f"{name}.scn"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    rows = {}
+    for cmd in (command, "verify"):
+        assert main(["--json", cmd, str(path)]) == 1
+        (rows[cmd],) = json.loads(capsys.readouterr().out)["scenarios"]
+        del rows[cmd]["seconds"]
+    assert rows[command]["status"] == "ERROR"
+    assert rows[command]["detail"].startswith(error)
+    assert rows[command] == rows["verify"]
+
+
 def test_cli_zariski_at_nef_point(capsys):
     assert main(["zariski", "lemma_4_1", "--u", "1/2", "--v", "1/2"]) == 0
     out = capsys.readouterr().out
@@ -452,7 +478,7 @@ def test_cli_zariski_outside_the_pseudo_effective_cone_prints_the_witness(capsys
     assert capsys.readouterr().out == (
         "class: -393/4*l - 3/4*E1 - 1/2*E2 - 1/2*E3 - 1/2*E4\n"
         "not pseudo-effective: outside the cone of the extremal curves; "
-        "functional (1, 0, 0, 0, 0) is nonnegative on every generator "
+        "functional (l: 1, E1: 0, E2: 0, E3: 0, E4: 0) is nonnegative on every generator "
         "but takes -393/4 on the class\n")
 
 
@@ -468,7 +494,7 @@ def test_cli_effdec_prints_the_farkas_witness_as_rationals(capsys):
     assert main(["effdec", "lemma_3_8", "--class", "H - 2*EC"]) == 1
     assert capsys.readouterr().out == (
         "infeasible\n"
-        "functional (2, 3, 2) is nonnegative on every generator "
+        "functional (H: 2, EC: 3, EL: 2) is nonnegative on every generator "
         "but takes -4 on the class\n")
 
 
@@ -686,18 +712,38 @@ def _damage(text, how, rng):
         code, hash_, comment = lines[i].partition("#")
         generator = rng.choice(basis.split("#", 1)[0].partition("=")[2].split())
         lines[i] = f"{code.rstrip()} + {generator} {hash_}{comment}"
+    elif how == "header":
+        # a section header misspelled: the kind reads no section of that name
+        i = rng.choice([i for i, line in enumerate(lines)
+                        if line.startswith("[") and line != "[scenario]"])
+        section = lines[i][1:-2]
+        lines[i] = f"[{section}]"
+    elif how == "empty":
+        section = "bogus"
+        lines.append("[bogus]")
+    elif how == "foreign":
+        # a section that another kind reads, appended with a key it would read
+        section = rng.choice([s for s in ("divisor", "decompose", "pairing")
+                              if f"[{s}]" not in lines])
+        lines += [f"[{section}]", "class = H"]
     else:
         i, section, _ = rng.choice(entries)
         lines.insert(i + 1, "bogus = 1")
     return "\n".join(lines) + "\n", section
 
 
+# the damage that adds a section the scenario's kind does not read
+UNKNOWN_SECTIONS = ("header", "empty", "foreign")
+
+
 @pytest.mark.parametrize("how", ["drop", "duplicate", "abc", "zero", "unknown", "misplaced",
                                  "repeat", "basis", "power", "shadow", "restrict", "ord",
-                                 "cone"])
+                                 "cone", *UNKNOWN_SECTIONS])
 def test_damaged_scenarios_are_isolated_errors(how):
     """Seeded damage to a bundled scenario gives one ERROR row that names the
-    damaged section; the next scenario in the batch still passes."""
+    damaged section; the next scenario in the batch still passes.  A section
+    the kind does not read is reported at its header, before any missing
+    section."""
     names = bundled_scenario_names()
     # a restrict or ord line is damaged only where there is one
     damageable = ([k for k, n in enumerate(names) if n.removesuffix(".scn") in SECTION_FILES]
@@ -711,6 +757,9 @@ def test_damaged_scenarios_are_isolated_errors(how):
         first, second = report.results
         assert first.status == "ERROR", (names[k], section, first)
         assert f"[{section}]" in first.detail, (names[k], first.detail)
+        if how in UNKNOWN_SECTIONS:
+            assert re.fullmatch(rf"\[{section}\] \(line \d+\): unknown section; kind \w+ "
+                                r"reads \[\w+\](, \[\w+\])*", first.detail), first.detail
         assert second.status == "PASS", (neighbour, second)
 
 

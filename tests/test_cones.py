@@ -59,7 +59,7 @@ def test_lower_dimensional_cone_has_equalities(model):
     assert pseudoeffective_threshold(h + el, model.basis.unit("EC"), plane) == 0
     outcome = effective_decompose(model.basis.unit("EC").scale(2), plane)
     assert outcome.witness == (0, -1, 0)
-    assert outcome.detail == ("functional (0, -1, 0) vanishes on every generator "
+    assert outcome.detail == ("functional (H: 0, EC: -1, EL: 0) vanishes on every generator "
                               "but takes -2 on the class")
 
 

@@ -3,8 +3,8 @@ command line starts without ``dataclasses`` or ``inspect``, every module-level
 function and class and every non-dunder method is read somewhere, only
 ``ratmath`` reads a polynomial's numerators, only schedule validation and the
 ``zariski`` command form a chamber's positive part, only the scenario reader's
-``_Section`` forms an error that names a section, and a re-import leaves no
-old module alive."""
+``_Section`` forms an error that names a section, only ``run_verify``
+evaluates a scenario, and a re-import leaves no old module alive."""
 
 import ast
 import gc
@@ -124,6 +124,19 @@ def test_only_validation_and_the_zariski_command_form_positive_parts():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "positive_part")
     assert callers == ["cli._cmd_zariski", "sinv.validate_schedule"]
+
+
+def test_only_run_verify_evaluates_scenarios():
+    """One evaluation path: no function of the package but
+    ``scenario.run_verify`` calls ``evaluate_scenario``, so every command
+    that evaluates a scenario times it and reports an error raised in it as
+    one ERROR row, the same way."""
+    callers = sorted(f"{path.stem}.{stmt.name}" for path in SOURCES
+                     for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                     for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                     and "evaluate_scenario" in (getattr(node.func, "id", None),
+                                                 getattr(node.func, "attr", None)))
+    assert callers == ["scenario.run_verify"]
 
 
 def test_only_the_section_reader_forms_section_errors():

@@ -32,7 +32,7 @@ from divstab.ratmath import IrrationalBreakpointError, Poly, format_poly  # noqa
 from divstab.scenario import load_bundled_scenario  # noqa: E402
 from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
 from oracles import (companion, effective_decompose_oracle,  # noqa: E402
-                     h_representation_oracle, null_space_oracle, recombine,
+                     h_representation_oracle, named_functional, null_space_oracle, recombine,
                      solve_unique_oracle, subs_v_poly, threshold_oracle,
                      triple_product_oracle)
 
@@ -198,7 +198,7 @@ def test_parse_mpoly_inverts_format_mpoly(p):
 @given(mpoly_terms, mpolys, mpolys, st.permutations(MPOLY_VARS),
        st.lists(fractions, min_size=3, max_size=3))
 def test_mpoly_ring_laws_and_canonical_form(terms, b, c, order, point):
-    """Ring laws; evaluation at a rational point is a ring map; the same
+    """Ring laws; substitution at a rational point is a ring map; the same
     polynomial built over permuted variables is equal, hashes equally and
     prints the same; a primitive part prints with a positive first term."""
     a = MPoly(MPOLY_VARS, terms)
@@ -207,9 +207,10 @@ def test_mpoly_ring_laws_and_canonical_form(terms, b, c, order, point):
     assert a * (b + c) == a * b + a * c
     assert a - a == 0 and a + 0 == a and a * 1 == a and (a * 0).is_zero()
     at = dict(zip(MPOLY_VARS, point))
-    assert (a + b).evaluate(at) == a.evaluate(at) + b.evaluate(at)
-    assert (a - b).evaluate(at) == a.evaluate(at) - b.evaluate(at)
-    assert (a * b).evaluate(at) == a.evaluate(at) * b.evaluate(at)
+    assert (a + b).subs(at) == a.subs(at) + b.subs(at)
+    assert (a - b).subs(at) == a.subs(at) - b.subs(at)
+    assert (a * b).subs(at) == a.subs(at) * b.subs(at)
+    assert all(p.subs(at).terms.keys() <= {()} for p in (a, b, c))  # a rational each
     picks = [MPOLY_VARS.index(v) for v in order]
     same = MPoly(order, {tuple(e[i] for i in picks): x for e, x in terms.items()})
     assert same == a and hash(same) == hash(a) and str(same) == str(a)
@@ -311,7 +312,8 @@ def test_decomposition_exists_iff_no_facet_is_violated(case):
         assert isinstance(outcome, Infeasible)
         assert all(_dot(outcome.witness, g) >= 0 for g in cone.generators)
         assert _dot(outcome.witness, cls) < 0
-        assert f"functional ({', '.join(map(str, outcome.witness))})" in outcome.detail
+        named = named_functional(outcome.witness, cone.basis.names)
+        assert f"functional {named}" in outcome.detail
 
 
 @st.composite

@@ -42,7 +42,7 @@ def test_decompose_rejects_point_outside_the_effective_cone(dp5):
     # at (1, 3/2) the ray has already left the pseudo-effective cone
     bad = dp5_ray(dp5, F(1), F(3, 2))
     with pytest.raises(NotPseudoEffectiveError,
-                       match=re.escape("functional (2, 1, 1, 1, 1)")):
+                       match=re.escape("functional (l: 2, E1: 1, E2: 1, E3: 1, E4: 1)")):
         zariski_decompose(bad, dp5.extremal_curves, dp5.form)
 
 
@@ -62,8 +62,8 @@ def _mixed_beyond_its_top(scenarios):
 
 
 @pytest.mark.parametrize("name,point,witness", [
-    ("lemma_4_1", _quarter_l, "(1, 1, 0, 0, 0)"),
-    ("lemma_4_3_mixed", _mixed_beyond_its_top, "(0, 1, 0, 0)"),
+    ("lemma_4_1", _quarter_l, "(l: 1, E1: 1, E2: 0, E3: 0, E4: 0)"),
+    ("lemma_4_3_mixed", _mixed_beyond_its_top, "(l1: 0, l2: 1, e1: 0, e2: 0)"),
 ], ids=["quarter_l", "mixed_quadric"])
 def test_out_of_cone_classes_raise_not_pseudo_effective(scenarios, name, point, witness):
     # each grows a support with an indefinite Gram matrix; membership in the
@@ -415,17 +415,24 @@ def test_volume_monotone_in_v(scenarios):
 
 
 def test_chart_requires_two_breakpoints(dp5):
+    """A chart is one schedule chamber: exactly two breakpoints, ascending."""
     d0 = DivisorClass(dp5.basis, [4 - U, -1, -1, -1, -1])
-    with pytest.raises(ValueError, match="two"):
-        build_chart(d0, dp5.basis.unit("l"), [0], dp5.extremal_curves, dp5.form)
+    for breaks in ([0], [1, 0], [0, 0], [0, F(1, 2), 1]):
+        with pytest.raises(ValueError, match="two"):
+            build_chart(d0, dp5.basis.unit("l"), breaks, dp5.extremal_curves, dp5.form)
 
 
-def test_chart_rejects_non_affine_family(ruled):
-    """A family quadratic in u has curved walls: it must fail loudly, never be guessed."""
+def test_chart_rejects_non_affine_family(ruled, monkeypatch):
+    """A family quadratic in u has curved walls: it must fail loudly, never be
+    guessed.  A sweep refuses it too, before it decomposes anything."""
+    from divstab import zariski
     d0 = DivisorClass(ruled.basis, [2 - U * U, 3])
     z = ruled.basis.unit("s")
     with pytest.raises(ValueError, match="affine in u"):
         build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form)
+    monkeypatch.setattr(zariski, "zariski_decompose", None)  # any call is a TypeError
+    with pytest.raises(ValueError, match="affine in u"):
+        v_sweep(d0, z, F(1, 2), ruled.extremal_curves, ruled.form)
 
 
 def test_a_verify_pass_solves_each_chamber_once(monkeypatch):
