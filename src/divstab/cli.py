@@ -12,9 +12,11 @@ Subcommands:
 * ``geo <check>``         -- named exact-geometry checks (``characters``,
   ``fixed-points``, ``invariant-lines``, ``secant-lemma``, or ``all``)
 
-``verify``, ``s-curve`` and ``s-divisor`` evaluate through ``run_verify``,
-so an evaluation error is an ERROR row; ``--report`` adds the chart dumps.
-Exit codes: 0 all pass, 1 any failure, 2 usage or parse error.
+``verify``, ``s-curve`` and ``s-divisor`` evaluate through ``run_verify``:
+an evaluation error, and under ``verify`` a parse error, is an ERROR row
+with its reason on the next line; ``--report`` adds every row's detail.
+Exit codes: 0 all pass, 1 any failure, 2 usage or parse error (a parse error
+or the wrong kind under ``s-curve``/``s-divisor``, an unwritable ``--report``).
 """
 
 from __future__ import annotations
@@ -82,12 +84,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_single(args, kinds: tuple[str, ...]) -> int:
     name, text = _read_scenario(args.file)
-    kind = parse_scenario(text, name).kind
-    if kind not in kinds:
-        print(f"{name}: expected a scenario of kind {' or '.join(kinds)}, got {kind}",
+    report = run_verify([(name, text)])
+    (row,) = report.results
+    if row.kind == "?":  # run_verify gives a parse error this kind
+        print(f"error: {row.detail}", file=sys.stderr)
+        return USAGE_ERROR
+    if row.kind not in kinds:
+        print(f"{name}: expected a scenario of kind {' or '.join(kinds)}, got {row.kind}",
               file=sys.stderr)
         return USAGE_ERROR
-    return _emit(args, run_verify([(name, text)]))
+    return _emit(args, report)
 
 
 def _cmd_zariski(args) -> int:
@@ -217,50 +223,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="evaluate scenario files (default: all bundled)")
     p.add_argument("files", nargs="*")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("s-curve", help="evaluate one curve-invariant scenario")
     p.add_argument("file")
+    p.set_defaults(run=functools.partial(_cmd_single, kinds=CURVE_KINDS))
 
     p = sub.add_parser("s-divisor", help="evaluate one divisor-invariant scenario")
     p.add_argument("file")
+    p.set_defaults(run=functools.partial(_cmd_single, kinds=("s_divisor",)))
 
     p = sub.add_parser("zariski", help="pointwise decomposition at (u, v)")
     p.add_argument("file")
     p.add_argument("--u", required=True, help="rational u, e.g. 5/4")
     p.add_argument("--v", required=True, help="rational v, e.g. 9/16")
+    p.set_defaults(run=_cmd_zariski)
 
     p = sub.add_parser("effdec", help="effective-cone membership of a class")
     p.add_argument("file")
     p.add_argument("--class", dest="cls", required=True,
                    help="divisor expression over the scenario basis")
+    p.set_defaults(run=_cmd_effdec)
 
     p = sub.add_parser("geo", help="run a named geometry check")
     p.add_argument("check", choices=(*GEO_CHECKS, "all"))
+    p.set_defaults(run=_cmd_geo)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "s-curve":
-            return _cmd_single(args, CURVE_KINDS)
-        if args.command == "s-divisor":
-            return _cmd_single(args, ("s_divisor",))
-        if args.command == "zariski":
-            return _cmd_zariski(args)
-        if args.command == "effdec":
-            return _cmd_effdec(args)
-        if args.command == "geo":
-            return _cmd_geo(args)
-    except (ScenarioFormatError, ExprSyntaxError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return args.run(args)
     except BrokenPipeError:  # the reader closed stdout: exit quietly, flush to nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    raise AssertionError("unknown command")
+    except (ValueError, OSError) as exc:  # a usage or parse error, or an unwritable --report
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

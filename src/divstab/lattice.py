@@ -156,16 +156,13 @@ class DivisorClass:
         return self.scale(factor)
 
     def evaluate(self, u=None, v=None) -> "DivisorClass":
-        """Evaluate parametric coefficients at rational u and/or v."""
+        """Substitute rational u, if given, then rational v, if given."""
         out = []
         for c in self.coeffs:
-            if isinstance(c, Poly):
-                if u is not None and v is not None:
-                    c = c(u, v)
-                elif u is not None:
-                    c = c.subs_u(u)
-                elif v is not None:
-                    c = c.subs_v(v)
+            if isinstance(c, Poly) and u is not None:
+                c = c.subs_u(u)
+            if isinstance(c, Poly) and v is not None:
+                c = c.subs_v(v)
             out.append(c)
         return DivisorClass(self.basis, out)
 
@@ -213,9 +210,6 @@ class ThreefoldForm(Record):
             table[key] = value
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "values", MappingProxyType(table))
-
-    def value(self, i: int, j: int, k: int) -> Fraction:
-        return self.values.get(_sym_key((i, j, k)), Fraction(0))
 
 
 class SurfaceForm(Record):

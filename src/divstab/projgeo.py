@@ -187,11 +187,10 @@ class MPoly:
     def subs(self, mapping: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
         """Substitute polynomials (or exact scalars) for variables.
 
-        Each image's powers are formed once per call, x^e as x^(e-1)*x, and
-        read by every monomial.
+        Each image's powers are formed once per call, x^e as x^(e-1)*x, a
+        scalar's as scalars, and read by every monomial.
         """
-        powers = {v: [x if isinstance(x, MPoly) else MPoly.constant(x)]
-                  for v, x in mapping.items()}
+        powers = {v: [x if isinstance(x, MPoly) else _exact(x)] for v, x in mapping.items()}
         out: dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             term = MPoly._of({tuple(p for p in mono if p[0] not in powers): c})

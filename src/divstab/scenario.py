@@ -75,7 +75,8 @@ from .cones import (ConeSpec, Infeasible, _separate, _vector_of, effective_decom
                     feasible_interval, format_functional)
 from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
-                      SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair)
+                      SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair,
+                      triple_product)
 from .ratmath import Poly, _dot, format_poly, format_rational, parse_rational
 from .record import Record
 
@@ -303,13 +304,11 @@ def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.Surfac
 def _projection_formula(model: sinv.ThreefoldModel, cls: DivisorClass, form: SurfaceForm,
                         restriction: RestrictionMap) -> None:
     """Raise ValueError unless D1|_S . D2|_S = D1.D2.S for every two generators."""
-    names = model.basis.names
-    for i, j in combinations_with_replacement(range(len(names)), 2):
+    basis = model.basis
+    for (i, a), (j, b) in combinations_with_replacement(enumerate(basis.names), 2):
         on_s = surface_pair(restriction.images[i], restriction.images[j], form)
-        on_x = sum((c * model.form.value(i, j, k) for k, c in enumerate(cls.coeffs) if c),
-                   Fraction(0))
+        on_x = triple_product(basis.unit(a), basis.unit(b), cls, model.form)
         if on_s != on_x:
-            a, b = names[i], names[j]
             raise ValueError(f"the projection formula fails: {a}|S.{b}|S = "
                              f"{format_poly(on_s)}, but {a}.{b}.S = {format_poly(on_x)}")
 
@@ -463,8 +462,8 @@ class Report(Record):
         return all(r.status == "PASS" for r in self.results)
 
     def text(self, include_detail: bool = False) -> str:
-        lines = [r.line() + (f"\n{r.detail}" if include_detail and r.detail else "")
-                 for r in self.results]
+        lines = [r.line() + (f"\n{r.detail}" if r.detail and (
+                     include_detail or r.status == "ERROR") else "") for r in self.results]
         passed = sum(r.status == "PASS" for r in self.results)
         lines.append(f"{passed}/{len(self.results)} scenarios pass")
         return "\n".join(lines)

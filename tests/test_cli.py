@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import divstab
+from divstab import cli as cli_module
+from divstab import scenario as scenario_module
 from divstab.cli import GEO_CHECKS, build_parser, main
 from divstab.exprs import MAX_POWER, ExprSyntaxError, parse_divisor_expr, parse_poly
 from divstab.lattice import DivisorClass, LatticeBasis
@@ -24,6 +27,9 @@ V = Poly.variable("v")
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.json"
 GOLDEN_GEO = Path(__file__).parent / "golden" / "geo_all.txt"
+
+LEMMA_3_8_ROW = ("PASS  lemma_3_8: computed H-EL:2 2H-EC:1 R:0 EL:1 EC:0, "
+                 "expected H-EL:2 2H-EC:1 R:0 EL:1 EC:0")
 
 SECTION_FILES = ("lemma_4_1", "lemma_4_2_s", "lemma_4_2_r", "lemma_4_3_l1",
                  "lemma_4_3_l2", "lemma_4_3_mixed", "lemma_4_3_ec_term",
@@ -111,6 +117,20 @@ def test_missing_schedule_section_named():
             stripped.append(line)
     with pytest.raises(ScenarioFormatError, match="schedule"):
         parse_scenario("\n".join(stripped), "broken")
+
+
+@pytest.mark.parametrize("old,new,why", [
+    ("l.l:1", "l.l:2", "H|S.H|S = 2, but H.H.S = 1"),
+    ("restrict EC = E2 + E3 + E4", "restrict EC = E2 + E3", "EC|S.EC|S = -2, but EC.EC.S = -3"),
+], ids=["pairing", "restrict"])
+def test_projection_formula_failure_named(old, new, why):
+    """A surface whose pairing disagrees with D1.D2.S on the threefold is
+    refused at its header, naming the first pair of generators that differs."""
+    text = load_bundled("lemma_4_1.scn")
+    assert old in text
+    with pytest.raises(ScenarioFormatError) as exc:
+        parse_scenario(text.replace(old, new), "broken")
+    assert str(exc.value) == f"[surface] (line 23): the projection formula fails: {why}"
 
 
 def test_tensor_symmetry_violation_reported():
@@ -589,20 +609,106 @@ def test_a_closed_stdout_ends_quietly():
 
 
 def test_cli_usage_error_on_missing_file(capsys):
-    """A single-scenario command stops on a missing path with a usage error;
-    ``verify`` gives the path one ERROR row and goes on with its batch."""
+    """A single-scenario command stops on a missing path with a usage error
+    and prints nothing on stdout; ``verify`` gives the path one ERROR row,
+    with its reason, and goes on with its batch."""
     for argv in (["s-curve", "does-not-exist"], ["s-divisor", "does-not-exist"],
                  ["zariski", "does-not-exist", "--u", "1", "--v", "0"],
                  ["effdec", "does-not-exist", "--class", "H"]):
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: no scenario file or bundled scenario named 'does-not-exist'\n")
-    for files, statuses in ((["does-not-exist"], ["ERROR"]),
-                            (["does-not-exist", "lemma_3_8"], ["ERROR", "PASS"])):
+        assert capsys.readouterr() == (
+            "", "error: no scenario file or bundled scenario named 'does-not-exist'\n")
+    error = ["ERROR does-not-exist: computed -, expected -",
+             "no scenario file or bundled scenario named 'does-not-exist'"]
+    for files, lines in ((["does-not-exist"], [*error, "0/1 scenarios pass"]),
+                         (["does-not-exist", "lemma_3_8"], [*error, LEMMA_3_8_ROW,
+                                                           "1/2 scenarios pass"])):
         assert main(["verify", *files]) == 1
-        rows = capsys.readouterr().out.splitlines()[:-1]
-        assert [row.split()[0] for row in rows] == statuses
-        assert rows[0] == "ERROR does-not-exist: computed -, expected -"
+        assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["s-curve", "sdiv_plane"], "sdiv_plane: expected a scenario of kind s_curve or "
+                                "s_curve_bound or negative_part, got s_divisor\n"),
+    (["s-divisor", "lemma_4_1"], "lemma_4_1: expected a scenario of kind s_divisor, "
+                                 "got s_curve\n"),
+    (["--json", "s-curve", "sdiv_plane"], "sdiv_plane: expected a scenario of kind "
+                                          "s_curve or s_curve_bound or negative_part, "
+                                          "got s_divisor\n"),
+    (["s-curve", "{bad}"], "error: [scenario] (line 1): missing the key 'expected'\n"),
+    (["s-divisor", "{bad}"], "error: [scenario] (line 1): missing the key 'expected'\n"),
+], ids=["s-curve-kind", "s-divisor-kind", "json-kind", "s-curve-parse", "s-divisor-parse"])
+def test_a_single_scenario_command_refuses_with_a_usage_error(tmp_path, capsys, argv, err):
+    """The wrong kind or a parse error stops ``s-curve`` and ``s-divisor``
+    with exit code 2, one line on stderr and nothing on stdout, and writes
+    no ``--report``."""
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[scenario]\nkind = s_curve\n", encoding="utf-8")
+    report = tmp_path / "report.txt"
+    argv = [a.replace("{bad}", str(bad)) for a in argv]
+    assert main(["--report", str(report), *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not report.exists()
+
+
+def test_a_single_scenario_command_parses_its_file_once(monkeypatch, capsys):
+    """``s-curve`` reads the kind off the one row ``run_verify`` gives, so the
+    file is parsed once."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return parse(*args, **kwargs)
+    parse = scenario_module.parse_scenario
+    monkeypatch.setattr(scenario_module, "parse_scenario", counted)
+    monkeypatch.setattr(cli_module, "parse_scenario", counted)
+    assert main(["s-curve", "lemma_4_1"]) == 0
+    assert calls == [("lemma_4_1",)]
+    assert capsys.readouterr().out.startswith("PASS  lemma_4_1: computed 753/1120")
+
+
+def test_every_subcommand_binds_its_handler():
+    """The parser names each subcommand's handler, so ``main`` keeps no
+    second list of the subcommand names."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["effdec", "geo", "s-curve", "s-divisor", "verify", "zariski"]
+    for name, parser in sub.choices.items():
+        assert callable(parser.get_default("run")), name
+
+
+def test_an_error_row_gives_its_reason_in_text(tmp_path, capsys):
+    """An ERROR row carries its reason on the next line of the text report,
+    under ``s-divisor`` as under ``verify``; ``--report`` writes it once."""
+    path = tmp_path / "sdiv_plane.scn"
+    path.write_text(load_bundled("sdiv_plane.scn").replace("chamber 1 3/2 =", "chamber 1 2 ="),
+                    encoding="utf-8")
+    error = ["ERROR sdiv_plane: computed -, expected 227/448",
+             "ScheduleError: schedule ends at u = 2 but the pseudo-effective threshold is 3/2"]
+    report = tmp_path / "report.txt"
+    for argv, lines in ((["s-divisor", str(path)], [*error, "0/1 scenarios pass"]),
+                        (["verify", str(path), "lemma_3_8"],
+                         [*error, LEMMA_3_8_ROW, "1/2 scenarios pass"])):
+        assert main(["--report", str(report), *argv]) == 1
+        assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+    assert report.read_text(encoding="utf-8").splitlines()[:2] == error
+
+
+def test_an_unwritable_report_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """A ``--report`` path that cannot be written (a directory, a missing
+    parent, no permission) exits 2 with one ``error:`` line, no traceback."""
+    assert main(["--report", str(tmp_path), "verify", "lemma_3_8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == LEMMA_3_8_ROW + "\n1/1 scenarios pass\n"
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert main(["--report", str(tmp_path / "no" / "report.txt"), "verify", "lemma_3_8"]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["--report", str(tmp_path / "report.txt"), "s-curve", "lemma_4_1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 13] Permission denied") and err.count("\n") == 1
 
 
 # keys whose absence is an error in every scenario that has the section

@@ -206,6 +206,17 @@ def test_evaluate_parametric_class(model):
     assert at == DivisorClass(model.basis, [3, F(-1, 2), -2])
 
 
+def test_evaluate_substitutes_u_then_v(model):
+    """u and v given together give the class that u, then v, gives: each
+    coefficient at the point."""
+    p = DivisorClass(model.basis, [8 - 4 * U + V * V, U * V - 3, F(1, 2)])
+    u, v = F(5, 4), F(-2, 3)
+    at = p.evaluate(u=u, v=v)
+    assert at == p.evaluate(u=u).evaluate(v=v) == p.evaluate(v=v).evaluate(u=u)
+    assert at == DivisorClass(model.basis, [c(u, v) for c in p.coeffs[:2]] + [F(1, 2)])
+    assert at.rational
+
+
 def test_lattice_takes_exact_scalars_only():
     """A float coefficient, table entry or evaluation point is a TypeError,
     never a binary fraction such as 3602879701896397/36028797018963968."""

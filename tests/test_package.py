@@ -139,6 +139,19 @@ def test_only_run_verify_evaluates_scenarios():
     assert callers == ["scenario.run_verify"]
 
 
+def test_single_scenario_commands_parse_through_run_verify():
+    """``s-curve`` and ``s-divisor`` parse each file once, inside
+    ``run_verify``: only it, the bundled-scenario loader and the two
+    pointwise commands call ``parse_scenario``."""
+    callers = sorted(f"{path.stem}.{stmt.name}" for path in SOURCES
+                     for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                     for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                     and "parse_scenario" in (getattr(node.func, "id", None),
+                                              getattr(node.func, "attr", None)))
+    assert callers == ["cli._cmd_effdec", "cli._cmd_zariski", "scenario.load_bundled_scenario",
+                       "scenario.run_verify"]
+
+
 def test_only_the_section_reader_forms_section_errors():
     """Every ``ScenarioFormatError`` whose message starts with ``[``, naming a
     section, is built inside ``scenario._Section``, so one method gives each
