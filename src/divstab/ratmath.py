@@ -20,9 +20,9 @@ directly.  Degrees stay tiny (at most 4), so dense storage is the simple
 choice.
 
 Chamber breakpoints are the roots of polynomials of degree <= 2 along their
-one variable (:func:`rational_roots`, in closed form), and every breakpoint
-that legitimately occurs is rational; an irrational one is reported as a
-hard error rather than approximated.
+one variable (:func:`rational_roots`, in closed form on the integer
+numerators), and every breakpoint that legitimately occurs is rational; an
+irrational one is reported as a hard error rather than approximated.
 """
 
 from __future__ import annotations
@@ -71,17 +71,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
 
 
 def _as_fraction(x: Scalar) -> Fraction:
@@ -437,29 +426,32 @@ def rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of a nonzero polynomial of degree <= 2 along its one
     variable, in increasing order and in closed form.
 
-    Multiplicities are collapsed.  A quadratic with real but irrational roots
-    raises :class:`IrrationalBreakpointError`, and a negative discriminant
-    (no real roots) yields an empty list.  Degree 3 or more is a
-    :class:`ValueError`.
+    Multiplicities are collapsed.  The roots are read off the integer
+    numerators c0 + c1 x + c2 x^2 (the common denominator moves none), and a
+    quadratic's roots are rational exactly when its integer discriminant is
+    a square, found by ``math.isqrt``; one Fraction is formed per root.  A
+    quadratic with real but irrational roots raises
+    :class:`IrrationalBreakpointError`, and a negative discriminant (no real
+    roots) yields an empty list.  Degree 3 or more is a :class:`ValueError`.
     """
-    coeffs = p.coeffs
-    if not coeffs:
+    cs = p._numerators()
+    if not cs:
         raise ValueError("zero polynomial has every point as a root")
-    if len(coeffs) > 3:
+    if len(cs) > 3:
         raise ValueError(f"rational_roots takes degree <= 2, got {format_poly(p)}")
-    if len(coeffs) == 1:
+    if len(cs) == 1:
         return []
-    if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
-    c0, c1, c2 = coeffs
+    if len(cs) == 2:
+        return [Fraction(-cs[0], cs[1])]
+    c0, c1, c2 = cs
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return []
-    sq = rational_sqrt(disc)
-    if sq is None:
+    sq = math.isqrt(disc)
+    if sq * sq != disc:
         raise IrrationalBreakpointError(
             f"irrational breakpoint: roots of {format_poly(p)} are not rational")
-    return sorted({(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)})
+    return sorted({Fraction(-c1 - sq, 2 * c2), Fraction(-c1 + sq, 2 * c2)})
 
 
 def format_terms(terms: Iterable[tuple[Sequence[int], Fraction]],

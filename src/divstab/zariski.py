@@ -35,12 +35,15 @@ P.C_i = 0 on S.  All come out as integers over one denominator each.
 symbolic.  Each chamber's support is solved once for all (u, v): the
 positive part, the volume and the wall forms, each form affine in v (a
 negative-part coefficient on the support, the pairing of the positive part
-with a curve off it).  The next wall is the least root at u of
-a form falling in v; every curve on it toggles: an off-support curve enters,
-a support curve whose coefficient reaches 0 leaves.  The sweep terminates at
-the smallest rational root of the quadratic ``vol(u, v)``.  On each chamber
-every form is >= 0 and the support's Gram matrix is negative definite, which
-is Zariski's characterization of the decomposition.
+with a curve off it).  The next wall is the least root at u of a form falling
+in v, an integer pair found by cross-multiplying; every curve on it toggles:
+an off-support curve enters, a support curve whose coefficient reaches 0
+leaves.  The sweep terminates at the smallest rational root of vol at u,
+screened on its integer coefficients: a ``Poly`` goes to :func:`rational_roots`
+only when a root can lie in the chamber.  Each chamber end is one Fraction,
+and the positive part at u is formed only when read.  On each chamber every
+form is >= 0 and the support's Gram matrix is negative definite, which is
+Zariski's characterization of the decomposition.
 
 ``build_chart`` derives the symbolic picture over one u-interval exactly
 and reads its chambers off one sweep at the midpoint of each cell.  Every
@@ -64,14 +67,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
 from . import linalg
 from .cones import ConeSpec, Infeasible, effective_decompose
-from .lattice import BasisMismatchError, DivisorClass, SurfaceForm, surface_pair
-from .ratmath import (IrrationalBreakpointError, Poly, _dot, _integers, _reduce, _tables,
-                      format_poly, format_rational, integrate_region, rational_roots)
+from .lattice import BasisMismatchError, DivisorClass, LatticeBasis, SurfaceForm, surface_pair
+from .ratmath import (IrrationalBreakpointError, Poly, _as_fraction, _dot, _integers, _reduce,
+                      _tables, format_poly, format_rational, integrate_region, rational_roots)
 from .record import Record
 
 NamedCurve = tuple[str, DivisorClass]
@@ -282,48 +286,52 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
 class SweepChamber(Record):
     """One v-interval of constant support along a sweep at fixed u.
 
-    ``positive`` is read at the sweep's u.  ``toggled`` names the curves
-    that enter or leave the support at ``v_hi``; it is empty for the last
-    chamber, which ends where vol vanishes.  ``solution`` is the support
-    solved for all (u, v), over the ray's monomials (1, u, v).
+    ``toggled`` names the curves that enter or leave the support at ``v_hi``;
+    it is empty for the last chamber, which ends where vol vanishes.
+    ``solution`` is the support solved for all (u, v), over the ray's
+    monomials (1, u, v).  ``positive``, over ``basis`` at the sweep's ``u``
+    and affine in v, is formed from ``solution`` on first read (a chart reads none).
     """
 
     v_lo: Fraction
     v_hi: Fraction
     support: tuple[str, ...]
-    positive: DivisorClass       # coefficients are affine in v
     toggled: tuple[str, ...]
     solution: IntegerSolution
+    u: Fraction
+    basis: LatticeBasis
+
+    @cached_property
+    def positive(self) -> DivisorClass:
+        (a, b), den = self.u.as_integer_ratio(), self.solution.positive_den
+        return DivisorClass(self.basis, [_reduce([[p0 * b + p1 * a, p2 * b]], den * b)
+                                         for p0, p1, p2 in self.solution.positive])
 
 
-def _terminal_root(vol: Poly, after: Fraction, at_most: Fraction | None):
-    """Smallest root of vol in (after, at_most], or None.
-
-    Screens with exact sign evaluations first, so root extraction (which
-    errors on irrational roots) only runs when a root really is inside.
+def _terminal_root(c0: int, c1: int, c2: int, den: int, after: tuple[int, int],
+                   at_most: tuple[int, int] | None) -> Fraction | None:
+    """Smallest root in (after, at_most] of vol = (c0 + c1 v + c2 v^2) / den, den > 0,
+    or None; each end is a pair (p, q), q > 0, and ``at_most`` None leaves the top
+    open.  The screens (the discriminant's sign, vol's sign at ``at_most``, where
+    the vertex lies) cross-multiply integers, so the Poly is built and its roots
+    extracted (which errors on irrational roots) only when a root can lie inside.
     """
-    coeffs = vol.coeffs
-    if len(coeffs) <= 1:
+    (p, q), (m, n) = after, at_most or (1, 0)  # n = 0: no top
+    if not (c1 or c2) or c1 * c1 < 4 * c2 * c0:
         return None
-    if len(coeffs) == 3:
-        c0, c1, lead = coeffs
-        if c1 ** 2 - 4 * lead * c0 < 0:
-            return None
-        if at_most is not None and vol(at_most) > 0:
-            if lead < 0:
-                return None  # concave, positive at both ends
-            vertex = -c1 / (2 * lead)
-            if not after < vertex < at_most:  # vol(vertex) = -disc / (4 lead) <= 0
-                return None
-    return min((r for r in rational_roots(vol)
-                if r > after and (at_most is None or r <= at_most)), default=None)
+    if c2 and n and c0 * n * n + c1 * m * n + c2 * m * m > 0:  # vol(at_most) > 0
+        if c2 < 0 or not (2 * c2 * p < -c1 * q and -c1 * n < 2 * c2 * m):
+            return None  # concave, or its vertex -c1 / (2 c2), where vol <= 0, is outside
+    return min((r for r in rational_roots(_reduce([[c0, c1, c2]], den))
+                if p * r.denominator < r.numerator * q and r.numerator * n <= m * r.denominator),
+               default=None)
 
 
 def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
             extremal_curves: Sequence[NamedCurve],
             form: SurfaceForm) -> list[SweepChamber]:
     """Chambers of the Zariski decomposition of ``d0(u) - v z`` for v >= 0."""
-    u = Fraction(u)
+    u = _as_fraction(u)
     table = surface_table(extremal_curves, form)
     ray = _ray(table, d0, z)
     base = zariski_decompose(d0.evaluate(u=u), extremal_curves, form)  # validates v = 0
@@ -332,7 +340,7 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
     powers = (b, a)
     support = tuple(name for name in table.names if name in base.support)
     chambers: list[SweepChamber] = []
-    v0 = Fraction(0)
+    v0, (p0, q0) = Fraction(0), (0, 1)  # the floor v0 = p0 / q0
     # N is convex in the class, so each coefficient vanishes on one interval
     # of the ray: a curve toggles at most twice
     for step in range(2 * len(table.names) + 2):
@@ -343,27 +351,27 @@ def v_sweep(d0: DivisorClass, z: DivisorClass, u: Fraction,
         if step == 0 and vol_at_0 == 0:  # the start's support: vol of the start
             raise NotPseudoEffectiveError(
                 f"the ray at u={format_rational(u)} starts on the pseudo-effective boundary")
-        walls = [(Fraction(-_dot(f, powers), f[-1] * b), name)
-                 for name, f in solution.forms if f[-1] < 0]
-        wall_v = min((w for w, _ in walls if w >= v0), default=None)
-        toggled = tuple(name for w, name in walls if w == wall_v)
-        if wall_v != v0:  # else a form is 0 at the floor: toggle with no chamber
+        # a form f0 + f1 u + f2 v, f2 < 0, falls to 0 at v = (f0 b + f1 a) / (-f2 b): the
+        # least such wall num / den >= v0 and the curves on it, by cross-multiplying
+        walls = [(_dot(f, powers), -f[-1] * b, name) for name, f in solution.forms if f[-1] < 0]
+        wall = None
+        for num, den, _ in walls:
+            if num * q0 >= p0 * den and (wall is None or num * wall[1] < wall[0] * den):
+                wall = num, den
+        toggled = () if wall is None else tuple(
+            name for num, den, name in walls if num * wall[1] == wall[0] * den)
+        if wall is None or wall[0] * q0 != p0 * wall[1]:  # else toggle at v0, no chamber
             linear = _dot(powers, [row[-1] for row in head]) + _dot(solution.vol[-1], powers)
-            vol = _reduce([[vol_at_0, linear * b, solution.vol[-1][-1] * b ** 2]],
-                          solution.vol_den * b ** 2)
-            terminal = _terminal_root(vol, v0, wall_v)
-            if terminal is not None:
-                wall_v, toggled = terminal, ()
-            elif wall_v is None:
+            terminal = _terminal_root(vol_at_0, linear * b, solution.vol[-1][-1] * b ** 2,
+                                      solution.vol_den * b ** 2, (p0, q0), wall)
+            if terminal is None and wall is None:
                 raise NotPseudoEffectiveError(
                     "sweep does not terminate: the subtracted curve class is not constraining")
-            positive = DivisorClass(d0.basis, [
-                _reduce([[_dot(p, powers), p[-1] * b]], solution.positive_den * b)
-                for p in solution.positive])
-            chambers.append(SweepChamber(v0, wall_v, support, positive, toggled, solution))
+            v_hi, toggled = (Fraction(*wall), toggled) if terminal is None else (terminal, ())
+            chambers.append(SweepChamber(v0, v_hi, support, toggled, solution, u, d0.basis))
             if not toggled:
                 return chambers
-            v0 = wall_v
+            v0, (p0, q0) = v_hi, wall
         support = (tuple(n for n in support if n not in toggled)
                    + tuple(n for n in toggled if n not in support))
     raise AssertionError("a curve toggled more than twice along one ray")
@@ -413,7 +421,7 @@ def build_chart(d0: DivisorClass, z: DivisorClass, u_breaks: Sequence[Fraction],
     if len(u_breaks) != 2 or not u_breaks[0] < u_breaks[1]:
         raise ValueError(f"a chart needs two ascending u-breakpoints, got {list(u_breaks)}")
     merged: list = []
-    for u_lo, u_hi, stack in _derive_cell(d0, z, *map(Fraction, u_breaks),
+    for u_lo, u_hi, stack in _derive_cell(d0, z, *map(_as_fraction, u_breaks),
                                           extremal_curves, form):
         if merged and merged[-1][2] == stack:
             u_lo = merged.pop()[0]

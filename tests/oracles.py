@@ -14,7 +14,10 @@ pointwise Zariski fixpoint with every pairing formed that way for one class
 at a time, with no table shared between classes, the pairings of a ray
 d0(u) - v z formed that way on its Poly class instead of integer columns, the
 lines where a terminal chamber's volume vanishes by Poly arithmetic and a
-linear solve instead of an integer discriminant, linear combinations,
+linear solve instead of an integer discriminant, the roots of a quadratic
+and a sweep's terminal root by Fraction coefficients, an exact rational
+square root and Poly evaluation instead of integer numerators and
+``math.isqrt``, linear combinations,
 restrictions and curve pairings by DivisorClass and Poly arithmetic
 instead of integer tables, region and univariate integrals by Poly
 substitution of the bounds and a Fraction Horner rule instead of integer
@@ -49,7 +52,7 @@ from divstab.lattice import DivisorClass, pair_with_curve, triple_product
 from divstab.projgeo import (MPoly, invariant_line, line_containment_conditions,
                              pullback_under_quadric_map)
 from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _as_fraction,
-                             format_poly, format_rational, rational_sqrt)
+                             format_poly, format_rational)
 from divstab.sinv import ScheduleError
 from divstab.zariski import IndefiniteSupportError, NotPseudoEffectiveError, ZariskiResult
 
@@ -546,6 +549,59 @@ def pair_with_curve_oracle(d, curve):
         if coeff and value:
             total += value * coeff
     return total if d.rational else Poly.of(total)
+
+
+def rational_sqrt(q: Fraction) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None if irrational."""
+    if q < 0:
+        return None
+    num, den = q.numerator, q.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return None
+    return Fraction(rn, rd)
+
+
+def rational_roots_oracle(p: Poly) -> list[Fraction]:
+    """The rational roots of p (degree 1 or 2 along its one variable), in
+    increasing order, from its Fraction coefficients and a rational square
+    root of the discriminant; irrational roots raise as the package does."""
+    coeffs = p.coeffs
+    if len(coeffs) == 2:
+        return [-coeffs[0] / coeffs[1]]
+    c0, c1, c2 = coeffs
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    sq = rational_sqrt(disc)
+    if sq is None:
+        raise IrrationalBreakpointError(
+            f"irrational breakpoint: roots of {format_poly(p)} are not rational")
+    return sorted({(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)})
+
+
+def terminal_root_oracle(vol: Poly, after: Fraction, at_most: Fraction | None):
+    """Smallest root of vol in (after, at_most], or None.
+
+    Screens with exact sign evaluations of the Poly first, so root
+    extraction (which errors on irrational roots) only runs when a root
+    really is inside.
+    """
+    coeffs = vol.coeffs
+    if len(coeffs) <= 1:
+        return None
+    if len(coeffs) == 3:
+        c0, c1, lead = coeffs
+        if c1 ** 2 - 4 * lead * c0 < 0:
+            return None
+        if at_most is not None and vol(at_most) > 0:
+            if lead < 0:
+                return None  # concave, positive at both ends
+            vertex = -c1 / (2 * lead)
+            if not after < vertex < at_most:  # vol(vertex) = -disc / (4 lead) <= 0
+                return None
+    return min((r for r in rational_roots_oracle(vol)
+                if r > after and (at_most is None or r <= at_most)), default=None)
 
 
 def branches_oracle(vol: Poly) -> list[Poly]:

@@ -9,7 +9,7 @@ from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly
                              format_poly, format_rational, integrate_region,
                              integrate_univariate, parse_rational, rational_roots)
 from oracles import (float_eval, integrate_region_oracle, integrate_univariate_oracle,
-                     midpoint_1d)
+                     midpoint_1d, rational_roots_oracle)
 
 U = Poly.variable("u")
 V = Poly.variable("v")
@@ -101,6 +101,32 @@ def test_rational_roots_refuse_degree_three():
     for p in (V ** 3 - V, U ** 3, (V - 1) * (V - 2) * (V - 3) * (V - 4)):
         with pytest.raises(ValueError, match=re.escape(format_poly(p))):
             rational_roots(p)
+
+
+def test_rational_roots_over_a_common_denominator_match_the_fraction_route():
+    """The roots come from the integer numerators alone: a common denominator
+    other than 1 and a negative leading coefficient move none of them."""
+    p = -(3 * V - 2) * (V + 1) * F(1, 6)
+    assert (p.den, p.num) == (6, ((2, -1, -3),))
+    assert rational_roots(p) == rational_roots_oracle(p) == [F(-1), F(2, 3)]
+    assert rational_roots(-(3 * U - 2) * (U + 1) * F(1, 6)) == [F(-1), F(2, 3)]  # along u
+    assert rational_roots((3 * V + 2) * F(1, 5)) == [F(-2, 3)]
+    rng, seen = random.Random("rational-roots"), Counter()
+    for _ in range(400):
+        c = [_random_fraction(rng) for _ in range(3)]
+        if not c[2]:
+            continue
+        p = Poly([[c[0], c[1], c[2]]]) * F(rng.randint(1, 9), rng.randint(1, 9))
+        try:
+            expected = rational_roots_oracle(p)
+        except IrrationalBreakpointError as exc:
+            seen["irrational"] += 1
+            with pytest.raises(IrrationalBreakpointError, match=re.escape(str(exc))):
+                rational_roots(p)
+        else:
+            seen[len(expected)] += 1
+            assert rational_roots(p) == expected
+    assert set(seen) == {"irrational", 0, 1, 2}
 
 
 def _random_fraction(rng):

@@ -10,11 +10,12 @@ import pytest
 from divstab.cones import ConeSpec, Decomposition, effective_decompose
 from divstab.lattice import DivisorClass, LatticeBasis, SurfaceForm, restrict, surface_pair
 from divstab.ratmath import IrrationalBreakpointError, Poly
-from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError,
+from divstab.zariski import (IndefiniteSupportError, NotPseudoEffectiveError, _terminal_root,
                              build_chart, v_sweep, zariski_decompose)
 from conftest import CURVE_SCENARIOS, curve_args
 from oracles import (branches_oracle, chart_stack, negative_class, ray_pairings_oracle,
-                     subs_v_poly, surface_pair_oracle, u_cells, zariski_decompose_oracle)
+                     subs_v_poly, surface_pair_oracle, terminal_root_oracle, u_cells,
+                     zariski_decompose_oracle)
 
 U = Poly.variable("u")
 
@@ -151,6 +152,93 @@ def test_v_sweep_errors_on_irrational_terminal():
 
 
 V = Poly.variable("v")
+
+
+def test_a_float_u_is_refused_by_sweeps_and_charts(dp5):
+    """u enters as an exact scalar only, as in ``DivisorClass.evaluate``: a
+    float is a TypeError, never a Fraction of its binary expansion."""
+    d0 = DivisorClass(dp5.basis, [4 - U, -1, -1, -1, -1])
+    z = dp5.basis.unit("l")
+    for run in (lambda: v_sweep(d0, z, 0.1, dp5.extremal_curves, dp5.form),
+                lambda: build_chart(d0, z, [0.0, 0.5], dp5.extremal_curves, dp5.form),
+                lambda: d0.evaluate(u=0.1)):
+        with pytest.raises(TypeError, match="expected an exact scalar, got float"):
+            run()
+
+
+def test_a_sweep_forms_positive_parts_only_on_read(dp5):
+    """A chamber keeps its solution, u and basis; its positive part is formed
+    on first read, equal to the class read off the solution at u, and the
+    chamber compares and hashes the same before and after."""
+    d0 = DivisorClass(dp5.basis, [8 - 5 * U, U - 2, 2 * U - 3, 2 * U - 3, 2 * U - 3])
+    z, u = dp5.basis.unit("l"), F(5, 4)
+    sweep = v_sweep(d0, z, u, dp5.extremal_curves, dp5.form)
+    twins = v_sweep(d0, z, u, dp5.extremal_curves, dp5.form)
+    assert len(sweep) == 2
+    for ch, twin in zip(sweep, twins):
+        assert "positive" not in vars(ch)
+        assert (ch.u, ch.basis) == (u, dp5.basis)
+        solution = ch.solution
+        eager = DivisorClass(dp5.basis, [(p0 + p1 * u + p2 * V) * F(1, solution.positive_den)
+                                         for p0, p1, p2 in solution.positive])
+        assert ch.positive == eager
+        assert "positive" in vars(ch) and "positive" not in vars(twin)
+        assert ch == twin and hash(ch) == hash(twin)
+    assert sweep[0].positive.evaluate(v=0) == d0.evaluate(u=u)
+
+
+def _screen_case(rng):
+    """A vol for the terminal screen: a line, a quadratic with rational
+    roots or one with irrational roots, each scaled by a random rational."""
+    r1, r2 = (F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(2))
+    kind = rng.choice(["linear", "rational", "irrational"])
+    if kind == "linear":
+        vol = V - r1
+    elif kind == "rational":
+        vol = (V - r1) * (V - r2)
+    else:
+        vol = (V - r1) ** 2 - rng.choice([2, 3, 5, F(1, 2), F(7, 9)])
+    return vol * F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6)), [r1, r2]
+
+
+def test_terminal_screen_agrees_with_the_fraction_oracle():
+    """The integer screen of a sweep's last chamber returns the root the
+    Fraction route returns, or raises as it does: over lines and quadratics,
+    an open top, a root exactly at the top, the vertex inside and outside
+    (after, at_most), and irrational roots.  The ends are unreduced pairs,
+    as the sweep passes them."""
+    rng, seen = random.Random("terminal-screen"), Counter()
+    for _ in range(4000):
+        vol, roots = _screen_case(rng)
+        ((*c,),), den = vol.num, vol.den
+        c0, c1, c2 = c + [0] * (3 - len(c))
+        ends = roots + [F(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(2)]
+        if c2:
+            ends.append(F(-c1, 2 * c2))
+        after = rng.choice(ends)
+        at_most = rng.choice([None, *(e for e in ends if e > after)])
+        k = rng.randint(1, 3)
+        lo = (after.numerator * k, after.denominator * k)
+        hi = None if at_most is None else (at_most.numerator * k, at_most.denominator * k)
+        try:
+            expected = terminal_root_oracle(vol, after, at_most)
+        except IrrationalBreakpointError as exc:
+            expected = str(exc)
+        try:
+            got = _terminal_root(c0, c1, c2, den, lo, hi)
+        except IrrationalBreakpointError as exc:
+            got = str(exc)
+        assert got == expected, (vol, after, at_most)
+        seen["quadratic" if c2 else "linear"] += 1
+        seen["irrational" if isinstance(got, str) else "found" if got is not None else None] += 1
+        if at_most is None:
+            seen["open top"] += 1
+        elif got == at_most:
+            seen["root at the top"] += 1
+        elif c2 > 0 and vol(at_most) > 0:
+            seen["vertex inside" if after < F(-c1, 2 * c2) < at_most else "vertex outside"] += 1
+    assert {"linear", "quadratic", "irrational", "found", None, "open top", "root at the top",
+            "vertex inside", "vertex outside"} <= set(seen), seen
 
 
 @pytest.mark.parametrize("z,chambers", [
