@@ -14,22 +14,21 @@ nonzero coefficient that is an ``int`` when integral and otherwise a
 Fraction with denominator > 1, so equal polynomials have equal ``terms``, no
 operation aligns variable lists, and the arithmetic of integral coefficients
 runs on Python ints.  :class:`LinearAction` stores its matrix by the same
-rule, and :func:`_char_poly` clears its denominators to run over the ints.
-:func:`format_mpoly` prints graded lex over the sorted names
+rule.  :func:`format_mpoly` prints graded lex over the sorted names
 (Cox-Little-O'Shea, section 2.2), leading term first.
 
 The fixed objects are written in closed form: the twisted cubic's four
 components (:func:`twisted_cubic`), the point of each invariant line
 (:func:`invariant_line`) and the secant conic (:func:`secant_conic`).  A
 linear action maps each coordinate to the linear form read off its matrix
-row (:func:`transform_poly`).  The common fixed locus of any two actions is
-the union of the pairwise intersections of their rational eigenspaces
-(:func:`common_fixed_points`).
+row (:func:`transform_poly`).  The common fixed locus of two involutions is
+the union of the four intersections of their -1 and +1 eigenspaces
+(:func:`common_fixed_points`): g g = 1 makes t^2 - 1, with distinct rational
+roots, annihilate g, so g is diagonalizable over Q.
 
 Nothing here crosses to :class:`divstab.ratmath.Poly`: a4 of the closed-form
 conic is s, so :func:`_reduced_by_a4` reads each a_k / a4 off a_k's
-coefficients in s, and :func:`_rational_eigenvalues` divides the integer roots
-out of a monic integer characteristic polynomial.
+coefficients in s.
 
 The verification entry point is :func:`verify_secant_lemma`, which certifies
 the whole containment story for the invariant-line family inside the secant
@@ -44,22 +43,17 @@ reciprocal branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .exprs import parse_expression
-from .ratmath import _integers, format_terms
+from .ratmath import format_terms
 from .record import Record
 
 Scalar = Union[int, Fraction]
 PROJ_VARS = ("x0", "x1", "x2", "x3")
 Monomial = tuple[tuple[str, int], ...]
-
-
-class IrrationalEigenvalueError(ArithmeticError):
-    """A linear action has eigenvalues outside the rationals."""
 
 
 def _exact(c) -> Scalar:
@@ -330,57 +324,6 @@ def equation_character(g: LinearAction, f: MPoly) -> Fraction | None:
     return chi if (gf - f * chi).is_zero() else None
 
 
-def _char_poly(m) -> tuple[int, list[int]]:
-    """D and the integer coefficients of det(t I - D M), highest degree first,
-    for a square rational M and D the lcm of its denominators.
-
-    Faddeev-LeVerrier runs on the integer matrix A = D M: A_k = A (A_{k-1} +
-    c_{k-1} I) and c_k = -tr(A_k) / k, an exact integer division since
-    det(t I - A) = sum c_k t^(n-k) has integer coefficients.
-    """
-    n = len(m)
-    d, a = _integers(m)
-    coeffs = [1] + [0] * n
-    ak = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        shifted = [[ak[i][j] + (coeffs[k - 1] if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-        ak = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        coeffs[k] = -sum(ak[i][i] for i in range(n)) // k
-    return d, coeffs
-
-
-def _rational_eigenvalues(m) -> list[Fraction]:
-    """The distinct eigenvalues; errors unless the char poly splits over Q.
-
-    det(t I - D M) = t^n + c_1 t^(n-1) + ... + c_n is monic over Z, so its
-    rational roots r are 0 and divisors of its lowest nonzero coefficient, each
-    below B, the first power of 2 with B^n > sum |c_k| B^(n-k); r / D is an
-    eigenvalue of M.  Each root is divided out by synthetic division as often
-    as it is one, and the char poly splits iff nothing of degree > 0 is left.
-    """
-    d, coeffs = _char_poly(m)
-    n, lowest = len(coeffs) - 1, abs(next(c for c in reversed(coeffs) if c))
-    bound = 1
-    while bound ** n <= sum(abs(c) * bound ** (n - k) for k, c in enumerate(coeffs) if k):
-        bound *= 2
-    divisors = [k for k in range(1, min(isqrt(lowest), bound) + 1) if not lowest % k]
-    divisors += [lowest // k for k in divisors]
-    roots = set()
-    for r in {0, *divisors, *(-k for k in divisors)}:
-        while len(coeffs) > 1:
-            partial = list(accumulate(coeffs, lambda acc, c: acc * r + c))
-            if partial[-1]:
-                break
-            coeffs = partial[:-1]
-            roots.add(r)
-    if len(coeffs) > 1:
-        raise IrrationalEigenvalueError(
-            "the action has irrational (or non-real) eigenvalues")
-    return sorted({Fraction(r, d) for r in roots})
-
-
 class FixedLocus(Record):
     """A positive-dimensional common eigenspace, recorded by a basis."""
 
@@ -403,32 +346,35 @@ def _normalize_point(vec: Sequence) -> tuple[Fraction, ...]:
 
 
 def common_fixed_points(g1: LinearAction, g2: LinearAction) -> FixedPointReport:
-    """All points of projective 3-space fixed by both actions.
+    """All points of projective 3-space fixed by both involutions.
 
-    Projective fixed points of a linear action are its eigenvectors, so the
-    common fixed locus of any two actions is the union of the pairwise
-    intersections of their rational eigenspaces.
+    Each action must satisfy g g = 1, else :class:`ValueError`.  Then t^2 - 1,
+    with the distinct rational roots -1 and 1, annihilates g, so V = ker(g - 1)
+    + ker(g + 1) over Q and every eigenvector of g, over any field of
+    characteristic 0, lies in one of the two.  The common fixed locus is the
+    union of the four intersections ker(g1 - l1) & ker(g2 - l2), l1, l2 = -1, 1;
+    the actions need not commute.
     """
+    for g in (g1, g2):
+        m = g.matrix
+        if any(sum(m[i][k] * m[k][j] for k in range(4)) != (i == j)
+               for i in range(4) for j in range(4)):
+            raise ValueError("common fixed points are computed for involutions only: "
+                             "each action must satisfy g g = 1")
     report_points: list[tuple[Fraction, ...]] = []
     loci: list[FixedLocus] = []
-    spaces2 = [(lam2, _eigen_matrix(g2.matrix, lam2))
-               for lam2 in _rational_eigenvalues(g2.matrix)]
-    for lam1 in _rational_eigenvalues(g1.matrix):
-        space1 = _eigen_matrix(g1.matrix, lam1)
-        for lam2, space2 in spaces2:
-            joint = linalg.kernel(space1 + space2, 4)
-            if not joint:
-                continue
-            if len(joint) == 1:
-                report_points.append(_normalize_point(joint[0]))
-            else:
-                loci.append(FixedLocus((lam1, lam2), len(joint) - 1,
-                                       tuple(_normalize_point(v) for v in joint)))
+    for lam1, lam2 in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+        joint = linalg.kernel(_eigen_matrix(g1.matrix, lam1) + _eigen_matrix(g2.matrix, lam2), 4)
+        if len(joint) == 1:
+            report_points.append(_normalize_point(joint[0]))
+        elif joint:
+            loci.append(FixedLocus((Fraction(lam1), Fraction(lam2)), len(joint) - 1,
+                                   tuple(_normalize_point(v) for v in joint)))
     return FixedPointReport(tuple(report_points), tuple(loci))
 
 
-def _eigen_matrix(m, lam: Fraction):
-    return [[_exact(m[i][j] - (lam if i == j else 0)) for j in range(4)] for i in range(4)]
+def _eigen_matrix(m, lam: int):
+    return [[m[i][j] - (lam if i == j else 0) for j in range(4)] for i in range(4)]
 
 
 # --- standard fixtures: the invariant quadrics and involutions ------------

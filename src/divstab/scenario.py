@@ -34,21 +34,23 @@ and line, reads a key at most once, and forms every error located in it as
 ``[section] key (line N): why``, or as ``[section] (line N): why`` at its
 header line for the whole section, a missing key or a check over several
 lines.  Only a missing section, a line outside any section and bytes that
-are not UTF-8 name no section.  Every ``name:value`` list (the tensor, a
-surface ``pairing``, a Mori curve table, the expected cone coefficients)
-goes through :func:`_entries`.  A repeated section, key or list name is an
-error, and so is a section the kind does not read (at its header, before
-any missing section), a key no reader takes, a ``[threefold]`` ``cone`` or
-``divisor`` name that gives a generator or cone name another class, a
-``restrict`` name outside the threefold basis (at its line), and an
-``anticanonical`` class outside the cone.  A ``[surface]`` section must
-satisfy the projection formula D1|_S . D2|_S = D1.D2.S for every two
-threefold generators.  A ``[curve]`` ``ord`` list must give, chamber by
-chamber, the ord coefficient :func:`sinv.expected_ord_coeffs` derives from
-the schedule; the declaration stays on the scenario as an independent
-input, and evaluation reads the derivation.  Every scenario is validated
-eagerly at parse time.  :func:`run_verify`, the one evaluation path, times
-each scenario and records an evaluation failure as its ERROR row.
+are not UTF-8 (a leading byte-order mark is allowed) name no section.  Every
+``name:value`` list (the tensor, a surface ``pairing``, a Mori curve table,
+the expected cone coefficients) goes through :func:`_entries`, and every
+class key through :func:`_rational_class`, which refuses u and v, except the
+``infeasible_scan`` ``[decompose] class``, which must be affine in u.  A
+repeated section, key or list name is an error, and so is a section the kind
+does not read (at its header, before any missing section), a key no reader
+takes, a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator
+or cone name another class, a ``restrict`` name outside the threefold basis
+(at its line), and an ``anticanonical`` class outside the cone.  A
+``[surface]`` section must satisfy the projection formula D1|_S . D2|_S =
+D1.D2.S for every two threefold generators.  A ``[curve]`` ``ord`` list must
+give, chamber by chamber, the ord coefficient :func:`sinv.expected_ord_coeffs`
+derives from the schedule; the declaration stays on the scenario as an
+independent input, and evaluation reads the derivation.  Every scenario is
+validated eagerly at parse time.  :func:`run_verify`, the one evaluation
+path, times each scenario and records an evaluation failure as its ERROR row.
 
 Equal section texts share one built object per process: the ``[threefold]``,
 ``[surface]`` and ``[schedule]`` builds are kept in one cache keyed by the
@@ -225,6 +227,14 @@ def _lo_hi(text: str) -> tuple[Fraction, Fraction]:
     return parse_rational(parts[0]), parse_rational(parts[1])
 
 
+def _rational_class(text: str, basis: LatticeBasis) -> DivisorClass:
+    """The class ``text`` over ``basis``, whose coefficients must be rational."""
+    cls = parse_divisor_expr(text, basis)
+    if not cls.rational:
+        raise ValueError(f"expected a class with rational coefficients, got {cls}")
+    return cls
+
+
 def _u_only(value: Poly) -> Poly:
     if value.degree_v > 0:
         raise ValueError("expected a polynomial in u only")
@@ -253,7 +263,7 @@ def _build_threefold(section: _Section
                      ) -> tuple[sinv.ThreefoldModel, Mapping[str, DivisorClass]]:
     basis = section.value("basis", lambda text: LatticeBasis(text.split()))
     form = section.value("tensor", lambda text: ThreefoldForm(basis, _entries(text, 3)))
-    divisor = partial(parse_divisor_expr, basis=basis)
+    divisor = partial(_rational_class, basis=basis)
     anticanonical = section.value("anticanonical", divisor)
     curves = tuple(section.parse(f"curve {name}", table,
                                  lambda table: CurvePairing(name, basis, table))
@@ -282,8 +292,8 @@ def _build_threefold(section: _Section
 def _build_surface(section: _Section, model: sinv.ThreefoldModel) -> sinv.SurfaceData:
     basis = section.value("basis", lambda text: LatticeBasis(text.split()))
     form = section.value("pairing", lambda text: SurfaceForm(basis, _entries(text, 2)))
-    cls = section.value("class", partial(parse_divisor_expr, basis=model.basis))
-    divisor = partial(parse_divisor_expr, basis=basis)
+    cls = section.value("class", partial(_rational_class, basis=model.basis))
+    divisor = partial(_rational_class, basis=basis)
     images = dict(section.each("restrict", divisor))
     for name in images:
         if name not in model.basis.names:
@@ -348,10 +358,10 @@ def _check_ord(declared: tuple[Poly, ...], derived: tuple[Poly, ...]) -> None:
 
 def parse_scenario(text: str | bytes, name: str = "<scenario>") -> Scenario:
     """Parse and eagerly validate one scenario file, given as text or as
-    UTF-8 bytes."""
+    UTF-8 bytes, a leading byte-order mark allowed."""
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            text = text.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ScenarioFormatError(f"not UTF-8 text: {exc}") from None
     sections = _split_sections(text)
@@ -386,13 +396,13 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
     (model, named), threefold = _build_once(sections["threefold"], _build_threefold)
     common = dict(name=name if scen_name is None else scen_name, kind=kind,
                   expected_text=expected_text, expected=expected, bounds=bounds, model=model)
-    threefold_class = partial(parse_divisor_expr, basis=model.basis)
+    threefold_class = partial(_rational_class, basis=model.basis)
 
     if kind in CURVE_KINDS:
         surface, _ = _build_once(sections["surface"], _build_surface, model, over=threefold)
         schedule, _ = _build_once(sections["schedule"], _build_schedule, named, over=threefold)
         curve_sec = sections["curve"]
-        surface_class = partial(parse_divisor_expr, basis=surface.basis)
+        surface_class = partial(_rational_class, basis=surface.basis)
         z = curve_sec.value("z", surface_class)
         ord_coeffs = curve_sec.value("ord", lambda text: tuple(
             _u_only(parse_poly(item)) for item in text.split(",")))
@@ -411,8 +421,8 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
 
     if kind in ("effective_decomposition", "infeasible_scan"):
         dec = sections["decompose"]
-        cls = dec.value("class", threefold_class)
         if kind == "infeasible_scan":
+            cls = dec.value("class", partial(parse_divisor_expr, basis=model.basis))
             if expected_text != "infeasible":
                 raise head.error("an infeasible scan expects 'infeasible'", "expected")
             lo, hi = dec.value("range", _lo_hi)
@@ -422,6 +432,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
                    for c in cls.coeffs):
                 raise dec.error("an infeasible scan needs a class affine in u", "class")
             return Scenario(decompose_class=cls, scan_range=(lo, hi), **common)
+        cls = dec.value("class", threefold_class)
         coeffs = None
         if expected_text != "infeasible":
             coeffs = head.parse("expected", expected_text, lambda text: _entries(text, 1))

@@ -311,17 +311,20 @@ class SweepChamber(Record):
 def _terminal_root(c0: int, c1: int, c2: int, den: int, after: tuple[int, int],
                    at_most: tuple[int, int] | None) -> Fraction | None:
     """Smallest root in (after, at_most] of vol = (c0 + c1 v + c2 v^2) / den, den > 0,
-    or None; each end is a pair (p, q), q > 0, and ``at_most`` None leaves the top
-    open.  The screens (the discriminant's sign, vol's sign at ``at_most``, where
-    the vertex lies) cross-multiply integers, so the Poly is built and its roots
-    extracted (which errors on irrational roots) only when a root can lie inside.
+    or None; each end is a pair (p, q), q > 0, ``at_most`` None leaves the top open,
+    and after < at_most.  The screens (the discriminant's sign, vol's sign at
+    ``at_most``, where the vertex lies) cross-multiply integers, so the Poly is built
+    and its roots extracted (which errors on irrational roots) only when a root can
+    lie inside.
     """
     (p, q), (m, n) = after, at_most or (1, 0)  # n = 0: no top
     if not (c1 or c2) or c1 * c1 < 4 * c2 * c0:
         return None
     if c2 and n and c0 * n * n + c1 * m * n + c2 * m * m > 0:  # vol(at_most) > 0
-        if c2 < 0 or not (2 * c2 * p < -c1 * q and -c1 * n < 2 * c2 * m):
-            return None  # concave, or its vertex -c1 / (2 c2), where vol <= 0, is outside
+        # the vertex -c1 / (2 c2), where vol <= 0, must lie inside; both tests together
+        # need c2 (at_most - after) > 0, so they also refuse a concave vol (c2 < 0)
+        if not (2 * c2 * p < -c1 * q and -c1 * n < 2 * c2 * m):
+            return None
     return min((r for r in rational_roots(_reduce([[c0, c1, c2]], den))
                 if p * r.denominator < r.numerator * q and r.numerator * n <= m * r.denominator),
                default=None)

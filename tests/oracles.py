@@ -28,7 +28,9 @@ each image to each monomial's exponent afresh instead of reading one table
 of powers, the secant conic solved as a kernel over Q[s], normalized by
 sympy's gcd and exact quotient, instead of written in closed form, and its
 containment rank read off the whole symbolic pullback of a conic instead of
-the quadric map composed with the line.
+the quadric map composed with the line, and the common eigenspaces of two
+actions from sympy's ``eigenvects`` and ``nullspace`` instead of the -1 and
++1 eigenspaces of involutions.
 Agreement within coarse tolerances is evidence that the exact path computes
 the right thing, not just a self-consistent thing.
 
@@ -778,13 +780,28 @@ def mpoly(p: Poly, var: str) -> MPoly:
     return MPoly._of({((var, k),) if k else (): c for k, c in enumerate(p.coeffs)})
 
 
-def companion(p: Poly) -> list[list]:
-    """The companion matrix of p made monic: its characteristic polynomial is
-    p divided by its leading coefficient, along p's one variable."""
-    coeffs = p.coeffs
-    n = len(coeffs) - 1
-    return [[-coeffs[i] / coeffs[-1] if j == n - 1 else int(i == j + 1) for j in range(n)]
-            for i in range(n)]
+def fixed_points_oracle(m1, m2) -> list[tuple[tuple[Fraction, Fraction], object]]:
+    """The common eigenspaces of two rational 4x4 matrices by sympy: the
+    eigenvalues of each from ``eigenvects``, and for each pair (l1, l2) in
+    ascending order the nullspace of (m1 - l1) stacked on (m2 - l2), kept when
+    nonzero as ``((l1, l2), rref)`` with rref the reduced row echelon form of
+    its basis."""
+    import sympy
+
+    def matrix(m):
+        return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                             for row in m])
+
+    a, b = matrix(m1), matrix(m2)
+    out = []
+    for l1 in sorted(lam for lam, _, _ in a.eigenvects()):
+        for l2 in sorted(lam for lam, _, _ in b.eigenvects()):
+            space = (a - l1 * sympy.eye(4)).col_join(b - l2 * sympy.eye(4)).nullspace()
+            if space:
+                rref = sympy.Matrix.hstack(*space).T.rref()[0]
+                out.append(((Fraction(int(l1.p), int(l1.q)), Fraction(int(l2.p), int(l2.q))),
+                            rref))
+    return out
 
 
 def to_sympy(p: Poly, x):

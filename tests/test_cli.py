@@ -303,6 +303,34 @@ def test_repeats_and_names_outside_a_basis_are_isolated_errors(old, new, detail)
     assert second.status == "PASS"
 
 
+RATIONAL = "expected a class with rational coefficients, got "
+
+
+@pytest.mark.parametrize("name,old,new,detail", [
+    ("sdiv_anticanonical", "class = 4H - EC - EL", "class = (4 - 2*u)*H - EC - EL",
+     "[divisor] class (line 22): " + RATIONAL + "(-2*u + 4)*H - EC - EL"),
+    ("lemma_4_1", "z = l", "z = (u)*l", "[curve] z (line 47): " + RATIONAL + "(u)*l"),
+    ("lemma_4_1", "curve L34 = l - E3 - E4", "curve L34 = (u)*l - E3 - E4",
+     "[surface] curve L34 (line 40): " + RATIONAL + "(u)*l - E3 - E4"),
+    ("corollary_4_7", "class = H - EL", "class = (u)*H - EL",
+     "[pairing] class (line 26): " + RATIONAL + "(u)*H - EL"),
+    ("lemma_3_8", "class = 4H - EC - EL", "class = (4 - u)*H - EC - EL",
+     "[decompose] class (line 23): " + RATIONAL + "(-u + 4)*H - EC - EL"),
+    ("sdiv_anticanonical", "cone H-EL = H - EL", "cone H-EL = (u)*H - EL",
+     "[threefold] cone H-EL (line 16): " + RATIONAL + "(u)*H - EL"),
+], ids=["divisor", "z", "surface-curve", "pairing", "decompose", "cone"])
+def test_a_class_key_with_u_or_v_is_an_isolated_error_at_its_key(name, old, new, detail):
+    """Every class key but an infeasible scan's is rational, checked where it is
+    parsed; before, each failed in evaluation, unlocated or at another key."""
+    text = load_bundled(f"{name}.scn")
+    assert text.count(old) == 1
+    report = run_verify([(name, text.replace(old, new)),
+                         ("lemma_4_2_s", load_bundled("lemma_4_2_s.scn"))])
+    first, second = report.results
+    assert (first.status, first.detail) == ("ERROR", detail)
+    assert second.status == "PASS"
+
+
 DEEP = "(" * 400 + "1" + ")" * 400
 
 
@@ -567,6 +595,16 @@ def test_a_non_utf8_scenario_file_is_one_error_row(tmp_path, capsys):
     assert rows[0]["detail"].startswith("not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
     assert main(["effdec", str(bad), "--class", "H"]) == 2
     assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_a_scenario_file_with_a_byte_order_mark_passes(tmp_path, capsys):
+    """A UTF-8 file may start with the byte-order mark EF BB BF; before, the
+    mark stayed on the first line, which was then outside any section."""
+    path = tmp_path / "bom.scn"
+    path.write_bytes(b"\xef\xbb\xbf" + load_bundled("sdiv_plane.scn").encode("utf-8"))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  sdiv_plane: computed 227/448, expected 227/448", "1/1 scenarios pass"]
 
 
 def test_an_unreadable_path_is_one_error_row(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,8 @@ command line starts without ``dataclasses`` or ``inspect``, every module-level
 function and class and every non-dunder method is read somewhere, only
 ``ratmath`` reads a polynomial's numerators, only schedule validation and the
 ``zariski`` command form a chamber's positive part, only the scenario reader's
-``_Section`` forms an error that names a section, only ``run_verify``
+``_Section`` forms an error that names a section, only ``_rational_class``
+and the infeasible scan parse a scenario class, only ``run_verify``
 evaluates a scenario, and a re-import leaves no old module alive."""
 
 import ast
@@ -172,6 +173,25 @@ def test_only_the_section_reader_forms_section_errors():
         if isinstance(head, ast.Constant) and str(head.value).startswith("["):
             sites.append((id(node) in inside, node.lineno))
     assert sites and [line for ok, line in sites if not ok] == []
+
+
+def test_scenario_classes_parse_through_one_reader():
+    """In ``scenario``, only ``_rational_class`` and the ``infeasible_scan``
+    branch of ``_build_scenario`` name ``parse_divisor_expr``, so every other
+    class key is refused with u or v in it at its own key."""
+    (path,) = [path for path in SOURCES if path.stem == "scenario"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    scan_branches = [node for node in ast.walk(functions["_build_scenario"])
+                     if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                     and isinstance(node.test.comparators[0], ast.Constant)
+                     and node.test.comparators[0].value == "infeasible_scan"]
+    allowed = {id(node) for root in [functions["_rational_class"], *scan_branches]
+               for node in ast.walk(root)}
+    sites = [(id(node) in allowed, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "parse_divisor_expr"]
+    assert len(scan_branches) == 1 and len(sites) == 2
+    assert [line for ok, line in sites if not ok] == []
 
 
 def test_reimporting_the_package_frees_the_old_modules():

@@ -1,20 +1,20 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
 
 from divstab import projgeo
-from divstab.projgeo import (PROJ_VARS, IrrationalEigenvalueError, LinearAction, MPoly,
-                             common_fixed_points, contains_param_curve, equation_character,
-                             format_mpoly, invariant_line, invariant_quadrics,
-                             line_containment_conditions, parse_mpoly,
-                             pullback_under_quadric_map, secant_condition_displays,
-                             secant_conic, standard_involutions, transform_poly,
-                             twisted_cubic, verify_secant_lemma)
+from divstab.projgeo import (PROJ_VARS, LinearAction, MPoly, common_fixed_points,
+                             contains_param_curve, equation_character, format_mpoly,
+                             invariant_line, invariant_quadrics, line_containment_conditions,
+                             parse_mpoly, pullback_under_quadric_map,
+                             secant_condition_displays, secant_conic, standard_involutions,
+                             transform_poly, twisted_cubic, verify_secant_lemma)
 from divstab.ratmath import Poly
-from oracles import (companion, containment_rank_oracle, linear_coefficients, mpoly,
+from oracles import (containment_rank_oracle, fixed_points_oracle, linear_coefficients, mpoly,
                      poly_kernel_oracle, subs_per_monomial, symbolic_conic_pullback, to_sympy,
                      unipoly)
 
@@ -108,19 +108,6 @@ def test_common_fixed_points_of_the_involution_pair():
     assert report.is_empty()
 
 
-def test_common_fixed_points_forms_each_characteristic_polynomial_once(monkeypatch):
-    calls = []
-    original = projgeo._char_poly
-
-    def counted(m):
-        calls.append(1)
-        return original(m)
-
-    monkeypatch.setattr(projgeo, "_char_poly", counted)
-    assert common_fixed_points(SWAP, SIGNS).is_empty()
-    assert len(calls) == 2
-
-
 def test_fixed_locus_of_one_involution():
     report = common_fixed_points(SIGNS, IDENTITY)
     assert not report.points
@@ -139,20 +126,76 @@ def test_fixed_locus_of_identity_pair():
 
 
 def test_non_commuting_actions_rejected():
-    """Any two actions have a common fixed locus, commuting or not: the shear
-    (eigenspace x1 = 0) and SIGNS fix the point e3 and the line span(e0, e2)."""
-    shear = LinearAction([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    report = common_fixed_points(shear, SIGNS)
+    """Two involutions need not commute: G = [[1,0,0,0],[1,-1,0,0],...] (G G = 1,
+    eigenspaces x0 = 2 x1 and span(e1)) and diag(1, -1, 1, 1) fix the point e1
+    and the line span(e2, e3).  The shear is not an involution and is refused."""
+    g = LinearAction([[1, 0, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    h = diagonal(1, -1, 1, 1)
+    gh, hg = ([[sum(a.matrix[i][k] * b.matrix[k][j] for k in range(4)) for j in range(4)]
+               for i in range(4)] for a, b in ((g, h), (h, g)))
+    assert gh != hg
+    report = common_fixed_points(g, h)
     e = [tuple(F(1 if i == j else 0) for i in range(4)) for j in range(4)]
-    assert report.points == (e[3],)
-    assert [(locus.dimension, set(locus.basis)) for locus in report.loci] == [
-        (1, {e[0], e[2]})]
+    assert report.points == (e[1],)
+    assert [(locus.eigenvalues, locus.dimension, set(locus.basis))
+            for locus in report.loci] == [((1, 1), 1, {e[2], e[3]})]
+    shear = LinearAction([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match="involutions only"):
+        common_fixed_points(shear, SIGNS)
 
 
 def test_irrational_eigenvalues_rejected():
+    """The rotation by a quarter turn has eigenvalues +-i; it is refused as a
+    non-involution (its square is diag(-1, -1, 1, 1)) before any eigenspace."""
     rotation = LinearAction([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(IrrationalEigenvalueError):
+    with pytest.raises(ValueError, match="involutions only"):
         common_fixed_points(rotation, IDENTITY)
+
+
+def test_only_involutions_have_their_fixed_points_computed():
+    """g g = 1 is checked exactly on each matrix, first or second."""
+    shear = LinearAction([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    rotation = LinearAction([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for g in (shear, rotation, diagonal(F(1, 2), 3, 5, 7)):
+        for pair in ((g, IDENTITY), (SWAP, g)):
+            with pytest.raises(ValueError, match=r"each action must satisfy g g = 1"):
+                common_fixed_points(*pair)
+
+
+def test_fixed_points_of_random_involutions_match_the_sympy_oracle():
+    """Pairs of involutions P diag(+-1) P^-1, each conjugated by its own seeded
+    rational P, most of them not commuting: the points, and each locus's
+    eigenvalues and row space, equal sympy's eigenvects and nullspaces."""
+    import sympy
+    rng, seen = random.Random(36), Counter()
+
+    def involution():
+        while True:
+            p = sympy.Matrix(4, 4, lambda i, j: sympy.Rational(rng.randint(-3, 3),
+                                                               rng.choice((1, 1, 2, 3))))
+            if p.det():
+                break
+        signs = sympy.diag(*(rng.choice((-1, 1)) for _ in range(4)))
+        m = p * signs * p.inv()
+        return LinearAction([[F(int(x.p), int(x.q)) for x in m.row(i)] for i in range(4)])
+
+    def row_space(vectors):
+        return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in v]
+                             for v in vectors]).rref()[0]
+
+    for _ in range(64):
+        g1, g2 = involution(), involution()
+        report = common_fixed_points(g1, g2)
+        want = fixed_points_oracle(g1.matrix, g2.matrix)
+        assert [row_space([p]) for p in report.points] == [
+            space for _, space in want if space.rows == 1]
+        assert [(locus.eigenvalues, row_space(locus.basis)) for locus in report.loci] == [
+            (eigenvalues, space) for eigenvalues, space in want if space.rows > 1]
+        assert all(locus.dimension == len(locus.basis) - 1 for locus in report.loci)
+        m1, m2 = sympy.Matrix(g1.matrix), sympy.Matrix(g2.matrix)
+        seen.update(["non-commuting"] * (m1 * m2 != m2 * m1) + ["points"] * bool(report.points)
+                    + ["loci"] * bool(report.loci))
+    assert seen["non-commuting"] >= 40 and seen["points"] >= 20 and seen["loci"] >= 20, seen
 
 
 def test_six_intersection_points():
@@ -507,9 +550,10 @@ def test_character_and_fixed_points_are_fractions():
     chi = equation_character(diagonal(2, 3, 5, 7), parse_mpoly("x0*x1"))
     assert chi == 6 and type(chi) is F
     assert type(equation_character(SWAP, QUADRICS["Q1"])) is F
-    report = common_fixed_points(diagonal(F(1, 2), 3, 5, 7), IDENTITY)
+    # the sign pairs (-1, -1), (-1, 1), (1, -1), (1, 1) in turn fix e3, e2, e1, e0
+    report = common_fixed_points(diagonal(1, 1, -1, -1), diagonal(1, -1, 1, -1))
     e = [tuple(F(1 if i == j else 0) for i in range(4)) for j in range(4)]
-    assert sorted(report.points) == sorted(e) and not report.loci
+    assert report.points == tuple(reversed(e)) and not report.loci
     assert all(type(c) is F for point in report.points for c in point)
     locus = common_fixed_points(IDENTITY, IDENTITY).loci[0]
     assert all(type(c) is F for c in locus.eigenvalues + sum(locus.basis, ()))
@@ -539,99 +583,3 @@ def test_subs_matches_the_per_monomial_oracle():
         got = f.subs(mapping)
         assert got.terms == subs_per_monomial(f, mapping).terms
         assert all(_is_canonical(c) for c in got.terms.values())
-
-
-def test_char_poly_matches_sympy():
-    """Seeded random rational 4x4 matrices M, among them singular ones: D is
-    the lcm of the denominators of M, and the integer coefficients are
-    sympy's characteristic polynomial of D M."""
-    import sympy
-    rng = random.Random(17)
-    t = sympy.Symbol("t")
-    for trial in range(60):
-        m = [[F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12))) for _ in range(4)]
-             for _ in range(4)]
-        if trial % 3 == 0:
-            k = F(rng.randint(-3, 3), rng.randint(1, 4))
-            m[3] = [a + k * b for a, b in zip(m[0], m[1])]
-        if trial == 0:
-            m = [[F(0)] * 4 for _ in range(4)]
-        d, got = projgeo._char_poly(m)
-        assert d == math.lcm(*(x.denominator for row in m for x in row))
-        want = sympy.Matrix([[sympy.Rational(d * x.numerator, x.denominator) for x in row]
-                             for row in m]).charpoly(t).all_coeffs()
-        assert got == [int(c) for c in want] and all(c.q == 1 for c in want), m
-        assert all(type(c) is int for c in got)
-        if trial % 3 == 0:
-            assert got[-1] == 0
-
-
-def test_rational_eigenvalues_of_the_standard_actions():
-    assert projgeo._rational_eigenvalues(SWAP.matrix) == [-1, 1]
-    assert projgeo._rational_eigenvalues(SIGNS.matrix) == [-1, 1]
-    assert projgeo._rational_eigenvalues(IDENTITY.matrix) == [1]
-    assert all(type(lam) is F for lam in projgeo._rational_eigenvalues(SWAP.matrix))
-    rotation = LinearAction([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(IrrationalEigenvalueError):
-        projgeo._rational_eigenvalues(rotation.matrix)
-
-
-def test_rational_eigenvalues_of_companion_matrices_match_fraction_evaluation():
-    """The companion matrix of each seeded polynomial, made monic.  Its
-    eigenvalues are the candidates p/q of the rational root theorem at which a
-    Fraction Horner rule over the coefficients gives 0, so planted roots are
-    found and no others; they are returned iff every padding quadratic splits
-    over the integers, and otherwise the char poly does not split."""
-    v = Poly.variable("v")
-    rng = random.Random(2023)
-    for _ in range(200):
-        roots = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
-        p = Poly.of(F(rng.randint(1, 5), rng.randint(1, 3)))
-        for r in roots:
-            p = p * (v - r)
-        splits = True
-        while len(p.coeffs) - 1 < 3:  # pad with factors that may or may not split
-            b = rng.randint(-4, 4)
-            c = rng.randint(-4, 4)
-            p = p * (v * v + b * v + c)
-            disc = b * b - 4 * c
-            splits = splits and disc >= 0 and math.isqrt(disc) ** 2 == disc
-        coeffs = p.coeffs
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * scale) for c in coeffs]
-        low = next(c for c in ints if c)
-        candidates = {F(sign * a, b) for a in _divisors(low) for b in _divisors(ints[-1])
-                      for sign in (1, -1)}
-        if not coeffs[0]:
-            candidates.add(F(0))
-        expected = sorted(r for r in candidates if sum(c * r ** k for k, c in enumerate(coeffs)) == 0)
-        assert set(roots) <= set(expected)
-        if splits:
-            assert projgeo._rational_eigenvalues(companion(p)) == expected
-        else:
-            with pytest.raises(IrrationalEigenvalueError):
-                projgeo._rational_eigenvalues(companion(p))
-
-
-def _divisors(n):
-    n = abs(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
-    return small + [n // d for d in small]
-
-
-@pytest.mark.parametrize("m, want", [
-    ([[2, 1, 0], [0, 2, 0], [0, 0, -3]], [-3, 2]),                   # a Jordan block
-    ([[0, 1, 0], [0, 0, 0], [0, 0, 5]], [0, 5]),                     # a double zero root
-    ([[F(1, 2), 0, 0, 0], [0, F(-2, 3), 0, 0], [0, 0, F(1, 2), 1], [0, 0, 0, F(1, 2)]],
-     [F(-2, 3), F(1, 2)]),                                            # D = 6, root 1/2 thrice
-    ([[97, 0], [0, 1]], [1, 97]),                                     # a root above isqrt
-])
-def test_rational_eigenvalues_of_split_matrices(m, want):
-    assert projgeo._rational_eigenvalues(m) == want
-
-
-def test_rational_eigenvalues_refuse_a_char_poly_that_does_not_split():
-    """(v - 1)^2 (v^2 - 2): the root 1 divides out twice and v^2 - 2 is left."""
-    v = Poly.variable("v")
-    with pytest.raises(IrrationalEigenvalueError):
-        projgeo._rational_eigenvalues(companion((v - 1) ** 2 * (v * v - 2)))

@@ -1,11 +1,11 @@
 """Property tests: the polynomial ring and its integer representation against
-a Fraction-dict reference; projgeo's multivariate ring against evaluation,
-its canonical form and its eigenvalues on companion matrices; the shared
-parser, the class canonical form, the trilinear form against its permutation
-expansion, the cones' two representations (generators and facets) against support
-enumeration and a rational null-space derivation of the facets, the
-fraction-free elimination against a Gauss-Jordan that divides by each pivot,
-and the chamber walk along a ray against the pointwise Zariski decomposition.
+a Fraction-dict reference; projgeo's multivariate ring against evaluation
+and its canonical form; the shared parser, the class canonical form, the
+trilinear form against its permutation expansion, the cones' two
+representations (generators and facets) against support enumeration and a
+rational null-space derivation of the facets, the fraction-free elimination
+against a Gauss-Jordan that divides by each pivot, and the chamber walk
+along a ray against the pointwise Zariski decomposition.
 
 Needs ``hypothesis`` (test-only; skipped where it is not installed).  Runs
 are derandomized and keep no example database, so results are repeatable.
@@ -19,22 +19,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from divstab import cones as cones_module, linalg, projgeo  # noqa: E402
+from divstab import cones as cones_module, linalg  # noqa: E402
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,  # noqa: E402
                            UnboundedThresholdError, effective_decompose,
                            feasible_interval, pseudoeffective_threshold)
 from divstab.exprs import parse_divisor_expr, parse_poly  # noqa: E402
 from divstab.lattice import (DivisorClass, LatticeBasis, ThreefoldForm,  # noqa: E402
                              surface_pair, triple_product)
-from divstab.projgeo import (IrrationalEigenvalueError, MPoly, format_mpoly,  # noqa: E402
-                             parse_mpoly)
+from divstab.projgeo import MPoly, format_mpoly, parse_mpoly  # noqa: E402
 from divstab.ratmath import IrrationalBreakpointError, Poly, format_poly  # noqa: E402
 from divstab.scenario import load_bundled_scenario  # noqa: E402
 from divstab.zariski import v_sweep, zariski_decompose  # noqa: E402
-from oracles import (companion, effective_decompose_oracle,  # noqa: E402
-                     h_representation_oracle, named_functional, null_space_oracle, recombine,
-                     solve_unique_oracle, subs_v_poly, threshold_oracle,
-                     triple_product_oracle)
+from oracles import (effective_decompose_oracle, h_representation_oracle,  # noqa: E402
+                     named_functional, null_space_oracle, recombine, solve_unique_oracle,
+                     subs_v_poly, threshold_oracle, triple_product_oracle)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 U, V = Poly.variable("u"), Poly.variable("v")
@@ -164,22 +162,6 @@ def test_poly_canonical_form(a, b, q):
         assert (same.num, same.den) == (a.num, a.den) and hash(same) == hash(a)
     assert (Poly().num, Poly().den) == ((), 1)
     assert Poly.of(q) == q and hash(Poly.of(q)) == hash(q) == hash(Poly.of(q) + b - b)
-
-
-@SETTINGS
-@given(st.lists(fractions, min_size=1, max_size=4), st.integers(0, 2),
-       st.sampled_from([V * V + 1, V * V - 2]), st.sampled_from([-3, 1, F(2, 5)]))
-def test_rational_eigenvalues_of_products_of_linear_factors(roots, extra, quadratic, lead):
-    """The companion matrix of lead * prod (v - r), made monic: every eigenvalue
-    is found, once, and nothing else; times a quadratic with no rational root
-    its char poly does not split."""
-    roots += [roots[0]] * extra
-    p = Poly.of(lead)
-    for r in roots:
-        p = p * (V - r)
-    assert projgeo._rational_eigenvalues(companion(p)) == sorted(set(roots))
-    with pytest.raises(IrrationalEigenvalueError):
-        projgeo._rational_eigenvalues(companion(p * quadratic))
 
 
 @SETTINGS
