@@ -30,11 +30,10 @@ from pathlib import Path
 
 from . import projgeo, zariski
 from .cones import Infeasible, effective_decompose
-from .exprs import ExprSyntaxError, parse_divisor_expr
 from .lattice import restrict
 from .ratmath import format_rational, parse_rational
-from .scenario import (CURVE_KINDS, Report, ScenarioFormatError, bundled_scenario_names,
-                       load_bundled, parse_scenario, run_verify)
+from .scenario import (CURVE_KINDS, Report, ScenarioFormatError, _rational_class,
+                       bundled_scenario_names, load_bundled, parse_scenario, run_verify)
 
 USAGE_ERROR = 2
 
@@ -102,7 +101,14 @@ def _cmd_zariski(args) -> int:
     if scenario.surface is None or scenario.z is None:
         print(f"{name}: scenario has no surface/curve data", file=sys.stderr)
         return USAGE_ERROR
-    u, v = parse_rational(args.u), parse_rational(args.v)
+    parsed = []
+    for option, text in (("--u", args.u), ("--v", args.v)):
+        try:
+            parsed.append(parse_rational(text))
+        except ValueError as exc:
+            print(f"{option}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+    u, v = parsed
     chamber = next((ch for ch in scenario.schedule.chambers
                     if ch.u_lo <= u <= ch.u_hi), None)
     if chamber is None:
@@ -133,8 +139,8 @@ def _cmd_effdec(args) -> int:
     name, text = _read_scenario(args.file)
     scenario = parse_scenario(text, name)
     try:
-        cls = parse_divisor_expr(args.cls, scenario.model.basis)
-    except ExprSyntaxError as exc:
+        cls = _rational_class(args.cls, scenario.model.basis)
+    except ValueError as exc:
         print(f"--class: {exc}", file=sys.stderr)
         return USAGE_ERROR
     outcome = effective_decompose(cls, scenario.model.effective_cone)

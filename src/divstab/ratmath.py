@@ -12,12 +12,13 @@ denominator, so that its arithmetic runs on Python ints and builds no
 Fraction per coefficient.  Integration runs on the same integer tables,
 with one Fraction at the end of each integral.  That table format lives here
 alone: ``_tables`` reads Poly and scalar coefficients as tables over one
-denominator; ``_add_product``, the one product of tables, serves
-``Poly.__mul__`` and every pairing of :mod:`divstab.lattice`.  A polynomial
-in one variable is the same type; ``p.coeffs`` and ``p(x)`` read it along the
-variable it depends on.  Arithmetic takes ``int`` and ``Fraction`` operands
-directly.  Degrees stay tiny (at most 4), so dense storage is the simple
-choice.
+denominator, and ``_affine``, the package's one test of "affine in u", as
+(c0 + c1 u) / den in integers; ``_add_product``, the one product of tables,
+serves ``Poly.__mul__`` and every pairing of :mod:`divstab.lattice`.  A
+polynomial in one variable is the same type; ``p.coeffs`` and ``p(x)`` read it
+along the variable it depends on.  Arithmetic takes ``int`` and ``Fraction``
+operands directly.  Degrees stay tiny (at most 4), so dense storage is the
+simple choice.
 
 Chamber breakpoints are the roots of polynomials of degree <= 2 along their
 one variable (:func:`rational_roots`, in closed form on the integer
@@ -143,6 +144,16 @@ def _tables(coeffs: Sequence[Union[Scalar, "Poly"]]) -> tuple[int, list]:
                  for t, d in pairs]
 
 
+def _affine(coeffs: Sequence[Union[Scalar, "Poly"]]) -> tuple[int, list[int], list[int]]:
+    """Coefficients as ``(c0 + c1 u) / den`` in integers over one denominator:
+    ``(den, c0s, c1s)``.  Any u^2 or v term is a ValueError naming the coefficient."""
+    den, tables = _tables(coeffs)
+    for c, t in zip(coeffs, tables):
+        if len(t) > 2 or any(len(row) > 1 for row in t):
+            raise ValueError(f"{c} is not affine in u")
+    return (den, *([t[i][0] if i < len(t) and t[i] else 0 for t in tables] for i in (0, 1)))
+
+
 class Poly:
     """Dense polynomial over Q in u and v: integer numerators over one denominator.
 
@@ -194,14 +205,6 @@ class Poly:
     def is_constant(self) -> bool:
         num = self.num
         return not num or (len(num) == 1 and len(num[0]) <= 1)
-
-    @property
-    def degree_u(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def degree_v(self) -> int:
-        return max(map(len, self.num), default=0) - 1
 
     def coefficient(self, i: int, j: int) -> Fraction:
         """The coefficient of u^i v^j."""
@@ -393,11 +396,7 @@ def integrate_region(f: Union[Poly, Scalar], u_lo: Scalar, u_hi: Scalar,
     :func:`integrate_univariate`.
     """
     u_lo, u_hi = _as_fraction(u_lo), _as_fraction(u_hi)
-    (a, (lo,)), (b, (hi,)) = _tables((v_lo,)), _tables((v_hi,))
-    for bound, rows in ((v_lo, lo), (v_hi, hi)):
-        if len(rows) > 2 or any(len(row) > 1 for row in rows):
-            raise ValueError(f"the v bound {bound} is not affine in u")
-    (a0, a1), (b0, b1) = ([*(row[0] if row else 0 for row in rows), 0, 0][:2] for rows in (lo, hi))
+    (a, (a0,), (a1,)), (b, (b0,), (b1,)) = _affine((v_lo,)), _affine((v_hi,))
     for u0 in (u_lo, u_hi):
         p, q = u0.numerator, u0.denominator
         low, high = a0 * q + a1 * p, b0 * q + b1 * p

@@ -38,7 +38,8 @@ are not UTF-8 (a leading byte-order mark is allowed) name no section.  Every
 ``name:value`` list (the tensor, a surface ``pairing``, a Mori curve table,
 the expected cone coefficients) goes through :func:`_entries`, and every
 class key through :func:`_rational_class`, which refuses u and v, except the
-``infeasible_scan`` ``[decompose] class``, which must be affine in u.  A
+``infeasible_scan`` ``[decompose] class``, which must be affine in u, as a
+``[schedule]`` chamber's coefficients must (both read by ``ratmath._affine``).  A
 repeated section, key or list name is an error, and so is a section the kind
 does not read (at its header, before any missing section), a key no reader
 takes, a ``[threefold]`` ``cone`` or ``divisor`` name that gives a generator
@@ -79,7 +80,7 @@ from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair,
                       triple_product)
-from .ratmath import Poly, _dot, format_poly, format_rational, parse_rational
+from .ratmath import Poly, _affine, _dot, format_poly, format_rational, parse_rational
 from .record import Record
 
 _CURVE = (("threefold", "surface", "schedule", "curve"), ("assert_less_than",))
@@ -235,12 +236,6 @@ def _rational_class(text: str, basis: LatticeBasis) -> DivisorClass:
     return cls
 
 
-def _u_only(value: Poly) -> Poly:
-    if value.degree_v > 0:
-        raise ValueError("expected a polynomial in u only")
-    return value
-
-
 # every clean build by value: (the key of the [threefold] section it is built
 # over, or None; the section name; its (key, value) pairs in file order) ->
 # (the built object, the keys the build read)
@@ -331,15 +326,15 @@ def _negative_part(text: str, named: Mapping[str, DivisorClass]
             raise ValueError(f"expected a divisor name at position {at} in the negative part")
         if name not in named:
             raise ValueError(f"unknown divisor {name!r} in the negative part")
-        out.append((name, named[name], _u_only(Poly.of(coeff))))
+        out.append((name, named[name], Poly.of(coeff)))
     return tuple(out)
 
 
 def _build_schedule(section: _Section, named: Mapping[str, DivisorClass]) -> sinv.Schedule:
     chambers = []
     for bounds, negative in section.each("chamber", lambda text: _negative_part(text, named)):
-        lo, hi = section.parse(f"chamber {bounds}", bounds, _lo_hi)
-        chambers.append(sinv.ScheduleChamber(lo, hi, negative))
+        chambers.append(section.parse(f"chamber {bounds}", bounds, lambda bounds: (
+            sinv.ScheduleChamber(*_lo_hi(bounds), negative))))
     return section.parse("", chambers, lambda chambers: sinv.Schedule(
         tuple(sorted(chambers, key=lambda ch: ch.u_lo))))
 
@@ -404,8 +399,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
         curve_sec = sections["curve"]
         surface_class = partial(_rational_class, basis=surface.basis)
         z = curve_sec.value("z", surface_class)
-        ord_coeffs = curve_sec.value("ord", lambda text: tuple(
-            _u_only(parse_poly(item)) for item in text.split(",")))
+        ord_coeffs = curve_sec.value("ord", lambda text: tuple(map(parse_poly, text.split(","))))
         derived = sinv.expected_ord_coeffs(sinv.SCurveInput(model, surface, z, schedule))
         curve_sec.parse("ord", ord_coeffs, lambda declared: _check_ord(declared, derived))
         via = None
@@ -428,9 +422,7 @@ def _build_scenario(sections: dict[str, _Section], name: str) -> Scenario:
             lo, hi = dec.value("range", _lo_hi)
             if not lo < hi:
                 raise dec.error("expected lo < hi", "range")
-            if any(isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0)
-                   for c in cls.coeffs):
-                raise dec.error("an infeasible scan needs a class affine in u", "class")
+            dec.parse("class", cls.coeffs, _affine)
             return Scenario(decompose_class=cls, scan_range=(lo, hi), **common)
         cls = dec.value("class", threefold_class)
         coeffs = None

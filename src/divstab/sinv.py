@@ -34,7 +34,7 @@ from .cones import (ConeSpec, Decomposition, effective_decompose,
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, combination, pair_with_curve, restrict,
                       triple_product)
-from .ratmath import Poly, _homogeneous, format_rational, integrate_univariate
+from .ratmath import Poly, _affine, _homogeneous, format_rational, integrate_univariate
 from .record import Record
 from .zariski import NamedCurve, ZariskiChart, build_chart
 
@@ -82,6 +82,9 @@ class ScheduleChamber(Record):
     u_hi: Fraction
     # negative part on X: (divisor name, class, coefficient polynomial in u)
     negative: tuple[tuple[str, DivisorClass, Poly], ...] = ()
+
+    def __post_init__(self):  # each coefficient affine in u, else ValueError
+        _affine([coeff for _, _, coeff in self.negative])
 
 
 class Schedule(Record):
@@ -137,17 +140,17 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                       sched: Schedule) -> tuple[Chamber, ...]:
     """Check every schedule invariant exactly; raise ScheduleError on the first failure.
 
-    Each negative-part coefficient must be affine in u, so P(u) is affine
-    too, and the coefficients and the Mori pairings are nonnegative on a
-    chamber iff they are at its two ends.  With A = P(lo) and B = P(hi),
-    the cube ``P(u)^3`` has the Bernstein coefficients A^3, A^2 B, A B^2 and
-    B^3 on [lo, hi]; they are mixed products of nef classes when the curve
-    table generates the Mori cone, hence nonnegative, and they bound the
-    cube from below.  Each check is the sign of an integer: a polynomial c at
-    u0 = p/q is read as ``q^deg c(p/q)`` on its integer numerators
-    (:func:`_homogeneous`), and a Fraction is formed only for an error
-    message.  Returns one :class:`Chamber` per schedule chamber, holding the
-    P(u) and ``P(u)^3`` the checks were made on.
+    Each negative-part coefficient is affine in u (the chamber type checks),
+    so P(u) is too, and the coefficients and the Mori pairings are
+    nonnegative on a chamber iff they are at its two ends.  With A = P(lo)
+    and B = P(hi), the cube ``P(u)^3`` has the Bernstein coefficients A^3,
+    A^2 B, A B^2 and B^3 on [lo, hi]: mixed products of nef classes when the
+    curve table generates the Mori cone, so nonnegative, and lower bounds of
+    the cube.  P(u) is continuous (Nakayama 2004, III), so adjacent chambers
+    agree at their common end.  Every check is on integers (``_affine``'s,
+    or ``q^deg c(p/q)`` by :func:`_homogeneous`); a Fraction is formed only
+    for an error message.  Returns one :class:`Chamber` per chamber, with
+    the P(u) and ``P(u)^3`` the checks were made on.
     """
     mk = model.anticanonical
     tau = sched.tau
@@ -159,21 +162,18 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
     chambers = []
     for ch in sched.chambers:
         lo, hi = ch.u_lo, ch.u_hi
-        for name, _, coeff in ch.negative:
-            if coeff.degree_u > 1 or coeff.degree_v > 0:
-                raise ScheduleError(
-                    f"the negative-part coefficient {coeff} of {name} is not affine in u")
         p = sched.positive_part(y, mk, ch)
         cube = Poly.of(triple_product(p, p, p, model.form))
         pairings = [(curve.name, Poly.of(pair_with_curve(p, curve))._numerators())
                     for curve in model.mori_curves]
+        _, c0s, c1s = _affine([coeff for _, _, coeff in ch.negative])
         for u0 in (lo, hi):
-            for _, _, coeff in ch.negative:
-                if _homogeneous(coeff._numerators(), *u0.as_integer_ratio()) < 0:
-                    raise ScheduleError(
-                        f"negative-part coefficient below zero at u = {format_rational(u0)}")
+            n, d = u0.as_integer_ratio()
+            if any(c0 * d + c1 * n < 0 for c0, c1 in zip(c0s, c1s)):
+                raise ScheduleError(
+                    f"negative-part coefficient below zero at u = {format_rational(u0)}")
             for name, pairing in pairings:
-                if _homogeneous(pairing, *u0.as_integer_ratio()) < 0:
+                if _homogeneous(pairing, n, d) < 0:
                     raise ScheduleError(
                         f"P(u) pairs negatively with {name} at u = {format_rational(u0)}")
         # c(lo), c(lo) + (hi - lo) c'(lo)/3, c(hi) - (hi - lo) c'(hi)/3, c(hi) as (num, den > 0)
@@ -191,6 +191,12 @@ def validate_schedule(model: ThreefoldModel, y: DivisorClass,
                 f"P(u)^3 has the Bernstein coefficients "
                 f"{', '.join(format_rational(Fraction(n, d * cube.den)) for n, d in bernstein)}"
                 f" on [{format_rational(lo)}, {format_rational(hi)}]: one is negative")
+        if chambers:                                      # P(lo) from both sides
+            _, c0s, c1s = _affine(chambers[-1].positive.coeffs + p.coeffs)
+            both = [c0 * d0 + c1 * n0 for c0, c1 in zip(c0s, c1s)]
+            if both[:len(both) // 2] != both[len(both) // 2:]:
+                raise ScheduleError(f"P(u) jumps at u = {format_rational(lo)}: the negative "
+                                    f"parts of the two chambers differ there")
         chambers.append(Chamber(lo, hi, p, cube))
     if at_hi:                                             # the last cube at tau
         raise ScheduleError(

@@ -74,8 +74,8 @@ from typing import Sequence
 from . import linalg
 from .cones import ConeSpec, Infeasible, effective_decompose
 from .lattice import BasisMismatchError, DivisorClass, LatticeBasis, SurfaceForm, surface_pair
-from .ratmath import (IrrationalBreakpointError, Poly, _as_fraction, _dot, _integers, _reduce,
-                      _tables, format_poly, format_rational, integrate_region, rational_roots)
+from .ratmath import (IrrationalBreakpointError, Poly, _affine, _as_fraction, _dot, _integers,
+                      _reduce, format_poly, format_rational, integrate_region, rational_roots)
 from .record import Record
 
 NamedCurve = tuple[str, DivisorClass]
@@ -160,16 +160,13 @@ class _Columns:
 
 
 def _ray(table: SurfaceTable, d0: DivisorClass, z: DivisorClass) -> _Columns:
-    """``d0(u) - v z`` as columns over (1, u, v), read off the integer tables
-    of the coefficients of d0 and z over one denominator."""
-    if not z.rational or any(isinstance(c, Poly) and (c.degree_u > 1 or c.degree_v > 0)
-                             for c in d0.coeffs):
-        raise ValueError(f"a ray needs d0 affine in u and z rational, got d0 = {d0}, z = {z}")
-    den, tables = _tables(d0.coeffs + z.coeffs)
-    d0s, zs = tables[:len(d0.coeffs)], tables[len(d0.coeffs):]
-    cols = [[t[i][0] if i < len(t) and t[i] else 0 for t in d0s] for i in range(2)]
-    cols.append([-t[0][0] if t else 0 for t in zs])
-    return _Columns(table, cols, den)
+    """``d0(u) - v z`` as columns over (1, u, v), read off the coefficients of
+    d0 and z as affine in u over one denominator (:func:`ratmath._affine`)."""
+    if not z.rational:
+        raise ValueError(f"a ray needs z rational, got z = {z}")
+    den, c0s, c1s = _affine(d0.coeffs + z.coeffs)
+    n = len(d0.coeffs)
+    return _Columns(table, [c0s[:n], c1s[:n], [-c for c in c0s[n:]]], den)
 
 
 class IntegerSolution(Record):

@@ -484,10 +484,6 @@ def validate_schedule_oracle(model, y, sched) -> tuple[tuple[DivisorClass, Poly]
     chambers = []
     for ch in sched.chambers:
         lo, hi = ch.u_lo, ch.u_hi
-        for name, _, coeff in ch.negative:
-            if coeff.degree_u > 1 or coeff.degree_v > 0:
-                raise ScheduleError(
-                    f"the negative-part coefficient {coeff} of {name} is not affine in u")
         p = combination_oracle(mk.basis, [(1, mk), (-Poly.variable("u"), y),
                                           *((-coeff, cls) for _, cls, coeff in ch.negative)])
         cube = Poly.of(triple_product(p, p, p, model.form))
@@ -495,7 +491,7 @@ def validate_schedule_oracle(model, y, sched) -> tuple[tuple[DivisorClass, Poly]
                     for curve in model.mori_curves]
         for u0 in (lo, hi):
             for _, _, coeff in ch.negative:
-                if coeff(u0) < 0:
+                if Poly.of(coeff)(u0) < 0:
                     raise ScheduleError(
                         f"negative-part coefficient below zero at u = {format_rational(u0)}")
             for name, pairing in pairings:
@@ -511,6 +507,9 @@ def validate_schedule_oracle(model, y, sched) -> tuple[tuple[DivisorClass, Poly]
                 f"P(u)^3 has the Bernstein coefficients "
                 f"{', '.join(map(format_rational, bernstein))} on "
                 f"[{format_rational(lo)}, {format_rational(hi)}]: one is negative")
+        if chambers and chambers[-1][0].evaluate(u=lo) != p.evaluate(u=lo):
+            raise ScheduleError(f"P(u) jumps at u = {format_rational(lo)}: the negative "
+                                f"parts of the two chambers differ there")
         chambers.append((p, cube))
     if cube(tau) != 0:
         raise ScheduleError(
@@ -659,7 +658,7 @@ def subs_v_poly(p: Poly, q: Poly) -> Poly:
     """``p(u, q)``: v substituted by a polynomial, by Horner's rule over the
     columns of p in Poly arithmetic."""
     out = Poly()
-    for j in range(p.degree_v, -1, -1):
+    for j in range(max(map(len, p.rows), default=0) - 1, -1, -1):
         out = out * q + Poly([[row[j]] if j < len(row) else [] for row in p.rows])
     return out
 
@@ -679,8 +678,8 @@ def integrate_region_oracle(f, u_lo, u_hi, v_lo, v_hi) -> Fraction:
     u_lo, u_hi = _as_fraction(u_lo), _as_fraction(u_hi)
     lo, hi = Poly.of(v_lo), Poly.of(v_hi)
     for bound in (lo, hi):
-        if bound.degree_u > 1 or bound.degree_v > 0:
-            raise ValueError(f"the v bound {bound} is not affine in u")
+        if len(bound.rows) > 2 or any(len(row) > 1 for row in bound.rows):
+            raise ValueError(f"{bound} is not affine in u")
     for u0 in (u_lo, u_hi):
         if lo(u0) > hi(u0):
             raise InvalidRegionError(
@@ -855,7 +854,7 @@ def poly_kernel_oracle(rows: list[list[Poly]], ncols: int) -> list[list[Poly]]:
     basis = []
     for vec in linalg.kernel(rows, ncols):
         vec = [Poly.of(p) for p in vec]
-        var = Poly.variable("u" if any(p.degree_u > 0 for p in vec) else "v")
+        var = Poly.variable("u" if any(len(p.rows) > 1 for p in vec) else "v")
         exprs = [to_sympy(p, x) for p in vec]
         g = reduce(sympy.gcd, exprs)
         vec = []

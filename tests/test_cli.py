@@ -215,10 +215,10 @@ def test_scan_passes_only_on_an_exact_argument():
 @pytest.mark.parametrize("key,line,message", [
     ("range", "range = 4/3 4/3", "[decompose] range (line {}): expected lo < hi"),
     ("range", "range = 10/3 4/3", "[decompose] range (line {}): expected lo < hi"),
-    ("class", "class = (u*u)*H - EC",
-     "[decompose] class (line {}): an infeasible scan needs a class affine in u"),
-    ("class", "class = (v)*H - EC",
-     "[decompose] class (line {}): an infeasible scan needs a class affine in u"),
+    ("class", "class = (u*u)*H - EC", "[decompose] class (line {}): u^2 is not affine in u"),
+    ("class", "class = (v)*H - EC", "[decompose] class (line {}): v is not affine in u"),
+    ("class", "class = (4 - 4u^2)*H + (2u - 1)*EC - EL",
+     "[decompose] class (line {}): -4*u^2 + 4 is not affine in u"),
     ("expected", "expected = 3/4",
      "[scenario] expected (line {}): an infeasible scan expects 'infeasible'"),
 ])
@@ -346,6 +346,54 @@ def test_deep_parentheses_are_an_isolated_error():
 def test_cli_deep_parentheses_are_a_usage_error(capsys):
     assert main(["effdec", "lemma_3_8", "--class", f"{DEEP}*H"]) == 2
     assert "parentheses nested deeper than 50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,detail", [
+    ("chamber 1 3/2 = (u - 1)*R", "chamber 1 3/2 = (u^2 - 1)*R",
+     "[schedule] chamber 1 3/2 (line 44): u^2 - 1 is not affine in u"),
+    ("chamber 1 3/2 = (u - 1)*R", "chamber 1 3/2 = (v - 1)*R",
+     "[schedule] chamber 1 3/2 (line 44): v - 1 is not affine in u"),
+    ("ord = 0, 0", "ord = 0, v",
+     "[curve] ord (line 48): chamber 1: declared v, but the restricted negative part gives 0"),
+], ids=["u^2", "v", "ord"])
+def test_a_schedule_coefficient_not_affine_in_u_is_an_error_at_its_line(old, new, detail):
+    """The chamber type refuses a negative-part coefficient that is not
+    affine in u, at the chamber's line; before, u^2 failed in evaluation and
+    v as "expected a polynomial in u only".  An ord coefficient with v is
+    compared with the derived one like any other."""
+    text = load_bundled("lemma_4_1.scn")
+    assert text.count(old) == 1
+    (result,) = run_verify([("lemma_4_1", text.replace(old, new))]).results
+    assert (result.status, result.detail) == ("ERROR", detail)
+
+
+def test_a_schedule_whose_positive_part_jumps_is_an_error_row(tmp_path, capsys):
+    """N(u) = R/2 on [1, 3/2] after N(u) = 0 on [0, 1] passed validation, and
+    sdiv_plane computed 885/1792 against 227/448; P(u) is continuous, so the
+    jump at u = 1 is now an evaluation error."""
+    text = load_bundled("sdiv_plane.scn")
+    assert text.count("chamber 1 3/2 = (u - 1)*R") == 1
+    path = tmp_path / "sdiv_plane.scn"
+    path.write_text(text.replace("chamber 1 3/2 = (u - 1)*R", "chamber 1 3/2 = (1/2)*R"),
+                    encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ERROR sdiv_plane: computed -, expected 227/448",
+        "ScheduleError: P(u) jumps at u = 1: the negative parts of the two chambers differ there",
+        "0/1 scenarios pass"]
+
+
+def test_cli_effdec_class_with_u_names_its_option(capsys):
+    assert main(["effdec", "lemma_3_8", "--class", "(u)*H - EC"]) == 2
+    assert capsys.readouterr().err == (
+        "--class: expected a class with rational coefficients, got (u)*H - EC\n")
+
+
+def test_cli_zariski_malformed_u_names_its_option(capsys):
+    assert main(["zariski", "lemma_4_1", "--u", "0.5", "--v", "1"]) == 2
+    assert capsys.readouterr().err == "--u: malformed rational '0.5'\n"
+    assert main(["zariski", "lemma_4_1", "--u", "1/2", "--v", "1.5"]) == 2
+    assert capsys.readouterr().err == "--v: malformed rational '1.5'\n"
 
 
 def test_an_empty_chamber_is_a_parse_error():

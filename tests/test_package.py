@@ -1,7 +1,8 @@
 """Package-wide guards: the runtime imports only the standard library, the
 command line starts without ``dataclasses`` or ``inspect``, every module-level
 function and class and every non-dunder method is read somewhere, only
-``ratmath`` reads a polynomial's numerators, only schedule validation and the
+``ratmath`` reads a polynomial's numerators and decides "affine in u", only
+schedule validation and the
 ``zariski`` command form a chamber's positive part, only the scenario reader's
 ``_Section`` forms an error that names a section, only ``_rational_class``
 and the infeasible scan parse a scenario class, only ``run_verify``
@@ -104,6 +105,21 @@ def test_only_ratmath_reads_poly_numerators():
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                       if isinstance(node, ast.Attribute) and node.attr == "num"})
     assert readers == []
+
+
+def test_affinity_is_read_in_ratmath():
+    """"Affine in u" is decided by ``ratmath._affine`` alone: no module of the
+    package names ``degree_u`` or ``degree_v``, and only ``ratmath`` and
+    ``lattice`` name ``_tables``, the integer tables ``_affine`` reads."""
+    named = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or (node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None))
+            if name in ("degree_u", "degree_v", "_tables"):
+                named.setdefault(name, set()).add(path.stem)
+    assert "degree_u" not in named and "degree_v" not in named
+    assert named["_tables"] <= {"ratmath", "lattice"}
 
 
 def test_projgeo_reads_no_univariate_poly():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly,
+from divstab.ratmath import (InvalidRegionError, IrrationalBreakpointError, Poly, _affine,
                              format_poly, format_rational, integrate_region,
                              integrate_univariate, parse_rational, rational_roots)
 from oracles import (float_eval, integrate_region_oracle, integrate_univariate_oracle,
@@ -81,6 +81,30 @@ def test_integrate_region_rejects_bounds_not_affine_in_u():
     for lo, hi in ((0, U * U), (U * U - 1, 1), (0, 1 + V)):
         with pytest.raises(ValueError, match="not affine in u"):
             integrate_region(Poly.of(1), 0, 1, lo, hi)
+
+
+def test_affine_reads_each_coefficient_over_one_denominator():
+    """Seeded lists of ints, Fractions and Polys affine in u come back as
+    (c0 + c1 u) / den in integers, den > 0; a list with one coefficient that
+    has a u^2 or v term is refused, naming that coefficient."""
+    rng = random.Random(37)
+
+    def scalar():
+        return F(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(300):
+        coeffs = [rng.choice([rng.randint(-5, 5), scalar(), scalar() + scalar() * U,
+                              Poly.of(scalar())]) for _ in range(rng.randint(0, 5))]
+        den, c0s, c1s = _affine(coeffs)
+        assert den > 0 and len(c0s) == len(c1s) == len(coeffs)
+        assert all(isinstance(c, int) for c in c0s + c1s)
+        for c, c0, c1 in zip(coeffs, c0s, c1s):
+            assert Poly.of(c) == (c0 + c1 * U) * F(1, den)
+        bad = scalar() + scalar() * U + rng.choice([1, -2, F(1, 3)]) * rng.choice(
+            [U * U, V, U * V, V * V, U * U * U])
+        coeffs.insert(rng.randint(0, len(coeffs)), bad)
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not affine in u")):
+            _affine(coeffs)
 
 
 def test_rational_roots_examples():
@@ -189,8 +213,8 @@ def test_fubini_on_rectangles():
     rng = random.Random(11)
     for _ in range(40):
         f = _random_poly2(rng)
-        flipped = Poly([[f.coefficient(i, j) for i in range(f.degree_u + 1)]
-                        for j in range(f.degree_v + 1)])
+        flipped = Poly([[f.coefficient(i, j) for i in range(len(f.rows))]
+                        for j in range(max(map(len, f.rows), default=0))])
         a, b = sorted(_random_fraction(rng) for _ in range(2))
         c, d = sorted(_random_fraction(rng) for _ in range(2))
         dv_first = integrate_region(f, a, b, c, d)

@@ -258,10 +258,8 @@ def test_schedule_validation_rejects_a_coefficient_that_dips_between_samples(mod
         product = product * (U - s)
     dip = U - 1 - product
     assert dip(F(17, 16)) == F(-41, 1024)
-    sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1)),
-                           sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, dip),))))
-    with pytest.raises(sinv.ScheduleError, match="not affine in u"):
-        sinv.s_divisor(model, model.basis.unit("H"), sched)
+    with pytest.raises(ValueError, match="not affine in u"):
+        sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, dip),))
 
 
 def test_schedule_validation_rejects_a_negative_bernstein_coefficient(model):
@@ -357,16 +355,25 @@ def test_bundled_integrals_match_the_poly_route(monkeypatch):
 def test_schedule_validation_takes_a_chamber_where_the_positive_part_is_constant(model):
     """N(u) = u (-EL) on [0, 1] leaves P(u) = -K there, a rational class whose
     cube and pairings are Fractions: the chamber is checked like any other,
-    and its cube comes back as a constant polynomial."""
+    and its cube comes back as a constant polynomial.  N(u) goes on
+    continuously past u = 1, with an int coefficient read like any other;
+    with N(u) = (u - 1) R there instead, P(u) jumps at u = 1 and the schedule
+    is refused."""
     el = model.basis.unit("EL")
     r = DivisorClass(model.basis, [4, -2, -1])
-    sched = sinv.Schedule((sinv.ScheduleChamber(F(0), F(1), (("M", -el, U),)),
-                           sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, U - 1),))))
+    first = sinv.ScheduleChamber(F(0), F(1), (("M", -el, U),))
+    jump = sinv.Schedule((first, sinv.ScheduleChamber(F(1), F(3, 2), (("R", r, U - 1),))))
+    with pytest.raises(sinv.ScheduleError, match=re.escape("jumps at u = 1")):
+        sinv.validate_schedule(model, el, jump)
+    x = DivisorClass(model.basis, [4, -2, 1])
+    sched = sinv.Schedule((first, sinv.ScheduleChamber(F(1), F(3, 2), (
+        ("M", -el, 1), ("X", x, U - 1)))))
     chambers = sinv.validate_schedule(model, el, sched)
     assert [(ch.u_lo, ch.u_hi) for ch in chambers] == [(0, 1), (1, F(3, 2))]
     assert chambers[0].positive == model.anticanonical
     assert chambers[0].cube == Poly.of(model.degree)
     assert _checked(model, el, sched) == validate_schedule_oracle(model, el, sched)
+    assert sinv.s_divisor(model, el, sched) == F(33, 28)
 
 
 def test_schedule_validation_needs_the_cube_to_vanish_at_tau(model):
@@ -409,7 +416,8 @@ def _damaged(rng, model, y, sched):
     negative-part coefficient below zero at one end of its chamber and keeps
     it at the other; ``extra`` adds a negative-part component, and ``drop``
     also drops Mori curves, so P(u) may fail to be nef where no pairing
-    shows it; ``tau`` moves the last end; ``narrow`` ends the schedule inside
+    shows it, and either may make P(u) jump at an end of its chamber;
+    ``tau`` moves the last end; ``narrow`` ends the schedule inside
     a chamber and narrows the cone so that the end is the threshold; and
     ``none`` leaves the schedule as it is.
     """
@@ -482,10 +490,11 @@ def test_damaged_schedules_match_the_fraction_oracle(monkeypatch):
             for i in (1, 2):
                 seen[f"inner Bernstein {i}"] += values[i].startswith("-")
         for case, text in (("Mori pairing", "pairs negatively"), ("cube at tau", "vanish"),
-                           ("threshold", "threshold is"), ("passes", None)):
+                           ("threshold", "threshold is"), ("jump", "jumps at"),
+                           ("passes", None)):
             seen[case] += text in message if text else not message
     for case in ("coefficient at lo", "coefficient at hi", "Mori pairing", "inner Bernstein 1",
-                 "inner Bernstein 2", "cube at tau", "threshold", "passes"):
+                 "inner Bernstein 2", "cube at tau", "threshold", "jump", "passes"):
         assert seen[case] >= 3, (case, seen)
 
 

@@ -512,15 +512,18 @@ def test_chart_requires_two_breakpoints(dp5):
 
 def test_chart_rejects_non_affine_family(ruled, monkeypatch):
     """A family quadratic in u has curved walls: it must fail loudly, never be
-    guessed.  A sweep refuses it too, before it decomposes anything."""
+    guessed.  A sweep refuses it too, before it decomposes anything, and so
+    it does a z that is not rational."""
     from divstab import zariski
     d0 = DivisorClass(ruled.basis, [2 - U * U, 3])
     z = ruled.basis.unit("s")
-    with pytest.raises(ValueError, match="affine in u"):
+    with pytest.raises(ValueError, match=re.escape("-u^2 + 2 is not affine in u")):
         build_chart(d0, z, [0, 1], ruled.extremal_curves, ruled.form)
     monkeypatch.setattr(zariski, "zariski_decompose", None)  # any call is a TypeError
-    with pytest.raises(ValueError, match="affine in u"):
+    with pytest.raises(ValueError, match=re.escape("-u^2 + 2 is not affine in u")):
         v_sweep(d0, z, F(1, 2), ruled.extremal_curves, ruled.form)
+    with pytest.raises(ValueError, match=re.escape("a ray needs z rational, got z = ")):
+        v_sweep(d0, z.scale(U), F(1, 2), ruled.extremal_curves, ruled.form)
 
 
 def test_a_verify_pass_solves_each_chamber_once(monkeypatch):
