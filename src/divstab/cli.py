@@ -16,7 +16,8 @@ Subcommands:
 an evaluation error, and under ``verify`` a parse error, is an ERROR row
 with its reason on the next line; ``--report`` adds every row's detail.
 Exit codes: 0 all pass, 1 any failure, 2 usage or parse error (a parse error
-or the wrong kind under ``s-curve``/``s-divisor``, an unwritable ``--report``).
+or the wrong kind under ``s-curve``/``s-divisor``, an unwritable ``--report``,
+``--json`` or ``--report`` with any other command).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import projgeo, zariski
+from . import projgeo, sinv, zariski
 from .cones import Infeasible, effective_decompose
 from .lattice import restrict
 from .ratmath import format_rational, parse_rational
@@ -109,14 +110,17 @@ def _cmd_zariski(args) -> int:
             print(f"{option}: {exc}", file=sys.stderr)
             return USAGE_ERROR
     u, v = parsed
-    chamber = next((ch for ch in scenario.schedule.chambers
-                    if ch.u_lo <= u <= ch.u_hi), None)
+    try:
+        chambers = sinv.validate_schedule(scenario.model, scenario.surface.cls,
+                                          scenario.schedule)
+    except (ArithmeticError, ValueError) as exc:  # as the ERROR row of s-curve gives it
+        print(f"{type(exc).__name__}: {exc}")
+        return 1
+    chamber = next((ch for ch in chambers if ch.u_lo <= u <= ch.u_hi), None)
     if chamber is None:
         print(f"u = {args.u} is outside the schedule", file=sys.stderr)
         return USAGE_ERROR
-    p = scenario.schedule.positive_part(scenario.surface.cls,
-                                        scenario.model.anticanonical, chamber)
-    d0 = restrict(p, scenario.surface.restriction).evaluate(u=u)
+    d0 = restrict(chamber.positive, scenario.surface.restriction).evaluate(u=u)
     target = d0 - scenario.z.scale(v)
     print(f"class: {target}")
     try:
@@ -225,19 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a machine-readable report")
     parser.add_argument("--report", metavar="PATH",
                         help="write the full report (with chart dumps) to a file")
+    parser.set_defaults(reports=False)      # only the three commands below emit a report
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="evaluate scenario files (default: all bundled)")
     p.add_argument("files", nargs="*")
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, reports=True)
 
     p = sub.add_parser("s-curve", help="evaluate one curve-invariant scenario")
     p.add_argument("file")
-    p.set_defaults(run=functools.partial(_cmd_single, kinds=CURVE_KINDS))
+    p.set_defaults(run=functools.partial(_cmd_single, kinds=CURVE_KINDS), reports=True)
 
     p = sub.add_parser("s-divisor", help="evaluate one divisor-invariant scenario")
     p.add_argument("file")
-    p.set_defaults(run=functools.partial(_cmd_single, kinds=("s_divisor",)))
+    p.set_defaults(run=functools.partial(_cmd_single, kinds=("s_divisor",)), reports=True)
 
     p = sub.add_parser("zariski", help="pointwise decomposition at (u, v)")
     p.add_argument("file")
@@ -259,6 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, given in (("--json", args.json), ("--report", args.report)):
+        if given and not args.reports:
+            print(f"error: {flag} applies only to verify, s-curve and s-divisor",
+                  file=sys.stderr)
+            return USAGE_ERROR
     try:
         return args.run(args)
     except BrokenPipeError:  # the reader closed stdout: exit quietly, flush to nowhere

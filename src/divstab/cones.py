@@ -9,24 +9,23 @@ small rational solves, no pivoting tolerances, no LP library.
 A cone's H-representation (Minkowski--Weyl) is the equalities of its span
 and its facet functionals, as primitive integer vectors.  The equalities are
 the kernel of the generators; each facet is the one kernel vector of
-d - 1 generators stacked with the equalities, taken in integers.  It is
-computed once per process for each basis and generator list, and every
-:class:`ConeSpec` with that data shares it.  The facets decide membership:
-by the Farkas lemma a class is outside the cone iff it violates one of
-them, which is the separating witness of an :class:`Infeasible`, found with
-no solve.  The members of an affine family ``a + u b`` form an interval
-with rational ends (:func:`feasible_interval`), and the pseudo-effective
-threshold is its upper end.  Both queries dot the functionals with a class's
-integer numerators over one denominator, and form a Fraction only for a
-value they return or print.  Support enumeration only produces the
-coefficients of a class already known to be a member.
+d - 1 generators stacked with the equalities, taken in integers.  Each
+:class:`ConeSpec` forms it once, when it is built, and keeps it.  One loop
+reads it: the members of an affine family ``a + u b`` form an interval with
+rational ends (:func:`feasible_interval`), and the pseudo-effective
+threshold is its upper end.  Membership is the family with b = 0: by the
+Farkas lemma a class is outside the cone iff it violates an equality or a
+facet, and :func:`separate` returns the first one as the witness of an
+:class:`Infeasible`, found with no solve.  The loop dots the functionals
+with a class's integer numerators over one denominator, and a Fraction is
+formed only for a value that is returned or printed.  Support enumeration
+only produces the coefficients of a class already known to be a member.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -55,7 +54,7 @@ def format_functional(f: Functional, names: Sequence[str]) -> str:
 
 
 class ConeSpec(Record):
-    """Named generators of an effective cone, all over one basis."""
+    """Named generators of a cone over one basis, and the cone's equalities and facets."""
 
     names: tuple[str, ...]
     generators: tuple[DivisorClass, ...]
@@ -69,40 +68,29 @@ class ConeSpec(Record):
                 raise BasisMismatchError("cone generators span several bases")
         object.__setattr__(self, "names", tuple(n for n, _ in entries))
         object.__setattr__(self, "generators", tuple(g for _, g in entries))
+        equalities, facets = _h_representation(basis.rank,
+                                               tuple(map(_vector_of, self.generators)))
+        object.__setattr__(self, "equalities", equalities)
+        object.__setattr__(self, "facets", facets)
 
     @property
     def basis(self):
         return self.generators[0].basis
 
-    def __len__(self):
-        return len(self.generators)
 
-    @cached_property
-    def equalities(self) -> tuple[Functional, ...]:
-        """A basis of the functionals vanishing on every generator."""
-        return _h_representation(self.basis.names, tuple(map(_vector_of, self.generators)))[0]
-
-    @cached_property
-    def facets(self) -> tuple[Functional, ...]:
-        """The facet functionals: >= 0 on every generator, one per facet."""
-        return _h_representation(self.basis.names, tuple(map(_vector_of, self.generators)))[1]
-
-
-@cache
-def _h_representation(names: tuple[str, ...], vectors: tuple[tuple[Fraction, ...], ...]
+def _h_representation(rank: int, vectors: tuple[tuple[Fraction, ...], ...]
                       ) -> tuple[tuple[Functional, ...], tuple[Functional, ...]]:
-    """The equalities and facets of the cone spanned by ``vectors`` over basis ``names``.
+    """The equalities and facets of the cone spanned by ``vectors`` in Q^rank.
 
     A facet of a d-dimensional cone is spanned by d - 1 independent
     generators, so each (d - 1)-subset that, stacked with the equalities,
-    has rank ``len(names) - 1`` gives a candidate: the one
+    has rank ``rank - 1`` gives a candidate: the one
     :func:`linalg.kernel` vector of those rows (a subset of smaller rank
     has more than one and is skipped).  It is a facet when it has one sign
     on every generator.  Generators are scaled to primitive integer vectors
     first, a positive multiple each, so the kernel and the sign test are
     exact integer arithmetic.
     """
-    rank = len(names)
     # a kernel vector's last nonzero entry carries the sign of the pivots'
     # product: orient each equality so that entry is positive
     equalities = tuple(_primitive(vec if next(x for x in reversed(vec) if x) > 0
@@ -150,9 +138,6 @@ class Infeasible(Record):
     witness: Functional
     detail: str
 
-    def __bool__(self):
-        return False
-
 
 def _vector_of(d: DivisorClass) -> tuple[Fraction, ...]:
     if not d.rational:
@@ -167,32 +152,31 @@ def _support_subsets(count: int, max_size: int):
         yield from combinations(range(count), size)
 
 
-def _separate(target: Sequence[Fraction], cone: ConeSpec) -> Infeasible | None:
-    """The first equality or facet the target violates, as a witness, or None."""
-    den, (ints,) = _integers([target])
-    names = cone.basis.names
-    for e in cone.equalities:
-        value = _dot(e, ints)
-        if value:
-            if value > 0:
-                e, value = tuple(-c for c in e), -value
-            return Infeasible(e, f"functional {format_functional(e, names)} vanishes on "
-                                 f"every generator but takes "
-                                 f"{format_rational(Fraction(value, den))} on the class")
-    for f in cone.facets:
-        value = _dot(f, ints)
-        if value < 0:
-            return Infeasible(f, f"functional {format_functional(f, names)} is nonnegative on "
-                                 f"every generator but takes "
-                                 f"{format_rational(Fraction(value, den))} on the class")
-    return None
+def separate(d: DivisorClass, cone: ConeSpec) -> Infeasible | None:
+    """The first equality nonzero on ``d``, else the first facet negative on it
+    (:func:`feasible_interval`'s ``never`` for the family ``d + u 0``), as the
+    witness of an :class:`Infeasible`, an equality oriented negative on ``d``;
+    None when ``d`` is in the cone."""
+    f = feasible_interval(d, d.basis.zero(), cone).never
+    if f is None:
+        return None
+    den, (ints,) = _integers([d.coeffs])
+    value = Fraction(_dot(f, ints), den)
+    if f in cone.facets:
+        holds = "is nonnegative on every generator"
+    else:
+        holds = "vanishes on every generator"
+        if value > 0:
+            f, value = tuple(-c for c in f), -value
+    return Infeasible(f, f"functional {format_functional(f, cone.basis.names)} {holds} "
+                         f"but takes {format_rational(value)} on the class")
 
 
 def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infeasible:
     """Exact nonnegative solution of ``sum x_i g_i = d``, or Infeasible.
 
-    The cone's H-representation decides membership: a violated equality or
-    facet is the witness of an :class:`Infeasible`, and no system is solved.
+    :func:`separate` decides membership: a violated equality or facet is the
+    witness of an :class:`Infeasible`, and no system is solved.
     For a member, supports of size up to the basis rank are enumerated and
     each square (or overdetermined) subsystem is solved exactly; the first
     consistent nonnegative solution gives the coefficients.  One exists by
@@ -201,10 +185,10 @@ def effective_decompose(d: DivisorClass, cone: ConeSpec) -> Decomposition | Infe
     """
     if d.basis != cone.basis:
         raise BasisMismatchError("class and cone are over different bases")
-    target = _vector_of(d)
-    outside = _separate(target, cone)
+    outside = separate(d, cone)
     if outside is not None:
         return outside
+    target = _vector_of(d)
     cols = [_vector_of(g) for g in cone.generators]
     rank = d.basis.rank
     for subset in _support_subsets(len(cols), min(rank, len(cols))):

@@ -74,8 +74,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from . import sinv
-from .cones import (ConeSpec, Infeasible, _separate, _vector_of, effective_decompose,
-                    feasible_interval, format_functional)
+from .cones import (ConeSpec, Infeasible, effective_decompose, feasible_interval,
+                    format_functional, separate)
 from .exprs import iter_terms, parse_divisor_expr, parse_poly
 from .lattice import (CurvePairing, DivisorClass, LatticeBasis, RestrictionMap,
                       SurfaceForm, ThreefoldForm, pair_with_curve, surface_pair,
@@ -276,7 +276,7 @@ def _build_threefold(section: _Section
                                     f"{named[name]}", f"{prefix} {name}")
     cone = ConeSpec(cone_entries)     # each ray -K - u Y starts at -K, which must be in it
     outside = section.parse("anticanonical", anticanonical,
-                            lambda k: _separate(_vector_of(k), cone))
+                            lambda k: separate(k, cone))
     if outside is not None:
         raise section.error(f"{anticanonical} is outside the effective cone: "
                             f"{outside.detail}", "anticanonical")

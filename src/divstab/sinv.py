@@ -76,6 +76,11 @@ class SurfaceData(Record):
     restriction: RestrictionMap
     extremal_curves: tuple[NamedCurve, ...]
 
+    @cached_property
+    def curve_cone(self) -> ConeSpec:
+        """The cone of the extremal curves, built on first use and kept."""
+        return ConeSpec(self.extremal_curves)
+
 
 class ScheduleChamber(Record):
     u_lo: Fraction
@@ -289,9 +294,9 @@ def dominance_bound(inp: SCurveInput, z_lower: DivisorClass) -> CurveInvariant:
     from; bounding Z by itself gives :func:`s_curve` of Z.
     """
     diff = inp.z - z_lower
-    curve_cone = ConeSpec(list(inp.surface.extremal_curves))
     dominated = (not z_lower.is_zero()
-                 and isinstance(effective_decompose(diff, curve_cone), Decomposition))
+                 and isinstance(effective_decompose(diff, inp.surface.curve_cone),
+                                Decomposition))
     if not dominated:
         raise DominanceError(
             "dominance violation: the bound class must be nonzero and dominated "

@@ -72,7 +72,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .cones import ConeSpec, Infeasible, effective_decompose
+from .cones import ConeSpec, separate
 from .lattice import BasisMismatchError, DivisorClass, LatticeBasis, SurfaceForm, surface_pair
 from .ratmath import (IrrationalBreakpointError, Poly, _affine, _as_fraction, _dot, _integers,
                       _reduce, format_poly, format_rational, integrate_region, rational_roots)
@@ -258,11 +258,11 @@ def zariski_decompose(d: DivisorClass, extremal_curves: Sequence[NamedCurve],
         try:
             solution = _solve(columns, support)
         except IndefiniteSupportError:
-            outcome = effective_decompose(d, ConeSpec(list(extremal_curves)))
-            if isinstance(outcome, Infeasible):
+            outside = separate(d, ConeSpec(list(extremal_curves)))
+            if outside is not None:
                 raise NotPseudoEffectiveError(
                     "not pseudo-effective: outside the cone of the extremal curves; "
-                    + outcome.detail) from None
+                    + outside.detail) from None
             raise
     negative = solution.forms[:len(support)]
     if any(n < 0 for _, (n,) in negative):

@@ -396,6 +396,41 @@ def test_cli_zariski_malformed_u_names_its_option(capsys):
     assert capsys.readouterr().err == "--v: malformed rational '1.5'\n"
 
 
+@pytest.mark.parametrize("old,new,error", [
+    ("chamber 0 1 =\n", "chamber 0 1 = (u)*EL\n",
+     "ScheduleError: P(u) pairs negatively with lR at u = 1"),
+    ("chamber 1 3/2 =", "chamber 1 2 =",
+     "ScheduleError: schedule ends at u = 2 but the pseudo-effective threshold is 3/2"),
+], ids=["pairing", "threshold"])
+@pytest.mark.parametrize("u", ["1/2", "7/4"])
+def test_cli_zariski_refuses_a_schedule_that_validation_refuses(tmp_path, capsys,
+                                                                 old, new, error, u):
+    """``zariski`` reads P(u) off the validated chambers: a schedule that
+    ``verify`` refuses prints the ERROR row's reason and exits 1 (it printed
+    a decomposition and exited 0, and took u = 7/4 past tau = 3/2 as inside)."""
+    text = load_bundled("lemma_4_1.scn")
+    assert text.count(old) == 1
+    path = tmp_path / "lemma_4_1.scn"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["zariski", str(path), "--u", u, "--v", "1/4"]) == 1
+    assert capsys.readouterr() == (error + "\n", "")
+
+
+@pytest.mark.parametrize("flag", ["--json", "--report"])
+@pytest.mark.parametrize("argv", [["zariski", "lemma_4_1", "--u", "1/2", "--v", "1/4"],
+                                  ["effdec", "lemma_3_8", "--class", "H"],
+                                  ["geo", "fixed-points"]], ids=["zariski", "effdec", "geo"])
+def test_a_command_without_a_report_refuses_json_and_report(tmp_path, capsys, flag, argv):
+    """Only ``verify``, ``s-curve`` and ``s-divisor`` emit a report: the
+    other commands refuse ``--json`` and ``--report`` with exit code 2 and
+    one stderr line, print nothing and write no file (each flag was ignored)."""
+    report = tmp_path / "report.txt"
+    assert main([flag, *([str(report)] if flag == "--report" else []), *argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} applies only to verify, s-curve and s-divisor\n")
+    assert not report.exists()
+
+
 def test_an_empty_chamber_is_a_parse_error():
     text = load_bundled("sdiv_plane.scn").replace("chamber 0 1 =",
                                                   "chamber 0 0 =\nchamber 0 1 =")

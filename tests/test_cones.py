@@ -1,4 +1,3 @@
-import functools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -6,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from divstab import cones as cones_module
+from divstab import scenario as scenario_module
 from divstab.cones import (ConeSpec, Decomposition, Infeasible,
                            UnboundedThresholdError, effective_decompose, feasible_interval,
-                           pseudoeffective_threshold)
+                           pseudoeffective_threshold, separate)
 from divstab import linalg
 from divstab.lattice import DivisorClass, LatticeBasis
 from divstab.ratmath import Poly
@@ -33,7 +33,6 @@ def test_effective_decompose_infeasible_with_witness(model):
     cls = DivisorClass(model.basis, [4 - 2 * a, -1, -(1 - 2 * a)])
     outcome = effective_decompose(cls, model.effective_cone)
     assert isinstance(outcome, Infeasible)
-    assert not outcome
     witness = outcome.witness
     assert witness is not None
     for g in model.effective_cone.generators:
@@ -63,15 +62,28 @@ def test_lower_dimensional_cone_has_equalities(model):
                               "but takes -2 on the class")
 
 
-def test_cones_with_equal_data_share_one_h_representation(model):
-    """Facets are computed once per basis and generator list, not per ConeSpec."""
+def test_each_cone_forms_its_h_representation_once(model, scenarios, monkeypatch):
+    """A ConeSpec forms its equalities and facets when it is built, and a
+    surface builds its curve cone once."""
+    built = []
+    build = cones_module._h_representation
+
+    def recorded(rank, vectors):
+        built.append(vectors)
+        return build(rank, vectors)
+    monkeypatch.setattr(cones_module, "_h_representation", recorded)
     entries = list(zip(model.effective_cone.names, model.effective_cone.generators))
     again = ConeSpec([(name, DivisorClass(g.basis, g.coeffs)) for name, g in entries])
-    assert again.facets is model.effective_cone.facets
-    assert again.equalities is model.effective_cone.equalities
+    assert len(built) == 1
+    assert (again.equalities, again.facets) == (model.effective_cone.equalities,
+                                                model.effective_cone.facets)
     renamed = LatticeBasis(["A", "B", "C"])
     other = ConeSpec([(name, DivisorClass(renamed, g.coeffs)) for name, g in entries])
-    assert other.facets == again.facets and other.facets is not again.facets
+    assert len(built) == 2 and (other.equalities, other.facets) == (again.equalities,
+                                                                     again.facets)
+    surface = scenarios["lemma_4_1"].surface.replace()     # a fresh SurfaceData
+    assert surface.curve_cone is surface.curve_cone
+    assert len(built) == 3
 
 
 def test_a_second_verify_pass_solves_no_facets(monkeypatch):
@@ -95,13 +107,14 @@ def test_the_first_verify_builds_each_h_representation_from_one_equality_kernel(
     """The equalities are one kernel of the rational generators; each facet
     is a kernel vector of integer rows, with no further rational kernel per
     candidate subset."""
+    monkeypatch.setattr(scenario_module, "_BUILT", {})
     built = []
-    build = cones_module._h_representation.__wrapped__
+    build = cones_module._h_representation
 
-    def recorded(names, vectors):
+    def recorded(rank, vectors):
         built.append(vectors)
-        return build(names, vectors)
-    monkeypatch.setattr(cones_module, "_h_representation", functools.cache(recorded))
+        return build(rank, vectors)
+    monkeypatch.setattr(cones_module, "_h_representation", recorded)
     calls = []
     kernel = linalg.kernel
 
@@ -158,7 +171,6 @@ def test_an_infeasible_class_is_decided_without_a_solve(zcone_model, monkeypatch
     """H - 2EC is outside the lemma 3.8 cone: a violated facet answers at
     once, where enumerating its supports first took 25 solves."""
     cone = zcone_model.effective_cone
-    cone.facets  # the H-representation is formed once per process, before this query
     calls = []
     solve_unique = linalg.solve_unique
 
@@ -330,7 +342,7 @@ def _random_member(cone, rng, den):
 
 def test_cone_queries_match_the_fraction_oracles():
     """``feasible_interval``, ``pseudoeffective_threshold`` and
-    ``_separate`` on integer numerators give what summing and comparing
+    ``separate`` on integer numerators give what summing and comparing
     Fractions gave: the same ends, cuts, ``never``, threshold or error,
     witness and detail."""
     rng = random.Random(27)
@@ -355,7 +367,7 @@ def test_cone_queries_match_the_fraction_oracles():
             threshold = "outside"
         assert threshold == ("outside" if 0 not in ray else
                              "unbounded" if ray.hi is None else ray.hi)
-        assert cones_module._separate(a.coeffs, cone) == separate_oracle(a.coeffs, cone)
+        assert separate(a, cone) == separate_oracle(a.coeffs, cone)
         outside = separate_oracle(a.coeffs, cone)
         seen["member" if outside is None else "outside an equality"
              if outside.witness in cone.equalities or tuple(-c for c in outside.witness)

@@ -2,8 +2,8 @@
 command line starts without ``dataclasses`` or ``inspect``, every module-level
 function and class and every non-dunder method is read somewhere, only
 ``ratmath`` reads a polynomial's numerators and decides "affine in u", only
-schedule validation and the
-``zariski`` command form a chamber's positive part, only the scenario reader's
+schedule validation forms a chamber's positive part, one loop reads a cone's
+H-representation, only the scenario reader's
 ``_Section`` forms an error that names a section, only ``_rational_class``
 and the infeasible scan parse a scenario class, only ``run_verify``
 evaluates a scenario, and a re-import leaves no old module alive."""
@@ -130,17 +130,49 @@ def test_projgeo_reads_no_univariate_poly():
     assert read & {"Poly", "rational_roots", "poly_gcd"} == set()
 
 
-def test_only_validation_and_the_zariski_command_form_positive_parts():
+def test_only_validation_forms_positive_parts():
     """P(u) of a schedule chamber is formed by ``validate_schedule``, whose
-    records every invariant reads, and by the pointwise ``zariski`` command,
-    which validates nothing: no other function of the package calls
-    ``positive_part``."""
+    records every invariant and the pointwise ``zariski`` command read: no
+    other function of the package calls ``positive_part``."""
     callers = sorted(f"{path.stem}.{stmt.name}" for path in SOURCES
                      for stmt in ast.parse(path.read_text(encoding="utf-8")).body
                      for node in ast.walk(stmt)
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "positive_part")
-    assert callers == ["cli._cmd_zariski", "sinv.validate_schedule"]
+    assert callers == ["sinv.validate_schedule"]
+
+
+def test_cone_membership_has_one_reader():
+    """A cone's H-representation is formed once per ``ConeSpec`` and read by
+    ``feasible_interval`` alone: no module names ``_separate``, only
+    ``ConeSpec`` calls ``_h_representation``, ``cones`` imports nothing from
+    ``functools`` (no process-wide facet cache), and only the callers that
+    print a decomposition call ``effective_decompose``; every other
+    membership question asks ``separate``."""
+    named, builders, caches, deciders = set(), [], [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if "_separate" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+                named.add(path.stem)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and path.stem == "cones":
+                modules = ([node.module] if isinstance(node, ast.ImportFrom)
+                           else [alias.name for alias in node.names])
+                caches += [m for m in modules if m == "functools"]
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called == "_h_representation":
+                    builders.append(f"{path.stem}.{stmt.name}")
+                if called == "effective_decompose":
+                    deciders.append(f"{path.stem}.{stmt.name}")
+    assert named == set() and caches == []
+    assert builders == ["cones.ConeSpec"]
+    assert {d for d in deciders if not d.startswith("cones.")} == {
+        "cli._cmd_effdec", "scenario._evaluate_decomposition", "sinv.dominance_bound"}
 
 
 def test_only_run_verify_evaluates_scenarios():

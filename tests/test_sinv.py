@@ -143,7 +143,7 @@ def test_verify_pass_computes_each_degree_once(monkeypatch):
     share one model (1 of the 27 triple products; 12 of 38 when every parse
     built its own model, 20 of 46 when it was recomputed per call), and
     ``effective_decompose`` only for the two feasible queries."""
-    from divstab import scenario, zariski
+    from divstab import scenario
     monkeypatch.setattr(scenario, "_BUILT", {})
     calls = Counter()
 
@@ -156,7 +156,7 @@ def test_verify_pass_computes_each_degree_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(sinv, "triple_product")
-    for module in (scenario, sinv, zariski):
+    for module in (scenario, sinv):
         counting(module, "effective_decompose")
     names = bundled_scenario_names()
     assert len(names) == 17
